@@ -22,6 +22,7 @@ response g(|D|) Id with g(r) = 1/(1 + r/lambda) is provided for the
 Perona-Malik style baseline.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,9 @@ class ResponseParams:
     lam: float = 1.0  # Perona-Malik contrast scale, used by that kind only
 
     def __post_init__(self):
+        for name in ("s", "omega", "lam"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite")
         if self.kind not in (THRESHOLDED_PROJECTION, PERONA_MALIK_SCALAR):
             raise ParameterError(f"unknown response kind {self.kind!r}")
         if self.s <= 0:

@@ -45,6 +45,14 @@ class TestRunBaseline:
         with pytest.raises(ParameterError):
             run_baseline(u0, FilterParams(), "median", grid)
 
+    @pytest.mark.parametrize("kind", [CATTE_REGULARIZED, PERONA_MALIK])
+    def test_non_finite_data_rejected(self, rng, kind):
+        grid = GridSpec(dims=(6, 6), channels=1)
+        u0 = rng.standard_normal(grid.field_shape())
+        u0[3, 2, 0] = np.nan
+        with pytest.raises(ParameterError, match="u0"):
+            run_baseline(u0, FilterParams(), kind, grid)
+
     def test_mass_and_monotonicity(self, rng):
         grid = GridSpec(dims=(12, 12), channels=3)
         u0 = 0.5 * rng.standard_normal(grid.field_shape())

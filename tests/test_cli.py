@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import relaxdiff
 from relaxdiff.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
@@ -229,6 +235,15 @@ class TestMainPipeline:
         assert main(["--input", str(bad), "--output", str(out)]) == EXIT_IO
         # missing required flags
         assert main(["--output", str(out)]) == EXIT_CONFIG
+        # config error: non-finite parameters
+        for flag in ("--sigma", "--t-end", "--threshold-s"):
+            assert main(["--input", str(inp), "--output", str(out), flag, "nan"]) == EXIT_CONFIG
+
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(relaxdiff.__file__).resolve().parent.parent))
+        argv = [sys.executable, "-m", "relaxdiff", "--input", str(tmp_path / "nope.ppm"), "--output", str(tmp_path / "o.ppm")]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_IO and "no such image file" in proc.stderr
 
     def test_bump_kernel_mode(self, tmp_path):
         inp = self.write_disk(tmp_path)

@@ -24,7 +24,7 @@ from relaxdiff.integrate import (
 from relaxdiff.mollifier import Kernel, grad_sigma
 from relaxdiff.response import ResponseParams, response_field, response_zero
 
-from conftest import random_psd_field, smooth_image
+from conftest import disk_image, random_psd_field, smooth_image
 
 
 def identity_field(dims, kd, scale=1.0):
@@ -45,6 +45,12 @@ class TestFilterParams:
             FilterParams(alpha=0.0)
         with pytest.raises(ParameterError):
             FilterParams(cg_tol=0.5)
+
+    @pytest.mark.parametrize("name", ["tau", "sigma", "dt", "t_end", "alpha", "cg_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ParameterError):
+            FilterParams(**{name: value})
 
     def test_kernel_selection(self):
         assert FilterParams(sigma=0.0).kernel() is None
@@ -215,6 +221,46 @@ class TestRun:
         h0 = identity_field(grid.dims, 2, scale=0.05)
         with pytest.raises(ParameterError):
             run(u0, h0, FilterParams(alpha=0.1), grid)
+
+    @pytest.mark.parametrize("which", ["u0", "H0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_data_rejected(self, rng, which, value):
+        grid = GridSpec(dims=(6, 6), channels=3)
+        data = {"u0": rng.standard_normal(grid.field_shape()), "H0": identity_field(grid.dims, 6, scale=0.2)}
+        data[which][2, 3, 1] = value
+        with pytest.raises(ParameterError, match=which):
+            run(data["u0"], data["H0"], FilterParams(), grid)
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.0])
+    def test_min_eig_H_equals_full_diagonalisation(self, rng, sigma):
+        grid = GridSpec(dims=(32, 32), channels=3)
+        u0 = disk_image(32, radius=10.0)[0] + 0.05 * rng.standard_normal(grid.field_shape())
+        h0 = init_H0(u0, grid, window=3, alpha=0.1)
+        p = FilterParams(tau=0.5, sigma=sigma, dt=0.1, t_end=0.5)
+        _, traces, (_, hs) = run(u0, h0, p, grid, keep_history=True)
+        assert len(traces) == 5
+        for n, r in enumerate(traces):
+            assert r.min_eig_H == float(np.min(np.linalg.eigvalsh(hs[n + 1])[..., 0]))
+
+    def test_floor_violation_reports_the_full_argmin(self, rng, monkeypatch):
+        # A shifted response breaks the floor everywhere; the diagnostic must
+        # name the cell and eigenvalues that diagonalising every cell gives.
+        grid = GridSpec(dims=(32, 32), channels=3)
+        u0 = disk_image(32, radius=10.0)[0] + 0.05 * rng.standard_normal(grid.field_shape())
+        h0 = init_H0(u0, grid, window=3, alpha=0.1)
+        monkeypatch.setattr(integrate_mod, "response_field", lambda d, rp: response_field(d, rp) - 2.0 * np.eye(6))
+        fields = []
+        monkeypatch.setattr(integrate_mod, "eigvalsh_field", lambda h: fields.append(h.copy()) or np.linalg.eigvalsh(h))
+        with pytest.raises(InvariantViolation) as err:
+            run(u0, h0, FilterParams(tau=0.5, sigma=1.0, dt=0.1, t_end=0.5), grid)
+        diag = err.value.diagnostic
+        (h,) = fields
+        eigs = np.linalg.eigvalsh(h)
+        cell = np.unravel_index(int(np.argmin(eigs[..., 0])), grid.dims)
+        assert diag["cell"] == cell
+        np.testing.assert_array_equal(diag["eigenvalues"], eigs[cell])
+        np.testing.assert_array_equal(diag["tensor"], h[cell])
+        assert diag["min_eig"] == eigs[cell][0]
 
     def test_invariant_violation_diagnostic(self, rng, monkeypatch):
         # A response stub violating positive semidefiniteness must trip the

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -211,3 +213,9 @@ class TestResponseParamsValidation:
             ResponseParams(kind="nope")
         with pytest.raises(ParameterError):
             ResponseParams(kind=PERONA_MALIK_SCALAR, lam=0.0)
+
+    @pytest.mark.parametrize("name", ["s", "omega", "lam"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ParameterError):
+            ResponseParams(**{name: value})

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaxdiff.errors import DegenerateDirectionError, DimensionError, SymmetryError
 from relaxdiff.tensors import (
@@ -13,7 +17,7 @@ from relaxdiff.tensors import (
     spectral_bounds,
 )
 
-from conftest import random_symmetric_tensor
+from conftest import random_psd_field, random_symmetric_tensor
 
 
 def char_poly_eig_bounds(h):
@@ -176,4 +180,94 @@ class TestFieldHelpers:
 
     def test_min_eig_field(self, rng):
         hfield = np.stack([np.eye(4), 0.3 * np.eye(4)])
-        assert min_eig_field(hfield) == pytest.approx(0.3, abs=1e-12)
+        assert min_eig_field(hfield) == 0.3
+
+
+def full_min_eig(hfield):
+    """Reference: diagonalise every cell."""
+    return float(np.min(np.linalg.eigvalsh(hfield)[..., 0]))
+
+
+def assert_same_min_eig(hfield):
+    try:
+        expected = full_min_eig(hfield)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            min_eig_field(hfield)
+        return
+    got = min_eig_field(hfield)
+    assert got == expected or (math.isnan(got) and math.isnan(expected))
+
+
+@st.composite
+def symmetric_fields(draw):
+    """Symmetric tensor fields built to stress the certified minimum."""
+    n = draw(st.sampled_from([1, 2, 4, 6]))
+    count = draw(st.one_of(st.integers(1, 200), st.integers(4000, 9000)))
+    kind = draw(st.sampled_from(["random", "psd", "identical", "near_tie", "projection", "hidden"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eye = np.eye(n)
+    if kind == "random":
+        m = rng.standard_normal((count, n, n))
+        h = 0.5 * (m + np.swapaxes(m, 1, 2))
+    elif kind == "psd":
+        h = random_psd_field(rng, (count,), n, floor=0.1)
+    elif kind == "identical":
+        h = np.broadcast_to(random_symmetric_tensor(rng, n), (count, n, n)).copy()
+    elif kind == "near_tie":
+        # one cell repeated with its diagonal moved by a few ulps per cell
+        base = random_symmetric_tensor(rng, n)
+        ulps = rng.integers(-4, 5, size=(count, 1))
+        h = base + ulps[:, :, None] * np.spacing(np.diagonal(base))[None, None, :] * eye
+    elif kind == "projection":
+        # I - v v^T / |v|^2 has a zero eigenvalue that eigvalsh returns as
+        # +-1e-16, like the catte response; some cells carry a shift
+        v = rng.standard_normal((count, n))
+        h = eye - np.einsum("ci,cj->cij", v, v) / np.einsum("ci,ci->c", v, v)[:, None, None]
+        h += rng.choice([0.0, 0.25], size=count)[:, None, None] * eye
+    else:
+        # the smallest eigenvalue sits in cells with large diagonal entries,
+        # so the sampled bound misses it and the Cholesky filter must find it
+        h = np.broadcast_to(0.5 * eye, (count, n, n)).copy()
+        if n > 1:
+            hidden = rng.choice(count, size=min(count, 3), replace=False)
+            h[hidden] = 2.0 * eye
+            h[hidden, 0, 1] = h[hidden, 1, 0] = 1.9 + 0.05 * rng.random(hidden.size)
+    return h.reshape(draw(st.sampled_from([(count,), (1, count)])) + (n, n))
+
+
+class TestMinEigFieldExact:
+    @settings(max_examples=150, deadline=None)
+    @given(symmetric_fields())
+    def test_equals_full_diagonalisation(self, hfield):
+        assert_same_min_eig(hfield)
+
+    @settings(max_examples=40, deadline=None)
+    @given(symmetric_fields(), st.data())
+    def test_non_finite_cell(self, hfield, data):
+        cells = hfield.reshape((-1,) + hfield.shape[-2:])
+        cell = data.draw(st.integers(0, cells.shape[0] - 1))
+        i = data.draw(st.integers(0, cells.shape[-1] - 1))
+        j = data.draw(st.integers(0, cells.shape[-1] - 1))
+        cells[cell, i, j] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        assert_same_min_eig(hfield)
+
+    def test_single_cell(self, rng):
+        h = random_symmetric_tensor(rng, 6)
+        assert min_eig_field(h) == float(np.linalg.eigvalsh(h)[0])
+
+    def test_minimum_in_a_later_block(self):
+        # 100 cells at 0.5 fill the sample; the 0.1 minimum sits in the
+        # second Cholesky block, behind large diagonal entries
+        h = np.broadcast_to(np.eye(6), (9000, 6, 6)).copy()
+        h[:100] *= 0.5
+        h[5000, :2, :2] = [[2.0, 1.9], [1.9, 2.0]]
+        assert min_eig_field(h) == full_min_eig(h) == pytest.approx(0.1)
+
+    def test_nan_cell_raises_like_eigvalsh(self):
+        h = np.broadcast_to(np.eye(6), (300, 6, 6)).copy()
+        h[123, 3, 0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            full_min_eig(h)
+        with pytest.raises(np.linalg.LinAlgError):
+            min_eig_field(h)
