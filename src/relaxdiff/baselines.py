@@ -19,7 +19,15 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .grid import GridSpec, check_image, face_average_tensors, gradient, l2_norm
-from .integrate import FilterParams, FilterState, TraceRecord, _implicit_solve, _require_finite, energy
+from .integrate import (
+    FilterParams,
+    FilterState,
+    TraceRecord,
+    _implicit_solve,
+    _num_steps,
+    _require_finite,
+    energy,
+)
 from .mollifier import grad_sigma
 from .response import (
     PERONA_MALIK_SCALAR,
@@ -74,8 +82,8 @@ def run_baseline(
     max_iter = p.max_iter(grid.ncells)
     p_energy = replace(p, response=resp)
     traces: list[TraceRecord] = []
-    n_steps = 0 if p.t_end <= 0 else max(1, int(math.ceil(p.t_end / p.dt - 1e-9)))
-    for n in range(n_steps):
+    for n in range(_num_steps(p)):
+        t = (n + 1) * p.dt
         if kind == CATTE_REGULARIZED:
             d = grad_sigma(u, kern, grid)
             h = response_field(d, resp)
@@ -83,8 +91,9 @@ def run_baseline(
             d = gradient(u, grid)
             h = response_pm_field(d, resp)
         havg = face_average_tensors(h, grid)
-        u, iters = _implicit_solve(u, havg, p.dt, grid, p.cg_tol, max_iter)
-        t = (n + 1) * p.dt
+        u, iters = _implicit_solve(
+            u, havg, p.dt, grid, p.cg_tol, max_iter, f"baseline solve of step {n + 1} (t={t:g})"
+        )
         state_now = FilterState(t=t, u=u, H=h, kappa_predicted=0.0)
         traces.append(
             TraceRecord(

@@ -11,11 +11,12 @@ so total intensity is conserved and the diffusion operator below is an
 exactly symmetric, coercive map.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, ParameterError
+from .errors import DimensionError, ParameterError
 from .tensors import SYMMETRY_RTOL
 
 Array = np.ndarray
@@ -93,10 +94,14 @@ def gradient(u: Array, grid: GridSpec) -> Array:
     """Forward-difference gradient field of shape dims + (k, d)."""
     u = check_image(u, grid)
     d = grid.ndim
-    out = np.zeros(grid.dims + (grid.channels, d))
+    out = np.empty(grid.dims + (grid.channels, d))
     for j in range(d):
-        lo, hi, _ = _axis_slices(d, j)
-        out[lo + (slice(None), j)] = (u[hi] - u[lo]) / grid.spacing[j]
+        lo, hi, last = _axis_slices(d, j)
+        face = out[lo + (slice(None), j)]
+        np.subtract(u[hi], u[lo], out=face)
+        if grid.spacing[j] != 1.0:  # v / 1.0 == v, so skipping it is exact
+            face /= grid.spacing[j]
+        out[last + (slice(None), j)] = 0.0
     return out
 
 
@@ -116,9 +121,10 @@ def divergence(jfield: Array, grid: GridSpec) -> Array:
     for j in range(d):
         lo, hi, _ = _axis_slices(d, j)
         f = jfield[..., j][lo]  # interior faces only; boundary flux is zero
-        h = grid.spacing[j]
-        out[lo] += f / h
-        out[hi] -= f / h
+        if grid.spacing[j] != 1.0:
+            f = f / grid.spacing[j]
+        out[lo] += f
+        out[hi] -= f
     return out
 
 
@@ -197,61 +203,16 @@ def mean_free(u: Array, grid: GridSpec) -> Array:
     return check_image(u, grid) - channel_means(u, grid)
 
 
-def neumann_laplacian(u: Array, grid: GridSpec) -> Array:
-    """-div(grad u), the scalar-diffusivity special case, channel-wise."""
-    return -divergence(gradient(u, grid), grid)
-
-
-def _cg_scalar(apply_op, b: Array, tol: float, max_iter: int) -> Array:
-    """Plain CG for the SPD scalar Laplacian restricted to mean-free fields."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rs = float(np.dot(r.ravel(), r.ravel()))
-    b_nrm = np.sqrt(float(np.dot(b.ravel(), b.ravel())))
-    if b_nrm == 0.0:
-        return x
-    for _ in range(max_iter):
-        ap = apply_op(p)
-        alpha = rs / float(np.dot(p.ravel(), ap.ravel()))
-        x += alpha * p
-        r -= alpha * ap
-        rs_new = float(np.dot(r.ravel(), r.ravel()))
-        if np.sqrt(rs_new) <= tol * b_nrm:
-            x -= x.mean()  # roundoff hygiene: stay in the mean-free subspace
-            return x
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    raise NumericalError("inner CG for the Poincare estimate did not converge")
-
-
-def poincare_estimate(grid: GridSpec, tol: float = 1e-10, max_iter: int = 500) -> float:
+def poincare_estimate(grid: GridSpec) -> float:
     """Smallest nonzero eigenvalue of the scalar no-flux Laplacian on the grid.
 
-    Computed by inverse iteration restricted to the mean-free subspace (the
-    kernel of the operator is spanned by constants). This is the discrete
-    constant in ||grad u||^2 >= C ||u||^2 for mean-free u, used by the
-    decay-rate predictions.
+    The operator is a sum of 1-d Neumann Laplacians, one per axis, whose
+    eigenvalues are 4 sin^2(pi k / (2 n_j)) / h_j^2 for k = 0 .. n_j - 1, so
+    the smallest nonzero one is min_j 4 sin^2(pi / (2 n_j)) / h_j^2. This is
+    the discrete constant in ||grad u||^2 >= C ||u||^2 for mean-free u, used
+    by the decay-rate predictions.
     """
-    scalar = GridSpec(dims=grid.dims, spacing=grid.spacing, channels=1)
-
-    def lap(v: Array) -> Array:
-        return neumann_laplacian(v, scalar)
-
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(scalar.field_shape())
-    v -= v.mean()
-    v /= np.linalg.norm(v.ravel())
-
-    lam_prev = np.inf
-    cg_iters = 8 * scalar.ncells  # CG is exact in ncells steps; generous cap
-    for _ in range(max_iter):
-        w = _cg_scalar(lap, v, tol=1e-13, max_iter=cg_iters)
-        w -= w.mean()
-        w /= np.linalg.norm(w.ravel())
-        lam = float(np.dot(w.ravel(), lap(w).ravel()))
-        if abs(lam - lam_prev) <= tol * max(abs(lam), 1e-300):
-            return lam
-        lam_prev = lam
-        v = w
-    raise NumericalError("inverse iteration for the Poincare estimate did not converge")
+    return min(
+        4.0 * math.sin(math.pi / (2 * n)) ** 2 / (h * h)
+        for n, h in zip(grid.dims, grid.spacing)
+    )

@@ -10,10 +10,10 @@ precondition asks for, by construction.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 from .errors import ParameterError, RangeError
 from .grid import GridSpec, check_image, gradient
+from .mollifier import _correlate1d
 
 Array = np.ndarray
 
@@ -72,7 +72,7 @@ def _window_sums(values: Array, dims: tuple[int, ...], window: int) -> Array:
     out = values.astype(float, copy=True)
     w = np.ones(window)
     for axis in range(len(dims)):
-        out = correlate1d(out, w, axis=axis, mode="constant", cval=0.0)
+        out = _correlate1d(out, w, axis)
     return out
 
 

@@ -132,12 +132,15 @@ def _implicit_solve(
     grid: GridSpec,
     cg_tol: float,
     max_iter: int,
+    where: str = "diffusion solve",
 ) -> tuple[Array, int]:
     """CG solve of (I - dt div(H grad)) x = u with precomputed face tensors.
 
     Starting from x0 = u keeps every Krylov update in the zero-sum subspace
     (the operator preserves channel means), so the solution's per-channel
-    mass matches u's to rounding regardless of the tolerance.
+    mass matches u's to rounding regardless of the tolerance. x, r and p are
+    updated in place through one scratch buffer; ``where`` names the solve
+    in the SolverError raised when the tolerance is not reached.
     """
     kd = grid.channels * grid.ndim
     dims = grid.dims
@@ -146,7 +149,9 @@ def _implicit_solve(
         g = gradient(x, grid)
         flat = g.reshape(dims + (kd,))
         j = np.einsum("...ab,...b->...a", havg, flat).reshape(g.shape)
-        return x - dt * divergence(j, grid)
+        out = divergence(j, grid)
+        out *= dt
+        return np.subtract(x, out, out=out)
 
     b_nrm = float(np.linalg.norm(u.ravel()))
     if b_nrm == 0.0:
@@ -154,21 +159,23 @@ def _implicit_solve(
     x = u.copy()
     r = u - apply_a(x)
     p = r.copy()
+    tmp = np.empty_like(u)
     rs = float(np.dot(r.ravel(), r.ravel()))
     if math.sqrt(rs) <= cg_tol * b_nrm:
         return x, 0
     for it in range(1, max_iter + 1):
         ap = apply_a(p)
         alpha = rs / float(np.dot(p.ravel(), ap.ravel()))
-        x += alpha * p
-        r -= alpha * ap
+        x += np.multiply(p, alpha, out=tmp)
+        r -= np.multiply(ap, alpha, out=tmp)
         rs_new = float(np.dot(r.ravel(), r.ravel()))
         if math.sqrt(rs_new) <= cg_tol * b_nrm:
             return x, it
-        p = r + (rs_new / rs) * p
+        p *= rs_new / rs
+        p += r
         rs = rs_new
     raise SolverError(
-        f"diffusion CG did not reach tol {cg_tol:g} in {max_iter} iterations",
+        f"{where}: CG did not reach tol {cg_tol:g} in {max_iter} iterations",
         residual=math.sqrt(rs) / b_nrm,
     )
 
@@ -272,19 +279,25 @@ def run(
     hs = [h.copy()] if keep_history else None
 
     n_steps = _num_steps(p)
+    # The face tensors of each step's relaxed H serve its main solve and the
+    # next step's half-step solve.
+    havg = face_average_tensors(h, grid)
     for n in range(n_steps):
+        t = (n + 1) * p.dt
         # Half-step prediction of u fixes the response sample near the step
         # midpoint (second-order consistency with the memory form) while the
         # H-update itself stays the exact convex-combination relaxation.
-        havg_old = face_average_tensors(h, grid)
-        u_half, _ = _implicit_solve(u, havg_old, 0.5 * p.dt, grid, p.cg_tol, max_iter)
+        u_half, _ = _implicit_solve(
+            u, havg, 0.5 * p.dt, grid, p.cg_tol, max_iter, f"half solve of step {n + 1} (t={t:g})"
+        )
         d = grad_sigma(u_half, kern, grid)
         f = response_field(d, p.response)
         h = theta * h + (1.0 - theta) * f
 
         havg = face_average_tensors(h, grid)
-        u, iters = _implicit_solve(u, havg, p.dt, grid, p.cg_tol, max_iter)
-        t = (n + 1) * p.dt
+        u, iters = _implicit_solve(
+            u, havg, p.dt, grid, p.cg_tol, max_iter, f"main solve of step {n + 1} (t={t:g})"
+        )
         if not np.all(np.isfinite(u)):
             raise InvariantViolation(
                 f"intensity field became non-finite at t={t:g}",

@@ -9,12 +9,12 @@ from relaxdiff.baselines import (
     compare_trajectories,
     run_baseline,
 )
-from relaxdiff.errors import DimensionError, ParameterError
+from relaxdiff.errors import DimensionError, ParameterError, SolverError
 from relaxdiff.grid import GridSpec, l2_norm
 from relaxdiff.integrate import FilterParams, TraceRecord, run
 from relaxdiff.response import ResponseParams
 
-from conftest import smooth_image
+from conftest import disk_image, smooth_image
 
 
 def make_records(values, dt=0.1):
@@ -89,6 +89,13 @@ class TestRunBaseline:
             dists.append(compare_trajectories(tr, catte))
         for a, b in zip(dists, dists[1:]):
             assert 1.0 <= a / b <= 3.0  # halving +- 50% slack
+
+    def test_solver_error_names_step_time_and_solve(self):
+        grid = GridSpec(dims=(16, 16), channels=3)
+        p = FilterParams(tau=0.5, sigma=1.0, dt=0.1, t_end=0.5, cg_max_iter=1)
+        with pytest.raises(SolverError, match=r"^baseline solve of step 1 \(t=0\.1\): CG did not reach") as err:
+            run_baseline(disk_image(16, radius=5.0)[0], p, CATTE_REGULARIZED, grid)
+        assert err.value.residual > p.cg_tol
 
 
 class TestCompareTrajectories:

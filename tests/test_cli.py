@@ -245,6 +245,13 @@ class TestMainPipeline:
         proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == EXIT_IO and "no such image file" in proc.stderr
 
+    def test_import_loads_numpy_only(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(relaxdiff.__file__).resolve().parent.parent))
+        code = "import sys, relaxdiff.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_bump_kernel_mode(self, tmp_path):
         inp = self.write_disk(tmp_path)
         out = tmp_path / "bump.ppm"

@@ -60,6 +60,15 @@ class TestGradient:
         with pytest.raises(DimensionError):
             gradient(np.zeros((4, 4, 2)), grid)
 
+    def test_anisotropic_spacing_exact(self, rng):
+        grid = GridSpec(dims=(5, 7), spacing=(0.5, 2.0), channels=2)
+        u = rng.standard_normal(grid.field_shape())
+        g = gradient(u, grid)
+        np.testing.assert_array_equal(g[:-1, :, :, 0], (u[1:] - u[:-1]) / 0.5)
+        np.testing.assert_array_equal(g[:, :-1, :, 1], (u[:, 1:] - u[:, :-1]) / 2.0)
+        np.testing.assert_array_equal(g[-1, :, :, 0], 0.0)
+        np.testing.assert_array_equal(g[:, -1, :, 1], 0.0)
+
 
 class TestDivergence:
     def test_zero(self):

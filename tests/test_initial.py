@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from scipy.ndimage import correlate1d
 
+import relaxdiff.initial as initial_mod
 from relaxdiff.errors import ParameterError, RangeError
 from relaxdiff.grid import GridSpec, gradient
 from relaxdiff.initial import NoiseSpec, add_noise, init_H0, rescale, unrescale
+
+from conftest import disk_image
 from relaxdiff.tensors import is_psd
 
 
@@ -88,6 +92,17 @@ class TestAddNoise:
 
 
 class TestInitH0:
+    def test_matches_scipy_window_sums(self, monkeypatch):
+        grid = GridSpec(dims=(32, 32), channels=3)
+        u = disk_image(32, radius=10.0)[0] + 0.05 * np.random.default_rng(5).standard_normal(grid.field_shape())
+        h0 = init_H0(u, grid, window=5, alpha=0.1)
+        monkeypatch.setattr(
+            initial_mod,
+            "_correlate1d",
+            lambda v, w, axis: correlate1d(v, w, axis=axis, mode="constant", cval=0.0),
+        )
+        np.testing.assert_allclose(h0, init_H0(u, grid, window=5, alpha=0.1), rtol=0, atol=1e-12)
+
     def test_affine_image_gives_alpha_identity(self):
         n = 10
         grid = GridSpec(dims=(n, n), channels=1)

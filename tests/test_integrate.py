@@ -278,6 +278,15 @@ class TestRun:
         diag = err.value.diagnostic
         assert {"t", "cell", "kappa_predicted", "min_eig", "tensor", "eigenvalues"} <= set(diag)
 
+    def test_solver_error_names_step_time_and_solve(self):
+        grid = GridSpec(dims=(16, 16), channels=3)
+        u0 = disk_image(16, radius=5.0)[0]
+        h0 = init_H0(u0, grid, window=3, alpha=0.1)
+        p = FilterParams(tau=0.5, sigma=1.0, dt=0.1, t_end=0.5, cg_max_iter=1)
+        with pytest.raises(SolverError, match=r"^half solve of step 1 \(t=0\.1\): CG did not reach") as err:
+            run(u0, h0, p, grid)
+        assert err.value.residual > p.cg_tol
+
     def test_trace_schema_and_iters(self, rng):
         grid = GridSpec(dims=(8, 8), channels=3)
         u0 = rng.standard_normal(grid.field_shape())

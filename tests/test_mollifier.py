@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.ndimage import correlate1d
 
 from relaxdiff.errors import ParameterError
 from relaxdiff.grid import GridSpec, gradient
-from relaxdiff.mollifier import COMPACT_BUMP, Kernel, convolve, grad_sigma
+from relaxdiff.mollifier import COMPACT_BUMP, Kernel, _correlate1d, convolve, grad_sigma
 
 
 def normalized_gaussian_weights(sigma):
@@ -34,6 +37,45 @@ class TestKernel:
             Kernel(sigma=0.0)
         with pytest.raises(ParameterError):
             Kernel(kind="boxcar")
+
+
+@st.composite
+def correlation_cases(draw):
+    """Field, odd-width weights and axis; kernels may be wider than the axis."""
+    ndim = draw(st.integers(1, 3))
+    dims = tuple(draw(st.lists(st.integers(2, 20), min_size=ndim, max_size=ndim)))
+    channels = draw(st.integers(1, 3))
+    width = draw(st.sampled_from(range(1, 18, 2)))
+    symmetric = draw(st.booleans())
+    axis = draw(st.integers(0, ndim - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = rng.standard_normal(dims + (channels,))
+    w = rng.standard_normal(width)
+    if symmetric:
+        w = 0.5 * (w + w[::-1])
+    return u, w, axis, symmetric
+
+
+class TestCorrelate1d:
+    """scipy.ndimage.correlate1d(mode="constant") is the reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(correlation_cases())
+    def test_matches_scipy(self, case):
+        u, w, axis, symmetric = case
+        out = _correlate1d(u, w, axis)
+        ref = correlate1d(u, w, axis=axis, mode="constant", cval=0.0)
+        assert out.shape == u.shape
+        if symmetric:
+            # Equal-weight pairs are summed in the reference's order, so
+            # every kernel of the package (all symmetric) gives the same bits.
+            np.testing.assert_array_equal(out, ref)
+            np.testing.assert_allclose(out, ref, rtol=1e-13, atol=1e-15)
+        else:
+            # Another summation order: the gap is a few ulps of the sum of
+            # magnitudes, which cancellation can leave far above |ref|.
+            scale = correlate1d(np.abs(u), np.abs(w), axis=axis, mode="constant", cval=0.0)
+            np.testing.assert_array_less(np.abs(out - ref), 1e-13 * scale + 1e-15)
 
 
 class TestConvolve:
