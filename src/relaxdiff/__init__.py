@@ -25,8 +25,6 @@ from .integrate import (
     energy,
     memory_form_check,
     run,
-    step_H,
-    step_u,
     write_trace_csv,
 )
 from .baselines import CATTE_REGULARIZED, PERONA_MALIK, compare_trajectories, run_baseline
@@ -60,8 +58,6 @@ __all__ = [
     "energy",
     "memory_form_check",
     "run",
-    "step_H",
-    "step_u",
     "write_trace_csv",
     "CATTE_REGULARIZED",
     "PERONA_MALIK",

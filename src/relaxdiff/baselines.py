@@ -1,14 +1,15 @@
 """Reference filters for limit studies.
 
-Both baselines skip the relaxation dynamics and set the diffusivity
-directly from the current gradient each step, then perform the same
-semi-implicit diffusion solve as the main filter, so any difference in
-behavior isolates the H dynamics rather than the spatial scheme.
+Both baselines skip the relaxation dynamics: they run the filter's own step
+loop (integrate._step_loop) in its no-relaxation mode, which sets the
+diffusivity to F(grad_sigma u) at each step's left endpoint and then performs
+the same backward-Euler diffusion solve, so any difference in behavior
+isolates the H dynamics rather than the spatial scheme.
 
 The mollified variant is the tau -> 0 limit of the relaxation filter. The
-scalar variant without mollification is the classical edge-stopping
-diffusion; it is analytically ill-posed and provided for demonstration only
-(use small steps, no stability guarantee).
+scalar variant is the same loop with sigma = 0 and the Perona-Malik response:
+the classical edge-stopping diffusion, analytically ill-posed and provided
+for demonstration only (use small steps, no stability guarantee).
 """
 
 import math
@@ -18,25 +19,17 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .grid import GridSpec, check_image, face_average_tensors, gradient, l2_norm
-from .integrate import (
-    FilterParams,
-    FilterState,
-    TraceRecord,
-    _implicit_solve,
-    _num_steps,
-    _require_finite,
-    energy,
+from .grid import GridSpec, check_image
+from .integrate import FilterParams, TraceRecord, _require_finite, _step_loop
+
+# bench/child.py wraps these names when tracing. The step loop looks them up
+# in integrate, so only the wrappers there see calls.
+from .integrate import (  # noqa: F401
+    _implicit_solve, eigvalsh_field, energy, face_average_tensors,
+    grad_sigma, gradient, l2_norm, response_field,
 )
-from .mollifier import grad_sigma
-from .response import (
-    PERONA_MALIK_SCALAR,
-    ResponseParams,
-    response_field,
-    response_pm_field,
-)
-from .tensors import eigvalsh_field  # noqa: F401  bench/child.py wraps this name when tracing
-from .tensors import min_eig_field
+from .mollifier import DELTA_SIGMA
+from .response import PERONA_MALIK_SCALAR
 
 Array = np.ndarray
 
@@ -52,60 +45,28 @@ def run_baseline(
 ):
     """Run a no-relaxation filter; returns (final image, trace records).
 
-    The mollified kind requires sigma > 0. tau in p only scales the energy
-    diagnostic; it does not enter the dynamics.
+    The mollified kind requires sigma >= DELTA_SIGMA (0.5), below which the
+    kernel is the identity. The scalar kind ignores sigma and the response
+    kind in p. tau in p only scales the energy diagnostic; it does not enter
+    the dynamics.
     """
     if kind not in (CATTE_REGULARIZED, PERONA_MALIK):
         raise ParameterError(f"unknown baseline kind {kind!r}")
-    if kind == CATTE_REGULARIZED and p.kernel() is None:
-        raise ParameterError("the mollified baseline requires sigma > 0")
+    if kind == CATTE_REGULARIZED and p.sigma < DELTA_SIGMA:
+        raise ParameterError(f"the mollified baseline requires sigma >= {DELTA_SIGMA:g}")
     if grid is None:
         grid = GridSpec.from_field(u0)
     u = check_image(u0, grid).copy()
     _require_finite("u0", u)
-
     if kind == PERONA_MALIK:
         warnings.warn(
             "unmollified scalar edge-stopping diffusion is ill-posed; "
             "use small dt and expect no stability guarantee",
             stacklevel=2,
         )
-        resp = p.response
-        if resp.kind != PERONA_MALIK_SCALAR:
-            resp = ResponseParams(
-                s=p.response.s, omega=p.response.omega, kind=PERONA_MALIK_SCALAR, lam=p.response.lam
-            )
-    else:
-        resp = p.response
-
-    kern = p.kernel()
-    max_iter = p.max_iter(grid.ncells)
-    p_energy = replace(p, response=resp)
-    traces: list[TraceRecord] = []
-    for n in range(_num_steps(p)):
-        t = (n + 1) * p.dt
-        if kind == CATTE_REGULARIZED:
-            d = grad_sigma(u, kern, grid)
-            h = response_field(d, resp)
-        else:
-            d = gradient(u, grid)
-            h = response_pm_field(d, resp)
-        havg = face_average_tensors(h, grid)
-        u, iters = _implicit_solve(
-            u, havg, p.dt, grid, p.cg_tol, max_iter, f"baseline solve of step {n + 1} (t={t:g})"
-        )
-        state_now = FilterState(t=t, u=u, H=h, kappa_predicted=0.0)
-        traces.append(
-            TraceRecord(
-                t=t,
-                l2_norm_u=l2_norm(u, grid),
-                mass=tuple(grid.cell_volume * s for s in u.reshape(-1, grid.channels).sum(axis=0)),
-                energy=energy(state_now, p_energy, grid),
-                min_eig_H=min_eig_field(h),
-                cg_iters=iters,
-            )
-        )
-    return u, traces
+        p = replace(p, sigma=0.0, response=replace(p.response, kind=PERONA_MALIK_SCALAR))
+    final, traces, _ = _step_loop(u, None, p, grid)
+    return final.u, traces
 
 
 def compare_trajectories(a: list[TraceRecord], b: list[TraceRecord]) -> float:

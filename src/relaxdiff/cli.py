@@ -35,7 +35,7 @@ from .errors import (
 from .grid import GridSpec
 from .initial import NoiseSpec, add_noise, init_H0, rescale, unrescale
 from .integrate import FilterParams, run, write_trace_csv
-from .mollifier import COMPACT_BUMP, GAUSSIAN
+from .mollifier import COMPACT_BUMP, DELTA_SIGMA, GAUSSIAN
 from .response import PERONA_MALIK_SCALAR, THRESHOLDED_PROJECTION, ResponseParams
 
 Array = np.ndarray
@@ -97,10 +97,7 @@ def load_image(path: str) -> Array:
     except OSError as exc:
         raise ImageIOError(f"cannot read image file: {path}: {exc}") from exc
 
-    try:
-        tokens, offset = _read_tokens(data, 4)
-    except MalformedHeaderError:
-        raise
+    tokens, offset = _read_tokens(data, 4)
     magic, w_tok, h_tok, maxval_tok = tokens
     if magic == b"P6":
         channels = 3
@@ -189,7 +186,9 @@ class RunConfig:
     cg_tol: float = 1e-10
 
 
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
+# Each field's type (a class: annotations are not postponed here) parses its
+# config-file value.
+_CONFIG_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def parse_config_file(path: str) -> dict:
@@ -197,7 +196,7 @@ def parse_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read config file {path}: {exc}") from exc
     values = {}
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -208,7 +207,7 @@ def parse_config_file(path: str) -> dict:
             raise ParameterError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = body.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_TYPES:
             raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = value.strip()
     return values
@@ -243,25 +242,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_FLOAT_KEYS = {
-    "tau", "sigma", "threshold_s", "omega", "alpha", "lam",
-    "dt", "t_end", "noise_std", "lo", "hi", "cg_tol",
-}
-_INT_KEYS = {"seed", "window"}
-
-
 def build_config(argv: list[str]) -> RunConfig:
     ns = _build_parser().parse_args(argv)
     cfg = RunConfig()
     if ns.config_path:
         for key, raw in parse_config_file(ns.config_path).items():
             try:
-                if key in _FLOAT_KEYS:
-                    setattr(cfg, key, float(raw))
-                elif key in _INT_KEYS:
-                    setattr(cfg, key, int(raw))
-                else:
-                    setattr(cfg, key, raw)
+                setattr(cfg, key, _CONFIG_TYPES[key](raw))
             except ValueError as exc:
                 raise ParameterError(f"config key {key!r}: bad value {raw!r}") from exc
     for f in fields(RunConfig):
@@ -282,8 +269,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ParameterError(f"unknown kernel {cfg.kernel!r}")
     if cfg.mode == MODE_RELAX and cfg.tau <= 0:
         raise ParameterError("relax mode needs tau > 0")
-    if cfg.mode == MODE_CATTE and cfg.sigma <= 0:
-        raise ParameterError("the mollified baseline needs sigma > 0")
+    if cfg.mode == MODE_CATTE and cfg.sigma < DELTA_SIGMA:
+        raise ParameterError(f"the mollified baseline needs sigma >= {DELTA_SIGMA:g}")
     if cfg.noise_std < 0:
         raise ParameterError("noise-std must be >= 0")
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .tensors import SYMMETRY_RTOL
+from .tensors import apply, require_symmetric
 
 Array = np.ndarray
 
@@ -154,30 +154,10 @@ def face_average_tensors(hfield: Array, grid: GridSpec) -> Array:
     return out
 
 
-def _check_field_symmetry(hfield: Array) -> None:
-    scale = max(1.0, float(np.max(np.abs(hfield)))) if hfield.size else 1.0
-    asym = float(np.max(np.abs(hfield - np.swapaxes(hfield, -1, -2))))
-    if asym > SYMMETRY_RTOL * scale:
-        from .errors import SymmetryError
-
-        raise SymmetryError("tensor field is not symmetric within tolerance")
-
-
-def diffusion_apply(hfield: Array, u: Array, grid: GridSpec, *, check: bool = True) -> Array:
+def diffusion_apply(hfield: Array, u: Array, grid: GridSpec) -> Array:
     """div(H grad u) with face-averaged tensors; linear and mass conserving."""
-    if check:
-        _check_field_symmetry(np.asarray(hfield, dtype=float))
-    havg = face_average_tensors(hfield, grid)
-    return _diffusion_apply_pre(havg, u, grid)
-
-
-def _diffusion_apply_pre(havg: Array, u: Array, grid: GridSpec) -> Array:
-    """Same as diffusion_apply but with face-averaged tensors precomputed."""
-    g = gradient(u, grid)
-    kd = grid.channels * grid.ndim
-    flat = g.reshape(grid.dims + (kd,))
-    j = np.einsum("...ab,...b->...a", havg, flat).reshape(g.shape)
-    return divergence(j, grid)
+    havg = face_average_tensors(require_symmetric(hfield), grid)
+    return divergence(apply(havg, gradient(u, grid)), grid)
 
 
 def inner(u: Array, v: Array, grid: GridSpec) -> float:

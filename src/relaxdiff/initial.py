@@ -7,6 +7,7 @@ shift guarantees the eigenvalue floor the integrator's admissibility
 precondition asks for, by construction.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +32,14 @@ class NoiseSpec:
             raise ParameterError(f"unknown noise kind {self.kind!r}")
         if self.std < 0:
             raise ParameterError("noise std must be >= 0")
+        if self.seed < 0:
+            raise ParameterError("noise seed must be >= 0")
 
 
 def rescale(u_raw: Array, lo: float, hi: float) -> Array:
     """Affine map of [lo, hi] onto [-1, 1], the filter's working range."""
-    if not hi > lo:
-        raise ParameterError("rescale needs hi > lo")
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise ParameterError("rescale needs finite lo < hi")
     u_raw = np.asarray(u_raw, dtype=float)
     slack = 1e-12 * (hi - lo)
     if u_raw.size and (u_raw.min() < lo - slack or u_raw.max() > hi + slack):

@@ -18,7 +18,8 @@ per-channel mass to rounding.
 Sampling F at the half-step prediction instead of the step's left endpoint
 costs one extra (cheaper) solve but makes the stepped H agree with a
 trapezoidal re-integration of the equivalent memory form to second order in
-dt, which the diagnostics below verify.
+dt, which the diagnostics below verify. The no-relaxation baselines run the
+same step loop with H = F(D) sampled at the step's left endpoint instead.
 
 The floor is checked every step by tensors.min_eig_field, which returns the
 minimum of a full diagonalisation bit for bit. A few sampled cells bound the
@@ -44,7 +45,7 @@ from .grid import (
 )
 from .mollifier import DELTA_SIGMA, GAUSSIAN, Kernel, grad_sigma
 from .response import ResponseParams, response_field, response_zero
-from .tensors import eigvalsh_field, min_eig_field
+from .tensors import apply, eigvalsh_field, min_eig_field
 
 Array = np.ndarray
 
@@ -75,6 +76,8 @@ class FilterParams:
             raise ParameterError("sigma must be >= 0")
         if self.dt <= 0:
             raise ParameterError("dt must be > 0")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ParameterError("t_end / dt must be finite")
         if self.t_end < 0:
             raise ParameterError("t_end must be >= 0")
         if self.alpha <= 0:
@@ -142,14 +145,9 @@ def _implicit_solve(
     updated in place through one scratch buffer; ``where`` names the solve
     in the SolverError raised when the tolerance is not reached.
     """
-    kd = grid.channels * grid.ndim
-    dims = grid.dims
 
     def apply_a(x: Array) -> Array:
-        g = gradient(x, grid)
-        flat = g.reshape(dims + (kd,))
-        j = np.einsum("...ab,...b->...a", havg, flat).reshape(g.shape)
-        out = divergence(j, grid)
+        out = divergence(apply(havg, gradient(x, grid)), grid)
         out *= dt
         return np.subtract(x, out, out=out)
 
@@ -180,28 +178,12 @@ def _implicit_solve(
     )
 
 
-def step_u(state: FilterState, h_next: Array, p: FilterParams, grid: GridSpec | None = None) -> Array:
-    """One backward-Euler diffusion step of u with frozen diffusivity h_next."""
-    if grid is None:
-        grid = GridSpec.from_field(state.u)
-    u = check_image(state.u, grid)
-    havg = face_average_tensors(np.asarray(h_next, dtype=float), grid)
-    out, _ = _implicit_solve(u, havg, p.dt, grid, p.cg_tol, p.max_iter(grid.ncells))
-    return out
-
-
 def _relax_H(u_sample: Array, h: Array, p: FilterParams, grid: GridSpec, kern: Kernel | None) -> Array:
+    """Exact relaxation of H over one step with the response frozen at u_sample."""
     d = grad_sigma(u_sample, kern, grid)
     f = response_field(d, p.response)
     theta = math.exp(-p.dt / p.tau)
     return theta * h + (1.0 - theta) * f
-
-
-def step_H(state: FilterState, p: FilterParams, grid: GridSpec | None = None) -> Array:
-    """Exact relaxation update of H with the response frozen at the state's u."""
-    if grid is None:
-        grid = GridSpec.from_field(state.u)
-    return _relax_H(state.u, np.asarray(state.H, dtype=float), p, grid, p.kernel())
 
 
 def energy(state: FilterState, p: FilterParams, grid: GridSpec | None = None) -> float:
@@ -228,6 +210,89 @@ def _num_steps(p: FilterParams) -> int:
         return 0
     n = p.t_end / p.dt
     return max(1, int(math.ceil(n - 1e-9)))
+
+
+def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec, keep_history: bool = False):
+    """The step loop of run() and run_baseline(), from validated (u, H).
+
+    With H given, every step relaxes H toward the response sampled at a
+    half-step backward-Euler prediction of u, solves for the new u with the
+    relaxed H and checks the eigenvalue floor. With H None (no relaxation,
+    the tau -> 0 limit) every step sets H = F(grad_sigma u) at the step's left
+    endpoint instead, with no half solve and no floor check.
+
+    Returns (final FilterState, per-step TraceRecords, history), history
+    being the (u, H) lists at the step nodes with keep_history, else None.
+    """
+    relax = h is not None
+    kern = p.kernel()
+    max_iter = p.max_iter(grid.ncells)
+    t = 0.0
+    traces: list[TraceRecord] = []
+    history = ([u.copy()], [h.copy()]) if keep_history else None
+    # The face tensors of each step's relaxed H serve its main solve and the
+    # next step's half-step solve.
+    havg = face_average_tensors(h, grid) if relax else None
+    for n in range(_num_steps(p)):
+        t = (n + 1) * p.dt
+        step = f"of step {n + 1} (t={t:g})"
+        if relax:
+            # Half-step prediction of u fixes the response sample near the
+            # step midpoint (second-order consistency with the memory form)
+            # while the H-update itself stays the exact convex-combination
+            # relaxation.
+            u_half, _ = _implicit_solve(u, havg, 0.5 * p.dt, grid, p.cg_tol, max_iter, f"half solve {step}")
+        # The old face tensors are dead now, and so is the old H without
+        # relaxation. Dropping them before the response allocates its
+        # temporaries lowers a step's peak memory by one H field or two.
+        havg = None
+        if relax:
+            h = _relax_H(u_half, h, p, grid, kern)
+        else:
+            h = None
+            h = response_field(grad_sigma(u, kern, grid), p.response)
+        havg = face_average_tensors(h, grid)
+        u, iters = _implicit_solve(
+            u, havg, p.dt, grid, p.cg_tol, max_iter, f"{'main' if relax else 'baseline'} solve {step}"
+        )
+        if not np.all(np.isfinite(u)):
+            raise InvariantViolation(
+                f"intensity field became non-finite at t={t:g}",
+                diagnostic={"t": t, "step": n + 1},
+            )
+
+        min_eig = min_eig_field(h)
+        kappa = kappa_predicted(t, p)
+        if relax and min_eig < kappa - KAPPA_SLACK:
+            eigs = eigvalsh_field(h)
+            cell = np.unravel_index(int(np.argmin(eigs[..., 0])), grid.dims)
+            raise InvariantViolation(
+                f"diffusivity eigenvalue floor broken at t={t:g}: "
+                f"min eig {min_eig:.12g} < predicted {kappa:.12g} at cell {cell}",
+                diagnostic={
+                    "t": t,
+                    "cell": cell,
+                    "kappa_predicted": kappa,
+                    "min_eig": min_eig,
+                    "tensor": h[cell].copy(),
+                    "eigenvalues": eigs[cell].copy(),
+                },
+            )
+
+        traces.append(
+            TraceRecord(
+                t=t,
+                l2_norm_u=l2_norm(u, grid),
+                mass=tuple(grid.cell_volume * s for s in u.reshape(-1, grid.channels).sum(axis=0)),
+                energy=energy(FilterState(t=t, u=u, H=h, kappa_predicted=kappa), p, grid),
+                min_eig_H=min_eig,
+                cg_iters=iters,
+            )
+        )
+        if keep_history:
+            history[0].append(u.copy())
+            history[1].append(h.copy())
+    return FilterState(t=t, u=u, H=h, kappa_predicted=kappa_predicted(t, p)), traces, history
 
 
 def run(
@@ -270,78 +335,8 @@ def run(
             "initial diffusivity violates the alpha eigenvalue floor: "
             f"min eig {init_min:.6g} < alpha {p.alpha:g}"
         )
-
-    kern = p.kernel()
-    theta = math.exp(-p.dt / p.tau)
-    max_iter = p.max_iter(grid.ncells)
-    traces: list[TraceRecord] = []
-    us = [u.copy()] if keep_history else None
-    hs = [h.copy()] if keep_history else None
-
-    n_steps = _num_steps(p)
-    # The face tensors of each step's relaxed H serve its main solve and the
-    # next step's half-step solve.
-    havg = face_average_tensors(h, grid)
-    for n in range(n_steps):
-        t = (n + 1) * p.dt
-        # Half-step prediction of u fixes the response sample near the step
-        # midpoint (second-order consistency with the memory form) while the
-        # H-update itself stays the exact convex-combination relaxation.
-        u_half, _ = _implicit_solve(
-            u, havg, 0.5 * p.dt, grid, p.cg_tol, max_iter, f"half solve of step {n + 1} (t={t:g})"
-        )
-        d = grad_sigma(u_half, kern, grid)
-        f = response_field(d, p.response)
-        h = theta * h + (1.0 - theta) * f
-
-        havg = face_average_tensors(h, grid)
-        u, iters = _implicit_solve(
-            u, havg, p.dt, grid, p.cg_tol, max_iter, f"main solve of step {n + 1} (t={t:g})"
-        )
-        if not np.all(np.isfinite(u)):
-            raise InvariantViolation(
-                f"intensity field became non-finite at t={t:g}",
-                diagnostic={"t": t, "step": n + 1},
-            )
-
-        min_eig = min_eig_field(h)
-        kappa = kappa_predicted(t, p)
-        if min_eig < kappa - KAPPA_SLACK:
-            eigs = eigvalsh_field(h)
-            flat_idx = int(np.argmin(eigs[..., 0]))
-            cell = np.unravel_index(flat_idx, grid.dims)
-            raise InvariantViolation(
-                f"diffusivity eigenvalue floor broken at t={t:g}: "
-                f"min eig {min_eig:.12g} < predicted {kappa:.12g} at cell {cell}",
-                diagnostic={
-                    "t": t,
-                    "cell": cell,
-                    "kappa_predicted": kappa,
-                    "min_eig": min_eig,
-                    "tensor": h[cell].copy(),
-                    "eigenvalues": eigs[cell].copy(),
-                },
-            )
-
-        state_now = FilterState(t=t, u=u, H=h, kappa_predicted=kappa)
-        traces.append(
-            TraceRecord(
-                t=t,
-                l2_norm_u=l2_norm(u, grid),
-                mass=tuple(grid.cell_volume * s for s in u.reshape(-1, grid.channels).sum(axis=0)),
-                energy=energy(state_now, p, grid),
-                min_eig_H=min_eig,
-                cg_iters=iters,
-            )
-        )
-        if keep_history:
-            us.append(u.copy())
-            hs.append(h.copy())
-
-    final = FilterState(t=n_steps * p.dt, u=u, H=h, kappa_predicted=kappa_predicted(n_steps * p.dt, p))
-    if keep_history:
-        return final, traces, (us, hs)
-    return final, traces
+    final, traces, history = _step_loop(u, h, p, grid, keep_history)
+    return (final, traces, history) if keep_history else (final, traces)
 
 
 def decay_rate_fit(traces: list[TraceRecord]) -> float:

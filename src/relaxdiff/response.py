@@ -59,35 +59,22 @@ class ResponseParams:
             raise ParameterError("lambda must be > 0 for the scalar response")
 
 
-def response_fs(dmat: Array, p: ResponseParams) -> Array:
-    """Thresholded projection response of a single k x d gradient matrix."""
-    if p.kind != THRESHOLDED_PROJECTION:
-        raise ParameterError("response_fs requires the thresholded-projection kind")
-    dmat = np.asarray(dmat, dtype=float)
-    if dmat.ndim != 2:
-        raise DimensionError(f"expected a k x d matrix, got shape {dmat.shape}")
-    v = dmat.ravel()
-    n = v.size
-    s2 = p.s * p.s
-    q = float(np.dot(v, v)) / s2
-    if q >= 1.0:
-        out = np.eye(n) - np.outer(v, v) / float(np.dot(v, v))
-    else:
-        out = (1.5 - 0.5 * q) * np.eye(n) - np.outer(v, v) / s2
-    if p.omega > 0.0:
-        out += p.omega * np.eye(n)
-    return out
+def _gradient_field(dfield: Array) -> Array:
+    dfield = np.asarray(dfield, dtype=float)
+    if dfield.ndim < 2:
+        raise DimensionError(f"expected k x d matrices, got shape {dfield.shape}")
+    return dfield
 
 
-def response_fs_field(dfield: Array, p: ResponseParams) -> Array:
-    """Vectorised thresholded projection response over a gradient field.
+def response_fs(dfield: Array, p: ResponseParams) -> Array:
+    """Thresholded projection response of every cell of a gradient field.
 
     dfield has shape dims + (k, d); the result stacks per-cell tensors with
-    shape dims + (k*d, k*d). Identical to mapping response_fs over cells.
+    shape dims + (k*d, k*d). A single k x d matrix is a field with dims = ().
     """
     if p.kind != THRESHOLDED_PROJECTION:
         raise ParameterError("response_fs requires the thresholded-projection kind")
-    dfield = np.asarray(dfield, dtype=float)
+    dfield = _gradient_field(dfield)
     k, d = dfield.shape[-2:]
     n = k * d
     cells = dfield.shape[:-2]
@@ -110,26 +97,14 @@ def response_fs_field(dfield: Array, p: ResponseParams) -> Array:
     return out
 
 
-def response_pm(dmat: Array, p: ResponseParams) -> Array:
-    """Scalar isotropic response g(|D|) Id with g(r) = (1 + r/lambda)^-1."""
+def response_pm(dfield: Array, p: ResponseParams) -> Array:
+    """Scalar isotropic response g(|D|) Id, g(r) = (1 + r/lambda)^-1, per cell.
+
+    Shapes as for response_fs.
+    """
     if p.kind != PERONA_MALIK_SCALAR:
         raise ParameterError("response_pm requires the Perona-Malik kind")
-    dmat = np.asarray(dmat, dtype=float)
-    if dmat.ndim != 2:
-        raise DimensionError(f"expected a k x d matrix, got shape {dmat.shape}")
-    g = 1.0 / (1.0 + fro_norm(dmat) / p.lam)
-    n = dmat.size
-    out = g * np.eye(n)
-    if p.omega > 0.0:
-        out += p.omega * np.eye(n)
-    return out
-
-
-def response_pm_field(dfield: Array, p: ResponseParams) -> Array:
-    """Vectorised scalar response over a gradient field."""
-    if p.kind != PERONA_MALIK_SCALAR:
-        raise ParameterError("response_pm requires the Perona-Malik kind")
-    dfield = np.asarray(dfield, dtype=float)
+    dfield = _gradient_field(dfield)
     k, d = dfield.shape[-2:]
     n = k * d
     cells = dfield.shape[:-2]
@@ -142,24 +117,13 @@ def response_pm_field(dfield: Array, p: ResponseParams) -> Array:
 def response_field(dfield: Array, p: ResponseParams) -> Array:
     """Dispatch on the response kind."""
     if p.kind == THRESHOLDED_PROJECTION:
-        return response_fs_field(dfield, p)
-    return response_pm_field(dfield, p)
+        return response_fs(dfield, p)
+    return response_pm(dfield, p)
 
 
 def response_zero(p: ResponseParams, k: int, d: int) -> Array:
     """F(0): the stationary tensor the relaxation drives H toward at flat u."""
     return response_field(np.zeros((k, d)), p)
-
-
-def _naive_projection_response(dmat: Array) -> Array:
-    """Pure projection without threshold; test-only.
-
-    Kept out of the user-facing modes: it freezes too many configurations
-    into spurious stationary points and retains noise.
-    """
-    from .tensors import project_orth
-
-    return project_orth(dmat)
 
 
 def lipschitz_probe(
@@ -192,11 +156,6 @@ def lipschitz_probe(
         r = radius * rng.uniform() ** (1.0 / n)
         return (r / nrm) * g
 
-    if p.kind == THRESHOLDED_PROJECTION:
-        f = lambda m: response_fs(m, p)
-    else:
-        f = lambda m: response_pm(m, p)
-
     best = 0.0
     for _ in range(trials):
         d1 = draw()
@@ -204,18 +163,6 @@ def lipschitz_probe(
         denom = fro_norm(d1 - d2)
         if denom < 1e-12 * radius:
             continue
-        num = fro_norm(f(d1) - f(d2))
+        num = fro_norm(response_field(d1, p) - response_field(d2, p))
         best = max(best, num / denom)
     return best
-
-
-def predicted_decay_rate(kappa: float, poincare: float, lipschitz: float, tau: float) -> float:
-    """Lower bound on the exponential decay rate of the energy functional.
-
-    min(kappa * C_P / c^2, 1/tau), with kappa a uniform eigenvalue floor of
-    the diffusivity field, C_P the grid Poincare estimate and c the response
-    Lipschitz bound.
-    """
-    if lipschitz <= 0:
-        return 1.0 / tau
-    return min(kappa * poincare / (lipschitz * lipschitz), 1.0 / tau)

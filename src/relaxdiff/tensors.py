@@ -56,32 +56,36 @@ def fro_norm(a: Array) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=float).ravel()))
 
 
-def _check_tensor_shape(h: Array, k: int | None = None, d: int | None = None) -> Array:
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise DimensionError(f"tensor must be square 2-d, got shape {h.shape}")
-    if k is not None and d is not None and h.shape[0] != k * d:
-        raise DimensionError(f"tensor size {h.shape[0]} does not match k*d = {k * d}")
-    return h
-
-
 def require_symmetric(h: Array, rtol: float = SYMMETRY_RTOL) -> Array:
-    """Validate H = H^T up to rtol relative to the entry scale; return H."""
-    h = _check_tensor_shape(h)
-    scale = max(1.0, float(np.max(np.abs(h)))) if h.size else 1.0
-    if float(np.max(np.abs(h - h.T))) > rtol * scale:
+    """Validate that every cell tensor of h (shape dims + (n, n)) is symmetric.
+
+    The tolerance is rtol relative to the largest entry (at least 1); a
+    single tensor is a field with dims = (). Returns h as a float array.
+    """
+    h = np.asarray(h, dtype=float)
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
+        raise DimensionError(f"tensor must be square in its last two axes, got shape {h.shape}")
+    scale = max(1.0, float(np.max(np.abs(h), initial=0.0)))
+    if float(np.max(np.abs(h - np.swapaxes(h, -1, -2)), initial=0.0)) > rtol * scale:
         raise SymmetryError("tensor is not symmetric within tolerance")
     return h
 
 
 def apply(h: Array, dmat: Array) -> Array:
-    """Apply a fourth-order tensor to a k x d matrix: (H D)_ij = sum_IJ H_ijIJ D_IJ."""
+    """Apply tensors to k x d matrices cell by cell: (H D)_ij = sum_IJ H_ijIJ D_IJ.
+
+    h has shape dims + (k*d, k*d) and dmat dims + (k, d); a single tensor and
+    matrix are a field with dims = ().
+    """
+    h = np.asarray(h, dtype=float)
     dmat = np.asarray(dmat, dtype=float)
-    if dmat.ndim != 2:
-        raise DimensionError(f"expected a 2-d matrix, got shape {dmat.shape}")
-    k, d = dmat.shape
-    h = _check_tensor_shape(h, k, d)
-    return (h @ dmat.ravel()).reshape(k, d)
+    if dmat.ndim < 2:
+        raise DimensionError(f"expected k x d matrices, got shape {dmat.shape}")
+    k, d = dmat.shape[-2:]
+    if h.shape != dmat.shape[:-2] + (k * d, k * d):
+        raise DimensionError(f"tensor shape {h.shape} does not fit matrix shape {dmat.shape}")
+    flat = dmat.reshape(dmat.shape[:-2] + (k * d,))
+    return np.einsum("...ab,...b->...a", h, flat).reshape(dmat.shape)
 
 
 def project_orth(dhat: Array) -> Array:
@@ -107,6 +111,8 @@ def project_orth(dhat: Array) -> Array:
 def spectral_bounds(h: Array) -> SpectralBound:
     """Extreme eigenvalues of a symmetric tensor in its (k*d) x (k*d) matrix form."""
     h = require_symmetric(h)
+    if h.ndim != 2:
+        raise DimensionError(f"expected a single tensor, got shape {h.shape}")
     w = np.linalg.eigvalsh(0.5 * (h + h.T))
     return SpectralBound(float(w[0]), float(w[-1]))
 
@@ -117,24 +123,8 @@ def is_psd(h: Array, kappa: float = 0.0, slack: float = 1e-10) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Field-level (vectorised) helpers. A tensor field stacks per-cell tensors in
-# an array of shape dims + (k*d, k*d); a gradient field has dims + (k, d).
-# These are hot paths for the integrator, hence einsum instead of per-cell
-# python loops.
-
-
-def apply_field(hfield: Array, dfield: Array) -> Array:
-    """Per-cell tensor application over whole fields."""
-    hfield = np.asarray(hfield, dtype=float)
-    dfield = np.asarray(dfield, dtype=float)
-    k, d = dfield.shape[-2:]
-    if hfield.shape[-2:] != (k * d, k * d) or hfield.shape[:-2] != dfield.shape[:-2]:
-        raise DimensionError(
-            f"field shapes incompatible: {hfield.shape} vs {dfield.shape}"
-        )
-    flat = dfield.reshape(dfield.shape[:-2] + (k * d,))
-    out = np.einsum("...ab,...b->...a", hfield, flat)
-    return out.reshape(dfield.shape)
+# Eigenvalues of tensor fields: the floor check's certified minimum, and the
+# full diagonalisation its diagnostic falls back to.
 
 
 def eigvalsh_field(hfield: Array) -> Array:

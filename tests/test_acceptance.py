@@ -20,7 +20,6 @@ from relaxdiff.response import (
     ResponseParams,
     lipschitz_probe,
     response_fs,
-    response_fs_field,
     response_zero,
 )
 from relaxdiff.tensors import fro_norm, project_orth, spectral_bounds
@@ -231,7 +230,7 @@ def test_criterion_9_response_function_suite():
     # positive semidefiniteness over 10^4 random matrices
     dfield = rng.standard_normal((100, 100, 3, 2))
     dfield *= rng.uniform(0.01, 30.0, size=(100, 100))[..., None, None] / 10.0
-    f = response_fs_field(dfield, p)
+    f = response_fs(dfield, p)
     min_eig = float(np.min(np.linalg.eigvalsh(f)))
     psd = min_eig >= -1e-10
 

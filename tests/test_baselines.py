@@ -36,8 +36,9 @@ class TestRunBaseline:
     def test_catte_requires_sigma(self, rng):
         grid = GridSpec(dims=(6, 6), channels=1)
         u0 = rng.standard_normal(grid.field_shape())
-        with pytest.raises(ParameterError):
-            run_baseline(u0, FilterParams(sigma=0.0), CATTE_REGULARIZED, grid)
+        for sigma in (0.0, 0.3):  # a sub-pixel bandwidth's kernel is the identity
+            with pytest.raises(ParameterError, match=r"sigma >= 0\.5"):
+                run_baseline(u0, FilterParams(sigma=sigma), CATTE_REGULARIZED, grid)
 
     def test_unknown_kind(self, rng):
         grid = GridSpec(dims=(4, 4), channels=1)

@@ -218,15 +218,31 @@ class TestMainPipeline:
         monkeypatch.setattr(cli_mod, "run", raise_invariant)
         assert main(args) == EXIT_INVARIANT
 
-    def test_exit_codes(self, tmp_path):
+    def test_exit_codes(self, tmp_path, capsys):
         inp = self.write_disk(tmp_path)
         out = tmp_path / "o.ppm"
         # config error: tau = 0 in relax mode
         assert main(["--input", str(inp), "--output", str(out), "--tau", "0"]) == EXIT_CONFIG
-        # config error: catte without mollification
-        assert main([
-            "--input", str(inp), "--output", str(out), "--mode", "catte", "--sigma", "0",
-        ]) == EXIT_CONFIG
+        # config error: catte without mollification, or with a sub-pixel
+        # bandwidth whose kernel is the identity
+        for sigma in ("0", "0.3"):
+            assert main([
+                "--input", str(inp), "--output", str(out), "--mode", "catte", "--sigma", sigma,
+            ]) == EXIT_CONFIG
+            assert "sigma >= 0.5" in capsys.readouterr().err
+        # config error: a config file that is not ASCII, a negative noise
+        # seed, a step count that overflows, an infinite intensity range
+        cfg_file = tmp_path / "accent.cfg"
+        cfg_file.write_bytes("tau = 0.5  # r\u00e9glage\n".encode("utf-8"))
+        for flags, message in (
+            (["--config", str(cfg_file)], "accent.cfg"),
+            (["--seed", "-1", "--noise-std", "0.1"], "seed"),
+            (["--dt", "1e-320"], "t_end / dt"),
+            (["--hi", "inf"], "finite"),
+        ):
+            assert main(["--input", str(inp), "--output", str(out), *flags]) == EXIT_CONFIG, flags
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err, err
         # io error: missing input
         assert main(["--input", str(tmp_path / "nope.ppm"), "--output", str(out)]) == EXIT_IO
         # io error: truncated payload

@@ -5,20 +5,21 @@ import numpy as np
 import pytest
 
 import relaxdiff.integrate as integrate_mod
+from relaxdiff.baselines import CATTE_REGULARIZED, run_baseline
 from relaxdiff.errors import FitError, InvariantViolation, ParameterError, SolverError
-from relaxdiff.grid import GridSpec, l2_norm, mean_free
+from relaxdiff.grid import GridSpec, face_average_tensors, l2_norm, mean_free
 from relaxdiff.initial import init_H0
 from relaxdiff.integrate import (
     FilterParams,
     FilterState,
     TraceRecord,
+    _implicit_solve,
+    _relax_H,
     decay_rate_fit,
     energy,
     kappa_predicted,
     memory_form_check,
     run,
-    step_H,
-    step_u,
     write_trace_csv,
 )
 from relaxdiff.mollifier import Kernel, grad_sigma
@@ -74,14 +75,15 @@ class TestKappaPredicted:
 
 
 class TestStepH:
+    """The relaxation update the step loop applies to H (_relax_H)."""
+
     def test_fixed_point_when_F_equals_H(self):
         # A constant image has zero gradient, so F = F(0); start H there.
         grid = GridSpec(dims=(6, 6), channels=2)
         p = FilterParams(tau=0.5, sigma=0.0, dt=0.3, response=ResponseParams(s=0.2))
         u = np.full(grid.field_shape(), 0.4)
         h = identity_field(grid.dims, 4, scale=1.5)  # F(0) = 3/2 Id
-        state = FilterState(t=0.0, u=u, H=h, kappa_predicted=0.0)
-        np.testing.assert_allclose(step_H(state, p, grid), h, atol=1e-14)
+        np.testing.assert_allclose(_relax_H(u, h, p, grid, p.kernel()), h, atol=1e-14)
 
     def test_zero_response_stub_scalar_exponential(self, monkeypatch):
         grid = GridSpec(dims=(4, 4), channels=1)
@@ -90,8 +92,7 @@ class TestStepH:
         monkeypatch.setattr(integrate_mod, "response_field", lambda d, rp: np.zeros(d.shape[:-2] + (2, 2)))
         u = np.zeros(grid.field_shape())
         h = identity_field(grid.dims, 2, scale=alpha)
-        state = FilterState(t=0.0, u=u, H=h, kappa_predicted=0.0)
-        out = step_H(state, p, grid)
+        out = _relax_H(u, h, p, grid, p.kernel())
         expected = np.broadcast_to(alpha * math.exp(-1.0) * np.eye(2), out.shape)
         np.testing.assert_allclose(out, expected, atol=1e-14)
 
@@ -104,7 +105,7 @@ class TestStepH:
         theta = math.exp(-p.dt / p.tau)
         err_prev = float(np.max(np.abs(h - f)))
         for _ in range(8):
-            h = step_H(FilterState(t=0.0, u=u, H=h, kappa_predicted=0.0), p, grid)
+            h = _relax_H(u, h, p, grid, p.kernel())
             err = float(np.max(np.abs(h - f)))
             assert err == pytest.approx(theta * err_prev, rel=1e-10, abs=1e-13)
             err_prev = err
@@ -114,18 +115,26 @@ class TestStepH:
         p = FilterParams(tau=0.5, sigma=0.0, dt=5.0, response=ResponseParams(s=0.1))
         u = rng.standard_normal(grid.field_shape())
         h = random_psd_field(rng, grid.dims, 6, floor=0.2)
-        out = step_H(FilterState(t=0.0, u=u, H=h, kappa_predicted=0.0), p, grid)
+        out = _relax_H(u, h, p, grid, p.kernel())
         # response is PSD, H has floor 0.2, any dt keeps a convex mix PSD
         assert float(np.min(np.linalg.eigvalsh(out))) >= min(0.2, 0.0) - 1e-10
 
 
+def implicit_step(u, h, p, grid):
+    """One backward-Euler diffusion step of u with frozen H, as the step loop solves it."""
+    havg = face_average_tensors(h, grid)
+    return _implicit_solve(u, havg, p.dt, grid, p.cg_tol, p.max_iter(grid.ncells))[0]
+
+
 class TestStepU:
+    """The backward-Euler diffusion solve of the step loop (_implicit_solve)."""
+
     def test_constant_unchanged(self):
         grid = GridSpec(dims=(7, 7), channels=2)
         p = FilterParams(dt=2.0)
         u = np.full(grid.field_shape(), -0.3)
         h = identity_field(grid.dims, 4)
-        out = step_u(FilterState(t=0.0, u=u, H=h, kappa_predicted=0.0), h, p, grid)
+        out = implicit_step(u, h, p, grid)
         np.testing.assert_array_equal(out, u)
 
     def test_two_cell_hand_solve(self):
@@ -133,7 +142,7 @@ class TestStepU:
         p = FilterParams(dt=1.0)
         u = np.array([[1.0], [-1.0]])
         h = identity_field(grid.dims, 1)
-        out = step_u(FilterState(t=0.0, u=u, H=h, kappa_predicted=0.0), h, p, grid)
+        out = implicit_step(u, h, p, grid)
         # (I - div grad) on two cells is [[2, -1], [-1, 2]]; solving against
         # (1, -1) gives (1/3, -1/3).
         np.testing.assert_allclose(out, [[1.0 / 3.0], [-1.0 / 3.0]], atol=1e-10)
@@ -143,7 +152,7 @@ class TestStepU:
         p = FilterParams(dt=7.0, cg_tol=1e-10)
         u = rng.standard_normal(grid.field_shape())
         h = random_psd_field(rng, grid.dims, 6, floor=0.05)
-        out = step_u(FilterState(t=0.0, u=u, H=h, kappa_predicted=0.0), h, p, grid)
+        out = implicit_step(u, h, p, grid)
         mass_in = u.reshape(-1, 3).sum(axis=0)
         mass_out = out.reshape(-1, 3).sum(axis=0)
         np.testing.assert_allclose(mass_out, mass_in, atol=1e-10 * np.abs(u).sum())
@@ -155,7 +164,7 @@ class TestStepU:
         u = rng.standard_normal(grid.field_shape())
         h = identity_field(grid.dims, 2)
         with pytest.raises(SolverError) as err:
-            step_u(FilterState(t=0.0, u=u, H=h, kappa_predicted=0.0), h, p, grid)
+            implicit_step(u, h, p, grid)
         assert np.isfinite(err.value.residual) and err.value.residual > 0
 
 
@@ -286,6 +295,22 @@ class TestRun:
         with pytest.raises(SolverError, match=r"^half solve of step 1 \(t=0\.1\): CG did not reach") as err:
             run(u0, h0, p, grid)
         assert err.value.residual > p.cg_tol
+
+    def test_face_average_once_per_step(self, rng, monkeypatch):
+        # run() carries each step's face tensors into the next step's half
+        # solve, so it averages n_steps + 1 times; a baseline, once per step.
+        calls = []
+        average = integrate_mod.face_average_tensors
+        monkeypatch.setattr(integrate_mod, "face_average_tensors", lambda h, g: calls.append(1) or average(h, g))
+        grid = GridSpec(dims=(8, 8), channels=3)
+        u0 = rng.standard_normal(grid.field_shape())
+        h0 = init_H0(u0, grid, window=3, alpha=0.1)
+        p = FilterParams(tau=0.5, sigma=1.0, dt=0.1, t_end=0.5)
+        run(u0, h0, p, grid)
+        assert len(calls) == 6
+        calls.clear()
+        run_baseline(u0, p, CATTE_REGULARIZED, grid)
+        assert len(calls) == 5
 
     def test_trace_schema_and_iters(self, rng):
         grid = GridSpec(dims=(8, 8), channels=3)

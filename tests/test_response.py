@@ -7,10 +7,8 @@ from relaxdiff.errors import ParameterError
 from relaxdiff.response import (
     PERONA_MALIK_SCALAR,
     ResponseParams,
-    _naive_projection_response,
     lipschitz_probe,
     response_fs,
-    response_fs_field,
     response_pm,
 )
 from relaxdiff.tensors import fro_norm, project_orth, spectral_bounds
@@ -119,14 +117,14 @@ class TestResponseFsField:
     def test_matches_single_cell(self, rng):
         p = ResponseParams(s=0.3, omega=0.1)
         dfield = 0.5 * rng.standard_normal((5, 4, 3, 2))
-        out = response_fs_field(dfield, p)
+        out = response_fs(dfield, p)
         for i in range(5):
             for j in range(4):
                 np.testing.assert_allclose(out[i, j], response_fs(dfield[i, j], p), atol=1e-13)
 
     def test_zero_field_exact(self):
         p = ResponseParams(s=0.1)
-        out = response_fs_field(np.zeros((3, 3, 2, 2)), p)
+        out = response_fs(np.zeros((3, 3, 2, 2)), p)
         np.testing.assert_array_equal(out, np.broadcast_to(1.5 * np.eye(4), (3, 3, 4, 4)))
 
 
@@ -151,12 +149,6 @@ class TestResponsePm:
             assert lam_min < prev
             prev = lam_min
         assert prev < 1e-7
-
-
-class TestNaiveResponse:
-    def test_is_plain_projection(self, rng):
-        d = rng.standard_normal((2, 2))
-        np.testing.assert_allclose(_naive_projection_response(d), project_orth(d), atol=0)
 
 
 class TestLipschitzProbe:

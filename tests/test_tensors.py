@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from relaxdiff.errors import DegenerateDirectionError, DimensionError, SymmetryError
 from relaxdiff.tensors import (
     apply,
-    apply_field,
     frobenius,
     identity_tensor,
     is_psd,
@@ -173,7 +172,7 @@ class TestFieldHelpers:
         hfield = rng.standard_normal((4, 5, 6, 6))
         hfield = 0.5 * (hfield + np.swapaxes(hfield, -1, -2))
         dfield = rng.standard_normal((4, 5, 3, 2))
-        out = apply_field(hfield, dfield)
+        out = apply(hfield, dfield)
         for i in range(4):
             for j in range(5):
                 np.testing.assert_allclose(out[i, j], apply(hfield[i, j], dfield[i, j]), atol=1e-13)
