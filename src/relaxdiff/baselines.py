@@ -41,7 +41,7 @@ def run_baseline(
     u0: Array,
     p: FilterParams,
     kind: str,
-    grid: GridSpec | None = None,
+    grid: GridSpec,
 ):
     """Run a no-relaxation filter; returns (final image, trace records).
 
@@ -54,8 +54,6 @@ def run_baseline(
         raise ParameterError(f"unknown baseline kind {kind!r}")
     if kind == CATTE_REGULARIZED and p.sigma < DELTA_SIGMA:
         raise ParameterError(f"the mollified baseline requires sigma >= {DELTA_SIGMA:g}")
-    if grid is None:
-        grid = GridSpec.from_field(u0)
     u = check_image(u0, grid).copy()
     _require_finite("u0", u)
     if kind == PERONA_MALIK:

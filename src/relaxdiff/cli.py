@@ -25,9 +25,7 @@ from .errors import (
     InvariantViolation,
     MalformedHeaderError,
     MissingFileError,
-    NumericalError,
     ParameterError,
-    RangeError,
     RelaxdiffError,
     SolverError,
     TruncatedPayloadError,
@@ -164,10 +162,10 @@ def psnr(a: Array, b: Array) -> float:
 
 @dataclass
 class RunConfig:
-    input_path: str = ""
-    output_path: str = ""
-    trace_path: str = ""
-    reference_path: str = ""
+    input: str = ""
+    output: str = ""
+    trace: str = ""
+    reference: str = ""
     mode: str = MODE_RELAX
     tau: float = 0.5
     sigma: float = 1.0
@@ -213,40 +211,47 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """Flag errors raise ParameterError, so main() reports them like any other."""
+
+    def error(self, message):
+        raise ParameterError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="relaxdiff",
         description="Multicolor anisotropic denoising with a relaxed diffusivity tensor.",
     )
-    ap.add_argument("--input", dest="input_path", help="input PPM/PGM image")
-    ap.add_argument("--output", dest="output_path", help="output image path")
-    ap.add_argument("--trace", dest="trace_path", help="per-step CSV trace output")
-    ap.add_argument("--reference", dest="reference_path", help="clean image for PSNR")
+    ap.add_argument("--input", help="input PPM/PGM image")
+    ap.add_argument("--output", help="output image path")
+    ap.add_argument("--trace", help="per-step CSV trace output")
+    ap.add_argument("--reference", help="clean image for PSNR")
     ap.add_argument("--mode", choices=[MODE_RELAX, MODE_CATTE, MODE_PM])
     ap.add_argument("--tau", type=float, help="relaxation time of the diffusivity")
     ap.add_argument("--sigma", type=float, help="mollifier bandwidth in pixels (0 = sharp)")
     ap.add_argument("--kernel", choices=["gaussian", "bump"], help="mollifier kernel shape")
-    ap.add_argument("--threshold-s", dest="threshold_s", type=float, help="contrast threshold")
+    ap.add_argument("--threshold-s", type=float, help="contrast threshold")
     ap.add_argument("--omega", type=float, help="uniform positivity shift of the response")
     ap.add_argument("--alpha", type=float, help="eigenvalue floor of the initial diffusivity")
     ap.add_argument("--lam", type=float, help="contrast scale of the scalar pm response")
     ap.add_argument("--dt", type=float, help="time step")
-    ap.add_argument("--t-end", dest="t_end", type=float, help="stopping time")
-    ap.add_argument("--noise-std", dest="noise_std", type=float, help="added noise std (rescaled units)")
+    ap.add_argument("--t-end", type=float, help="stopping time")
+    ap.add_argument("--noise-std", type=float, help="added noise std (rescaled units)")
     ap.add_argument("--seed", type=int, help="noise generator seed")
     ap.add_argument("--window", type=int, help="covariance window for the initial diffusivity")
     ap.add_argument("--lo", type=float, help="lower bound of the raw intensity range")
     ap.add_argument("--hi", type=float, help="upper bound of the raw intensity range")
-    ap.add_argument("--cg-tol", dest="cg_tol", type=float, help="relative tolerance of the diffusion solve")
-    ap.add_argument("--config", dest="config_path", help="key = value config file (flags override)")
+    ap.add_argument("--cg-tol", type=float, help="relative tolerance of the diffusion solve")
+    ap.add_argument("--config", help="key = value config file (flags override)")
     return ap
 
 
-def build_config(argv: list[str]) -> RunConfig:
+def build_config(argv: list[str] | None) -> RunConfig:
     ns = _build_parser().parse_args(argv)
     cfg = RunConfig()
-    if ns.config_path:
-        for key, raw in parse_config_file(ns.config_path).items():
+    if ns.config:
+        for key, raw in parse_config_file(ns.config).items():
             try:
                 setattr(cfg, key, _CONFIG_TYPES[key](raw))
             except ValueError as exc:
@@ -259,16 +264,14 @@ def build_config(argv: list[str]) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
-    if not cfg.input_path:
+    if not cfg.input:
         raise ParameterError("--input is required")
-    if not cfg.output_path:
+    if not cfg.output:
         raise ParameterError("--output is required")
     if cfg.mode not in (MODE_RELAX, MODE_CATTE, MODE_PM):
         raise ParameterError(f"unknown mode {cfg.mode!r}")
     if cfg.kernel not in ("gaussian", "bump"):
         raise ParameterError(f"unknown kernel {cfg.kernel!r}")
-    if cfg.mode == MODE_RELAX and cfg.tau <= 0:
-        raise ParameterError("relax mode needs tau > 0")
     if cfg.mode == MODE_CATTE and cfg.sigma < DELTA_SIGMA:
         raise ParameterError(f"the mollified baseline needs sigma >= {DELTA_SIGMA:g}")
     if cfg.noise_std < 0:
@@ -297,18 +300,16 @@ def _filter_params(cfg: RunConfig) -> FilterParams:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run the denoising pipeline; returns the process exit code."""
-    if argv is None:
-        argv = sys.argv[1:]
+    """Run the pipeline on argv (default sys.argv[1:]); returns the exit code."""
     stage = "configuration"
     try:
-        cfg = build_config(list(argv))
+        cfg = build_config(argv)
         _validate(cfg)
         params = _filter_params(cfg)
 
         stage = "image loading"
-        raw = load_image(cfg.input_path)
-        reference = load_image(cfg.reference_path) if cfg.reference_path else None
+        raw = load_image(cfg.input)
+        reference = load_image(cfg.reference) if cfg.reference else None
 
         stage = "rescaling"
         work = rescale(raw, cfg.lo, cfg.hi)
@@ -333,9 +334,9 @@ def main(argv: list[str] | None = None) -> int:
         out01 = (out01 - cfg.lo) / (cfg.hi - cfg.lo)
         if not np.all(np.isfinite(out01)):
             raise InvariantViolation("pipeline produced non-finite pixel values")
-        save_image(out01, cfg.output_path)
-        if cfg.trace_path:
-            write_trace_csv(traces, cfg.trace_path, grid.channels)
+        save_image(out01, cfg.output)
+        if cfg.trace:
+            write_trace_csv(traces, cfg.trace, grid.channels)
 
         input01 = (raw - cfg.lo) / (cfg.hi - cfg.lo)
         print(f"psnr_vs_input={psnr(out01, input01):.6f}")
@@ -343,16 +344,16 @@ def main(argv: list[str] | None = None) -> int:
             ref01 = (reference - cfg.lo) / (cfg.hi - cfg.lo)
             print(f"psnr_vs_reference={psnr(out01, ref01):.6f}")
         return EXIT_OK
-    except (MissingFileError, MalformedHeaderError, TruncatedPayloadError, ImageIOError) as exc:
+    except ImageIOError as exc:
         print(f"error [{stage}]: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (SolverError, NumericalError) as exc:
+    except SolverError as exc:
         print(f"error [{stage}]: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except InvariantViolation as exc:
         print(f"error [{stage}]: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (ParameterError, RangeError, RelaxdiffError) as exc:
+    except RelaxdiffError as exc:
         print(f"error [{stage}]: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -40,10 +40,6 @@ class SolverError(RelaxdiffError, RuntimeError):
         self.residual = residual
 
 
-class NumericalError(RelaxdiffError, RuntimeError):
-    """An iterative numerical procedure (other than a linear solve) failed."""
-
-
 class InvariantViolation(RelaxdiffError, RuntimeError):
     """A run-time invariant of the integration was violated.
 

@@ -24,10 +24,9 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Pixel grid: sizes per axis, spacing per axis, channel count."""
+    """Grid of unit pixels: sizes per axis and channel count."""
 
     dims: tuple[int, ...]
-    spacing: tuple[float, ...] = ()
     channels: int = 1
 
     def __post_init__(self):
@@ -36,16 +35,9 @@ class GridSpec:
             raise ParameterError("grid needs at least one axis")
         if any(n < 2 for n in dims):
             raise ParameterError(f"all grid dims must be >= 2, got {dims}")
-        spacing = self.spacing or tuple(1.0 for _ in dims)
-        spacing = tuple(float(h) for h in spacing)
-        if len(spacing) != len(dims):
-            raise ParameterError("spacing must have one entry per axis")
-        if any(h <= 0 for h in spacing):
-            raise ParameterError(f"spacing must be positive, got {spacing}")
         if self.channels < 1:
             raise ParameterError("channels must be >= 1")
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "channels", int(self.channels))
 
     @property
@@ -56,20 +48,16 @@ class GridSpec:
     def ncells(self) -> int:
         return int(np.prod(self.dims))
 
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
-
     def field_shape(self) -> tuple[int, ...]:
         return self.dims + (self.channels,)
 
     @staticmethod
-    def from_field(u: Array, spacing: tuple[float, ...] = ()) -> "GridSpec":
-        """Grid implied by a dims + (k,) array (unit spacing by default)."""
+    def from_field(u: Array) -> "GridSpec":
+        """Grid implied by a dims + (k,) array."""
         u = np.asarray(u)
         if u.ndim < 2:
             raise DimensionError("image field needs shape dims + (channels,)")
-        return GridSpec(dims=u.shape[:-1], spacing=spacing, channels=u.shape[-1])
+        return GridSpec(dims=u.shape[:-1], channels=u.shape[-1])
 
 
 def check_image(u: Array, grid: GridSpec) -> Array:
@@ -99,8 +87,6 @@ def gradient(u: Array, grid: GridSpec) -> Array:
         lo, hi, last = _axis_slices(d, j)
         face = out[lo + (slice(None), j)]
         np.subtract(u[hi], u[lo], out=face)
-        if grid.spacing[j] != 1.0:  # v / 1.0 == v, so skipping it is exact
-            face /= grid.spacing[j]
         out[last + (slice(None), j)] = 0.0
     return out
 
@@ -121,8 +107,6 @@ def divergence(jfield: Array, grid: GridSpec) -> Array:
     for j in range(d):
         lo, hi, _ = _axis_slices(d, j)
         f = jfield[..., j][lo]  # interior faces only; boundary flux is zero
-        if grid.spacing[j] != 1.0:
-            f = f / grid.spacing[j]
         out[lo] += f
         out[hi] -= f
     return out
@@ -161,12 +145,12 @@ def diffusion_apply(hfield: Array, u: Array, grid: GridSpec) -> Array:
 
 
 def inner(u: Array, v: Array, grid: GridSpec) -> float:
-    """Volume-weighted grid inner product of two fields of equal shape."""
+    """Grid inner product of two fields of equal shape (unit cell volume)."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise DimensionError(f"shape mismatch: {u.shape} vs {v.shape}")
-    return grid.cell_volume * float(np.dot(u.ravel(), v.ravel()))
+    return float(np.dot(u.ravel(), v.ravel()))
 
 
 def l2_norm(u: Array, grid: GridSpec) -> float:
@@ -187,12 +171,9 @@ def poincare_estimate(grid: GridSpec) -> float:
     """Smallest nonzero eigenvalue of the scalar no-flux Laplacian on the grid.
 
     The operator is a sum of 1-d Neumann Laplacians, one per axis, whose
-    eigenvalues are 4 sin^2(pi k / (2 n_j)) / h_j^2 for k = 0 .. n_j - 1, so
-    the smallest nonzero one is min_j 4 sin^2(pi / (2 n_j)) / h_j^2. This is
-    the discrete constant in ||grad u||^2 >= C ||u||^2 for mean-free u, used
-    by the decay-rate predictions.
+    eigenvalues are 4 sin^2(pi k / (2 n_j)) for k = 0 .. n_j - 1, so the
+    smallest nonzero one is min_j 4 sin^2(pi / (2 n_j)). This is the discrete
+    constant in ||grad u||^2 >= C ||u||^2 for mean-free u, used by the
+    decay-rate predictions.
     """
-    return min(
-        4.0 * math.sin(math.pi / (2 * n)) ** 2 / (h * h)
-        for n, h in zip(grid.dims, grid.spacing)
-    )
+    return min(4.0 * math.sin(math.pi / (2 * n)) ** 2 for n in grid.dims)

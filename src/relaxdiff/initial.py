@@ -18,18 +18,15 @@ from .mollifier import _correlate1d
 
 Array = np.ndarray
 
-GAUSSIAN_IID = "gaussian_iid"
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    kind: str = GAUSSIAN_IID
+    """Seeded i.i.d. Gaussian noise of standard deviation std."""
+
     std: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind != GAUSSIAN_IID:
-            raise ParameterError(f"unknown noise kind {self.kind!r}")
         if self.std < 0:
             raise ParameterError("noise std must be >= 0")
         if self.seed < 0:

@@ -50,6 +50,7 @@ from .tensors import apply, eigvalsh_field, min_eig_field
 Array = np.ndarray
 
 KAPPA_SLACK = 1e-8  # additive slack on the eigenvalue floor check
+MAX_STEPS = 10**6  # largest step count t_end / dt a run may ask for
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,8 @@ class FilterParams:
             raise ParameterError("sigma must be >= 0")
         if self.dt <= 0:
             raise ParameterError("dt must be > 0")
-        if not math.isfinite(self.t_end / self.dt):
-            raise ParameterError("t_end / dt must be finite")
+        if not self.t_end / self.dt <= MAX_STEPS:
+            raise ParameterError(f"t_end / dt must be at most {MAX_STEPS}")
         if self.t_end < 0:
             raise ParameterError("t_end must be >= 0")
         if self.alpha <= 0:
@@ -103,7 +104,6 @@ class FilterState:
     t: float
     u: Array
     H: Array
-    kappa_predicted: float
 
 
 @dataclass(frozen=True)
@@ -186,22 +186,19 @@ def _relax_H(u_sample: Array, h: Array, p: FilterParams, grid: GridSpec, kern: K
     return theta * h + (1.0 - theta) * f
 
 
-def energy(state: FilterState, p: FilterParams, grid: GridSpec | None = None) -> float:
+def energy(state: FilterState, p: FilterParams, grid: GridSpec) -> float:
     """Discrete energy: half the mean-free intensity mass plus the H misfit.
 
-    E = 1/2 ||u - mean||^2 + tau/2 ||H - F(0)||^2 (volume-weighted sums).
+    E = 1/2 ||u - mean||^2 + tau/2 ||H - F(0)||^2 (plain sums over cells).
     The per-channel mean is removed from u because the flux form conserves
     it exactly; convergence toward the flat image happens in the mean-free
     part, which is what this functional measures.
     """
-    if grid is None:
-        grid = GridSpec.from_field(state.u)
-    vol = grid.cell_volume
     umf = mean_free(state.u, grid)
-    term_u = 0.5 * vol * float(np.dot(umf.ravel(), umf.ravel()))
+    term_u = 0.5 * float(np.dot(umf.ravel(), umf.ravel()))
     f0 = response_zero(p.response, grid.channels, grid.ndim)
     diff = np.asarray(state.H, dtype=float) - f0
-    term_h = 0.5 * p.tau * vol * float(np.dot(diff.ravel(), diff.ravel()))
+    term_h = 0.5 * p.tau * float(np.dot(diff.ravel(), diff.ravel()))
     return term_u + term_h
 
 
@@ -283,8 +280,8 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec, keep_
             TraceRecord(
                 t=t,
                 l2_norm_u=l2_norm(u, grid),
-                mass=tuple(grid.cell_volume * s for s in u.reshape(-1, grid.channels).sum(axis=0)),
-                energy=energy(FilterState(t=t, u=u, H=h, kappa_predicted=kappa), p, grid),
+                mass=tuple(u.reshape(-1, grid.channels).sum(axis=0)),
+                energy=energy(FilterState(t=t, u=u, H=h), p, grid),
                 min_eig_H=min_eig,
                 cg_iters=iters,
             )
@@ -292,14 +289,14 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec, keep_
         if keep_history:
             history[0].append(u.copy())
             history[1].append(h.copy())
-    return FilterState(t=t, u=u, H=h, kappa_predicted=kappa_predicted(t, p)), traces, history
+    return FilterState(t=t, u=u, H=h), traces, history
 
 
 def run(
     u0: Array,
     H0: Array,
     p: FilterParams,
-    grid: GridSpec | None = None,
+    grid: GridSpec,
     keep_history: bool = False,
 ):
     """Integrate the coupled system from (u0, H0) until t >= t_end.
@@ -320,8 +317,6 @@ def run(
     min_eig_H equals the minimum over a full diagonalisation bit for bit, and
     only a broken floor diagonalises every cell, to name the offending one.
     """
-    if grid is None:
-        grid = GridSpec.from_field(u0)
     u = check_image(u0, grid).copy()
     _require_finite("u0", u)
     h = np.asarray(H0, dtype=float).copy()
@@ -357,7 +352,7 @@ def memory_form_check(
     H0: Array,
     p: FilterParams,
     steps: int,
-    grid: GridSpec | None = None,
+    grid: GridSpec,
 ) -> float:
     """Largest cell-wise gap between stepped H and its memory-form integral.
 
@@ -374,8 +369,6 @@ def memory_form_check(
     """
     if steps < 0:
         raise ParameterError("steps must be >= 0")
-    if grid is None:
-        grid = GridSpec.from_field(u0)
     if steps == 0:
         return 0.0
     p_run = replace(p, t_end=steps * p.dt)

@@ -10,6 +10,7 @@ convolution but avoids artificial darkening at the border and matches the
 no-flux reading of the boundary. Bandwidths are in pixel units.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,8 @@ Array = np.ndarray
 GAUSSIAN = "gaussian"
 COMPACT_BUMP = "compact_bump"
 
-# Below half a pixel the discrete kernel degenerates to the center pixel.
+# Bandwidths below half a pixel select the sharp limit: no kernel at all
+# (FilterParams.kernel() returns None), so Kernel rejects them.
 DELTA_SIGMA = 0.5
 
 
@@ -30,39 +32,29 @@ DELTA_SIGMA = 0.5
 class Kernel:
     kind: str = GAUSSIAN
     sigma: float = 1.0
-    support_radius: float = 0.0  # 0 means the kind's default
 
     def __post_init__(self):
         if self.kind not in (GAUSSIAN, COMPACT_BUMP):
             raise ParameterError(f"unknown kernel kind {self.kind!r}")
-        if self.sigma <= 0:
-            raise ParameterError("kernel sigma must be > 0")
-        if self.support_radius == 0.0:
-            default = 4.0 * self.sigma if self.kind == GAUSSIAN else self.sigma
-            object.__setattr__(self, "support_radius", float(default))
-        elif self.support_radius < 0:
-            raise ParameterError("support_radius must be positive")
+        if not DELTA_SIGMA <= self.sigma < math.inf:
+            raise ParameterError(f"kernel sigma must be finite and >= {DELTA_SIGMA:g}")
 
     def weights(self) -> Array:
-        """Normalised 1-d lattice weights; [1.0] once sigma is sub-pixel.
+        """Normalised 1-d lattice weights within the kind's support radius.
 
-        A 4-sigma truncation of the Gaussian discards less than 1e-7 of its
-        mass, so renormalising the remainder is harmless.
+        The Gaussian is truncated at 4 sigma, which discards less than 1e-7 of
+        its mass, so renormalising the remainder is harmless; the bump's
+        support radius is sigma.
         """
-        if self.sigma < DELTA_SIGMA:
-            return np.array([1.0])
-        r = int(np.ceil(self.support_radius))
+        r = int(np.ceil(4.0 * self.sigma if self.kind == GAUSSIAN else self.sigma))
         m = np.arange(-r, r + 1, dtype=float)
         if self.kind == GAUSSIAN:
             w = np.exp(-0.5 * (m / self.sigma) ** 2)
         else:
-            t = m / self.support_radius
+            t = m / self.sigma
             w = np.zeros_like(m)
             inside = np.abs(t) < 1.0
             w[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
-            if not np.any(inside):
-                w = np.array([1.0])
-                return w
         return w / w.sum()
 
 
@@ -96,20 +88,14 @@ def _correlate1d(u: Array, w: Array, axis: int) -> Array:
     return np.moveaxis(out, 0, axis)
 
 
-def convolve(u: Array, kern: Kernel, grid: GridSpec | None = None) -> Array:
+def convolve(u: Array, kern: Kernel, grid: GridSpec) -> Array:
     """Domain-restricted smoothing of every channel, constants preserved.
 
     Linear in u. Each separable pass divides by the sum of in-domain weights
     for that output pixel, so rows of effective weights always sum to one.
     """
-    u = np.asarray(u, dtype=float)
-    if grid is None:
-        grid = GridSpec.from_field(u)
-    u = check_image(u, grid)
+    out = check_image(u, grid)
     w = kern.weights()
-    if w.size == 1:
-        return u.copy()
-    out = u
     for axis in range(grid.ndim):
         n = grid.dims[axis]
         # In-domain weight sum for each position along this axis.
@@ -121,15 +107,11 @@ def convolve(u: Array, kern: Kernel, grid: GridSpec | None = None) -> Array:
     return out
 
 
-def grad_sigma(u: Array, kern: Kernel | None, grid: GridSpec | None = None) -> Array:
-    """Gradient of the mollified image; plain gradient when kern is absent.
+def grad_sigma(u: Array, kern: Kernel | None, grid: GridSpec) -> Array:
+    """Gradient of the mollified image; a missing kernel is the sharp limit.
 
-    A missing kernel (or a sub-pixel bandwidth) means the sharp limit: the
-    result is bit-for-bit gradient(u).
+    Without a kernel the result is gradient(u) bit for bit.
     """
-    u = np.asarray(u, dtype=float)
-    if grid is None:
-        grid = GridSpec.from_field(u)
-    if kern is None or kern.sigma < DELTA_SIGMA:
+    if kern is None:
         return gradient(u, grid)
     return gradient(convolve(u, kern, grid), grid)

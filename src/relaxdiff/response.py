@@ -12,9 +12,10 @@ projection with an isotropic term,
 where the scalar first branch multiplies the identity tensor. Both branches
 meet at the threshold, the result is symmetric PSD for every D, and at D = 0
 the projection term carries coefficient zero, so F_s(0) = 3/2 Id without ever
-forming a degenerate projection. Expanding P removes the division entirely:
-on the smooth branch F_s(D) = (3/2 - q/2) Id - vv^T / s^2 with q = D:D/s^2
-and v = vec(D), which is the form evaluated here.
+forming a degenerate projection. Expanding P gives both branches one form,
+F_s(D) = a Id - vv^T / c with v = vec(D): a = 1 and c = D:D above the
+threshold, a = 3/2 - q/2 and c = s^2 with q = D:D/s^2 below it, which is
+the form evaluated here.
 
 An optional uniform shift omega adds omega * Id, giving lambda_min >= omega;
 the shifted variant is what the exponential-decay experiments use. A scalar
@@ -81,19 +82,18 @@ def response_fs(dfield: Array, p: ResponseParams) -> Array:
     v = dfield.reshape(cells + (n,))
     nrm2 = np.einsum("...a,...a->...", v, v)
     s2 = p.s * p.s
-    outer = np.einsum("...a,...b->...ab", v, v)
-
     proj_branch = nrm2 >= s2
-    # Smooth branch: (3/2 - q/2) Id - vv^T/s^2, with q = nrm2/s2.
-    coef = 1.5 - 0.5 * (nrm2 / s2)
-    eye = np.eye(n)
-    out = coef[..., None, None] * eye - outer / s2
-    if np.any(proj_branch):
-        safe = np.where(proj_branch, nrm2, 1.0)
-        proj = eye - outer / safe[..., None, None]
-        out = np.where(proj_branch[..., None, None], proj, out)
+    a = np.where(proj_branch, 1.0, 1.5 - 0.5 * (nrm2 / s2))
+    c = np.where(proj_branch, nrm2, s2)
+    out = np.einsum("...a,...b->...ab", v, v)
+    out /= c[..., None, None]
+    idx = np.arange(n)
+    diag = a[..., None] - out[..., idx, idx]
+    # 0 - x, not -x: an off-diagonal +0.0 stays +0.0.
+    np.subtract(0.0, out, out=out)
+    out[..., idx, idx] = diag
     if p.omega > 0.0:
-        out += p.omega * eye
+        out += p.omega * np.eye(n)
     return out
 
 

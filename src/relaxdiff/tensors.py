@@ -56,17 +56,17 @@ def fro_norm(a: Array) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=float).ravel()))
 
 
-def require_symmetric(h: Array, rtol: float = SYMMETRY_RTOL) -> Array:
+def require_symmetric(h: Array) -> Array:
     """Validate that every cell tensor of h (shape dims + (n, n)) is symmetric.
 
-    The tolerance is rtol relative to the largest entry (at least 1); a
+    The tolerance is SYMMETRY_RTOL relative to the largest entry (at least 1); a
     single tensor is a field with dims = (). Returns h as a float array.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise DimensionError(f"tensor must be square in its last two axes, got shape {h.shape}")
     scale = max(1.0, float(np.max(np.abs(h), initial=0.0)))
-    if float(np.max(np.abs(h - np.swapaxes(h, -1, -2)), initial=0.0)) > rtol * scale:
+    if float(np.max(np.abs(h - np.swapaxes(h, -1, -2)), initial=0.0)) > SYMMETRY_RTOL * scale:
         raise SymmetryError("tensor is not symmetric within tolerance")
     return h
 

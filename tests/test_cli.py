@@ -129,6 +129,17 @@ class TestConfig:
         assert cfg.mode == "catte"
         assert cfg.kernel == "bump"
 
+    def test_keys_are_flag_names(self, tmp_path):
+        img, _ = disk_image(n=16, radius=5.0)
+        save_image(img, str(tmp_path / "in.ppm"))
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(
+            f"input = {tmp_path / 'in.ppm'}\noutput = {tmp_path / 'out.ppm'}\n"
+            f"trace = {tmp_path / 'trace.csv'}\nt-end = 0.2\n"
+        )
+        assert main(["--config", str(cfg_file)]) == EXIT_OK
+        assert (tmp_path / "out.ppm").exists() and (tmp_path / "trace.csv").exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("bogus = 1\n")
@@ -231,14 +242,19 @@ class TestMainPipeline:
             ]) == EXIT_CONFIG
             assert "sigma >= 0.5" in capsys.readouterr().err
         # config error: a config file that is not ASCII, a negative noise
-        # seed, a step count that overflows, an infinite intensity range
+        # seed, a step count that overflows or exceeds the cap, an infinite
+        # intensity range, flags that do not parse
         cfg_file = tmp_path / "accent.cfg"
         cfg_file.write_bytes("tau = 0.5  # r\u00e9glage\n".encode("utf-8"))
         for flags, message in (
             (["--config", str(cfg_file)], "accent.cfg"),
             (["--seed", "-1", "--noise-std", "0.1"], "seed"),
             (["--dt", "1e-320"], "t_end / dt"),
+            (["--dt", "1e-300"], "t_end / dt"),
             (["--hi", "inf"], "finite"),
+            (["--tau", "abc"], "error [configuration]: argument --tau: invalid float value: 'abc'"),
+            (["--mode", "bogus"], "argument --mode: invalid choice: 'bogus'"),
+            (["--bogus-flag", "1"], "unrecognized arguments: --bogus-flag 1"),
         ):
             assert main(["--input", str(inp), "--output", str(out), *flags]) == EXIT_CONFIG, flags
             err = capsys.readouterr().err
@@ -254,6 +270,10 @@ class TestMainPipeline:
         # config error: non-finite parameters
         for flag in ("--sigma", "--t-end", "--threshold-s"):
             assert main(["--input", str(inp), "--output", str(out), flag, "nan"]) == EXIT_CONFIG
+        # --help prints the usage and exits 0
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == EXIT_OK and "--input" in capsys.readouterr().out
 
     def test_python_dash_m_runs_the_cli(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(Path(relaxdiff.__file__).resolve().parent.parent))

@@ -1,9 +1,11 @@
 """Golden outputs of the CLI: a refactor of the filter must not move a bit.
 
 Each case runs ``cli.main`` on a small seeded scene and compares the sha256
-of the output image, the trace CSV and stdout with digests recorded from the
-implementation before the relax filter and its tau -> 0 baselines shared one
-step loop. A mismatch names the mode and the file that changed. The digests
+of the output image, the trace CSV and stdout with digests recorded before a
+refactor of the code they cover: the first four before the relax filter and
+its tau -> 0 baselines shared one step loop, bump-omega (bump kernel weights,
+omega shift) before the response's two branches became one closed form. A
+mismatch names the mode and the file that changed. The digests
 hold for the numpy build the suite runs on; a numpy or BLAS upgrade that
 changes rounding shows up here first.
 """
@@ -23,6 +25,7 @@ CASES = {
     "sharp-dt2": (False, ["--sigma", "0", "--dt", "2", "--t-end", "4"]),
     "catte": (True, ["--mode", "catte", "--dt", "0.1", "--t-end", "0.3"]),
     "pm": (False, ["--mode", "pm", "--dt", "0.1", "--t-end", "0.2"]),
+    "bump-omega": (False, ["--kernel", "bump", "--sigma", "2", "--omega", "0.05", "--dt", "0.1", "--t-end", "0.3"]),
 }
 
 DIGESTS = {
@@ -45,6 +48,11 @@ DIGESTS = {
         "image": "617322be36d03341579c49fa6b624315acd8f86624b05c46b2cb889f419a8d4c",
         "trace": "c44676c50c5f570ebcb4108357a82a5ff5b305affdb692d1ceee65a38a7763c9",
         "stdout": "07ce0b99d9c1aa31df3b9c5c8b4cd2728df41d5e5ccb8bbc6cf71e1c6ab6c0a4",
+    },
+    "bump-omega": {
+        "image": "4420e4b71891d9f2a6f1e2e08c036e9dd93a63e9404901ad4abd6d3c87cc471d",
+        "trace": "1cf6872ac6a56960278bf2a87dcd525fb488a3d77c9e18dac79ac865e1539083",
+        "stdout": "d63082d6a8446a76261cd641e6c1efc9a56472a10e5dfb4e44e6ea96b1af5975",
     },
 }
 

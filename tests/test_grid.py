@@ -21,14 +21,12 @@ class TestGridSpec:
         with pytest.raises(ParameterError):
             GridSpec(dims=(1, 4))
         with pytest.raises(ParameterError):
-            GridSpec(dims=(4,), spacing=(0.0,))
-        with pytest.raises(ParameterError):
             GridSpec(dims=(4,), channels=0)
 
     def test_from_field(self, rng):
         u = rng.standard_normal((5, 7, 3))
         g = GridSpec.from_field(u)
-        assert g.dims == (5, 7) and g.channels == 3 and g.spacing == (1.0, 1.0)
+        assert g.dims == (5, 7) and g.channels == 3
 
 
 class TestGradient:
@@ -49,23 +47,17 @@ class TestGradient:
         u = rng.standard_normal(grid.field_shape())
         np.testing.assert_allclose(gradient(3.0 * u, grid), 3.0 * gradient(u, grid), rtol=1e-12)
 
-    def test_spacing(self):
-        grid = GridSpec(dims=(4,), spacing=(0.5,), channels=1)
-        u = np.arange(4, dtype=float)[:, None]
-        g = gradient(u, grid)
-        np.testing.assert_array_equal(g[:3, 0, 0], 2.0)
-
     def test_shape_mismatch(self):
         grid = GridSpec(dims=(4, 4), channels=1)
         with pytest.raises(DimensionError):
             gradient(np.zeros((4, 4, 2)), grid)
 
     def test_anisotropic_spacing_exact(self, rng):
-        grid = GridSpec(dims=(5, 7), spacing=(0.5, 2.0), channels=2)
+        grid = GridSpec(dims=(5, 7), channels=2)
         u = rng.standard_normal(grid.field_shape())
         g = gradient(u, grid)
-        np.testing.assert_array_equal(g[:-1, :, :, 0], (u[1:] - u[:-1]) / 0.5)
-        np.testing.assert_array_equal(g[:, :-1, :, 1], (u[:, 1:] - u[:, :-1]) / 2.0)
+        np.testing.assert_array_equal(g[:-1, :, :, 0], u[1:] - u[:-1])
+        np.testing.assert_array_equal(g[:, :-1, :, 1], u[:, 1:] - u[:, :-1])
         np.testing.assert_array_equal(g[-1, :, :, 0], 0.0)
         np.testing.assert_array_equal(g[:, -1, :, 1], 0.0)
 
@@ -92,14 +84,6 @@ class TestDivergence:
             j = rng.standard_normal(dims + (2, len(dims)))
             total = divergence(j, grid).reshape(-1, 2).sum(axis=0)
             np.testing.assert_allclose(total, 0.0, atol=1e-12)
-
-    def test_anisotropic_spacing_adjointness(self, rng):
-        grid = GridSpec(dims=(6, 9), spacing=(0.5, 2.0), channels=1)
-        u = rng.standard_normal(grid.field_shape())
-        j = rng.standard_normal(grid.dims + (1, 2))
-        lhs = inner(gradient(u, grid), j, grid)
-        rhs = -inner(u, divergence(j, grid), grid)
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 class TestDiffusionApply:
@@ -197,9 +181,3 @@ class TestPoincareEstimate:
         assert poincare_estimate(GridSpec(dims=(n, n))) == pytest.approx(
             poincare_estimate(GridSpec(dims=(n,))), abs=1e-8
         )
-
-    def test_spacing_scaling(self):
-        n = 9
-        a = poincare_estimate(GridSpec(dims=(n,), spacing=(1.0,)))
-        b = poincare_estimate(GridSpec(dims=(n,), spacing=(2.0,)))
-        assert b == pytest.approx(a / 4.0, rel=1e-7)

@@ -10,10 +10,12 @@ from relaxdiff.errors import FitError, InvariantViolation, ParameterError, Solve
 from relaxdiff.grid import GridSpec, face_average_tensors, l2_norm, mean_free
 from relaxdiff.initial import init_H0
 from relaxdiff.integrate import (
+    MAX_STEPS,
     FilterParams,
     FilterState,
     TraceRecord,
     _implicit_solve,
+    _num_steps,
     _relax_H,
     decay_rate_fit,
     energy,
@@ -52,6 +54,12 @@ class TestFilterParams:
     def test_non_finite_rejected(self, name, value):
         with pytest.raises(ParameterError):
             FilterParams(**{name: value})
+
+    def test_step_count_capped(self):
+        assert _num_steps(FilterParams(dt=1e-6, t_end=1.0)) == MAX_STEPS
+        for dt in (1e-7, 1e-300):
+            with pytest.raises(ParameterError, match="t_end / dt"):
+                FilterParams(dt=dt, t_end=1.0)
 
     def test_kernel_selection(self):
         assert FilterParams(sigma=0.0).kernel() is None
@@ -330,7 +338,7 @@ class TestEnergy:
         grid = GridSpec(dims=(5, 4), channels=2)
         p = FilterParams(tau=0.7, response=ResponseParams(s=0.1, omega=0.3))
         f0 = np.broadcast_to(response_zero(p.response, 2, 2), grid.dims + (4, 4)).copy()
-        state = FilterState(t=0.0, u=np.zeros(grid.field_shape()), H=f0, kappa_predicted=0.0)
+        state = FilterState(t=0.0, u=np.zeros(grid.field_shape()), H=f0)
         assert energy(state, p, grid) == 0.0
 
     def test_identity_offset_value(self):
@@ -340,7 +348,7 @@ class TestEnergy:
         kd = 4
         f0 = response_zero(p.response, 2, 2)
         h = np.broadcast_to(f0 + np.eye(kd), grid.dims + (kd, kd)).copy()
-        state = FilterState(t=0.0, u=np.zeros(grid.field_shape()), H=h, kappa_predicted=0.0)
+        state = FilterState(t=0.0, u=np.zeros(grid.field_shape()), H=h)
         assert energy(state, p, grid) == pytest.approx(0.5 * tau * grid.ncells * kd, rel=1e-14)
 
     def test_quadratic_in_u(self, rng):
@@ -348,8 +356,8 @@ class TestEnergy:
         p = FilterParams(tau=0.5, response=ResponseParams(s=0.1))
         f0 = np.broadcast_to(response_zero(p.response, 3, 2), grid.dims + (6, 6)).copy()
         u = rng.standard_normal(grid.field_shape())
-        e1 = energy(FilterState(0.0, u, f0, 0.0), p, grid)
-        e2 = energy(FilterState(0.0, 2.0 * u, f0, 0.0), p, grid)
+        e1 = energy(FilterState(0.0, u, f0), p, grid)
+        e2 = energy(FilterState(0.0, 2.0 * u, f0), p, grid)
         assert e2 == pytest.approx(4.0 * e1, rel=1e-12)
 
     def test_mean_part_carries_no_energy(self, rng):
@@ -357,8 +365,8 @@ class TestEnergy:
         p = FilterParams(tau=0.5, response=ResponseParams(s=0.1))
         f0 = np.broadcast_to(response_zero(p.response, 2, 2), grid.dims + (4, 4)).copy()
         u = rng.standard_normal(grid.field_shape())
-        e1 = energy(FilterState(0.0, u, f0, 0.0), p, grid)
-        e2 = energy(FilterState(0.0, u + 3.7, f0, 0.0), p, grid)
+        e1 = energy(FilterState(0.0, u, f0), p, grid)
+        e2 = energy(FilterState(0.0, u + 3.7, f0), p, grid)
         assert e2 == pytest.approx(e1, rel=1e-12)
 
 

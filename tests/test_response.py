@@ -127,6 +127,23 @@ class TestResponseFsField:
         out = response_fs(np.zeros((3, 3, 2, 2)), p)
         np.testing.assert_array_equal(out, np.broadcast_to(1.5 * np.eye(4), (3, 3, 4, 4)))
 
+    def test_same_bits_as_two_branch_form(self, rng):
+        # Each branch evaluated on the whole field, then selected per cell.
+        # Bytes are compared, so a -0.0 where the branches give +0.0 fails.
+        dfield = 0.06 * rng.standard_normal((6, 5, 3, 2))
+        dfield[0] = 0.0
+        v = dfield.reshape(6, 5, 6)
+        nrm2 = np.einsum("...a,...a->...", v, v)
+        outer = np.einsum("...a,...b->...ab", v, v)
+        for s, omega in ((0.1, 0.0), (0.2, 0.05)):
+            smooth = (1.5 - 0.5 * (nrm2 / (s * s)))[..., None, None] * np.eye(6) - outer / (s * s)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                proj = np.eye(6) - outer / nrm2[..., None, None]
+            ref = np.where((nrm2 >= s * s)[..., None, None], proj, smooth)
+            if omega > 0.0:
+                ref += omega * np.eye(6)
+            assert response_fs(dfield, ResponseParams(s=s, omega=omega)).tobytes() == ref.tobytes()
+
 
 class TestResponsePm:
     def test_zero_gives_identity(self):
