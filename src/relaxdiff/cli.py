@@ -285,10 +285,9 @@ def _filter_params(cfg: RunConfig) -> FilterParams:
         )
     else:
         resp = ResponseParams(s=cfg.threshold_s, omega=cfg.omega, kind=THRESHOLDED_PROJECTION)
-    tau = cfg.tau if cfg.mode == MODE_RELAX else max(cfg.tau, 1e-6)
     kernel_kind = COMPACT_BUMP if cfg.kernel == "bump" else GAUSSIAN
     return FilterParams(
-        tau=tau,
+        tau=cfg.tau,
         sigma=cfg.sigma,
         dt=cfg.dt,
         t_end=cfg.t_end,

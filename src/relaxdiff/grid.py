@@ -9,6 +9,13 @@ with zero flux through all boundary faces. That pairing is what the no-flux
 boundary treatment means discretely: summation by parts holds to rounding,
 so total intensity is conserved and the diffusion operator below is an
 exactly symmetric, coercive map.
+
+The gradient and the divergence run in row bands over the CPUs
+(``relaxdiff.bands``), each element computed by the same operations in the
+same order as in one pass over the field, so their bits do not depend on the
+CPU count. The inner product sums with numpy's einsum loop, which is
+single-threaded, and not with BLAS, whose dot product splits long vectors
+over threads and so rounds differently with the number of threads.
 """
 
 import math
@@ -16,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bands import for_bands
 from .errors import DimensionError, ParameterError
 from .tensors import apply, require_symmetric
 
@@ -82,12 +90,21 @@ def gradient(u: Array, grid: GridSpec) -> Array:
     """Forward-difference gradient field of shape dims + (k, d)."""
     u = check_image(u, grid)
     d = grid.ndim
+    n0 = grid.dims[0]
     out = np.empty(grid.dims + (grid.channels, d))
-    for j in range(d):
-        lo, hi, last = _axis_slices(d, j)
-        face = out[lo + (slice(None), j)]
-        np.subtract(u[hi], u[lo], out=face)
-        out[last + (slice(None), j)] = 0.0
+
+    def band(start: int, stop: int) -> None:
+        # Axis 0 reads one row past the band; the last row has no forward face.
+        top = min(stop, n0 - 1)
+        np.subtract(u[start + 1:top + 1], u[start:top], out=out[start:top, ..., 0])
+        out[top:stop, ..., 0] = 0.0
+        ub, ob = u[start:stop], out[start:stop]
+        for j in range(1, d):
+            lo, hi, last = _axis_slices(d, j)
+            np.subtract(ub[hi], ub[lo], out=ob[lo + (slice(None), j)])
+            ob[last + (slice(None), j)] = 0.0
+
+    for_bands(band, n0, u.size + out.size)
     return out
 
 
@@ -103,12 +120,25 @@ def divergence(jfield: Array, grid: GridSpec) -> Array:
         raise DimensionError(
             f"flux shape {jfield.shape} != {grid.dims + (grid.channels, d)}"
         )
+    n0 = grid.dims[0]
     out = np.zeros(grid.field_shape())
-    for j in range(d):
-        lo, hi, _ = _axis_slices(d, j)
-        f = jfield[..., j][lo]  # interior faces only; boundary flux is zero
-        out[lo] += f
-        out[hi] -= f
+
+    def band(start: int, stop: int) -> None:
+        # Per element: + its own face, - the face behind it, axis by axis.
+        # Axis 0 reads the flux of one row before the band; the last row's
+        # slot is a boundary face and carries no flux.
+        top = min(stop, n0 - 1)
+        out[start:top] += jfield[start:top, ..., 0]
+        first = max(start, 1)
+        out[first:stop] -= jfield[first - 1:stop - 1, ..., 0]
+        jb, ob = jfield[start:stop], out[start:stop]
+        for j in range(1, d):
+            lo, hi, _ = _axis_slices(d, j)
+            f = jb[..., j][lo]  # interior faces only; boundary flux is zero
+            ob[lo] += f
+            ob[hi] -= f
+
+    for_bands(band, n0, jfield.size + out.size)
     return out
 
 
@@ -150,7 +180,7 @@ def inner(u: Array, v: Array, grid: GridSpec) -> float:
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise DimensionError(f"shape mismatch: {u.shape} vs {v.shape}")
-    return float(np.dot(u.ravel(), v.ravel()))
+    return float(np.einsum("i,i->", u.ravel(), v.ravel()))
 
 
 def l2_norm(u: Array, grid: GridSpec) -> float:

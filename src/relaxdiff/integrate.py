@@ -40,6 +40,7 @@ from .grid import (
     divergence,
     face_average_tensors,
     gradient,
+    inner,
     l2_norm,
     mean_free,
 )
@@ -87,6 +88,7 @@ class FilterParams:
             raise ParameterError("cg_tol must lie in (0, 1e-2]")
         if self.cg_max_iter is not None and self.cg_max_iter < 1:
             raise ParameterError("cg_max_iter must be >= 1")
+        self.kernel()  # a kernel that cannot be built fails here, not mid-run
 
     def kernel(self) -> Kernel | None:
         if self.sigma < DELTA_SIGMA:
@@ -151,22 +153,22 @@ def _implicit_solve(
         out *= dt
         return np.subtract(x, out, out=out)
 
-    b_nrm = float(np.linalg.norm(u.ravel()))
+    b_nrm = math.sqrt(inner(u, u, grid))
     if b_nrm == 0.0:
         return np.zeros_like(u), 0
     x = u.copy()
     r = u - apply_a(x)
     p = r.copy()
     tmp = np.empty_like(u)
-    rs = float(np.dot(r.ravel(), r.ravel()))
+    rs = inner(r, r, grid)
     if math.sqrt(rs) <= cg_tol * b_nrm:
         return x, 0
     for it in range(1, max_iter + 1):
         ap = apply_a(p)
-        alpha = rs / float(np.dot(p.ravel(), ap.ravel()))
+        alpha = rs / inner(p, ap, grid)
         x += np.multiply(p, alpha, out=tmp)
         r -= np.multiply(ap, alpha, out=tmp)
-        rs_new = float(np.dot(r.ravel(), r.ravel()))
+        rs_new = inner(r, r, grid)
         if math.sqrt(rs_new) <= cg_tol * b_nrm:
             return x, it
         p *= rs_new / rs
@@ -195,10 +197,10 @@ def energy(state: FilterState, p: FilterParams, grid: GridSpec) -> float:
     part, which is what this functional measures.
     """
     umf = mean_free(state.u, grid)
-    term_u = 0.5 * float(np.dot(umf.ravel(), umf.ravel()))
+    term_u = 0.5 * inner(umf, umf, grid)
     f0 = response_zero(p.response, grid.channels, grid.ndim)
     diff = np.asarray(state.H, dtype=float) - f0
-    term_h = 0.5 * p.tau * float(np.dot(diff.ravel(), diff.ravel()))
+    term_h = 0.5 * p.tau * inner(diff, diff, grid)
     return term_u + term_h
 
 
@@ -381,8 +383,8 @@ def memory_form_check(
     worst = 0.0
     for n in range(steps):
         q = theta * q + (1.0 - theta) * 0.5 * (fs[n] + fs[n + 1])
-        gap = np.linalg.norm((q - hs[n + 1]).reshape(grid.dims + (-1,)), axis=-1)
-        worst = max(worst, float(np.max(gap)))
+        gap = (q - hs[n + 1]).reshape(grid.dims + (-1,))
+        worst = max(worst, float(np.max(np.sqrt(np.sum(gap * gap, axis=-1)))))
     return worst
 
 

@@ -38,6 +38,12 @@ class Kernel:
             raise ParameterError(f"unknown kernel kind {self.kind!r}")
         if not DELTA_SIGMA <= self.sigma < math.inf:
             raise ParameterError(f"kernel sigma must be finite and >= {DELTA_SIGMA:g}")
+        # The bump vanishes at |m| >= sigma, so at sigma <= 1 only its centre
+        # weight is left: the identity, which would run unmollified.
+        if self.kind == COMPACT_BUMP and not self.sigma > 1.0:
+            raise ParameterError(
+                f"the compact_bump kernel needs sigma > 1 (sigma = {self.sigma:g} leaves only its centre weight)"
+            )
 
     def weights(self) -> Array:
         """Normalised 1-d lattice weights within the kind's support radius.

@@ -6,7 +6,10 @@ diffusivity tensor acts linearly on such matrices; with the pair index
 (k*d) x (k*d) matrix. k*d stays small (6 for RGB images in 2D), so dense
 storage and dense symmetric eigensolvers are the right tool.
 
-All functions here are pure and safe to call concurrently.
+All functions here are pure and safe to call concurrently. ``apply`` splits
+its cells into row bands over the CPUs of the affinity mask
+(``relaxdiff.bands``); each cell's sum runs in the same order as in one call
+over all cells, so its output bits do not depend on the CPU count.
 """
 
 import functools
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bands import for_bands
 from .errors import DegenerateDirectionError, DimensionError, SymmetryError
 
 Array = np.ndarray
@@ -85,7 +89,15 @@ def apply(h: Array, dmat: Array) -> Array:
     if h.shape != dmat.shape[:-2] + (k * d, k * d):
         raise DimensionError(f"tensor shape {h.shape} does not fit matrix shape {dmat.shape}")
     flat = dmat.reshape(dmat.shape[:-2] + (k * d,))
-    return np.einsum("...ab,...b->...a", h, flat).reshape(dmat.shape)
+    out = np.empty_like(flat)
+    if flat.ndim == 1:
+        return np.einsum("...ab,...b->...a", h, flat, out=out).reshape(dmat.shape)
+
+    def band(lo: int, hi: int) -> None:
+        np.einsum("...ab,...b->...a", h[lo:hi], flat[lo:hi], out=out[lo:hi])
+
+    for_bands(band, flat.shape[0], h.size + 2 * flat.size)
+    return out.reshape(dmat.shape)
 
 
 def project_orth(dhat: Array) -> Array:

@@ -243,7 +243,8 @@ class TestMainPipeline:
             assert "sigma >= 0.5" in capsys.readouterr().err
         # config error: a config file that is not ASCII, a negative noise
         # seed, a step count that overflows or exceeds the cap, an infinite
-        # intensity range, flags that do not parse
+        # intensity range, a baseline tau <= 0, a bump kernel that is the
+        # identity, flags that do not parse
         cfg_file = tmp_path / "accent.cfg"
         cfg_file.write_bytes("tau = 0.5  # r\u00e9glage\n".encode("utf-8"))
         for flags, message in (
@@ -252,6 +253,9 @@ class TestMainPipeline:
             (["--dt", "1e-320"], "t_end / dt"),
             (["--dt", "1e-300"], "t_end / dt"),
             (["--hi", "inf"], "finite"),
+            (["--mode", "catte", "--tau", "-3", "--t-end", "0.2"], "error [configuration]: tau must be > 0"),
+            (["--mode", "pm", "--tau", "0"], "error [configuration]: tau must be > 0"),
+            (["--mode", "catte", "--kernel", "bump", "--sigma", "1"], "error [configuration]: the compact_bump kernel needs sigma > 1"),
             (["--tau", "abc"], "error [configuration]: argument --tau: invalid float value: 'abc'"),
             (["--mode", "bogus"], "argument --mode: invalid choice: 'bogus'"),
             (["--bogus-flag", "1"], "unrecognized arguments: --bogus-flag 1"),

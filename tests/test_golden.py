@@ -8,13 +8,29 @@ omega shift) before the response's two branches became one closed form. A
 mismatch names the mode and the file that changed. The digests
 hold for the numpy build the suite runs on; a numpy or BLAS upgrade that
 changes rounding shows up here first.
+
+The five trace digests were re-recorded once, with every image and stdout
+digest unchanged, when the field-sized reductions (the trace's l2 norm and
+energy columns, and CG's dot products) moved from BLAS to numpy's einsum
+loop. OpenBLAS splits a dot product longer than about 10,000 elements over
+its threads, so the summation order, and with it the last digits of the
+trace, depended on the number of CPUs; einsum sums in one fixed order.
+``test_outputs_do_not_depend_on_cpu_count`` keeps it that way.
 """
 
+import contextlib
 import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relaxdiff
 from relaxdiff.cli import EXIT_OK, main, save_image
 
 from conftest import disk_image
@@ -31,27 +47,27 @@ CASES = {
 DIGESTS = {
     "relax": {
         "image": "78c4132a655024c11d413d6eda600d20fe402de00adf1005023afb40f0257165",
-        "trace": "ee0e247dd48c3efff71fc43097c842a77961d9507fe9c0a949f84695dc47d8ef",
+        "trace": "e3274d853950f84e8c6875f849759c0d724434e42f3fa78038e5af7c218ed13a",
         "stdout": "1d9f252147d64307ecb0abbcadd7ec9efeb14f94408f7a58ca7c15e4a33f8104",
     },
     "sharp-dt2": {
         "image": "03007b532ed45cc1d5620af2bfb141de3227e53a110f0b6751c06a906ba3dbf3",
-        "trace": "223f70e64b43eded1729c00833c8be92119f6c55777329de7cba6398acce7d6e",
+        "trace": "bc9e9c375aad605d82510de9c97bda10105378f033a4914ac0d0960c225bf477",
         "stdout": "9a09a2214f11e2272adf2e56856d908cb59d4949a008b51307098f29ba032265",
     },
     "catte": {
         "image": "9fe890d2bbac139de7157647eea2b8026f2366b41bb3e0afa9ca1f9fac57daf4",
-        "trace": "67bff14ec4fccab6ca26390656ddfe741dd375230457b081e65565510fff2e1e",
+        "trace": "4f8c85ed73aebe97c97b291f368556dddf7f60ce88f4f8a7b05c575156b6ebc8",
         "stdout": "36d67ef96385744201fc4bb6f1d88028f488cf591a63499055c0fd2c8868c611",
     },
     "pm": {
         "image": "617322be36d03341579c49fa6b624315acd8f86624b05c46b2cb889f419a8d4c",
-        "trace": "c44676c50c5f570ebcb4108357a82a5ff5b305affdb692d1ceee65a38a7763c9",
+        "trace": "ed7f31dd9fc3f2a2aa836131aed99b7070e023872eeba4ff890704c191a0e2a3",
         "stdout": "07ce0b99d9c1aa31df3b9c5c8b4cd2728df41d5e5ccb8bbc6cf71e1c6ab6c0a4",
     },
     "bump-omega": {
         "image": "4420e4b71891d9f2a6f1e2e08c036e9dd93a63e9404901ad4abd6d3c87cc471d",
-        "trace": "1cf6872ac6a56960278bf2a87dcd525fb488a3d77c9e18dac79ac865e1539083",
+        "trace": "5a8acc8f388a5cfc8ba154021b85c1f5fd9c855075baa762f2db9370c0e9986f",
         "stdout": "d63082d6a8446a76261cd641e6c1efc9a56472a10e5dfb4e44e6ea96b1af5975",
     },
 }
@@ -72,22 +88,65 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.filterwarnings("ignore:unmollified scalar")
-@pytest.mark.parametrize("case", list(CASES))
-def test_cli_outputs_unchanged(case, tmp_path, capsys):
+def digests(case: str, tmp_path: Path) -> dict:
+    """sha256 of the image, trace CSV and stdout of one case run in-process."""
     grey, flags = CASES[case]
     noisy, clean, ext = _scene(tmp_path, grey)
     out, trace = tmp_path / f"out{ext}", tmp_path / "trace.csv"
-    capsys.readouterr()
-    code = main([
-        "--input", str(noisy), "--reference", str(clean),
-        "--output", str(out), "--trace", str(trace), *flags,
-    ])
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main([
+            "--input", str(noisy), "--reference", str(clean),
+            "--output", str(out), "--trace", str(trace), *flags,
+        ])
     assert code == EXIT_OK, f"{case}: exit code {code}"
-    got = {
+    return {
         "image": _sha(out.read_bytes()),
         "trace": _sha(trace.read_bytes()),
-        "stdout": _sha(capsys.readouterr().out.encode()),
+        "stdout": _sha(stdout.getvalue().encode()),
     }
+
+
+@pytest.mark.filterwarnings("ignore:unmollified scalar")
+@pytest.mark.parametrize("case", list(CASES))
+def test_cli_outputs_unchanged(case, tmp_path):
+    got = digests(case, tmp_path)
     for name, digest in DIGESTS[case].items():
         assert got[name] == digest, f"mode {case}: {name} changed"
+
+
+# Runs every case in a fresh interpreter; argv[1] == "1" pins the process to
+# one CPU before relaxdiff (and so the band pool) is imported.
+_CHILD = """
+import json, os, sys, tempfile
+from pathlib import Path
+if sys.argv[1] == "1":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+sys.path[:0] = sys.argv[2:]
+import test_golden
+with tempfile.TemporaryDirectory() as tmp:
+    result = {}
+    for case in test_golden.CASES:
+        (Path(tmp) / case).mkdir()
+        result[case] = test_golden.digests(case, Path(tmp) / case)
+print(json.dumps(result))
+"""
+
+
+def _child_digests(one_cpu: bool) -> dict:
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    if one_cpu:
+        env["OPENBLAS_NUM_THREADS"] = "1"
+    src = str(Path(relaxdiff.__file__).resolve().parent.parent)
+    argv = [sys.executable, "-c", _CHILD, "1" if one_cpu else "0", str(Path(__file__).resolve().parent), src]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_outputs_do_not_depend_on_cpu_count():
+    """One CPU and one BLAS thread give the bits of the unrestricted process."""
+    pinned, free = _child_digests(one_cpu=True), _child_digests(one_cpu=False)
+    for case in CASES:
+        for name in ("image", "trace", "stdout"):
+            assert pinned[case][name] == free[case][name], f"mode {case}: {name} depends on the CPU count"

@@ -24,7 +24,7 @@ from relaxdiff.integrate import (
     run,
     write_trace_csv,
 )
-from relaxdiff.mollifier import Kernel, grad_sigma
+from relaxdiff.mollifier import COMPACT_BUMP, Kernel, grad_sigma
 from relaxdiff.response import ResponseParams, response_field, response_zero
 
 from conftest import disk_image, random_psd_field, smooth_image
@@ -48,6 +48,8 @@ class TestFilterParams:
             FilterParams(alpha=0.0)
         with pytest.raises(ParameterError):
             FilterParams(cg_tol=0.5)
+        with pytest.raises(ParameterError, match="sigma > 1"):
+            FilterParams(sigma=1.0, kernel_kind=COMPACT_BUMP)
 
     @pytest.mark.parametrize("name", ["tau", "sigma", "dt", "t_end", "alpha", "cg_tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -40,6 +40,10 @@ class TestKernel:
             Kernel(sigma=0.0)
         with pytest.raises(ParameterError):
             Kernel(kind="boxcar")
+        # a bump of sigma <= 1 keeps only its centre weight, the identity
+        for sigma in (0.5, 1.0):
+            with pytest.raises(ParameterError, match="sigma > 1"):
+                Kernel(kind=COMPACT_BUMP, sigma=sigma)
 
 
 @st.composite
