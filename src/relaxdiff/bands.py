@@ -20,11 +20,17 @@ least BAND_MIN_WORK of the call's ``work``, the float64 elements it reads
 and writes: small fields run as one plain call, and the banded kernels split
 only where the split was measured to pay.
 
+The banded kernels are ``grid.gradient``, ``grid.divergence``,
+``grid.face_average_tensors``, ``tensors.apply`` and
+``integrate._relax_H``.
+
 A band function must keep three rules, which keep the output bits and the
 memory the same as those of one call over all rows:
 - it writes only its own rows of an output the caller allocated, and
-  allocates no field-sized temporary (a band thread allocates in its own
-  malloc arena, which would raise the peak memory);
+  allocates no array of its own: a band thread allocates in its own malloc
+  arena, which keeps the memory after the band ends and so raises the peak.
+  A band that needs scratch space gets a buffer the caller allocated for it,
+  one per band of ``band_edges``;
 - it never calls ``for_bands`` itself (the nested call would wait for the
   band threads, which wait for it);
 - it enters any ``np.errstate`` it needs inside the band, because that state
@@ -115,15 +121,25 @@ POOL = _Pool()
 os.register_at_fork(after_in_child=POOL.forget)
 
 
+def band_edges(n: int, work: int) -> list[int]:
+    """The edges [0, ..., n] of the bands ``for_bands(fn, n, work)`` runs.
+
+    ``work`` counts the elements the whole call reads and writes; it sets how
+    many bands pay for their hand-off.
+    """
+    bands = max(1, min(WORKERS, n, work // BAND_MIN_WORK))
+    return [n * b // bands for b in range(bands + 1)]
+
+
 def for_bands(fn, n: int, work: int) -> None:
     """Call fn(start, stop) on contiguous bands that cover range(n) exactly once.
 
-    ``work`` counts the elements the whole call reads and writes; it sets how
-    many bands pay for their hand-off. Returns when every band is done; the
-    first exception of a band is raised after all bands have finished.
+    The bands are those of ``band_edges(n, work)``. Returns when every band is
+    done; the first exception of a band is raised after all bands have
+    finished.
     """
-    bands = min(WORKERS, n, work // BAND_MIN_WORK)
-    if bands <= 1:
+    edges = band_edges(n, work)
+    if len(edges) == 2:
         fn(0, n)
         return
-    POOL.run(fn, [n * b // bands for b in range(bands + 1)])
+    POOL.run(fn, edges)

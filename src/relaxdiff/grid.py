@@ -23,11 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import for_bands
+from .bands import band_edges, for_bands
 from .errors import DimensionError, ParameterError
 from .tensors import apply, require_symmetric
 
 Array = np.ndarray
+
+FACE_AVERAGE_CHUNK = 1 << 16  # float64 elements per band scratch buffer of face_average_tensors
 
 
 @dataclass(frozen=True)
@@ -151,20 +153,51 @@ def face_average_tensors(hfield: Array, grid: GridSpec) -> Array:
     convex combination of cell tensors, the result stays symmetric and keeps
     any shared eigenvalue floor, which makes the diffusion form below
     exactly symmetric and coercive.
+
+    Per element the sum starts from 0.0 (so a first term of -0.0 gives
+    +0.0), adds 0.5 (h[x] + h[x + e_j]) axis by axis and divides by the face
+    count. The rows run in bands, a few rows at a time through one buffer
+    per band, so the only field-sized array is the output.
     """
     hfield = np.asarray(hfield, dtype=float)
     d = grid.ndim
-    out = np.zeros_like(hfield)
-    count = np.zeros(grid.dims)
-    for j in range(d):
-        lo, hi, _ = _axis_slices(d, j)
-        out[lo] += 0.5 * (hfield[lo] + hfield[hi])
-        count[lo] += 1.0
-    corner = count == 0
-    count[corner] = 1.0
-    out /= count[..., None, None]
-    if np.any(corner):
-        out[corner] = hfield[corner]
+    n0 = grid.dims[0]
+    # Face counts of the cells of a row: its faces along axes 1.., plus the
+    # axis-0 face in every row but the last. Small integers, exact in float.
+    faces = np.zeros(grid.dims[1:])
+    for j in range(1, d):
+        faces[_axis_slices(d - 1, j - 1)[0]] += 1.0
+    count = (faces + 1.0)[..., None, None]
+    last_count = np.maximum(faces, 1.0)[..., None, None]  # the corner's 0 -> 1
+    corner = tuple(n - 1 for n in grid.dims)
+    out = np.empty_like(hfield)
+    work = 2 * hfield.size
+    chunk = max(1, FACE_AVERAGE_CHUNK // hfield[0].size)
+    edges = band_edges(n0, work)
+    scratch = {start: np.empty((min(chunk, stop - start),) + hfield.shape[1:])
+               for start, stop in zip(edges, edges[1:])}
+
+    def band(start: int, stop: int) -> None:
+        for a in range(start, stop, chunk):
+            b = min(a + chunk, stop)
+            top = min(b, n0 - 1) - a  # rows a .. a+top-1 have an axis-0 face
+            ob, hb, tmp = out[a:b], hfield[a:b], scratch[start][:b - a]
+            np.add(hb[:top], hfield[a + 1:a + top + 1], out=ob[:top])
+            ob[:top] *= 0.5
+            ob[:top] += 0.0
+            ob[top:] = 0.0
+            for j in range(1, d):
+                lo, hi, _ = _axis_slices(d, j)
+                t = tmp[lo]
+                np.add(hb[lo], hb[hi], out=t)
+                t *= 0.5
+                ob[lo] += t
+            ob[:top] /= count
+            ob[top:] /= last_count
+        if stop == n0:
+            out[corner] = hfield[corner]
+
+    for_bands(band, n0, work)
     return out
 
 

@@ -69,7 +69,7 @@ def _window_sums(values: Array, dims: tuple[int, ...], window: int) -> Array:
 
     `values` has shape dims + tail; summation runs over the spatial axes.
     """
-    out = values.astype(float, copy=True)
+    out = np.asarray(values, dtype=float)
     w = np.ones(window)
     for axis in range(len(dims)):
         out = _correlate1d(out, w, axis)
@@ -87,6 +87,11 @@ def init_H0(u_noisy: Array, grid: GridSpec, window: int = 5, alpha: float = 0.1)
     and would otherwise fake variation (an affine image must yield zero
     covariance everywhere). Symmetric by construction with
     lambda_min >= alpha.
+
+    Each entry a <= b of the upper triangle is computed once, one
+    cell-sized field at a time, and written to both (a, b) and (b, a); no
+    field of all kd x kd products is formed. Off the diagonal alpha * Id adds
+    +0.0, which turns a covariance of -0.0 into +0.0.
     """
     if window < 3 or window % 2 == 0:
         raise ParameterError("window must be odd and >= 3")
@@ -95,9 +100,9 @@ def init_H0(u_noisy: Array, grid: GridSpec, window: int = 5, alpha: float = 0.1)
     if alpha <= 0:
         raise ParameterError("alpha must be > 0")
     u = check_image(u_noisy, grid)
-    g = gradient(u, grid)
     kd = grid.channels * grid.ndim
-    gflat = g.reshape(grid.dims + (kd,))
+    # One contiguous cell field per gradient component.
+    gflat = np.moveaxis(gradient(u, grid).reshape(grid.dims + (kd,)), -1, 0).copy()
 
     valid = np.ones(grid.dims)
     for axis, n in enumerate(grid.dims):
@@ -106,14 +111,18 @@ def init_H0(u_noisy: Array, grid: GridSpec, window: int = 5, alpha: float = 0.1)
         valid[tuple(sl)] = 0.0
 
     counts = _window_sums(valid, grid.dims, window)
-    s1 = _window_sums(gflat * valid[..., None], grid.dims, window)
-    outer = np.einsum("...a,...b->...ab", gflat, gflat)
-    s2 = _window_sums(outer * valid[..., None, None], grid.dims, window)
-
+    gvalid = gflat * valid
+    s1 = [_window_sums(g, grid.dims, window) for g in gvalid]
     # A single-sample window has an identically zero numerator, so clamping
     # the divisor just avoids 0/0 there and leaves cov = 0.
-    m = counts[..., None, None]
-    mean_outer = np.einsum("...a,...b->...ab", s1, s1) / m
-    cov = (s2 - mean_outer) / np.maximum(m - 1.0, 1.0)
-    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))  # exact symmetry
-    return cov + alpha * np.eye(kd)
+    divisor = np.maximum(counts - 1.0, 1.0)
+    h0 = np.empty(grid.dims + (kd, kd))
+    for a in range(kd):
+        for b in range(a, kd):
+            cov = _window_sums(gflat[a] * gvalid[b], grid.dims, window)
+            cov -= s1[a] * s1[b] / counts
+            cov /= divisor
+            cov += alpha if a == b else 0.0
+            h0[..., a, b] = cov
+            h0[..., b, a] = cov
+    return h0

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .bands import for_bands
 from .errors import FitError, InvariantViolation, ParameterError, SolverError
 from .grid import (
     GridSpec,
@@ -180,12 +181,23 @@ def _implicit_solve(
     )
 
 
-def _relax_H(u_sample: Array, h: Array, p: FilterParams, grid: GridSpec, kern: Kernel | None) -> Array:
-    """Exact relaxation of H over one step with the response frozen at u_sample."""
-    d = grad_sigma(u_sample, kern, grid)
-    f = response_field(d, p.response)
+def _relax_H(u_sample: Array, h: Array, p: FilterParams, grid: GridSpec, kern: Kernel | None) -> None:
+    """Exact relaxation of h over one step, in place, with F frozen at u_sample.
+
+    h becomes theta h + (1 - theta) F, each element by the same two products
+    and one sum as the out-of-place expression, in row bands and with no
+    field-sized temporary besides F itself.
+    """
+    f = response_field(grad_sigma(u_sample, kern, grid), p.response)
     theta = math.exp(-p.dt / p.tau)
-    return theta * h + (1.0 - theta) * f
+
+    def band(start: int, stop: int) -> None:
+        hb, fb = h[start:stop], f[start:stop]
+        hb *= theta
+        fb *= 1.0 - theta
+        hb += fb
+
+    for_bands(band, h.shape[0], h.size + f.size)
 
 
 def energy(state: FilterState, p: FilterParams, grid: GridSpec) -> float:
@@ -215,8 +227,8 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec, keep_
     """The step loop of run() and run_baseline(), from validated (u, H).
 
     With H given, every step relaxes H toward the response sampled at a
-    half-step backward-Euler prediction of u, solves for the new u with the
-    relaxed H and checks the eigenvalue floor. With H None (no relaxation,
+    half-step backward-Euler prediction of u, checks the eigenvalue floor of
+    the relaxed H and solves for the new u with it. With H None (no relaxation,
     the tau -> 0 limit) every step sets H = F(grad_sigma u) at the step's left
     endpoint instead, with no half solve and no floor check.
 
@@ -246,20 +258,12 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec, keep_
         # temporaries lowers a step's peak memory by one H field or two.
         havg = None
         if relax:
-            h = _relax_H(u_half, h, p, grid, kern)
+            _relax_H(u_half, h, p, grid, kern)
         else:
             h = None
             h = response_field(grad_sigma(u, kern, grid), p.response)
-        havg = face_average_tensors(h, grid)
-        u, iters = _implicit_solve(
-            u, havg, p.dt, grid, p.cg_tol, max_iter, f"{'main' if relax else 'baseline'} solve {step}"
-        )
-        if not np.all(np.isfinite(u)):
-            raise InvariantViolation(
-                f"intensity field became non-finite at t={t:g}",
-                diagnostic={"t": t, "step": n + 1},
-            )
-
+        # The floor check runs before the face tensors exist, so its
+        # Cholesky blocks share the memory with H alone.
         min_eig = min_eig_field(h)
         kappa = kappa_predicted(t, p)
         if relax and min_eig < kappa - KAPPA_SLACK:
@@ -277,7 +281,15 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec, keep_
                     "eigenvalues": eigs[cell].copy(),
                 },
             )
-
+        havg = face_average_tensors(h, grid)
+        u, iters = _implicit_solve(
+            u, havg, p.dt, grid, p.cg_tol, max_iter, f"{'main' if relax else 'baseline'} solve {step}"
+        )
+        if not np.all(np.isfinite(u)):
+            raise InvariantViolation(
+                f"intensity field became non-finite at t={t:g}",
+                diagnostic={"t": t, "step": n + 1},
+            )
         traces.append(
             TraceRecord(
                 t=t,

@@ -74,6 +74,10 @@ def _correlate1d(u: Array, w: Array, axis: int) -> Array:
     before the multiply, outermost pair first. That is the summation order of
     the reference correlation the tests compare against, so for symmetric
     weights the two agree bit for bit.
+
+    A pair sum is u[x - m] + u[x + m] where both exist. At the low edge it is
+    0.0 + u[x + m], which turns -0.0 into +0.0, at the high edge the plain
+    u[x - m], and where neither exists +0.0.
     """
     u = np.moveaxis(u, axis, 0)
     n = u.shape[0]
@@ -83,9 +87,13 @@ def _correlate1d(u: Array, w: Array, axis: int) -> Array:
     for m in range(min(r, n - 1), 0, -1):
         lo, hi = w[r - m], w[r + m]
         if lo == hi:
-            pair[:m] = 0.0
-            pair[m:] = u[:-m]
-            pair[:-m] += u[m:]
+            low, high = min(m, n - m), max(m, n - m)
+            np.add(0.0, u[m:m + low], out=pair[:low])
+            if 2 * m <= n:
+                np.add(u[:n - 2 * m], u[2 * m:], out=pair[m:n - m])
+            else:
+                pair[low:high] = 0.0
+            pair[high:] = u[high - m:n - m]
             pair *= lo
             out += pair
         else:

@@ -1,6 +1,7 @@
 """Row bands: every row once, and the banded kernels' bits independent of the
 band count."""
 
+import math
 import os
 import signal
 import sys
@@ -11,7 +12,10 @@ import numpy as np
 import pytest
 
 from relaxdiff import bands
-from relaxdiff.grid import GridSpec, divergence, gradient
+from relaxdiff.grid import GridSpec, divergence, face_average_tensors, gradient
+from relaxdiff.integrate import FilterParams, _relax_H
+from relaxdiff.mollifier import grad_sigma
+from relaxdiff.response import response_field
 from relaxdiff.tensors import apply
 
 from conftest import random_psd_field
@@ -155,7 +159,24 @@ def _divergence_ref(jfield, grid):
     return out
 
 
-@pytest.mark.parametrize("dims", [(2, 5), (7, 3)])
+def _face_average_ref(hfield, grid):
+    d = grid.ndim
+    out = np.zeros_like(hfield)
+    count = np.zeros(grid.dims)
+    for j in range(d):
+        lo = [slice(None)] * d
+        hi = [slice(None)] * d
+        lo[j], hi[j] = slice(0, -1), slice(1, None)
+        out[tuple(lo)] += 0.5 * (hfield[tuple(lo)] + hfield[tuple(hi)])
+        count[tuple(lo)] += 1.0
+    corner = count == 0
+    count[corner] = 1.0
+    out /= count[..., None, None]
+    out[corner] = hfield[corner]
+    return out
+
+
+@pytest.mark.parametrize("dims", [(2, 5), (7, 3), (9,)])
 @pytest.mark.parametrize("channels", [3, 1])
 def test_kernels_bit_equal_for_1_2_3_bands(dims, channels, rng, set_workers):
     grid = GridSpec(dims=dims, channels=channels)
@@ -163,17 +184,30 @@ def test_kernels_bit_equal_for_1_2_3_bands(dims, channels, rng, set_workers):
     u = rng.standard_normal(grid.field_shape())
     jfield = rng.standard_normal(grid.dims + (channels, grid.ndim))
     h = random_psd_field(rng, dims, kd, floor=0.1)
+    # Face terms of -0.0: a sum that starts from 0.0 makes them +0.0, and the
+    # far corner keeps its own -0.0.
+    h[:2, ..., 0, -1] = -0.0
+    h[-1, ..., 0, -1] = -0.0
+    p = FilterParams(tau=0.4, sigma=1.0, dt=0.3)
+    theta = math.exp(-p.dt / p.tau)
+    f = response_field(grad_sigma(u, p.kernel(), grid), p.response)
     reference = {
         "gradient": _gradient_ref(u, grid),
         "divergence": _divergence_ref(jfield, grid),
         "apply": np.einsum("...ab,...b->...a", h, jfield.reshape(dims + (kd,))).reshape(jfield.shape),
+        "face_average_tensors": _face_average_ref(h, grid),
+        "_relax_H": theta * h + (1.0 - theta) * f,
     }
     for workers in (1, 2, 3):
         set_workers(workers)
+        relaxed = h.copy()
+        _relax_H(u, relaxed, p, grid, p.kernel())
         got = {
             "gradient": gradient(u, grid),
             "divergence": divergence(jfield, grid),
             "apply": apply(h, jfield),
+            "face_average_tensors": face_average_tensors(h, grid),
+            "_relax_H": relaxed,
         }
         for name, value in got.items():
             assert value.tobytes() == reference[name].tobytes(), f"{name} with {workers} bands"

@@ -40,6 +40,42 @@ def brute_force_H0(u, grid, window, alpha):
     return out
 
 
+def all_products_H0(u, grid, window, alpha):
+    """The covariance from the field of all kd x kd gradient products.
+
+    Its window sums and arithmetic are those init_H0 applies to the upper
+    triangle only, so the two agree bit for bit.
+    """
+    g = gradient(u, grid)
+    kd = grid.channels * grid.ndim
+    gflat = g.reshape(grid.dims + (kd,))
+    valid = np.ones(grid.dims)
+    for axis in range(grid.ndim):
+        valid[(slice(None),) * axis + (-1,)] = 0.0
+    counts = initial_mod._window_sums(valid, grid.dims, window)
+    s1 = initial_mod._window_sums(gflat * valid[..., None], grid.dims, window)
+    outer = np.einsum("...a,...b->...ab", gflat, gflat)
+    s2 = initial_mod._window_sums(outer * valid[..., None, None], grid.dims, window)
+    m = counts[..., None, None]
+    mean_outer = np.einsum("...a,...b->...ab", s1, s1) / m
+    cov = (s2 - mean_outer) / np.maximum(m - 1.0, 1.0)
+    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    return cov + alpha * np.eye(kd)
+
+
+def signed_zero_scene(n):
+    """1-d, two channels; the covariance of channel 0 and 1 is -0.0 inside.
+
+    Channel 0 alternates +0.0 and -0.0, so its gradient is -0.0 where channel
+    1 rises and +0.0 where it falls: every product is -0.0, while the window
+    sums of channel 0 are +0.0.
+    """
+    u = np.zeros((n, 2))
+    u[1::2, 0] = -0.0
+    u[1:, 1] = np.cumsum(np.where(np.arange(n - 1) % 2 == 0, 1.0, -0.25))
+    return u
+
+
 class TestRescale:
     def test_endpoints_and_midpoint(self):
         u = np.full((4, 4, 1), 2.0)
@@ -102,6 +138,29 @@ class TestInitH0:
             lambda v, w, axis: correlate1d(v, w, axis=axis, mode="constant", cval=0.0),
         )
         np.testing.assert_allclose(h0, init_H0(u, grid, window=5, alpha=0.1), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("scene", ["noise", "affine", "signed zeros"])
+    def test_bit_equal_to_all_products(self, scene, rng):
+        if scene == "signed zeros":
+            grid = GridSpec(dims=(12,), channels=2)
+            u = signed_zero_scene(12)
+        else:
+            grid = GridSpec(dims=(13, 9), channels=3)
+            xx, yy = np.meshgrid(np.arange(13.0), np.arange(9.0), indexing="ij")
+            u = np.stack([0.1 * xx - 0.2 * yy, -0.3 * xx, 0.0 * xx + 0.5], axis=-1)
+            if scene == "noise":
+                u = u + rng.standard_normal(grid.field_shape())
+        h0 = init_H0(u, grid, window=5 if grid.ndim == 2 else 3, alpha=0.1)
+        reference = all_products_H0(u, grid, window=5 if grid.ndim == 2 else 3, alpha=0.1)
+        assert h0.tobytes() == reference.tobytes()
+
+    def test_off_diagonal_negative_zero_becomes_positive(self):
+        # The covariance is -0.0 there; adding alpha * Id adds +0.0 off the
+        # diagonal, which makes it +0.0.
+        grid = GridSpec(dims=(12,), channels=2)
+        h0 = init_H0(signed_zero_scene(12), grid, window=3, alpha=0.1)
+        assert np.all(h0[..., 0, 1] == 0.0)
+        assert not np.any(np.signbit(h0[..., 0, 1]))
 
     def test_affine_image_gives_alpha_identity(self):
         n = 10

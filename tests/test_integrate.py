@@ -85,15 +85,17 @@ class TestKappaPredicted:
 
 
 class TestStepH:
-    """The relaxation update the step loop applies to H (_relax_H)."""
+    """The relaxation update the step loop applies to H (_relax_H), in place."""
 
     def test_fixed_point_when_F_equals_H(self):
         # A constant image has zero gradient, so F = F(0); start H there.
         grid = GridSpec(dims=(6, 6), channels=2)
         p = FilterParams(tau=0.5, sigma=0.0, dt=0.3, response=ResponseParams(s=0.2))
         u = np.full(grid.field_shape(), 0.4)
-        h = identity_field(grid.dims, 4, scale=1.5)  # F(0) = 3/2 Id
-        np.testing.assert_allclose(_relax_H(u, h, p, grid, p.kernel()), h, atol=1e-14)
+        h0 = identity_field(grid.dims, 4, scale=1.5)  # F(0) = 3/2 Id
+        h = h0.copy()
+        _relax_H(u, h, p, grid, p.kernel())
+        np.testing.assert_allclose(h, h0, atol=1e-14)
 
     def test_zero_response_stub_scalar_exponential(self, monkeypatch):
         grid = GridSpec(dims=(4, 4), channels=1)
@@ -102,9 +104,9 @@ class TestStepH:
         monkeypatch.setattr(integrate_mod, "response_field", lambda d, rp: np.zeros(d.shape[:-2] + (2, 2)))
         u = np.zeros(grid.field_shape())
         h = identity_field(grid.dims, 2, scale=alpha)
-        out = _relax_H(u, h, p, grid, p.kernel())
-        expected = np.broadcast_to(alpha * math.exp(-1.0) * np.eye(2), out.shape)
-        np.testing.assert_allclose(out, expected, atol=1e-14)
+        _relax_H(u, h, p, grid, p.kernel())
+        expected = np.broadcast_to(alpha * math.exp(-1.0) * np.eye(2), h.shape)
+        np.testing.assert_allclose(h, expected, atol=1e-14)
 
     def test_frozen_u_geometric_convergence(self, rng):
         grid = GridSpec(dims=(5, 5), channels=2)
@@ -115,7 +117,7 @@ class TestStepH:
         theta = math.exp(-p.dt / p.tau)
         err_prev = float(np.max(np.abs(h - f)))
         for _ in range(8):
-            h = _relax_H(u, h, p, grid, p.kernel())
+            _relax_H(u, h, p, grid, p.kernel())
             err = float(np.max(np.abs(h - f)))
             assert err == pytest.approx(theta * err_prev, rel=1e-10, abs=1e-13)
             err_prev = err
@@ -125,9 +127,9 @@ class TestStepH:
         p = FilterParams(tau=0.5, sigma=0.0, dt=5.0, response=ResponseParams(s=0.1))
         u = rng.standard_normal(grid.field_shape())
         h = random_psd_field(rng, grid.dims, 6, floor=0.2)
-        out = _relax_H(u, h, p, grid, p.kernel())
+        _relax_H(u, h, p, grid, p.kernel())
         # response is PSD, H has floor 0.2, any dt keeps a convex mix PSD
-        assert float(np.min(np.linalg.eigvalsh(out))) >= min(0.2, 0.0) - 1e-10
+        assert float(np.min(np.linalg.eigvalsh(h))) >= min(0.2, 0.0) - 1e-10
 
 
 def implicit_step(u, h, p, grid):
@@ -333,6 +335,18 @@ class TestRun:
             assert len(r.mass) == 3
             assert r.energy >= 0.0
             assert r.cg_iters >= 1
+
+    def test_caller_arrays_left_untouched(self, rng):
+        # The step loop relaxes H in place, on run()'s own copy only.
+        grid = GridSpec(dims=(8, 8), channels=3)
+        u0 = rng.standard_normal(grid.field_shape())
+        h0 = init_H0(u0, grid, window=3, alpha=0.1)
+        before = (u0.tobytes(), h0.tobytes())
+        p = FilterParams(tau=0.5, sigma=1.0, dt=0.1, t_end=0.3)
+        run(u0, h0, p, grid)
+        run(u0, h0, p, grid, keep_history=True)
+        memory_form_check(u0, h0, p, steps=3, grid=grid)
+        assert (u0.tobytes(), h0.tobytes()) == before
 
 
 class TestEnergy:

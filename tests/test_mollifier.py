@@ -57,10 +57,38 @@ def correlation_cases(draw):
     axis = draw(st.integers(0, ndim - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     u = rng.standard_normal(dims + (channels,))
+    if draw(st.booleans()):  # signed zeros, whose sign the pair sums keep
+        u[rng.uniform(size=u.shape) < 0.5] = 0.0
+        u = np.copysign(u, rng.standard_normal(u.shape))
     w = rng.standard_normal(width)
     if symmetric:
         w = 0.5 * (w + w[::-1])
     return u, w, axis, symmetric
+
+
+def correlate1d_pairs_ref(u, w, axis):
+    """Equal-weight pairs as a zero fill, a copy and an in-place add per offset.
+
+    The order of the package's pair sums, including their signs of zero: the
+    low edge adds u into 0.0, the high edge copies it.
+    """
+    u = np.moveaxis(u, axis, 0)
+    n = u.shape[0]
+    r = w.size // 2
+    out = w[r] * u
+    pair = np.empty_like(out)
+    for m in range(min(r, n - 1), 0, -1):
+        lo, hi = w[r - m], w[r + m]
+        if lo == hi:
+            pair[:m] = 0.0
+            pair[m:] = u[:-m]
+            pair[:-m] += u[m:]
+            pair *= lo
+            out += pair
+        else:
+            out[m:] += lo * u[:-m]
+            out[:-m] += hi * u[m:]
+    return np.moveaxis(out, 0, axis)
 
 
 class TestCorrelate1d:
@@ -75,14 +103,33 @@ class TestCorrelate1d:
         assert out.shape == u.shape
         if symmetric:
             # Equal-weight pairs are summed in the reference's order, so
-            # every kernel of the package (all symmetric) gives the same bits.
+            # every kernel of the package (all symmetric) gives the same bits
+            # (scipy pads with +0.0, so a -0.0 may come out as +0.0 there).
             np.testing.assert_array_equal(out, ref)
             np.testing.assert_allclose(out, ref, rtol=1e-13, atol=1e-15)
+            assert out.tobytes() == correlate1d_pairs_ref(u, w, axis).tobytes()
         else:
             # Another summation order: the gap is a few ulps of the sum of
             # magnitudes, which cancellation can leave far above |ref|.
             scale = correlate1d(np.abs(u), np.abs(w), axis=axis, mode="constant", cval=0.0)
             np.testing.assert_array_less(np.abs(out - ref), 1e-13 * scale + 1e-15)
+
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("r", [1, 2, 4])
+    def test_signed_zeros_and_short_axes(self, n, r):
+        # Axes as short as r + 1 and shorter than 2r + 1, on a field of
+        # signed zeros and values: every pair is an edge pair somewhere.
+        rng = np.random.default_rng(100 * n + r)
+        u = rng.standard_normal((n, 3, 2))
+        u[:, 0] = -0.0
+        u[:, 1, 0] = 0.0
+        w = rng.uniform(0.1, 1.0, 2 * r + 1)
+        w = 0.5 * (w + w[::-1])
+        for axis in (0, 1):
+            out = _correlate1d(u, w, axis)
+            np.testing.assert_array_equal(out, correlate1d(u, w, axis=axis, mode="constant", cval=0.0))
+            assert out.tobytes() == correlate1d_pairs_ref(u, w, axis).tobytes()
 
 
 class TestConvolve:
