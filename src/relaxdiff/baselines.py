@@ -54,7 +54,7 @@ def run_baseline(
         raise ParameterError(f"unknown baseline kind {kind!r}")
     if kind == CATTE_REGULARIZED and p.sigma < DELTA_SIGMA:
         raise ParameterError(f"the mollified baseline requires sigma >= {DELTA_SIGMA:g}")
-    u = check_image(u0, grid).copy()
+    u = check_image(u0, grid)
     _require_finite("u0", u)
     if kind == PERONA_MALIK:
         warnings.warn(
@@ -63,7 +63,7 @@ def run_baseline(
             stacklevel=2,
         )
         p = replace(p, sigma=0.0, response=replace(p.response, kind=PERONA_MALIK_SCALAR))
-    final, traces, _ = _step_loop(u, None, p, grid)
+    final, traces, _ = _step_loop(u.copy(), None, p, grid)
     return final.u, traces
 
 

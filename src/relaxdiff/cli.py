@@ -15,7 +15,6 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 solver error,
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .errors import (
 from .grid import GridSpec
 from .initial import NoiseSpec, add_noise, init_H0, rescale, unrescale
 from .integrate import FilterParams, run, write_trace_csv
-from .mollifier import COMPACT_BUMP, DELTA_SIGMA, GAUSSIAN
+from .mollifier import COMPACT_BUMP, GAUSSIAN
 from .response import PERONA_MALIK_SCALAR, THRESHOLDED_PROJECTION, ResponseParams
 
 Array = np.ndarray
@@ -160,57 +159,6 @@ def psnr(a: Array, b: Array) -> float:
 # Configuration
 
 
-@dataclass
-class RunConfig:
-    input: str = ""
-    output: str = ""
-    trace: str = ""
-    reference: str = ""
-    mode: str = MODE_RELAX
-    tau: float = 0.5
-    sigma: float = 1.0
-    kernel: str = "gaussian"
-    threshold_s: float = 0.1
-    omega: float = 0.0
-    alpha: float = 0.1
-    lam: float = 1.0
-    dt: float = 0.1
-    t_end: float = 2.0
-    noise_std: float = 0.0
-    seed: int = 0
-    window: int = 5
-    lo: float = 0.0
-    hi: float = 1.0
-    cg_tol: float = 1e-10
-
-
-# Each field's type (a class: annotations are not postponed here) parses its
-# config-file value.
-_CONFIG_TYPES = {f.name: f.type for f in fields(RunConfig)}
-
-
-def parse_config_file(path: str) -> dict:
-    """Read `key = value` lines; '#' starts a comment; keys use flag names."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParameterError(f"cannot read config file {path}: {exc}") from exc
-    values = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        if "=" not in body:
-            raise ParameterError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = body.partition("=")
-        key = key.strip().replace("-", "_")
-        if key not in _CONFIG_TYPES:
-            raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value.strip()
-    return values
-
-
 class _Parser(argparse.ArgumentParser):
     """Flag errors raise ParameterError, so main() reports them like any other."""
 
@@ -219,6 +167,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Every flag with its type, choices and default; config files parse here too.
+
+    A default with a library twin is read from the library.
+    """
     ap = _Parser(
         prog="relaxdiff",
         description="Multicolor anisotropic denoising with a relaxed diffusivity tensor.",
@@ -227,74 +179,92 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--output", help="output image path")
     ap.add_argument("--trace", help="per-step CSV trace output")
     ap.add_argument("--reference", help="clean image for PSNR")
-    ap.add_argument("--mode", choices=[MODE_RELAX, MODE_CATTE, MODE_PM])
-    ap.add_argument("--tau", type=float, help="relaxation time of the diffusivity")
-    ap.add_argument("--sigma", type=float, help="mollifier bandwidth in pixels (0 = sharp)")
-    ap.add_argument("--kernel", choices=["gaussian", "bump"], help="mollifier kernel shape")
-    ap.add_argument("--threshold-s", type=float, help="contrast threshold")
-    ap.add_argument("--omega", type=float, help="uniform positivity shift of the response")
-    ap.add_argument("--alpha", type=float, help="eigenvalue floor of the initial diffusivity")
-    ap.add_argument("--lam", type=float, help="contrast scale of the scalar pm response")
-    ap.add_argument("--dt", type=float, help="time step")
-    ap.add_argument("--t-end", type=float, help="stopping time")
-    ap.add_argument("--noise-std", type=float, help="added noise std (rescaled units)")
-    ap.add_argument("--seed", type=int, help="noise generator seed")
-    ap.add_argument("--window", type=int, help="covariance window for the initial diffusivity")
-    ap.add_argument("--lo", type=float, help="lower bound of the raw intensity range")
-    ap.add_argument("--hi", type=float, help="upper bound of the raw intensity range")
-    ap.add_argument("--cg-tol", type=float, help="relative tolerance of the diffusion solve")
+    ap.add_argument("--mode", choices=[MODE_RELAX, MODE_CATTE, MODE_PM], default=MODE_RELAX)
+    ap.add_argument("--tau", type=float, default=FilterParams.tau,
+                    help="relaxation time of the diffusivity")
+    ap.add_argument("--sigma", type=float, default=FilterParams.sigma,
+                    help="mollifier bandwidth in pixels (0 = sharp)")
+    ap.add_argument("--kernel", choices=[GAUSSIAN, "bump"], default=FilterParams.kernel_kind,
+                    help="mollifier kernel shape")
+    ap.add_argument("--threshold-s", type=float, default=ResponseParams.s,
+                    help="contrast threshold")
+    ap.add_argument("--omega", type=float, default=ResponseParams.omega,
+                    help="uniform positivity shift of the response")
+    ap.add_argument("--alpha", type=float, default=FilterParams.alpha,
+                    help="eigenvalue floor of the initial diffusivity")
+    ap.add_argument("--lam", type=float, default=ResponseParams.lam,
+                    help="contrast scale of the scalar pm response")
+    ap.add_argument("--dt", type=float, default=FilterParams.dt, help="time step")
+    ap.add_argument("--t-end", type=float, default=FilterParams.t_end, help="stopping time")
+    ap.add_argument("--noise-std", type=float, default=NoiseSpec.std,
+                    help="added noise std (rescaled units)")
+    ap.add_argument("--seed", type=int, default=NoiseSpec.seed, help="noise generator seed")
+    ap.add_argument("--window", type=int, default=5,
+                    help="covariance window for the initial diffusivity")
+    ap.add_argument("--lo", type=float, default=0.0, help="lower bound of the raw intensity range")
+    ap.add_argument("--hi", type=float, default=1.0, help="upper bound of the raw intensity range")
+    ap.add_argument("--cg-tol", type=float, default=FilterParams.cg_tol,
+                    help="relative tolerance of the diffusion solve")
     ap.add_argument("--config", help="key = value config file (flags override)")
     return ap
 
 
-def build_config(argv: list[str] | None) -> RunConfig:
-    ns = _build_parser().parse_args(argv)
-    cfg = RunConfig()
-    if ns.config:
-        for key, raw in parse_config_file(ns.config).items():
-            try:
-                setattr(cfg, key, _CONFIG_TYPES[key](raw))
-            except ValueError as exc:
-                raise ParameterError(f"config key {key!r}: bad value {raw!r}") from exc
-    for f in fields(RunConfig):
-        value = getattr(ns, f.name, None)
-        if value is not None:
-            setattr(cfg, f.name, value)
-    return cfg
+def parse_config_file(path: str) -> list[str]:
+    """Read `key = value` lines as `--key=value` tokens for the flag parser.
+
+    '#' starts a comment. Keys are the flag names without their dashes
+    (`t_end` spells `t-end` too); `config` and `help` are not keys.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read config file {path}: {exc}") from exc
+    keys = {action.dest for action in _build_parser()._actions} - {"config", "help"}
+    tokens = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        if "=" not in body:
+            raise ParameterError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = body.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in keys:
+            raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
+        tokens.append(f"--{key.replace('_', '-')}={value.strip()}")
+    return tokens
 
 
-def _validate(cfg: RunConfig) -> None:
-    if not cfg.input:
-        raise ParameterError("--input is required")
-    if not cfg.output:
-        raise ParameterError("--output is required")
-    if cfg.mode not in (MODE_RELAX, MODE_CATTE, MODE_PM):
-        raise ParameterError(f"unknown mode {cfg.mode!r}")
-    if cfg.kernel not in ("gaussian", "bump"):
-        raise ParameterError(f"unknown kernel {cfg.kernel!r}")
-    if cfg.mode == MODE_CATTE and cfg.sigma < DELTA_SIGMA:
-        raise ParameterError(f"the mollified baseline needs sigma >= {DELTA_SIGMA:g}")
-    if cfg.noise_std < 0:
-        raise ParameterError("noise-std must be >= 0")
+def build_config(argv: list[str] | None) -> argparse.Namespace:
+    """Parse argv (default sys.argv[1:]) after the --config file's tokens.
+
+    The flags come last, so they override the file.
+    """
+    ap = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ns = ap.parse_args(argv)
+    if not ns.config:
+        return ns
+    tokens = parse_config_file(ns.config)
+    # argv alone parsed above, so an error here comes from the file's values.
+    try:
+        return ap.parse_args(tokens + argv)
+    except ParameterError as exc:
+        raise ParameterError(f"config file {ns.config}: {exc}") from exc
 
 
-def _filter_params(cfg: RunConfig) -> FilterParams:
-    if cfg.mode == MODE_PM:
-        resp = ResponseParams(
-            s=cfg.threshold_s, omega=cfg.omega, kind=PERONA_MALIK_SCALAR, lam=cfg.lam
-        )
-    else:
-        resp = ResponseParams(s=cfg.threshold_s, omega=cfg.omega, kind=THRESHOLDED_PROJECTION)
-    kernel_kind = COMPACT_BUMP if cfg.kernel == "bump" else GAUSSIAN
+def _filter_params(ns: argparse.Namespace) -> FilterParams:
+    kind = PERONA_MALIK_SCALAR if ns.mode == MODE_PM else THRESHOLDED_PROJECTION
     return FilterParams(
-        tau=cfg.tau,
-        sigma=cfg.sigma,
-        dt=cfg.dt,
-        t_end=cfg.t_end,
-        response=resp,
-        alpha=cfg.alpha,
-        kernel_kind=kernel_kind,
-        cg_tol=cfg.cg_tol,
+        tau=ns.tau,
+        sigma=ns.sigma,
+        dt=ns.dt,
+        t_end=ns.t_end,
+        response=ResponseParams(s=ns.threshold_s, omega=ns.omega, kind=kind, lam=ns.lam),
+        alpha=ns.alpha,
+        kernel_kind=COMPACT_BUMP if ns.kernel == "bump" else GAUSSIAN,
+        cg_tol=ns.cg_tol,
     )
 
 
@@ -302,45 +272,49 @@ def main(argv: list[str] | None = None) -> int:
     """Run the pipeline on argv (default sys.argv[1:]); returns the exit code."""
     stage = "configuration"
     try:
-        cfg = build_config(argv)
-        _validate(cfg)
-        params = _filter_params(cfg)
+        ns = build_config(argv)
+        for name in ("input", "output"):
+            if not getattr(ns, name):
+                raise ParameterError(f"--{name} is required")
+        params = _filter_params(ns)
+        noise = NoiseSpec(std=ns.noise_std, seed=ns.seed)
 
         stage = "image loading"
-        raw = load_image(cfg.input)
-        reference = load_image(cfg.reference) if cfg.reference else None
+        raw = load_image(ns.input)
+        grid = GridSpec.from_field(raw)
+        reference = load_image(ns.reference) if ns.reference else None
+        if reference is not None and reference.shape != raw.shape:
+            raise ParameterError(f"reference shape {reference.shape} != input shape {raw.shape}")
 
         stage = "rescaling"
-        work = rescale(raw, cfg.lo, cfg.hi)
+        work = rescale(raw, ns.lo, ns.hi)
 
         stage = "noise injection"
-        if cfg.noise_std > 0:
-            work = add_noise(work, NoiseSpec(std=cfg.noise_std, seed=cfg.seed))
-
-        grid = GridSpec.from_field(work)
+        if noise.std > 0:
+            work = add_noise(work, noise)
 
         stage = "filtering"
-        if cfg.mode == MODE_RELAX:
-            h0 = init_H0(work, grid, window=cfg.window, alpha=cfg.alpha)
+        if ns.mode == MODE_RELAX:
+            h0 = init_H0(work, grid, window=ns.window, alpha=ns.alpha)
             state, traces = run(work, h0, params, grid)
             filtered = state.u
         else:
-            kind = CATTE_REGULARIZED if cfg.mode == MODE_CATTE else PERONA_MALIK
+            kind = CATTE_REGULARIZED if ns.mode == MODE_CATTE else PERONA_MALIK
             filtered, traces = run_baseline(work, params, kind, grid)
 
         stage = "output"
-        out01 = np.clip(unrescale(filtered, cfg.lo, cfg.hi), cfg.lo, cfg.hi)
-        out01 = (out01 - cfg.lo) / (cfg.hi - cfg.lo)
+        out01 = np.clip(unrescale(filtered, ns.lo, ns.hi), ns.lo, ns.hi)
+        out01 = (out01 - ns.lo) / (ns.hi - ns.lo)
         if not np.all(np.isfinite(out01)):
             raise InvariantViolation("pipeline produced non-finite pixel values")
-        save_image(out01, cfg.output)
-        if cfg.trace:
-            write_trace_csv(traces, cfg.trace, grid.channels)
+        save_image(out01, ns.output)
+        if ns.trace:
+            write_trace_csv(traces, ns.trace, grid.channels)
 
-        input01 = (raw - cfg.lo) / (cfg.hi - cfg.lo)
+        input01 = (raw - ns.lo) / (ns.hi - ns.lo)
         print(f"psnr_vs_input={psnr(out01, input01):.6f}")
         if reference is not None:
-            ref01 = (reference - cfg.lo) / (cfg.hi - cfg.lo)
+            ref01 = (reference - ns.lo) / (ns.hi - ns.lo)
             print(f"psnr_vs_reference={psnr(out01, ref01):.6f}")
         return EXIT_OK
     except ImageIOError as exc:

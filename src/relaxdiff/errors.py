@@ -56,7 +56,7 @@ class FitError(RelaxdiffError, ValueError):
 
 
 class ImageIOError(RelaxdiffError, OSError):
-    """Base class for image reading/writing failures."""
+    """Base class for failures to read or write an image or trace file."""
 
 
 class MissingFileError(ImageIOError):

@@ -27,8 +27,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.std < 0:
-            raise ParameterError("noise std must be >= 0")
+        if not 0 <= self.std < math.inf:
+            raise ParameterError("noise std must be finite and >= 0")
         if self.seed < 0:
             raise ParameterError("noise seed must be >= 0")
 
@@ -76,7 +76,7 @@ def _window_sums(values: Array, dims: tuple[int, ...], window: int) -> Array:
     return out
 
 
-def init_H0(u_noisy: Array, grid: GridSpec, window: int = 5, alpha: float = 0.1) -> Array:
+def init_H0(u_noisy: Array, grid: GridSpec, window: int, alpha: float) -> Array:
     """Initial diffusivity: windowed gradient covariance plus alpha * Id.
 
     For every cell, the sample covariance (1/(m-1) divisor, m = number of

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bands import for_bands
-from .errors import FitError, InvariantViolation, ParameterError, SolverError
+from .errors import FitError, ImageIOError, InvariantViolation, ParameterError, SolverError
 from .grid import (
     GridSpec,
     check_image,
@@ -259,6 +259,7 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec, keep_
         havg = None
         if relax:
             _relax_H(u_half, h, p, grid, kern)
+            del u_half  # not read again; held, it would add an image field to the step's peak
         else:
             h = None
             h = response_field(grad_sigma(u, kern, grid), p.response)
@@ -331,7 +332,7 @@ def run(
     min_eig_H equals the minimum over a full diagonalisation bit for bit, and
     only a broken floor diagonalises every cell, to name the offending one.
     """
-    u = check_image(u0, grid).copy()
+    u = check_image(u0, grid)
     _require_finite("u0", u)
     h = np.asarray(H0, dtype=float).copy()
     kd = grid.channels * grid.ndim
@@ -344,7 +345,8 @@ def run(
             "initial diffusivity violates the alpha eigenvalue floor: "
             f"min eig {init_min:.6g} < alpha {p.alpha:g}"
         )
-    final, traces, history = _step_loop(u, h, p, grid, keep_history)
+    # Only the step loop holds run()'s copy of u, so each solve frees the last u.
+    final, traces, history = _step_loop(u.copy(), h, p, grid, keep_history)
     return (final, traces, history) if keep_history else (final, traces)
 
 
@@ -412,5 +414,8 @@ def write_trace_csv(traces: list[TraceRecord], path: str, channels: int) -> None
             f"{r.t:.17g},{r.l2_norm_u:.17g},{masses},"
             f"{r.energy:.17g},{r.min_eig_H:.17g},{r.cg_iters}"
         )
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ImageIOError(f"cannot write trace file: {path}: {exc}") from exc

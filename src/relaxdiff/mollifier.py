@@ -10,7 +10,6 @@ convolution but avoids artificial darkening at the border and matches the
 no-flux reading of the boundary. Bandwidths are in pixel units.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,9 @@ COMPACT_BUMP = "compact_bump"
 # Bandwidths below half a pixel select the sharp limit: no kernel at all
 # (FilterParams.kernel() returns None), so Kernel rejects them.
 DELTA_SIGMA = 0.5
+# The widest bandwidth a Kernel takes, in pixels. Its weights hold about
+# 8 sigma values, so a far wider kernel would exhaust memory before it ran.
+MAX_SIGMA = 1e4
 
 
 @dataclass(frozen=True)
@@ -36,8 +38,8 @@ class Kernel:
     def __post_init__(self):
         if self.kind not in (GAUSSIAN, COMPACT_BUMP):
             raise ParameterError(f"unknown kernel kind {self.kind!r}")
-        if not DELTA_SIGMA <= self.sigma < math.inf:
-            raise ParameterError(f"kernel sigma must be finite and >= {DELTA_SIGMA:g}")
+        if not DELTA_SIGMA <= self.sigma <= MAX_SIGMA:
+            raise ParameterError(f"kernel sigma must lie in [{DELTA_SIGMA:g}, {MAX_SIGMA:g}]")
         # The bump vanishes at |m| >= sigma, so at sigma <= 1 only its centre
         # weight is left: the identity, which would run unmollified.
         if self.kind == COMPACT_BUMP and not self.sigma > 1.0:

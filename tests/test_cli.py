@@ -142,9 +142,10 @@ class TestConfig:
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("bogus = 1\n")
-        with pytest.raises(ParameterError):
-            parse_config_file(str(cfg_file))
+        for key in ("bogus", "config", "help"):
+            cfg_file.write_text(f"tau = 1\n{key} = 1\n")
+            with pytest.raises(ParameterError, match=f"run.cfg:2: unknown config key '{key}'"):
+                parse_config_file(str(cfg_file))
 
     def test_bad_line_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -235,24 +236,34 @@ class TestMainPipeline:
         # config error: tau = 0 in relax mode
         assert main(["--input", str(inp), "--output", str(out), "--tau", "0"]) == EXIT_CONFIG
         # config error: catte without mollification, or with a sub-pixel
-        # bandwidth whose kernel is the identity
+        # bandwidth whose kernel is the identity; the baseline rejects it
         for sigma in ("0", "0.3"):
             assert main([
                 "--input", str(inp), "--output", str(out), "--mode", "catte", "--sigma", sigma,
             ]) == EXIT_CONFIG
-            assert "sigma >= 0.5" in capsys.readouterr().err
-        # config error: a config file that is not ASCII, a negative noise
-        # seed, a step count that overflows or exceeds the cap, an infinite
+            assert "error [filtering]: the mollified baseline requires sigma >= 0.5" in capsys.readouterr().err
+        # config error: a config file that is not ASCII or holds a value that
+        # does not parse, a negative noise seed (with or without noise) or
+        # std, a step count that overflows or exceeds the cap, an infinite
         # intensity range, a baseline tau <= 0, a bump kernel that is the
         # identity, flags that do not parse
         cfg_file = tmp_path / "accent.cfg"
         cfg_file.write_bytes("tau = 0.5  # r\u00e9glage\n".encode("utf-8"))
+        bad_value = tmp_path / "bad-value.cfg"
+        bad_value.write_text("dt = 0.1\ntau = abc\n")
+        bad_mode = tmp_path / "bad-mode.cfg"
+        bad_mode.write_text("mode = bogus\n")
         for flags, message in (
             (["--config", str(cfg_file)], "accent.cfg"),
+            (["--config", str(bad_value)], f"config file {bad_value}: argument --tau: invalid float value: 'abc'"),
+            (["--config", str(bad_mode)], f"config file {bad_mode}: argument --mode: invalid choice: 'bogus'"),
             (["--seed", "-1", "--noise-std", "0.1"], "seed"),
+            (["--seed", "-1"], "error [configuration]: noise seed must be >= 0"),
+            (["--noise-std", "-0.1"], "error [configuration]: noise std must be finite and >= 0"),
             (["--dt", "1e-320"], "t_end / dt"),
             (["--dt", "1e-300"], "t_end / dt"),
             (["--hi", "inf"], "finite"),
+            (["--sigma", "1e300"], "error [configuration]: kernel sigma must lie in [0.5, 10000]"),
             (["--mode", "catte", "--tau", "-3", "--t-end", "0.2"], "error [configuration]: tau must be > 0"),
             (["--mode", "pm", "--tau", "0"], "error [configuration]: tau must be > 0"),
             (["--mode", "catte", "--kernel", "bump", "--sigma", "1"], "error [configuration]: the compact_bump kernel needs sigma > 1"),
@@ -269,6 +280,11 @@ class TestMainPipeline:
         bad = tmp_path / "bad.ppm"
         bad.write_bytes(b"P6\n4 4\n255\n" + b"\x00" * 9)
         assert main(["--input", str(bad), "--output", str(out)]) == EXIT_IO
+        # io error: a trace file that cannot be written
+        trace = tmp_path / "no-such-dir" / "t.csv"
+        assert main(["--input", str(inp), "--output", str(out), "--trace", str(trace), "--t-end", "0.1"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "error [output]: cannot write trace file" in err and "Traceback" not in err, err
         # missing required flags
         assert main(["--output", str(out)]) == EXIT_CONFIG
         # config error: non-finite parameters
@@ -278,6 +294,21 @@ class TestMainPipeline:
         with pytest.raises(SystemExit) as info:
             main(["--help"])
         assert info.value.code == EXIT_OK and "--input" in capsys.readouterr().out
+
+    def test_image_errors_stop_before_the_filter(self, tmp_path, capsys):
+        inp = self.write_disk(tmp_path)
+        one_row = tmp_path / "row.ppm"
+        save_image(np.full((1, 8, 3), 0.5), str(one_row))
+        grey = tmp_path / "grey.pgm"
+        save_image(np.full((32, 32, 1), 0.5), str(grey))
+        out = tmp_path / "o.ppm"
+        for flags, message in (
+            (["--input", str(one_row)], "all grid dims must be >= 2"),
+            (["--input", str(inp), "--reference", str(grey)], "reference shape (32, 32, 1) != input shape (32, 32, 3)"),
+        ):
+            assert main([*flags, "--output", str(out)]) == EXIT_CONFIG, flags
+            assert f"error [image loading]: {message}" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_python_dash_m_runs_the_cli(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(Path(relaxdiff.__file__).resolve().parent.parent))

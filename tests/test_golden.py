@@ -5,9 +5,10 @@ of the output image, the trace CSV and stdout with digests recorded before a
 refactor of the code they cover: the first four before the relax filter and
 its tau -> 0 baselines shared one step loop, bump-omega (bump kernel weights,
 omega shift) before the response's two branches became one closed form. A
-mismatch names the mode and the file that changed. The digests
-hold for the numpy build the suite runs on; a numpy or BLAS upgrade that
-changes rounding shows up here first.
+mismatch names the mode and the file that changed. The same cases spelled
+as a ``--config`` file must give the same digests. The digests hold for the
+numpy build the suite runs on; a numpy or BLAS upgrade that changes
+rounding shows up here first.
 
 The five trace digests were re-recorded once, with every image and stdout
 digest unchanged, when the field-sized reductions (the trace's l2 norm and
@@ -88,17 +89,25 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digests(case: str, tmp_path: Path) -> dict:
-    """sha256 of the image, trace CSV and stdout of one case run in-process."""
+def digests(case: str, tmp_path: Path, as_config: bool = False) -> dict:
+    """sha256 of the image, trace CSV and stdout of one case run in-process.
+
+    With as_config every flag goes into a `--config` file instead.
+    """
     grey, flags = CASES[case]
     noisy, clean, ext = _scene(tmp_path, grey)
     out, trace = tmp_path / f"out{ext}", tmp_path / "trace.csv"
+    argv = [
+        "--input", str(noisy), "--reference", str(clean),
+        "--output", str(out), "--trace", str(trace), *flags,
+    ]
+    if as_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{flag[2:]} = {value}\n" for flag, value in zip(argv[::2], argv[1::2])))
+        argv = ["--config", str(cfg)]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        code = main([
-            "--input", str(noisy), "--reference", str(clean),
-            "--output", str(out), "--trace", str(trace), *flags,
-        ])
+        code = main(argv)
     assert code == EXIT_OK, f"{case}: exit code {code}"
     return {
         "image": _sha(out.read_bytes()),
@@ -113,6 +122,14 @@ def test_cli_outputs_unchanged(case, tmp_path):
     got = digests(case, tmp_path)
     for name, digest in DIGESTS[case].items():
         assert got[name] == digest, f"mode {case}: {name} changed"
+
+
+@pytest.mark.filterwarnings("ignore:unmollified scalar")
+@pytest.mark.parametrize("case", list(CASES))
+def test_config_file_gives_the_flags_outputs(case, tmp_path):
+    got = digests(case, tmp_path, as_config=True)
+    for name, digest in DIGESTS[case].items():
+        assert got[name] == digest, f"mode {case} from a config file: {name} differs"
 
 
 # Runs every case in a fresh interpreter; argv[1] == "1" pins the process to

@@ -36,4 +36,4 @@ def test_peaks_in_H_fields():
     # H0 exists before tracing starts: run()'s own copy of it counts, H0 does not.
     _, run_peak = traced_peak(lambda: run(u0, h0, FilterParams(t_end=0.3), grid))
     assert init_peak <= 3 * h0.nbytes, init_peak / h0.nbytes
-    assert run_peak <= 3.5 * h0.nbytes, run_peak / h0.nbytes
+    assert run_peak <= 3.35 * h0.nbytes, run_peak / h0.nbytes

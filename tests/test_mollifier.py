@@ -40,6 +40,10 @@ class TestKernel:
             Kernel(sigma=0.0)
         with pytest.raises(ParameterError):
             Kernel(kind="boxcar")
+        # past MAX_SIGMA the weights would not fit in memory
+        for sigma in (1e5, 1e300):
+            with pytest.raises(ParameterError, match="sigma must lie in"):
+                Kernel(sigma=sigma)
         # a bump of sigma <= 1 keeps only its centre weight, the identity
         for sigma in (0.5, 1.0):
             with pytest.raises(ParameterError, match="sigma > 1"):

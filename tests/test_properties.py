@@ -1,0 +1,149 @@
+"""Property tests: the CLI and the PNM reader fail only in documented ways.
+
+Hypothesis draws CLI flags and config-file text for an 8 x 8 scene, and PNM
+headers and payloads. ``cli.main`` must return one of its documented exit
+codes, never 1 (the code of an uncaught exception), and raise nothing but
+SystemExit(0) after printing the --help text; ``load_image`` must return a
+[0, 1] field or raise an ImageIOError subclass.
+
+``--dt`` and ``--t-end`` always come last on the command line, from ranges
+that allow at most six steps, so no drawn run is long.
+"""
+
+import contextlib
+import io
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from relaxdiff.cli import (
+    EXIT_CONFIG,
+    EXIT_INVARIANT,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_SOLVER,
+    load_image,
+    main,
+    save_image,
+)
+from relaxdiff.errors import ImageIOError
+
+from conftest import disk_image
+
+EXIT_CODES = {EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_SOLVER, EXIT_INVARIANT}
+
+positive = st.floats(0.01, 3.0)
+# Each flag draws a value the filter accepts as often as a wild one, so that
+# many drawn runs get past the configuration stage.
+PLAUSIBLE = {
+    "tau": positive,
+    "sigma": st.floats(0.0, 3.0),
+    "threshold-s": positive,
+    "omega": st.floats(0.0, 1.0),
+    "alpha": positive,
+    "lam": positive,
+    "noise-std": st.floats(0.0, 0.3),
+    "seed": st.integers(0, 2**32),
+    "window": st.sampled_from([3, 5, 7]),
+    "lo": st.floats(-2.0, 0.0),
+    "hi": st.floats(1.0, 3.0),
+    "cg-tol": st.floats(1e-12, 1e-2),
+    "mode": st.sampled_from(["relax", "catte", "pm"]),
+    "kernel": st.sampled_from(["gaussian", "bump"]),
+}
+wild = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-10, 10**20),
+    st.text(max_size=6),
+)
+
+
+def value(flag):
+    return st.one_of(PLAUSIBLE[flag], wild).map(str)
+
+
+# A flag and its value as two tokens or as one `--flag=value` token.
+flag_pair = st.sampled_from(sorted(PLAUSIBLE)).flatmap(
+    lambda f: value(f).flatmap(lambda v: st.sampled_from([[f"--{f}", v], [f"--{f}={v}"]]))
+)
+# Mostly nothing; else an unknown, ambiguous (--t) or help flag, or one
+# without its value.
+odd_flag = st.sampled_from([None, None, None, None, "--bogus", "-x", "--t", "--help", "-h", "--tau"])
+valid_dt, valid_t_end = st.floats(0.05, 10.0).map(repr), st.floats(-1.0, 0.3).map(repr)
+dt_value = st.one_of(valid_dt, valid_dt, valid_dt, st.sampled_from(["0", "-1", "nan", "inf", "x"]))
+t_end_value = st.one_of(valid_t_end, valid_t_end, valid_t_end, st.sampled_from(["nan", "inf", "-inf", ""]))
+config_line = st.one_of(
+    st.sampled_from(sorted(PLAUSIBLE)).flatmap(lambda k: value(k).map(f"{k} = {{}}".format)),
+    st.sampled_from(["t_end", "dt", "input", "trace", "config", "help", "bogus", ""]).map("{} = 1".format),
+    st.text(max_size=20),
+)
+config_text = st.lists(config_line, max_size=4).map("\n".join)
+
+
+@pytest.fixture(scope="module")
+def scene(tmp_path_factory):
+    root = tmp_path_factory.mktemp("scene")
+    clean, _ = disk_image(n=8, radius=2.5)
+    noisy = clean + 0.05 * np.random.default_rng(3).standard_normal(clean.shape)
+    save_image(noisy, str(root / "noisy.ppm"))
+    save_image(clean, str(root / "clean.ppm"))
+    save_image(clean[..., :1], str(root / "grey.pgm"))
+    return root
+
+
+@pytest.mark.filterwarnings("ignore:unmollified scalar", "ignore::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(
+    flags=st.lists(flag_pair, max_size=4).map(lambda pairs: sum(pairs, [])),
+    odd=odd_flag,
+    config=st.none() | config_text,
+    reference=st.sampled_from(["clean.ppm", "clean.ppm", "clean.ppm", "grey.pgm"]),
+    trace=st.sampled_from(["trace.csv", "trace.csv", "trace.csv", "no-such-dir/trace.csv"]),
+    dt=dt_value,
+    t_end=t_end_value,
+)
+def test_main_returns_a_documented_exit_code(scene, flags, odd, config, reference, trace, dt, t_end):
+    # The paths come from the command line, so a drawn config file never
+    # names a file outside the scene directory.
+    argv = [
+        "--input", str(scene / "noisy.ppm"), "--output", str(scene / "out.ppm"),
+        "--reference", str(scene / reference), "--trace", str(scene / trace),
+    ]
+    if config is not None:
+        (scene / "run.cfg").write_text(config, encoding="utf-8")
+        argv += ["--config", str(scene / "run.cfg")]
+    argv += [*flags, *([odd] if odd else []), "--dt", dt, "--t-end", t_end]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == EXIT_OK and out.getvalue().startswith("usage:"), argv
+            return
+    assert code in EXIT_CODES, (argv, config, err.getvalue())
+    assert (code == EXIT_OK) == (err.getvalue() == ""), err.getvalue()
+
+
+magic = st.one_of(st.sampled_from([b"P5", b"P6", b"P3", b"P7", b""]), st.binary(max_size=3))
+number = st.one_of(st.integers(-2, 6).map(lambda i: str(i).encode()), st.binary(max_size=3))
+maxval = st.one_of(st.sampled_from([b"255", b"0255", b"65535", b"0"]), st.binary(max_size=3))
+separator = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b" # note\n", b"#", b""])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    header=st.tuples(magic, separator, number, separator, number, separator, maxval, separator),
+    payload=st.binary(max_size=120),
+    raw=st.none() | st.binary(max_size=40),
+)
+def test_load_image_raises_only_image_errors(tmp_path_factory, header, payload, raw):
+    path = tmp_path_factory.getbasetemp() / "fuzz.pnm"
+    path.write_bytes(b"".join(header) + payload if raw is None else raw)
+    try:
+        img = load_image(str(path))
+    except ImageIOError:
+        return
+    assert img.ndim == 3 and img.shape[-1] in (1, 3) and img.size >= 1
+    assert np.all((img >= 0.0) & (img <= 1.0))
