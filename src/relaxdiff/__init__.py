@@ -5,17 +5,17 @@ d/dt u = div(H grad u) while the per-pixel fourth-order diffusivity tensor H
 relaxes toward a gradient-dependent response, tau d/dt H + H = F(grad u),
 under no-flux boundary conditions. Modules:
 
-- tensors:    algebra of k x d matrices and symmetric fourth-order tensors
+- tensors:    fourth-order tensors applied to k x d matrices, eigenvalue floor
 - response:   the thresholded projection response and its scalar cousin
 - mollifier:  lattice smoothing kernels and the regularized gradient
-- grid:       discrete gradient/divergence/diffusion with exact adjointness
+- grid:       discrete gradient/divergence/face tensors with exact adjointness
 - initial:    rescaling, seeded noise, covariance-based initial diffusivity
 - integrate:  the coupled time stepper plus energy/decay/memory diagnostics
 - baselines:  no-relaxation reference filters and trajectory comparison
 - cli:        PPM/PGM pipeline front end
 """
 
-from .grid import GridSpec, diffusion_apply, divergence, gradient, poincare_estimate
+from .grid import GridSpec, divergence, gradient, poincare_estimate
 from .initial import NoiseSpec, add_noise, init_H0, rescale, unrescale
 from .integrate import (
     FilterParams,
@@ -30,19 +30,10 @@ from .integrate import (
 from .baselines import CATTE_REGULARIZED, PERONA_MALIK, compare_trajectories, run_baseline
 from .mollifier import Kernel, convolve, grad_sigma
 from .response import ResponseParams, lipschitz_probe, response_fs, response_pm
-from .tensors import (
-    SpectralBound,
-    apply,
-    frobenius,
-    identity_tensor,
-    is_psd,
-    project_orth,
-    spectral_bounds,
-)
+from .tensors import apply
 
 __all__ = [
     "GridSpec",
-    "diffusion_apply",
     "divergence",
     "gradient",
     "poincare_estimate",
@@ -70,13 +61,7 @@ __all__ = [
     "lipschitz_probe",
     "response_fs",
     "response_pm",
-    "SpectralBound",
     "apply",
-    "frobenius",
-    "identity_tensor",
-    "is_psd",
-    "project_orth",
-    "spectral_bounds",
 ]
 
 __version__ = "0.1.0"

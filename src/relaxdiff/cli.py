@@ -236,13 +236,33 @@ def parse_config_file(path: str) -> list[str]:
     return tokens
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Join a `--flag` and a following negative number into `--flag=number`.
+
+    argparse takes only `-1` and `-.5` shapes for negative numbers, so a value
+    like `-1e-05` or `-inf` would read as a flag and miss its range check.
+    """
+    out = []
+    for token in argv:
+        try:
+            float(token)
+        except ValueError:
+            out.append(token)
+            continue
+        if out and out[-1].startswith("--") and "=" not in out[-1] and token.startswith("-"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def build_config(argv: list[str] | None) -> argparse.Namespace:
     """Parse argv (default sys.argv[1:]) after the --config file's tokens.
 
     The flags come last, so they override the file.
     """
     ap = _build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = _join_negative_values(sys.argv[1:] if argv is None else list(argv))
     ns = ap.parse_args(argv)
     if not ns.config:
         return ns
@@ -307,9 +327,10 @@ def main(argv: list[str] | None = None) -> int:
         out01 = (out01 - ns.lo) / (ns.hi - ns.lo)
         if not np.all(np.isfinite(out01)):
             raise InvariantViolation("pipeline produced non-finite pixel values")
-        save_image(out01, ns.output)
+        # The trace goes first, so a trace that cannot be written leaves no image.
         if ns.trace:
             write_trace_csv(traces, ns.trace, grid.channels)
+        save_image(out01, ns.output)
 
         input01 = (raw - ns.lo) / (ns.hi - ns.lo)
         print(f"psnr_vs_input={psnr(out01, input01):.6f}")

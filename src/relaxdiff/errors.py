@@ -25,10 +25,6 @@ class SymmetryError(RelaxdiffError, ValueError):
     """A tensor that must be symmetric is not, beyond tolerance."""
 
 
-class DegenerateDirectionError(RelaxdiffError, ValueError):
-    """A direction matrix is too close to zero to define a projection."""
-
-
 class SolverError(RelaxdiffError, RuntimeError):
     """An iterative linear solve failed to reach its tolerance.
 

@@ -7,8 +7,8 @@ axis (which has no forward face) holds zero. The divergence is built as the
 exact negative adjoint of this gradient under the plain grid inner products,
 with zero flux through all boundary faces. That pairing is what the no-flux
 boundary treatment means discretely: summation by parts holds to rounding,
-so total intensity is conserved and the diffusion operator below is an
-exactly symmetric, coercive map.
+so total intensity is conserved and the integrator's CG operator
+div(apply(face_average_tensors(H), grad u)) is exactly symmetric and coercive.
 
 The gradient and the divergence run in row bands over the CPUs
 (``relaxdiff.bands``), each element computed by the same operations in the
@@ -25,7 +25,6 @@ import numpy as np
 
 from .bands import band_edges, for_bands
 from .errors import DimensionError, ParameterError
-from .tensors import apply, require_symmetric
 
 Array = np.ndarray
 
@@ -151,8 +150,8 @@ def face_average_tensors(hfield: Array, grid: GridSpec) -> Array:
     two adjacent cell tensors; the slot tensor is the mean over the cell's
     existing forward faces (the far corner keeps its own tensor). Being a
     convex combination of cell tensors, the result stays symmetric and keeps
-    any shared eigenvalue floor, which makes the diffusion form below
-    exactly symmetric and coercive.
+    any shared eigenvalue floor, which makes the diffusion form exactly
+    symmetric and coercive.
 
     Per element the sum starts from 0.0 (so a first term of -0.0 gives
     +0.0), adds 0.5 (h[x] + h[x + e_j]) axis by axis and divides by the face
@@ -201,12 +200,6 @@ def face_average_tensors(hfield: Array, grid: GridSpec) -> Array:
     return out
 
 
-def diffusion_apply(hfield: Array, u: Array, grid: GridSpec) -> Array:
-    """div(H grad u) with face-averaged tensors; linear and mass conserving."""
-    havg = face_average_tensors(require_symmetric(hfield), grid)
-    return divergence(apply(havg, gradient(u, grid)), grid)
-
-
 def inner(u: Array, v: Array, grid: GridSpec) -> float:
     """Grid inner product of two fields of equal shape (unit cell volume)."""
     u = np.asarray(u, dtype=float)
@@ -220,14 +213,10 @@ def l2_norm(u: Array, grid: GridSpec) -> float:
     return float(np.sqrt(max(inner(u, u, grid), 0.0)))
 
 
-def channel_means(u: Array, grid: GridSpec) -> Array:
-    u = check_image(u, grid)
-    return u.reshape(-1, grid.channels).mean(axis=0)
-
-
 def mean_free(u: Array, grid: GridSpec) -> Array:
     """Remove the per-channel spatial mean (the conserved part)."""
-    return check_image(u, grid) - channel_means(u, grid)
+    u = check_image(u, grid)
+    return u - u.reshape(-1, grid.channels).mean(axis=0)
 
 
 def poincare_estimate(grid: GridSpec) -> float:

@@ -35,8 +35,8 @@ class NoiseSpec:
 
 def rescale(u_raw: Array, lo: float, hi: float) -> Array:
     """Affine map of [lo, hi] onto [-1, 1], the filter's working range."""
-    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-        raise ParameterError("rescale needs finite lo < hi")
+    if not (hi > lo and math.isfinite(hi - lo)):
+        raise ParameterError("rescale needs finite lo < hi with a finite hi - lo")
     u_raw = np.asarray(u_raw, dtype=float)
     slack = 1e-12 * (hi - lo)
     if u_raw.size and (u_raw.min() < lo - slack or u_raw.max() > hi + slack):

@@ -47,7 +47,7 @@ from .grid import (
 )
 from .mollifier import DELTA_SIGMA, GAUSSIAN, Kernel, grad_sigma
 from .response import ResponseParams, response_field, response_zero
-from .tensors import apply, eigvalsh_field, min_eig_field
+from .tensors import apply, eigvalsh_field, min_eig_field, require_symmetric
 
 Array = np.ndarray
 
@@ -166,7 +166,10 @@ def _implicit_solve(
         return x, 0
     for it in range(1, max_iter + 1):
         ap = apply_a(p)
-        alpha = rs / inner(p, ap, grid)
+        pap = inner(p, ap, grid)
+        if not pap > 0.0:  # the operator is SPD: only rounding at extreme scales gets here
+            raise SolverError(f"{where}: CG broke down at iteration {it}", residual=math.sqrt(rs) / b_nrm)
+        alpha = rs / pap
         x += np.multiply(p, alpha, out=tmp)
         r -= np.multiply(ap, alpha, out=tmp)
         rs_new = inner(r, r, grid)
@@ -321,9 +324,9 @@ def run(
     at the step nodes, which the memory-form diagnostic consumes.
 
     Raises InvariantViolation (with a diagnostic dump of the offending cell)
-    if any cell's smallest eigenvalue drops below the predicted floor, and
+    if any cell's smallest eigenvalue drops below the predicted floor,
     ParameterError if u0 or H0 holds NaN/inf or the initial diffusivity does
-    not clear alpha.
+    not clear alpha, and SymmetryError if a cell tensor of H0 is not symmetric.
 
     The floor check is certified rather than computed cell by cell: a Cholesky
     factorisation of H minus a sampled upper bound on its smallest eigenvalue
@@ -339,6 +342,7 @@ def run(
     if h.shape != grid.dims + (kd, kd):
         raise ParameterError(f"H0 shape {h.shape} != {grid.dims + (kd, kd)}")
     _require_finite("H0", h)
+    require_symmetric(h)  # the floor check reads one triangle; CG needs a symmetric operator
     init_min = min_eig_field(h)
     if init_min < p.alpha - 1e-12:
         raise ParameterError(

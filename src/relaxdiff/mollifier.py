@@ -71,11 +71,10 @@ def _correlate1d(u: Array, w: Array, axis: int) -> Array:
 
     out[x] = sum over |m| <= r of w[r + m] u[x + m], with r = len(w) // 2 and
     u taken as zero outside the domain. Offsets of n or more only ever meet
-    zeros and are skipped, so a kernel wider than the axis is fine. Pairs of
-    equal weights (every kernel of this package is symmetric) are summed
-    before the multiply, outermost pair first. That is the summation order of
-    the reference correlation the tests compare against, so for symmetric
-    weights the two agree bit for bit.
+    zeros and are skipped, so a kernel wider than the axis is fine. w must
+    equal its reverse bit for bit, as every kernel here does: each pair of
+    equal weights is summed before the multiply, outermost pair first, the
+    summation order of the reference correlation the tests compare against.
 
     A pair sum is u[x - m] + u[x + m] where both exist. At the low edge it is
     0.0 + u[x + m], which turns -0.0 into +0.0, at the high edge the plain
@@ -87,20 +86,15 @@ def _correlate1d(u: Array, w: Array, axis: int) -> Array:
     out = w[r] * u
     pair = np.empty_like(out)
     for m in range(min(r, n - 1), 0, -1):
-        lo, hi = w[r - m], w[r + m]
-        if lo == hi:
-            low, high = min(m, n - m), max(m, n - m)
-            np.add(0.0, u[m:m + low], out=pair[:low])
-            if 2 * m <= n:
-                np.add(u[:n - 2 * m], u[2 * m:], out=pair[m:n - m])
-            else:
-                pair[low:high] = 0.0
-            pair[high:] = u[high - m:n - m]
-            pair *= lo
-            out += pair
+        low, high = min(m, n - m), max(m, n - m)
+        np.add(0.0, u[m:m + low], out=pair[:low])
+        if 2 * m <= n:
+            np.add(u[:n - 2 * m], u[2 * m:], out=pair[m:n - m])
         else:
-            out[m:] += lo * u[:-m]
-            out[:-m] += hi * u[m:]
+            pair[low:high] = 0.0
+        pair[high:] = u[high - m:n - m]
+        pair *= w[r + m]
+        out += pair
     return np.moveaxis(out, 0, axis)
 
 

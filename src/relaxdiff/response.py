@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .tensors import fro_norm
 
 Array = np.ndarray
 
@@ -52,8 +51,8 @@ class ResponseParams:
                 raise ParameterError(f"{name} must be finite")
         if self.kind not in (THRESHOLDED_PROJECTION, PERONA_MALIK_SCALAR):
             raise ParameterError(f"unknown response kind {self.kind!r}")
-        if self.s <= 0:
-            raise ParameterError("contrast threshold s must be > 0")
+        if not (self.s > 0 and self.s * self.s > 0):  # the response divides by s^2
+            raise ParameterError(f"contrast threshold s must be > 0 with s^2 > 0, got {self.s:g}")
         if self.omega < 0:
             raise ParameterError("omega must be >= 0")
         if self.kind == PERONA_MALIK_SCALAR and self.lam <= 0:
@@ -160,9 +159,9 @@ def lipschitz_probe(
     for _ in range(trials):
         d1 = draw()
         d2 = draw()
-        denom = fro_norm(d1 - d2)
+        denom = float(np.linalg.norm(d1 - d2))
         if denom < 1e-12 * radius:
             continue
-        num = fro_norm(response_field(d1, p) - response_field(d2, p))
+        num = float(np.linalg.norm(response_field(d1, p) - response_field(d2, p)))
         best = max(best, num / denom)
     return best

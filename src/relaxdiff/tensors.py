@@ -13,21 +13,16 @@ over all cells, so its output bits do not depend on the CPU count.
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bands import for_bands
-from .errors import DegenerateDirectionError, DimensionError, SymmetryError
+from .errors import DimensionError, SymmetryError
 
 Array = np.ndarray
 
 # Relative tolerance accepted on tensor symmetry before raising.
 SYMMETRY_RTOL = 1e-12
-
-# Directions with Frobenius norm below this (times the data scale) cannot
-# define a projection.
-DEGENERACY_THRESHOLD = 1e-14
 
 # min_eig_field: cells diagonalised for the upper bound, cells per Cholesky
 # block, and the certification margin in units of n^3 eps max|H|.
@@ -36,50 +31,24 @@ MIN_EIG_BLOCK = 4096
 MIN_EIG_MARGIN = 4
 
 
-@dataclass(frozen=True)
-class SpectralBound:
-    lambda_min: float
-    lambda_max: float
+def require_symmetric(h: Array) -> None:
+    """Raise SymmetryError unless every cell tensor of h (shape dims + (n, n)) is symmetric.
 
-
-def identity_tensor(k: int, d: int) -> Array:
-    """The tensor acting as the identity map on k x d matrices."""
-    return np.eye(k * d)
-
-
-def frobenius(a: Array, b: Array) -> float:
-    """Frobenius scalar product sum_ij a_ij b_ij of two equally shaped matrices."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.dot(a.ravel(), b.ravel()))
-
-
-def fro_norm(a: Array) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=float).ravel()))
-
-
-def require_symmetric(h: Array) -> Array:
-    """Validate that every cell tensor of h (shape dims + (n, n)) is symmetric.
-
-    The tolerance is SYMMETRY_RTOL relative to the largest entry (at least 1); a
-    single tensor is a field with dims = (). Returns h as a float array.
+    The tolerance is SYMMETRY_RTOL times max(1, max|h|). The n(n-1)/2 entry
+    pairs are compared one cell field at a time: no array of h's size is made.
     """
-    h = np.asarray(h, dtype=float)
-    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
-        raise DimensionError(f"tensor must be square in its last two axes, got shape {h.shape}")
-    scale = max(1.0, float(np.max(np.abs(h), initial=0.0)))
-    if float(np.max(np.abs(h - np.swapaxes(h, -1, -2)), initial=0.0)) > SYMMETRY_RTOL * scale:
-        raise SymmetryError("tensor is not symmetric within tolerance")
-    return h
+    tol = SYMMETRY_RTOL * max(1.0, float(np.maximum(h.max(), -h.min())))
+    for a in range(h.shape[-1]):
+        for b in range(a + 1, h.shape[-1]):
+            if float(np.max(np.abs(h[..., a, b] - h[..., b, a]))) > tol:
+                raise SymmetryError(f"tensor entries ({a}, {b}) and ({b}, {a}) differ beyond tolerance")
 
 
 def apply(h: Array, dmat: Array) -> Array:
     """Apply tensors to k x d matrices cell by cell: (H D)_ij = sum_IJ H_ijIJ D_IJ.
 
     h has shape dims + (k*d, k*d) and dmat dims + (k, d); a single tensor and
-    matrix are a field with dims = ().
+    matrix are a field with dims = (), too small to run as more than one band.
     """
     h = np.asarray(h, dtype=float)
     dmat = np.asarray(dmat, dtype=float)
@@ -90,48 +59,12 @@ def apply(h: Array, dmat: Array) -> Array:
         raise DimensionError(f"tensor shape {h.shape} does not fit matrix shape {dmat.shape}")
     flat = dmat.reshape(dmat.shape[:-2] + (k * d,))
     out = np.empty_like(flat)
-    if flat.ndim == 1:
-        return np.einsum("...ab,...b->...a", h, flat, out=out).reshape(dmat.shape)
 
     def band(lo: int, hi: int) -> None:
         np.einsum("...ab,...b->...a", h[lo:hi], flat[lo:hi], out=out[lo:hi])
 
     for_bands(band, flat.shape[0], h.size + 2 * flat.size)
     return out.reshape(dmat.shape)
-
-
-def project_orth(dhat: Array) -> Array:
-    """Tensor of the orthogonal projection onto the complement of dhat.
-
-    apply(P, D) = D - (D:dhat) dhat / (dhat:dhat). P is symmetric, idempotent
-    and annihilates dhat. A near-zero dhat has no well-defined complement and
-    raises DegenerateDirectionError; callers relying on the thresholded
-    response never hit this because its smooth branch gives the projection
-    term a vanishing coefficient there.
-    """
-    dhat = np.asarray(dhat, dtype=float)
-    if dhat.ndim != 2:
-        raise DimensionError(f"expected a 2-d matrix, got shape {dhat.shape}")
-    v = dhat.ravel()
-    nrm2 = float(np.dot(v, v))
-    scale = max(1.0, float(np.max(np.abs(v))) if v.size else 0.0)
-    if np.sqrt(nrm2) < DEGENERACY_THRESHOLD * scale:
-        raise DegenerateDirectionError("direction matrix is numerically zero")
-    return np.eye(v.size) - np.outer(v, v) / nrm2
-
-
-def spectral_bounds(h: Array) -> SpectralBound:
-    """Extreme eigenvalues of a symmetric tensor in its (k*d) x (k*d) matrix form."""
-    h = require_symmetric(h)
-    if h.ndim != 2:
-        raise DimensionError(f"expected a single tensor, got shape {h.shape}")
-    w = np.linalg.eigvalsh(0.5 * (h + h.T))
-    return SpectralBound(float(w[0]), float(w[-1]))
-
-
-def is_psd(h: Array, kappa: float = 0.0, slack: float = 1e-10) -> bool:
-    """True iff the smallest eigenvalue of symmetric H is >= kappa - slack."""
-    return spectral_bounds(h).lambda_min >= kappa - slack
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 import relaxdiff as rd
 from relaxdiff.baselines import CATTE_REGULARIZED, compare_trajectories, run_baseline
@@ -22,7 +21,7 @@ from relaxdiff.response import (
     response_fs,
     response_zero,
 )
-from relaxdiff.tensors import fro_norm, project_orth, spectral_bounds
+from relaxdiff.tensors import min_eig_field
 
 from conftest import disk_image, smooth_image
 
@@ -141,9 +140,8 @@ def test_criterion_5_energy_decay():
     cp = rd.poincare_estimate(grid)
     eigs0 = np.linalg.eigvalsh(h0)
     khat0 = float(np.min(eigs0))
-    # spot-check the batched eigensolver against the scalar API on the worst cell
-    worst_cell = np.unravel_index(int(np.argmin(eigs0[..., 0])), grid.dims)
-    assert spectral_bounds(h0[worst_cell]).lambda_min == pytest.approx(khat0, abs=1e-10)
+    # spot-check the certified floor against the full diagonalisation
+    assert min_eig_field(h0) == khat0
     khat = min(khat0, min(r.min_eig_H for r in traces))
     g0 = gradient(u0, grid)
     radius = max(2.0 * resp.s, float(np.sqrt((g0 ** 2).sum(axis=(-2, -1))).max()))
@@ -221,10 +219,11 @@ def test_criterion_9_response_function_suite():
     continuity = True
     for _ in range(10):
         d = rng.standard_normal((3, 2))
-        d *= p.s / fro_norm(d)
-        bound = 2.2 * fro_norm(1.5 * np.eye(6) - project_orth(d))
+        d *= p.s / np.linalg.norm(d)
+        v = d.ravel()
+        bound = 2.2 * np.linalg.norm(1.5 * np.eye(6) - (np.eye(6) - np.outer(v, v) / (v @ v)))
         for eps in (1e-3, 1e-5, 1e-7):
-            gap = fro_norm(response_fs(d * (1 - eps), p) - response_fs(d * (1 + eps), p))
+            gap = np.linalg.norm(response_fs(d * (1 - eps), p) - response_fs(d * (1 + eps), p))
             continuity &= gap <= bound * eps
 
     # positive semidefiniteness over 10^4 random matrices

@@ -263,6 +263,10 @@ class TestMainPipeline:
             (["--dt", "1e-320"], "t_end / dt"),
             (["--dt", "1e-300"], "t_end / dt"),
             (["--hi", "inf"], "finite"),
+            (["--lo=-1e308", "--hi", "1e308"], "error [rescaling]: rescale needs finite lo < hi with a finite hi - lo"),
+            (["--omega", "-1e-05"], "error [configuration]: omega must be >= 0"),
+            (["--t-end", "-inf"], "error [configuration]: t_end must be finite"),
+            (["--tau", "-1E+2"], "error [configuration]: tau must be > 0"),
             (["--sigma", "1e300"], "error [configuration]: kernel sigma must lie in [0.5, 10000]"),
             (["--mode", "catte", "--tau", "-3", "--t-end", "0.2"], "error [configuration]: tau must be > 0"),
             (["--mode", "pm", "--tau", "0"], "error [configuration]: tau must be > 0"),
@@ -274,17 +278,19 @@ class TestMainPipeline:
             assert main(["--input", str(inp), "--output", str(out), *flags]) == EXIT_CONFIG, flags
             err = capsys.readouterr().err
             assert message in err and "Traceback" not in err, err
+            assert not out.exists(), flags
         # io error: missing input
         assert main(["--input", str(tmp_path / "nope.ppm"), "--output", str(out)]) == EXIT_IO
         # io error: truncated payload
         bad = tmp_path / "bad.ppm"
         bad.write_bytes(b"P6\n4 4\n255\n" + b"\x00" * 9)
         assert main(["--input", str(bad), "--output", str(out)]) == EXIT_IO
-        # io error: a trace file that cannot be written
+        # io error: a trace file that cannot be written, which leaves no image
         trace = tmp_path / "no-such-dir" / "t.csv"
         assert main(["--input", str(inp), "--output", str(out), "--trace", str(trace), "--t-end", "0.1"]) == EXIT_IO
         err = capsys.readouterr().err
         assert "error [output]: cannot write trace file" in err and "Traceback" not in err, err
+        assert not out.exists()
         # missing required flags
         assert main(["--output", str(out)]) == EXIT_CONFIG
         # config error: non-finite parameters

@@ -6,7 +6,7 @@ import pytest
 
 import relaxdiff.integrate as integrate_mod
 from relaxdiff.baselines import CATTE_REGULARIZED, run_baseline
-from relaxdiff.errors import FitError, InvariantViolation, ParameterError, SolverError
+from relaxdiff.errors import FitError, InvariantViolation, ParameterError, SolverError, SymmetryError
 from relaxdiff.grid import GridSpec, face_average_tensors, l2_norm, mean_free
 from relaxdiff.initial import init_H0
 from relaxdiff.integrate import (
@@ -251,6 +251,17 @@ class TestRun:
         data[which][2, 3, 1] = value
         with pytest.raises(ParameterError, match=which):
             run(data["u0"], data["H0"], FilterParams(), grid)
+
+    @pytest.mark.parametrize("offset", [0.05, 5.0])
+    def test_asymmetric_H0_rejected(self, rng, offset):
+        # The floor check reads the lower triangle only, so an upper triangle
+        # that differs would pass it and make the CG operator non-symmetric.
+        grid = GridSpec(dims=(16, 16), channels=3)
+        u0 = disk_image(16, radius=5.0)[0] + 0.05 * rng.standard_normal(grid.field_shape())
+        h0 = init_H0(u0, grid, window=3, alpha=0.1)
+        h0[..., 0, 5] += offset
+        with pytest.raises(SymmetryError, match=r"\(0, 5\)"):
+            run(u0, h0, FilterParams(dt=0.1, t_end=0.3), grid)
 
     @pytest.mark.parametrize("sigma", [1.0, 0.0])
     def test_min_eig_H_equals_full_diagonalisation(self, rng, sigma):

@@ -1,10 +1,12 @@
-"""Property tests: the CLI and the PNM reader fail only in documented ways.
+"""Property tests: the CLI, the PNM reader and the filter fail only in documented ways.
 
 Hypothesis draws CLI flags and config-file text for an 8 x 8 scene, and PNM
 headers and payloads. ``cli.main`` must return one of its documented exit
 codes, never 1 (the code of an uncaught exception), and raise nothing but
 SystemExit(0) after printing the --help text; ``load_image`` must return a
-[0, 1] field or raise an ImageIOError subclass.
+[0, 1] field or raise an ImageIOError subclass. ``run`` on an 8 x 8 RGB scene
+with drawn parameters must raise a RelaxdiffError or keep the paper's three
+guarantees: mass, eigenvalue floor and L2 monotonicity.
 
 ``--dt`` and ``--t-end`` always come last on the command line, from ranges
 that allow at most six steps, so no drawn run is long.
@@ -15,7 +17,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relaxdiff.cli import (
@@ -28,7 +30,11 @@ from relaxdiff.cli import (
     main,
     save_image,
 )
-from relaxdiff.errors import ImageIOError
+from relaxdiff.errors import ImageIOError, RelaxdiffError
+from relaxdiff.grid import GridSpec, l2_norm, mean_free
+from relaxdiff.initial import init_H0
+from relaxdiff.integrate import FilterParams, kappa_predicted, run
+from relaxdiff.response import ResponseParams
 
 from conftest import disk_image
 
@@ -147,3 +153,46 @@ def test_load_image_raises_only_image_errors(tmp_path_factory, header, payload, 
         return
     assert img.ndim == 3 and img.shape[-1] in (1, 3) and img.size >= 1
     assert np.all((img >= 0.0) & (img <= 1.0))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def plausible_or_finite(lo, hi):
+    return st.one_of(st.floats(lo, hi), finite)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(
+    dt=plausible_or_finite(0.01, 5.0),
+    tau=plausible_or_finite(0.01, 3.0),
+    s=plausible_or_finite(0.01, 1.0),
+    omega=plausible_or_finite(0.0, 1.0),
+    sigma=st.one_of(st.just(0.0), st.floats(0.5, 3.0)),
+    steps=st.integers(1, 4),
+)
+# Found by this test: s^2 underflowed to 0 and the response divided 0 by 0;
+# p.Ap became 0 in the CG at a huge dt and raised ZeroDivisionError.
+@example(dt=1.0, tau=1.0, s=1.5237156268069473e-301, omega=0.0, sigma=0.0, steps=1)
+@example(dt=6.884342487799457e39, tau=1.0, s=1.0, omega=0.0, sigma=0.0, steps=1)
+def test_run_keeps_its_guarantees_or_raises(dt, tau, s, omega, sigma, steps):
+    grid = GridSpec(dims=(8, 8), channels=3)
+    clean, _ = disk_image(n=8, radius=2.5)
+    u0 = clean + 0.05 * np.random.default_rng(3).standard_normal(clean.shape)
+    h0 = init_H0(u0, grid, window=3, alpha=0.1)
+    try:
+        p = FilterParams(tau=tau, sigma=sigma, dt=dt, t_end=steps * dt, response=ResponseParams(s=s, omega=omega))
+        _, traces, (us, _) = run(u0, h0, p, grid, keep_history=True)
+    except RelaxdiffError:
+        return
+    mass0 = u0.reshape(-1, 3).sum(axis=0)
+    # Mass is conserved to the rounding of the step's operator, whose entries
+    # grow as dt ||H|| <= dt (3/2 + omega): the drift measured 0.3 eps dt
+    # ||H|| of the L1 mass and passes 1e-9 of it from dt ~ 1e7 on.
+    mass_tol = max(1e-9, np.finfo(float).eps * dt * (1.5 + omega)) * np.abs(u0).reshape(-1, 3).sum(axis=0)
+    norms = [l2_norm(mean_free(u, grid), grid) for u in us]
+    for r, a, b in zip(traces, norms, norms[1:]):
+        assert np.all(np.abs(np.array(r.mass) - mass0) <= mass_tol), (r.t, r.mass)
+        assert r.min_eig_H >= kappa_predicted(r.t, p) - 1e-8, (r.t, r.min_eig_H)
+        assert b <= a + p.cg_tol * norms[0], (r.t, a, b)

@@ -5,16 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaxdiff.errors import DegenerateDirectionError, DimensionError, SymmetryError
-from relaxdiff.tensors import (
-    apply,
-    frobenius,
-    identity_tensor,
-    is_psd,
-    min_eig_field,
-    project_orth,
-    spectral_bounds,
-)
+from relaxdiff.errors import DimensionError, SymmetryError
+from relaxdiff.grid import GridSpec, inner
+from relaxdiff.response import ResponseParams, response_fs
+from relaxdiff.tensors import apply, min_eig_field, require_symmetric
 
 from conftest import random_psd_field, random_symmetric_tensor
 
@@ -25,6 +19,17 @@ def char_poly_eig_bounds(h):
     roots = np.roots(coeffs)
     real = np.real(roots)
     return float(np.min(real)), float(np.max(real))
+
+
+def proj_orth(dhat):
+    """Tensor of the orthogonal projection onto the complement of dhat."""
+    v = dhat.ravel()
+    return np.eye(v.size) - np.outer(v, v) / (v @ v)
+
+
+def frobenius(a, b):
+    """The Frobenius product of two k x d matrices: grid.inner, which the filter sums with."""
+    return inner(a, b, GridSpec.from_field(a))
 
 
 class TestFrobenius:
@@ -55,16 +60,15 @@ class TestFrobenius:
 class TestApply:
     def test_identity(self, rng):
         d = rng.standard_normal((3, 2))
-        np.testing.assert_allclose(apply(identity_tensor(3, 2), d), d, rtol=0, atol=0)
+        np.testing.assert_allclose(apply(np.eye(6), d), d, rtol=0, atol=0)
 
     def test_scaling(self, rng):
         d = rng.standard_normal((2, 2))
-        np.testing.assert_allclose(apply(2.0 * identity_tensor(2, 2), d), 2.0 * d)
+        np.testing.assert_allclose(apply(2.0 * np.eye(4), d), 2.0 * d)
 
     def test_projection_annihilates_direction(self):
         e = np.array([[1.0, 0.0], [0.0, 0.0]])
-        p = project_orth(e)
-        np.testing.assert_allclose(apply(p, e), np.zeros((2, 2)), atol=1e-15)
+        np.testing.assert_allclose(apply(proj_orth(e), e), np.zeros((2, 2)), atol=1e-15)
 
     def test_linear_in_d(self, rng):
         h = random_symmetric_tensor(rng, 6)
@@ -80,25 +84,29 @@ class TestApply:
 
 
 class TestProjectOrth:
+    """The projection onto the complement of D, as response_fs returns it above the threshold."""
+
+    P = ResponseParams(s=1e-3)
+
     def test_own_direction_removed(self):
         dhat = np.array([[1.0, 0.0], [0.0, 0.0]])
-        np.testing.assert_allclose(apply(project_orth(dhat), dhat), 0.0, atol=1e-15)
+        np.testing.assert_allclose(apply(response_fs(dhat, self.P), dhat), 0.0, atol=1e-15)
 
     def test_orthogonal_input_unchanged(self):
         dhat = np.array([[1.0, 0.0], [0.0, 0.0]])
         d = np.array([[0.0, 1.0], [0.0, 0.0]])
-        np.testing.assert_allclose(apply(project_orth(dhat), d), d, atol=1e-15)
+        np.testing.assert_allclose(apply(response_fs(dhat, self.P), d), d, atol=1e-15)
 
     def test_eigenvalues_2x2(self, rng):
         # One zero eigenvalue along the direction, ones on its complement.
         dhat = rng.standard_normal((2, 2))
-        w = np.linalg.eigvalsh(project_orth(dhat))
+        w = np.linalg.eigvalsh(response_fs(dhat, self.P))
         np.testing.assert_allclose(np.sort(w), [0.0, 1.0, 1.0, 1.0], atol=1e-12)
 
     def test_idempotent(self, rng):
         for _ in range(20):
             dhat = rng.standard_normal((3, 2))
-            p = project_orth(dhat)
+            p = response_fs(dhat, self.P)
             d = rng.standard_normal((3, 2))
             once = apply(p, d)
             np.testing.assert_allclose(apply(p, once), once, atol=1e-12)
@@ -107,53 +115,53 @@ class TestProjectOrth:
         for _ in range(20):
             dhat = rng.standard_normal((3, 2))
             d = rng.standard_normal((3, 2))
-            expected = d - frobenius(d, dhat) * dhat / frobenius(dhat, dhat)
-            np.testing.assert_allclose(apply(project_orth(dhat), d), expected, atol=1e-12)
+            expected = d - np.vdot(d, dhat) * dhat / np.vdot(dhat, dhat)
+            np.testing.assert_allclose(apply(response_fs(dhat, self.P), d), expected, atol=1e-12)
 
     def test_degenerate_direction(self):
-        with pytest.raises(DegenerateDirectionError):
-            project_orth(np.zeros((2, 2)))
+        # Below the threshold the projection's coefficient vanishes with D, so
+        # a direction too small to define one gives 3/2 Id, not NaN.
+        for scale in (1e-160, 1e-300, 0.0):
+            out = response_fs(scale * np.array([[1.0, 0.0], [0.0, 1.0]]), self.P)
+            np.testing.assert_allclose(out, 1.5 * np.eye(4), rtol=0, atol=1e-15)
 
 
 class TestSpectralBounds:
+    """The smallest eigenvalue of a single tensor, as the floor check computes it."""
+
     def test_identity(self):
-        b = spectral_bounds(identity_tensor(3, 2))
-        assert b.lambda_min == pytest.approx(1.0, abs=1e-12)
-        assert b.lambda_max == pytest.approx(1.0, abs=1e-12)
+        assert min_eig_field(np.eye(6)) == pytest.approx(1.0, abs=1e-12)
 
     def test_scaled_identity(self):
-        b = spectral_bounds(0.1 * identity_tensor(3, 2))
-        assert b.lambda_min == pytest.approx(0.1, abs=1e-12)
-        assert b.lambda_max == pytest.approx(0.1, abs=1e-12)
+        assert min_eig_field(0.1 * np.eye(6)) == pytest.approx(0.1, abs=1e-12)
 
     def test_projection(self, rng):
-        b = spectral_bounds(project_orth(rng.standard_normal((2, 2))))
-        assert b.lambda_min == pytest.approx(0.0, abs=1e-10)
-        assert b.lambda_max == pytest.approx(1.0, abs=1e-10)
+        assert min_eig_field(proj_orth(rng.standard_normal((2, 2)))) == pytest.approx(0.0, abs=1e-10)
 
     def test_against_characteristic_polynomial(self, rng):
         for n in (2, 4, 6):
             for _ in range(10):
                 h = random_symmetric_tensor(rng, n, scale=2.0)
-                b = spectral_bounds(h)
-                lo, hi = char_poly_eig_bounds(h)
-                assert b.lambda_min == pytest.approx(lo, abs=1e-8)
-                assert b.lambda_max == pytest.approx(hi, abs=1e-8)
+                lo, _ = char_poly_eig_bounds(h)
+                assert min_eig_field(h) == pytest.approx(lo, abs=1e-8)
 
     def test_rejects_asymmetric(self):
         h = np.eye(4)
         h[0, 1] = 1e-3
         with pytest.raises(SymmetryError):
-            spectral_bounds(h)
+            require_symmetric(h)
 
 
 class TestIsPsd:
     def test_identity_thresholds(self):
-        assert is_psd(identity_tensor(2, 2), 1.0)
-        assert not is_psd(identity_tensor(2, 2), 1.5)
+        hfield = np.stack([np.eye(4), 2.0 * np.eye(4)])
+        assert min_eig_field(hfield) >= 1.0
+        assert not min_eig_field(hfield) >= 1.5
 
     def test_projection_at_zero(self, rng):
-        assert is_psd(project_orth(rng.standard_normal((2, 2))), 0.0)
+        v = rng.standard_normal((50, 4))
+        hfield = np.eye(4) - np.einsum("ci,cj->cij", v, v) / np.einsum("ci,ci->c", v, v)[:, None, None]
+        assert min_eig_field(hfield) >= -1e-10
 
 
 class TestSelfAdjointness:
@@ -162,8 +170,8 @@ class TestSelfAdjointness:
             h = random_symmetric_tensor(rng, 6)
             d = rng.standard_normal((3, 2))
             e = rng.standard_normal((3, 2))
-            lhs = frobenius(apply(h, d), e)
-            rhs = frobenius(d, apply(h, e))
+            lhs = np.vdot(apply(h, d), e)
+            rhs = np.vdot(d, apply(h, e))
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
