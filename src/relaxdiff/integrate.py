@@ -11,15 +11,21 @@ combination for every dt, so the smallest eigenvalue of H can never fall
 below the decaying envelope alpha e^(-t/tau) (plus omega (1 - e^(-t/tau))
 when the response carries a uniform shift) no matter how large the step.
 The backward-Euler diffusion solve is a symmetric positive-definite system
-handled by plain conjugate gradients; it is unconditionally L2-stable and,
-because the right-hand side doubles as the initial CG guess, conserves the
-per-channel mass to rounding.
+handled by plain conjugate gradients; it is unconditionally L2-stable and
+conserves the per-channel mass to rounding at any dt: the right-hand side
+doubles as the initial CG guess, and each solve ends by putting back the
+channel means its updates lost to rounding.
 
 Sampling F at the half-step prediction instead of the step's left endpoint
 costs one extra (cheaper) solve but makes the stepped H agree with a
 trapezoidal re-integration of the equivalent memory form to second order in
-dt, which the diagnostics below verify. The no-relaxation baselines run the
-same step loop with H = F(D) sampled at the step's left endpoint instead.
+dt, which the diagnostics below verify. The prediction enters nothing but
+F, so it is solved only as accurately as that needs: to a relative residual
+of HALF_TOL_PER_DT2 dt^2, capped at HALF_TOL_MAX and never below cg_tol.
+An O(dt^2) error in u_half keeps the memory-form gap O(dt^2), and the
+floor, the mass and L2 monotonicity do not depend on it. The no-relaxation
+baselines run the same step loop with H = F(D) sampled at the step's left
+endpoint instead, with no half solve.
 
 The floor is checked every step by tensors.min_eig_field, which returns the
 minimum of a full diagonalisation bit for bit. A few sampled cells bound the
@@ -52,6 +58,10 @@ from .tensors import apply, eigvalsh_field, min_eig_field, require_symmetric
 Array = np.ndarray
 
 KAPPA_SLACK = 1e-8  # additive slack on the eigenvalue floor check
+# Relative CG tolerance of the half-step solve: HALF_TOL_PER_DT2 dt^2, capped
+# at HALF_TOL_MAX and never below the run's cg_tol (see the module docstring).
+HALF_TOL_PER_DT2 = 1e-4
+HALF_TOL_MAX = 1e-3
 MAX_STEPS = 10**6  # largest step count t_end / dt a run may ask for
 
 
@@ -144,9 +154,14 @@ def _implicit_solve(
 
     Starting from x0 = u keeps every Krylov update in the zero-sum subspace
     (the operator preserves channel means), so the solution's per-channel
-    mass matches u's to rounding regardless of the tolerance. x, r and p are
-    updated in place through one scratch buffer; ``where`` names the solve
-    in the SolverError raised when the tolerance is not reached.
+    mass matches u's regardless of the tolerance. In floating point the
+    updates leak about eps dt ||H|| of it, so the solve ends by adding each
+    channel's lost mass back, spread evenly over the cells: the exact
+    solution's channel means are u's, and constants are an eigenspace of the
+    operator, so this moves x toward it and keeps the mass to rounding at
+    any dt. x, r and p are updated in place through one scratch buffer;
+    ``where`` names the solve in the SolverError raised when the tolerance
+    is not reached.
     """
 
     def apply_a(x: Array) -> Array:
@@ -174,6 +189,7 @@ def _implicit_solve(
         r -= np.multiply(ap, alpha, out=tmp)
         rs_new = inner(r, r, grid)
         if math.sqrt(rs_new) <= cg_tol * b_nrm:
+            x += (_channel_sums(u, grid) - _channel_sums(x, grid)) / grid.ncells
             return x, it
         p *= rs_new / rs
         p += r
@@ -182,6 +198,10 @@ def _implicit_solve(
         f"{where}: CG did not reach tol {cg_tol:g} in {max_iter} iterations",
         residual=math.sqrt(rs) / b_nrm,
     )
+
+
+def _channel_sums(u: Array, grid: GridSpec) -> Array:
+    return u.reshape(-1, grid.channels).sum(axis=0)
 
 
 def _relax_H(u_sample: Array, h: Array, p: FilterParams, grid: GridSpec, kern: Kernel | None) -> None:
@@ -241,6 +261,8 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec, keep_
     relax = h is not None
     kern = p.kernel()
     max_iter = p.max_iter(grid.ncells)
+    # dt * dt, not dt**2: a finite dt**2 may overflow and raise.
+    half_tol = max(p.cg_tol, min(HALF_TOL_MAX, HALF_TOL_PER_DT2 * p.dt * p.dt))
     t = 0.0
     traces: list[TraceRecord] = []
     history = ([u.copy()], [h.copy()]) if keep_history else None
@@ -255,7 +277,7 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec, keep_
             # step midpoint (second-order consistency with the memory form)
             # while the H-update itself stays the exact convex-combination
             # relaxation.
-            u_half, _ = _implicit_solve(u, havg, 0.5 * p.dt, grid, p.cg_tol, max_iter, f"half solve {step}")
+            u_half, _ = _implicit_solve(u, havg, 0.5 * p.dt, grid, half_tol, max_iter, f"half solve {step}")
         # The old face tensors are dead now, and so is the old H without
         # relaxation. Dropping them before the response allocates its
         # temporaries lowers a step's peak memory by one H field or two.
@@ -298,7 +320,7 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec, keep_
             TraceRecord(
                 t=t,
                 l2_norm_u=l2_norm(u, grid),
-                mass=tuple(u.reshape(-1, grid.channels).sum(axis=0)),
+                mass=tuple(_channel_sums(u, grid)),
                 energy=energy(FilterState(t=t, u=u, H=h), p, grid),
                 min_eig_H=min_eig,
                 cg_iters=iters,

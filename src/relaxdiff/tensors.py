@@ -122,8 +122,9 @@ def _cholesky_breaks_down(block: Array, shift: float) -> Array:
     """Mask of the cells of an (m, n, n) block where Cholesky of H - shift I fails.
 
     Right-looking factorisation vectorised over cells. Like eigvalsh it reads
-    the lower triangle only. A pivot that is not > 0 (NaN included) marks the
-    cell; it then carries NaN or inf along, so callers silence those warnings.
+    the lower triangle only, and it updates only that triangle, one row at a
+    time. A pivot that is not > 0 (NaN included) marks the cell; it then
+    carries NaN or inf along, so callers silence those warnings.
     """
     n = block.shape[-1]
     a = np.moveaxis(block, 0, -1).copy()  # (n, n, m): each entry contiguous over cells
@@ -133,5 +134,6 @@ def _cholesky_breaks_down(block: Array, shift: float) -> Array:
     for j in range(n):
         completes &= a[j, j] > 0.0
         col = a[j + 1:, j] / np.sqrt(a[j, j])
-        a[j + 1:, j + 1:] -= col[:, None] * col[None, :]
+        for i in range(j + 1, n):
+            a[i, j + 1:i + 1] -= col[i - j - 1] * col[:i - j]
     return ~completes

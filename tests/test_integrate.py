@@ -466,6 +466,18 @@ class TestMemoryFormCheck:
         d2 = memory_form_check(u0, h0, replace(base, dt=0.1), steps=16, grid=grid)
         assert 3.0 <= d1 / d2 <= 5.0
 
+    def test_second_order_at_small_dt(self):
+        # Criterion 7's scene at steps 16x smaller. The half solve's
+        # tolerance shrinks as dt^2, so its error stays below the O(dt^2)
+        # gap; a fixed 1e-4 tolerance flattens this ratio to about 1.1.
+        grid = GridSpec(dims=(16, 16), channels=3)
+        u0 = smooth_image(16)
+        h0 = init_H0(u0, grid, window=5, alpha=0.1)
+        base = FilterParams(tau=0.5, sigma=1.0, dt=0.0125, response=ResponseParams(s=0.4), alpha=0.1)
+        d1 = memory_form_check(u0, h0, base, steps=32, grid=grid)
+        d2 = memory_form_check(u0, h0, replace(base, dt=0.00625), steps=64, grid=grid)
+        assert 3.5 <= d1 / d2 <= 4.5
+
     def test_negative_steps_rejected(self, rng):
         grid = GridSpec(dims=(4, 4), channels=1)
         u0 = rng.standard_normal(grid.field_shape())

@@ -176,6 +176,10 @@ def plausible_or_finite(lo, hi):
 # p.Ap became 0 in the CG at a huge dt and raised ZeroDivisionError.
 @example(dt=1.0, tau=1.0, s=1.5237156268069473e-301, omega=0.0, sigma=0.0, steps=1)
 @example(dt=6.884342487799457e39, tau=1.0, s=1.0, omega=0.0, sigma=0.0, steps=1)
+# CG updates leaked about eps dt ||H|| of the mass until each solve put the
+# lost channel means back: 1e-9 of the L1 mass was passed from dt ~ 1e7 on.
+@example(dt=1e8, tau=1.0, s=1.0, omega=0.0, sigma=0.0, steps=4)
+@example(dt=1e10, tau=1.0, s=1.0, omega=0.0, sigma=0.0, steps=4)
 def test_run_keeps_its_guarantees_or_raises(dt, tau, s, omega, sigma, steps):
     grid = GridSpec(dims=(8, 8), channels=3)
     clean, _ = disk_image(n=8, radius=2.5)
@@ -187,10 +191,7 @@ def test_run_keeps_its_guarantees_or_raises(dt, tau, s, omega, sigma, steps):
     except RelaxdiffError:
         return
     mass0 = u0.reshape(-1, 3).sum(axis=0)
-    # Mass is conserved to the rounding of the step's operator, whose entries
-    # grow as dt ||H|| <= dt (3/2 + omega): the drift measured 0.3 eps dt
-    # ||H|| of the L1 mass and passes 1e-9 of it from dt ~ 1e7 on.
-    mass_tol = max(1e-9, np.finfo(float).eps * dt * (1.5 + omega)) * np.abs(u0).reshape(-1, 3).sum(axis=0)
+    mass_tol = 1e-9 * np.abs(u0).reshape(-1, 3).sum(axis=0)
     norms = [l2_norm(mean_free(u, grid), grid) for u in us]
     for r, a, b in zip(traces, norms, norms[1:]):
         assert np.all(np.abs(np.array(r.mass) - mass0) <= mass_tol), (r.t, r.mass)

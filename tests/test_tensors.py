@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from relaxdiff.errors import DimensionError, SymmetryError
 from relaxdiff.grid import GridSpec, inner
 from relaxdiff.response import ResponseParams, response_fs
-from relaxdiff.tensors import apply, min_eig_field, require_symmetric
+from relaxdiff.tensors import MIN_EIG_BLOCK, _cholesky_breaks_down, apply, min_eig_field, require_symmetric
 
 from conftest import random_psd_field, random_symmetric_tensor
 
@@ -278,3 +278,37 @@ class TestMinEigFieldExact:
             full_min_eig(h)
         with pytest.raises(np.linalg.LinAlgError):
             min_eig_field(h)
+
+
+def full_square_breaks_down(block, shift):
+    """Reference: the same factorisation updating the whole trailing square at each pivot."""
+    n = block.shape[-1]
+    a = np.moveaxis(block, 0, -1).copy()
+    diag = np.arange(n)
+    a[diag, diag] -= shift
+    completes = np.ones(block.shape[0], dtype=bool)
+    for j in range(n):
+        completes &= a[j, j] > 0.0
+        col = a[j + 1:, j] / np.sqrt(a[j, j])
+        a[j + 1:, j + 1:] -= col[:, None] * col[None, :]
+    return ~completes
+
+
+class TestCholeskyBreaksDown:
+    @settings(max_examples=80, deadline=None)
+    @given(symmetric_fields(), st.data())
+    def test_masks_equal_the_full_square_update(self, hfield, data):
+        n = hfield.shape[-1]
+        block = hfield.reshape(-1, n, n)[:MIN_EIG_BLOCK].copy()
+        # the smallest eigenvalue of a few cells, as min_eig_field shifts by:
+        # tied cells sit exactly on the breakdown boundary
+        c = float(np.min(np.linalg.eigvalsh(block[:64])[:, 0]))
+        if data.draw(st.booleans()):
+            cell = data.draw(st.integers(0, block.shape[0] - 1))
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            block[cell, i, j] = block[cell, j, i] = np.nan
+        for shift in (c, 0.1, 0.5, np.nan):
+            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                got = _cholesky_breaks_down(block, shift)
+                want = full_square_breaks_down(block, shift)
+            assert np.array_equal(got, want), shift
