@@ -6,10 +6,10 @@ relaxes toward a gradient-dependent response, tau d/dt H + H = F(grad u),
 under no-flux boundary conditions. Modules:
 
 - tensors:    fourth-order tensors applied to k x d matrices, eigenvalue floor
-- response:   the thresholded projection response and its scalar cousin
+- response:   the thresholded projection response, its scalar cousin, their Lipschitz constant
 - mollifier:  lattice smoothing kernels and the regularized gradient
 - grid:       discrete gradient/divergence/face tensors with exact adjointness
-- initial:    rescaling, seeded noise, covariance-based initial diffusivity
+- initial:    [0, 1] <-> [-1, 1] working range, seeded noise, initial diffusivity
 - integrate:  the coupled time stepper plus energy/decay/memory diagnostics
 - baselines:  no-relaxation reference filters and trajectory comparison
 - cli:        PPM/PGM pipeline front end
@@ -29,7 +29,7 @@ from .integrate import (
 )
 from .baselines import CATTE_REGULARIZED, PERONA_MALIK, compare_trajectories, run_baseline
 from .mollifier import Kernel, convolve, grad_sigma
-from .response import ResponseParams, lipschitz_probe, response_fs, response_pm
+from .response import ResponseParams, lipschitz_bound, response_fs, response_pm
 from .tensors import apply
 
 __all__ = [
@@ -58,7 +58,7 @@ __all__ = [
     "convolve",
     "grad_sigma",
     "ResponseParams",
-    "lipschitz_probe",
+    "lipschitz_bound",
     "response_fs",
     "response_pm",
     "apply",

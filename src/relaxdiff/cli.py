@@ -1,7 +1,7 @@
 """Command-line front end: PNM image I/O, configuration, and the pipeline.
 
-The pipeline is: load -> rescale to [-1, 1] -> optional noise -> initial
-diffusivity -> filter run -> undo rescaling -> clamp -> save. Binary PPM
+The pipeline is: load -> rescale [0, 1] to [-1, 1] -> optional noise ->
+initial diffusivity -> filter run -> back to [0, 1] -> clamp -> save. Binary PPM
 (P6, 8-bit RGB) and PGM (P5, 8-bit gray) are the supported formats; they are
 simple enough to make byte-identical reproducibility a testable contract.
 Values are mapped to [0, 1] by v/255 on load; quantization on save rounds
@@ -201,8 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, default=NoiseSpec.seed, help="noise generator seed")
     ap.add_argument("--window", type=int, default=5,
                     help="covariance window for the initial diffusivity")
-    ap.add_argument("--lo", type=float, default=0.0, help="lower bound of the raw intensity range")
-    ap.add_argument("--hi", type=float, default=1.0, help="upper bound of the raw intensity range")
     ap.add_argument("--cg-tol", type=float, default=FilterParams.cg_tol,
                     help="relative tolerance of the diffusion solve")
     ap.add_argument("--config", help="key = value config file (flags override)")
@@ -306,10 +304,8 @@ def main(argv: list[str] | None = None) -> int:
         if reference is not None and reference.shape != raw.shape:
             raise ParameterError(f"reference shape {reference.shape} != input shape {raw.shape}")
 
-        stage = "rescaling"
-        work = rescale(raw, ns.lo, ns.hi)
-
         stage = "noise injection"
+        work = rescale(raw)
         if noise.std > 0:
             work = add_noise(work, noise)
 
@@ -323,8 +319,7 @@ def main(argv: list[str] | None = None) -> int:
             filtered, traces = run_baseline(work, params, kind, grid)
 
         stage = "output"
-        out01 = np.clip(unrescale(filtered, ns.lo, ns.hi), ns.lo, ns.hi)
-        out01 = (out01 - ns.lo) / (ns.hi - ns.lo)
+        out01 = np.clip(unrescale(filtered), 0.0, 1.0)
         if not np.all(np.isfinite(out01)):
             raise InvariantViolation("pipeline produced non-finite pixel values")
         # The trace goes first, so a trace that cannot be written leaves no image.
@@ -332,11 +327,9 @@ def main(argv: list[str] | None = None) -> int:
             write_trace_csv(traces, ns.trace, grid.channels)
         save_image(out01, ns.output)
 
-        input01 = (raw - ns.lo) / (ns.hi - ns.lo)
-        print(f"psnr_vs_input={psnr(out01, input01):.6f}")
+        print(f"psnr_vs_input={psnr(out01, raw):.6f}")
         if reference is not None:
-            ref01 = (reference - ns.lo) / (ns.hi - ns.lo)
-            print(f"psnr_vs_reference={psnr(out01, ref01):.6f}")
+            print(f"psnr_vs_reference={psnr(out01, reference):.6f}")
         return EXIT_OK
     except ImageIOError as exc:
         print(f"error [{stage}]: {exc}", file=sys.stderr)

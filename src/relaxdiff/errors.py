@@ -17,10 +17,6 @@ class ParameterError(RelaxdiffError, ValueError):
     """A parameter violates its documented constraint."""
 
 
-class RangeError(RelaxdiffError, ValueError):
-    """Input values lie outside the declared interval."""
-
-
 class SymmetryError(RelaxdiffError, ValueError):
     """A tensor that must be symmetric is not, beyond tolerance."""
 

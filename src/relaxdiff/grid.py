@@ -200,7 +200,7 @@ def face_average_tensors(hfield: Array, grid: GridSpec) -> Array:
     return out
 
 
-def inner(u: Array, v: Array, grid: GridSpec) -> float:
+def inner(u: Array, v: Array) -> float:
     """Grid inner product of two fields of equal shape (unit cell volume)."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -209,8 +209,8 @@ def inner(u: Array, v: Array, grid: GridSpec) -> float:
     return float(np.einsum("i,i->", u.ravel(), v.ravel()))
 
 
-def l2_norm(u: Array, grid: GridSpec) -> float:
-    return float(np.sqrt(max(inner(u, u, grid), 0.0)))
+def l2_norm(u: Array) -> float:
+    return float(np.sqrt(max(inner(u, u), 0.0)))
 
 
 def mean_free(u: Array, grid: GridSpec) -> Array:

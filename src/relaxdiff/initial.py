@@ -1,4 +1,7 @@
-"""Input preparation: rescaling, synthetic noise, and the initial diffusivity.
+"""Input preparation: the working range, synthetic noise, and the initial diffusivity.
+
+Images enter on [0, 1] and the filter works on [-1, 1]; rescale and
+unrescale are the one place that decision lives.
 
 The initial diffusivity field estimates, per pixel, the sample covariance of
 the vectorised color gradient over a small window (the observable stand-in
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, RangeError
+from .errors import ParameterError
 from .grid import GridSpec, check_image, gradient
 from .mollifier import _correlate1d
 
@@ -33,22 +36,14 @@ class NoiseSpec:
             raise ParameterError("noise seed must be >= 0")
 
 
-def rescale(u_raw: Array, lo: float, hi: float) -> Array:
-    """Affine map of [lo, hi] onto [-1, 1], the filter's working range."""
-    if not (hi > lo and math.isfinite(hi - lo)):
-        raise ParameterError("rescale needs finite lo < hi with a finite hi - lo")
-    u_raw = np.asarray(u_raw, dtype=float)
-    slack = 1e-12 * (hi - lo)
-    if u_raw.size and (u_raw.min() < lo - slack or u_raw.max() > hi + slack):
-        raise RangeError(f"values outside [{lo}, {hi}]")
-    return (u_raw - lo) * (2.0 / (hi - lo)) - 1.0
+def rescale(u01: Array) -> Array:
+    """Map [0, 1] (the loaded image's v/255) onto [-1, 1], the filter's working range."""
+    return np.asarray(u01, dtype=float) * 2.0 - 1.0
 
 
-def unrescale(u: Array, lo: float, hi: float) -> Array:
-    """Inverse of rescale."""
-    if not hi > lo:
-        raise ParameterError("unrescale needs hi > lo")
-    return (np.asarray(u, dtype=float) + 1.0) * (0.5 * (hi - lo)) + lo
+def unrescale(u: Array) -> Array:
+    """Inverse of rescale: [-1, 1] back onto [0, 1]."""
+    return (np.asarray(u, dtype=float) + 1.0) * 0.5
 
 
 def add_noise(u: Array, spec: NoiseSpec) -> Array:

@@ -169,25 +169,25 @@ def _implicit_solve(
         out *= dt
         return np.subtract(x, out, out=out)
 
-    b_nrm = math.sqrt(inner(u, u, grid))
+    b_nrm = math.sqrt(inner(u, u))
     if b_nrm == 0.0:
         return np.zeros_like(u), 0
     x = u.copy()
     r = u - apply_a(x)
     p = r.copy()
     tmp = np.empty_like(u)
-    rs = inner(r, r, grid)
+    rs = inner(r, r)
     if math.sqrt(rs) <= cg_tol * b_nrm:
         return x, 0
     for it in range(1, max_iter + 1):
         ap = apply_a(p)
-        pap = inner(p, ap, grid)
+        pap = inner(p, ap)
         if not pap > 0.0:  # the operator is SPD: only rounding at extreme scales gets here
             raise SolverError(f"{where}: CG broke down at iteration {it}", residual=math.sqrt(rs) / b_nrm)
         alpha = rs / pap
         x += np.multiply(p, alpha, out=tmp)
         r -= np.multiply(ap, alpha, out=tmp)
-        rs_new = inner(r, r, grid)
+        rs_new = inner(r, r)
         if math.sqrt(rs_new) <= cg_tol * b_nrm:
             x += (_channel_sums(u, grid) - _channel_sums(x, grid)) / grid.ncells
             return x, it
@@ -232,10 +232,10 @@ def energy(state: FilterState, p: FilterParams, grid: GridSpec) -> float:
     part, which is what this functional measures.
     """
     umf = mean_free(state.u, grid)
-    term_u = 0.5 * inner(umf, umf, grid)
+    term_u = 0.5 * inner(umf, umf)
     f0 = response_zero(p.response, grid.channels, grid.ndim)
     diff = np.asarray(state.H, dtype=float) - f0
-    term_h = 0.5 * p.tau * inner(diff, diff, grid)
+    term_h = 0.5 * p.tau * inner(diff, diff)
     return term_u + term_h
 
 
@@ -319,7 +319,7 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec, keep_
         traces.append(
             TraceRecord(
                 t=t,
-                l2_norm_u=l2_norm(u, grid),
+                l2_norm_u=l2_norm(u),
                 mass=tuple(_channel_sums(u, grid)),
                 energy=energy(FilterState(t=t, u=u, H=h), p, grid),
                 min_eig_H=min_eig,

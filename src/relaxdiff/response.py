@@ -20,7 +20,9 @@ the form evaluated here.
 An optional uniform shift omega adds omega * Id, giving lambda_min >= omega;
 the shifted variant is what the exponential-decay experiments use. A scalar
 response g(|D|) Id with g(r) = 1/(1 + r/lambda) is provided for the
-Perona-Malik style baseline.
+Perona-Malik style baseline. lipschitz_bound gives either response's
+Lipschitz constant over a ball of gradients in closed form; the predicted
+energy-decay rate depends on it.
 """
 
 import math
@@ -125,43 +127,23 @@ def response_zero(p: ResponseParams, k: int, d: int) -> Array:
     return response_field(np.zeros((k, d)), p)
 
 
-def lipschitz_probe(
-    p: ResponseParams,
-    trials: int,
-    radius: float,
-    seed: int = 0,
-    shape: tuple[int, int] = (3, 2),
-) -> float:
-    """Empirical Lipschitz bound of the response over a Frobenius ball.
+def lipschitz_bound(p: ResponseParams, radius: float, n: int) -> float:
+    """Lipschitz constant of the response over the Frobenius ball of `radius`.
 
-    Draws ``trials`` random matrix pairs with norm <= radius and returns the
-    largest ratio ||F(D1) - F(D2)||_F / ||D1 - D2||_F. Deterministic for a
-    given seed. The value plays the role of the response's derivative bound
-    in the predicted energy-decay rate; it is an estimate, not ground truth.
+    n = k*d is the size of the gradient matrices. The ball is convex, so the
+    constant is the largest Frobenius norm of the derivative dF[W] over unit
+    W, in closed form and attained:
+
+    - thresholded projection: below the threshold
+      ||dF[W]||^2 = ((n+6)(D:W)^2 + 2|D|^2|W|^2)/s^4, largest for W along D;
+      above it the projection's derivative is at most sqrt(2)/|D| <= sqrt(2)/s.
+      So the constant is sqrt(n+8) min(radius, s)/s^2;
+    - scalar Perona-Malik: |g'(r)| <= 1/lambda, at r = 0, so sqrt(n)/lambda.
+
+    The shift omega does not enter.
     """
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
-    if radius <= 0:
+    if not radius > 0:
         raise ParameterError("radius must be > 0")
-    rng = np.random.default_rng(seed)
-    k, d = shape
-    n = k * d
-
-    def draw() -> Array:
-        g = rng.standard_normal((k, d))
-        nrm = np.linalg.norm(g.ravel())
-        if nrm == 0.0:
-            return g
-        r = radius * rng.uniform() ** (1.0 / n)
-        return (r / nrm) * g
-
-    best = 0.0
-    for _ in range(trials):
-        d1 = draw()
-        d2 = draw()
-        denom = float(np.linalg.norm(d1 - d2))
-        if denom < 1e-12 * radius:
-            continue
-        num = float(np.linalg.norm(response_field(d1, p) - response_field(d2, p)))
-        best = max(best, num / denom)
-    return best
+    if p.kind == PERONA_MALIK_SCALAR:
+        return math.sqrt(n) / p.lam
+    return math.sqrt(n + 8) * min(radius, p.s) / (p.s * p.s)

@@ -17,7 +17,7 @@ from relaxdiff.initial import NoiseSpec, add_noise, init_H0, rescale, unrescale
 from relaxdiff.integrate import FilterParams, memory_form_check, decay_rate_fit, run
 from relaxdiff.response import (
     ResponseParams,
-    lipschitz_probe,
+    lipschitz_bound,
     response_fs,
     response_zero,
 )
@@ -66,7 +66,7 @@ def test_criterion_2_discrete_a_priori_estimate():
                          response=ResponseParams(s=0.1), alpha=0.1)
         _, traces, (us, _) = run(u0, h0, p, grid, keep_history=True)
         assert len(traces) == 500
-        norms = [l2_norm(mean_free(u, grid), grid) for u in us]
+        norms = [l2_norm(mean_free(u, grid)) for u in us]
         allowed = p.cg_tol * norms[0]
         for a, b in zip(norms, norms[1:]):
             worst = max(worst, b - a)
@@ -109,8 +109,8 @@ def test_criterion_4_discrete_green_identity():
             for _ in range(100):
                 u = rng.standard_normal(grid.field_shape())
                 j = rng.standard_normal(grid.dims + (k, 2))
-                lhs = inner(gradient(u, grid), j, grid)
-                rhs = inner(u, divergence(j, grid), grid)
+                lhs = inner(gradient(u, grid), j)
+                rhs = inner(u, divergence(j, grid))
                 scale = max(1.0, abs(lhs), abs(rhs))
                 residual = abs(lhs + rhs) / scale
                 worst = max(worst, residual)
@@ -145,7 +145,7 @@ def test_criterion_5_energy_decay():
     khat = min(khat0, min(r.min_eig_H for r in traces))
     g0 = gradient(u0, grid)
     radius = max(2.0 * resp.s, float(np.sqrt((g0 ** 2).sum(axis=(-2, -1))).max()))
-    chat = lipschitz_probe(resp, trials=2000, radius=radius, seed=0, shape=(3, 2))
+    chat = lipschitz_bound(resp, radius, 6)
     bound = min(khat * cp / (chat * chat), 1.0 / p.tau)
     ok = monotone and slope <= -0.5 * bound
     check(5, ok, time.perf_counter() - t0, 30.0,
@@ -160,8 +160,8 @@ def test_criterion_6_convergence_to_stationary_point():
     p = FilterParams(tau=0.5, sigma=0.0, dt=2.0, t_end=t_end, response=resp, alpha=0.1)
     state, _ = run(u0, h0, p, grid)
 
-    init_mf = l2_norm(mean_free(u0, grid), grid)
-    final_mf = l2_norm(mean_free(state.u, grid), grid)
+    init_mf = l2_norm(mean_free(u0, grid))
+    final_mf = l2_norm(mean_free(state.u, grid))
     f0 = response_zero(resp, 3, 2)
     dev0 = float(np.linalg.norm((h0 - f0).reshape(-1, 36), axis=-1).max())
     devT = float(np.linalg.norm((state.H - f0).reshape(-1, 36), axis=-1).max())
@@ -242,15 +242,15 @@ def test_criterion_10_end_to_end_denoising():
     t0 = time.perf_counter()
     clean01, rmap = disk_image(n=64, radius=20.0)
     grid = GridSpec(dims=(64, 64), channels=3)
-    work = rescale(clean01, 0.0, 1.0)
+    work = rescale(clean01)
     noisy = add_noise(work, NoiseSpec(std=0.1, seed=3))
     h0 = init_H0(noisy, grid, window=5, alpha=0.1)
     p = FilterParams(tau=0.5, sigma=1.0, dt=0.1, t_end=2.0,
                      response=ResponseParams(s=0.1), alpha=0.1)  # CLI defaults
     state, _ = run(noisy, h0, p, grid)
 
-    out01 = np.clip(unrescale(state.u, 0.0, 1.0), 0.0, 1.0)
-    noisy01 = np.clip(unrescale(noisy, 0.0, 1.0), 0.0, 1.0)
+    out01 = np.clip(unrescale(state.u), 0.0, 1.0)
+    noisy01 = np.clip(unrescale(noisy), 0.0, 1.0)
     gain = psnr(out01, clean01) - psnr(noisy01, clean01)
 
     g = gradient(out01, grid)

@@ -62,7 +62,7 @@ class TestRunBaseline:
         mass0 = u0.reshape(-1, 3).sum(axis=0)
         for r in traces:
             np.testing.assert_allclose(r.mass, mass0, atol=1e-9 * np.abs(u0).sum())
-        norms = [l2_norm(u0, grid)] + [r.l2_norm_u for r in traces]
+        norms = [l2_norm(u0)] + [r.l2_norm_u for r in traces]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
 
     def test_perona_malik_warns_and_runs(self, rng):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from relaxdiff.cli import (
     EXIT_INVARIANT,
     EXIT_IO,
     EXIT_OK,
+    _build_parser,
     build_config,
     load_image,
     main,
@@ -161,15 +163,21 @@ class TestMainPipeline:
         save_image(img, str(path))
         return path
 
-    def test_identity_pipeline_byte_exact(self, tmp_path):
-        inp = self.write_disk(tmp_path)
-        out = tmp_path / "out.ppm"
-        code = main([
-            "--input", str(inp), "--output", str(out),
-            "--noise-std", "0", "--t-end", "0",
-        ])
-        assert code == EXIT_OK
-        assert out.read_bytes() == inp.read_bytes()
+    def test_identity_pipeline_byte_exact(self, tmp_path, capsys):
+        # Every 8-bit level, RGB and grey, goes to [-1, 1] and back with no
+        # filter step in between.
+        for magic, channels in ((b"P6", 3), (b"P5", 1)):
+            inp = tmp_path / f"levels{channels}.pnm"
+            levels = (np.arange(16 * 16 * channels) % 256).astype(np.uint8)
+            inp.write_bytes(magic + b"\n16 16\n255\n" + levels.tobytes())
+            out = tmp_path / f"out{channels}.pnm"
+            code = main([
+                "--input", str(inp), "--output", str(out),
+                "--noise-std", "0", "--t-end", "0",
+            ])
+            assert code == EXIT_OK
+            assert out.read_bytes() == inp.read_bytes()
+            assert capsys.readouterr().out == "psnr_vs_input=99.000000\n"
 
     def test_determinism_byte_identical(self, tmp_path):
         inp = self.write_disk(tmp_path)
@@ -244,15 +252,17 @@ class TestMainPipeline:
             assert "error [filtering]: the mollified baseline requires sigma >= 0.5" in capsys.readouterr().err
         # config error: a config file that is not ASCII or holds a value that
         # does not parse, a negative noise seed (with or without noise) or
-        # std, a step count that overflows or exceeds the cap, an infinite
-        # intensity range, a baseline tau <= 0, a bump kernel that is the
-        # identity, flags that do not parse
+        # std, a step count that overflows or exceeds the cap, a baseline
+        # tau <= 0, a bump kernel that is the identity, flags that do not
+        # parse, and the removed intensity-range flags and config key
         cfg_file = tmp_path / "accent.cfg"
         cfg_file.write_bytes("tau = 0.5  # r\u00e9glage\n".encode("utf-8"))
         bad_value = tmp_path / "bad-value.cfg"
         bad_value.write_text("dt = 0.1\ntau = abc\n")
         bad_mode = tmp_path / "bad-mode.cfg"
         bad_mode.write_text("mode = bogus\n")
+        range_key = tmp_path / "range.cfg"
+        range_key.write_text("lo = 0\n")
         for flags, message in (
             (["--config", str(cfg_file)], "accent.cfg"),
             (["--config", str(bad_value)], f"config file {bad_value}: argument --tau: invalid float value: 'abc'"),
@@ -262,8 +272,6 @@ class TestMainPipeline:
             (["--noise-std", "-0.1"], "error [configuration]: noise std must be finite and >= 0"),
             (["--dt", "1e-320"], "t_end / dt"),
             (["--dt", "1e-300"], "t_end / dt"),
-            (["--hi", "inf"], "finite"),
-            (["--lo=-1e308", "--hi", "1e308"], "error [rescaling]: rescale needs finite lo < hi with a finite hi - lo"),
             (["--omega", "-1e-05"], "error [configuration]: omega must be >= 0"),
             (["--t-end", "-inf"], "error [configuration]: t_end must be finite"),
             (["--tau", "-1E+2"], "error [configuration]: tau must be > 0"),
@@ -274,6 +282,9 @@ class TestMainPipeline:
             (["--tau", "abc"], "error [configuration]: argument --tau: invalid float value: 'abc'"),
             (["--mode", "bogus"], "argument --mode: invalid choice: 'bogus'"),
             (["--bogus-flag", "1"], "unrecognized arguments: --bogus-flag 1"),
+            (["--lo", "0"], "error [configuration]: unrecognized arguments: --lo 0"),
+            (["--hi=1"], "error [configuration]: unrecognized arguments: --hi=1"),
+            (["--config", str(range_key)], f"{range_key}:1: unknown config key 'lo'"),
         ):
             assert main(["--input", str(inp), "--output", str(out), *flags]) == EXIT_CONFIG, flags
             err = capsys.readouterr().err
@@ -337,3 +348,11 @@ class TestMainPipeline:
             "--kernel", "bump", "--sigma", "2.0", "--dt", "0.2", "--t-end", "0.4",
         ])
         assert code == EXIT_OK and out.exists()
+
+
+def test_readme_flags_paragraph_names_every_flag():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = re.search(r"^Flags: (.*?)\.\s", readme, re.M | re.S).group(1)
+    named = set(re.findall(r"`(--[\w-]+)", listed))
+    options = {opt for action in _build_parser()._actions for opt in action.option_strings}
+    assert named == options - {"-h", "--help"}

@@ -168,7 +168,7 @@ class TestStepU:
         mass_in = u.reshape(-1, 3).sum(axis=0)
         mass_out = out.reshape(-1, 3).sum(axis=0)
         np.testing.assert_allclose(mass_out, mass_in, atol=1e-10 * np.abs(u).sum())
-        assert l2_norm(out, grid) <= l2_norm(u, grid) * (1 + 1e-12)
+        assert l2_norm(out) <= l2_norm(u) * (1 + 1e-12)
 
     def test_solver_error_carries_residual(self, rng):
         grid = GridSpec(dims=(16, 16), channels=1)
@@ -212,7 +212,7 @@ class TestRun:
         h0 = init_H0(u0, grid, window=5, alpha=0.1)
         p = FilterParams(tau=0.5, sigma=1.0, dt=0.25, t_end=5.0, response=ResponseParams(s=0.1))
         _, _, (us, _) = run(u0, h0, p, grid, keep_history=True)
-        norms = [l2_norm(mean_free(u, grid), grid) for u in us]
+        norms = [l2_norm(mean_free(u, grid)) for u in us]
         tol = p.cg_tol * norms[0]
         assert all(b <= a + tol for a, b in zip(norms, norms[1:]))
 
@@ -231,7 +231,7 @@ class TestRun:
         h0 = init_H0(u0, grid, window=3, alpha=0.1)
         p = FilterParams(tau=0.5, sigma=0.0, dt=1000.0, t_end=3000.0, response=ResponseParams(s=0.1))
         _, traces = run(u0, h0, p, grid)
-        prev = l2_norm(u0, grid)
+        prev = l2_norm(u0)
         for r in traces:
             assert r.l2_norm_u <= prev * (1 + p.cg_tol)
             prev = r.l2_norm_u

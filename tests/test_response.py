@@ -7,7 +7,8 @@ from relaxdiff.errors import ParameterError
 from relaxdiff.response import (
     PERONA_MALIK_SCALAR,
     ResponseParams,
-    lipschitz_probe,
+    lipschitz_bound,
+    response_field,
     response_fs,
     response_pm,
 )
@@ -172,48 +173,61 @@ class TestResponsePm:
         assert prev < 1e-7
 
 
-class TestLipschitzProbe:
+def unit(m):
+    """Each matrix of a stack scaled to Frobenius norm 1."""
+    return m / np.linalg.norm(m.reshape(m.shape[0], -1), axis=1)[:, None, None]
+
+
+RESPONSES = [
+    ResponseParams(s=0.1, omega=0.5),
+    ResponseParams(kind=PERONA_MALIK_SCALAR, lam=0.3, omega=0.2),
+]
+
+
+class TestLipschitzBound:
+    @pytest.mark.parametrize("p", RESPONSES, ids=["fs", "pm"])
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 2), (3, 2)], ids=["n2", "n4", "n6"])
+    @pytest.mark.parametrize("radius", [0.05, 0.2])  # below and above s = 0.1
+    def test_above_every_drawn_slope(self, rng, p, shape, radius):
+        n = shape[0] * shape[1]
+        bound = lipschitz_bound(p, radius, n)
+        eps = 1e-6 * radius
+        trials = 3000
+        # drawn uniformly in the ball shrunk by eps, so both samples lie in the ball
+        base = unit(rng.standard_normal((trials,) + shape))
+        base *= (radius - eps) * rng.uniform(size=trials)[:, None, None] ** (1.0 / n)
+        direction = rng.standard_normal((trials,) + shape)
+        # half the directions run along the base point, where the response changes fastest
+        direction[::2] = base[::2]
+        direction = unit(direction)
+        diff = response_field(base + eps * direction, p) - response_field(base - eps * direction, p)
+        slopes = np.linalg.norm(diff.reshape(trials, -1), axis=1) / (2 * eps)
+        assert slopes.max() <= bound * (1 + 1e-6)
+        assert slopes.max() >= 0.5 * bound
+
+    @pytest.mark.parametrize("p", RESPONSES, ids=["fs", "pm"])
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 2), (3, 2)], ids=["n2", "n4", "n6"])
+    @pytest.mark.parametrize("radius", [0.05, 0.2])
+    def test_tight_pair_attains_the_bound(self, rng, p, shape, radius):
+        n = shape[0] * shape[1]
+        e = rng.standard_normal(shape)
+        e /= np.linalg.norm(e)
+        if p.kind == PERONA_MALIK_SCALAR:
+            d1, d2 = 1e-8 * p.lam * e, np.zeros(shape)  # g' is steepest at 0
+        else:
+            r = min(radius, p.s)  # |dF| grows with |D| up to the threshold
+            d1, d2 = r * e, r * (1 - 1e-7) * e
+        slope = np.linalg.norm(response_field(d1, p) - response_field(d2, p)) / np.linalg.norm(d1 - d2)
+        assert slope == pytest.approx(lipschitz_bound(p, radius, n), rel=1e-6)
+
     def test_near_constant_response(self):
         p = ResponseParams(kind=PERONA_MALIK_SCALAR, lam=1e12)
-        c = lipschitz_probe(p, trials=200, radius=1.0, seed=1)
-        assert c == pytest.approx(0.0, abs=1e-10)
+        assert lipschitz_bound(p, 1.0, 6) == pytest.approx(0.0, abs=1e-10)
 
-    def test_deterministic(self):
-        p = ResponseParams(s=1.0)
-        a = lipschitz_probe(p, trials=300, radius=0.5, seed=42)
-        b = lipschitz_probe(p, trials=300, radius=0.5, seed=42)
-        assert a == b
-
-    def test_within_finite_difference_bound(self, rng):
-        # Inside the smooth branch the response is a quadratic polynomial in D;
-        # bound its derivative by central finite differences along random
-        # directions at random base points, then compare the probe against the
-        # largest observed directional slope (plus slack for pair placement).
-        s = 1.0
-        p = ResponseParams(s=s)
-        radius = 0.1
-        probe = lipschitz_probe(p, trials=500, radius=radius, seed=3, shape=(2, 2))
-        assert np.isfinite(probe) and probe > 0.0
-
-        worst_slope = 0.0
-        eps = 1e-6
-        for _ in range(400):
-            base = rng.standard_normal((2, 2))
-            base *= radius * rng.uniform() / np.linalg.norm(base)
-            direction = rng.standard_normal((2, 2))
-            direction /= np.linalg.norm(direction)
-            fp = response_fs(base + eps * direction, p)
-            fm = response_fs(base - eps * direction, p)
-            worst_slope = max(worst_slope, np.linalg.norm(fp - fm) / (2 * eps))
-        # Analytic maximum over the ball exceeds any sampled slope; the probe
-        # must not exceed the ball's true bound, estimated with 20% headroom.
-        assert probe <= 1.2 * max(worst_slope, 1e-30) + 1e-12
-
-    def test_validates_arguments(self):
-        with pytest.raises(ParameterError):
-            lipschitz_probe(ResponseParams(), trials=0, radius=1.0)
-        with pytest.raises(ParameterError):
-            lipschitz_probe(ResponseParams(), trials=5, radius=0.0)
+    def test_validates_radius(self):
+        for radius in (0.0, -1.0, math.nan):
+            with pytest.raises(ParameterError):
+                lipschitz_bound(ResponseParams(), radius, 6)
 
 
 class TestResponseParamsValidation:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaxdiff.errors import DimensionError, SymmetryError
-from relaxdiff.grid import GridSpec, inner
+from relaxdiff.grid import inner
 from relaxdiff.response import ResponseParams, response_fs
 from relaxdiff.tensors import MIN_EIG_BLOCK, _cholesky_breaks_down, apply, min_eig_field, require_symmetric
 
@@ -29,7 +29,7 @@ def proj_orth(dhat):
 
 def frobenius(a, b):
     """The Frobenius product of two k x d matrices: grid.inner, which the filter sums with."""
-    return inner(a, b, GridSpec.from_field(a))
+    return inner(a, b)
 
 
 class TestFrobenius:
