@@ -1,11 +1,11 @@
 """Cell-local work split into row bands over the CPUs this process may use.
 
-``for_bands(fn, n, work)`` cuts ``range(n)`` (axis 0 of a field) into
-contiguous bands and calls ``fn(start, stop)`` once per band on WORKERS
-threads, one pinned to each CPU of the affinity mask, while the calling
-thread waits. numpy releases the interpreter lock inside its ufuncs and
-einsum, so the bands run in parallel, and the threads at work never
-outnumber the CPUs. One CPU means no threads and a plain call.
+``for_bands(fn, n, work)`` cuts ``range(n)`` (axis 0 of a field, or its
+flattened cells) into contiguous bands and calls ``fn(start, stop)`` once
+per band on WORKERS threads, one pinned to each CPU of the affinity mask,
+while the calling thread waits. numpy releases the interpreter lock inside
+its ufuncs and einsum, so the bands run in parallel, and the threads at work
+never outnumber the CPUs. One CPU means no threads and a plain call.
 
 The pinning is what makes the bands parallel. On a 2-vCPU virtual machine,
 unpinned threads that hand the interpreter lock back and forth were often
@@ -21,8 +21,12 @@ and writes: small fields run as one plain call, and the banded kernels split
 only where the split was measured to pay.
 
 The banded kernels are ``grid.gradient``, ``grid.divergence``,
-``grid.face_average_tensors``, ``tensors.apply`` and
-``integrate._relax_H``.
+``grid.face_average_tensors`` and ``integrate._relax_H``, in rows, and
+``tensors.apply``, in flattened cells. The gradient and the divergence
+band the spatial axis 0 of their component-first fields, (k, d) + dims, so
+a band is a slice of every component at once. ``face_average_tensors`` and
+``tensors.apply`` each get their scratch buffers from the caller, as the
+rules below ask.
 
 A band function must keep three rules, which keep the output bits and the
 memory the same as those of one call over all rows:

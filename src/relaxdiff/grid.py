@@ -1,9 +1,13 @@
 """Discrete differential operators on the pixel grid.
 
-Fields are cell-centered numpy arrays of shape dims + (k,). The discrete
-gradient takes forward differences along each axis; the value for the face
-between cells x and x+e_j is stored at slot (x, :, j), and the last slot per
-axis (which has no forward face) holds zero. The divergence is built as the
+Image fields are cell-centered numpy arrays of shape dims + (k,). The
+discrete gradient takes forward differences along each axis. It is stored
+component-first, with shape (k, d) + dims: the value for the face between
+cells x and x+e_j is at slot (:, j, x), so each component is one contiguous
+cell field, and the last slot per axis (which has no forward face) holds
+zero. Fluxes share that layout, and so do the face-averaged tensors, (kd, kd)
++ dims, which the CG operator applies to the gradient cell by cell
+(``tensors.apply``). The divergence is built as the
 exact negative adjoint of this gradient under the plain grid inner products,
 with zero flux through all boundary faces. That pairing is what the no-flux
 boundary treatment means discretely: summation by parts holds to rounding,
@@ -13,7 +17,9 @@ div(apply(face_average_tensors(H), grad u)) is exactly symmetric and coercive.
 The gradient and the divergence run in row bands over the CPUs
 (``relaxdiff.bands``), each element computed by the same operations in the
 same order as in one pass over the field, so their bits do not depend on the
-CPU count. The inner product sums with numpy's einsum loop, which is
+CPU count. Each reads or writes the image field through a channel-first view,
+one ufunc call per axis for all channels; the face averaging runs in row
+bands too. The inner product sums with numpy's einsum loop, which is
 single-threaded, and not with BLAS, whose dot product splits long vectors
 over threads and so rounds differently with the number of threads.
 """
@@ -28,7 +34,7 @@ from .errors import DimensionError, ParameterError
 
 Array = np.ndarray
 
-FACE_AVERAGE_CHUNK = 1 << 16  # float64 elements per band scratch buffer of face_average_tensors
+FACE_AVERAGE_CHUNK = 1 << 16  # float64 elements per scratch buffer of a face_average_tensors band
 
 
 @dataclass(frozen=True)
@@ -88,22 +94,24 @@ def _axis_slices(ndim: int, axis: int):
 
 
 def gradient(u: Array, grid: GridSpec) -> Array:
-    """Forward-difference gradient field of shape dims + (k, d)."""
+    """Forward-difference gradient field of shape (k, d) + dims, component-first."""
     u = check_image(u, grid)
     d = grid.ndim
     n0 = grid.dims[0]
-    out = np.empty(grid.dims + (grid.channels, d))
+    uk = np.moveaxis(u, -1, 0)  # (k,) + dims view: one ufunc call per axis covers every channel
+    out = np.empty((grid.channels, d) + grid.dims)
 
     def band(start: int, stop: int) -> None:
         # Axis 0 reads one row past the band; the last row has no forward face.
         top = min(stop, n0 - 1)
-        np.subtract(u[start + 1:top + 1], u[start:top], out=out[start:top, ..., 0])
-        out[top:stop, ..., 0] = 0.0
-        ub, ob = u[start:stop], out[start:stop]
+        np.subtract(uk[:, start + 1:top + 1], uk[:, start:top], out=out[:, 0, start:top])
+        out[:, 0, top:stop] = 0.0
+        ub = uk[:, start:stop]
         for j in range(1, d):
-            lo, hi, last = _axis_slices(d, j)
-            np.subtract(ub[hi], ub[lo], out=ob[lo + (slice(None), j)])
-            ob[last + (slice(None), j)] = 0.0
+            lo, hi, last = ((slice(None),) + s for s in _axis_slices(d, j))
+            ob = out[:, j, start:stop]
+            np.subtract(ub[hi], ub[lo], out=ob[lo])
+            ob[last] = 0.0
 
     for_bands(band, n0, u.size + out.size)
     return out
@@ -112,30 +120,33 @@ def gradient(u: Array, grid: GridSpec) -> Array:
 def divergence(jfield: Array, grid: GridSpec) -> Array:
     """Negative adjoint of ``gradient``; boundary faces carry zero flux.
 
-    The padding slot of each axis (last cell) is ignored, which realises the
-    vanishing normal flux: sum over all cells of the output is exactly zero.
+    jfield has the gradient's layout, (k, d) + dims; the result is an image
+    field, dims + (k,). The padding slot of each axis (last cell) is
+    ignored, which realises the vanishing normal flux: sum over all cells of
+    the output is exactly zero.
     """
     jfield = np.asarray(jfield, dtype=float)
     d = grid.ndim
-    if jfield.shape != grid.dims + (grid.channels, d):
+    if jfield.shape != (grid.channels, d) + grid.dims:
         raise DimensionError(
-            f"flux shape {jfield.shape} != {grid.dims + (grid.channels, d)}"
+            f"flux shape {jfield.shape} != {(grid.channels, d) + grid.dims}"
         )
     n0 = grid.dims[0]
     out = np.zeros(grid.field_shape())
+    ok = np.moveaxis(out, -1, 0)  # (k,) + dims view, as the flux is laid out
 
     def band(start: int, stop: int) -> None:
         # Per element: + its own face, - the face behind it, axis by axis.
         # Axis 0 reads the flux of one row before the band; the last row's
         # slot is a boundary face and carries no flux.
         top = min(stop, n0 - 1)
-        out[start:top] += jfield[start:top, ..., 0]
+        ok[:, start:top] += jfield[:, 0, start:top]
         first = max(start, 1)
-        out[first:stop] -= jfield[first - 1:stop - 1, ..., 0]
-        jb, ob = jfield[start:stop], out[start:stop]
+        ok[:, first:stop] -= jfield[:, 0, first - 1:stop - 1]
+        ob = ok[:, start:stop]
         for j in range(1, d):
-            lo, hi, _ = _axis_slices(d, j)
-            f = jb[..., j][lo]  # interior faces only; boundary flux is zero
+            lo, hi, _ = ((slice(None),) + s for s in _axis_slices(d, j))
+            f = jfield[:, j, start:stop][lo]  # interior faces only; boundary flux is zero
             ob[lo] += f
             ob[hi] -= f
 
@@ -146,21 +157,26 @@ def divergence(jfield: Array, grid: GridSpec) -> Array:
 def face_average_tensors(hfield: Array, grid: GridSpec) -> Array:
     """One tensor per cell slot, averaged from the tensors at its forward faces.
 
-    Each forward face between x and x+e_j carries the arithmetic mean of the
-    two adjacent cell tensors; the slot tensor is the mean over the cell's
-    existing forward faces (the far corner keeps its own tensor). Being a
-    convex combination of cell tensors, the result stays symmetric and keeps
-    any shared eigenvalue floor, which makes the diffusion form exactly
-    symmetric and coercive.
+    hfield is cell-first, dims + (kd, kd); the result is component-first,
+    (kd, kd) + dims, the layout ``tensors.apply`` reads. Each forward face
+    between x and x+e_j carries the arithmetic mean of the two adjacent cell
+    tensors; the slot tensor is the mean over the cell's existing forward
+    faces (the far corner keeps its own tensor). Being a convex combination
+    of cell tensors, the result stays symmetric and keeps any shared
+    eigenvalue floor, which makes the diffusion form exactly symmetric and
+    coercive.
 
     Per element the sum starts from 0.0 (so a first term of -0.0 gives
     +0.0), adds 0.5 (h[x] + h[x + e_j]) axis by axis and divides by the face
-    count. The rows run in bands, a few rows at a time through one buffer
-    per band, so the only field-sized array is the output.
+    count. The rows run in bands, a few rows at a time: each chunk of rows
+    is summed and divided cell-first in two buffers per band, reading H
+    contiguously, then copied into the output's entry planes. The only
+    field-sized array is the output.
     """
     hfield = np.asarray(hfield, dtype=float)
     d = grid.ndim
     n0 = grid.dims[0]
+    kd2 = hfield.shape[-1] * hfield.shape[-2]
     # Face counts of the cells of a row: its faces along axes 1.., plus the
     # axis-0 face in every row but the last. Small integers, exact in float.
     faces = np.zeros(grid.dims[1:])
@@ -169,32 +185,35 @@ def face_average_tensors(hfield: Array, grid: GridSpec) -> Array:
     count = (faces + 1.0)[..., None, None]
     last_count = np.maximum(faces, 1.0)[..., None, None]  # the corner's 0 -> 1
     corner = tuple(n - 1 for n in grid.dims)
-    out = np.empty_like(hfield)
+    out = np.empty(hfield.shape[-2:] + grid.dims)
+    planes = out.reshape(kd2, n0, -1)  # one (row, cell of the row) plane per tensor entry
     work = 2 * hfield.size
     chunk = max(1, FACE_AVERAGE_CHUNK // hfield[0].size)
     edges = band_edges(n0, work)
-    scratch = {start: np.empty((min(chunk, stop - start),) + hfield.shape[1:])
+    scratch = {start: np.empty((2, min(chunk, stop - start)) + hfield.shape[1:])
                for start, stop in zip(edges, edges[1:])}
 
     def band(start: int, stop: int) -> None:
         for a in range(start, stop, chunk):
             b = min(a + chunk, stop)
             top = min(b, n0 - 1) - a  # rows a .. a+top-1 have an axis-0 face
-            ob, hb, tmp = out[a:b], hfield[a:b], scratch[start][:b - a]
-            np.add(hb[:top], hfield[a + 1:a + top + 1], out=ob[:top])
-            ob[:top] *= 0.5
-            ob[:top] += 0.0
-            ob[top:] = 0.0
+            hb = hfield[a:b]
+            acc, tmp = scratch[start][:, :b - a]
+            np.add(hb[:top], hfield[a + 1:a + top + 1], out=acc[:top])
+            acc[:top] *= 0.5
+            acc[:top] += 0.0
+            acc[top:] = 0.0
             for j in range(1, d):
                 lo, hi, _ = _axis_slices(d, j)
                 t = tmp[lo]
                 np.add(hb[lo], hb[hi], out=t)
                 t *= 0.5
-                ob[lo] += t
-            ob[:top] /= count
-            ob[top:] /= last_count
+                acc[lo] += t
+            acc[:top] /= count
+            acc[top:] /= last_count
+            np.copyto(planes[:, a:b], acc.reshape(b - a, -1, kd2).transpose(2, 0, 1))
         if stop == n0:
-            out[corner] = hfield[corner]
+            out[(...,) + corner] = hfield[corner]
 
     for_bands(band, n0, work)
     return out

@@ -7,7 +7,9 @@ The initial diffusivity field estimates, per pixel, the sample covariance of
 the vectorised color gradient over a small window (the observable stand-in
 for the unobservable noise-gradient covariance), then adds alpha * Id. The
 shift guarantees the eigenvalue floor the integrator's admissibility
-precondition asks for, by construction.
+precondition asks for, by construction. It reads the gradient in its own
+component-first layout, one contiguous cell field per component, and
+returns a cell-first tensor field, dims + (kd, kd), as run() takes H0.
 """
 
 import math
@@ -96,8 +98,8 @@ def init_H0(u_noisy: Array, grid: GridSpec, window: int, alpha: float) -> Array:
         raise ParameterError("alpha must be > 0")
     u = check_image(u_noisy, grid)
     kd = grid.channels * grid.ndim
-    # One contiguous cell field per gradient component.
-    gflat = np.moveaxis(gradient(u, grid).reshape(grid.dims + (kd,)), -1, 0).copy()
+    # One contiguous cell field per gradient component: the gradient's own layout.
+    gflat = gradient(u, grid).reshape((kd,) + grid.dims)
 
     valid = np.ones(grid.dims)
     for axis, n in enumerate(grid.dims):

@@ -159,9 +159,10 @@ def _implicit_solve(
     channel's lost mass back, spread evenly over the cells: the exact
     solution's channel means are u's, and constants are an eigenspace of the
     operator, so this moves x toward it and keeps the mass to rounding at
-    any dt. x, r and p are updated in place through one scratch buffer;
-    ``where`` names the solve in the SolverError raised when the tolerance
-    is not reached.
+    any dt. x, r and p are updated in place, the products going through
+    the buffer of A p, which is not read again: the solve holds no scratch
+    buffer while the operator runs. ``where`` names the solve in the
+    SolverError raised when the tolerance is not reached.
     """
 
     def apply_a(x: Array) -> Array:
@@ -175,7 +176,6 @@ def _implicit_solve(
     x = u.copy()
     r = u - apply_a(x)
     p = r.copy()
-    tmp = np.empty_like(u)
     rs = inner(r, r)
     if math.sqrt(rs) <= cg_tol * b_nrm:
         return x, 0
@@ -185,8 +185,9 @@ def _implicit_solve(
         if not pap > 0.0:  # the operator is SPD: only rounding at extreme scales gets here
             raise SolverError(f"{where}: CG broke down at iteration {it}", residual=math.sqrt(rs) / b_nrm)
         alpha = rs / pap
-        x += np.multiply(p, alpha, out=tmp)
-        r -= np.multiply(ap, alpha, out=tmp)
+        r -= np.multiply(ap, alpha, out=ap)
+        x += np.multiply(p, alpha, out=ap)
+        del ap
         rs_new = inner(r, r)
         if math.sqrt(rs_new) <= cg_tol * b_nrm:
             x += (_channel_sums(u, grid) - _channel_sums(x, grid)) / grid.ncells

@@ -6,17 +6,27 @@ diffusivity tensor acts linearly on such matrices; with the pair index
 (k*d) x (k*d) matrix. k*d stays small (6 for RGB images in 2D), so dense
 storage and dense symmetric eigensolvers are the right tool.
 
+Tensor fields come in two layouts. H is cell-first, dims + (kd, kd), one
+tensor per cell, which the symmetry check and the eigenvalue functions take.
+The face tensors the CG operator applies are component-first, (kd, kd) +
+dims, one contiguous cell field per entry, and ``apply`` takes them with a
+component-first gradient, (k, d) + dims.
+
 All functions here are pure and safe to call concurrently. ``apply`` splits
-its cells into row bands over the CPUs of the affinity mask
-(``relaxdiff.bands``); each cell's sum runs in the same order as in one call
-over all cells, so its output bits do not depend on the CPU count.
+its cells into bands over the CPUs of the affinity mask
+(``relaxdiff.bands``). Its summation order is spelled out: for each output
+element, the even-indexed products in index order from +0.0, then the odd
+ones, then the sum of the two. So its bits depend neither on the CPU count
+nor on how numpy unrolls a reduction. For kd <= 6 it is also the order
+numpy's einsum takes over cell-first tensors, which the golden digests pin.
 """
 
 import functools
+import math
 
 import numpy as np
 
-from .bands import for_bands
+from .bands import band_edges, for_bands
 from .errors import DimensionError, SymmetryError
 
 Array = np.ndarray
@@ -29,6 +39,9 @@ SYMMETRY_RTOL = 1e-12
 MIN_EIG_SAMPLE = 64
 MIN_EIG_BLOCK = 4096
 MIN_EIG_MARGIN = 4
+
+# apply: cells per einsum call, and so per band's buffer of odd sums.
+APPLY_CHUNK = 1 << 15
 
 
 def require_symmetric(h: Array) -> None:
@@ -44,27 +57,44 @@ def require_symmetric(h: Array) -> None:
                 raise SymmetryError(f"tensor entries ({a}, {b}) and ({b}, {a}) differ beyond tolerance")
 
 
-def apply(h: Array, dmat: Array) -> Array:
+def apply(h: Array, g: Array) -> Array:
     """Apply tensors to k x d matrices cell by cell: (H D)_ij = sum_IJ H_ijIJ D_IJ.
 
-    h has shape dims + (k*d, k*d) and dmat dims + (k, d); a single tensor and
-    matrix are a field with dims = (), too small to run as more than one band.
+    Both are component-first: h has shape (k*d, k*d) + dims and g (k, d) +
+    dims, and so does the result's (k, d) + dims. A single tensor and matrix
+    are a field with dims = (). With p_b = h_ab g_b, each output element sums
+    the even b in index order starting from +0.0, then the odd b the same
+    way, and adds the two sums: one einsum over each parity, whose strided b
+    axis keeps einsum on its in-order loop, and one add. The cells run in
+    bands, APPLY_CHUNK cells at a time, the odd sums going through one
+    buffer per band.
     """
     h = np.asarray(h, dtype=float)
-    dmat = np.asarray(dmat, dtype=float)
-    if dmat.ndim < 2:
-        raise DimensionError(f"expected k x d matrices, got shape {dmat.shape}")
-    k, d = dmat.shape[-2:]
-    if h.shape != dmat.shape[:-2] + (k * d, k * d):
-        raise DimensionError(f"tensor shape {h.shape} does not fit matrix shape {dmat.shape}")
-    flat = dmat.reshape(dmat.shape[:-2] + (k * d,))
-    out = np.empty_like(flat)
+    g = np.asarray(g, dtype=float)
+    if g.ndim < 2:
+        raise DimensionError(f"expected k x d matrices, got shape {g.shape}")
+    kd = g.shape[0] * g.shape[1]
+    if h.shape != (kd, kd) + g.shape[2:]:
+        raise DimensionError(f"tensor shape {h.shape} does not fit matrix shape {g.shape}")
+    n = math.prod(g.shape[2:])
+    hf = h.reshape(kd, kd, n)
+    gf = g.reshape(kd, n)
+    out = np.empty((kd, n))
+    work = h.size + 2 * g.size
+    edges = band_edges(n, work)
+    scratch = {start: np.empty((kd, min(APPLY_CHUNK, stop - start)))
+               for start, stop in zip(edges, edges[1:])}
 
-    def band(lo: int, hi: int) -> None:
-        np.einsum("...ab,...b->...a", h[lo:hi], flat[lo:hi], out=out[lo:hi])
+    def band(start: int, stop: int) -> None:
+        for a in range(start, stop, APPLY_CHUNK):
+            b = min(a + APPLY_CHUNK, stop)
+            ob, odd = out[:, a:b], scratch[start][:, :b - a]
+            np.einsum("abn,bn->an", hf[:, 0::2, a:b], gf[0::2, a:b], out=ob)
+            np.einsum("abn,bn->an", hf[:, 1::2, a:b], gf[1::2, a:b], out=odd)
+            ob += odd
 
-    for_bands(band, flat.shape[0], h.size + 2 * flat.size)
-    return out.reshape(dmat.shape)
+    for_bands(band, n, work)
+    return out.reshape(g.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from relaxdiff import bands
 from relaxdiff.grid import GridSpec
 
 
@@ -19,6 +20,27 @@ def random_psd_field(rng, dims, n, floor=0.0):
     m = rng.standard_normal((cells, n, n))
     field = np.einsum("cij,ckj->cik", m, m) / n + floor * np.eye(n)
     return field.reshape(tuple(dims) + (n, n))
+
+
+def apply_in_order(h, g):
+    """tensors.apply spelled out with ufuncs, one cell field per product.
+
+    h is (kd, kd) + dims and g (k, d) + dims. Each output component sums the
+    even b in index order starting from +0.0, then the odd b the same way,
+    and adds the two sums.
+    """
+    kd = g.shape[0] * g.shape[1]
+    gf = g.reshape((kd,) + g.shape[2:])
+    out = np.empty_like(gf)
+    for a in range(kd):
+        sums = []
+        for parity in (0, 1):
+            total = np.zeros(gf.shape[1:])
+            for b in range(parity, kd, 2):
+                total = np.add(total, np.multiply(h[a, b], gf[b]))
+            sums.append(total)
+        out[a] = np.add(sums[0], sums[1])
+    return out.reshape(g.shape)
 
 
 def smooth_image(n, k=3, amps=(0.6, 0.5, 0.4)):
@@ -53,3 +75,10 @@ def rng():
 @pytest.fixture
 def grid_16x16_rgb():
     return GridSpec(dims=(16, 16), channels=3)
+
+
+@pytest.fixture
+def set_workers(monkeypatch):
+    """Let for_bands use up to `workers` bands, even on tiny fields."""
+    monkeypatch.setattr(bands, "BAND_MIN_WORK", 1)
+    return lambda workers: monkeypatch.setattr(bands, "WORKERS", workers)

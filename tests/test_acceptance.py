@@ -108,7 +108,7 @@ def test_criterion_4_discrete_green_identity():
             grid = GridSpec(dims=(n, n), channels=k)
             for _ in range(100):
                 u = rng.standard_normal(grid.field_shape())
-                j = rng.standard_normal(grid.dims + (k, 2))
+                j = rng.standard_normal((k, 2) + grid.dims)
                 lhs = inner(gradient(u, grid), j)
                 rhs = inner(u, divergence(j, grid))
                 scale = max(1.0, abs(lhs), abs(rhs))
@@ -144,7 +144,7 @@ def test_criterion_5_energy_decay():
     assert min_eig_field(h0) == khat0
     khat = min(khat0, min(r.min_eig_H for r in traces))
     g0 = gradient(u0, grid)
-    radius = max(2.0 * resp.s, float(np.sqrt((g0 ** 2).sum(axis=(-2, -1))).max()))
+    radius = max(2.0 * resp.s, float(np.sqrt((g0 ** 2).sum(axis=(0, 1))).max()))
     chat = lipschitz_bound(resp, radius, 6)
     bound = min(khat * cp / (chat * chat), 1.0 / p.tau)
     ok = monotone and slope <= -0.5 * bound
@@ -227,8 +227,8 @@ def test_criterion_9_response_function_suite():
             continuity &= gap <= bound * eps
 
     # positive semidefiniteness over 10^4 random matrices
-    dfield = rng.standard_normal((100, 100, 3, 2))
-    dfield *= rng.uniform(0.01, 30.0, size=(100, 100))[..., None, None] / 10.0
+    dfield = rng.standard_normal((3, 2, 100, 100))
+    dfield *= rng.uniform(0.01, 30.0, size=(100, 100)) / 10.0
     f = response_fs(dfield, p)
     min_eig = float(np.min(np.linalg.eigvalsh(f)))
     psd = min_eig >= -1e-10
@@ -254,7 +254,7 @@ def test_criterion_10_end_to_end_denoising():
     gain = psnr(out01, clean01) - psnr(noisy01, clean01)
 
     g = gradient(out01, grid)
-    mag = np.sqrt((g ** 2).sum(axis=(-2, -1)))
+    mag = np.sqrt((g ** 2).sum(axis=(0, 1)))
     rings = np.round(rmap).astype(int)
     profile = np.array([mag[rings == rr].mean() if np.any(rings == rr) else 0.0 for rr in range(30)])
     edge_ring = int(np.argmax(profile))

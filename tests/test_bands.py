@@ -18,14 +18,7 @@ from relaxdiff.mollifier import grad_sigma
 from relaxdiff.response import response_field
 from relaxdiff.tensors import apply
 
-from conftest import random_psd_field
-
-
-@pytest.fixture
-def set_workers(monkeypatch):
-    """Let for_bands use up to `workers` bands, even on tiny fields."""
-    monkeypatch.setattr(bands, "BAND_MIN_WORK", 1)
-    return lambda workers: monkeypatch.setattr(bands, "WORKERS", workers)
+from conftest import apply_in_order, random_psd_field
 
 
 def test_bands_cover_every_row_once(set_workers):
@@ -176,26 +169,27 @@ def _face_average_ref(hfield, grid):
     return out
 
 
-@pytest.mark.parametrize("dims", [(2, 5), (7, 3), (9,)])
+@pytest.mark.parametrize("dims", [(2, 5), (7, 3), (9,), (3, 4, 5)])
 @pytest.mark.parametrize("channels", [3, 1])
 def test_kernels_bit_equal_for_1_2_3_bands(dims, channels, rng, set_workers):
     grid = GridSpec(dims=dims, channels=channels)
     kd = channels * grid.ndim
     u = rng.standard_normal(grid.field_shape())
-    jfield = rng.standard_normal(grid.dims + (channels, grid.ndim))
+    jfield = rng.standard_normal((channels, grid.ndim) + grid.dims)
     h = random_psd_field(rng, dims, kd, floor=0.1)
     # Face terms of -0.0: a sum that starts from 0.0 makes them +0.0, and the
     # far corner keeps its own -0.0.
     h[:2, ..., 0, -1] = -0.0
     h[-1, ..., 0, -1] = -0.0
+    hk = np.moveaxis(h, (-2, -1), (0, 1)).copy()  # h component-first, as apply takes it
     p = FilterParams(tau=0.4, sigma=1.0, dt=0.3)
     theta = math.exp(-p.dt / p.tau)
     f = response_field(grad_sigma(u, p.kernel(), grid), p.response)
     reference = {
-        "gradient": _gradient_ref(u, grid),
-        "divergence": _divergence_ref(jfield, grid),
-        "apply": np.einsum("...ab,...b->...a", h, jfield.reshape(dims + (kd,))).reshape(jfield.shape),
-        "face_average_tensors": _face_average_ref(h, grid),
+        "gradient": np.moveaxis(_gradient_ref(u, grid), (-2, -1), (0, 1)),
+        "divergence": _divergence_ref(np.moveaxis(jfield, (0, 1), (-2, -1)), grid),
+        "apply": apply_in_order(hk, jfield),
+        "face_average_tensors": np.moveaxis(_face_average_ref(h, grid), (-2, -1), (0, 1)),
         "_relax_H": theta * h + (1.0 - theta) * f,
     }
     for workers in (1, 2, 3):
@@ -205,9 +199,10 @@ def test_kernels_bit_equal_for_1_2_3_bands(dims, channels, rng, set_workers):
         got = {
             "gradient": gradient(u, grid),
             "divergence": divergence(jfield, grid),
-            "apply": apply(h, jfield),
+            "apply": apply(hk, jfield),
             "face_average_tensors": face_average_tensors(h, grid),
             "_relax_H": relaxed,
         }
         for name, value in got.items():
+            assert value.shape == reference[name].shape, name
             assert value.tobytes() == reference[name].tobytes(), f"{name} with {workers} bands"

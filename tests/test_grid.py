@@ -45,8 +45,8 @@ class TestGradient:
         grid = GridSpec(dims=(5,), channels=1)
         u = np.arange(5, dtype=float)[:, None]
         g = gradient(u, grid)
-        np.testing.assert_array_equal(g[:4, 0, 0], 1.0)
-        assert g[4, 0, 0] == 0.0  # boundary slot carries no face
+        np.testing.assert_array_equal(g[0, 0, :4], 1.0)
+        assert g[0, 0, 4] == 0.0  # boundary slot carries no face
 
     def test_linearity_scaling(self, rng):
         grid = GridSpec(dims=(8, 8), channels=3)
@@ -62,23 +62,23 @@ class TestGradient:
         grid = GridSpec(dims=(5, 7), channels=2)
         u = rng.standard_normal(grid.field_shape())
         g = gradient(u, grid)
-        np.testing.assert_array_equal(g[:-1, :, :, 0], u[1:] - u[:-1])
-        np.testing.assert_array_equal(g[:, :-1, :, 1], u[:, 1:] - u[:, :-1])
-        np.testing.assert_array_equal(g[-1, :, :, 0], 0.0)
-        np.testing.assert_array_equal(g[:, -1, :, 1], 0.0)
+        np.testing.assert_array_equal(g[:, 0, :-1], np.moveaxis(u[1:] - u[:-1], -1, 0))
+        np.testing.assert_array_equal(g[:, 1, :, :-1], np.moveaxis(u[:, 1:] - u[:, :-1], -1, 0))
+        np.testing.assert_array_equal(g[:, 0, -1], 0.0)
+        np.testing.assert_array_equal(g[:, 1, :, -1], 0.0)
 
 
 class TestDivergence:
     def test_zero(self):
         grid = GridSpec(dims=(4, 4), channels=2)
-        j = np.zeros(grid.dims + (2, 2))
+        j = np.zeros((2, 2) + grid.dims)
         np.testing.assert_array_equal(divergence(j, grid), 0.0)
 
     def test_adjointness_random(self, rng):
         grid = GridSpec(dims=(16, 16), channels=3)
         for _ in range(10):
             u = rng.standard_normal(grid.field_shape())
-            j = rng.standard_normal(grid.dims + (3, 2))
+            j = rng.standard_normal((3, 2) + grid.dims)
             pairing_grad = inner(gradient(u, grid), j)
             pairing_div = inner(u, divergence(j, grid))
             scale = max(abs(pairing_grad), abs(pairing_div), 1.0)
@@ -87,7 +87,7 @@ class TestDivergence:
     def test_total_divergence_vanishes(self, rng):
         for dims in ((7,), (5, 6), (4, 3, 5)):
             grid = GridSpec(dims=dims, channels=2)
-            j = rng.standard_normal(dims + (2, len(dims)))
+            j = rng.standard_normal((2, len(dims)) + dims)
             total = divergence(j, grid).reshape(-1, 2).sum(axis=0)
             np.testing.assert_allclose(total, 0.0, atol=1e-12)
 
@@ -161,8 +161,8 @@ class TestDiffusionApply:
         grid = GridSpec(dims=(6, 6), channels=2)
         hfield = random_psd_field(rng, grid.dims, 4, floor=0.2)
         havg = face_average_tensors(hfield, grid)
-        np.testing.assert_allclose(havg, np.swapaxes(havg, -1, -2), atol=1e-14)
-        assert float(np.min(np.linalg.eigvalsh(havg))) >= 0.2 - 1e-10
+        np.testing.assert_allclose(havg, np.swapaxes(havg, 0, 1), atol=1e-14)
+        assert float(np.min(np.linalg.eigvalsh(np.moveaxis(havg, (0, 1), (-2, -1))))) >= 0.2 - 1e-10
 
 
 class TestPoincareEstimate:

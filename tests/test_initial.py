@@ -18,7 +18,7 @@ def brute_force_H0(u, grid, window, alpha):
     """
     g = gradient(u, grid)
     kd = grid.channels * grid.ndim
-    gflat = g.reshape(grid.dims + (kd,))
+    gflat = np.moveaxis(g.reshape((kd,) + grid.dims), 0, -1)
     half = window // 2
     out = np.zeros(grid.dims + (kd, kd))
     for idx in np.ndindex(*grid.dims):
@@ -47,7 +47,7 @@ def all_products_H0(u, grid, window, alpha):
     """
     g = gradient(u, grid)
     kd = grid.channels * grid.ndim
-    gflat = g.reshape(grid.dims + (kd,))
+    gflat = np.moveaxis(g.reshape((kd,) + grid.dims), 0, -1)
     valid = np.ones(grid.dims)
     for axis in range(grid.ndim):
         valid[(slice(None),) * axis + (-1,)] = 0.0

@@ -101,7 +101,7 @@ class TestStepH:
         grid = GridSpec(dims=(4, 4), channels=1)
         alpha = 0.37
         p = FilterParams(tau=0.8, sigma=0.0, dt=0.8, alpha=alpha)
-        monkeypatch.setattr(integrate_mod, "response_field", lambda d, rp: np.zeros(d.shape[:-2] + (2, 2)))
+        monkeypatch.setattr(integrate_mod, "response_field", lambda d, rp: np.zeros(d.shape[2:] + (2, 2)))
         u = np.zeros(grid.field_shape())
         h = identity_field(grid.dims, 2, scale=alpha)
         _relax_H(u, h, p, grid, p.kernel())
@@ -302,7 +302,7 @@ class TestRun:
         h0 = identity_field(grid.dims, 2, scale=0.2)
         monkeypatch.setattr(
             integrate_mod, "response_field",
-            lambda d, rp: np.broadcast_to(-np.eye(2), d.shape[:-2] + (2, 2)).copy(),
+            lambda d, rp: np.broadcast_to(-np.eye(2), d.shape[2:] + (2, 2)).copy(),
         )
         p = FilterParams(tau=0.1, sigma=0.0, dt=1.0, t_end=3.0, alpha=0.2)
         with pytest.raises(InvariantViolation) as err:

@@ -189,7 +189,7 @@ class TestGradSigma:
         xx = np.arange(n, dtype=float)[:, None] * np.ones(n)[None, :]
         u = (0.03 * xx)[..., None]
         out = grad_sigma(u, Kernel(sigma=1.0), grid)
-        interior = out[8 : n - 8, 8 : n - 8, 0, 0]
+        interior = out[0, 0, 8 : n - 8, 8 : n - 8]
         np.testing.assert_allclose(interior, 0.03, atol=1e-10)
 
     def test_sharp_mode_bit_for_bit(self, rng):

@@ -121,23 +121,23 @@ class TestResponseFs:
 class TestResponseFsField:
     def test_matches_single_cell(self, rng):
         p = ResponseParams(s=0.3, omega=0.1)
-        dfield = 0.5 * rng.standard_normal((5, 4, 3, 2))
+        dfield = 0.5 * rng.standard_normal((3, 2, 5, 4))
         out = response_fs(dfield, p)
         for i in range(5):
             for j in range(4):
-                np.testing.assert_allclose(out[i, j], response_fs(dfield[i, j], p), atol=1e-13)
+                np.testing.assert_allclose(out[i, j], response_fs(dfield[..., i, j], p), atol=1e-13)
 
     def test_zero_field_exact(self):
         p = ResponseParams(s=0.1)
-        out = response_fs(np.zeros((3, 3, 2, 2)), p)
+        out = response_fs(np.zeros((2, 2, 3, 3)), p)
         np.testing.assert_array_equal(out, np.broadcast_to(1.5 * np.eye(4), (3, 3, 4, 4)))
 
     def test_same_bits_as_two_branch_form(self, rng):
         # Each branch evaluated on the whole field, then selected per cell.
         # Bytes are compared, so a -0.0 where the branches give +0.0 fails.
-        dfield = 0.06 * rng.standard_normal((6, 5, 3, 2))
-        dfield[0] = 0.0
-        v = dfield.reshape(6, 5, 6)
+        dfield = 0.06 * rng.standard_normal((3, 2, 6, 5))
+        dfield[:, :, 0] = 0.0
+        v = np.moveaxis(dfield.reshape(6, 6, 5), 0, -1).copy()  # cell-first, as einsum sums it
         nrm2 = np.einsum("...a,...a->...", v, v)
         outer = np.einsum("...a,...b->...ab", v, v)
         for s, omega in ((0.1, 0.0), (0.2, 0.05)):
@@ -200,7 +200,9 @@ class TestLipschitzBound:
         # half the directions run along the base point, where the response changes fastest
         direction[::2] = base[::2]
         direction = unit(direction)
-        diff = response_field(base + eps * direction, p) - response_field(base - eps * direction, p)
+        # The stacks hold one matrix per cell; the responses take them component-first.
+        plus, minus = (np.moveaxis(base + sign * eps * direction, 0, -1) for sign in (1, -1))
+        diff = response_field(plus, p) - response_field(minus, p)
         slopes = np.linalg.norm(diff.reshape(trials, -1), axis=1) / (2 * eps)
         assert slopes.max() <= bound * (1 + 1e-6)
         assert slopes.max() >= 0.5 * bound

@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relaxdiff import tensors
 from relaxdiff.errors import DimensionError, SymmetryError
 from relaxdiff.grid import inner
 from relaxdiff.response import ResponseParams, response_fs
 from relaxdiff.tensors import MIN_EIG_BLOCK, _cholesky_breaks_down, apply, min_eig_field, require_symmetric
 
-from conftest import random_psd_field, random_symmetric_tensor
+from conftest import apply_in_order, random_psd_field, random_symmetric_tensor
+
+# A k x d gradient shape for each tensor size kd = k d the order test covers.
+KD_SHAPES = {1: (1, 1), 2: (1, 2), 3: (3, 1), 4: (2, 2), 6: (3, 2), 8: (4, 2), 9: (3, 3)}
 
 
 def char_poly_eig_bounds(h):
@@ -81,6 +85,36 @@ class TestApply:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             apply(np.eye(4), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("dims", [(), (1,), (2, 5), (7, 3), (3, 4, 5)])
+    @pytest.mark.parametrize("kd", sorted(KD_SHAPES))
+    def test_sums_in_the_spelled_out_order(self, kd, dims, rng, set_workers, monkeypatch):
+        k, d = KD_SHAPES[kd]
+        # Magnitudes from 1e-6 to 1e6, so that any other order rounds differently.
+        h = rng.standard_normal((kd, kd) + dims) * 10.0 ** rng.integers(-6, 7, (kd, kd) + dims)
+        g = rng.standard_normal((k, d) + dims) * 10.0 ** rng.integers(-6, 7, (k, d) + dims)
+        # Signed zeros: the first cell's products are all zeros of both signs,
+        # and the last cell's first row is -0.0.
+        g.reshape(kd, -1)[:, 0] = -0.0
+        h.reshape(kd, kd, -1)[0, :, -1] = -0.0
+        expected = apply_in_order(h, g)
+        if kd <= 6:
+            # The cell-first einsum the golden digests were recorded with sums
+            # in this order too.
+            cell_first = np.einsum(
+                "...ab,...b->...a",
+                np.moveaxis(h, (0, 1), (-2, -1)).copy(),
+                np.moveaxis(g.reshape((kd,) + dims), 0, -1).copy(),
+            )
+            assert np.moveaxis(cell_first, -1, 0).tobytes() == expected.tobytes()
+        chunks = (tensors.APPLY_CHUNK, 2)
+        for workers in (1, 2, 3):
+            set_workers(workers)
+            for chunk in chunks:
+                monkeypatch.setattr(tensors, "APPLY_CHUNK", chunk)
+                got = apply(h, g)
+                assert got.shape == g.shape
+                assert got.tobytes() == expected.tobytes(), f"{workers} bands, {chunk}-cell chunks"
 
 
 class TestProjectOrth:
@@ -177,13 +211,13 @@ class TestSelfAdjointness:
 
 class TestFieldHelpers:
     def test_apply_field_matches_per_cell(self, rng):
-        hfield = rng.standard_normal((4, 5, 6, 6))
-        hfield = 0.5 * (hfield + np.swapaxes(hfield, -1, -2))
-        dfield = rng.standard_normal((4, 5, 3, 2))
+        hfield = rng.standard_normal((6, 6, 4, 5))
+        hfield = 0.5 * (hfield + np.swapaxes(hfield, 0, 1))
+        dfield = rng.standard_normal((3, 2, 4, 5))
         out = apply(hfield, dfield)
         for i in range(4):
             for j in range(5):
-                np.testing.assert_allclose(out[i, j], apply(hfield[i, j], dfield[i, j]), atol=1e-13)
+                np.testing.assert_allclose(out[..., i, j], apply(hfield[..., i, j], dfield[..., i, j]), atol=1e-13)
 
     def test_min_eig_field(self, rng):
         hfield = np.stack([np.eye(4), 0.3 * np.eye(4)])
