@@ -20,11 +20,12 @@ least BAND_MIN_WORK of the call's ``work``, the float64 elements it reads
 and writes: small fields run as one plain call, and the banded kernels split
 only where the split was measured to pay.
 
-The banded kernels are ``grid.gradient``, ``grid.divergence``,
-``grid.face_average_tensors`` and ``integrate._relax_H``, in rows, and
-``tensors.apply``, in flattened cells. The gradient and the divergence
-band the spatial axis 0 of their component-first fields, (k, d) + dims, so
-a band is a slice of every component at once. ``face_average_tensors`` and
+The banded kernels are ``grid.gradient``, ``grid.divergence`` and
+``grid.face_average_tensors``, in rows, ``tensors.apply``, in flattened
+cells, and ``integrate._relax_H``, in the flattened values of H. The
+gradient, the divergence and the face averaging band the spatial axis 0 of
+their component-first fields, (k, d) + dims and (kd, kd) + dims, so a band
+is a slice of every component at once. ``face_average_tensors`` and
 ``tensors.apply`` each get their scratch buffers from the caller, as the
 rules below ask.
 

@@ -5,8 +5,9 @@ discrete gradient takes forward differences along each axis. It is stored
 component-first, with shape (k, d) + dims: the value for the face between
 cells x and x+e_j is at slot (:, j, x), so each component is one contiguous
 cell field, and the last slot per axis (which has no forward face) holds
-zero. Fluxes share that layout, and so do the face-averaged tensors, (kd, kd)
-+ dims, which the CG operator applies to the gradient cell by cell
+zero. Fluxes share that layout, and tensor fields have the matching one,
+(kd, kd) + dims: the face averaging takes H and returns the face tensors
+so, and the CG operator applies them to the gradient cell by cell
 (``tensors.apply``). The divergence is built as the
 exact negative adjoint of this gradient under the plain grid inner products,
 with zero flux through all boundary faces. That pairing is what the no-flux
@@ -34,7 +35,7 @@ from .errors import DimensionError, ParameterError
 
 Array = np.ndarray
 
-FACE_AVERAGE_CHUNK = 1 << 16  # float64 elements per scratch buffer of a face_average_tensors band
+FACE_AVERAGE_CHUNK = 1 << 16  # float64 values per chunk of face_average_tensors, and per band's buffer
 
 
 @dataclass(frozen=True)
@@ -157,63 +158,76 @@ def divergence(jfield: Array, grid: GridSpec) -> Array:
 def face_average_tensors(hfield: Array, grid: GridSpec) -> Array:
     """One tensor per cell slot, averaged from the tensors at its forward faces.
 
-    hfield is cell-first, dims + (kd, kd); the result is component-first,
-    (kd, kd) + dims, the layout ``tensors.apply`` reads. Each forward face
-    between x and x+e_j carries the arithmetic mean of the two adjacent cell
-    tensors; the slot tensor is the mean over the cell's existing forward
-    faces (the far corner keeps its own tensor). Being a convex combination
-    of cell tensors, the result stays symmetric and keeps any shared
-    eigenvalue floor, which makes the diffusion form exactly symmetric and
-    coercive.
+    hfield and the result are component-first, (kd, kd) + dims, the layout
+    ``tensors.apply`` reads; any other shape raises DimensionError. Each
+    forward face between x and x+e_j carries the arithmetic mean of the two
+    adjacent cell tensors; the slot tensor is the mean over the cell's
+    existing forward faces (the far corner keeps its own tensor). Being a
+    convex combination of cell tensors, the result stays symmetric and keeps
+    any shared eigenvalue floor, which makes the diffusion form exactly
+    symmetric and coercive.
 
     Per element the sum starts from 0.0 (so a first term of -0.0 gives
     +0.0), adds 0.5 (h[x] + h[x + e_j]) axis by axis and divides by the face
-    count. The rows run in bands, a few rows at a time: each chunk of rows
-    is summed and divided cell-first in two buffers per band, reading H
-    contiguously, then copied into the output's entry planes. The only
-    field-sized array is the output.
+    count. The rows run in bands, a chunk of whole rows at a time, read as
+    flat cells of a group of entry planes: the neighbour along axis j lies
+    prod(dims[j+1:]) cells further on. A chunk and a group hold about
+    FACE_AVERAGE_CHUNK values together (few long planes keep the CPU caches
+    from thrashing on planes a power of two apart). The axis-0 terms go
+    straight into the output; those of the other axes go through one buffer
+    per band, in which the pairs that wrap past the end of axis j are set to
+    0.0 before they are added. Adding +0.0 leaves every sum as it is, since
+    a sum that starts from 0.0 is never -0.0. The only field-sized array is
+    the output.
     """
     hfield = np.asarray(hfield, dtype=float)
+    kd = grid.channels * grid.ndim
+    if hfield.shape != (kd, kd) + grid.dims:
+        raise DimensionError(f"tensor field shape {hfield.shape} != {(kd, kd) + grid.dims}")
     d = grid.ndim
     n0 = grid.dims[0]
-    kd2 = hfield.shape[-1] * hfield.shape[-2]
+    row = math.prod(grid.dims[1:])
     # Face counts of the cells of a row: its faces along axes 1.., plus the
     # axis-0 face in every row but the last. Small integers, exact in float.
     faces = np.zeros(grid.dims[1:])
     for j in range(1, d):
         faces[_axis_slices(d - 1, j - 1)[0]] += 1.0
-    count = (faces + 1.0)[..., None, None]
-    last_count = np.maximum(faces, 1.0)[..., None, None]  # the corner's 0 -> 1
+    count = (faces + 1.0).ravel()
+    last_count = np.maximum(faces, 1.0).ravel()  # the corner's 0 -> 1
     corner = tuple(n - 1 for n in grid.dims)
-    out = np.empty(hfield.shape[-2:] + grid.dims)
-    planes = out.reshape(kd2, n0, -1)  # one (row, cell of the row) plane per tensor entry
+    out = np.empty(hfield.shape)
+    hp = hfield.reshape(kd * kd, -1)  # one flat cell plane per tensor entry
+    op = out.reshape(kd * kd, -1)
     work = 2 * hfield.size
-    chunk = max(1, FACE_AVERAGE_CHUNK // hfield[0].size)
     edges = band_edges(n0, work)
-    scratch = {start: np.empty((2, min(chunk, stop - start)) + hfield.shape[1:])
-               for start, stop in zip(edges, edges[1:])}
+    rows = min(max(1, FACE_AVERAGE_CHUNK // row), max(np.diff(edges)))  # rows per chunk
+    planes = min(kd * kd, max(1, FACE_AVERAGE_CHUNK // (rows * row)))  # entry planes per chunk
+    scratch = {start: np.empty((planes, rows * row)) for start in edges[:-1]}
 
     def band(start: int, stop: int) -> None:
-        for a in range(start, stop, chunk):
-            b = min(a + chunk, stop)
+        for a in range(start, stop, rows):
+            b = min(a + rows, stop)
+            lo, hi = a * row, b * row
             top = min(b, n0 - 1) - a  # rows a .. a+top-1 have an axis-0 face
-            hb = hfield[a:b]
-            acc, tmp = scratch[start][:, :b - a]
-            np.add(hb[:top], hfield[a + 1:a + top + 1], out=acc[:top])
-            acc[:top] *= 0.5
-            acc[:top] += 0.0
-            acc[top:] = 0.0
-            for j in range(1, d):
-                lo, hi, _ = _axis_slices(d, j)
-                t = tmp[lo]
-                np.add(hb[lo], hb[hi], out=t)
-                t *= 0.5
-                acc[lo] += t
-            acc[:top] /= count
-            acc[top:] /= last_count
-            np.copyto(planes[:, a:b], acc.reshape(b - a, -1, kd2).transpose(2, 0, 1))
+            mid = top * row
+            for e in range(0, kd * kd, planes):
+                f = min(e + planes, kd * kd)
+                hb, acc, t = hp[e:f, lo:hi], op[e:f, lo:hi], scratch[start][:f - e, :hi - lo]
+                np.add(hb[:, :mid], hp[e:f, lo + row:lo + row + mid], out=acc[:, :mid])
+                acc[:, :mid] *= 0.5
+                acc[:, :mid] += 0.0
+                acc[:, mid:] = 0.0
+                for j in range(1, d):
+                    stride = math.prod(grid.dims[j + 1:])
+                    np.add(hb[:, :-stride], hb[:, stride:], out=t[:, :-stride])
+                    t.reshape(f - e, -1, grid.dims[j], stride)[:, :, -1] = 0.0
+                    t *= 0.5
+                    acc += t
+                cells = acc.reshape(f - e, b - a, row)
+                cells[:, :top] /= count
+                cells[:, top:] /= last_count
         if stop == n0:
-            out[(...,) + corner] = hfield[corner]
+            out[(...,) + corner] = hfield[(...,) + corner]
 
     for_bands(band, n0, work)
     return out

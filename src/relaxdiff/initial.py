@@ -9,7 +9,8 @@ for the unobservable noise-gradient covariance), then adds alpha * Id. The
 shift guarantees the eigenvalue floor the integrator's admissibility
 precondition asks for, by construction. It reads the gradient in its own
 component-first layout, one contiguous cell field per component, and
-returns a cell-first tensor field, dims + (kd, kd), as run() takes H0.
+returns a tensor field in the matching layout, (kd, kd) + dims, as run()
+takes H0.
 """
 
 import math
@@ -85,9 +86,10 @@ def init_H0(u_noisy: Array, grid: GridSpec, window: int, alpha: float) -> Array:
     covariance everywhere). Symmetric by construction with
     lambda_min >= alpha.
 
-    Each entry a <= b of the upper triangle is computed once, one
-    cell-sized field at a time, and written to both (a, b) and (b, a); no
-    field of all kd x kd products is formed. Off the diagonal alpha * Id adds
+    The result is component-first, (kd, kd) + dims. Each entry a <= b of
+    the upper triangle is computed once, one cell-sized field at a time, and
+    written to both planes (a, b) and (b, a); no field of all kd x kd
+    products is formed. Off the diagonal alpha * Id adds
     +0.0, which turns a covariance of -0.0 into +0.0.
     """
     if window < 3 or window % 2 == 0:
@@ -113,13 +115,13 @@ def init_H0(u_noisy: Array, grid: GridSpec, window: int, alpha: float) -> Array:
     # A single-sample window has an identically zero numerator, so clamping
     # the divisor just avoids 0/0 there and leaves cov = 0.
     divisor = np.maximum(counts - 1.0, 1.0)
-    h0 = np.empty(grid.dims + (kd, kd))
+    h0 = np.empty((kd, kd) + grid.dims)
     for a in range(kd):
         for b in range(a, kd):
             cov = _window_sums(gflat[a] * gvalid[b], grid.dims, window)
             cov -= s1[a] * s1[b] / counts
             cov /= divisor
             cov += alpha if a == b else 0.0
-            h0[..., a, b] = cov
-            h0[..., b, a] = cov
+            h0[a, b] = cov
+            h0[b, a] = cov
     return h0

@@ -77,7 +77,6 @@ class FilterParams:
     alpha: float = 0.1  # eigenvalue floor of the initial diffusivity
     kernel_kind: str = GAUSSIAN
     cg_tol: float = 1e-10
-    cg_max_iter: int | None = None  # default: 10 sqrt(ncells) + 200
 
     def __post_init__(self):
         for name in ("tau", "sigma", "dt", "t_end", "alpha", "cg_tol"):
@@ -97,8 +96,6 @@ class FilterParams:
             raise ParameterError("alpha must be > 0")
         if not (0.0 < self.cg_tol <= 1e-2):
             raise ParameterError("cg_tol must lie in (0, 1e-2]")
-        if self.cg_max_iter is not None and self.cg_max_iter < 1:
-            raise ParameterError("cg_max_iter must be >= 1")
         self.kernel()  # a kernel that cannot be built fails here, not mid-run
 
     def kernel(self) -> Kernel | None:
@@ -106,17 +103,17 @@ class FilterParams:
             return None
         return Kernel(kind=self.kernel_kind, sigma=self.sigma)
 
-    def max_iter(self, ncells: int) -> int:
-        if self.cg_max_iter is not None:
-            return self.cg_max_iter
-        return int(10 * math.sqrt(ncells)) + 200
+
+def cg_max_iter(ncells: int) -> int:
+    """Iteration cap of every CG solve on a grid of ncells cells."""
+    return int(10 * math.sqrt(ncells)) + 200
 
 
 @dataclass
 class FilterState:
     t: float
     u: Array
-    H: Array
+    H: Array  # component-first, (kd, kd) + dims
 
 
 @dataclass(frozen=True)
@@ -209,19 +206,21 @@ def _relax_H(u_sample: Array, h: Array, p: FilterParams, grid: GridSpec, kern: K
     """Exact relaxation of h over one step, in place, with F frozen at u_sample.
 
     h becomes theta h + (1 - theta) F, each element by the same two products
-    and one sum as the out-of-place expression, in row bands and with no
-    field-sized temporary besides F itself.
+    and one sum as the out-of-place expression, in bands of its flattened
+    values and with no field-sized temporary besides F itself. h must be
+    C-contiguous, as run()'s own copy of H is.
     """
-    f = response_field(grad_sigma(u_sample, kern, grid), p.response)
+    f = response_field(grad_sigma(u_sample, kern, grid), p.response).reshape(-1)
     theta = math.exp(-p.dt / p.tau)
+    flat = h.reshape(-1)
 
     def band(start: int, stop: int) -> None:
-        hb, fb = h[start:stop], f[start:stop]
+        hb, fb = flat[start:stop], f[start:stop]
         hb *= theta
         fb *= 1.0 - theta
         hb += fb
 
-    for_bands(band, h.shape[0], h.size + f.size)
+    for_bands(band, flat.size, 2 * flat.size)
 
 
 def energy(state: FilterState, p: FilterParams, grid: GridSpec) -> float:
@@ -230,12 +229,13 @@ def energy(state: FilterState, p: FilterParams, grid: GridSpec) -> float:
     E = 1/2 ||u - mean||^2 + tau/2 ||H - F(0)||^2 (plain sums over cells).
     The per-channel mean is removed from u because the flux form conserves
     it exactly; convergence toward the flat image happens in the mean-free
-    part, which is what this functional measures.
+    part, which is what this functional measures. The misfit is summed over
+    a C-ordered difference of H's cell-first view, one cell after another.
     """
     umf = mean_free(state.u, grid)
     term_u = 0.5 * inner(umf, umf)
     f0 = response_zero(p.response, grid.channels, grid.ndim)
-    diff = np.asarray(state.H, dtype=float) - f0
+    diff = np.subtract(np.moveaxis(np.asarray(state.H, dtype=float), (0, 1), (-2, -1)), f0, order="C")
     term_h = 0.5 * p.tau * inner(diff, diff)
     return term_u + term_h
 
@@ -261,7 +261,7 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec, keep_
     """
     relax = h is not None
     kern = p.kernel()
-    max_iter = p.max_iter(grid.ncells)
+    max_iter = cg_max_iter(grid.ncells)
     # dt * dt, not dt**2: a finite dt**2 may overflow and raise.
     half_tol = max(p.cg_tol, min(HALF_TOL_MAX, HALF_TOL_PER_DT2 * p.dt * p.dt))
     t = 0.0
@@ -294,7 +294,7 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec, keep_
         min_eig = min_eig_field(h)
         kappa = kappa_predicted(t, p)
         if relax and min_eig < kappa - KAPPA_SLACK:
-            eigs = eigvalsh_field(h)
+            eigs = eigvalsh_field(np.moveaxis(h, (0, 1), (-2, -1)))
             cell = np.unravel_index(int(np.argmin(eigs[..., 0])), grid.dims)
             raise InvariantViolation(
                 f"diffusivity eigenvalue floor broken at t={t:g}: "
@@ -304,7 +304,7 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec, keep_
                     "cell": cell,
                     "kappa_predicted": kappa,
                     "min_eig": min_eig,
-                    "tensor": h[cell].copy(),
+                    "tensor": h[(...,) + cell].copy(),
                     "eigenvalues": eigs[cell].copy(),
                 },
             )
@@ -348,8 +348,10 @@ def run(
 
     Raises InvariantViolation (with a diagnostic dump of the offending cell)
     if any cell's smallest eigenvalue drops below the predicted floor,
-    ParameterError if u0 or H0 holds NaN/inf or the initial diffusivity does
-    not clear alpha, and SymmetryError if a cell tensor of H0 is not symmetric.
+    ParameterError if H0 is not component-first, (kd, kd) + dims, if u0 or H0
+    holds NaN/inf or the initial diffusivity does not clear alpha, and
+    SymmetryError if a cell tensor of H0 is not symmetric. H0, the state's H
+    and the history's tensor fields all share that one layout.
 
     The floor check is certified rather than computed cell by cell: a Cholesky
     factorisation of H minus a sampled upper bound on its smallest eigenvalue
@@ -362,8 +364,8 @@ def run(
     _require_finite("u0", u)
     h = np.asarray(H0, dtype=float).copy()
     kd = grid.channels * grid.ndim
-    if h.shape != grid.dims + (kd, kd):
-        raise ParameterError(f"H0 shape {h.shape} != {grid.dims + (kd, kd)}")
+    if h.shape != (kd, kd) + grid.dims:
+        raise ParameterError(f"H0 shape {h.shape} != {(kd, kd) + grid.dims}")
     _require_finite("H0", h)
     require_symmetric(h)  # the floor check reads one triangle; CG needs a symmetric operator
     init_min = min_eig_field(h)
@@ -424,8 +426,8 @@ def memory_form_check(
     worst = 0.0
     for n in range(steps):
         q = theta * q + (1.0 - theta) * 0.5 * (fs[n] + fs[n + 1])
-        gap = (q - hs[n + 1]).reshape(grid.dims + (-1,))
-        worst = max(worst, float(np.max(np.sqrt(np.sum(gap * gap, axis=-1)))))
+        gap = (q - hs[n + 1]).reshape((-1,) + grid.dims)
+        worst = max(worst, float(np.max(np.sqrt(np.sum(gap * gap, axis=0)))))
     return worst
 
 

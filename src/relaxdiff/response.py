@@ -25,11 +25,10 @@ Lipschitz constant over a ball of gradients in closed form; the predicted
 energy-decay rate depends on it.
 
 The responses read gradient fields component-first, (k, d) + dims, as
-grid.gradient returns them, and return cell-first tensor fields, dims +
-(kd, kd), as H is stored. They run in chunks of cells, each copied
-cell-first into one small buffer: D:D is then numpy's reduction over one
-contiguous row per cell, in the summation order the goldens were recorded
-with.
+grid.gradient returns them, and return tensor fields component-first,
+(kd, kd) + dims, as H is stored, writing one cell field per entry. D:D sums
+the squares in tensors.apply's order: the even components from +0.0, then
+the odd ones, then the two sums.
 """
 
 import math
@@ -68,10 +67,6 @@ class ResponseParams:
             raise ParameterError("lambda must be > 0 for the scalar response")
 
 
-# Cells per chunk of the responses' cell-first copy of the gradient.
-RESPONSE_CHUNK = 4096
-
-
 def _gradient_field(dfield: Array) -> Array:
     dfield = np.asarray(dfield, dtype=float)
     if dfield.ndim < 2:
@@ -79,57 +74,39 @@ def _gradient_field(dfield: Array) -> Array:
     return dfield
 
 
-def _cell_rows(dfield: Array):
-    """Yield (lo, hi, v): the gradients of cells lo..hi-1 as cell-first rows.
-
-    dfield is component-first, (k, d) + dims. Each chunk of RESPONSE_CHUNK
-    cells is copied into one small buffer, so that v[c] is the contiguous
-    vec(D) of a cell: D:D is einsum's reduction over such a row, the
-    summation order the diffusivity's bits are pinned to.
-    """
-    n = dfield.shape[0] * dfield.shape[1]
-    flat = dfield.reshape(n, -1)
-    count = flat.shape[1]
-    rows = np.empty((min(RESPONSE_CHUNK, count), n))
-    for lo in range(0, count, RESPONSE_CHUNK):
-        hi = min(lo + RESPONSE_CHUNK, count)
-        v = rows[:hi - lo]
-        np.copyto(v, flat[:, lo:hi].T)
-        yield lo, hi, v
+def _frobenius_sq(v: Array) -> Array:
+    """D:D of every cell of v, (n, cells): even components from +0.0, then odd, then their sum."""
+    even = np.einsum("an,an->n", v[0::2], v[0::2])
+    return np.add(even, np.einsum("an,an->n", v[1::2], v[1::2]), out=even)
 
 
 def response_fs(dfield: Array, p: ResponseParams) -> Array:
     """Thresholded projection response of every cell of a gradient field.
 
-    dfield is component-first, with shape (k, d) + dims; the result stacks
-    per-cell tensors cell-first, with shape dims + (k*d, k*d). A single
-    k x d matrix is a field with dims = (). The cells run in chunks of
-    RESPONSE_CHUNK, each written straight into the result.
+    dfield is component-first, with shape (k, d) + dims, and so is the
+    result, (k*d, k*d) + dims. A single k x d matrix is a field with
+    dims = ().
     """
     if p.kind != THRESHOLDED_PROJECTION:
         raise ParameterError("response_fs requires the thresholded-projection kind")
     dfield = _gradient_field(dfield)
     n = dfield.shape[0] * dfield.shape[1]
-    cells = dfield.shape[2:]
-    out = np.empty(cells + (n, n))
-    flat_out = out.reshape(-1, n, n)
+    v = dfield.reshape(n, -1)  # one cell field per component
     s2 = p.s * p.s
-    idx = np.arange(n)
-    for lo, hi, v in _cell_rows(dfield):
-        nrm2 = np.einsum("...a,...a->...", v, v)
-        proj_branch = nrm2 >= s2
-        a = np.where(proj_branch, 1.0, 1.5 - 0.5 * (nrm2 / s2))
-        c = np.where(proj_branch, nrm2, s2)
-        ob = flat_out[lo:hi]
-        np.einsum("...a,...b->...ab", v, v, out=ob)
-        ob /= c[..., None, None]
-        diag = a[..., None] - ob[..., idx, idx]
-        # 0 - x, not -x: an off-diagonal +0.0 stays +0.0.
-        np.subtract(0.0, ob, out=ob)
-        ob[..., idx, idx] = diag
-        if p.omega > 0.0:
-            ob += p.omega * np.eye(n)
-    return out
+    nrm2 = _frobenius_sq(v)
+    proj_branch = nrm2 >= s2
+    a = np.where(proj_branch, 1.0, 1.5 - 0.5 * (nrm2 / s2))
+    c = np.where(proj_branch, nrm2, s2)
+    out = np.multiply(v[:, None], v[None, :])
+    out /= c
+    diagonal = np.einsum("aan->an", out)  # a writable view of the diagonal planes
+    diag = a - diagonal
+    # 0 - x, not -x: an off-diagonal +0.0 stays +0.0.
+    np.subtract(0.0, out, out=out)
+    diagonal[...] = diag
+    if p.omega > 0.0:
+        out += p.omega * np.eye(n)[..., None]
+    return out.reshape((n, n) + dfield.shape[2:])
 
 
 def response_pm(dfield: Array, p: ResponseParams) -> Array:
@@ -141,13 +118,8 @@ def response_pm(dfield: Array, p: ResponseParams) -> Array:
         raise ParameterError("response_pm requires the Perona-Malik kind")
     dfield = _gradient_field(dfield)
     n = dfield.shape[0] * dfield.shape[1]
-    cells = dfield.shape[2:]
-    nrm2 = np.empty(math.prod(cells))
-    for lo, hi, v in _cell_rows(dfield):
-        np.einsum("...a,...a->...", v, v, out=nrm2[lo:hi])
-    nrm = np.sqrt(nrm2).reshape(cells)
-    g = 1.0 / (1.0 + nrm / p.lam) + p.omega
-    return g[..., None, None] * np.eye(n)
+    g = 1.0 / (1.0 + np.sqrt(_frobenius_sq(dfield.reshape(n, -1))) / p.lam) + p.omega
+    return np.multiply.outer(np.eye(n), g.reshape(dfield.shape[2:]))
 
 
 def response_field(dfield: Array, p: ResponseParams) -> Array:

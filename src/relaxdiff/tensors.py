@@ -6,11 +6,11 @@ diffusivity tensor acts linearly on such matrices; with the pair index
 (k*d) x (k*d) matrix. k*d stays small (6 for RGB images in 2D), so dense
 storage and dense symmetric eigensolvers are the right tool.
 
-Tensor fields come in two layouts. H is cell-first, dims + (kd, kd), one
-tensor per cell, which the symmetry check and the eigenvalue functions take.
-The face tensors the CG operator applies are component-first, (kd, kd) +
-dims, one contiguous cell field per entry, and ``apply`` takes them with a
-component-first gradient, (k, d) + dims.
+Tensor fields are component-first, (kd, kd) + dims: one contiguous cell
+field per entry, a single tensor being a field with dims = (). H, the face
+tensors and the responses share that layout, and ``apply`` takes it with a
+component-first gradient, (k, d) + dims. Only ``eigvalsh_field`` keeps
+numpy's (..., n, n) layout; its callers pass it moved-axis views.
 
 All functions here are pure and safe to call concurrently. ``apply`` splits
 its cells into bands over the CPUs of the affinity mask
@@ -45,15 +45,15 @@ APPLY_CHUNK = 1 << 15
 
 
 def require_symmetric(h: Array) -> None:
-    """Raise SymmetryError unless every cell tensor of h (shape dims + (n, n)) is symmetric.
+    """Raise SymmetryError unless every cell tensor of h (shape (n, n) + dims) is symmetric.
 
     The tolerance is SYMMETRY_RTOL times max(1, max|h|). The n(n-1)/2 entry
     pairs are compared one cell field at a time: no array of h's size is made.
     """
     tol = SYMMETRY_RTOL * max(1.0, float(np.maximum(h.max(), -h.min())))
-    for a in range(h.shape[-1]):
-        for b in range(a + 1, h.shape[-1]):
-            if float(np.max(np.abs(h[..., a, b] - h[..., b, a]))) > tol:
+    for a in range(h.shape[0]):
+        for b in range(a + 1, h.shape[0]):
+            if float(np.max(np.abs(h[a, b] - h[b, a]))) > tol:
                 raise SymmetryError(f"tensor entries ({a}, {b}) and ({b}, {a}) differ beyond tolerance")
 
 
@@ -103,14 +103,14 @@ def apply(h: Array, g: Array) -> Array:
 
 
 def eigvalsh_field(hfield: Array) -> Array:
-    """Eigenvalues of every cell tensor, ascending along the last axis."""
+    """Eigenvalues of every cell tensor of a (..., n, n) stack, ascending along the last axis."""
     return np.linalg.eigvalsh(hfield)
 
 
 def min_eig_field(hfield: Array) -> float:
-    """Smallest eigenvalue over all cells of a symmetric tensor field.
+    """Smallest eigenvalue over all cells of a symmetric tensor field, (n, n) + dims.
 
-    Equal bit for bit to float(np.min(eigvalsh_field(hfield)[..., 0])), NaN,
+    Equal bit for bit to the minimum of eigvalsh_field over every cell, NaN,
     inf and LinAlgError included, but certified instead of computed cell by
     cell: the MIN_EIG_SAMPLE cells with the smallest diagonal entry give an
     eigenvalue c that bounds the minimum from above, a Cholesky factorisation
@@ -119,12 +119,12 @@ def min_eig_field(hfield: Array) -> float:
     minimum, its near-ties and any non-finite cell) are diagonalised.
     """
     hfield = np.asarray(hfield, dtype=float)
-    n = hfield.shape[-1]
-    cells = hfield.reshape(-1, n, n)
-    count = cells.shape[0]
-    smallest_diag = functools.reduce(np.minimum, [cells[:, i, i] for i in range(n)])
+    n = hfield.shape[0]
+    cells = hfield.reshape(n, n, -1)
+    count = cells.shape[-1]
+    smallest_diag = functools.reduce(np.minimum, [cells[i, i] for i in range(n)])
     sample = np.argpartition(smallest_diag, min(MIN_EIG_SAMPLE, count) - 1)[:MIN_EIG_SAMPLE]
-    c = np.min(eigvalsh_field(cells[sample])[:, 0])
+    c = np.min(eigvalsh_field(np.moveaxis(cells[:, :, sample], -1, 0))[:, 0])
     # delta covers two backward errors, for n x n cells whose entries are
     # bounded by m = max|H| (so ||H||_2 <= n m, and |c| <= n m because c is a
     # cell eigenvalue); u = eps / 2 is the unit roundoff. A Cholesky of
@@ -142,25 +142,26 @@ def min_eig_field(hfield: Array) -> float:
         scale = np.maximum(cells.max(), -cells.min())
         shift = c + MIN_EIG_MARGIN * n**3 * np.finfo(float).eps * scale
         survivors = np.concatenate([
-            start + np.flatnonzero(_cholesky_breaks_down(cells[start:start + MIN_EIG_BLOCK], shift))
+            start + np.flatnonzero(_cholesky_breaks_down(cells[:, :, start:start + MIN_EIG_BLOCK], shift))
             for start in range(0, count, MIN_EIG_BLOCK)
         ])
-    return float(np.min(eigvalsh_field(cells[survivors])[:, 0], initial=c))
+    return float(np.min(eigvalsh_field(np.moveaxis(cells[:, :, survivors], -1, 0))[:, 0], initial=c))
 
 
 def _cholesky_breaks_down(block: Array, shift: float) -> Array:
-    """Mask of the cells of an (m, n, n) block where Cholesky of H - shift I fails.
+    """Mask of the cells of an (n, n, m) block where Cholesky of H - shift I fails.
 
-    Right-looking factorisation vectorised over cells. Like eigvalsh it reads
-    the lower triangle only, and it updates only that triangle, one row at a
-    time. A pivot that is not > 0 (NaN included) marks the cell; it then
-    carries NaN or inf along, so callers silence those warnings.
+    Right-looking factorisation vectorised over cells, on a copy of the
+    block. Like eigvalsh it reads the lower triangle only, and it updates
+    only that triangle, one row at a time. A pivot that is not > 0 (NaN
+    included) marks the cell; it then carries NaN or inf along, so callers
+    silence those warnings.
     """
-    n = block.shape[-1]
-    a = np.moveaxis(block, 0, -1).copy()  # (n, n, m): each entry contiguous over cells
+    n = block.shape[0]
+    a = block.copy()
     diag = np.arange(n)
     a[diag, diag] -= shift
-    completes = np.ones(block.shape[0], dtype=bool)
+    completes = np.ones(block.shape[-1], dtype=bool)
     for j in range(n):
         completes &= a[j, j] > 0.0
         col = a[j + 1:, j] / np.sqrt(a[j, j])

@@ -16,10 +16,11 @@ def random_psd_tensor(rng, n, floor=0.0):
 
 
 def random_psd_field(rng, dims, n, floor=0.0):
+    """A PSD tensor field, component-first: (n, n) + dims."""
     cells = int(np.prod(dims))
     m = rng.standard_normal((cells, n, n))
     field = np.einsum("cij,ckj->cik", m, m) / n + floor * np.eye(n)
-    return field.reshape(tuple(dims) + (n, n))
+    return np.moveaxis(field, 0, -1).reshape((n, n) + tuple(dims)).copy()
 
 
 def apply_in_order(h, g):
@@ -41,6 +42,24 @@ def apply_in_order(h, g):
             sums.append(total)
         out[a] = np.add(sums[0], sums[1])
     return out.reshape(g.shape)
+
+
+def frobenius_sq_in_order(g):
+    """D:D of every cell of a (k, d) + dims gradient field, spelled out with ufuncs.
+
+    The squares of the even components are summed in index order starting
+    from +0.0, then those of the odd ones the same way, and the two sums are
+    added: the order of tensors.apply, which the responses use.
+    """
+    kd = g.shape[0] * g.shape[1]
+    gf = g.reshape((kd,) + g.shape[2:])
+    sums = []
+    for parity in (0, 1):
+        total = np.zeros(gf.shape[1:])
+        for a in range(parity, kd, 2):
+            total = np.add(total, np.multiply(gf[a], gf[a]))
+        sums.append(total)
+    return np.add(sums[0], sums[1])
 
 
 def smooth_image(n, k=3, amps=(0.6, 0.5, 0.4)):

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from relaxdiff import bands
+from relaxdiff import bands, grid as grid_mod
 from relaxdiff.grid import GridSpec, divergence, face_average_tensors, gradient
 from relaxdiff.integrate import FilterParams, _relax_H
 from relaxdiff.mollifier import grad_sigma
@@ -160,18 +160,18 @@ def _face_average_ref(hfield, grid):
         lo = [slice(None)] * d
         hi = [slice(None)] * d
         lo[j], hi[j] = slice(0, -1), slice(1, None)
-        out[tuple(lo)] += 0.5 * (hfield[tuple(lo)] + hfield[tuple(hi)])
+        out[(...,) + tuple(lo)] += 0.5 * (hfield[(...,) + tuple(lo)] + hfield[(...,) + tuple(hi)])
         count[tuple(lo)] += 1.0
     corner = count == 0
     count[corner] = 1.0
-    out /= count[..., None, None]
-    out[corner] = hfield[corner]
+    out /= count
+    out[..., corner] = hfield[..., corner]
     return out
 
 
 @pytest.mark.parametrize("dims", [(2, 5), (7, 3), (9,), (3, 4, 5)])
 @pytest.mark.parametrize("channels", [3, 1])
-def test_kernels_bit_equal_for_1_2_3_bands(dims, channels, rng, set_workers):
+def test_kernels_bit_equal_for_1_2_3_bands(dims, channels, rng, set_workers, monkeypatch):
     grid = GridSpec(dims=dims, channels=channels)
     kd = channels * grid.ndim
     u = rng.standard_normal(grid.field_shape())
@@ -179,19 +179,19 @@ def test_kernels_bit_equal_for_1_2_3_bands(dims, channels, rng, set_workers):
     h = random_psd_field(rng, dims, kd, floor=0.1)
     # Face terms of -0.0: a sum that starts from 0.0 makes them +0.0, and the
     # far corner keeps its own -0.0.
-    h[:2, ..., 0, -1] = -0.0
-    h[-1, ..., 0, -1] = -0.0
-    hk = np.moveaxis(h, (-2, -1), (0, 1)).copy()  # h component-first, as apply takes it
+    h[0, -1, :2] = -0.0
+    h[0, -1, -1] = -0.0
     p = FilterParams(tau=0.4, sigma=1.0, dt=0.3)
     theta = math.exp(-p.dt / p.tau)
     f = response_field(grad_sigma(u, p.kernel(), grid), p.response)
     reference = {
         "gradient": np.moveaxis(_gradient_ref(u, grid), (-2, -1), (0, 1)),
         "divergence": _divergence_ref(np.moveaxis(jfield, (0, 1), (-2, -1)), grid),
-        "apply": apply_in_order(hk, jfield),
-        "face_average_tensors": np.moveaxis(_face_average_ref(h, grid), (-2, -1), (0, 1)),
+        "apply": apply_in_order(h, jfield),
+        "face_average_tensors": _face_average_ref(h, grid),
         "_relax_H": theta * h + (1.0 - theta) * f,
     }
+    default_chunk = grid_mod.FACE_AVERAGE_CHUNK
     for workers in (1, 2, 3):
         set_workers(workers)
         relaxed = h.copy()
@@ -199,10 +199,15 @@ def test_kernels_bit_equal_for_1_2_3_bands(dims, channels, rng, set_workers):
         got = {
             "gradient": gradient(u, grid),
             "divergence": divergence(jfield, grid),
-            "apply": apply(hk, jfield),
+            "apply": apply(h, jfield),
             "face_average_tensors": face_average_tensors(h, grid),
             "_relax_H": relaxed,
         }
         for name, value in got.items():
             assert value.shape == reference[name].shape, name
             assert value.tobytes() == reference[name].tobytes(), f"{name} with {workers} bands"
+        # Chunks of one row of one entry plane, and of a few rows and planes.
+        for chunk in (1, 6 * math.prod(dims[1:]), default_chunk):
+            monkeypatch.setattr(grid_mod, "FACE_AVERAGE_CHUNK", chunk)
+            value = face_average_tensors(h, grid)
+            assert value.tobytes() == reference["face_average_tensors"].tobytes(), f"{chunk}-value chunks, {workers} bands"

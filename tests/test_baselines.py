@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import relaxdiff.integrate as integrate_mod
 from relaxdiff.baselines import (
     CATTE_REGULARIZED,
     PERONA_MALIK,
@@ -81,7 +82,7 @@ class TestRunBaseline:
         rng = np.random.default_rng(5)
         u0 = smooth_image(16) + 0.1 * rng.standard_normal(grid.field_shape())
         kd = 6
-        h0 = np.broadcast_to(0.1 * np.eye(kd), grid.dims + (kd, kd)).copy()
+        h0 = np.multiply.outer(0.1 * np.eye(kd), np.ones(grid.dims))
         base = FilterParams(tau=0.8, sigma=1.0, dt=0.05, t_end=1.5, response=ResponseParams(s=0.1), alpha=0.1)
         _, catte = run_baseline(u0, base, CATTE_REGULARIZED, grid)
         dists = []
@@ -91,9 +92,10 @@ class TestRunBaseline:
         for a, b in zip(dists, dists[1:]):
             assert 1.0 <= a / b <= 3.0  # halving +- 50% slack
 
-    def test_solver_error_names_step_time_and_solve(self):
+    def test_solver_error_names_step_time_and_solve(self, monkeypatch):
+        monkeypatch.setattr(integrate_mod, "cg_max_iter", lambda ncells: 1)
         grid = GridSpec(dims=(16, 16), channels=3)
-        p = FilterParams(tau=0.5, sigma=1.0, dt=0.1, t_end=0.5, cg_max_iter=1)
+        p = FilterParams(tau=0.5, sigma=1.0, dt=0.1, t_end=0.5)
         with pytest.raises(SolverError, match=r"^baseline solve of step 1 \(t=0\.1\): CG did not reach") as err:
             run_baseline(disk_image(16, radius=5.0)[0], p, CATTE_REGULARIZED, grid)
         assert err.value.residual > p.cg_tol

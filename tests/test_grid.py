@@ -95,20 +95,20 @@ class TestDivergence:
 class TestDiffusionApply:
     def test_identity_tensor_is_laplacian(self, rng):
         grid = GridSpec(dims=(8, 8), channels=3)
-        hfield = np.broadcast_to(np.eye(6), grid.dims + (6, 6)).copy()
+        hfield = np.broadcast_to(np.eye(6)[..., None, None], (6, 6) + grid.dims).copy()
         u = rng.standard_normal(grid.field_shape())
         lap = divergence(gradient(u, grid), grid)
         np.testing.assert_allclose(diffusion_apply(hfield, u, grid), lap, atol=1e-12)
 
     def test_constant_field_maps_to_zero(self):
         grid = GridSpec(dims=(5, 5), channels=2)
-        hfield = np.broadcast_to(np.eye(4), grid.dims + (4, 4)).copy()
+        hfield = np.broadcast_to(np.eye(4)[..., None, None], (4, 4) + grid.dims).copy()
         u = np.full(grid.field_shape(), 1.3)
         np.testing.assert_allclose(diffusion_apply(hfield, u, grid), 0.0, atol=1e-13)
 
     def test_two_cell_hand_example(self):
         grid = GridSpec(dims=(2,), channels=1)
-        hfield = np.stack([np.eye(1), np.eye(1)])
+        hfield = np.stack([np.eye(1), np.eye(1)], axis=-1)
         u = np.array([[1.0], [-1.0]])
         np.testing.assert_array_equal(diffusion_apply(hfield, u, grid), [[-2.0], [2.0]])
 
@@ -152,8 +152,8 @@ class TestDiffusionApply:
     def test_rejects_asymmetric_tensors(self, rng):
         # The operator is only built inside run(), which checks H0 on entry.
         grid = GridSpec(dims=(4, 4), channels=1)
-        hfield = np.broadcast_to(np.eye(2), grid.dims + (2, 2)).copy()
-        hfield[2, 2, 0, 1] += 1e-3
+        hfield = np.broadcast_to(np.eye(2)[..., None, None], (2, 2) + grid.dims).copy()
+        hfield[0, 1, 2, 2] += 1e-3
         with pytest.raises(SymmetryError):
             run(np.zeros(grid.field_shape()), hfield, FilterParams(t_end=0.1), grid)
 
@@ -163,6 +163,17 @@ class TestDiffusionApply:
         havg = face_average_tensors(hfield, grid)
         np.testing.assert_allclose(havg, np.swapaxes(havg, 0, 1), atol=1e-14)
         assert float(np.min(np.linalg.eigvalsh(np.moveaxis(havg, (0, 1), (-2, -1))))) >= 0.2 - 1e-10
+
+    def test_face_average_rejects_other_layouts(self, rng):
+        # A cell-first field, dims + (kd, kd), is a different shape on this
+        # grid and must not be read as component-first.
+        grid = GridSpec(dims=(8, 8), channels=3)
+        cell_first = np.moveaxis(random_psd_field(rng, grid.dims, 6, floor=0.1), (0, 1), (-2, -1)).copy()
+        assert cell_first.shape == (8, 8, 6, 6)
+        with pytest.raises(DimensionError, match=r"\(6, 6, 8, 8\)"):
+            face_average_tensors(cell_first, grid)
+        with pytest.raises(DimensionError):
+            face_average_tensors(np.zeros((4, 4, 8, 8)), grid)
 
 
 class TestPoincareEstimate:

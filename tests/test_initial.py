@@ -14,13 +14,14 @@ def brute_force_H0(u, grid, window, alpha):
     """Per-cell covariance via explicit python loops over the clipped window.
 
     Samples come from cells owning a forward face along every axis (the
-    gradient's boundary slots are stencil padding, not data).
+    gradient's boundary slots are stencil padding, not data). The result is
+    component-first, (kd, kd) + dims, as init_H0 returns it.
     """
     g = gradient(u, grid)
     kd = grid.channels * grid.ndim
     gflat = np.moveaxis(g.reshape((kd,) + grid.dims), 0, -1)
     half = window // 2
-    out = np.zeros(grid.dims + (kd, kd))
+    out = np.zeros((kd, kd) + grid.dims)
     for idx in np.ndindex(*grid.dims):
         samples = []
         for off in np.ndindex(*(window,) * grid.ndim):
@@ -35,7 +36,7 @@ def brute_force_H0(u, grid, window, alpha):
             mean = samples.mean(axis=0)
             centered = samples - mean
             cov = centered.T @ centered / (m - 1)
-        out[idx] = cov + alpha * np.eye(kd)
+        out[(...,) + idx] = cov + alpha * np.eye(kd)
     return out
 
 
@@ -43,7 +44,8 @@ def all_products_H0(u, grid, window, alpha):
     """The covariance from the field of all kd x kd gradient products.
 
     Its window sums and arithmetic are those init_H0 applies to the upper
-    triangle only, so the two agree bit for bit.
+    triangle only, so the two agree bit for bit. It is formed cell-first and
+    returned as a component-first view.
     """
     g = gradient(u, grid)
     kd = grid.channels * grid.ndim
@@ -59,7 +61,7 @@ def all_products_H0(u, grid, window, alpha):
     mean_outer = np.einsum("...a,...b->...ab", s1, s1) / m
     cov = (s2 - mean_outer) / np.maximum(m - 1.0, 1.0)
     cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
-    return cov + alpha * np.eye(kd)
+    return np.moveaxis(cov + alpha * np.eye(kd), (-2, -1), (0, 1))
 
 
 def signed_zero_scene(n):
@@ -151,8 +153,8 @@ class TestInitH0:
         # diagonal, which makes it +0.0.
         grid = GridSpec(dims=(12,), channels=2)
         h0 = init_H0(signed_zero_scene(12), grid, window=3, alpha=0.1)
-        assert np.all(h0[..., 0, 1] == 0.0)
-        assert not np.any(np.signbit(h0[..., 0, 1]))
+        assert np.all(h0[0, 1] == 0.0)
+        assert not np.any(np.signbit(h0[0, 1]))
 
     def test_affine_image_gives_alpha_identity(self):
         n = 10
@@ -160,28 +162,28 @@ class TestInitH0:
         xx = np.arange(n, dtype=float)[:, None] * np.ones(n)[None, :]
         u = (0.2 * xx + 0.1)[..., None]
         h0 = init_H0(u, grid, window=3, alpha=0.4)
-        expected = np.broadcast_to(0.4 * np.eye(2), grid.dims + (2, 2))
+        expected = np.broadcast_to((0.4 * np.eye(2))[..., None, None], (2, 2) + grid.dims)
         np.testing.assert_allclose(h0, expected, atol=1e-12)
 
     def test_eigenvalue_floor(self, rng):
         grid = GridSpec(dims=(12, 12), channels=3)
         u = rng.standard_normal(grid.field_shape())
         h0 = init_H0(u, grid, window=5, alpha=0.1)
-        eigs = np.linalg.eigvalsh(h0)
+        eigs = np.linalg.eigvalsh(np.moveaxis(h0, (0, 1), (-2, -1)))
         assert float(eigs[..., 0].min()) >= 0.1 - 1e-10
 
     def test_symmetric_exactly(self, rng):
         grid = GridSpec(dims=(9, 9), channels=2)
         u = rng.standard_normal(grid.field_shape())
         h0 = init_H0(u, grid, window=3, alpha=0.2)
-        np.testing.assert_array_equal(h0, np.swapaxes(h0, -1, -2))
+        np.testing.assert_array_equal(h0, np.swapaxes(h0, 0, 1))
 
     def test_is_psd_every_cell(self, rng):
         grid = GridSpec(dims=(7, 8), channels=2)
         u = rng.standard_normal(grid.field_shape())
         h0 = init_H0(u, grid, window=3, alpha=0.15)
         for idx in np.ndindex(*grid.dims):
-            assert np.linalg.eigvalsh(h0[idx])[0] >= 0.15 - 1e-10
+            assert np.linalg.eigvalsh(h0[(...,) + idx])[0] >= 0.15 - 1e-10
 
     def test_alternating_1d_against_brute_force(self):
         n = 12
@@ -206,7 +208,7 @@ class TestInitH0:
         h_shift = init_H0(shifted, grid, window=3, alpha=0.1)
         # compare cells whose windows (and gradient stencils) avoid both
         # boundaries before and after the shift
-        np.testing.assert_allclose(h_shift[4:12, 2:12], h_base[2:10, 2:12], atol=1e-12)
+        np.testing.assert_allclose(h_shift[..., 4:12, 2:12], h_base[..., 2:10, 2:12], atol=1e-12)
 
     def test_validation(self, rng):
         grid = GridSpec(dims=(6, 6), channels=1)

@@ -31,7 +31,8 @@ from conftest import disk_image, random_psd_field, smooth_image
 
 
 def identity_field(dims, kd, scale=1.0):
-    return np.broadcast_to(scale * np.eye(kd), tuple(dims) + (kd, kd)).copy()
+    """scale * Id in every cell, component-first: (kd, kd) + dims."""
+    return np.multiply.outer(scale * np.eye(kd), np.ones(tuple(dims)))
 
 
 class TestFilterParams:
@@ -101,11 +102,11 @@ class TestStepH:
         grid = GridSpec(dims=(4, 4), channels=1)
         alpha = 0.37
         p = FilterParams(tau=0.8, sigma=0.0, dt=0.8, alpha=alpha)
-        monkeypatch.setattr(integrate_mod, "response_field", lambda d, rp: np.zeros(d.shape[2:] + (2, 2)))
+        monkeypatch.setattr(integrate_mod, "response_field", lambda d, rp: np.zeros((2, 2) + d.shape[2:]))
         u = np.zeros(grid.field_shape())
         h = identity_field(grid.dims, 2, scale=alpha)
         _relax_H(u, h, p, grid, p.kernel())
-        expected = np.broadcast_to(alpha * math.exp(-1.0) * np.eye(2), h.shape)
+        expected = identity_field(grid.dims, 2, scale=alpha * math.exp(-1.0))
         np.testing.assert_allclose(h, expected, atol=1e-14)
 
     def test_frozen_u_geometric_convergence(self, rng):
@@ -129,13 +130,13 @@ class TestStepH:
         h = random_psd_field(rng, grid.dims, 6, floor=0.2)
         _relax_H(u, h, p, grid, p.kernel())
         # response is PSD, H has floor 0.2, any dt keeps a convex mix PSD
-        assert float(np.min(np.linalg.eigvalsh(h))) >= min(0.2, 0.0) - 1e-10
+        assert float(np.min(np.linalg.eigvalsh(np.moveaxis(h, (0, 1), (-2, -1))))) >= min(0.2, 0.0) - 1e-10
 
 
 def implicit_step(u, h, p, grid):
     """One backward-Euler diffusion step of u with frozen H, as the step loop solves it."""
     havg = face_average_tensors(h, grid)
-    return _implicit_solve(u, havg, p.dt, grid, p.cg_tol, p.max_iter(grid.ncells))[0]
+    return _implicit_solve(u, havg, p.dt, grid, p.cg_tol, integrate_mod.cg_max_iter(grid.ncells))[0]
 
 
 class TestStepU:
@@ -170,9 +171,10 @@ class TestStepU:
         np.testing.assert_allclose(mass_out, mass_in, atol=1e-10 * np.abs(u).sum())
         assert l2_norm(out) <= l2_norm(u) * (1 + 1e-12)
 
-    def test_solver_error_carries_residual(self, rng):
+    def test_solver_error_carries_residual(self, rng, monkeypatch):
+        monkeypatch.setattr(integrate_mod, "cg_max_iter", lambda ncells: 2)
         grid = GridSpec(dims=(16, 16), channels=1)
-        p = FilterParams(dt=50.0, cg_max_iter=2, cg_tol=1e-10)
+        p = FilterParams(dt=50.0, cg_tol=1e-10)
         u = rng.standard_normal(grid.field_shape())
         h = identity_field(grid.dims, 2)
         with pytest.raises(SolverError) as err:
@@ -204,7 +206,7 @@ class TestRun:
         state, traces = run(u0, h0, p, grid)
         np.testing.assert_array_equal(state.u, u0)
         f0 = response_zero(p.response, 2, 2)  # (3/2 + omega) Id
-        np.testing.assert_allclose(state.H, np.broadcast_to(f0, state.H.shape), atol=1e-8)
+        np.testing.assert_allclose(state.H, np.multiply.outer(f0, np.ones(grid.dims)), atol=1e-8)
 
     def test_mean_free_norm_monotone_32x32(self, rng):
         grid = GridSpec(dims=(32, 32), channels=3)
@@ -252,6 +254,17 @@ class TestRun:
         with pytest.raises(ParameterError, match=which):
             run(data["u0"], data["H0"], FilterParams(), grid)
 
+    def test_H0_shape_rejected(self, rng):
+        # H0 is component-first, (kd, kd) + dims; a cell-first field or
+        # another grid's field must fail before the filter runs.
+        grid = GridSpec(dims=(8, 8), channels=3)
+        u0 = rng.standard_normal(grid.field_shape())
+        h0 = identity_field(grid.dims, 6, scale=0.2)
+        for bad in (np.moveaxis(h0, (0, 1), (-2, -1)).copy(), h0[..., :7], h0[:4, :4]):
+            with pytest.raises(ParameterError, match=r"H0 shape .* != \(6, 6, 8, 8\)"):
+                run(u0, bad, FilterParams(alpha=0.2, t_end=0.1), grid)
+        assert np.moveaxis(h0, (0, 1), (-2, -1)).shape == (8, 8, 6, 6)
+
     @pytest.mark.parametrize("offset", [0.05, 5.0])
     def test_asymmetric_H0_rejected(self, rng, offset):
         # The floor check reads the lower triangle only, so an upper triangle
@@ -259,7 +272,7 @@ class TestRun:
         grid = GridSpec(dims=(16, 16), channels=3)
         u0 = disk_image(16, radius=5.0)[0] + 0.05 * rng.standard_normal(grid.field_shape())
         h0 = init_H0(u0, grid, window=3, alpha=0.1)
-        h0[..., 0, 5] += offset
+        h0[0, 5] += offset
         with pytest.raises(SymmetryError, match=r"\(0, 5\)"):
             run(u0, h0, FilterParams(dt=0.1, t_end=0.3), grid)
 
@@ -272,7 +285,7 @@ class TestRun:
         _, traces, (_, hs) = run(u0, h0, p, grid, keep_history=True)
         assert len(traces) == 5
         for n, r in enumerate(traces):
-            assert r.min_eig_H == float(np.min(np.linalg.eigvalsh(hs[n + 1])[..., 0]))
+            assert r.min_eig_H == float(np.min(np.linalg.eigvalsh(np.moveaxis(hs[n + 1], (0, 1), (-2, -1)))[..., 0]))
 
     def test_floor_violation_reports_the_full_argmin(self, rng, monkeypatch):
         # A shifted response breaks the floor everywhere; the diagnostic must
@@ -280,7 +293,10 @@ class TestRun:
         grid = GridSpec(dims=(32, 32), channels=3)
         u0 = disk_image(32, radius=10.0)[0] + 0.05 * rng.standard_normal(grid.field_shape())
         h0 = init_H0(u0, grid, window=3, alpha=0.1)
-        monkeypatch.setattr(integrate_mod, "response_field", lambda d, rp: response_field(d, rp) - 2.0 * np.eye(6))
+        shift = 2.0 * np.eye(6)[..., None, None]
+        monkeypatch.setattr(integrate_mod, "response_field", lambda d, rp: response_field(d, rp) - shift)
+        # eigvalsh_field takes numpy's (..., n, n) layout: the step loop
+        # passes it a cell-first view of H.
         fields = []
         monkeypatch.setattr(integrate_mod, "eigvalsh_field", lambda h: fields.append(h.copy()) or np.linalg.eigvalsh(h))
         with pytest.raises(InvariantViolation) as err:
@@ -302,7 +318,7 @@ class TestRun:
         h0 = identity_field(grid.dims, 2, scale=0.2)
         monkeypatch.setattr(
             integrate_mod, "response_field",
-            lambda d, rp: np.broadcast_to(-np.eye(2), d.shape[2:] + (2, 2)).copy(),
+            lambda d, rp: np.multiply.outer(-np.eye(2), np.ones(d.shape[2:])),
         )
         p = FilterParams(tau=0.1, sigma=0.0, dt=1.0, t_end=3.0, alpha=0.2)
         with pytest.raises(InvariantViolation) as err:
@@ -310,11 +326,12 @@ class TestRun:
         diag = err.value.diagnostic
         assert {"t", "cell", "kappa_predicted", "min_eig", "tensor", "eigenvalues"} <= set(diag)
 
-    def test_solver_error_names_step_time_and_solve(self):
+    def test_solver_error_names_step_time_and_solve(self, monkeypatch):
+        monkeypatch.setattr(integrate_mod, "cg_max_iter", lambda ncells: 1)
         grid = GridSpec(dims=(16, 16), channels=3)
         u0 = disk_image(16, radius=5.0)[0]
         h0 = init_H0(u0, grid, window=3, alpha=0.1)
-        p = FilterParams(tau=0.5, sigma=1.0, dt=0.1, t_end=0.5, cg_max_iter=1)
+        p = FilterParams(tau=0.5, sigma=1.0, dt=0.1, t_end=0.5)
         with pytest.raises(SolverError, match=r"^half solve of step 1 \(t=0\.1\): CG did not reach") as err:
             run(u0, h0, p, grid)
         assert err.value.residual > p.cg_tol
@@ -364,7 +381,7 @@ class TestEnergy:
     def test_stationary_point_zero(self):
         grid = GridSpec(dims=(5, 4), channels=2)
         p = FilterParams(tau=0.7, response=ResponseParams(s=0.1, omega=0.3))
-        f0 = np.broadcast_to(response_zero(p.response, 2, 2), grid.dims + (4, 4)).copy()
+        f0 = np.multiply.outer(response_zero(p.response, 2, 2), np.ones(grid.dims))
         state = FilterState(t=0.0, u=np.zeros(grid.field_shape()), H=f0)
         assert energy(state, p, grid) == 0.0
 
@@ -374,14 +391,14 @@ class TestEnergy:
         p = FilterParams(tau=tau, response=ResponseParams(s=0.1))
         kd = 4
         f0 = response_zero(p.response, 2, 2)
-        h = np.broadcast_to(f0 + np.eye(kd), grid.dims + (kd, kd)).copy()
+        h = np.multiply.outer(f0 + np.eye(kd), np.ones(grid.dims))
         state = FilterState(t=0.0, u=np.zeros(grid.field_shape()), H=h)
         assert energy(state, p, grid) == pytest.approx(0.5 * tau * grid.ncells * kd, rel=1e-14)
 
     def test_quadratic_in_u(self, rng):
         grid = GridSpec(dims=(6, 6), channels=3)
         p = FilterParams(tau=0.5, response=ResponseParams(s=0.1))
-        f0 = np.broadcast_to(response_zero(p.response, 3, 2), grid.dims + (6, 6)).copy()
+        f0 = np.multiply.outer(response_zero(p.response, 3, 2), np.ones(grid.dims))
         u = rng.standard_normal(grid.field_shape())
         e1 = energy(FilterState(0.0, u, f0), p, grid)
         e2 = energy(FilterState(0.0, 2.0 * u, f0), p, grid)
@@ -390,7 +407,7 @@ class TestEnergy:
     def test_mean_part_carries_no_energy(self, rng):
         grid = GridSpec(dims=(6, 6), channels=2)
         p = FilterParams(tau=0.5, response=ResponseParams(s=0.1))
-        f0 = np.broadcast_to(response_zero(p.response, 2, 2), grid.dims + (4, 4)).copy()
+        f0 = np.multiply.outer(response_zero(p.response, 2, 2), np.ones(grid.dims))
         u = rng.standard_normal(grid.field_shape())
         e1 = energy(FilterState(0.0, u, f0), p, grid)
         e2 = energy(FilterState(0.0, u + 3.7, f0), p, grid)
@@ -447,7 +464,7 @@ class TestMemoryFormCheck:
     def test_constant_response_stub_exact(self, rng, monkeypatch):
         # With F literally constant both forms telescope identically.
         grid = GridSpec(dims=(6, 6), channels=1)
-        const = np.broadcast_to(0.8 * np.eye(2), grid.dims + (2, 2)).copy()
+        const = identity_field(grid.dims, 2, scale=0.8)
         monkeypatch.setattr(integrate_mod, "response_field", lambda d, rp: const.copy())
         u0 = rng.standard_normal(grid.field_shape())
         h0 = identity_field(grid.dims, 2, scale=0.3)

@@ -13,6 +13,8 @@ from relaxdiff.response import (
     response_pm,
 )
 
+from conftest import frobenius_sq_in_order
+
 
 def project_orth(d):
     """Tensor of the orthogonal projection onto the complement of d."""
@@ -125,12 +127,12 @@ class TestResponseFsField:
         out = response_fs(dfield, p)
         for i in range(5):
             for j in range(4):
-                np.testing.assert_allclose(out[i, j], response_fs(dfield[..., i, j], p), atol=1e-13)
+                np.testing.assert_allclose(out[..., i, j], response_fs(dfield[..., i, j], p), atol=1e-13)
 
     def test_zero_field_exact(self):
         p = ResponseParams(s=0.1)
         out = response_fs(np.zeros((2, 2, 3, 3)), p)
-        np.testing.assert_array_equal(out, np.broadcast_to(1.5 * np.eye(4), (3, 3, 4, 4)))
+        np.testing.assert_array_equal(out, np.broadcast_to((1.5 * np.eye(4))[..., None, None], (4, 4, 3, 3)))
 
     def test_same_bits_as_two_branch_form(self, rng):
         # Each branch evaluated on the whole field, then selected per cell.
@@ -147,7 +149,69 @@ class TestResponseFsField:
             ref = np.where((nrm2 >= s * s)[..., None, None], proj, smooth)
             if omega > 0.0:
                 ref += omega * np.eye(6)
-            assert response_fs(dfield, ResponseParams(s=s, omega=omega)).tobytes() == ref.tobytes()
+            got = response_fs(dfield, ResponseParams(s=s, omega=omega))
+            assert got.tobytes() == np.moveaxis(ref, (-2, -1), (0, 1)).tobytes()
+
+
+# A k x d gradient shape for each tensor size kd = k d the order test covers.
+KD_SHAPES = {1: (1, 1), 2: (1, 2), 3: (3, 1), 4: (2, 2), 6: (3, 2), 8: (4, 2), 9: (3, 3)}
+
+
+def fs_from(g, nrm2, s, omega):
+    """response_fs from a given D:D, one entry plane at a time with plain ufuncs."""
+    kd = g.shape[0] * g.shape[1]
+    v = g.reshape((kd,) + g.shape[2:])
+    s2 = s * s
+    above = nrm2 >= s2
+    a = np.where(above, 1.0, 1.5 - 0.5 * (nrm2 / s2))
+    c = np.where(above, nrm2, s2)
+    out = np.empty((kd, kd) + g.shape[2:])
+    for i in range(kd):
+        for j in range(kd):
+            x = np.divide(np.multiply(v[i], v[j]), c)
+            out[i, j] = np.subtract(a, x) if i == j else np.subtract(0.0, x)
+            if omega > 0.0:
+                out[i, j] = np.add(out[i, j], omega if i == j else 0.0)
+    return out
+
+
+def pm_from(g, nrm2, lam, omega):
+    """response_pm from a given D:D."""
+    kd = g.shape[0] * g.shape[1]
+    scalar = 1.0 / (1.0 + np.sqrt(nrm2) / lam) + omega
+    out = np.empty((kd, kd) + g.shape[2:])
+    for i in range(kd):
+        for j in range(kd):
+            out[i, j] = np.multiply(1.0 if i == j else 0.0, scalar)
+    return out
+
+
+class TestSummationOrder:
+    @pytest.mark.parametrize("dims", [(), (1,), (7, 3), (3, 4, 5)])
+    @pytest.mark.parametrize("kd", sorted(KD_SHAPES))
+    def test_dd_in_the_spelled_out_order(self, kd, dims, rng):
+        k, d = KD_SHAPES[kd]
+        # Component magnitudes from 1e-4 to 1e4, so that any other order of
+        # the squares rounds differently, and cells on both sides of s = 1.
+        g = rng.standard_normal((k, d) + dims) * 10.0 ** rng.integers(-4, 5, (k, d) + dims)
+        g *= 10.0 ** rng.integers(-6, 3, dims)
+        flat = g.reshape(kd, -1)
+        # Signed zeros: a cell of -0.0, and the last cell's first component.
+        flat[:, 0] = -0.0
+        flat[0, -1] = -0.0
+        nrm2 = frobenius_sq_in_order(g)
+        if flat.shape[1] > 2:
+            assert np.any(nrm2 >= 1.0) and np.any(nrm2 < 1.0)
+        if kd <= 6:
+            # The einsum over cell-first rows the golden digests were
+            # recorded with sums in this order too.
+            cell_first = np.moveaxis(g.reshape((kd,) + dims), 0, -1).copy()
+            assert np.einsum("...a,...a->...", cell_first, cell_first).tobytes() == nrm2.tobytes()
+        for omega in (0.0, 0.25):
+            got = response_fs(g, ResponseParams(s=1.0, omega=omega))
+            assert got.tobytes() == fs_from(g, nrm2, 1.0, omega).tobytes(), omega
+            got = response_pm(g, ResponseParams(kind=PERONA_MALIK_SCALAR, lam=0.5, omega=omega))
+            assert got.tobytes() == pm_from(g, nrm2, 0.5, omega).tobytes(), omega
 
 
 class TestResponsePm:
@@ -203,7 +267,7 @@ class TestLipschitzBound:
         # The stacks hold one matrix per cell; the responses take them component-first.
         plus, minus = (np.moveaxis(base + sign * eps * direction, 0, -1) for sign in (1, -1))
         diff = response_field(plus, p) - response_field(minus, p)
-        slopes = np.linalg.norm(diff.reshape(trials, -1), axis=1) / (2 * eps)
+        slopes = np.linalg.norm(diff.reshape(-1, trials), axis=0) / (2 * eps)
         assert slopes.max() <= bound * (1 + 1e-6)
         assert slopes.max() >= 0.5 * bound
 

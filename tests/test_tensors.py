@@ -188,13 +188,13 @@ class TestSpectralBounds:
 
 class TestIsPsd:
     def test_identity_thresholds(self):
-        hfield = np.stack([np.eye(4), 2.0 * np.eye(4)])
+        hfield = np.stack([np.eye(4), 2.0 * np.eye(4)], axis=-1)
         assert min_eig_field(hfield) >= 1.0
         assert not min_eig_field(hfield) >= 1.5
 
     def test_projection_at_zero(self, rng):
         v = rng.standard_normal((50, 4))
-        hfield = np.eye(4) - np.einsum("ci,cj->cij", v, v) / np.einsum("ci,ci->c", v, v)[:, None, None]
+        hfield = np.eye(4)[..., None] - np.einsum("ci,cj->ijc", v, v) / np.einsum("ci,ci->c", v, v)
         assert min_eig_field(hfield) >= -1e-10
 
 
@@ -220,13 +220,13 @@ class TestFieldHelpers:
                 np.testing.assert_allclose(out[..., i, j], apply(hfield[..., i, j], dfield[..., i, j]), atol=1e-13)
 
     def test_min_eig_field(self, rng):
-        hfield = np.stack([np.eye(4), 0.3 * np.eye(4)])
+        hfield = np.stack([np.eye(4), 0.3 * np.eye(4)], axis=-1)
         assert min_eig_field(hfield) == 0.3
 
 
 def full_min_eig(hfield):
-    """Reference: diagonalise every cell."""
-    return float(np.min(np.linalg.eigvalsh(hfield)[..., 0]))
+    """Reference: diagonalise every cell of a (n, n) + dims field."""
+    return float(np.min(np.linalg.eigvalsh(np.moveaxis(hfield, (0, 1), (-2, -1)))[..., 0]))
 
 
 def assert_same_min_eig(hfield):
@@ -242,7 +242,11 @@ def assert_same_min_eig(hfield):
 
 @st.composite
 def symmetric_fields(draw):
-    """Symmetric tensor fields built to stress the certified minimum."""
+    """Symmetric tensor fields built to stress the certified minimum, (n, n) + dims.
+
+    Each is drawn as a stack of cells, (count, n, n), and laid out
+    component-first at the end.
+    """
     n = draw(st.sampled_from([1, 2, 4, 6]))
     count = draw(st.one_of(st.integers(1, 200), st.integers(4000, 9000)))
     kind = draw(st.sampled_from(["random", "psd", "identical", "near_tie", "projection", "hidden"]))
@@ -274,7 +278,7 @@ def symmetric_fields(draw):
             hidden = rng.choice(count, size=min(count, 3), replace=False)
             h[hidden] = 2.0 * eye
             h[hidden, 0, 1] = h[hidden, 1, 0] = 1.9 + 0.05 * rng.random(hidden.size)
-    return h.reshape(draw(st.sampled_from([(count,), (1, count)])) + (n, n))
+    return np.moveaxis(h, 0, -1).reshape((n, n) + draw(st.sampled_from([(count,), (1, count)]))).copy()
 
 
 class TestMinEigFieldExact:
@@ -286,11 +290,11 @@ class TestMinEigFieldExact:
     @settings(max_examples=40, deadline=None)
     @given(symmetric_fields(), st.data())
     def test_non_finite_cell(self, hfield, data):
-        cells = hfield.reshape((-1,) + hfield.shape[-2:])
-        cell = data.draw(st.integers(0, cells.shape[0] - 1))
-        i = data.draw(st.integers(0, cells.shape[-1] - 1))
-        j = data.draw(st.integers(0, cells.shape[-1] - 1))
-        cells[cell, i, j] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        cells = hfield.reshape(hfield.shape[:2] + (-1,))
+        cell = data.draw(st.integers(0, cells.shape[-1] - 1))
+        i = data.draw(st.integers(0, cells.shape[0] - 1))
+        j = data.draw(st.integers(0, cells.shape[0] - 1))
+        cells[i, j, cell] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
         assert_same_min_eig(hfield)
 
     def test_single_cell(self, rng):
@@ -300,14 +304,14 @@ class TestMinEigFieldExact:
     def test_minimum_in_a_later_block(self):
         # 100 cells at 0.5 fill the sample; the 0.1 minimum sits in the
         # second Cholesky block, behind large diagonal entries
-        h = np.broadcast_to(np.eye(6), (9000, 6, 6)).copy()
-        h[:100] *= 0.5
-        h[5000, :2, :2] = [[2.0, 1.9], [1.9, 2.0]]
+        h = np.broadcast_to(np.eye(6)[..., None], (6, 6, 9000)).copy()
+        h[..., :100] *= 0.5
+        h[:2, :2, 5000] = [[2.0, 1.9], [1.9, 2.0]]
         assert min_eig_field(h) == full_min_eig(h) == pytest.approx(0.1)
 
     def test_nan_cell_raises_like_eigvalsh(self):
-        h = np.broadcast_to(np.eye(6), (300, 6, 6)).copy()
-        h[123, 3, 0] = np.nan
+        h = np.broadcast_to(np.eye(6)[..., None], (6, 6, 300)).copy()
+        h[3, 0, 123] = np.nan
         with pytest.raises(np.linalg.LinAlgError):
             full_min_eig(h)
         with pytest.raises(np.linalg.LinAlgError):
@@ -315,12 +319,12 @@ class TestMinEigFieldExact:
 
 
 def full_square_breaks_down(block, shift):
-    """Reference: the same factorisation updating the whole trailing square at each pivot."""
-    n = block.shape[-1]
-    a = np.moveaxis(block, 0, -1).copy()
+    """Reference: the same factorisation of an (n, n, m) block updating the whole trailing square at each pivot."""
+    n = block.shape[0]
+    a = block.copy()
     diag = np.arange(n)
     a[diag, diag] -= shift
-    completes = np.ones(block.shape[0], dtype=bool)
+    completes = np.ones(block.shape[-1], dtype=bool)
     for j in range(n):
         completes &= a[j, j] > 0.0
         col = a[j + 1:, j] / np.sqrt(a[j, j])
@@ -332,15 +336,15 @@ class TestCholeskyBreaksDown:
     @settings(max_examples=80, deadline=None)
     @given(symmetric_fields(), st.data())
     def test_masks_equal_the_full_square_update(self, hfield, data):
-        n = hfield.shape[-1]
-        block = hfield.reshape(-1, n, n)[:MIN_EIG_BLOCK].copy()
+        n = hfield.shape[0]
+        block = hfield.reshape(n, n, -1)[:, :, :MIN_EIG_BLOCK].copy()
         # the smallest eigenvalue of a few cells, as min_eig_field shifts by:
         # tied cells sit exactly on the breakdown boundary
-        c = float(np.min(np.linalg.eigvalsh(block[:64])[:, 0]))
+        c = float(np.min(np.linalg.eigvalsh(np.moveaxis(block[:, :, :64], -1, 0))[:, 0]))
         if data.draw(st.booleans()):
-            cell = data.draw(st.integers(0, block.shape[0] - 1))
+            cell = data.draw(st.integers(0, block.shape[-1] - 1))
             i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
-            block[cell, i, j] = block[cell, j, i] = np.nan
+            block[i, j, cell] = block[j, i, cell] = np.nan
         for shift in (c, 0.1, 0.5, np.nan):
             with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
                 got = _cholesky_breaks_down(block, shift)
