@@ -25,9 +25,9 @@ The banded kernels are ``grid.gradient``, ``grid.divergence`` and
 cells, and ``integrate._relax_H``, in the flattened values of H. The
 gradient, the divergence and the face averaging band the spatial axis 0 of
 their component-first fields, (k, d) + dims and (kd, kd) + dims, so a band
-is a slice of every component at once. ``face_average_tensors`` and
-``tensors.apply`` each get their scratch buffers from the caller, as the
-rules below ask.
+is a slice of every component at once. ``face_average_tensors``, the one
+banded kernel that needs scratch space, gets its buffers from the caller,
+as the rules below ask.
 
 A band function must keep three rules, which keep the output bits and the
 memory the same as those of one call over all rows:

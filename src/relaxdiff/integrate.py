@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bands import for_bands
-from .errors import FitError, ImageIOError, InvariantViolation, ParameterError, SolverError
+from .errors import DimensionError, FitError, ImageIOError, InvariantViolation, ParameterError, SolverError
 from .grid import (
     GridSpec,
     check_image,
@@ -229,15 +229,22 @@ def energy(state: FilterState, p: FilterParams, grid: GridSpec) -> float:
     E = 1/2 ||u - mean||^2 + tau/2 ||H - F(0)||^2 (plain sums over cells).
     The per-channel mean is removed from u because the flux form conserves
     it exactly; convergence toward the flat image happens in the mean-free
-    part, which is what this functional measures. The misfit is summed over
-    a C-ordered difference of H's cell-first view, one cell after another.
+    part, which is what this functional measures. The misfit is summed one
+    entry plane of H at a time, in row-major order, each plane's square sum
+    taken over H[a, b] - F(0)[a, b], or over H[a, b] itself where F(0)[a, b]
+    is zero, so no H-sized array is made. H must be (kd, kd) + dims.
     """
     umf = mean_free(state.u, grid)
     term_u = 0.5 * inner(umf, umf)
     f0 = response_zero(p.response, grid.channels, grid.ndim)
-    diff = np.subtract(np.moveaxis(np.asarray(state.H, dtype=float), (0, 1), (-2, -1)), f0, order="C")
-    term_h = 0.5 * p.tau * inner(diff, diff)
-    return term_u + term_h
+    h = np.asarray(state.H, dtype=float)
+    if h.shape != f0.shape + grid.dims:
+        raise DimensionError(f"tensor field shape {h.shape} != {f0.shape + grid.dims}")
+    misfit = 0.0
+    for e in np.ndindex(f0.shape):
+        plane = h[e] - f0[e] if f0[e] else h[e]
+        misfit += inner(plane, plane)
+    return term_u + 0.5 * p.tau * misfit
 
 
 def _num_steps(p: FilterParams) -> int:

@@ -27,8 +27,8 @@ energy-decay rate depends on it.
 The responses read gradient fields component-first, (k, d) + dims, as
 grid.gradient returns them, and return tensor fields component-first,
 (kd, kd) + dims, as H is stored, writing one cell field per entry. D:D sums
-the squares in tensors.apply's order: the even components from +0.0, then
-the odd ones, then the two sums.
+the squares in index order from +0.0, as tensors.apply sums its products
+(on a field of one cell einsum unrolls the sum instead).
 """
 
 import math
@@ -74,12 +74,6 @@ def _gradient_field(dfield: Array) -> Array:
     return dfield
 
 
-def _frobenius_sq(v: Array) -> Array:
-    """D:D of every cell of v, (n, cells): even components from +0.0, then odd, then their sum."""
-    even = np.einsum("an,an->n", v[0::2], v[0::2])
-    return np.add(even, np.einsum("an,an->n", v[1::2], v[1::2]), out=even)
-
-
 def response_fs(dfield: Array, p: ResponseParams) -> Array:
     """Thresholded projection response of every cell of a gradient field.
 
@@ -93,7 +87,7 @@ def response_fs(dfield: Array, p: ResponseParams) -> Array:
     n = dfield.shape[0] * dfield.shape[1]
     v = dfield.reshape(n, -1)  # one cell field per component
     s2 = p.s * p.s
-    nrm2 = _frobenius_sq(v)
+    nrm2 = np.einsum("an,an->n", v, v)
     proj_branch = nrm2 >= s2
     a = np.where(proj_branch, 1.0, 1.5 - 0.5 * (nrm2 / s2))
     c = np.where(proj_branch, nrm2, s2)
@@ -118,7 +112,8 @@ def response_pm(dfield: Array, p: ResponseParams) -> Array:
         raise ParameterError("response_pm requires the Perona-Malik kind")
     dfield = _gradient_field(dfield)
     n = dfield.shape[0] * dfield.shape[1]
-    g = 1.0 / (1.0 + np.sqrt(_frobenius_sq(dfield.reshape(n, -1))) / p.lam) + p.omega
+    v = dfield.reshape(n, -1)
+    g = 1.0 / (1.0 + np.sqrt(np.einsum("an,an->n", v, v)) / p.lam) + p.omega
     return np.multiply.outer(np.eye(n), g.reshape(dfield.shape[2:]))
 
 

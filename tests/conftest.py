@@ -26,40 +26,32 @@ def random_psd_field(rng, dims, n, floor=0.0):
 def apply_in_order(h, g):
     """tensors.apply spelled out with ufuncs, one cell field per product.
 
-    h is (kd, kd) + dims and g (k, d) + dims. Each output component sums the
-    even b in index order starting from +0.0, then the odd b the same way,
-    and adds the two sums.
+    h is (kd, kd) + dims and g (k, d) + dims. Each output component sums its
+    products h[a, b] g[b] in index order starting from +0.0.
     """
     kd = g.shape[0] * g.shape[1]
     gf = g.reshape((kd,) + g.shape[2:])
     out = np.empty_like(gf)
     for a in range(kd):
-        sums = []
-        for parity in (0, 1):
-            total = np.zeros(gf.shape[1:])
-            for b in range(parity, kd, 2):
-                total = np.add(total, np.multiply(h[a, b], gf[b]))
-            sums.append(total)
-        out[a] = np.add(sums[0], sums[1])
+        total = np.zeros(gf.shape[1:])
+        for b in range(kd):
+            total = np.add(total, np.multiply(h[a, b], gf[b]))
+        out[a] = total
     return out.reshape(g.shape)
 
 
 def frobenius_sq_in_order(g):
     """D:D of every cell of a (k, d) + dims gradient field, spelled out with ufuncs.
 
-    The squares of the even components are summed in index order starting
-    from +0.0, then those of the odd ones the same way, and the two sums are
-    added: the order of tensors.apply, which the responses use.
+    The squares of the components are summed in index order starting from
+    +0.0: the order of tensors.apply, which the responses use.
     """
     kd = g.shape[0] * g.shape[1]
     gf = g.reshape((kd,) + g.shape[2:])
-    sums = []
-    for parity in (0, 1):
-        total = np.zeros(gf.shape[1:])
-        for a in range(parity, kd, 2):
-            total = np.add(total, np.multiply(gf[a], gf[a]))
-        sums.append(total)
-    return np.add(sums[0], sums[1])
+    total = np.zeros(gf.shape[1:])
+    for a in range(kd):
+        total = np.add(total, np.multiply(gf[a], gf[a]))
+    return total
 
 
 def smooth_image(n, k=3, amps=(0.6, 0.5, 0.4)):

@@ -6,7 +6,7 @@ import pytest
 
 import relaxdiff.integrate as integrate_mod
 from relaxdiff.baselines import CATTE_REGULARIZED, run_baseline
-from relaxdiff.errors import FitError, InvariantViolation, ParameterError, SolverError, SymmetryError
+from relaxdiff.errors import DimensionError, FitError, InvariantViolation, ParameterError, SolverError, SymmetryError
 from relaxdiff.grid import GridSpec, face_average_tensors, l2_norm, mean_free
 from relaxdiff.initial import init_H0
 from relaxdiff.integrate import (
@@ -412,6 +412,16 @@ class TestEnergy:
         e1 = energy(FilterState(0.0, u, f0), p, grid)
         e2 = energy(FilterState(0.0, u + 3.7, f0), p, grid)
         assert e2 == pytest.approx(e1, rel=1e-12)
+
+    def test_H_shape_rejected(self):
+        # H is read one entry plane H[a, b] at a time: a field of another
+        # shape, a cell-first one included, fails instead of giving a number.
+        grid = GridSpec(dims=(5, 3), channels=2)
+        p = FilterParams(tau=0.5, response=ResponseParams(s=0.1))
+        u = np.zeros(grid.field_shape())
+        for shape in ((5, 3, 4, 4), (4, 4, 5), (4, 4, 5, 3, 1)):
+            with pytest.raises(DimensionError):
+                energy(FilterState(0.0, u, np.zeros(shape)), p, grid)
 
 
 class TestDecayRateFit:
