@@ -78,6 +78,15 @@ def disk_image(n=64, radius=20.0, inside=(0.75, 0.70, 0.65), outside=(0.25, 0.30
     return img, r
 
 
+def rgb_scene():
+    """The 64 x 64 RGB scene of the memory and H digest tests: a tiled, noisy image and its grid."""
+    grid = GridSpec(dims=(64, 64), channels=3)
+    rng = np.random.default_rng(8)
+    tiles = rng.uniform(-0.8, 0.8, (8, 8, 3))
+    u0 = np.kron(tiles, np.ones((8, 8, 1))) + 0.1 * rng.standard_normal(grid.field_shape())
+    return u0, grid
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240915)

@@ -41,6 +41,12 @@ gives them. Its two changes were measured one at a time:
   digits of the l2 norm, mass, energy and min_eig_H columns of relax,
   sharp-dt2 and bump-omega. catte, whose grey 2 x 2 tensors sum two terms
   the same way in either order, and pm did not move with it.
+
+The CLI never returns H, so ``test_H_unchanged`` pins it apart: the sha256
+of ``run()``'s final H and of its history of H, both in the full-square
+layout ``run()`` returns, and the exact value of ``memory_form_check``, on
+the 64 x 64 RGB scene of the memory tests. They were recorded before H was
+held as its packed triangle inside the step loop.
 """
 
 import contextlib
@@ -57,8 +63,10 @@ import pytest
 
 import relaxdiff
 from relaxdiff.cli import EXIT_OK, main, save_image
+from relaxdiff.initial import init_H0
+from relaxdiff.integrate import FilterParams, memory_form_check, run
 
-from conftest import disk_image
+from conftest import disk_image, rgb_scene
 
 # case -> (grey scene?, CLI flags)
 CASES = {
@@ -95,6 +103,13 @@ DIGESTS = {
         "trace": "8032cded4aee7705fbac793396587781269c3291c53bbea0f3ee23f32dbfc72a",
         "stdout": "d63082d6a8446a76261cd641e6c1efc9a56472a10e5dfb4e44e6ea96b1af5975",
     },
+}
+
+# run() on rgb_scene(), t_end 0.3 at the default dt 0.1 (three steps).
+H_DIGESTS = {
+    "final": "0bdd8f1730d5d3c5d584c37168e20cc2b0f85d9b675d025e2f235bcb3237e253",
+    "history": "f003b09002f357a56c4eb887d974359a988ebc97889844525e0a187bf1edfdbc",
+    "memory_form_check": "0x1.c272328cc1ebdp-6",
 }
 
 
@@ -154,6 +169,22 @@ def test_config_file_gives_the_flags_outputs(case, tmp_path):
     got = digests(case, tmp_path, as_config=True)
     for name, digest in DIGESTS[case].items():
         assert got[name] == digest, f"mode {case} from a config file: {name} differs"
+
+
+def test_H_unchanged():
+    u0, grid = rgb_scene()
+    h0 = init_H0(u0, grid, window=5, alpha=0.1)
+    p = FilterParams(t_end=0.3)
+    state, _, (_, hs) = run(u0, h0, p, grid, keep_history=True)
+    kd = grid.channels * grid.ndim
+    assert state.H.shape == (kd, kd) + grid.dims and len(hs) == 4
+    assert _sha(state.H.tobytes()) == H_DIGESTS["final"], "final H changed"
+    history = hashlib.sha256()
+    for h in hs:
+        assert h.shape == state.H.shape
+        history.update(h.tobytes())
+    assert history.hexdigest() == H_DIGESTS["history"], "history of H changed"
+    assert memory_form_check(u0, h0, p, 3, grid).hex() == H_DIGESTS["memory_form_check"]
 
 
 # Runs every case in a fresh interpreter; argv[1] == "1" pins the process to

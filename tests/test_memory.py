@@ -18,6 +18,8 @@ from relaxdiff.initial import init_H0
 from relaxdiff.integrate import FilterParams, energy, run
 from relaxdiff.response import response_zero
 
+from conftest import rgb_scene
+
 
 def traced_peak(fn):
     """fn()'s result and the peak bytes traced while it ran."""
@@ -29,15 +31,6 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return result, peak
-
-
-def rgb_scene():
-    """The 64 x 64 RGB scene: a tiled, noisy image and its grid."""
-    grid = GridSpec(dims=(64, 64), channels=3)
-    rng = np.random.default_rng(8)
-    tiles = rng.uniform(-0.8, 0.8, (8, 8, 3))
-    u0 = np.kron(tiles, np.ones((8, 8, 1))) + 0.1 * rng.standard_normal(grid.field_shape())
-    return u0, grid
 
 
 def test_peaks_in_H_fields():
