@@ -22,10 +22,11 @@ only where the split was measured to pay.
 
 The banded kernels are ``grid.gradient``, ``grid.divergence`` and
 ``grid.face_average_tensors``, in rows, ``tensors.apply``, in flattened
-cells, and ``integrate._relax_H``, in the flattened values of H. The
+cells, and ``integrate._relax_H``, in the flattened values of the packed H
+(P = kd(kd+1)/2 planes, see ``tensors.pack_index``). The
 gradient, the divergence and the face averaging band the spatial axis 0 of
-their component-first fields, (k, d) + dims and (kd, kd) + dims, so a band
-is a slice of every component at once. ``face_average_tensors``, the one
+their component-first fields, (k, d) + dims, (P,) + dims and
+(kd, kd) + dims, so a band is a slice of every component at once. ``face_average_tensors``, the one
 banded kernel that needs scratch space, gets its buffers from the caller,
 as the rules below ask.
 

@@ -5,10 +5,11 @@ discrete gradient takes forward differences along each axis. It is stored
 component-first, with shape (k, d) + dims: the value for the face between
 cells x and x+e_j is at slot (:, j, x), so each component is one contiguous
 cell field, and the last slot per axis (which has no forward face) holds
-zero. Fluxes share that layout, and tensor fields have the matching one,
-(kd, kd) + dims: the face averaging takes H and returns the face tensors
-so, and the CG operator applies them to the gradient cell by cell
-(``tensors.apply``). The divergence is built as the
+zero. Fluxes share that layout, and tensor fields have the matching one:
+the face averaging takes H packed, (P,) + dims with P = kd(kd+1)/2 (see
+``tensors.pack_index``), and returns the face tensors full square,
+(kd, kd) + dims, which the CG operator applies to the gradient cell by
+cell (``tensors.apply``). The divergence is built as the
 exact negative adjoint of this gradient under the plain grid inner products,
 with zero flux through all boundary faces. That pairing is what the no-flux
 boundary treatment means discretely: summation by parts holds to rounding,
@@ -32,6 +33,7 @@ import numpy as np
 
 from .bands import band_edges, for_bands
 from .errors import DimensionError, ParameterError
+from .tensors import pack_index
 
 Array = np.ndarray
 
@@ -158,8 +160,9 @@ def divergence(jfield: Array, grid: GridSpec) -> Array:
 def face_average_tensors(hfield: Array, grid: GridSpec) -> Array:
     """One tensor per cell slot, averaged from the tensors at its forward faces.
 
-    hfield and the result are component-first, (kd, kd) + dims, the layout
-    ``tensors.apply`` reads; any other shape raises DimensionError. Each
+    hfield is packed, (P,) + dims with P = kd(kd+1)/2, as the step loop
+    holds H; the result is full square, (kd, kd) + dims, the layout
+    ``tensors.apply`` reads. Any other shape raises DimensionError. Each
     forward face between x and x+e_j carries the arithmetic mean of the two
     adjacent cell tensors; the slot tensor is the mean over the cell's
     existing forward faces (the far corner keeps its own tensor). Being a
@@ -170,20 +173,22 @@ def face_average_tensors(hfield: Array, grid: GridSpec) -> Array:
     Per element the sum starts from 0.0 (so a first term of -0.0 gives
     +0.0), adds 0.5 (h[x] + h[x + e_j]) axis by axis and divides by the face
     count. The rows run in bands, a chunk of whole rows at a time, read as
-    flat cells of a group of entry planes: the neighbour along axis j lies
-    prod(dims[j+1:]) cells further on. A chunk and a group hold about
-    FACE_AVERAGE_CHUNK values together (few long planes keep the CPU caches
-    from thrashing on planes a power of two apart). The axis-0 terms go
-    straight into the output; those of the other axes go through one buffer
-    per band, in which the pairs that wrap past the end of axis j are set to
-    0.0 before they are added. Adding +0.0 leaves every sum as it is, since
-    a sum that starts from 0.0 is never -0.0. The only field-sized array is
-    the output.
+    flat cells of a group of packed planes from one row a of the triangle:
+    the neighbour along axis j lies prod(dims[j+1:]) cells further on. A
+    chunk and a group hold about FACE_AVERAGE_CHUNK values together (few
+    long planes keep the CPU caches from thrashing on planes a power of two
+    apart). A group's sums go straight into its output planes (a, b), which
+    lie side by side, and are then copied to their mirrors (b, a). The
+    axis-0 terms go straight into the output; those of the other axes go
+    through one buffer per band, in which the pairs that wrap past the end
+    of axis j are set to 0.0 before they are added. Adding +0.0 leaves every
+    sum as it is, since a sum that starts from 0.0 is never -0.0. The only
+    field-sized array is the output.
     """
     hfield = np.asarray(hfield, dtype=float)
     kd = grid.channels * grid.ndim
-    if hfield.shape != (kd, kd) + grid.dims:
-        raise DimensionError(f"tensor field shape {hfield.shape} != {(kd, kd) + grid.dims}")
+    if hfield.shape != (kd * (kd + 1) // 2,) + grid.dims:
+        raise DimensionError(f"packed tensor field shape {hfield.shape} != {(kd * (kd + 1) // 2,) + grid.dims}")
     d = grid.ndim
     n0 = grid.dims[0]
     row = math.prod(grid.dims[1:])
@@ -195,13 +200,14 @@ def face_average_tensors(hfield: Array, grid: GridSpec) -> Array:
     count = (faces + 1.0).ravel()
     last_count = np.maximum(faces, 1.0).ravel()  # the corner's 0 -> 1
     corner = tuple(n - 1 for n in grid.dims)
-    out = np.empty(hfield.shape)
-    hp = hfield.reshape(kd * kd, -1)  # one flat cell plane per tensor entry
-    op = out.reshape(kd * kd, -1)
-    work = 2 * hfield.size
+    index = pack_index(kd)
+    out = np.empty((kd, kd) + grid.dims)
+    hp = hfield.reshape(hfield.shape[0], -1)  # one flat cell plane per entry pair
+    op = out.reshape(kd * kd, -1)  # one flat cell plane per tensor entry
+    work = hfield.size + out.size
     edges = band_edges(n0, work)
     rows = min(max(1, FACE_AVERAGE_CHUNK // row), max(np.diff(edges)))  # rows per chunk
-    planes = min(kd * kd, max(1, FACE_AVERAGE_CHUNK // (rows * row)))  # entry planes per chunk
+    planes = min(kd, max(1, FACE_AVERAGE_CHUNK // (rows * row)))  # entry planes per chunk
     scratch = {start: np.empty((planes, rows * row)) for start in edges[:-1]}
 
     def band(start: int, stop: int) -> None:
@@ -210,26 +216,30 @@ def face_average_tensors(hfield: Array, grid: GridSpec) -> Array:
             lo, hi = a * row, b * row
             top = min(b, n0 - 1) - a  # rows a .. a+top-1 have an axis-0 face
             mid = top * row
-            for e in range(0, kd * kd, planes):
-                f = min(e + planes, kd * kd)
-                hb, acc, t = hp[e:f, lo:hi], op[e:f, lo:hi], scratch[start][:f - e, :hi - lo]
-                np.add(hb[:, :mid], hp[e:f, lo + row:lo + row + mid], out=acc[:, :mid])
-                acc[:, :mid] *= 0.5
-                acc[:, :mid] += 0.0
-                acc[:, mid:] = 0.0
-                for j in range(1, d):
-                    stride = math.prod(grid.dims[j + 1:])
-                    np.add(hb[:, :-stride], hb[:, stride:], out=t[:, :-stride])
-                    t.reshape(f - e, -1, grid.dims[j], stride)[:, :, -1] = 0.0
-                    t *= 0.5
-                    acc += t
-                cells = acc.reshape(f - e, b - a, row)
-                cells[:, :top] /= count
-                cells[:, top:] /= last_count
-        if stop == n0:
-            out[(...,) + corner] = hfield[(...,) + corner]
+            for r in range(kd):
+                for e in range(r, kd, planes):
+                    f = min(e + planes, kd)
+                    q = index[r, e]  # the packed planes of entries (r, e) .. (r, f-1)
+                    hb, t = hp[q:q + f - e, lo:hi], scratch[start][:f - e, :hi - lo]
+                    acc = op[r * kd + e:r * kd + f, lo:hi]
+                    np.add(hb[:, :mid], hp[q:q + f - e, lo + row:lo + row + mid], out=acc[:, :mid])
+                    acc[:, :mid] *= 0.5
+                    acc[:, :mid] += 0.0
+                    acc[:, mid:] = 0.0
+                    for j in range(1, d):
+                        stride = math.prod(grid.dims[j + 1:])
+                        np.add(hb[:, :-stride], hb[:, stride:], out=t[:, :-stride])
+                        t.reshape(f - e, -1, grid.dims[j], stride)[:, :, -1] = 0.0
+                        t *= 0.5
+                        acc += t
+                    cells = acc.reshape(f - e, b - a, row)
+                    cells[:, :top] /= count
+                    cells[:, top:] /= last_count
+                    for c in range(max(e, r + 1), f):
+                        op[c * kd + r, lo:hi] = op[r * kd + c, lo:hi]
 
     for_bands(band, n0, work)
+    out[(...,) + corner] = hfield[(...,) + corner][index]
     return out
 
 

@@ -53,7 +53,7 @@ from .grid import (
 )
 from .mollifier import DELTA_SIGMA, GAUSSIAN, Kernel, grad_sigma
 from .response import ResponseParams, response_field, response_zero
-from .tensors import apply, eigvalsh_field, min_eig_field, require_symmetric
+from .tensors import apply, eigvalsh_field, min_eig_field, pack, pack_index, require_symmetric, unpack
 
 Array = np.ndarray
 
@@ -113,7 +113,7 @@ def cg_max_iter(ncells: int) -> int:
 class FilterState:
     t: float
     u: Array
-    H: Array  # component-first, (kd, kd) + dims
+    H: Array  # component-first: (kd, kd) + dims from run(), packed (P,) + dims inside the step loop
 
 
 @dataclass(frozen=True)
@@ -199,7 +199,13 @@ def _implicit_solve(
 
 
 def _channel_sums(u: Array, grid: GridSpec) -> Array:
-    return u.reshape(-1, grid.channels).sum(axis=0)
+    """Per-channel sums of an image field, each summed over the cells in index order.
+
+    einsum gives the bits of u.reshape(-1, k).sum(axis=0) in a fifth of its
+    time, for k >= 2; for k = 1 that sum is pairwise, so grey keeps it.
+    """
+    v = u.reshape(-1, grid.channels)
+    return np.einsum("nc->c", v) if grid.channels > 1 else v.sum(axis=0)
 
 
 def _relax_H(u_sample: Array, h: Array, p: FilterParams, grid: GridSpec, kern: Kernel | None) -> None:
@@ -207,8 +213,9 @@ def _relax_H(u_sample: Array, h: Array, p: FilterParams, grid: GridSpec, kern: K
 
     h becomes theta h + (1 - theta) F, each element by the same two products
     and one sum as the out-of-place expression, in bands of its flattened
-    values and with no field-sized temporary besides F itself. h must be
-    C-contiguous, as run()'s own copy of H is.
+    values and with no field-sized temporary besides F itself. h and F are
+    packed, (P,) + dims, and h must be C-contiguous, as run()'s packed copy
+    of H is.
     """
     f = response_field(grad_sigma(u_sample, kern, grid), p.response).reshape(-1)
     theta = math.exp(-p.dt / p.tau)
@@ -230,20 +237,31 @@ def energy(state: FilterState, p: FilterParams, grid: GridSpec) -> float:
     The per-channel mean is removed from u because the flux form conserves
     it exactly; convergence toward the flat image happens in the mean-free
     part, which is what this functional measures. The misfit is summed one
-    entry plane of H at a time, in row-major order, each plane's square sum
-    taken over H[a, b] - F(0)[a, b], or over H[a, b] itself where F(0)[a, b]
-    is zero, so no H-sized array is made. H must be (kd, kd) + dims.
+    entry (a, b) of H at a time, in row-major order, each entry's square sum
+    taken over its plane H[a, b] - F(0)[a, b], or over H[a, b] itself where
+    F(0)[a, b] is zero, so no H-sized array is made. H may be full square,
+    (kd, kd) + dims, or packed, (P,) + dims, as the step loop holds it; a
+    packed plane's square sum is taken once and added at (a, b) and at
+    (b, a), which gives the bits of the full square of a symmetric H.
     """
     umf = mean_free(state.u, grid)
     term_u = 0.5 * inner(umf, umf)
     f0 = response_zero(p.response, grid.channels, grid.ndim)
+    kd = grid.channels * grid.ndim
     h = np.asarray(state.H, dtype=float)
-    if h.shape != f0.shape + grid.dims:
-        raise DimensionError(f"tensor field shape {h.shape} != {f0.shape + grid.dims}")
+    packed = h.shape == f0.shape + grid.dims
+    if not packed and h.shape != (kd, kd) + grid.dims:
+        raise DimensionError(f"tensor field shape {h.shape} is neither {(kd, kd) + grid.dims} nor {f0.shape + grid.dims}")
+    index = pack_index(kd)
+    sums = {}
     misfit = 0.0
-    for e in np.ndindex(f0.shape):
-        plane = h[e] - f0[e] if f0[e] else h[e]
-        misfit += inner(plane, plane)
+    for a, b in np.ndindex(kd, kd):
+        e = index[a, b]
+        key = e if packed else (a, b)
+        if key not in sums:
+            plane = h[key] - f0[e] if f0[e] else h[key]
+            sums[key] = inner(plane, plane)
+        misfit += sums[key]
     return term_u + 0.5 * p.tau * misfit
 
 
@@ -263,8 +281,9 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec, keep_
     the tau -> 0 limit) every step sets H = F(grad_sigma u) at the step's left
     endpoint instead, with no half solve and no floor check.
 
-    Returns (final FilterState, per-step TraceRecords, history), history
-    being the (u, H) lists at the step nodes with keep_history, else None.
+    H, the responses and the state's H are packed, (P,) + dims. Returns
+    (final FilterState, per-step TraceRecords, history), history being the
+    (u, H) lists at the step nodes with keep_history, else None.
     """
     relax = h is not None
     kern = p.kernel()
@@ -301,6 +320,7 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec, keep_
         min_eig = min_eig_field(h)
         kappa = kappa_predicted(t, p)
         if relax and min_eig < kappa - KAPPA_SLACK:
+            h = unpack(h)
             eigs = eigvalsh_field(np.moveaxis(h, (0, 1), (-2, -1)))
             cell = np.unravel_index(int(np.argmin(eigs[..., 0])), grid.dims)
             raise InvariantViolation(
@@ -360,6 +380,11 @@ def run(
     SymmetryError if a cell tensor of H0 is not symmetric. H0, the state's H
     and the history's tensor fields all share that one layout.
 
+    The step loop holds H packed, (P,) + dims with P = kd(kd+1)/2: after the
+    symmetry check run() keeps H0's lower triangle, so for an H0 symmetric
+    only within SYMMETRY_RTOL the solve sees that triangle mirrored. The
+    state's H and the history are unpacked once the loop has returned.
+
     The floor check is certified rather than computed cell by cell: a Cholesky
     factorisation of H minus a sampled upper bound on its smallest eigenvalue
     clears every cell that cannot hold the minimum, and eigvalsh runs on the
@@ -369,21 +394,31 @@ def run(
     """
     u = check_image(u0, grid)
     _require_finite("u0", u)
-    h = np.asarray(H0, dtype=float).copy()
+    h0 = np.asarray(H0, dtype=float)
     kd = grid.channels * grid.ndim
-    if h.shape != (kd, kd) + grid.dims:
-        raise ParameterError(f"H0 shape {h.shape} != {(kd, kd) + grid.dims}")
-    _require_finite("H0", h)
-    require_symmetric(h)  # the floor check reads one triangle; CG needs a symmetric operator
+    if h0.shape != (kd, kd) + grid.dims:
+        raise ParameterError(f"H0 shape {h0.shape} != {(kd, kd) + grid.dims}")
+    _require_finite("H0", h0)
+    require_symmetric(h0)  # the packed H keeps one triangle; CG needs a symmetric operator
+    h = pack(h0)
+    del h0
     init_min = min_eig_field(h)
     if init_min < p.alpha - 1e-12:
         raise ParameterError(
             "initial diffusivity violates the alpha eigenvalue floor: "
             f"min eig {init_min:.6g} < alpha {p.alpha:g}"
         )
-    # Only the step loop holds run()'s copy of u, so each solve frees the last u.
+    # Only the step loop holds run()'s copies of u and H, so each solve frees
+    # the last u, and the last face tensors are gone before H is unpacked.
     final, traces, history = _step_loop(u.copy(), h, p, grid, keep_history)
-    return (final, traces, history) if keep_history else (final, traces)
+    del h
+    final.H = unpack(final.H)
+    if not keep_history:
+        return final, traces
+    hs = history[1]
+    for n, hn in enumerate(hs):
+        hs[n] = unpack(hn)
+    return final, traces, history
 
 
 def decay_rate_fit(traces: list[TraceRecord]) -> float:
@@ -427,7 +462,7 @@ def memory_form_check(
     _, _, (us, hs) = run(u0, H0, p_run, grid, keep_history=True)
 
     kern = p.kernel()
-    fs = [response_field(grad_sigma(un, kern, grid), p.response) for un in us]
+    fs = [unpack(response_field(grad_sigma(un, kern, grid), p.response)) for un in us]
     theta = math.exp(-p.dt / p.tau)
     q = np.asarray(H0, dtype=float).copy()
     worst = 0.0

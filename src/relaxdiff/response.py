@@ -25,10 +25,12 @@ Lipschitz constant over a ball of gradients in closed form; the predicted
 energy-decay rate depends on it.
 
 The responses read gradient fields component-first, (k, d) + dims, as
-grid.gradient returns them, and return tensor fields component-first,
-(kd, kd) + dims, as H is stored, writing one cell field per entry. D:D sums
-the squares in index order from +0.0, as tensors.apply sums its products
-(on a field of one cell einsum unrolls the sum instead).
+grid.gradient returns them, and return packed tensor fields, (P,) + dims
+with P = kd(kd+1)/2, as the step loop holds H: one cell field per entry
+pair, numbered by tensors.pack_index. Each product v_a v_b is formed once,
+for a <= b; no lower-half product is made. D:D sums the squares in index
+order from +0.0, as tensors.apply sums its products (on a field of one cell
+einsum unrolls the sum instead).
 """
 
 import math
@@ -37,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
+from .tensors import pack, pack_index
 
 Array = np.ndarray
 
@@ -77,9 +80,9 @@ def _gradient_field(dfield: Array) -> Array:
 def response_fs(dfield: Array, p: ResponseParams) -> Array:
     """Thresholded projection response of every cell of a gradient field.
 
-    dfield is component-first, with shape (k, d) + dims, and so is the
-    result, (k*d, k*d) + dims. A single k x d matrix is a field with
-    dims = ().
+    dfield is component-first, with shape (k, d) + dims; the result is
+    packed, (P,) + dims with P = kd(kd+1)/2. A single k x d matrix is a
+    field with dims = ().
     """
     if p.kind != THRESHOLDED_PROJECTION:
         raise ParameterError("response_fs requires the thresholded-projection kind")
@@ -91,16 +94,19 @@ def response_fs(dfield: Array, p: ResponseParams) -> Array:
     proj_branch = nrm2 >= s2
     a = np.where(proj_branch, 1.0, 1.5 - 0.5 * (nrm2 / s2))
     c = np.where(proj_branch, nrm2, s2)
-    out = np.multiply(v[:, None], v[None, :])
-    out /= c
-    diagonal = np.einsum("aan->an", out)  # a writable view of the diagonal planes
-    diag = a - diagonal
-    # 0 - x, not -x: an off-diagonal +0.0 stays +0.0.
-    np.subtract(0.0, out, out=out)
-    diagonal[...] = diag
-    if p.omega > 0.0:
-        out += p.omega * np.eye(n)[..., None]
-    return out.reshape((n, n) + dfield.shape[2:])
+    out = np.empty((n * (n + 1) // 2, v.shape[1]))
+    for r in range(n):
+        q = pack_index(n)[r, r]
+        row = out[q:q + n - r]  # the planes of entries (r, r), (r, r+1), ..., (r, n-1)
+        np.multiply(v[r], v[r:], out=row)
+        row /= c
+        np.subtract(a, row[0], out=row[0])
+        # 0 - x, not -x: an off-diagonal +0.0 stays +0.0. Adding omega * 0.0
+        # would change no off-diagonal bit, so omega goes to the diagonal alone.
+        np.subtract(0.0, row[1:], out=row[1:])
+        if p.omega > 0.0:
+            row[0] += p.omega
+    return out.reshape(out.shape[:1] + dfield.shape[2:])
 
 
 def response_pm(dfield: Array, p: ResponseParams) -> Array:
@@ -114,7 +120,7 @@ def response_pm(dfield: Array, p: ResponseParams) -> Array:
     n = dfield.shape[0] * dfield.shape[1]
     v = dfield.reshape(n, -1)
     g = 1.0 / (1.0 + np.sqrt(np.einsum("an,an->n", v, v)) / p.lam) + p.omega
-    return np.multiply.outer(np.eye(n), g.reshape(dfield.shape[2:]))
+    return np.multiply.outer(pack(np.eye(n)), g.reshape(dfield.shape[2:]))
 
 
 def response_field(dfield: Array, p: ResponseParams) -> Array:

@@ -6,11 +6,16 @@ diffusivity tensor acts linearly on such matrices; with the pair index
 (k*d) x (k*d) matrix. k*d stays small (6 for RGB images in 2D), so dense
 storage and dense symmetric eigensolvers are the right tool.
 
-Tensor fields are component-first, (kd, kd) + dims: one contiguous cell
-field per entry, a single tensor being a field with dims = (). H, the face
-tensors and the responses share that layout, and ``apply`` takes it with a
-component-first gradient, (k, d) + dims. Only ``eigvalsh_field`` keeps
-numpy's (..., n, n) layout; its callers pass it moved-axis views.
+Tensor fields are component-first: one contiguous cell field per entry, a
+single tensor being a field with dims = (). The face tensors, which
+``apply`` takes with a component-first gradient, (k, d) + dims, are full
+square, (kd, kd) + dims. H, the responses and F(0) are packed,
+(P,) + dims with P = kd(kd+1)/2 (21 for RGB in 2-D, 3 for grey): entries
+(a, b) and (b, a) share one plane, numbered by ``pack_index``, and
+``pack`` fills it from the lower triangle, the triangle eigvalsh and the
+Cholesky filter read. ``min_eig_field`` takes a packed field. Only
+``eigvalsh_field`` keeps numpy's (..., n, n) layout; its callers pass it
+moved-axis views of full-square copies.
 
 All functions here are pure and safe to call concurrently. ``apply`` splits
 its cells into bands over the CPUs of the affinity mask
@@ -41,6 +46,50 @@ MIN_EIG_MARGIN = 4
 # apply: cells per einsum call, so that a chunk's slices of h, g and the
 # output stay in cache (an unchunked band was measured up to 10 % slower).
 APPLY_CHUNK = 1 << 15
+
+
+@functools.cache
+def pack_index(n: int) -> Array:
+    """The packed plane of each entry (a, b) of an n x n symmetric tensor, as an (n, n) array.
+
+    The n(n+1)/2 planes run along the upper triangle row by row: (0, 0),
+    (0, 1), ..., (0, n-1), (1, 1), ..., so the planes of one triangle row
+    are contiguous, and (b, a) shares the plane of (a, b). Indexing a packed
+    field with it, ``planes[pack_index(n)]``, unpacks it to (n, n) + dims.
+    The array is shared between calls, so it is read-only.
+    """
+    index = np.empty((n, n), dtype=np.intp)
+    rows, cols = np.triu_indices(n)
+    index[rows, cols] = index[cols, rows] = np.arange(rows.size)
+    index.flags.writeable = False
+    return index
+
+
+def _packed_side(planes: int) -> int:
+    """n for a packed field of n(n+1)/2 planes; DimensionError for any other count."""
+    n = (math.isqrt(8 * planes + 1) - 1) // 2
+    if planes < 1 or n * (n + 1) // 2 != planes:
+        raise DimensionError(f"{planes} planes are no packed symmetric tensor")
+    return n
+
+
+def pack(h: Array) -> Array:
+    """The packed copy, (n(n+1)/2,) + dims, of a tensor field of shape (n, n) + dims.
+
+    Plane pack_index(n)[a, b] takes its values from the lower triangle,
+    h[max(a, b), min(a, b)]; the upper triangle is not read.
+    """
+    h = np.asarray(h, dtype=float)
+    if h.ndim < 2 or h.shape[0] != h.shape[1]:
+        raise DimensionError(f"expected (n, n) + dims tensors, got shape {h.shape}")
+    rows, cols = np.triu_indices(h.shape[0])
+    return h[cols, rows]
+
+
+def unpack(planes: Array) -> Array:
+    """The full-square field, (n, n) + dims, of a packed field, (n(n+1)/2,) + dims."""
+    planes = np.asarray(planes, dtype=float)
+    return planes[pack_index(_packed_side(planes.shape[0]))]
 
 
 def require_symmetric(h: Array) -> None:
@@ -98,9 +147,10 @@ def eigvalsh_field(hfield: Array) -> Array:
 
 
 def min_eig_field(hfield: Array) -> float:
-    """Smallest eigenvalue over all cells of a symmetric tensor field, (n, n) + dims.
+    """Smallest eigenvalue over all cells of a packed symmetric tensor field, (P,) + dims.
 
-    Equal bit for bit to the minimum of eigvalsh_field over every cell, NaN,
+    Equal bit for bit to the minimum of eigvalsh_field over every cell of
+    the unpacked field, NaN,
     inf and LinAlgError included, but certified instead of computed cell by
     cell: the MIN_EIG_SAMPLE cells with the smallest diagonal entry give an
     eigenvalue c that bounds the minimum from above, a Cholesky factorisation
@@ -109,12 +159,13 @@ def min_eig_field(hfield: Array) -> float:
     minimum, its near-ties and any non-finite cell) are diagonalised.
     """
     hfield = np.asarray(hfield, dtype=float)
-    n = hfield.shape[0]
-    cells = hfield.reshape(n, n, -1)
+    n = _packed_side(hfield.shape[0])
+    index = pack_index(n)
+    cells = hfield.reshape(hfield.shape[0], -1)
     count = cells.shape[-1]
-    smallest_diag = functools.reduce(np.minimum, [cells[i, i] for i in range(n)])
+    smallest_diag = functools.reduce(np.minimum, [cells[index[i, i]] for i in range(n)])
     sample = np.argpartition(smallest_diag, min(MIN_EIG_SAMPLE, count) - 1)[:MIN_EIG_SAMPLE]
-    c = np.min(eigvalsh_field(np.moveaxis(cells[:, :, sample], -1, 0))[:, 0])
+    c = np.min(eigvalsh_field(np.moveaxis(cells[:, sample][index], -1, 0))[:, 0])
     # delta covers two backward errors, for n x n cells whose entries are
     # bounded by m = max|H| (so ||H||_2 <= n m, and |c| <= n m because c is a
     # cell eigenvalue); u = eps / 2 is the unit roundoff. A Cholesky of
@@ -132,23 +183,23 @@ def min_eig_field(hfield: Array) -> float:
         scale = np.maximum(cells.max(), -cells.min())
         shift = c + MIN_EIG_MARGIN * n**3 * np.finfo(float).eps * scale
         survivors = np.concatenate([
-            start + np.flatnonzero(_cholesky_breaks_down(cells[:, :, start:start + MIN_EIG_BLOCK], shift))
+            start + np.flatnonzero(_cholesky_breaks_down(cells[:, start:start + MIN_EIG_BLOCK], shift))
             for start in range(0, count, MIN_EIG_BLOCK)
         ])
-    return float(np.min(eigvalsh_field(np.moveaxis(cells[:, :, survivors], -1, 0))[:, 0], initial=c))
+    return float(np.min(eigvalsh_field(np.moveaxis(cells[:, survivors][index], -1, 0))[:, 0], initial=c))
 
 
 def _cholesky_breaks_down(block: Array, shift: float) -> Array:
-    """Mask of the cells of an (n, n, m) block where Cholesky of H - shift I fails.
+    """Mask of the cells of a packed (P, m) block where Cholesky of H - shift I fails.
 
-    Right-looking factorisation vectorised over cells, on a copy of the
-    block. Like eigvalsh it reads the lower triangle only, and it updates
-    only that triangle, one row at a time. A pivot that is not > 0 (NaN
-    included) marks the cell; it then carries NaN or inf along, so callers
-    silence those warnings.
+    Right-looking factorisation vectorised over cells, on a full-square
+    (n, n, m) copy of the block. Like eigvalsh it reads the lower triangle
+    only, and it updates only that triangle, one row at a time. A pivot that
+    is not > 0 (NaN included) marks the cell; it then carries NaN or inf
+    along, so callers silence those warnings.
     """
-    n = block.shape[0]
-    a = block.copy()
+    n = _packed_side(block.shape[0])
+    a = block[pack_index(n)]
     diag = np.arange(n)
     a[diag, diag] -= shift
     completes = np.ones(block.shape[-1], dtype=bool)

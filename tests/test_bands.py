@@ -16,7 +16,7 @@ from relaxdiff.grid import GridSpec, divergence, face_average_tensors, gradient
 from relaxdiff.integrate import FilterParams, _relax_H
 from relaxdiff.mollifier import grad_sigma
 from relaxdiff.response import response_field
-from relaxdiff.tensors import apply
+from relaxdiff.tensors import apply, pack
 
 from conftest import apply_in_order, random_psd_field
 
@@ -179,8 +179,9 @@ def test_kernels_bit_equal_for_1_2_3_bands(dims, channels, rng, set_workers, mon
     h = random_psd_field(rng, dims, kd, floor=0.1)
     # Face terms of -0.0: a sum that starts from 0.0 makes them +0.0, and the
     # far corner keeps its own -0.0.
-    h[0, -1, :2] = -0.0
-    h[0, -1, -1] = -0.0
+    h[0, -1, :2] = h[-1, 0, :2] = -0.0
+    h[0, -1, -1] = h[-1, 0, -1] = -0.0
+    planes = pack(h)  # the face averaging and the relaxation take H packed
     p = FilterParams(tau=0.4, sigma=1.0, dt=0.3)
     theta = math.exp(-p.dt / p.tau)
     f = response_field(grad_sigma(u, p.kernel(), grid), p.response)
@@ -189,18 +190,18 @@ def test_kernels_bit_equal_for_1_2_3_bands(dims, channels, rng, set_workers, mon
         "divergence": _divergence_ref(np.moveaxis(jfield, (0, 1), (-2, -1)), grid),
         "apply": apply_in_order(h, jfield),
         "face_average_tensors": _face_average_ref(h, grid),
-        "_relax_H": theta * h + (1.0 - theta) * f,
+        "_relax_H": theta * planes + (1.0 - theta) * f,
     }
     default_chunk = grid_mod.FACE_AVERAGE_CHUNK
     for workers in (1, 2, 3):
         set_workers(workers)
-        relaxed = h.copy()
+        relaxed = planes.copy()
         _relax_H(u, relaxed, p, grid, p.kernel())
         got = {
             "gradient": gradient(u, grid),
             "divergence": divergence(jfield, grid),
             "apply": apply(h, jfield),
-            "face_average_tensors": face_average_tensors(h, grid),
+            "face_average_tensors": face_average_tensors(planes, grid),
             "_relax_H": relaxed,
         }
         for name, value in got.items():
@@ -209,5 +210,5 @@ def test_kernels_bit_equal_for_1_2_3_bands(dims, channels, rng, set_workers, mon
         # Chunks of one row of one entry plane, and of a few rows and planes.
         for chunk in (1, 6 * math.prod(dims[1:]), default_chunk):
             monkeypatch.setattr(grid_mod, "FACE_AVERAGE_CHUNK", chunk)
-            value = face_average_tensors(h, grid)
+            value = face_average_tensors(planes, grid)
             assert value.tobytes() == reference["face_average_tensors"].tobytes(), f"{chunk}-value chunks, {workers} bands"

@@ -12,14 +12,17 @@ from relaxdiff.grid import (
     poincare_estimate,
 )
 from relaxdiff.integrate import FilterParams, run
-from relaxdiff.tensors import apply
+from relaxdiff.tensors import apply, pack
 
 from conftest import random_psd_field
 
 
 def diffusion_apply(hfield, u, grid):
-    """div(H grad u) with face-averaged tensors: the operator of the filter's solves."""
-    return divergence(apply(face_average_tensors(hfield, grid), gradient(u, grid)), grid)
+    """div(H grad u) with face-averaged tensors: the operator of the filter's solves.
+
+    hfield is full square, (kd, kd) + dims; the face averaging takes it packed.
+    """
+    return divergence(apply(face_average_tensors(pack(hfield), grid), gradient(u, grid)), grid)
 
 
 class TestGridSpec:
@@ -160,20 +163,21 @@ class TestDiffusionApply:
     def test_face_average_preserves_floor(self, rng):
         grid = GridSpec(dims=(6, 6), channels=2)
         hfield = random_psd_field(rng, grid.dims, 4, floor=0.2)
-        havg = face_average_tensors(hfield, grid)
-        np.testing.assert_allclose(havg, np.swapaxes(havg, 0, 1), atol=1e-14)
+        havg = face_average_tensors(pack(hfield), grid)
+        assert havg.shape == hfield.shape
+        assert havg.tobytes() == np.swapaxes(havg, 0, 1).tobytes()
         assert float(np.min(np.linalg.eigvalsh(np.moveaxis(havg, (0, 1), (-2, -1))))) >= 0.2 - 1e-10
 
     def test_face_average_rejects_other_layouts(self, rng):
-        # A cell-first field, dims + (kd, kd), is a different shape on this
-        # grid and must not be read as component-first.
+        # It takes H packed, (21,) + dims at 6 x 6: a cell-first field,
+        # dims + (kd, kd), and a full-square one are other shapes on this grid.
         grid = GridSpec(dims=(8, 8), channels=3)
-        cell_first = np.moveaxis(random_psd_field(rng, grid.dims, 6, floor=0.1), (0, 1), (-2, -1)).copy()
+        full = random_psd_field(rng, grid.dims, 6, floor=0.1)
+        cell_first = np.moveaxis(full, (0, 1), (-2, -1)).copy()
         assert cell_first.shape == (8, 8, 6, 6)
-        with pytest.raises(DimensionError, match=r"\(6, 6, 8, 8\)"):
-            face_average_tensors(cell_first, grid)
-        with pytest.raises(DimensionError):
-            face_average_tensors(np.zeros((4, 4, 8, 8)), grid)
+        for wrong in (cell_first, full, np.zeros((10, 8, 8)), np.zeros((21, 8, 7))):
+            with pytest.raises(DimensionError, match=r"\(21, 8, 8\)"):
+                face_average_tensors(wrong, grid)
 
 
 class TestPoincareEstimate:

@@ -14,6 +14,7 @@ from relaxdiff.integrate import (
     FilterParams,
     FilterState,
     TraceRecord,
+    _channel_sums,
     _implicit_solve,
     _num_steps,
     _relax_H,
@@ -26,6 +27,7 @@ from relaxdiff.integrate import (
 )
 from relaxdiff.mollifier import COMPACT_BUMP, Kernel, grad_sigma
 from relaxdiff.response import ResponseParams, response_field, response_zero
+from relaxdiff.tensors import pack, unpack
 
 from conftest import disk_image, random_psd_field, smooth_image
 
@@ -85,15 +87,30 @@ class TestKappaPredicted:
         assert kappa_predicted(t, p) == pytest.approx(0.2 * e + 0.4 * (1 - e))
 
 
+class TestChannelSums:
+    @pytest.mark.parametrize("channels", [1, 2, 3, 4])
+    def test_bits_of_the_reshaped_sum(self, channels, rng):
+        # The bits of u.reshape(-1, k).sum(axis=0), the form the mass column
+        # was first summed in: an index-order sum for k >= 2, a pairwise one
+        # for k = 1. Magnitudes from 1e-8 to 1e8, so another order rounds
+        # differently.
+        for dims in ((2,), (7, 3), (64, 65), (256, 256)):
+            grid = GridSpec(dims=dims, channels=channels)
+            for _ in range(3):
+                u = rng.standard_normal(grid.field_shape()) * 10.0 ** rng.integers(-8, 9, grid.field_shape())
+                expected = u.reshape(-1, channels).sum(axis=0)
+                assert _channel_sums(u, grid).tobytes() == expected.tobytes(), dims
+
+
 class TestStepH:
-    """The relaxation update the step loop applies to H (_relax_H), in place."""
+    """The relaxation update the step loop applies to the packed H (_relax_H), in place."""
 
     def test_fixed_point_when_F_equals_H(self):
         # A constant image has zero gradient, so F = F(0); start H there.
         grid = GridSpec(dims=(6, 6), channels=2)
         p = FilterParams(tau=0.5, sigma=0.0, dt=0.3, response=ResponseParams(s=0.2))
         u = np.full(grid.field_shape(), 0.4)
-        h0 = identity_field(grid.dims, 4, scale=1.5)  # F(0) = 3/2 Id
+        h0 = pack(identity_field(grid.dims, 4, scale=1.5))  # F(0) = 3/2 Id
         h = h0.copy()
         _relax_H(u, h, p, grid, p.kernel())
         np.testing.assert_allclose(h, h0, atol=1e-14)
@@ -102,11 +119,11 @@ class TestStepH:
         grid = GridSpec(dims=(4, 4), channels=1)
         alpha = 0.37
         p = FilterParams(tau=0.8, sigma=0.0, dt=0.8, alpha=alpha)
-        monkeypatch.setattr(integrate_mod, "response_field", lambda d, rp: np.zeros((2, 2) + d.shape[2:]))
+        monkeypatch.setattr(integrate_mod, "response_field", lambda d, rp: np.zeros((3,) + d.shape[2:]))
         u = np.zeros(grid.field_shape())
-        h = identity_field(grid.dims, 2, scale=alpha)
+        h = pack(identity_field(grid.dims, 2, scale=alpha))
         _relax_H(u, h, p, grid, p.kernel())
-        expected = identity_field(grid.dims, 2, scale=alpha * math.exp(-1.0))
+        expected = pack(identity_field(grid.dims, 2, scale=alpha * math.exp(-1.0)))
         np.testing.assert_allclose(h, expected, atol=1e-14)
 
     def test_frozen_u_geometric_convergence(self, rng):
@@ -114,7 +131,7 @@ class TestStepH:
         p = FilterParams(tau=0.4, sigma=0.0, dt=0.2, response=ResponseParams(s=0.3))
         u = 0.3 * rng.standard_normal(grid.field_shape())
         f = response_field(grad_sigma(u, None, grid), p.response)
-        h = random_psd_field(rng, grid.dims, 4, floor=0.1)
+        h = pack(random_psd_field(rng, grid.dims, 4, floor=0.1))
         theta = math.exp(-p.dt / p.tau)
         err_prev = float(np.max(np.abs(h - f)))
         for _ in range(8):
@@ -127,15 +144,15 @@ class TestStepH:
         grid = GridSpec(dims=(6, 6), channels=3)
         p = FilterParams(tau=0.5, sigma=0.0, dt=5.0, response=ResponseParams(s=0.1))
         u = rng.standard_normal(grid.field_shape())
-        h = random_psd_field(rng, grid.dims, 6, floor=0.2)
+        h = pack(random_psd_field(rng, grid.dims, 6, floor=0.2))
         _relax_H(u, h, p, grid, p.kernel())
         # response is PSD, H has floor 0.2, any dt keeps a convex mix PSD
-        assert float(np.min(np.linalg.eigvalsh(np.moveaxis(h, (0, 1), (-2, -1))))) >= min(0.2, 0.0) - 1e-10
+        assert float(np.min(np.linalg.eigvalsh(np.moveaxis(unpack(h), (0, 1), (-2, -1))))) >= min(0.2, 0.0) - 1e-10
 
 
 def implicit_step(u, h, p, grid):
-    """One backward-Euler diffusion step of u with frozen H, as the step loop solves it."""
-    havg = face_average_tensors(h, grid)
+    """One backward-Euler diffusion step of u with frozen full-square H, as the step loop solves it."""
+    havg = face_average_tensors(pack(h), grid)
     return _implicit_solve(u, havg, p.dt, grid, p.cg_tol, integrate_mod.cg_max_iter(grid.ncells))[0]
 
 
@@ -205,7 +222,7 @@ class TestRun:
         h0 = identity_field(grid.dims, 4, scale=0.15)
         state, traces = run(u0, h0, p, grid)
         np.testing.assert_array_equal(state.u, u0)
-        f0 = response_zero(p.response, 2, 2)  # (3/2 + omega) Id
+        f0 = unpack(response_zero(p.response, 2, 2))  # (3/2 + omega) Id
         np.testing.assert_allclose(state.H, np.multiply.outer(f0, np.ones(grid.dims)), atol=1e-8)
 
     def test_mean_free_norm_monotone_32x32(self, rng):
@@ -293,7 +310,7 @@ class TestRun:
         grid = GridSpec(dims=(32, 32), channels=3)
         u0 = disk_image(32, radius=10.0)[0] + 0.05 * rng.standard_normal(grid.field_shape())
         h0 = init_H0(u0, grid, window=3, alpha=0.1)
-        shift = 2.0 * np.eye(6)[..., None, None]
+        shift = 2.0 * pack(np.eye(6))[:, None, None]
         monkeypatch.setattr(integrate_mod, "response_field", lambda d, rp: response_field(d, rp) - shift)
         # eigvalsh_field takes numpy's (..., n, n) layout: the step loop
         # passes it a cell-first view of H.
@@ -318,7 +335,7 @@ class TestRun:
         h0 = identity_field(grid.dims, 2, scale=0.2)
         monkeypatch.setattr(
             integrate_mod, "response_field",
-            lambda d, rp: np.multiply.outer(-np.eye(2), np.ones(d.shape[2:])),
+            lambda d, rp: np.multiply.outer(-pack(np.eye(2)), np.ones(d.shape[2:])),
         )
         p = FilterParams(tau=0.1, sigma=0.0, dt=1.0, t_end=3.0, alpha=0.2)
         with pytest.raises(InvariantViolation) as err:
@@ -382,15 +399,27 @@ class TestEnergy:
         grid = GridSpec(dims=(5, 4), channels=2)
         p = FilterParams(tau=0.7, response=ResponseParams(s=0.1, omega=0.3))
         f0 = np.multiply.outer(response_zero(p.response, 2, 2), np.ones(grid.dims))
-        state = FilterState(t=0.0, u=np.zeros(grid.field_shape()), H=f0)
-        assert energy(state, p, grid) == 0.0
+        for h in (f0, unpack(f0)):  # packed, as the step loop holds H, and full square
+            state = FilterState(t=0.0, u=np.zeros(grid.field_shape()), H=h)
+            assert energy(state, p, grid) == 0.0
+
+    def test_packed_and_full_square_give_the_same_bits(self, rng):
+        # A packed plane's square sum is added at (a, b) and at (b, a), in
+        # the row-major order of the full square.
+        grid = GridSpec(dims=(7, 5), channels=3)
+        p = FilterParams(tau=0.6, response=ResponseParams(s=0.1, omega=0.2))
+        u = rng.standard_normal(grid.field_shape())
+        h = pack(random_psd_field(rng, grid.dims, 6, floor=0.1))
+        h *= 10.0 ** rng.integers(-3, 4, h.shape)
+        packed = energy(FilterState(0.0, u, h), p, grid)
+        assert packed.hex() == energy(FilterState(0.0, u, unpack(h)), p, grid).hex()
 
     def test_identity_offset_value(self):
         grid = GridSpec(dims=(5, 4), channels=2)
         tau = 0.7
         p = FilterParams(tau=tau, response=ResponseParams(s=0.1))
         kd = 4
-        f0 = response_zero(p.response, 2, 2)
+        f0 = unpack(response_zero(p.response, 2, 2))
         h = np.multiply.outer(f0 + np.eye(kd), np.ones(grid.dims))
         state = FilterState(t=0.0, u=np.zeros(grid.field_shape()), H=h)
         assert energy(state, p, grid) == pytest.approx(0.5 * tau * grid.ncells * kd, rel=1e-14)
@@ -414,12 +443,13 @@ class TestEnergy:
         assert e2 == pytest.approx(e1, rel=1e-12)
 
     def test_H_shape_rejected(self):
-        # H is read one entry plane H[a, b] at a time: a field of another
-        # shape, a cell-first one included, fails instead of giving a number.
+        # H is read one entry plane at a time, full square or packed: a field
+        # of another shape, a cell-first one included, fails instead of
+        # giving a number.
         grid = GridSpec(dims=(5, 3), channels=2)
         p = FilterParams(tau=0.5, response=ResponseParams(s=0.1))
         u = np.zeros(grid.field_shape())
-        for shape in ((5, 3, 4, 4), (4, 4, 5), (4, 4, 5, 3, 1)):
+        for shape in ((5, 3, 4, 4), (4, 4, 5), (4, 4, 5, 3, 1), (10, 5), (6, 5, 3), (10, 5, 3, 1)):
             with pytest.raises(DimensionError):
                 energy(FilterState(0.0, u, np.zeros(shape)), p, grid)
 
@@ -474,7 +504,7 @@ class TestMemoryFormCheck:
     def test_constant_response_stub_exact(self, rng, monkeypatch):
         # With F literally constant both forms telescope identically.
         grid = GridSpec(dims=(6, 6), channels=1)
-        const = identity_field(grid.dims, 2, scale=0.8)
+        const = pack(identity_field(grid.dims, 2, scale=0.8))
         monkeypatch.setattr(integrate_mod, "response_field", lambda d, rp: const.copy())
         u0 = rng.standard_normal(grid.field_shape())
         h0 = identity_field(grid.dims, 2, scale=0.3)

@@ -12,8 +12,24 @@ from relaxdiff.response import (
     response_fs,
     response_pm,
 )
+from relaxdiff.tensors import pack, unpack
 
 from conftest import frobenius_sq_in_order
+
+
+def fs(d, p):
+    """response_fs unpacked to the full square, (kd, kd) + dims."""
+    return unpack(response_fs(d, p))
+
+
+def pm(d, p):
+    """response_pm unpacked to the full square, (kd, kd) + dims."""
+    return unpack(response_pm(d, p))
+
+
+def field(d, p):
+    """response_field unpacked to the full square, (kd, kd) + dims."""
+    return unpack(response_field(d, p))
 
 
 def project_orth(d):
@@ -38,7 +54,7 @@ def brute_force_fs(d, s, omega=0.0):
 class TestResponseFs:
     def test_zero_gradient_gives_three_halves_identity(self):
         p = ResponseParams(s=1.0)
-        out = response_fs(np.zeros((3, 2)), p)
+        out = fs(np.zeros((3, 2)), p)
         np.testing.assert_array_equal(out, 1.5 * np.eye(6))
 
     def test_threshold_continuity_both_branches(self, rng):
@@ -48,14 +64,14 @@ class TestResponseFs:
         d *= s / np.linalg.norm(d)  # exactly on the threshold up to rounding
         smooth = brute_force_fs(d * (1 - 1e-14), s)
         proj = project_orth(d)
-        np.testing.assert_allclose(response_fs(d, p), proj, atol=1e-12)
+        np.testing.assert_allclose(fs(d, p), proj, atol=1e-12)
         np.testing.assert_allclose(smooth, proj, atol=1e-12)
 
     def test_projection_branch_min_eig_zero(self):
         s = 0.3
         p = ResponseParams(s=s)
         d = np.array([[2 * s, 0.0], [0.0, 0.0]])
-        out = response_fs(d, p)
+        out = fs(d, p)
         assert np.linalg.eigvalsh(out)[0] == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(out, project_orth(d), atol=1e-14)
 
@@ -64,27 +80,33 @@ class TestResponseFs:
         for _ in range(50):
             d = 0.8 * rng.standard_normal((3, 2))
             np.testing.assert_allclose(
-                response_fs(d, p), brute_force_fs(d, 0.5), atol=1e-12
+                fs(d, p), brute_force_fs(d, 0.5), atol=1e-12
             )
 
-    def test_symmetry(self, rng):
+    def test_packed_planes(self, rng):
+        # One plane per entry pair (21 for 6 x 6), taken from the upper
+        # triangle of the formula, which is symmetric.
         p = ResponseParams(s=0.2)
         for _ in range(50):
-            out = response_fs(rng.standard_normal((3, 2)), p)
-            np.testing.assert_allclose(out, out.T, atol=1e-14)
+            d = rng.standard_normal((3, 2))
+            out = response_fs(d, p)
+            assert out.shape == (21,)
+            np.testing.assert_allclose(out, pack(brute_force_fs(d, 0.2)), atol=1e-14)
+        assert response_fs(rng.standard_normal((3, 2, 5, 4)), p).shape == (21, 5, 4)
+        assert response_pm(rng.standard_normal((1, 2, 7)), RESPONSES[1]).shape == (3, 7)
 
     def test_psd_over_random_inputs(self, rng):
         p = ResponseParams(s=0.4)
         for scale in (0.01, 0.3, 1.0, 30.0):
             for _ in range(50):
-                out = response_fs(scale * rng.standard_normal((3, 2)), p)
+                out = fs(scale * rng.standard_normal((3, 2)), p)
                 assert np.linalg.eigvalsh(out)[0] >= -1e-10
 
     def test_min_eig_at_least_omega(self, rng):
         p = ResponseParams(s=0.4, omega=0.25)
         for scale in (0.0, 0.2, 5.0):
             d = scale * rng.standard_normal((3, 2))
-            assert np.linalg.eigvalsh(response_fs(d, p))[0] >= 0.25 - 1e-10
+            assert np.linalg.eigvalsh(fs(d, p))[0] >= 0.25 - 1e-10
 
     def test_continuity_linear_in_eps(self, rng):
         s = 0.6
@@ -95,14 +117,14 @@ class TestResponseFs:
         # formula, |F(D(1-eps)) - F(D(1+eps))| <= ~2 eps |3/2 Id - P| + O(eps^2).
         bound = 2.2 * np.linalg.norm(1.5 * np.eye(6) - project_orth(d))
         for eps in (1e-3, 1e-5, 1e-7):
-            gap = np.linalg.norm(response_fs(d * (1 - eps), p) - response_fs(d * (1 + eps), p))
+            gap = np.linalg.norm(fs(d * (1 - eps), p) - fs(d * (1 + eps), p))
             assert gap <= bound * eps
 
     def test_shift_law(self, rng):
         s = 0.4
         d = rng.standard_normal((3, 2))
-        base = response_fs(d, ResponseParams(s=s))
-        shifted = response_fs(d, ResponseParams(s=s, omega=0.7))
+        base = fs(d, ResponseParams(s=s))
+        shifted = fs(d, ResponseParams(s=s, omega=0.7))
         np.testing.assert_array_equal(shifted, base + 0.7 * np.eye(6))
 
     def test_operator_norm_bounded(self, rng):
@@ -111,27 +133,27 @@ class TestResponseFs:
             for scale in (0.05, 0.5, 3.0):
                 for _ in range(30):
                     d = scale * rng.standard_normal((3, 2))
-                    lam_max = np.linalg.eigvalsh(response_fs(d, p))[-1]
+                    lam_max = np.linalg.eigvalsh(fs(d, p))[-1]
                     assert lam_max <= 1.5 + omega + 1.0
 
     def test_wrong_kind_rejected(self):
         p = ResponseParams(kind=PERONA_MALIK_SCALAR, lam=1.0)
         with pytest.raises(ParameterError):
-            response_fs(np.zeros((2, 2)), p)
+            fs(np.zeros((2, 2)), p)
 
 
 class TestResponseFsField:
     def test_matches_single_cell(self, rng):
         p = ResponseParams(s=0.3, omega=0.1)
         dfield = 0.5 * rng.standard_normal((3, 2, 5, 4))
-        out = response_fs(dfield, p)
+        out = fs(dfield, p)
         for i in range(5):
             for j in range(4):
-                np.testing.assert_allclose(out[..., i, j], response_fs(dfield[..., i, j], p), atol=1e-13)
+                np.testing.assert_allclose(out[..., i, j], fs(dfield[..., i, j], p), atol=1e-13)
 
     def test_zero_field_exact(self):
         p = ResponseParams(s=0.1)
-        out = response_fs(np.zeros((2, 2, 3, 3)), p)
+        out = fs(np.zeros((2, 2, 3, 3)), p)
         np.testing.assert_array_equal(out, np.broadcast_to((1.5 * np.eye(4))[..., None, None], (4, 4, 3, 3)))
 
     def test_same_bits_as_two_branch_form(self, rng):
@@ -149,7 +171,7 @@ class TestResponseFsField:
             ref = np.where((nrm2 >= s * s)[..., None, None], proj, smooth)
             if omega > 0.0:
                 ref += omega * np.eye(6)
-            got = response_fs(dfield, ResponseParams(s=s, omega=omega))
+            got = fs(dfield, ResponseParams(s=s, omega=omega))
             assert got.tobytes() == np.moveaxis(ref, (-2, -1), (0, 1)).tobytes()
 
 
@@ -191,6 +213,16 @@ class TestSummationOrder:
     @pytest.mark.parametrize("kd", sorted(KD_SHAPES))
     def test_dd_in_the_spelled_out_order(self, kd, dims, rng):
         k, d = KD_SHAPES[kd]
+        if math.prod(dims) == 1:
+            # One cell: einsum unrolls the sum, as the module docstring says,
+            # so the reference is numpy's own one-cell einsum. Components of
+            # one scale, drawn non-zero: 20 draws, of which about a third or
+            # more round differently in index order for kd >= 3.
+            for _ in range(20):
+                g = rng.standard_normal((k, d) + dims)
+                flat = g.reshape(kd, 1)
+                self.check(g, np.einsum("an,an->n", flat, flat).reshape(dims))
+            return
         # Component magnitudes from 1e-4 to 1e4, so that any other order of
         # the squares rounds differently, and cells on both sides of s = 1.
         g = rng.standard_normal((k, d) + dims) * 10.0 ** rng.integers(-4, 5, (k, d) + dims)
@@ -202,31 +234,35 @@ class TestSummationOrder:
         nrm2 = frobenius_sq_in_order(g)
         if flat.shape[1] > 2:
             assert np.any(nrm2 >= 1.0) and np.any(nrm2 < 1.0)
+        self.check(g, nrm2)
+
+    @staticmethod
+    def check(g, nrm2):
         for omega in (0.0, 0.25):
-            got = response_fs(g, ResponseParams(s=1.0, omega=omega))
+            got = fs(g, ResponseParams(s=1.0, omega=omega))
             assert got.tobytes() == fs_from(g, nrm2, 1.0, omega).tobytes(), omega
-            got = response_pm(g, ResponseParams(kind=PERONA_MALIK_SCALAR, lam=0.5, omega=omega))
+            got = pm(g, ResponseParams(kind=PERONA_MALIK_SCALAR, lam=0.5, omega=omega))
             assert got.tobytes() == pm_from(g, nrm2, 0.5, omega).tobytes(), omega
 
 
 class TestResponsePm:
     def test_zero_gives_identity(self):
         p = ResponseParams(kind=PERONA_MALIK_SCALAR, lam=2.0)
-        np.testing.assert_array_equal(response_pm(np.zeros((3, 2)), p), np.eye(6))
+        np.testing.assert_array_equal(pm(np.zeros((3, 2)), p), np.eye(6))
 
     def test_half_at_lambda(self):
         lam = 1.7
         p = ResponseParams(kind=PERONA_MALIK_SCALAR, lam=lam)
         d = np.zeros((2, 2))
         d[0, 0] = lam
-        np.testing.assert_allclose(response_pm(d, p), 0.5 * np.eye(4), atol=1e-14)
+        np.testing.assert_allclose(pm(d, p), 0.5 * np.eye(4), atol=1e-14)
 
     def test_monotone_decay_to_zero(self):
         p = ResponseParams(kind=PERONA_MALIK_SCALAR, lam=1.0)
         prev = np.inf
         for scale in (0.1, 1.0, 10.0, 1e4, 1e8):
             d = np.full((2, 2), scale)
-            lam_min = np.linalg.eigvalsh(response_pm(d, p))[0]
+            lam_min = np.linalg.eigvalsh(pm(d, p))[0]
             assert lam_min < prev
             prev = lam_min
         assert prev < 1e-7
@@ -261,7 +297,7 @@ class TestLipschitzBound:
         direction = unit(direction)
         # The stacks hold one matrix per cell; the responses take them component-first.
         plus, minus = (np.moveaxis(base + sign * eps * direction, 0, -1) for sign in (1, -1))
-        diff = response_field(plus, p) - response_field(minus, p)
+        diff = field(plus, p) - field(minus, p)
         slopes = np.linalg.norm(diff.reshape(-1, trials), axis=0) / (2 * eps)
         assert slopes.max() <= bound * (1 + 1e-6)
         assert slopes.max() >= 0.5 * bound
@@ -278,7 +314,7 @@ class TestLipschitzBound:
         else:
             r = min(radius, p.s)  # |dF| grows with |D| up to the threshold
             d1, d2 = r * e, r * (1 - 1e-7) * e
-        slope = np.linalg.norm(response_field(d1, p) - response_field(d2, p)) / np.linalg.norm(d1 - d2)
+        slope = np.linalg.norm(field(d1, p) - field(d2, p)) / np.linalg.norm(d1 - d2)
         assert slope == pytest.approx(lipschitz_bound(p, radius, n), rel=1e-6)
 
     def test_near_constant_response(self):

@@ -9,7 +9,16 @@ from relaxdiff import tensors
 from relaxdiff.errors import DimensionError, SymmetryError
 from relaxdiff.grid import inner
 from relaxdiff.response import ResponseParams, response_fs
-from relaxdiff.tensors import MIN_EIG_BLOCK, _cholesky_breaks_down, apply, min_eig_field, require_symmetric
+from relaxdiff.tensors import (
+    MIN_EIG_BLOCK,
+    _cholesky_breaks_down,
+    apply,
+    min_eig_field,
+    pack,
+    pack_index,
+    require_symmetric,
+    unpack,
+)
 
 from conftest import apply_in_order, random_psd_field, random_symmetric_tensor
 
@@ -90,6 +99,17 @@ class TestApply:
     @pytest.mark.parametrize("kd", sorted(KD_SHAPES))
     def test_sums_in_the_spelled_out_order(self, kd, dims, rng, set_workers, monkeypatch):
         k, d = KD_SHAPES[kd]
+        if math.prod(dims) == 1:
+            # One cell: einsum unrolls the sum, as apply's docstring says, so
+            # the reference is numpy's own one-cell einsum. Entries of one
+            # scale, drawn non-zero: 20 draws, of which most round differently
+            # in index order for kd >= 3.
+            for _ in range(20):
+                h = rng.standard_normal((kd, kd) + dims)
+                g = rng.standard_normal((k, d) + dims)
+                expected = np.einsum("abn,bn->an", h.reshape(kd, kd, 1), g.reshape(kd, 1)).reshape(g.shape)
+                assert apply(h, g).tobytes() == expected.tobytes()
+            return
         # Magnitudes from 1e-6 to 1e6, so that any other order rounds differently.
         h = rng.standard_normal((kd, kd) + dims) * 10.0 ** rng.integers(-6, 7, (kd, kd) + dims)
         g = rng.standard_normal((k, d) + dims) * 10.0 ** rng.integers(-6, 7, (k, d) + dims)
@@ -113,25 +133,28 @@ class TestProjectOrth:
 
     P = ResponseParams(s=1e-3)
 
+    def response(self, dhat):
+        return unpack(response_fs(dhat, self.P))
+
     def test_own_direction_removed(self):
         dhat = np.array([[1.0, 0.0], [0.0, 0.0]])
-        np.testing.assert_allclose(apply(response_fs(dhat, self.P), dhat), 0.0, atol=1e-15)
+        np.testing.assert_allclose(apply(self.response(dhat), dhat), 0.0, atol=1e-15)
 
     def test_orthogonal_input_unchanged(self):
         dhat = np.array([[1.0, 0.0], [0.0, 0.0]])
         d = np.array([[0.0, 1.0], [0.0, 0.0]])
-        np.testing.assert_allclose(apply(response_fs(dhat, self.P), d), d, atol=1e-15)
+        np.testing.assert_allclose(apply(self.response(dhat), d), d, atol=1e-15)
 
     def test_eigenvalues_2x2(self, rng):
         # One zero eigenvalue along the direction, ones on its complement.
         dhat = rng.standard_normal((2, 2))
-        w = np.linalg.eigvalsh(response_fs(dhat, self.P))
+        w = np.linalg.eigvalsh(self.response(dhat))
         np.testing.assert_allclose(np.sort(w), [0.0, 1.0, 1.0, 1.0], atol=1e-12)
 
     def test_idempotent(self, rng):
         for _ in range(20):
             dhat = rng.standard_normal((3, 2))
-            p = response_fs(dhat, self.P)
+            p = self.response(dhat)
             d = rng.standard_normal((3, 2))
             once = apply(p, d)
             np.testing.assert_allclose(apply(p, once), once, atol=1e-12)
@@ -141,34 +164,66 @@ class TestProjectOrth:
             dhat = rng.standard_normal((3, 2))
             d = rng.standard_normal((3, 2))
             expected = d - np.vdot(d, dhat) * dhat / np.vdot(dhat, dhat)
-            np.testing.assert_allclose(apply(response_fs(dhat, self.P), d), expected, atol=1e-12)
+            np.testing.assert_allclose(apply(self.response(dhat), d), expected, atol=1e-12)
 
     def test_degenerate_direction(self):
         # Below the threshold the projection's coefficient vanishes with D, so
         # a direction too small to define one gives 3/2 Id, not NaN.
         for scale in (1e-160, 1e-300, 0.0):
-            out = response_fs(scale * np.array([[1.0, 0.0], [0.0, 1.0]]), self.P)
+            out = self.response(scale * np.array([[1.0, 0.0], [0.0, 1.0]]))
             np.testing.assert_allclose(out, 1.5 * np.eye(4), rtol=0, atol=1e-15)
+
+
+class TestPacking:
+    def test_index_runs_along_the_upper_triangle(self):
+        np.testing.assert_array_equal(pack_index(3), [[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+        assert not pack_index(3).flags.writeable  # one array serves every caller
+        for n in (1, 2, 6, 9):
+            index = pack_index(n)
+            np.testing.assert_array_equal(index, index.T)
+            np.testing.assert_array_equal(index[np.triu_indices(n)], np.arange(n * (n + 1) // 2))
+
+    def test_pack_keeps_the_lower_triangle(self, rng):
+        h = rng.standard_normal((6, 6, 4, 3))  # not symmetric: the upper triangle must go unread
+        planes = pack(h)
+        assert planes.shape == (21, 4, 3)
+        full = unpack(planes)
+        assert full.shape == h.shape
+        lower = np.tril_indices(6)
+        assert full[lower].tobytes() == h[lower].tobytes()
+        assert full.tobytes() == np.swapaxes(full, 0, 1).tobytes()
+        assert pack(full).tobytes() == planes.tobytes()
+
+    def test_shapes_rejected(self):
+        with pytest.raises(DimensionError):
+            pack(np.zeros((3, 4, 5)))
+        with pytest.raises(DimensionError):
+            pack(np.zeros(3))
+        for planes in (2, 4, 20):
+            with pytest.raises(DimensionError):
+                unpack(np.zeros((planes, 5)))
+            with pytest.raises(DimensionError):
+                min_eig_field(np.zeros((planes, 5)))
 
 
 class TestSpectralBounds:
     """The smallest eigenvalue of a single tensor, as the floor check computes it."""
 
     def test_identity(self):
-        assert min_eig_field(np.eye(6)) == pytest.approx(1.0, abs=1e-12)
+        assert min_eig_field(pack(np.eye(6))) == pytest.approx(1.0, abs=1e-12)
 
     def test_scaled_identity(self):
-        assert min_eig_field(0.1 * np.eye(6)) == pytest.approx(0.1, abs=1e-12)
+        assert min_eig_field(pack(0.1 * np.eye(6))) == pytest.approx(0.1, abs=1e-12)
 
     def test_projection(self, rng):
-        assert min_eig_field(proj_orth(rng.standard_normal((2, 2)))) == pytest.approx(0.0, abs=1e-10)
+        assert min_eig_field(pack(proj_orth(rng.standard_normal((2, 2))))) == pytest.approx(0.0, abs=1e-10)
 
     def test_against_characteristic_polynomial(self, rng):
         for n in (2, 4, 6):
             for _ in range(10):
                 h = random_symmetric_tensor(rng, n, scale=2.0)
                 lo, _ = char_poly_eig_bounds(h)
-                assert min_eig_field(h) == pytest.approx(lo, abs=1e-8)
+                assert min_eig_field(pack(h)) == pytest.approx(lo, abs=1e-8)
 
     def test_rejects_asymmetric(self):
         h = np.eye(4)
@@ -180,13 +235,13 @@ class TestSpectralBounds:
 class TestIsPsd:
     def test_identity_thresholds(self):
         hfield = np.stack([np.eye(4), 2.0 * np.eye(4)], axis=-1)
-        assert min_eig_field(hfield) >= 1.0
-        assert not min_eig_field(hfield) >= 1.5
+        assert min_eig_field(pack(hfield)) >= 1.0
+        assert not min_eig_field(pack(hfield)) >= 1.5
 
     def test_projection_at_zero(self, rng):
         v = rng.standard_normal((50, 4))
         hfield = np.eye(4)[..., None] - np.einsum("ci,cj->ijc", v, v) / np.einsum("ci,ci->c", v, v)
-        assert min_eig_field(hfield) >= -1e-10
+        assert min_eig_field(pack(hfield)) >= -1e-10
 
 
 class TestSelfAdjointness:
@@ -212,7 +267,7 @@ class TestFieldHelpers:
 
     def test_min_eig_field(self, rng):
         hfield = np.stack([np.eye(4), 0.3 * np.eye(4)], axis=-1)
-        assert min_eig_field(hfield) == 0.3
+        assert min_eig_field(pack(hfield)) == 0.3
 
 
 def full_min_eig(hfield):
@@ -225,9 +280,9 @@ def assert_same_min_eig(hfield):
         expected = full_min_eig(hfield)
     except np.linalg.LinAlgError:
         with pytest.raises(np.linalg.LinAlgError):
-            min_eig_field(hfield)
+            min_eig_field(pack(hfield))
         return
-    got = min_eig_field(hfield)
+    got = min_eig_field(pack(hfield))
     assert got == expected or (math.isnan(got) and math.isnan(expected))
 
 
@@ -290,7 +345,7 @@ class TestMinEigFieldExact:
 
     def test_single_cell(self, rng):
         h = random_symmetric_tensor(rng, 6)
-        assert min_eig_field(h) == float(np.linalg.eigvalsh(h)[0])
+        assert min_eig_field(pack(h)) == float(np.linalg.eigvalsh(h)[0])
 
     def test_minimum_in_a_later_block(self):
         # 100 cells at 0.5 fill the sample; the 0.1 minimum sits in the
@@ -298,7 +353,7 @@ class TestMinEigFieldExact:
         h = np.broadcast_to(np.eye(6)[..., None], (6, 6, 9000)).copy()
         h[..., :100] *= 0.5
         h[:2, :2, 5000] = [[2.0, 1.9], [1.9, 2.0]]
-        assert min_eig_field(h) == full_min_eig(h) == pytest.approx(0.1)
+        assert min_eig_field(pack(h)) == full_min_eig(h) == pytest.approx(0.1)
 
     def test_nan_cell_raises_like_eigvalsh(self):
         h = np.broadcast_to(np.eye(6)[..., None], (6, 6, 300)).copy()
@@ -306,7 +361,7 @@ class TestMinEigFieldExact:
         with pytest.raises(np.linalg.LinAlgError):
             full_min_eig(h)
         with pytest.raises(np.linalg.LinAlgError):
-            min_eig_field(h)
+            min_eig_field(pack(h))
 
 
 def full_square_breaks_down(block, shift):
@@ -338,6 +393,6 @@ class TestCholeskyBreaksDown:
             block[i, j, cell] = block[j, i, cell] = np.nan
         for shift in (c, 0.1, 0.5, np.nan):
             with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-                got = _cholesky_breaks_down(block, shift)
+                got = _cholesky_breaks_down(pack(block), shift)
                 want = full_square_breaks_down(block, shift)
             assert np.array_equal(got, want), shift
