@@ -187,8 +187,9 @@ def face_average_tensors(hfield: Array, grid: GridSpec) -> Array:
     """
     hfield = np.asarray(hfield, dtype=float)
     kd = grid.channels * grid.ndim
-    if hfield.shape != (kd * (kd + 1) // 2,) + grid.dims:
-        raise DimensionError(f"packed tensor field shape {hfield.shape} != {(kd * (kd + 1) // 2,) + grid.dims}")
+    packed = (kd * (kd + 1) // 2,) + grid.dims
+    if hfield.shape != packed:
+        raise DimensionError(f"packed tensor field shape {hfield.shape} != {packed}")
     d = grid.ndim
     n0 = grid.dims[0]
     row = math.prod(grid.dims[1:])

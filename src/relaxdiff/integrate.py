@@ -32,6 +32,13 @@ minimum of a full diagonalisation bit for bit. A few sampled cells bound the
 minimum from above, and a vectorised Cholesky of H minus that bound clears
 every cell that cannot hold it. Only the cells left over are diagonalised,
 so cells tied at the minimum cost eigvalsh on those cells alone.
+
+The step loop holds H, the responses and F(0) packed, (P,) + dims with
+P = kd(kd+1)/2 (21 of the 36 entry planes for RGB in 2-D; see
+tensors.pack_index): run() takes H0 full square, checks its symmetry and
+keeps its lower triangle, so for an H0 symmetric only within SYMMETRY_RTOL
+the solve sees that triangle mirrored. The face tensors stay full square,
+and run() returns the state's H and the history full square.
 """
 
 import math
@@ -251,7 +258,9 @@ def energy(state: FilterState, p: FilterParams, grid: GridSpec) -> float:
     h = np.asarray(state.H, dtype=float)
     packed = h.shape == f0.shape + grid.dims
     if not packed and h.shape != (kd, kd) + grid.dims:
-        raise DimensionError(f"tensor field shape {h.shape} is neither {(kd, kd) + grid.dims} nor {f0.shape + grid.dims}")
+        raise DimensionError(
+            f"tensor field shape {h.shape} is neither {(kd, kd) + grid.dims} nor {f0.shape + grid.dims}"
+        )
     index = pack_index(kd)
     sums = {}
     misfit = 0.0
@@ -401,7 +410,7 @@ def run(
     _require_finite("H0", h0)
     require_symmetric(h0)  # the packed H keeps one triangle; CG needs a symmetric operator
     h = pack(h0)
-    del h0
+    del h0  # a converted copy of H0 would stay alive for the whole run
     init_min = min_eig_field(h)
     if init_min < p.alpha - 1e-12:
         raise ParameterError(
@@ -411,7 +420,6 @@ def run(
     # Only the step loop holds run()'s copies of u and H, so each solve frees
     # the last u, and the last face tensors are gone before H is unpacked.
     final, traces, history = _step_loop(u.copy(), h, p, grid, keep_history)
-    del h
     final.H = unpack(final.H)
     if not keep_history:
         return final, traces

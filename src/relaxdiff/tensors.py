@@ -13,9 +13,10 @@ square, (kd, kd) + dims. H, the responses and F(0) are packed,
 (P,) + dims with P = kd(kd+1)/2 (21 for RGB in 2-D, 3 for grey): entries
 (a, b) and (b, a) share one plane, numbered by ``pack_index``, and
 ``pack`` fills it from the lower triangle, the triangle eigvalsh and the
-Cholesky filter read. ``min_eig_field`` takes a packed field. Only
-``eigvalsh_field`` keeps numpy's (..., n, n) layout; its callers pass it
-moved-axis views of full-square copies.
+Cholesky filter read, so run() keeps H0's lower triangle.
+``min_eig_field`` takes a packed field. Only ``eigvalsh_field`` keeps
+numpy's (..., n, n) layout; its callers pass it moved-axis views of
+full-square copies.
 
 All functions here are pure and safe to call concurrently. ``apply`` splits
 its cells into bands over the CPUs of the affinity mask

@@ -83,9 +83,9 @@ class TestResponseFs:
                 fs(d, p), brute_force_fs(d, 0.5), atol=1e-12
             )
 
-    def test_packed_planes(self, rng):
-        # One plane per entry pair (21 for 6 x 6), taken from the upper
-        # triangle of the formula, which is symmetric.
+    def test_symmetry(self, rng):
+        # Symmetric by storage: one plane per entry pair (21 for 6 x 6),
+        # holding the formula's upper triangle.
         p = ResponseParams(s=0.2)
         for _ in range(50):
             d = rng.standard_normal((3, 2))
