@@ -17,10 +17,6 @@ class ParameterError(RelaxdiffError, ValueError):
     """A parameter violates its documented constraint."""
 
 
-class SymmetryError(RelaxdiffError, ValueError):
-    """A tensor that must be symmetric is not, beyond tolerance."""
-
-
 class SolverError(RelaxdiffError, RuntimeError):
     """An iterative linear solve failed to reach its tolerance.
 

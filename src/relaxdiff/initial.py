@@ -9,8 +9,8 @@ for the unobservable noise-gradient covariance), then adds alpha * Id. The
 shift guarantees the eigenvalue floor the integrator's admissibility
 precondition asks for, by construction. It reads the gradient in its own
 component-first layout, one contiguous cell field per component, and
-returns a tensor field in the matching layout, (kd, kd) + dims, as run()
-takes H0.
+returns the symmetric tensor field packed, (P,) + dims with
+P = kd(kd+1)/2 (see tensors.pack_index), as run() takes H0.
 """
 
 import math
@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ParameterError
 from .grid import GridSpec, check_image, gradient
 from .mollifier import _correlate1d
+from .tensors import pack_index
 
 Array = np.ndarray
 
@@ -86,11 +87,11 @@ def init_H0(u_noisy: Array, grid: GridSpec, window: int, alpha: float) -> Array:
     covariance everywhere). Symmetric by construction with
     lambda_min >= alpha.
 
-    The result is component-first, (kd, kd) + dims. Each entry a <= b of
-    the upper triangle is computed once, one cell-sized field at a time, and
-    written to both planes (a, b) and (b, a); no field of all kd x kd
-    products is formed. Off the diagonal alpha * Id adds
-    +0.0, which turns a covariance of -0.0 into +0.0.
+    The result is packed, (P,) + dims. Each entry a <= b of the upper
+    triangle is computed once, one cell-sized field at a time, and written
+    to its plane pack_index(kd)[a, b]; no field of all kd x kd products is
+    formed. Off the diagonal alpha * Id adds +0.0, which turns a covariance
+    of -0.0 into +0.0.
     """
     if window < 3 or window % 2 == 0:
         raise ParameterError("window must be odd and >= 3")
@@ -115,13 +116,13 @@ def init_H0(u_noisy: Array, grid: GridSpec, window: int, alpha: float) -> Array:
     # A single-sample window has an identically zero numerator, so clamping
     # the divisor just avoids 0/0 there and leaves cov = 0.
     divisor = np.maximum(counts - 1.0, 1.0)
-    h0 = np.empty((kd, kd) + grid.dims)
+    index = pack_index(kd)
+    h0 = np.empty((kd * (kd + 1) // 2,) + grid.dims)
     for a in range(kd):
         for b in range(a, kd):
             cov = _window_sums(gflat[a] * gvalid[b], grid.dims, window)
             cov -= s1[a] * s1[b] / counts
             cov /= divisor
             cov += alpha if a == b else 0.0
-            h0[a, b] = cov
-            h0[b, a] = cov
+            h0[index[a, b]] = cov
     return h0

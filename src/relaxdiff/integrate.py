@@ -33,12 +33,10 @@ minimum from above, and a vectorised Cholesky of H minus that bound clears
 every cell that cannot hold it. Only the cells left over are diagonalised,
 so cells tied at the minimum cost eigvalsh on those cells alone.
 
-The step loop holds H, the responses and F(0) packed, (P,) + dims with
+H is symmetric, so it is held packed everywhere, (P,) + dims with
 P = kd(kd+1)/2 (21 of the 36 entry planes for RGB in 2-D; see
-tensors.pack_index): run() takes H0 full square, checks its symmetry and
-keeps its lower triangle, so for an H0 symmetric only within SYMMETRY_RTOL
-the solve sees that triangle mirrored. The face tensors stay full square,
-and run() returns the state's H and the history full square.
+tensors.pack_index): H0, the state's H, the history, the responses and
+F(0). Only the face tensors are full square.
 """
 
 import math
@@ -60,7 +58,7 @@ from .grid import (
 )
 from .mollifier import DELTA_SIGMA, GAUSSIAN, Kernel, grad_sigma
 from .response import ResponseParams, response_field, response_zero
-from .tensors import apply, eigvalsh_field, min_eig_field, pack, pack_index, require_symmetric, unpack
+from .tensors import apply, eigvalsh_field, min_eig_field, pack_index, unpack
 
 Array = np.ndarray
 
@@ -120,7 +118,7 @@ def cg_max_iter(ncells: int) -> int:
 class FilterState:
     t: float
     u: Array
-    H: Array  # component-first: (kd, kd) + dims from run(), packed (P,) + dims inside the step loop
+    H: Array  # packed, (P,) + dims
 
 
 @dataclass(frozen=True)
@@ -246,31 +244,23 @@ def energy(state: FilterState, p: FilterParams, grid: GridSpec) -> float:
     part, which is what this functional measures. The misfit is summed one
     entry (a, b) of H at a time, in row-major order, each entry's square sum
     taken over its plane H[a, b] - F(0)[a, b], or over H[a, b] itself where
-    F(0)[a, b] is zero, so no H-sized array is made. H may be full square,
-    (kd, kd) + dims, or packed, (P,) + dims, as the step loop holds it; a
-    packed plane's square sum is taken once and added at (a, b) and at
-    (b, a), which gives the bits of the full square of a symmetric H.
+    F(0)[a, b] is zero, so no H-sized array is made. H is packed,
+    (P,) + dims: each plane's square sum is taken once and added at (a, b)
+    and at (b, a).
     """
     umf = mean_free(state.u, grid)
     term_u = 0.5 * inner(umf, umf)
     f0 = response_zero(p.response, grid.channels, grid.ndim)
-    kd = grid.channels * grid.ndim
     h = np.asarray(state.H, dtype=float)
-    packed = h.shape == f0.shape + grid.dims
-    if not packed and h.shape != (kd, kd) + grid.dims:
-        raise DimensionError(
-            f"tensor field shape {h.shape} is neither {(kd, kd) + grid.dims} nor {f0.shape + grid.dims}"
-        )
-    index = pack_index(kd)
-    sums = {}
+    if h.shape != f0.shape + grid.dims:
+        raise DimensionError(f"tensor field shape {h.shape} != {f0.shape + grid.dims}")
+    sums = []
+    for e, h_e in enumerate(h):
+        plane = h_e - f0[e] if f0[e] else h_e
+        sums.append(inner(plane, plane))
     misfit = 0.0
-    for a, b in np.ndindex(kd, kd):
-        e = index[a, b]
-        key = e if packed else (a, b)
-        if key not in sums:
-            plane = h[key] - f0[e] if f0[e] else h[key]
-            sums[key] = inner(plane, plane)
-        misfit += sums[key]
+    for e in pack_index(grid.channels * grid.ndim).flat:
+        misfit += sums[e]
     return term_u + 0.5 * p.tau * misfit
 
 
@@ -290,7 +280,8 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec, keep_
     the tau -> 0 limit) every step sets H = F(grad_sigma u) at the step's left
     endpoint instead, with no half solve and no floor check.
 
-    H, the responses and the state's H are packed, (P,) + dims. Returns
+    H, the responses and the state's H are packed, (P,) + dims; h must be
+    C-contiguous, as _relax_H relaxes it in place. Returns
     (final FilterState, per-step TraceRecords, history), history being the
     (u, H) lists at the step nodes with keep_history, else None.
     """
@@ -382,17 +373,16 @@ def run(
     keep_history=True a third element carries the full (u, H) trajectories
     at the step nodes, which the memory-form diagnostic consumes.
 
-    Raises InvariantViolation (with a diagnostic dump of the offending cell)
-    if any cell's smallest eigenvalue drops below the predicted floor,
-    ParameterError if H0 is not component-first, (kd, kd) + dims, if u0 or H0
-    holds NaN/inf or the initial diffusivity does not clear alpha, and
-    SymmetryError if a cell tensor of H0 is not symmetric. H0, the state's H
-    and the history's tensor fields all share that one layout.
+    H0, the state's H and the history's tensor fields are packed,
+    (P,) + dims with P = kd(kd+1)/2, one plane per entry a <= b (see
+    tensors.pack_index): a symmetric field by construction.
+    tensors.pack converts a full-square field, (kd, kd) + dims, and
+    tensors.unpack converts back. run() relaxes a copy of H0 of its own.
 
-    The step loop holds H packed, (P,) + dims with P = kd(kd+1)/2: after the
-    symmetry check run() keeps H0's lower triangle, so for an H0 symmetric
-    only within SYMMETRY_RTOL the solve sees that triangle mirrored. The
-    state's H and the history are unpacked once the loop has returned.
+    Raises InvariantViolation (with a diagnostic dump of the offending cell)
+    if any cell's smallest eigenvalue drops below the predicted floor, and
+    ParameterError if H0 has another shape, if u0 or H0 holds NaN/inf or if
+    the initial diffusivity does not clear alpha.
 
     The floor check is certified rather than computed cell by cell: a Cholesky
     factorisation of H minus a sampled upper bound on its smallest eigenvalue
@@ -403,30 +393,23 @@ def run(
     """
     u = check_image(u0, grid)
     _require_finite("u0", u)
-    h0 = np.asarray(H0, dtype=float)
+    # C order: _relax_H relaxes h in place through h.reshape(-1), which
+    # would be a copy of any other layout.
+    h = np.array(H0, dtype=float, order="C")
     kd = grid.channels * grid.ndim
-    if h0.shape != (kd, kd) + grid.dims:
-        raise ParameterError(f"H0 shape {h0.shape} != {(kd, kd) + grid.dims}")
-    _require_finite("H0", h0)
-    require_symmetric(h0)  # the packed H keeps one triangle; CG needs a symmetric operator
-    h = pack(h0)
-    del h0  # a converted copy of H0 would stay alive for the whole run
+    shape = (kd * (kd + 1) // 2,) + grid.dims
+    if h.shape != shape:
+        raise ParameterError(f"H0 shape {h.shape} != {shape}, the packed triangle (see relaxdiff.tensors.pack)")
+    _require_finite("H0", h)
     init_min = min_eig_field(h)
     if init_min < p.alpha - 1e-12:
         raise ParameterError(
             "initial diffusivity violates the alpha eigenvalue floor: "
             f"min eig {init_min:.6g} < alpha {p.alpha:g}"
         )
-    # Only the step loop holds run()'s copies of u and H, so each solve frees
-    # the last u, and the last face tensors are gone before H is unpacked.
+    # Only the step loop holds run()'s copy of u, so each solve frees the last u.
     final, traces, history = _step_loop(u.copy(), h, p, grid, keep_history)
-    final.H = unpack(final.H)
-    if not keep_history:
-        return final, traces
-    hs = history[1]
-    for n, hn in enumerate(hs):
-        hs[n] = unpack(hn)
-    return final, traces, history
+    return (final, traces, history) if keep_history else (final, traces)
 
 
 def decay_rate_fit(traces: list[TraceRecord]) -> float:
@@ -459,8 +442,13 @@ def memory_form_check(
     whose kernel-weighted integral is re-evaluated here from the stored u
     trajectory with trapezoidal averaging of the response samples under the
     exact exponential weights (so a constant response reproduces the stepped
-    trajectory identically). Returns max over steps and cells of the
-    Frobenius gap; it shrinks as O(dt^2).
+    trajectory identically). H0 is packed, as run() takes it. Returns max
+    over steps and cells of the Frobenius gap; it shrinks as O(dt^2).
+
+    The history and the re-integrated q are packed, and the responses are
+    sampled as the loop goes, two at a time; each step's gap is unpacked
+    for its Frobenius sum over all kd x kd entries. The history still grows
+    linearly with the step count.
     """
     if steps < 0:
         raise ParameterError("steps must be >= 0")
@@ -470,13 +458,14 @@ def memory_form_check(
     _, _, (us, hs) = run(u0, H0, p_run, grid, keep_history=True)
 
     kern = p.kernel()
-    fs = [unpack(response_field(grad_sigma(un, kern, grid), p.response)) for un in us]
     theta = math.exp(-p.dt / p.tau)
-    q = np.asarray(H0, dtype=float).copy()
+    q = hs[0]
+    f_next = response_field(grad_sigma(us[0], kern, grid), p.response)
     worst = 0.0
     for n in range(steps):
-        q = theta * q + (1.0 - theta) * 0.5 * (fs[n] + fs[n + 1])
-        gap = (q - hs[n + 1]).reshape((-1,) + grid.dims)
+        f_prev, f_next = f_next, response_field(grad_sigma(us[n + 1], kern, grid), p.response)
+        q = theta * q + (1.0 - theta) * 0.5 * (f_prev + f_next)
+        gap = unpack(q - hs[n + 1]).reshape((-1,) + grid.dims)
         worst = max(worst, float(np.max(np.sqrt(np.sum(gap * gap, axis=0)))))
     return worst
 

@@ -11,12 +11,11 @@ single tensor being a field with dims = (). The face tensors, which
 ``apply`` takes with a component-first gradient, (k, d) + dims, are full
 square, (kd, kd) + dims. H, the responses and F(0) are packed,
 (P,) + dims with P = kd(kd+1)/2 (21 for RGB in 2-D, 3 for grey): entries
-(a, b) and (b, a) share one plane, numbered by ``pack_index``, and
-``pack`` fills it from the lower triangle, the triangle eigvalsh and the
-Cholesky filter read, so run() keeps H0's lower triangle.
-``min_eig_field`` takes a packed field. Only ``eigvalsh_field`` keeps
-numpy's (..., n, n) layout; its callers pass it moved-axis views of
-full-square copies.
+(a, b) and (b, a) share one plane, numbered by ``pack_index``, so a packed
+field is symmetric by construction. ``pack`` and ``unpack`` convert
+between the two layouts. ``min_eig_field`` takes a packed field. Only
+``eigvalsh_field`` keeps numpy's (..., n, n) layout; its callers pass it
+moved-axis views of full-square copies.
 
 All functions here are pure and safe to call concurrently. ``apply`` splits
 its cells into bands over the CPUs of the affinity mask
@@ -31,12 +30,9 @@ import math
 import numpy as np
 
 from .bands import for_bands
-from .errors import DimensionError, SymmetryError
+from .errors import DimensionError
 
 Array = np.ndarray
-
-# Relative tolerance accepted on tensor symmetry before raising.
-SYMMETRY_RTOL = 1e-12
 
 # min_eig_field: cells diagonalised for the upper bound, cells per Cholesky
 # block, and the certification margin in units of n^3 eps max|H|.
@@ -91,19 +87,6 @@ def unpack(planes: Array) -> Array:
     """The full-square field, (n, n) + dims, of a packed field, (n(n+1)/2,) + dims."""
     planes = np.asarray(planes, dtype=float)
     return planes[pack_index(_packed_side(planes.shape[0]))]
-
-
-def require_symmetric(h: Array) -> None:
-    """Raise SymmetryError unless every cell tensor of h (shape (n, n) + dims) is symmetric.
-
-    The tolerance is SYMMETRY_RTOL times max(1, max|h|). The n(n-1)/2 entry
-    pairs are compared one cell field at a time: no array of h's size is made.
-    """
-    tol = SYMMETRY_RTOL * max(1.0, float(np.maximum(h.max(), -h.min())))
-    for a in range(h.shape[0]):
-        for b in range(a + 1, h.shape[0]):
-            if float(np.max(np.abs(h[a, b] - h[b, a]))) > tol:
-                raise SymmetryError(f"tensor entries ({a}, {b}) and ({b}, {a}) differ beyond tolerance")
 
 
 def apply(h: Array, g: Array) -> Array:

@@ -138,10 +138,10 @@ def test_criterion_5_energy_decay():
 
     slope = decay_rate_fit(traces)
     cp = rd.poincare_estimate(grid)
-    eigs0 = np.linalg.eigvalsh(np.moveaxis(h0, (0, 1), (-2, -1)))
+    eigs0 = np.linalg.eigvalsh(np.moveaxis(unpack(h0), (0, 1), (-2, -1)))
     khat0 = float(np.min(eigs0))
     # spot-check the certified floor against the full diagonalisation
-    assert min_eig_field(pack(h0)) == khat0
+    assert min_eig_field(h0) == khat0
     khat = min(khat0, min(r.min_eig_H for r in traces))
     g0 = gradient(u0, grid)
     radius = max(2.0 * resp.s, float(np.sqrt((g0 ** 2).sum(axis=(0, 1))).max()))
@@ -163,8 +163,8 @@ def test_criterion_6_convergence_to_stationary_point():
     init_mf = l2_norm(mean_free(u0, grid))
     final_mf = l2_norm(mean_free(state.u, grid))
     f0 = unpack(response_zero(resp, 3, 2))[..., None, None]
-    dev0 = float(np.linalg.norm((h0 - f0).reshape(36, -1), axis=0).max())
-    devT = float(np.linalg.norm((state.H - f0).reshape(36, -1), axis=0).max())
+    dev0 = float(np.linalg.norm((unpack(h0) - f0).reshape(36, -1), axis=0).max())
+    devT = float(np.linalg.norm((unpack(state.H) - f0).reshape(36, -1), axis=0).max())
     ok = final_mf <= 0.01 * init_mf and devT <= 0.01 * dev0
     check(6, ok, time.perf_counter() - t0, 60.0,
           f"t_end={t_end:.0f}: |u|_mf ratio {final_mf / init_mf:.2e}, H deviation ratio {devT / dev0:.2e}")
@@ -193,7 +193,7 @@ def test_criterion_8_tau_to_zero_limit():
     grid = GridSpec(dims=(32, 32), channels=3)
     u0 = smooth_image(32) + 0.1 * rng.standard_normal(grid.field_shape())
     kd = 6
-    h0 = np.multiply.outer(0.1 * np.eye(kd), np.ones(grid.dims))
+    h0 = np.multiply.outer(pack(0.1 * np.eye(kd)), np.ones(grid.dims))
     base = FilterParams(tau=0.4, sigma=1.0, dt=0.1, t_end=2.0,
                         response=ResponseParams(s=0.1), alpha=0.1)
     _, catte_traces = run_baseline(u0, base, CATTE_REGULARIZED, grid)

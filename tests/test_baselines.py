@@ -14,6 +14,7 @@ from relaxdiff.errors import DimensionError, ParameterError, SolverError
 from relaxdiff.grid import GridSpec, l2_norm
 from relaxdiff.integrate import FilterParams, TraceRecord, run
 from relaxdiff.response import ResponseParams
+from relaxdiff.tensors import pack
 
 from conftest import disk_image, smooth_image
 
@@ -82,7 +83,7 @@ class TestRunBaseline:
         rng = np.random.default_rng(5)
         u0 = smooth_image(16) + 0.1 * rng.standard_normal(grid.field_shape())
         kd = 6
-        h0 = np.multiply.outer(0.1 * np.eye(kd), np.ones(grid.dims))
+        h0 = np.multiply.outer(pack(0.1 * np.eye(kd)), np.ones(grid.dims))
         base = FilterParams(tau=0.8, sigma=1.0, dt=0.05, t_end=1.5, response=ResponseParams(s=0.1), alpha=0.1)
         _, catte = run_baseline(u0, base, CATTE_REGULARIZED, grid)
         dists = []

@@ -65,6 +65,7 @@ import relaxdiff
 from relaxdiff.cli import EXIT_OK, main, save_image
 from relaxdiff.initial import init_H0
 from relaxdiff.integrate import FilterParams, memory_form_check, run
+from relaxdiff.tensors import unpack
 
 from conftest import disk_image, rgb_scene
 
@@ -177,11 +178,13 @@ def test_H_unchanged():
     p = FilterParams(t_end=0.3)
     state, _, (_, hs) = run(u0, h0, p, grid, keep_history=True)
     kd = grid.channels * grid.ndim
-    assert state.H.shape == (kd, kd) + grid.dims and len(hs) == 4
-    assert _sha(state.H.tobytes()) == H_DIGESTS["final"], "final H changed"
+    final = unpack(state.H)
+    assert final.shape == (kd, kd) + grid.dims and len(hs) == 4
+    assert _sha(final.tobytes()) == H_DIGESTS["final"], "final H changed"
     history = hashlib.sha256()
     for h in hs:
-        assert h.shape == state.H.shape
+        h = unpack(h)
+        assert h.shape == final.shape
         history.update(h.tobytes())
     assert history.hexdigest() == H_DIGESTS["history"], "history of H changed"
     assert memory_form_check(u0, h0, p, 3, grid).hex() == H_DIGESTS["memory_form_check"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relaxdiff.errors import DimensionError, ParameterError, SymmetryError
+from relaxdiff.errors import DimensionError, ParameterError
 from relaxdiff.grid import (
     GridSpec,
     divergence,
@@ -11,7 +11,6 @@ from relaxdiff.grid import (
     mean_free,
     poincare_estimate,
 )
-from relaxdiff.integrate import FilterParams, run
 from relaxdiff.tensors import apply, pack
 
 from conftest import random_psd_field
@@ -151,14 +150,6 @@ class TestDiffusionApply:
         lhs = diffusion_apply(hfield, 2.0 * u + v, grid)
         rhs = 2.0 * diffusion_apply(hfield, u, grid) + diffusion_apply(hfield, v, grid)
         np.testing.assert_allclose(lhs, rhs, atol=1e-11)
-
-    def test_rejects_asymmetric_tensors(self, rng):
-        # The operator is only built inside run(), which checks H0 on entry.
-        grid = GridSpec(dims=(4, 4), channels=1)
-        hfield = np.broadcast_to(np.eye(2)[..., None, None], (2, 2) + grid.dims).copy()
-        hfield[0, 1, 2, 2] += 1e-3
-        with pytest.raises(SymmetryError):
-            run(np.zeros(grid.field_shape()), hfield, FilterParams(t_end=0.1), grid)
 
     def test_face_average_preserves_floor(self, rng):
         grid = GridSpec(dims=(6, 6), channels=2)

@@ -6,6 +6,7 @@ import relaxdiff.initial as initial_mod
 from relaxdiff.errors import ParameterError
 from relaxdiff.grid import GridSpec, gradient
 from relaxdiff.initial import NoiseSpec, add_noise, init_H0, rescale, unrescale
+from relaxdiff.tensors import unpack
 
 from conftest import disk_image
 
@@ -15,7 +16,7 @@ def brute_force_H0(u, grid, window, alpha):
 
     Samples come from cells owning a forward face along every axis (the
     gradient's boundary slots are stencil padding, not data). The result is
-    component-first, (kd, kd) + dims, as init_H0 returns it.
+    component-first, (kd, kd) + dims, as unpack(init_H0(...)) gives it.
     """
     g = gradient(u, grid)
     kd = grid.channels * grid.ndim
@@ -125,13 +126,13 @@ class TestInitH0:
     def test_matches_scipy_window_sums(self, monkeypatch):
         grid = GridSpec(dims=(32, 32), channels=3)
         u = disk_image(32, radius=10.0)[0] + 0.05 * np.random.default_rng(5).standard_normal(grid.field_shape())
-        h0 = init_H0(u, grid, window=5, alpha=0.1)
+        h0 = unpack(init_H0(u, grid, window=5, alpha=0.1))
         monkeypatch.setattr(
             initial_mod,
             "_correlate1d",
             lambda v, w, axis: correlate1d(v, w, axis=axis, mode="constant", cval=0.0),
         )
-        np.testing.assert_allclose(h0, init_H0(u, grid, window=5, alpha=0.1), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(h0, unpack(init_H0(u, grid, window=5, alpha=0.1)), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("scene", ["noise", "affine", "signed zeros"])
     def test_bit_equal_to_all_products(self, scene, rng):
@@ -146,13 +147,15 @@ class TestInitH0:
                 u = u + rng.standard_normal(grid.field_shape())
         h0 = init_H0(u, grid, window=5 if grid.ndim == 2 else 3, alpha=0.1)
         reference = all_products_H0(u, grid, window=5 if grid.ndim == 2 else 3, alpha=0.1)
-        assert h0.tobytes() == reference.tobytes()
+        kd = grid.channels * grid.ndim
+        assert h0.shape == (kd * (kd + 1) // 2,) + grid.dims
+        assert unpack(h0).tobytes() == reference.tobytes()
 
     def test_off_diagonal_negative_zero_becomes_positive(self):
         # The covariance is -0.0 there; adding alpha * Id adds +0.0 off the
         # diagonal, which makes it +0.0.
         grid = GridSpec(dims=(12,), channels=2)
-        h0 = init_H0(signed_zero_scene(12), grid, window=3, alpha=0.1)
+        h0 = unpack(init_H0(signed_zero_scene(12), grid, window=3, alpha=0.1))
         assert np.all(h0[0, 1] == 0.0)
         assert not np.any(np.signbit(h0[0, 1]))
 
@@ -161,27 +164,27 @@ class TestInitH0:
         grid = GridSpec(dims=(n, n), channels=1)
         xx = np.arange(n, dtype=float)[:, None] * np.ones(n)[None, :]
         u = (0.2 * xx + 0.1)[..., None]
-        h0 = init_H0(u, grid, window=3, alpha=0.4)
+        h0 = unpack(init_H0(u, grid, window=3, alpha=0.4))
         expected = np.broadcast_to((0.4 * np.eye(2))[..., None, None], (2, 2) + grid.dims)
         np.testing.assert_allclose(h0, expected, atol=1e-12)
 
     def test_eigenvalue_floor(self, rng):
         grid = GridSpec(dims=(12, 12), channels=3)
         u = rng.standard_normal(grid.field_shape())
-        h0 = init_H0(u, grid, window=5, alpha=0.1)
+        h0 = unpack(init_H0(u, grid, window=5, alpha=0.1))
         eigs = np.linalg.eigvalsh(np.moveaxis(h0, (0, 1), (-2, -1)))
         assert float(eigs[..., 0].min()) >= 0.1 - 1e-10
 
     def test_symmetric_exactly(self, rng):
         grid = GridSpec(dims=(9, 9), channels=2)
         u = rng.standard_normal(grid.field_shape())
-        h0 = init_H0(u, grid, window=3, alpha=0.2)
+        h0 = unpack(init_H0(u, grid, window=3, alpha=0.2))
         np.testing.assert_array_equal(h0, np.swapaxes(h0, 0, 1))
 
     def test_is_psd_every_cell(self, rng):
         grid = GridSpec(dims=(7, 8), channels=2)
         u = rng.standard_normal(grid.field_shape())
-        h0 = init_H0(u, grid, window=3, alpha=0.15)
+        h0 = unpack(init_H0(u, grid, window=3, alpha=0.15))
         for idx in np.ndindex(*grid.dims):
             assert np.linalg.eigvalsh(h0[(...,) + idx])[0] >= 0.15 - 1e-10
 
@@ -189,14 +192,14 @@ class TestInitH0:
         n = 12
         grid = GridSpec(dims=(n,), channels=1)
         u = (np.arange(n) % 2).astype(float)[:, None]
-        h0 = init_H0(u, grid, window=3, alpha=0.1)
+        h0 = unpack(init_H0(u, grid, window=3, alpha=0.1))
         oracle = brute_force_H0(u, grid, window=3, alpha=0.1)
         np.testing.assert_allclose(h0, oracle, atol=1e-12)
 
     def test_random_2d_against_brute_force(self, rng):
         grid = GridSpec(dims=(8, 6), channels=2)
         u = rng.standard_normal(grid.field_shape())
-        h0 = init_H0(u, grid, window=5, alpha=0.1)
+        h0 = unpack(init_H0(u, grid, window=5, alpha=0.1))
         oracle = brute_force_H0(u, grid, window=5, alpha=0.1)
         np.testing.assert_allclose(h0, oracle, atol=1e-11)
 
@@ -204,8 +207,8 @@ class TestInitH0:
         grid = GridSpec(dims=(14, 14), channels=1)
         u = rng.standard_normal(grid.field_shape())
         shifted = np.roll(u, shift=2, axis=0)
-        h_base = init_H0(u, grid, window=3, alpha=0.1)
-        h_shift = init_H0(shifted, grid, window=3, alpha=0.1)
+        h_base = unpack(init_H0(u, grid, window=3, alpha=0.1))
+        h_shift = unpack(init_H0(shifted, grid, window=3, alpha=0.1))
         # compare cells whose windows (and gradient stencils) avoid both
         # boundaries before and after the shift
         np.testing.assert_allclose(h_shift[..., 4:12, 2:12], h_base[..., 2:10, 2:12], atol=1e-12)

@@ -6,7 +6,7 @@ import pytest
 
 import relaxdiff.integrate as integrate_mod
 from relaxdiff.baselines import CATTE_REGULARIZED, run_baseline
-from relaxdiff.errors import DimensionError, FitError, InvariantViolation, ParameterError, SolverError, SymmetryError
+from relaxdiff.errors import DimensionError, FitError, InvariantViolation, ParameterError, SolverError
 from relaxdiff.grid import GridSpec, face_average_tensors, l2_norm, mean_free
 from relaxdiff.initial import init_H0
 from relaxdiff.integrate import (
@@ -33,8 +33,8 @@ from conftest import disk_image, random_psd_field, smooth_image
 
 
 def identity_field(dims, kd, scale=1.0):
-    """scale * Id in every cell, component-first: (kd, kd) + dims."""
-    return np.multiply.outer(scale * np.eye(kd), np.ones(tuple(dims)))
+    """scale * Id in every cell, packed: (kd(kd+1)/2,) + dims."""
+    return np.multiply.outer(pack(scale * np.eye(kd)), np.ones(tuple(dims)))
 
 
 class TestFilterParams:
@@ -110,7 +110,7 @@ class TestStepH:
         grid = GridSpec(dims=(6, 6), channels=2)
         p = FilterParams(tau=0.5, sigma=0.0, dt=0.3, response=ResponseParams(s=0.2))
         u = np.full(grid.field_shape(), 0.4)
-        h0 = pack(identity_field(grid.dims, 4, scale=1.5))  # F(0) = 3/2 Id
+        h0 = identity_field(grid.dims, 4, scale=1.5)  # F(0) = 3/2 Id
         h = h0.copy()
         _relax_H(u, h, p, grid, p.kernel())
         np.testing.assert_allclose(h, h0, atol=1e-14)
@@ -121,9 +121,9 @@ class TestStepH:
         p = FilterParams(tau=0.8, sigma=0.0, dt=0.8, alpha=alpha)
         monkeypatch.setattr(integrate_mod, "response_field", lambda d, rp: np.zeros((3,) + d.shape[2:]))
         u = np.zeros(grid.field_shape())
-        h = pack(identity_field(grid.dims, 2, scale=alpha))
+        h = identity_field(grid.dims, 2, scale=alpha)
         _relax_H(u, h, p, grid, p.kernel())
-        expected = pack(identity_field(grid.dims, 2, scale=alpha * math.exp(-1.0)))
+        expected = identity_field(grid.dims, 2, scale=alpha * math.exp(-1.0))
         np.testing.assert_allclose(h, expected, atol=1e-14)
 
     def test_frozen_u_geometric_convergence(self, rng):
@@ -151,8 +151,8 @@ class TestStepH:
 
 
 def implicit_step(u, h, p, grid):
-    """One backward-Euler diffusion step of u with frozen full-square H, as the step loop solves it."""
-    havg = face_average_tensors(pack(h), grid)
+    """One backward-Euler diffusion step of u with frozen packed H, as the step loop solves it."""
+    havg = face_average_tensors(h, grid)
     return _implicit_solve(u, havg, p.dt, grid, p.cg_tol, integrate_mod.cg_max_iter(grid.ncells))[0]
 
 
@@ -181,7 +181,7 @@ class TestStepU:
         grid = GridSpec(dims=(12, 10), channels=3)
         p = FilterParams(dt=7.0, cg_tol=1e-10)
         u = rng.standard_normal(grid.field_shape())
-        h = random_psd_field(rng, grid.dims, 6, floor=0.05)
+        h = pack(random_psd_field(rng, grid.dims, 6, floor=0.05))
         out = implicit_step(u, h, p, grid)
         mass_in = u.reshape(-1, 3).sum(axis=0)
         mass_out = out.reshape(-1, 3).sum(axis=0)
@@ -223,7 +223,7 @@ class TestRun:
         state, traces = run(u0, h0, p, grid)
         np.testing.assert_array_equal(state.u, u0)
         f0 = unpack(response_zero(p.response, 2, 2))  # (3/2 + omega) Id
-        np.testing.assert_allclose(state.H, np.multiply.outer(f0, np.ones(grid.dims)), atol=1e-8)
+        np.testing.assert_allclose(unpack(state.H), np.multiply.outer(f0, np.ones(grid.dims)), atol=1e-8)
 
     def test_mean_free_norm_monotone_32x32(self, rng):
         grid = GridSpec(dims=(32, 32), channels=3)
@@ -272,26 +272,31 @@ class TestRun:
             run(data["u0"], data["H0"], FilterParams(), grid)
 
     def test_H0_shape_rejected(self, rng):
-        # H0 is component-first, (kd, kd) + dims; a cell-first field or
-        # another grid's field must fail before the filter runs.
+        # H0 is packed, (P,) + dims; a full-square field, a cell-first one
+        # or another grid's field must fail before the filter runs.
         grid = GridSpec(dims=(8, 8), channels=3)
         u0 = rng.standard_normal(grid.field_shape())
         h0 = identity_field(grid.dims, 6, scale=0.2)
-        for bad in (np.moveaxis(h0, (0, 1), (-2, -1)).copy(), h0[..., :7], h0[:4, :4]):
-            with pytest.raises(ParameterError, match=r"H0 shape .* != \(6, 6, 8, 8\)"):
+        full = unpack(h0)
+        for bad in (full, np.moveaxis(full, (0, 1), (-2, -1)).copy(), h0[..., :7], h0[:10]):
+            with pytest.raises(ParameterError, match=r"H0 shape .* != \(21, 8, 8\).*relaxdiff\.tensors\.pack"):
                 run(u0, bad, FilterParams(alpha=0.2, t_end=0.1), grid)
-        assert np.moveaxis(h0, (0, 1), (-2, -1)).shape == (8, 8, 6, 6)
+        assert np.moveaxis(full, (0, 1), (-2, -1)).shape == (8, 8, 6, 6)
 
-    @pytest.mark.parametrize("offset", [0.05, 5.0])
-    def test_asymmetric_H0_rejected(self, rng, offset):
-        # The floor check reads the lower triangle only, so an upper triangle
-        # that differs would pass it and make the CG operator non-symmetric.
-        grid = GridSpec(dims=(16, 16), channels=3)
-        u0 = disk_image(16, radius=5.0)[0] + 0.05 * rng.standard_normal(grid.field_shape())
+    def test_H0_memory_order_gives_the_same_bits(self, rng):
+        # The step loop relaxes run()'s copy of H0 in place through a flat
+        # view, so that copy must be C-ordered whatever the caller's layout:
+        # flattening a Fortran-ordered copy would copy it, and H would not relax.
+        grid = GridSpec(dims=(8, 8), channels=3)
+        u0 = rng.standard_normal(grid.field_shape())
         h0 = init_H0(u0, grid, window=3, alpha=0.1)
-        h0[0, 5] += offset
-        with pytest.raises(SymmetryError, match=r"\(0, 5\)"):
-            run(u0, h0, FilterParams(dt=0.1, t_end=0.3), grid)
+        p = FilterParams(tau=0.5, sigma=1.0, dt=0.1, t_end=0.3)
+        expected, _ = run(u0, h0, p, grid)
+        strided = np.repeat(h0, 2, axis=0)[::2]
+        for h in (np.asfortranarray(h0), strided):
+            state, _ = run(u0, h, p, grid)
+            assert state.H.tobytes() == expected.H.tobytes()
+            assert state.u.tobytes() == expected.u.tobytes()
 
     @pytest.mark.parametrize("sigma", [1.0, 0.0])
     def test_min_eig_H_equals_full_diagonalisation(self, rng, sigma):
@@ -302,7 +307,7 @@ class TestRun:
         _, traces, (_, hs) = run(u0, h0, p, grid, keep_history=True)
         assert len(traces) == 5
         for n, r in enumerate(traces):
-            assert r.min_eig_H == float(np.min(np.linalg.eigvalsh(np.moveaxis(hs[n + 1], (0, 1), (-2, -1)))[..., 0]))
+            assert r.min_eig_H == float(np.min(np.linalg.eigvalsh(np.moveaxis(unpack(hs[n + 1]), (0, 1), (-2, -1)))[..., 0]))
 
     def test_floor_violation_reports_the_full_argmin(self, rng, monkeypatch):
         # A shifted response breaks the floor everywhere; the diagnostic must
@@ -399,28 +404,16 @@ class TestEnergy:
         grid = GridSpec(dims=(5, 4), channels=2)
         p = FilterParams(tau=0.7, response=ResponseParams(s=0.1, omega=0.3))
         f0 = np.multiply.outer(response_zero(p.response, 2, 2), np.ones(grid.dims))
-        for h in (f0, unpack(f0)):  # packed, as the step loop holds H, and full square
-            state = FilterState(t=0.0, u=np.zeros(grid.field_shape()), H=h)
-            assert energy(state, p, grid) == 0.0
-
-    def test_packed_and_full_square_give_the_same_bits(self, rng):
-        # A packed plane's square sum is added at (a, b) and at (b, a), in
-        # the row-major order of the full square.
-        grid = GridSpec(dims=(7, 5), channels=3)
-        p = FilterParams(tau=0.6, response=ResponseParams(s=0.1, omega=0.2))
-        u = rng.standard_normal(grid.field_shape())
-        h = pack(random_psd_field(rng, grid.dims, 6, floor=0.1))
-        h *= 10.0 ** rng.integers(-3, 4, h.shape)
-        packed = energy(FilterState(0.0, u, h), p, grid)
-        assert packed.hex() == energy(FilterState(0.0, u, unpack(h)), p, grid).hex()
+        state = FilterState(t=0.0, u=np.zeros(grid.field_shape()), H=f0)
+        assert energy(state, p, grid) == 0.0
 
     def test_identity_offset_value(self):
         grid = GridSpec(dims=(5, 4), channels=2)
         tau = 0.7
         p = FilterParams(tau=tau, response=ResponseParams(s=0.1))
         kd = 4
-        f0 = unpack(response_zero(p.response, 2, 2))
-        h = np.multiply.outer(f0 + np.eye(kd), np.ones(grid.dims))
+        f0 = response_zero(p.response, 2, 2)
+        h = np.multiply.outer(f0 + pack(np.eye(kd)), np.ones(grid.dims))
         state = FilterState(t=0.0, u=np.zeros(grid.field_shape()), H=h)
         assert energy(state, p, grid) == pytest.approx(0.5 * tau * grid.ncells * kd, rel=1e-14)
 
@@ -443,13 +436,13 @@ class TestEnergy:
         assert e2 == pytest.approx(e1, rel=1e-12)
 
     def test_H_shape_rejected(self):
-        # H is read one entry plane at a time, full square or packed: a field
-        # of another shape, a cell-first one included, fails instead of
+        # H is packed and read one entry plane at a time: a field of another
+        # shape, a full-square or cell-first one included, fails instead of
         # giving a number.
         grid = GridSpec(dims=(5, 3), channels=2)
         p = FilterParams(tau=0.5, response=ResponseParams(s=0.1))
         u = np.zeros(grid.field_shape())
-        for shape in ((5, 3, 4, 4), (4, 4, 5), (4, 4, 5, 3, 1), (10, 5), (6, 5, 3), (10, 5, 3, 1)):
+        for shape in ((4, 4, 5, 3), (5, 3, 4, 4), (4, 4, 5), (4, 4, 5, 3, 1), (10, 5), (6, 5, 3), (10, 5, 3, 1)):
             with pytest.raises(DimensionError):
                 energy(FilterState(0.0, u, np.zeros(shape)), p, grid)
 
@@ -504,7 +497,7 @@ class TestMemoryFormCheck:
     def test_constant_response_stub_exact(self, rng, monkeypatch):
         # With F literally constant both forms telescope identically.
         grid = GridSpec(dims=(6, 6), channels=1)
-        const = pack(identity_field(grid.dims, 2, scale=0.8))
+        const = identity_field(grid.dims, 2, scale=0.8)
         monkeypatch.setattr(integrate_mod, "response_field", lambda d, rp: const.copy())
         u0 = rng.standard_normal(grid.field_shape())
         h0 = identity_field(grid.dims, 2, scale=0.3)

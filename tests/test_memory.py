@@ -1,8 +1,10 @@
-"""Peak memory of init_H0, run(), the relaxation, the energy and the grey catte baseline.
+"""Peak memory of init_H0, run(), the relaxation, the energy, the memory-form
+check and the grey catte baseline.
 
-At 64 x 64 RGB one H field is 6 x 6 float64 per cell, 1.7 MiB, against
-0.1 MiB for the image, so the fields of tensors set the peak, and it is
-counted in H fields (h0.nbytes). In grey the tensors are 2 x 2, so the CG's
+At 64 x 64 RGB one full-square H field is 6 x 6 float64 per cell, 1.7 MiB,
+against 0.1 MiB for the image, so the fields of tensors set the peak, and it
+is counted in full-square H fields (h_field_bytes), though H itself is held
+packed, 21 of the 36 planes. In grey the tensors are 2 x 2, so the CG's
 image-sized vectors and temporaries weigh as much as the tensors, and the
 peak is counted in image fields. tracemalloc sees numpy's data buffers;
 what a call still holds when it returns counts too.
@@ -15,9 +17,9 @@ import numpy as np
 from relaxdiff.baselines import CATTE_REGULARIZED, run_baseline
 from relaxdiff.grid import GridSpec, inner, mean_free
 from relaxdiff.initial import init_H0
-from relaxdiff.integrate import FilterParams, _relax_H, energy, run
+from relaxdiff.integrate import FilterParams, _relax_H, energy, memory_form_check, run
 from relaxdiff.response import response_zero
-from relaxdiff.tensors import pack, unpack
+from relaxdiff.tensors import unpack
 
 from conftest import rgb_scene
 
@@ -34,17 +36,29 @@ def traced_peak(fn):
     return result, peak
 
 
+def h_field_bytes(grid):
+    """Bytes of one full-square H field, (kd, kd) + dims in float64: the unit of the RGB bounds."""
+    kd = grid.channels * grid.ndim
+    return kd * kd * grid.ncells * 8
+
+
 def test_peaks_in_H_fields():
     u0, grid = rgb_scene()
+    unit = h_field_bytes(grid)
+    p = FilterParams(t_end=0.3)
+    # init_H0's packed result (0.58) and its window sums of the gradient.
     h0, init_peak = traced_peak(lambda: init_H0(u0, grid, window=5, alpha=0.1))
-    # H0 exists before tracing starts: run()'s packed copy of it counts, H0
-    # does not. The main solve holds the peak: the packed H (21/36 of an H
-    # field) and the full-square face tensors are 1.58 of its H fields, the
-    # CG's vectors and the operator's temporaries the rest. A full-square H
-    # would add 0.42.
-    _, run_peak = traced_peak(lambda: run(u0, h0, FilterParams(t_end=0.3), grid))
-    assert init_peak <= 3 * h0.nbytes, init_peak / h0.nbytes
-    assert run_peak <= 2.38 * h0.nbytes, run_peak / h0.nbytes
+    # H0 exists before tracing starts: run()'s copy of it counts, H0 does
+    # not. The main solve holds the peak: the packed H (0.58) and the
+    # full-square face tensors are 1.58 H fields, the CG's vectors and the
+    # operator's temporaries the rest. A full-square H would add 0.42.
+    _, run_peak = traced_peak(lambda: run(u0, h0, p, grid))
+    # The CLI's sequence: init_H0's packed result stays referenced, as
+    # run()'s H0, for the whole run, on top of run()'s own peak.
+    _, cli_peak = traced_peak(lambda: run(u0, init_H0(u0, grid, window=5, alpha=0.1), p, grid))
+    assert init_peak <= 1.41 * unit, init_peak / unit
+    assert run_peak <= 2.38 * unit, run_peak / unit
+    assert cli_peak <= 2.95 * unit, cli_peak / unit
 
 
 def test_relaxation_holds_F_as_21_planes():
@@ -53,8 +67,8 @@ def test_relaxation_holds_F_as_21_planes():
     # 0.31. A full-square F alone would be 1.0.
     u0, grid = rgb_scene()
     p = FilterParams(t_end=0.3)
-    h = pack(init_H0(u0, grid, window=5, alpha=0.1))
-    full = h.nbytes * 36 // 21
+    h = init_H0(u0, grid, window=5, alpha=0.1)
+    full = h_field_bytes(grid)
     _, peak = traced_peak(lambda: _relax_H(u0, h, p, grid, p.kernel()))
     assert peak <= 0.92 * full, peak / full
 
@@ -66,18 +80,32 @@ def test_energy_sums_plane_by_plane_in_a_fraction_of_an_H_field():
     # Reference: the mean-free term, then ||H - F(0)||^2 summed one entry
     # plane at a time in row-major order.
     f0 = unpack(response_zero(p.response, grid.channels, grid.ndim))
+    h = unpack(state.H)
     umf = mean_free(state.u, grid)
     misfit = 0.0
     for a in range(f0.shape[0]):
         for b in range(f0.shape[1]):
-            plane = state.H[a, b] - f0[a, b]
+            plane = h[a, b] - f0[a, b]
             misfit += inner(plane, plane)
     expected = 0.5 * inner(umf, umf) + 0.5 * p.tau * misfit
     got, peak = traced_peak(lambda: energy(state, p, grid))
     assert got.hex() == expected.hex()
     # An image field (the mean-free u) is 1/12 of an H field and an entry
     # plane 1/36: nothing H-sized is made.
-    assert peak <= 0.2 * state.H.nbytes, peak / state.H.nbytes
+    assert peak <= 0.2 * h_field_bytes(grid), peak / h_field_bytes(grid)
+
+
+def test_memory_form_check_holds_a_packed_history():
+    # At 12 steps the history holds 13 packed H (7.58 H fields) and 13
+    # images (1.08), and it grows linearly with the step count. The peak
+    # comes after run() returns: the re-integrated q and the two response
+    # samples held at a time (0.58 each), q's update temporaries and one
+    # step's gap, unpacked (1) and squared (1). A full-square history and a
+    # list of all responses measured 31.1.
+    u0, grid = rgb_scene()
+    h0 = init_H0(u0, grid, window=5, alpha=0.1)
+    _, peak = traced_peak(lambda: memory_form_check(u0, h0, FilterParams(t_end=0.3), 12, grid))
+    assert peak <= 13.05 * h_field_bytes(grid), peak / h_field_bytes(grid)
 
 
 def test_grey_catte_peak_in_image_fields():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaxdiff import tensors
-from relaxdiff.errors import DimensionError, SymmetryError
+from relaxdiff.errors import DimensionError
 from relaxdiff.grid import inner
 from relaxdiff.response import ResponseParams, response_fs
 from relaxdiff.tensors import (
@@ -16,7 +16,6 @@ from relaxdiff.tensors import (
     min_eig_field,
     pack,
     pack_index,
-    require_symmetric,
     unpack,
 )
 
@@ -224,12 +223,6 @@ class TestSpectralBounds:
                 h = random_symmetric_tensor(rng, n, scale=2.0)
                 lo, _ = char_poly_eig_bounds(h)
                 assert min_eig_field(pack(h)) == pytest.approx(lo, abs=1e-8)
-
-    def test_rejects_asymmetric(self):
-        h = np.eye(4)
-        h[0, 1] = 1e-3
-        with pytest.raises(SymmetryError):
-            require_symmetric(h)
 
 
 class TestIsPsd:
