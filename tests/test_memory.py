@@ -100,8 +100,7 @@ def test_memory_form_check_holds_a_packed_history():
     # images (1.08), and it grows linearly with the step count. The peak
     # comes after run() returns: the re-integrated q and the two response
     # samples held at a time (0.58 each), q's update temporaries and one
-    # step's gap, unpacked (1) and squared (1). A full-square history and a
-    # list of all responses measured 31.1.
+    # step's gap, unpacked (1) and squared (1).
     u0, grid = rgb_scene()
     h0 = init_H0(u0, grid, window=5, alpha=0.1)
     _, peak = traced_peak(lambda: memory_form_check(u0, h0, FilterParams(t_end=0.3), 12, grid))
