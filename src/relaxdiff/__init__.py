@@ -25,6 +25,7 @@ from .integrate import (
     energy,
     memory_form_check,
     run,
+    trajectory,
     write_trace_csv,
 )
 from .baselines import CATTE_REGULARIZED, PERONA_MALIK, compare_trajectories, run_baseline
@@ -49,6 +50,7 @@ __all__ = [
     "energy",
     "memory_form_check",
     "run",
+    "trajectory",
     "write_trace_csv",
     "CATTE_REGULARIZED",
     "PERONA_MALIK",

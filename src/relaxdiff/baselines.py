@@ -1,6 +1,6 @@
 """Reference filters for limit studies.
 
-Both baselines skip the relaxation dynamics: they run the filter's own step
+Both baselines skip the relaxation dynamics: they drain the filter's own step
 loop (integrate._step_loop) in its no-relaxation mode, which sets the
 diffusivity to F(grad_sigma u) at each step's left endpoint and then performs
 the same backward-Euler diffusion solve, so any difference in behavior
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .grid import GridSpec, check_image
-from .integrate import FilterParams, TraceRecord, _require_finite, _step_loop
+from .integrate import FilterParams, TraceRecord, _drain, _require_finite, _step_loop
 
 # bench/child.py wraps these names when tracing. The step loop looks them up
 # in integrate, so only the wrappers there see calls.
@@ -63,7 +63,7 @@ def run_baseline(
             stacklevel=2,
         )
         p = replace(p, sigma=0.0, response=replace(p.response, kind=PERONA_MALIK_SCALAR))
-    final, traces, _ = _step_loop(u.copy(), None, p, grid)
+    final, traces = _drain(_step_loop(u.copy(), None, p, grid))
     return final.u, traces
 
 

@@ -33,13 +33,19 @@ minimum from above, and a vectorised Cholesky of H minus that bound clears
 every cell that cannot hold it. Only the cells left over are diagonalised,
 so cells tied at the minimum cost eigvalsh on those cells alone.
 
+The step loop is a generator: trajectory() hands it out, and run(), the
+baselines and memory_form_check read it step by step, so nothing stores
+the trajectory.
+
 H is symmetric, so it is held packed everywhere, (P,) + dims with
 P = kd(kd+1)/2 (21 of the 36 entry planes for RGB in 2-D; see
-tensors.pack_index): H0, the state's H, the history, the responses and
-F(0). Only the face tensors are full square.
+tensors.pack_index): H0, the state's H, the responses and F(0). Only the
+face tensors are full square.
 """
 
 import math
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -271,8 +277,8 @@ def _num_steps(p: FilterParams) -> int:
     return max(1, int(math.ceil(n - 1e-9)))
 
 
-def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec, keep_history: bool = False):
-    """The step loop of run() and run_baseline(), from validated (u, H).
+def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec):
+    """The step loop of trajectory(), run() and run_baseline(), from validated (u, H).
 
     With H given, every step relaxes H toward the response sampled at a
     half-step backward-Euler prediction of u, checks the eigenvalue floor of
@@ -280,10 +286,10 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec, keep_
     the tau -> 0 limit) every step sets H = F(grad_sigma u) at the step's left
     endpoint instead, with no half solve and no floor check.
 
+    A generator: it yields (FilterState, TraceRecord) once per step and
+    returns the final FilterState, the initial one when there are no steps.
     H, the responses and the state's H are packed, (P,) + dims; h must be
-    C-contiguous, as _relax_H relaxes it in place. Returns
-    (final FilterState, per-step TraceRecords, history), history being the
-    (u, H) lists at the step nodes with keep_history, else None.
+    C-contiguous, as _relax_H relaxes it in place.
     """
     relax = h is not None
     kern = p.kernel()
@@ -291,8 +297,6 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec, keep_
     # dt * dt, not dt**2: a finite dt**2 may overflow and raise.
     half_tol = max(p.cg_tol, min(HALF_TOL_MAX, HALF_TOL_PER_DT2 * p.dt * p.dt))
     t = 0.0
-    traces: list[TraceRecord] = []
-    history = ([u.copy()], [h.copy()]) if keep_history else None
     # The face tensors of each step's relaxed H serve its main solve and the
     # next step's half-step solve.
     havg = face_average_tensors(h, grid) if relax else None
@@ -344,52 +348,41 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec, keep_
                 f"intensity field became non-finite at t={t:g}",
                 diagnostic={"t": t, "step": n + 1},
             )
-        traces.append(
-            TraceRecord(
-                t=t,
-                l2_norm_u=l2_norm(u),
-                mass=tuple(_channel_sums(u, grid)),
-                energy=energy(FilterState(t=t, u=u, H=h), p, grid),
-                min_eig_H=min_eig,
-                cg_iters=iters,
-            )
+        # No local holds the yielded state: without relaxation it would keep
+        # this step's H alive through the next step.
+        yield FilterState(t=t, u=u, H=h), TraceRecord(
+            t=t,
+            l2_norm_u=l2_norm(u),
+            mass=tuple(_channel_sums(u, grid)),
+            energy=energy(FilterState(t=t, u=u, H=h), p, grid),
+            min_eig_H=min_eig,
+            cg_iters=iters,
         )
-        if keep_history:
-            history[0].append(u.copy())
-            history[1].append(h.copy())
-    return FilterState(t=t, u=u, H=h), traces, history
+    return FilterState(t=t, u=u, H=h)
 
 
-def run(
-    u0: Array,
-    H0: Array,
-    p: FilterParams,
-    grid: GridSpec,
-    keep_history: bool = False,
-):
-    """Integrate the coupled system from (u0, H0) until t >= t_end.
+def _drain(steps) -> tuple[FilterState, list[TraceRecord]]:
+    """(final FilterState, per-step TraceRecords) of a _step_loop generator.
 
-    Returns (final FilterState, list of per-step TraceRecords); with
-    keep_history=True a third element carries the full (u, H) trajectories
-    at the step nodes, which the memory-form diagnostic consumes.
+    It holds no state between steps, which would keep the step's u, and
+    without relaxation its H, alive through the next one.
+    """
+    traces = []
+    while True:
+        try:
+            traces.append(next(steps)[1])
+        except StopIteration as end:
+            return end.value, traces
 
-    H0, the state's H and the history's tensor fields are packed,
-    (P,) + dims with P = kd(kd+1)/2, one plane per entry a <= b (see
-    tensors.pack_index): a symmetric field by construction.
-    tensors.pack converts a full-square field, (kd, kd) + dims, and
-    tensors.unpack converts back. run() relaxes a copy of H0 of its own.
 
-    Raises InvariantViolation (with a diagnostic dump of the offending cell)
-    if any cell's smallest eigenvalue drops below the predicted floor, and
-    ParameterError if H0 has another shape, if u0 or H0 holds NaN/inf or if
-    the initial diffusivity does not clear alpha.
+def trajectory(u0: Array, H0: Array, p: FilterParams, grid: GridSpec) -> Iterator[tuple[FilterState, TraceRecord]]:
+    """Iterator over the steps of run(u0, H0, p, grid), one (FilterState, TraceRecord) per step.
 
-    The floor check is certified rather than computed cell by cell: a Cholesky
-    factorisation of H minus a sampled upper bound on its smallest eigenvalue
-    clears every cell that cannot hold the minimum, and eigvalsh runs on the
-    rest, so ties cost eigvalsh on the tied cells only. The recorded
-    min_eig_H equals the minimum over a full diagonalisation bit for bit, and
-    only a broken floor diagonalises every cell, to name the offending one.
+    The inputs are checked here, at call time, as run() checks them, so a
+    bad u0 or H0 raises before the first step; zero steps yield nothing.
+    The yielded arrays belong to the step loop. Each state's u is a new
+    array, but its H is one array that the next step relaxes in place: read
+    or copy what you need from a state before advancing the iterator.
     """
     u = check_image(u0, grid)
     _require_finite("u0", u)
@@ -407,9 +400,29 @@ def run(
             "initial diffusivity violates the alpha eigenvalue floor: "
             f"min eig {init_min:.6g} < alpha {p.alpha:g}"
         )
-    # Only the step loop holds run()'s copy of u, so each solve frees the last u.
-    final, traces, history = _step_loop(u.copy(), h, p, grid, keep_history)
-    return (final, traces, history) if keep_history else (final, traces)
+    # Only the step loop holds its copy of u, so each solve frees the last u.
+    return _step_loop(u.copy(), h, p, grid)
+
+
+def run(u0: Array, H0: Array, p: FilterParams, grid: GridSpec) -> tuple[FilterState, list[TraceRecord]]:
+    """Integrate the coupled system from (u0, H0) until t >= t_end.
+
+    Returns (final FilterState, list of per-step TraceRecords): trajectory()
+    drained, keeping only the records. With zero steps the final state is
+    the checked initial one.
+
+    H0 and the state's H are packed, (P,) + dims with P = kd(kd+1)/2, one
+    plane per entry a <= b (see tensors.pack_index): a symmetric field by
+    construction. tensors.pack converts a full-square field, (kd, kd) + dims,
+    and tensors.unpack converts back. run() relaxes a copy of H0 of its own.
+
+    Raises InvariantViolation (with a diagnostic dump of the offending cell)
+    if any cell's smallest eigenvalue drops below the predicted floor (see
+    the module docstring for how the floor is checked), and ParameterError
+    if H0 has another shape, if u0 or H0 holds NaN/inf or if the initial
+    diffusivity does not clear alpha.
+    """
+    return _drain(trajectory(u0, H0, p, grid))
 
 
 def decay_rate_fit(traces: list[TraceRecord]) -> float:
@@ -425,13 +438,7 @@ def decay_rate_fit(traces: list[TraceRecord]) -> float:
     return float(slope)
 
 
-def memory_form_check(
-    u0: Array,
-    H0: Array,
-    p: FilterParams,
-    steps: int,
-    grid: GridSpec,
-) -> float:
+def memory_form_check(u0: Array, H0: Array, p: FilterParams, steps: int, grid: GridSpec) -> float:
     """Largest cell-wise gap between stepped H and its memory-form integral.
 
     The relaxation law is equivalent to the Volterra form
@@ -439,34 +446,38 @@ def memory_form_check(
         H(t) = e^(-t/tau) H0
                + (1/tau) * integral_0^t e^(-(t-s)/tau) F(grad_sigma u(s)) ds,
 
-    whose kernel-weighted integral is re-evaluated here from the stored u
+    whose kernel-weighted integral is re-evaluated here along the u
     trajectory with trapezoidal averaging of the response samples under the
     exact exponential weights (so a constant response reproduces the stepped
     trajectory identically). H0 is packed, as run() takes it. Returns max
     over steps and cells of the Frobenius gap; it shrinks as O(dt^2).
 
-    The history and the re-integrated q are packed, and the responses are
-    sampled as the loop goes, two at a time; each step's gap is unpacked
-    for its Frobenius sum over all kd x kd entries. The history still grows
-    linearly with the step count.
+    The steps come from trajectory(), one at a time: the re-integrated q is
+    packed, the responses are sampled two at a time, and each step's gap is
+    unpacked for its Frobenius sum over all kd x kd entries. Nothing of an
+    earlier step is kept, so the memory does not grow with the step count.
     """
+    try:
+        steps = operator.index(steps)
+    except TypeError:
+        raise ParameterError(f"steps must be an integer, not {steps!r}") from None
     if steps < 0:
         raise ParameterError("steps must be >= 0")
-    if steps == 0:
-        return 0.0
-    p_run = replace(p, t_end=steps * p.dt)
-    _, _, (us, hs) = run(u0, H0, p_run, grid, keep_history=True)
+    states = trajectory(u0, H0, replace(p, t_end=steps * p.dt), grid)
 
     kern = p.kernel()
     theta = math.exp(-p.dt / p.tau)
-    q = hs[0]
-    f_next = response_field(grad_sigma(us[0], kern, grid), p.response)
+    # trajectory() has checked u0 and H0: q starts from H0 as the loop's
+    # copy does, and grad_sigma converts u0 as trajectory() did.
+    q = np.array(H0, dtype=float, order="C")
+    f_next = response_field(grad_sigma(u0, kern, grid), p.response)
     worst = 0.0
-    for n in range(steps):
-        f_prev, f_next = f_next, response_field(grad_sigma(us[n + 1], kern, grid), p.response)
+    for state, _ in states:
+        f_prev, f_next = f_next, response_field(grad_sigma(state.u, kern, grid), p.response)
         q = theta * q + (1.0 - theta) * 0.5 * (f_prev + f_next)
-        gap = unpack(q - hs[n + 1]).reshape((-1,) + grid.dims)
+        gap = unpack(q - state.H).reshape((-1,) + grid.dims)
         worst = max(worst, float(np.max(np.sqrt(np.sum(gap * gap, axis=0)))))
+        del gap, f_prev  # held, they would add 1.6 H fields to the next step's peak
     return worst
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from relaxdiff import bands
 from relaxdiff.grid import GridSpec
+from relaxdiff.integrate import trajectory
 
 
 def random_symmetric_tensor(rng, n, scale=1.0):
@@ -21,6 +22,16 @@ def random_psd_field(rng, dims, n, floor=0.0):
     m = rng.standard_normal((cells, n, n))
     field = np.einsum("cij,ckj->cik", m, m) / n + floor * np.eye(n)
     return np.moveaxis(field, 0, -1).reshape((n, n) + tuple(dims)).copy()
+
+
+def step_nodes(u0, h0, p, grid):
+    """trajectory()'s records and copies of u and H at every step node, the initial one first."""
+    records, us, hs = [], [u0], [h0]
+    for state, record in trajectory(u0, h0, p, grid):
+        records.append(record)
+        us.append(state.u.copy())
+        hs.append(state.H.copy())
+    return records, us, hs
 
 
 def apply_in_order(h, g):

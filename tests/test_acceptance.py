@@ -23,7 +23,7 @@ from relaxdiff.response import (
 )
 from relaxdiff.tensors import min_eig_field, pack, unpack
 
-from conftest import disk_image, smooth_image
+from conftest import disk_image, smooth_image, step_nodes
 
 
 def check(criterion: int, ok: bool, elapsed: float, budget: float, detail: str):
@@ -64,7 +64,7 @@ def test_criterion_2_discrete_a_priori_estimate():
     for dt in (0.1, 10.0):
         p = FilterParams(tau=0.5, sigma=1.0, dt=dt, t_end=500 * dt,
                          response=ResponseParams(s=0.1), alpha=0.1)
-        _, traces, (us, _) = run(u0, h0, p, grid, keep_history=True)
+        traces, us, _ = step_nodes(u0, h0, p, grid)
         assert len(traces) == 500
         norms = [l2_norm(mean_free(u, grid)) for u in us]
         allowed = p.cg_tol * norms[0]

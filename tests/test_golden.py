@@ -43,10 +43,11 @@ gives them. Its two changes were measured one at a time:
   the same way in either order, and pm did not move with it.
 
 The CLI never returns H, so ``test_H_unchanged`` pins it apart: the sha256
-of ``run()``'s final H and of its history of H, both in the full-square
-layout ``run()`` returns, and the exact value of ``memory_form_check``, on
-the 64 x 64 RGB scene of the memory tests. They were recorded before H was
-held as its packed triangle inside the step loop.
+of ``run()``'s final H and of its history of H (H0, then H at every step
+node of ``trajectory()``), both unpacked to the full-square layout, and the
+exact value of ``memory_form_check``, on the 64 x 64 RGB scene of the
+memory tests. They were recorded before H was held as its packed triangle
+inside the step loop.
 """
 
 import contextlib
@@ -67,7 +68,7 @@ from relaxdiff.initial import init_H0
 from relaxdiff.integrate import FilterParams, memory_form_check, run
 from relaxdiff.tensors import unpack
 
-from conftest import disk_image, rgb_scene
+from conftest import disk_image, rgb_scene, step_nodes
 
 # case -> (grey scene?, CLI flags)
 CASES = {
@@ -176,7 +177,8 @@ def test_H_unchanged():
     u0, grid = rgb_scene()
     h0 = init_H0(u0, grid, window=5, alpha=0.1)
     p = FilterParams(t_end=0.3)
-    state, _, (_, hs) = run(u0, h0, p, grid, keep_history=True)
+    state, _ = run(u0, h0, p, grid)
+    _, _, hs = step_nodes(u0, h0, p, grid)
     kd = grid.channels * grid.ndim
     final = unpack(state.H)
     assert final.shape == (kd, kd) + grid.dims and len(hs) == 4

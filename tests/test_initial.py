@@ -175,12 +175,6 @@ class TestInitH0:
         eigs = np.linalg.eigvalsh(np.moveaxis(h0, (0, 1), (-2, -1)))
         assert float(eigs[..., 0].min()) >= 0.1 - 1e-10
 
-    def test_symmetric_exactly(self, rng):
-        grid = GridSpec(dims=(9, 9), channels=2)
-        u = rng.standard_normal(grid.field_shape())
-        h0 = unpack(init_H0(u, grid, window=3, alpha=0.2))
-        np.testing.assert_array_equal(h0, np.swapaxes(h0, 0, 1))
-
     def test_is_psd_every_cell(self, rng):
         grid = GridSpec(dims=(7, 8), channels=2)
         u = rng.standard_normal(grid.field_shape())

@@ -23,13 +23,14 @@ from relaxdiff.integrate import (
     kappa_predicted,
     memory_form_check,
     run,
+    trajectory,
     write_trace_csv,
 )
 from relaxdiff.mollifier import COMPACT_BUMP, Kernel, grad_sigma
 from relaxdiff.response import ResponseParams, response_field, response_zero
 from relaxdiff.tensors import pack, unpack
 
-from conftest import disk_image, random_psd_field, smooth_image
+from conftest import disk_image, random_psd_field, smooth_image, step_nodes
 
 
 def identity_field(dims, kd, scale=1.0):
@@ -230,7 +231,7 @@ class TestRun:
         u0 = 0.5 * rng.standard_normal(grid.field_shape())
         h0 = init_H0(u0, grid, window=5, alpha=0.1)
         p = FilterParams(tau=0.5, sigma=1.0, dt=0.25, t_end=5.0, response=ResponseParams(s=0.1))
-        _, _, (us, _) = run(u0, h0, p, grid, keep_history=True)
+        _, us, _ = step_nodes(u0, h0, p, grid)
         norms = [l2_norm(mean_free(u, grid)) for u in us]
         tol = p.cg_tol * norms[0]
         assert all(b <= a + tol for a, b in zip(norms, norms[1:]))
@@ -304,7 +305,7 @@ class TestRun:
         u0 = disk_image(32, radius=10.0)[0] + 0.05 * rng.standard_normal(grid.field_shape())
         h0 = init_H0(u0, grid, window=3, alpha=0.1)
         p = FilterParams(tau=0.5, sigma=sigma, dt=0.1, t_end=0.5)
-        _, traces, (_, hs) = run(u0, h0, p, grid, keep_history=True)
+        traces, _, hs = step_nodes(u0, h0, p, grid)
         assert len(traces) == 5
         for n, r in enumerate(traces):
             assert r.min_eig_H == float(np.min(np.linalg.eigvalsh(np.moveaxis(unpack(hs[n + 1]), (0, 1), (-2, -1)))[..., 0]))
@@ -387,16 +388,59 @@ class TestRun:
             assert r.cg_iters >= 1
 
     def test_caller_arrays_left_untouched(self, rng):
-        # The step loop relaxes H in place, on run()'s own copy only.
+        # The step loop relaxes H in place, on its own copy only.
         grid = GridSpec(dims=(8, 8), channels=3)
         u0 = rng.standard_normal(grid.field_shape())
         h0 = init_H0(u0, grid, window=3, alpha=0.1)
         before = (u0.tobytes(), h0.tobytes())
         p = FilterParams(tau=0.5, sigma=1.0, dt=0.1, t_end=0.3)
         run(u0, h0, p, grid)
-        run(u0, h0, p, grid, keep_history=True)
+        for state, _ in trajectory(u0, h0, p, grid):
+            assert state.u is not u0 and state.H is not h0
         memory_form_check(u0, h0, p, steps=3, grid=grid)
         assert (u0.tobytes(), h0.tobytes()) == before
+
+
+def record_bits(r):
+    return (r.t.hex(), r.l2_norm_u.hex(), tuple(float(m).hex() for m in r.mass),
+            r.energy.hex(), r.min_eig_H.hex(), r.cg_iters)
+
+
+class TestTrajectory:
+    def setup_scene(self, rng):
+        grid = GridSpec(dims=(8, 8), channels=3)
+        u0 = rng.standard_normal(grid.field_shape())
+        return u0, init_H0(u0, grid, window=3, alpha=0.1), grid
+
+    def test_records_and_last_state_are_run_bit_for_bit(self, rng):
+        u0, h0, grid = self.setup_scene(rng)
+        p = FilterParams(tau=0.5, sigma=1.0, dt=0.1, t_end=0.4)
+        final, traces = run(u0, h0, p, grid)
+        records = []
+        for state, record in trajectory(u0, h0, p, grid):
+            records.append(record)
+        assert len(records) == 4
+        assert [record_bits(r) for r in records] == [record_bits(r) for r in traces]
+        assert state.t == final.t
+        assert state.u.tobytes() == final.u.tobytes()
+        assert state.H.tobytes() == final.H.tobytes()
+
+    def test_zero_steps_yield_nothing(self, rng):
+        u0, h0, grid = self.setup_scene(rng)
+        assert list(trajectory(u0, h0, FilterParams(t_end=0.0), grid)) == []
+
+    def test_inputs_checked_at_call_time(self, rng):
+        # Each bad input raises from trajectory() itself, before any next().
+        u0, h0, grid = self.setup_scene(rng)
+        p = FilterParams(alpha=0.1, t_end=0.1)
+        with pytest.raises(ParameterError, match="H0 shape"):
+            trajectory(u0, unpack(h0), p, grid)
+        with pytest.raises(ParameterError, match="alpha"):
+            trajectory(u0, 0.5 * h0, p, grid)
+        nan_u = u0.copy()
+        nan_u[1, 2, 0] = math.nan
+        with pytest.raises(ParameterError, match="u0"):
+            trajectory(nan_u, h0, p, grid)
 
 
 class TestEnergy:
@@ -534,6 +578,29 @@ class TestMemoryFormCheck:
         h0 = identity_field(grid.dims, 2, scale=0.2)
         with pytest.raises(ParameterError):
             memory_form_check(u0, h0, FilterParams(alpha=0.2), steps=-1, grid=grid)
+
+    @pytest.mark.parametrize("steps", [2.5, 2.0, "3"])
+    def test_non_integer_steps_rejected(self, rng, steps):
+        grid = GridSpec(dims=(4, 4), channels=1)
+        u0 = rng.standard_normal(grid.field_shape())
+        h0 = identity_field(grid.dims, 2, scale=0.2)
+        with pytest.raises(ParameterError, match="steps must be an integer"):
+            memory_form_check(u0, h0, FilterParams(alpha=0.2), steps=steps, grid=grid)
+
+    @pytest.mark.parametrize("steps", [0, 1])
+    @pytest.mark.parametrize("bad", ["nan_u0", "full_square_H0", "H0_below_alpha"])
+    def test_inputs_checked_at_every_step_count(self, rng, steps, bad):
+        grid = GridSpec(dims=(4, 4), channels=1)
+        u0 = rng.standard_normal(grid.field_shape())
+        h0 = identity_field(grid.dims, 2, scale=0.2)
+        if bad == "nan_u0":
+            u0[1, 1, 0] = math.nan
+        elif bad == "full_square_H0":
+            h0 = unpack(h0)
+        else:
+            h0 = 0.5 * h0
+        with pytest.raises(ParameterError):
+            memory_form_check(u0, h0, FilterParams(alpha=0.2), steps=steps, grid=grid)
 
 
 class TestTraceCsv:

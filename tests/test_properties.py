@@ -4,9 +4,10 @@ Hypothesis draws CLI flags and config-file text for an 8 x 8 scene, and PNM
 headers and payloads. ``cli.main`` must return one of its documented exit
 codes, never 1 (the code of an uncaught exception), and raise nothing but
 SystemExit(0) after printing the --help text; ``load_image`` must return a
-[0, 1] field or raise an ImageIOError subclass. ``run`` on an 8 x 8 RGB scene
-with drawn parameters must raise a RelaxdiffError or keep the paper's three
-guarantees: mass, eigenvalue floor and L2 monotonicity.
+[0, 1] field or raise an ImageIOError subclass. The steps of ``run``, read
+from ``trajectory``, on an 8 x 8 RGB scene with drawn parameters must raise
+a RelaxdiffError or keep the paper's three guarantees: mass, eigenvalue
+floor and L2 monotonicity.
 
 ``--dt`` and ``--t-end`` always come last on the command line, from ranges
 that allow at most six steps, so no drawn run is long.
@@ -33,10 +34,10 @@ from relaxdiff.cli import (
 from relaxdiff.errors import ImageIOError, RelaxdiffError
 from relaxdiff.grid import GridSpec, l2_norm, mean_free
 from relaxdiff.initial import init_H0
-from relaxdiff.integrate import FilterParams, kappa_predicted, run
+from relaxdiff.integrate import FilterParams, kappa_predicted
 from relaxdiff.response import ResponseParams
 
-from conftest import disk_image
+from conftest import disk_image, step_nodes
 
 EXIT_CODES = {EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_SOLVER, EXIT_INVARIANT}
 
@@ -185,7 +186,7 @@ def test_run_keeps_its_guarantees_or_raises(dt, tau, s, omega, sigma, steps):
     h0 = init_H0(u0, grid, window=3, alpha=0.1)
     try:
         p = FilterParams(tau=tau, sigma=sigma, dt=dt, t_end=steps * dt, response=ResponseParams(s=s, omega=omega))
-        _, traces, (us, _) = run(u0, h0, p, grid, keep_history=True)
+        traces, us, _ = step_nodes(u0, h0, p, grid)
     except RelaxdiffError:
         return
     mass0 = u0.reshape(-1, 3).sum(axis=0)
