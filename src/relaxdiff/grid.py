@@ -257,10 +257,20 @@ def l2_norm(u: Array) -> float:
     return float(np.sqrt(max(inner(u, u), 0.0)))
 
 
+def channel_sums(u: Array, grid: GridSpec) -> Array:
+    """Per-channel sums of an image field, u.reshape(-1, k).sum(axis=0) bit for bit.
+
+    For k >= 2 that sum runs in index order, which einsum takes in a fifth of
+    the time; for k = 1 it is pairwise, so grey keeps it.
+    """
+    v = u.reshape(-1, grid.channels)
+    return np.einsum("nc->c", v) if grid.channels > 1 else v.sum(axis=0)
+
+
 def mean_free(u: Array, grid: GridSpec) -> Array:
-    """Remove the per-channel spatial mean (the conserved part)."""
+    """Remove the per-channel spatial mean (the conserved part), numpy's mean bit for bit."""
     u = check_image(u, grid)
-    return u - u.reshape(-1, grid.channels).mean(axis=0)
+    return u - channel_sums(u, grid) / grid.ncells
 
 
 def poincare_estimate(grid: GridSpec) -> float:

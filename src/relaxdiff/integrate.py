@@ -28,10 +28,9 @@ baselines run the same step loop with H = F(D) sampled at the step's left
 endpoint instead, with no half solve.
 
 The floor is checked every step by tensors.min_eig_field, which returns the
-minimum of a full diagonalisation bit for bit. A few sampled cells bound the
-minimum from above, and a vectorised Cholesky of H minus that bound clears
-every cell that cannot hold it. Only the cells left over are diagonalised,
-so cells tied at the minimum cost eigvalsh on those cells alone.
+minimum of a full diagonalisation and its first cell bit for bit, from a
+Cholesky of the packed H that clears every cell that cannot hold it; a broken
+floor is reported from that cell alone.
 
 The step loop is a generator: trajectory() hands it out, and run(), the
 baselines and memory_form_check read it step by step, so nothing stores
@@ -54,6 +53,7 @@ from .bands import for_bands
 from .errors import DimensionError, FitError, ImageIOError, InvariantViolation, ParameterError, SolverError
 from .grid import (
     GridSpec,
+    channel_sums,
     check_image,
     divergence,
     face_average_tensors,
@@ -155,7 +155,6 @@ def _implicit_solve(
     dt: float,
     grid: GridSpec,
     cg_tol: float,
-    max_iter: int,
     where: str = "diffusion solve",
 ) -> tuple[Array, int]:
     """CG solve of (I - dt div(H grad)) x = u with precomputed face tensors.
@@ -170,7 +169,7 @@ def _implicit_solve(
     any dt. x, r and p are updated in place, the products going through
     the buffer of A p, which is not read again: the solve holds no scratch
     buffer while the operator runs. ``where`` names the solve in the
-    SolverError raised when the tolerance is not reached.
+    SolverError raised after cg_max_iter(grid.ncells) iterations.
     """
 
     def apply_a(x: Array) -> Array:
@@ -178,6 +177,7 @@ def _implicit_solve(
         out *= dt
         return np.subtract(x, out, out=out)
 
+    max_iter = cg_max_iter(grid.ncells)
     b_nrm = math.sqrt(inner(u, u))
     if b_nrm == 0.0:
         return np.zeros_like(u), 0
@@ -198,7 +198,7 @@ def _implicit_solve(
         del ap
         rs_new = inner(r, r)
         if math.sqrt(rs_new) <= cg_tol * b_nrm:
-            x += (_channel_sums(u, grid) - _channel_sums(x, grid)) / grid.ncells
+            x += (channel_sums(u, grid) - channel_sums(x, grid)) / grid.ncells
             return x, it
         p *= rs_new / rs
         p += r
@@ -207,16 +207,6 @@ def _implicit_solve(
         f"{where}: CG did not reach tol {cg_tol:g} in {max_iter} iterations",
         residual=math.sqrt(rs) / b_nrm,
     )
-
-
-def _channel_sums(u: Array, grid: GridSpec) -> Array:
-    """Per-channel sums of an image field, each summed over the cells in index order.
-
-    einsum gives the bits of u.reshape(-1, k).sum(axis=0) in a fifth of its
-    time, for k >= 2; for k = 1 that sum is pairwise, so grey keeps it.
-    """
-    v = u.reshape(-1, grid.channels)
-    return np.einsum("nc->c", v) if grid.channels > 1 else v.sum(axis=0)
 
 
 def _relax_H(u_sample: Array, h: Array, p: FilterParams, grid: GridSpec, kern: Kernel | None) -> None:
@@ -293,7 +283,6 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec):
     """
     relax = h is not None
     kern = p.kernel()
-    max_iter = cg_max_iter(grid.ncells)
     # dt * dt, not dt**2: a finite dt**2 may overflow and raise.
     half_tol = max(p.cg_tol, min(HALF_TOL_MAX, HALF_TOL_PER_DT2 * p.dt * p.dt))
     t = 0.0
@@ -308,7 +297,7 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec):
             # step midpoint (second-order consistency with the memory form)
             # while the H-update itself stays the exact convex-combination
             # relaxation.
-            u_half, _ = _implicit_solve(u, havg, 0.5 * p.dt, grid, half_tol, max_iter, f"half solve {step}")
+            u_half, _ = _implicit_solve(u, havg, 0.5 * p.dt, grid, half_tol, f"half solve {step}")
         # The old face tensors are dead now, and so is the old H without
         # relaxation. Dropping them before the response allocates its
         # temporaries lowers a step's peak memory by one H field or two.
@@ -321,12 +310,11 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec):
             h = response_field(grad_sigma(u, kern, grid), p.response)
         # The floor check runs before the face tensors exist, so its
         # Cholesky blocks share the memory with H alone.
-        min_eig = min_eig_field(h)
+        min_eig, flat = min_eig_field(h)
         kappa = kappa_predicted(t, p)
         if relax and min_eig < kappa - KAPPA_SLACK:
-            h = unpack(h)
-            eigs = eigvalsh_field(np.moveaxis(h, (0, 1), (-2, -1)))
-            cell = np.unravel_index(int(np.argmin(eigs[..., 0])), grid.dims)
+            cell = tuple(map(int, np.unravel_index(flat, grid.dims)))
+            tensor = unpack(h[(...,) + cell])
             raise InvariantViolation(
                 f"diffusivity eigenvalue floor broken at t={t:g}: "
                 f"min eig {min_eig:.12g} < predicted {kappa:.12g} at cell {cell}",
@@ -335,14 +323,12 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec):
                     "cell": cell,
                     "kappa_predicted": kappa,
                     "min_eig": min_eig,
-                    "tensor": h[(...,) + cell].copy(),
-                    "eigenvalues": eigs[cell].copy(),
+                    "tensor": tensor,
+                    "eigenvalues": eigvalsh_field(tensor),
                 },
             )
         havg = face_average_tensors(h, grid)
-        u, iters = _implicit_solve(
-            u, havg, p.dt, grid, p.cg_tol, max_iter, f"{'main' if relax else 'baseline'} solve {step}"
-        )
+        u, iters = _implicit_solve(u, havg, p.dt, grid, p.cg_tol, f"{'main' if relax else 'baseline'} solve {step}")
         if not np.all(np.isfinite(u)):
             raise InvariantViolation(
                 f"intensity field became non-finite at t={t:g}",
@@ -353,7 +339,7 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec):
         yield FilterState(t=t, u=u, H=h), TraceRecord(
             t=t,
             l2_norm_u=l2_norm(u),
-            mass=tuple(_channel_sums(u, grid)),
+            mass=tuple(channel_sums(u, grid)),
             energy=energy(FilterState(t=t, u=u, H=h), p, grid),
             min_eig_H=min_eig,
             cg_iters=iters,
@@ -394,11 +380,12 @@ def trajectory(u0: Array, H0: Array, p: FilterParams, grid: GridSpec) -> Iterato
     if h.shape != shape:
         raise ParameterError(f"H0 shape {h.shape} != {shape}, the packed triangle (see relaxdiff.tensors.pack)")
     _require_finite("H0", h)
-    init_min = min_eig_field(h)
+    init_min, flat = min_eig_field(h)
     if init_min < p.alpha - 1e-12:
+        cell = tuple(map(int, np.unravel_index(flat, grid.dims)))
         raise ParameterError(
             "initial diffusivity violates the alpha eigenvalue floor: "
-            f"min eig {init_min:.6g} < alpha {p.alpha:g}"
+            f"min eig {init_min:.6g} < alpha {p.alpha:g} at cell {cell}"
         )
     # Only the step loop holds its copy of u, so each solve frees the last u.
     return _step_loop(u.copy(), h, p, grid)
@@ -417,10 +404,9 @@ def run(u0: Array, H0: Array, p: FilterParams, grid: GridSpec) -> tuple[FilterSt
     and tensors.unpack converts back. run() relaxes a copy of H0 of its own.
 
     Raises InvariantViolation (with a diagnostic dump of the offending cell)
-    if any cell's smallest eigenvalue drops below the predicted floor (see
-    the module docstring for how the floor is checked), and ParameterError
-    if H0 has another shape, if u0 or H0 holds NaN/inf or if the initial
-    diffusivity does not clear alpha.
+    if a cell's smallest eigenvalue drops below the predicted floor, and
+    ParameterError if H0 has another shape, if u0 or H0 holds NaN/inf or if
+    a cell of the initial diffusivity does not clear alpha (named too).
     """
     return _drain(trajectory(u0, H0, p, grid))
 
@@ -452,10 +438,11 @@ def memory_form_check(u0: Array, H0: Array, p: FilterParams, steps: int, grid: G
     trajectory identically). H0 is packed, as run() takes it. Returns max
     over steps and cells of the Frobenius gap; it shrinks as O(dt^2).
 
-    The steps come from trajectory(), one at a time: the re-integrated q is
-    packed, the responses are sampled two at a time, and each step's gap is
-    unpacked for its Frobenius sum over all kd x kd entries. Nothing of an
-    earlier step is kept, so the memory does not grow with the step count.
+    The steps come from trajectory(), one at a time. The packed q is
+    updated in place through the older of the two response samples, which
+    then takes q - H; that gap is unpacked and squared in place for its
+    Frobenius sum over all kd x kd entries. Nothing of an earlier step is
+    kept, so the memory does not grow with the step count.
     """
     try:
         steps = operator.index(steps)
@@ -474,10 +461,15 @@ def memory_form_check(u0: Array, H0: Array, p: FilterParams, steps: int, grid: G
     worst = 0.0
     for state, _ in states:
         f_prev, f_next = f_next, response_field(grad_sigma(state.u, kern, grid), p.response)
-        q = theta * q + (1.0 - theta) * 0.5 * (f_prev + f_next)
-        gap = unpack(q - state.H).reshape((-1,) + grid.dims)
-        worst = max(worst, float(np.max(np.sqrt(np.sum(gap * gap, axis=0)))))
-        del gap, f_prev  # held, they would add 1.6 H fields to the next step's peak
+        q *= theta
+        f_prev += f_next
+        f_prev *= (1.0 - theta) * 0.5
+        q += f_prev
+        gap = unpack(np.subtract(q, state.H, out=f_prev)).reshape((-1,) + grid.dims)
+        del f_prev
+        gap *= gap
+        worst = max(worst, float(np.max(np.sqrt(np.sum(gap, axis=0)))))
+        del gap  # held, it would add an H field to the next step's peak
     return worst
 
 

@@ -13,9 +13,9 @@ square, (kd, kd) + dims. H, the responses and F(0) are packed,
 (P,) + dims with P = kd(kd+1)/2 (21 for RGB in 2-D, 3 for grey): entries
 (a, b) and (b, a) share one plane, numbered by ``pack_index``, so a packed
 field is symmetric by construction. ``pack`` and ``unpack`` convert
-between the two layouts. ``min_eig_field`` takes a packed field. Only
-``eigvalsh_field`` keeps numpy's (..., n, n) layout; its callers pass it
-moved-axis views of full-square copies.
+between the two layouts. ``min_eig_field`` takes a packed field and factorises
+it packed; only ``eigvalsh_field`` keeps numpy's (..., n, n) layout, for the
+few cells that are diagonalised.
 
 All functions here are pure and safe to call concurrently. ``apply`` splits
 its cells into bands over the CPUs of the affinity mask
@@ -121,8 +121,7 @@ def apply(h: Array, g: Array) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# Eigenvalues of tensor fields: the floor check's certified minimum, and the
-# full diagonalisation its diagnostic falls back to.
+# Eigenvalues of tensor fields: the floor check's certified minimum and its cell.
 
 
 def eigvalsh_field(hfield: Array) -> Array:
@@ -130,26 +129,24 @@ def eigvalsh_field(hfield: Array) -> Array:
     return np.linalg.eigvalsh(hfield)
 
 
-def min_eig_field(hfield: Array) -> float:
-    """Smallest eigenvalue over all cells of a packed symmetric tensor field, (P,) + dims.
+def min_eig_field(hfield: Array) -> tuple[float, int]:
+    """(smallest eigenvalue, flat cell holding it) of a packed symmetric tensor field, (P,) + dims.
 
-    Equal bit for bit to the minimum of eigvalsh_field over every cell of
-    the unpacked field, NaN,
-    inf and LinAlgError included, but certified instead of computed cell by
-    cell: the MIN_EIG_SAMPLE cells with the smallest diagonal entry give an
-    eigenvalue c that bounds the minimum from above, a Cholesky factorisation
-    of H - (c + delta) I that completes proves a cell's computed smallest
-    eigenvalue lies above c, and only the cells where it breaks down (the
-    minimum, its near-ties and any non-finite cell) are diagonalised.
+    Equal bit for bit to the minimum of eigvalsh_field over every unpacked
+    cell and its first np.argmin in C order, NaN, inf and LinAlgError
+    included, but certified: the MIN_EIG_SAMPLE cells with the smallest
+    diagonal entry give an eigenvalue c that bounds the minimum from above,
+    a Cholesky of H - (c + delta) I that completes proves a cell's computed
+    smallest eigenvalue lies above c, and only the cells where it breaks
+    down are diagonalised.
     """
     hfield = np.asarray(hfield, dtype=float)
     n = _packed_side(hfield.shape[0])
-    index = pack_index(n)
     cells = hfield.reshape(hfield.shape[0], -1)
     count = cells.shape[-1]
-    smallest_diag = functools.reduce(np.minimum, [cells[index[i, i]] for i in range(n)])
+    smallest_diag = functools.reduce(np.minimum, [cells[i] for i in pack_index(n).diagonal()])
     sample = np.argpartition(smallest_diag, min(MIN_EIG_SAMPLE, count) - 1)[:MIN_EIG_SAMPLE]
-    c = np.min(eigvalsh_field(np.moveaxis(cells[:, sample][index], -1, 0))[:, 0])
+    c = np.min(eigvalsh_field(np.moveaxis(unpack(cells[:, sample]), -1, 0))[:, 0])
     # delta covers two backward errors, for n x n cells whose entries are
     # bounded by m = max|H| (so ||H||_2 <= n m, and |c| <= n m because c is a
     # cell eigenvalue); u = eps / 2 is the unit roundoff. A Cholesky of
@@ -161,8 +158,8 @@ def min_eig_field(hfield: Array) -> float:
     # backward stable: its eigenvalues lie within p(n) u ||H||_2 of the exact
     # ones, and p(n) <= 4 n^2 keeps that below 2 n^3 eps m too. With delta =
     # 4 n^3 eps m, a cell that completes has a computed minimum above c, so
-    # the cell holding the computed minimum always breaks down. A NaN or inf
-    # entry anywhere makes delta non-finite and every cell break down.
+    # every cell holding the computed minimum (c's own among them) breaks
+    # down. A NaN or inf entry makes delta non-finite and every cell break down.
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         scale = np.maximum(cells.max(), -cells.min())
         shift = c + MIN_EIG_MARGIN * n**3 * np.finfo(float).eps * scale
@@ -170,26 +167,27 @@ def min_eig_field(hfield: Array) -> float:
             start + np.flatnonzero(_cholesky_breaks_down(cells[:, start:start + MIN_EIG_BLOCK], shift))
             for start in range(0, count, MIN_EIG_BLOCK)
         ])
-    return float(np.min(eigvalsh_field(np.moveaxis(cells[:, survivors][index], -1, 0))[:, 0], initial=c))
+    mins = eigvalsh_field(np.moveaxis(unpack(cells[:, survivors]), -1, 0))[:, 0]
+    k = int(np.argmin(mins))
+    return float(mins[k]), int(survivors[k])
 
 
 def _cholesky_breaks_down(block: Array, shift: float) -> Array:
     """Mask of the cells of a packed (P, m) block where Cholesky of H - shift I fails.
 
-    Right-looking factorisation vectorised over cells, on a full-square
-    (n, n, m) copy of the block. Like eigvalsh it reads the lower triangle
-    only, and it updates only that triangle, one row at a time. A pivot that
-    is not > 0 (NaN included) marks the cell; it then carries NaN or inf
-    along, so callers silence those warnings.
+    Right-looking, vectorised over cells, on a copy of the packed planes, in
+    which row j of the upper triangle is the n - j planes from (j, j) on.
+    A pivot that is not > 0 (NaN included) marks the cell; it then carries
+    NaN or inf along, so callers silence those warnings.
     """
     n = _packed_side(block.shape[0])
-    a = block[pack_index(n)]
-    diag = np.arange(n)
-    a[diag, diag] -= shift
+    rows = pack_index(n).diagonal()
+    a = np.array(block)
+    a[rows] -= shift
     completes = np.ones(block.shape[-1], dtype=bool)
     for j in range(n):
-        completes &= a[j, j] > 0.0
-        col = a[j + 1:, j] / np.sqrt(a[j, j])
-        for i in range(j + 1, n):
-            a[i, j + 1:i + 1] -= col[i - j - 1] * col[:i - j]
+        completes &= a[rows[j]] > 0.0
+        col = a[rows[j] + 1:rows[j] + n - j] / np.sqrt(a[rows[j]])
+        for k in range(j + 1, n):
+            a[rows[k]:rows[k] + n - k] -= col[k - j - 1] * col[k - j - 1:]
     return ~completes

@@ -135,9 +135,10 @@ class TestConfig:
         img, _ = disk_image(n=16, radius=5.0)
         save_image(img, str(tmp_path / "in.ppm"))
         cfg_file = tmp_path / "run.cfg"
+        # comment-only and blank lines are skipped
         cfg_file.write_text(
-            f"input = {tmp_path / 'in.ppm'}\noutput = {tmp_path / 'out.ppm'}\n"
-            f"trace = {tmp_path / 'trace.csv'}\nt-end = 0.2\n"
+            f"# a comment-only line\n\n   \ninput = {tmp_path / 'in.ppm'}\n  # indented\n"
+            f"output = {tmp_path / 'out.ppm'}\ntrace = {tmp_path / 'trace.csv'}\nt-end = 0.2\n"
         )
         assert main(["--config", str(cfg_file)]) == EXIT_OK
         assert (tmp_path / "out.ppm").exists() and (tmp_path / "trace.csv").exists()
@@ -302,6 +303,19 @@ class TestMainPipeline:
         err = capsys.readouterr().err
         assert "error [output]: cannot write trace file" in err and "Traceback" not in err, err
         assert not out.exists()
+        # io error: a directory as the input image
+        assert main(["--input", str(tmp_path), "--output", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"error [image loading]: cannot read image file: {tmp_path}" in err and "Traceback" not in err, err
+        # io error: an output image in a missing directory, or one that is a
+        # directory; the trace, written first, is there
+        (tmp_path / "out-dir").mkdir()
+        for bad_out in (tmp_path / "no-such-dir" / "o.ppm", tmp_path / "out-dir"):
+            trace = tmp_path / f"{bad_out.name}.csv"
+            assert main(["--input", str(inp), "--output", str(bad_out), "--trace", str(trace), "--t-end", "0.1"]) == EXIT_IO
+            err = capsys.readouterr().err
+            assert f"error [output]: cannot write image file: {bad_out}" in err and "Traceback" not in err, err
+            assert len(trace.read_text().splitlines()) == 2
         # missing required flags
         assert main(["--output", str(out)]) == EXIT_CONFIG
         # config error: non-finite parameters

@@ -171,6 +171,17 @@ class TestDiffusionApply:
                 face_average_tensors(wrong, grid)
 
 
+class TestMeanFree:
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    def test_bits_of_numpy_mean(self, channels, rng):
+        # numpy's mean divides the same per-channel sum by the cell count.
+        for dims in ((2,), (7, 3), (64, 65), (5, 4, 3)):
+            grid = GridSpec(dims=dims, channels=channels)
+            u = rng.standard_normal(grid.field_shape()) * 10.0 ** rng.integers(-8, 9, grid.field_shape())
+            expected = u - u.reshape(-1, channels).mean(axis=0)
+            assert mean_free(u, grid).tobytes() == expected.tobytes(), dims
+
+
 class TestPoincareEstimate:
     def test_1d_closed_form(self):
         for n in (6, 16, 40):

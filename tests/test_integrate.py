@@ -7,14 +7,13 @@ import pytest
 import relaxdiff.integrate as integrate_mod
 from relaxdiff.baselines import CATTE_REGULARIZED, run_baseline
 from relaxdiff.errors import DimensionError, FitError, InvariantViolation, ParameterError, SolverError
-from relaxdiff.grid import GridSpec, face_average_tensors, l2_norm, mean_free
+from relaxdiff.grid import GridSpec, channel_sums, face_average_tensors, l2_norm, mean_free
 from relaxdiff.initial import init_H0
 from relaxdiff.integrate import (
     MAX_STEPS,
     FilterParams,
     FilterState,
     TraceRecord,
-    _channel_sums,
     _implicit_solve,
     _num_steps,
     _relax_H,
@@ -28,7 +27,7 @@ from relaxdiff.integrate import (
 )
 from relaxdiff.mollifier import COMPACT_BUMP, Kernel, grad_sigma
 from relaxdiff.response import ResponseParams, response_field, response_zero
-from relaxdiff.tensors import pack, unpack
+from relaxdiff.tensors import min_eig_field, pack, unpack
 
 from conftest import disk_image, random_psd_field, smooth_image, step_nodes
 
@@ -100,7 +99,7 @@ class TestChannelSums:
             for _ in range(3):
                 u = rng.standard_normal(grid.field_shape()) * 10.0 ** rng.integers(-8, 9, grid.field_shape())
                 expected = u.reshape(-1, channels).sum(axis=0)
-                assert _channel_sums(u, grid).tobytes() == expected.tobytes(), dims
+                assert channel_sums(u, grid).tobytes() == expected.tobytes(), dims
 
 
 class TestStepH:
@@ -154,7 +153,7 @@ class TestStepH:
 def implicit_step(u, h, p, grid):
     """One backward-Euler diffusion step of u with frozen packed H, as the step loop solves it."""
     havg = face_average_tensors(h, grid)
-    return _implicit_solve(u, havg, p.dt, grid, p.cg_tol, integrate_mod.cg_max_iter(grid.ncells))[0]
+    return _implicit_solve(u, havg, p.dt, grid, p.cg_tol)[0]
 
 
 class TestStepU:
@@ -262,6 +261,48 @@ class TestRun:
         h0 = identity_field(grid.dims, 2, scale=0.05)
         with pytest.raises(ParameterError):
             run(u0, h0, FilterParams(alpha=0.1), grid)
+        # One cell below alpha, at a known position of a non-square grid:
+        # the error names it, and trajectory() raises at the call.
+        grid = GridSpec(dims=(5, 7), channels=2)
+        h0 = identity_field(grid.dims, 4, scale=0.2)
+        h0[:, 3, 4] = pack(0.05 * np.eye(4))
+        with pytest.raises(ParameterError, match=r"alpha eigenvalue floor: min eig 0\.05 < alpha 0\.1 at cell \(3, 4\)$"):
+            trajectory(rng.standard_normal(grid.field_shape()), h0, FilterParams(alpha=0.1), grid)
+
+    def test_zero_image_needs_no_cg_iteration(self, monkeypatch):
+        # A zero right-hand side returns the zero solution before the first
+        # iteration, in the filter's half and main solves and in the baseline's.
+        grid = GridSpec(dims=(8, 8), channels=3)
+        u0 = np.zeros(grid.field_shape())
+        iters = []
+        solve = integrate_mod._implicit_solve
+
+        def counted_solve(*args):
+            x, it = solve(*args)
+            iters.append(it)
+            return x, it
+
+        monkeypatch.setattr(integrate_mod, "_implicit_solve", counted_solve)
+        p = FilterParams(dt=0.2, t_end=0.6)
+        state, traces = run(u0, init_H0(u0, grid, window=3, alpha=0.1), p, grid)
+        final, baseline_traces = run_baseline(u0, p, CATTE_REGULARIZED, grid)
+        assert iters == [0] * 9
+        assert [r.cg_iters for r in traces + baseline_traces] == [0] * 6
+        assert not state.u.any() and not final.any()
+
+    def test_non_finite_solution_names_time_and_step(self, monkeypatch):
+        grid = GridSpec(dims=(8, 8), channels=3)
+        u0 = disk_image(8, radius=3.0)[0]
+        solve = integrate_mod._implicit_solve
+
+        def nan_main_solve(u, havg, dt, grid, cg_tol, where):
+            x, iters = solve(u, havg, dt, grid, cg_tol, where)
+            return (np.full_like(x, np.nan) if where.startswith("main") else x), iters
+
+        monkeypatch.setattr(integrate_mod, "_implicit_solve", nan_main_solve)
+        with pytest.raises(InvariantViolation, match=r"^intensity field became non-finite at t=0\.1$") as err:
+            run(u0, init_H0(u0, grid, window=3, alpha=0.1), FilterParams(dt=0.1, t_end=0.3), grid)
+        assert err.value.diagnostic == {"t": 0.1, "step": 1}
 
     @pytest.mark.parametrize("which", ["u0", "H0"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -318,14 +359,13 @@ class TestRun:
         h0 = init_H0(u0, grid, window=3, alpha=0.1)
         shift = 2.0 * pack(np.eye(6))[:, None, None]
         monkeypatch.setattr(integrate_mod, "response_field", lambda d, rp: response_field(d, rp) - shift)
-        # eigvalsh_field takes numpy's (..., n, n) layout: the step loop
-        # passes it a cell-first view of H.
+        # The last packed H the floor check saw, diagonalised cell by cell.
         fields = []
-        monkeypatch.setattr(integrate_mod, "eigvalsh_field", lambda h: fields.append(h.copy()) or np.linalg.eigvalsh(h))
+        monkeypatch.setattr(integrate_mod, "min_eig_field", lambda h: fields.append(h.copy()) or min_eig_field(h))
         with pytest.raises(InvariantViolation) as err:
             run(u0, h0, FilterParams(tau=0.5, sigma=1.0, dt=0.1, t_end=0.5), grid)
         diag = err.value.diagnostic
-        (h,) = fields
+        h = np.moveaxis(unpack(fields[-1]), (0, 1), (-2, -1))
         eigs = np.linalg.eigvalsh(h)
         cell = np.unravel_index(int(np.argmin(eigs[..., 0])), grid.dims)
         assert diag["cell"] == cell

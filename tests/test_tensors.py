@@ -209,32 +209,32 @@ class TestSpectralBounds:
     """The smallest eigenvalue of a single tensor, as the floor check computes it."""
 
     def test_identity(self):
-        assert min_eig_field(pack(np.eye(6))) == pytest.approx(1.0, abs=1e-12)
+        assert min_eig_field(pack(np.eye(6)))[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_scaled_identity(self):
-        assert min_eig_field(pack(0.1 * np.eye(6))) == pytest.approx(0.1, abs=1e-12)
+        assert min_eig_field(pack(0.1 * np.eye(6)))[0] == pytest.approx(0.1, abs=1e-12)
 
     def test_projection(self, rng):
-        assert min_eig_field(pack(proj_orth(rng.standard_normal((2, 2))))) == pytest.approx(0.0, abs=1e-10)
+        assert min_eig_field(pack(proj_orth(rng.standard_normal((2, 2)))))[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_against_characteristic_polynomial(self, rng):
         for n in (2, 4, 6):
             for _ in range(10):
                 h = random_symmetric_tensor(rng, n, scale=2.0)
                 lo, _ = char_poly_eig_bounds(h)
-                assert min_eig_field(pack(h)) == pytest.approx(lo, abs=1e-8)
+                assert min_eig_field(pack(h))[0] == pytest.approx(lo, abs=1e-8)
 
 
 class TestIsPsd:
     def test_identity_thresholds(self):
         hfield = np.stack([np.eye(4), 2.0 * np.eye(4)], axis=-1)
-        assert min_eig_field(pack(hfield)) >= 1.0
-        assert not min_eig_field(pack(hfield)) >= 1.5
+        assert min_eig_field(pack(hfield))[0] >= 1.0
+        assert not min_eig_field(pack(hfield))[0] >= 1.5
 
     def test_projection_at_zero(self, rng):
         v = rng.standard_normal((50, 4))
         hfield = np.eye(4)[..., None] - np.einsum("ci,cj->ijc", v, v) / np.einsum("ci,ci->c", v, v)
-        assert min_eig_field(pack(hfield)) >= -1e-10
+        assert min_eig_field(pack(hfield))[0] >= -1e-10
 
 
 class TestSelfAdjointness:
@@ -260,7 +260,7 @@ class TestFieldHelpers:
 
     def test_min_eig_field(self, rng):
         hfield = np.stack([np.eye(4), 0.3 * np.eye(4)], axis=-1)
-        assert min_eig_field(pack(hfield)) == 0.3
+        assert min_eig_field(pack(hfield)) == (0.3, 1)
 
 
 def full_min_eig(hfield):
@@ -269,14 +269,17 @@ def full_min_eig(hfield):
 
 
 def assert_same_min_eig(hfield):
+    """min_eig_field's minimum and cell equal a full diagonalisation's min and first argmin in C order."""
     try:
-        expected = full_min_eig(hfield)
+        mins = np.linalg.eigvalsh(np.moveaxis(hfield, (0, 1), (-2, -1)))[..., 0].ravel()
     except np.linalg.LinAlgError:
         with pytest.raises(np.linalg.LinAlgError):
             min_eig_field(pack(hfield))
         return
-    got = min_eig_field(pack(hfield))
+    expected, expected_cell = float(np.min(mins)), int(np.argmin(mins))
+    got, cell = min_eig_field(pack(hfield))
     assert got == expected or (math.isnan(got) and math.isnan(expected))
+    assert cell == expected_cell and type(cell) is int
 
 
 @st.composite
@@ -338,7 +341,7 @@ class TestMinEigFieldExact:
 
     def test_single_cell(self, rng):
         h = random_symmetric_tensor(rng, 6)
-        assert min_eig_field(pack(h)) == float(np.linalg.eigvalsh(h)[0])
+        assert min_eig_field(pack(h))[0] == float(np.linalg.eigvalsh(h)[0])
 
     def test_minimum_in_a_later_block(self):
         # 100 cells at 0.5 fill the sample; the 0.1 minimum sits in the
@@ -346,7 +349,18 @@ class TestMinEigFieldExact:
         h = np.broadcast_to(np.eye(6)[..., None], (6, 6, 9000)).copy()
         h[..., :100] *= 0.5
         h[:2, :2, 5000] = [[2.0, 1.9], [1.9, 2.0]]
-        assert min_eig_field(pack(h)) == full_min_eig(h) == pytest.approx(0.1)
+        got, cell = min_eig_field(pack(h))
+        assert got == full_min_eig(h) == pytest.approx(0.1)
+        assert cell == 5000
+
+    def test_first_of_tied_cells(self):
+        # the same hidden minimum in three cells of two blocks, none of
+        # them sampled: the cell is the first in C order, as np.argmin's
+        h = np.broadcast_to(np.eye(6)[..., None, None], (6, 6, 90, 100)).copy()
+        h[..., :1, :] *= 0.5
+        for cell in ((70, 3), (12, 7), (41, 99)):
+            h[(slice(0, 2), slice(0, 2)) + cell] = [[2.0, 1.9], [1.9, 2.0]]
+        assert min_eig_field(pack(h)) == (full_min_eig(h), 12 * 100 + 7)
 
     def test_nan_cell_raises_like_eigvalsh(self):
         h = np.broadcast_to(np.eye(6)[..., None], (6, 6, 300)).copy()
