@@ -168,8 +168,12 @@ def _implicit_solve(
     operator, so this moves x toward it and keeps the mass to rounding at
     any dt. x, r and p are updated in place, the products going through
     the buffer of A p, which is not read again: the solve holds no scratch
-    buffer while the operator runs. ``where`` names the solve in the
-    SolverError raised after cg_max_iter(grid.ncells) iterations.
+    buffer while the operator runs. The updates r -= alpha A p, x += alpha p
+    and p = beta p + r run in bands of the flat values (relaxdiff.bands),
+    each element by the same operations as in one pass, so their bits do not
+    depend on the CPU count; the dot products stay whole, in grid.inner's
+    order. ``where`` names the solve in the SolverError raised after
+    cg_max_iter(grid.ncells) iterations.
     """
 
     def apply_a(x: Array) -> Array:
@@ -182,8 +186,13 @@ def _implicit_solve(
     if b_nrm == 0.0:
         return np.zeros_like(u), 0
     x = u.copy()
-    r = u - apply_a(x)
+    r = apply_a(x)
+    np.subtract(u, r, out=r)
     p = r.copy()
+    # C-contiguous all three (copies, and the operator's fresh output), so
+    # the flat views write through.
+    xf, rf, pf = x.reshape(-1), r.reshape(-1), p.reshape(-1)
+    size = xf.size
     rs = inner(r, r)
     if math.sqrt(rs) <= cg_tol * b_nrm:
         return x, 0
@@ -193,15 +202,29 @@ def _implicit_solve(
         if not pap > 0.0:  # the operator is SPD: only rounding at extreme scales gets here
             raise SolverError(f"{where}: CG broke down at iteration {it}", residual=math.sqrt(rs) / b_nrm)
         alpha = rs / pap
-        r -= np.multiply(ap, alpha, out=ap)
-        x += np.multiply(p, alpha, out=ap)
-        del ap
+        apf = ap.reshape(-1)
+
+        def update_xr(start: int, stop: int) -> None:
+            apb = apf[start:stop]
+            apb *= alpha
+            rf[start:stop] -= apb
+            np.multiply(pf[start:stop], alpha, out=apb)
+            xf[start:stop] += apb
+
+        for_bands(update_xr, size, 7 * size)
+        del ap, apf, update_xr
         rs_new = inner(r, r)
         if math.sqrt(rs_new) <= cg_tol * b_nrm:
             x += (channel_sums(u, grid) - channel_sums(x, grid)) / grid.ncells
             return x, it
-        p *= rs_new / rs
-        p += r
+        beta = rs_new / rs
+
+        def update_p(start: int, stop: int) -> None:
+            pb = pf[start:stop]
+            pb *= beta
+            pb += rf[start:stop]
+
+        for_bands(update_p, size, 3 * size)
         rs = rs_new
     raise SolverError(
         f"{where}: CG did not reach tol {cg_tol:g} in {max_iter} iterations",

@@ -13,7 +13,7 @@ import pytest
 
 from relaxdiff import bands, grid as grid_mod
 from relaxdiff.grid import GridSpec, divergence, face_average_tensors, gradient
-from relaxdiff.integrate import FilterParams, _relax_H
+from relaxdiff.integrate import FilterParams, _implicit_solve, _relax_H
 from relaxdiff.mollifier import grad_sigma
 from relaxdiff.response import response_field
 from relaxdiff.tensors import apply, pack
@@ -185,24 +185,36 @@ def test_kernels_bit_equal_for_1_2_3_bands(dims, channels, rng, set_workers, mon
     p = FilterParams(tau=0.4, sigma=1.0, dt=0.3)
     theta = math.exp(-p.dt / p.tau)
     f = response_field(grad_sigma(u, p.kernel(), grid), p.response)
+    # The CG's vector updates run in bands; its right-hand side holds -0.0
+    # entries, and the solve at one band is the reference.
+    b = u.copy()
+    b.reshape(-1)[::4] = -0.0
+    havg = face_average_tensors(planes, grid)
+    set_workers(1)
+    solved = _implicit_solve(b, havg, p.dt, grid, p.cg_tol)
+    assert solved[1] > 1
     reference = {
         "gradient": np.moveaxis(_gradient_ref(u, grid), (-2, -1), (0, 1)),
         "divergence": _divergence_ref(np.moveaxis(jfield, (0, 1), (-2, -1)), grid),
         "apply": apply_in_order(h, jfield),
         "face_average_tensors": _face_average_ref(h, grid),
         "_relax_H": theta * planes + (1.0 - theta) * f,
+        "_implicit_solve": solved[0],
     }
     default_chunk = grid_mod.FACE_AVERAGE_CHUNK
     for workers in (1, 2, 3):
         set_workers(workers)
         relaxed = planes.copy()
         _relax_H(u, relaxed, p, grid, p.kernel())
+        x, iters = _implicit_solve(b, havg, p.dt, grid, p.cg_tol)
+        assert iters == solved[1], f"CG iterations with {workers} bands"
         got = {
             "gradient": gradient(u, grid),
             "divergence": divergence(jfield, grid),
             "apply": apply(h, jfield),
             "face_average_tensors": face_average_tensors(planes, grid),
             "_relax_H": relaxed,
+            "_implicit_solve": x,
         }
         for name, value in got.items():
             assert value.shape == reference[name].shape, name
