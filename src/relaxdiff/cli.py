@@ -202,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--window", type=int, default=5,
                     help="covariance window for the initial diffusivity")
     ap.add_argument("--cg-tol", type=float, default=FilterParams.cg_tol,
-                    help="relative tolerance of the diffusion solve")
+                    help="relative tolerance of the diffusion solve (default %(default)g)")
     ap.add_argument("--config", help="key = value config file (flags override)")
     return ap
 

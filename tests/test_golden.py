@@ -42,12 +42,30 @@ gives them. Its two changes were measured one at a time:
   sharp-dt2 and bump-omega. catte, whose grey 2 x 2 tensors sum two terms
   the same way in either order, and pm did not move with it.
 
+A fourth re-record followed the default cg_tol of the main and baseline
+solves, which went from 1e-10 to 1e-8. It moved the five trace digests and
+no image or stdout digest, so DIGESTS takes its image and stdout digests
+from DIGESTS_1E10. Per case, the cg_iters column fell and the l2 norm,
+energy and min_eig_H columns moved in their last digits (relative 4e-9 or
+less), the mass columns in the last bit or two:
+- relax: cg_iters 9, 9, 10 -> 7, 7, 7;
+- sharp-dt2: 43, 50 -> 34, 40 (its half solves stop at 4e-4 either way);
+- catte: 12, 12, 12 -> 10, 10, 9; its min_eig_H column holds rounding
+  around the response's zero eigenvalue, about -1e-16, and moved there;
+  grey mass is summed pairwise and did not move;
+- pm: 10, 10 -> 8, 8;
+- bump-omega: 9, 9, 10 -> 7, 7, 8.
+The digests of before, DIGESTS_1E10 and H_DIGESTS_1E10, stay as the record
+of ``--cg-tol 1e-10``: rerun with it, as a flag or in a config file, every
+case gives them back bit for bit, which pins that only the default moved.
+
 The CLI never returns H, so ``test_H_unchanged`` pins it apart: the sha256
 of ``run()``'s final H and of its history of H (H0, then H at every step
 node of ``trajectory()``), both unpacked to the full-square layout, and the
 exact value of ``memory_form_check``, on the 64 x 64 RGB scene of the
 memory tests. They were recorded before H was held as its packed triangle
-inside the step loop.
+inside the step loop; H_DIGESTS is their re-record at the default cg_tol of
+1e-8, where all three moved, and H_DIGESTS_1E10 holds them at 1e-10.
 """
 
 import contextlib
@@ -79,7 +97,8 @@ CASES = {
     "bump-omega": (False, ["--kernel", "bump", "--sigma", "2", "--omega", "0.05", "--dt", "0.1", "--t-end", "0.3"]),
 }
 
-DIGESTS = {
+# At cg_tol 1e-10, the default before 1e-8.
+DIGESTS_1E10 = {
     "relax": {
         "image": "78c4132a655024c11d413d6eda600d20fe402de00adf1005023afb40f0257165",
         "trace": "a4469d903a323eb23de8255685eba83d8c997bf106269d7bdd70f313e757de2b",
@@ -107,8 +126,23 @@ DIGESTS = {
     },
 }
 
+# The default cg_tol moved only the trace digests.
+TRACE_DIGESTS = {
+    "relax": "fd52108b9ade8792543c3bc2ca638b47a8e0716fb1c0e67282481d96375acafd",
+    "sharp-dt2": "1cdc923118d9e3a5e8cbb3e534a5b93c632535e20bbdfe1dc6ea97f3da30b41c",
+    "catte": "fb0c7ce1393fb1208500275671881a963a8676dec95c656fd0c9340e6655a696",
+    "pm": "3519134755f632ac806b64f27eb91c3801e8c12e357905859b008698e146c8e1",
+    "bump-omega": "4adfb8d059acea1bd5f498e8edc35c740ddf061a79d0df0965db49b3166dec19",
+}
+DIGESTS = {case: dict(old, trace=TRACE_DIGESTS[case]) for case, old in DIGESTS_1E10.items()}
+
 # run() on rgb_scene(), t_end 0.3 at the default dt 0.1 (three steps).
 H_DIGESTS = {
+    "final": "bd9485733e51d1436a093b600f2f4722fbde136fcb8dbbb17634eb3d78ac42c8",
+    "history": "5eca105fc3c6432496028ada158803ecbdc1ad0f20e7f115bd3f1c1d7b069a31",
+    "memory_form_check": "0x1.c272328a94459p-6",
+}
+H_DIGESTS_1E10 = {
     "final": "0bdd8f1730d5d3c5d584c37168e20cc2b0f85d9b675d025e2f235bcb3237e253",
     "history": "f003b09002f357a56c4eb887d974359a988ebc97889844525e0a187bf1edfdbc",
     "memory_form_check": "0x1.c272328cc1ebdp-6",
@@ -130,17 +164,18 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digests(case: str, tmp_path: Path, as_config: bool = False) -> dict:
+def digests(case: str, tmp_path: Path, as_config: bool = False, extra: tuple[str, ...] = ()) -> dict:
     """sha256 of the image, trace CSV and stdout of one case run in-process.
 
-    With as_config every flag goes into a `--config` file instead.
+    extra holds more flag/value pairs. With as_config every flag goes into a
+    `--config` file instead.
     """
     grey, flags = CASES[case]
     noisy, clean, ext = _scene(tmp_path, grey)
     out, trace = tmp_path / f"out{ext}", tmp_path / "trace.csv"
     argv = [
         "--input", str(noisy), "--reference", str(clean),
-        "--output", str(out), "--trace", str(trace), *flags,
+        "--output", str(out), "--trace", str(trace), *flags, *extra,
     ]
     if as_config:
         cfg = tmp_path / "run.cfg"
@@ -173,23 +208,39 @@ def test_config_file_gives_the_flags_outputs(case, tmp_path):
         assert got[name] == digest, f"mode {case} from a config file: {name} differs"
 
 
+@pytest.mark.filterwarnings("ignore:unmollified scalar")
+@pytest.mark.parametrize("as_config", [False, True], ids=["flags", "config"])
+@pytest.mark.parametrize("case", list(CASES))
+def test_cg_tol_1e10_gives_the_former_digests(case, as_config, tmp_path):
+    got = digests(case, tmp_path, as_config=as_config, extra=("--cg-tol", "1e-10"))
+    for name, digest in DIGESTS_1E10[case].items():
+        assert got[name] == digest, f"mode {case} at --cg-tol 1e-10: {name} changed"
+
+
 def test_H_unchanged():
+    check_H(FilterParams(t_end=0.3), H_DIGESTS)
+
+
+def test_H_unchanged_at_cg_tol_1e10():
+    check_H(FilterParams(t_end=0.3, cg_tol=1e-10), H_DIGESTS_1E10)
+
+
+def check_H(p: FilterParams, expected: dict) -> None:
     u0, grid = rgb_scene()
     h0 = init_H0(u0, grid, window=5, alpha=0.1)
-    p = FilterParams(t_end=0.3)
     state, _ = run(u0, h0, p, grid)
     _, _, hs = step_nodes(u0, h0, p, grid)
     kd = grid.channels * grid.ndim
     final = unpack(state.H)
     assert final.shape == (kd, kd) + grid.dims and len(hs) == 4
-    assert _sha(final.tobytes()) == H_DIGESTS["final"], "final H changed"
+    assert _sha(final.tobytes()) == expected["final"], "final H changed"
     history = hashlib.sha256()
     for h in hs:
         h = unpack(h)
         assert h.shape == final.shape
         history.update(h.tobytes())
-    assert history.hexdigest() == H_DIGESTS["history"], "history of H changed"
-    assert memory_form_check(u0, h0, p, 3, grid).hex() == H_DIGESTS["memory_form_check"]
+    assert history.hexdigest() == expected["history"], "history of H changed"
+    assert memory_form_check(u0, h0, p, 3, grid).hex() == expected["memory_form_check"]
 
 
 # Runs every case in a fresh interpreter; argv[1] == "1" pins the process to

@@ -188,6 +188,20 @@ class TestStepU:
         np.testing.assert_allclose(mass_out, mass_in, atol=1e-10 * np.abs(u).sum())
         assert l2_norm(out) <= l2_norm(u) * (1 + 1e-12)
 
+    @pytest.mark.parametrize("dt", [0.1, 2.0, 50.0])
+    def test_default_tolerance_bounds_the_error(self, dt, rng):
+        # ||A^-1|| <= 1, so a residual below cg_tol ||u|| puts the solution
+        # within cg_tol ||u|| of the exact one (the module docstring).
+        grid = GridSpec(dims=(32, 32), channels=3)
+        u = rng.uniform(-1.0, 1.0, grid.field_shape())
+        havg = face_average_tensors(init_H0(u, grid, window=5, alpha=0.1), grid)
+        cg_tol = FilterParams().cg_tol
+        assert cg_tol == 1e-8
+        x, iters = _implicit_solve(u, havg, dt, grid, cg_tol)
+        reference, ref_iters = _implicit_solve(u, havg, dt, grid, 1e-14)
+        assert 0 < iters < ref_iters
+        assert l2_norm(x - reference) <= cg_tol * l2_norm(u)
+
     def test_solver_error_carries_residual(self, rng, monkeypatch):
         monkeypatch.setattr(integrate_mod, "cg_max_iter", lambda ncells: 2)
         grid = GridSpec(dims=(16, 16), channels=1)
@@ -232,7 +246,7 @@ class TestRun:
         p = FilterParams(tau=0.5, sigma=1.0, dt=0.25, t_end=5.0, response=ResponseParams(s=0.1))
         _, us, _ = step_nodes(u0, h0, p, grid)
         norms = [l2_norm(mean_free(u, grid)) for u in us]
-        tol = p.cg_tol * norms[0]
+        tol = 1e-10 * norms[0]  # the allowance of the former default cg_tol, kept
         assert all(b <= a + tol for a, b in zip(norms, norms[1:]))
 
     def test_kappa_floor_tracked(self, rng):
@@ -252,7 +266,7 @@ class TestRun:
         _, traces = run(u0, h0, p, grid)
         prev = l2_norm(u0)
         for r in traces:
-            assert r.l2_norm_u <= prev * (1 + p.cg_tol)
+            assert r.l2_norm_u <= prev * (1 + 1e-10)  # the former default cg_tol's allowance
             prev = r.l2_norm_u
 
     def test_initial_floor_precondition(self, rng):
