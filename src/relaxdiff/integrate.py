@@ -46,7 +46,10 @@ re-integrates along the computed u, so neither moves with cg_tol.
 The floor is checked every step by tensors.min_eig_field, which returns the
 minimum of a full diagonalisation and its first cell bit for bit, from a
 Cholesky of the packed H that clears every cell that cannot hold it; a broken
-floor is reported from that cell alone.
+floor is reported from that cell alone. trajectory()'s check of H0 against
+alpha needs no minimum unless a cell falls below, so it runs the Cholesky at
+that bound (tensors.min_eig_below) and diagonalises only the cells it does
+not clear.
 
 The step loop is a generator: trajectory() hands it out, and run(), the
 baselines and memory_form_check read it step by step, so nothing stores
@@ -80,7 +83,7 @@ from .grid import (
 )
 from .mollifier import DELTA_SIGMA, GAUSSIAN, Kernel, grad_sigma
 from .response import ResponseParams, response_field, response_zero
-from .tensors import apply, eigvalsh_field, min_eig_field, pack_index, unpack
+from .tensors import apply, eigvalsh_field, min_eig_below, min_eig_field, pack_index, unpack
 
 Array = np.ndarray
 
@@ -419,8 +422,11 @@ def trajectory(u0: Array, H0: Array, p: FilterParams, grid: GridSpec) -> Iterato
     if h.shape != shape:
         raise ParameterError(f"H0 shape {h.shape} != {shape}, the packed triangle (see relaxdiff.tensors.pack)")
     _require_finite("H0", h)
-    init_min, flat = min_eig_field(h)
-    if init_min < p.alpha - 1e-12:
+    # Only the cells whose Cholesky does not clear the bound are diagonalised:
+    # an H0 at alpha Id in its flat cells ties at alpha almost everywhere.
+    low = min_eig_below(h, p.alpha - 1e-12)
+    if low is not None and low[0] < p.alpha - 1e-12:
+        init_min, flat = low
         cell = tuple(map(int, np.unravel_index(flat, grid.dims)))
         raise ParameterError(
             "initial diffusivity violates the alpha eigenvalue floor: "

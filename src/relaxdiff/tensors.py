@@ -13,9 +13,9 @@ square, (kd, kd) + dims. H, the responses and F(0) are packed,
 (P,) + dims with P = kd(kd+1)/2 (21 for RGB in 2-D, 3 for grey): entries
 (a, b) and (b, a) share one plane, numbered by ``pack_index``, so a packed
 field is symmetric by construction. ``pack`` and ``unpack`` convert
-between the two layouts. ``min_eig_field`` takes a packed field and factorises
-it packed; only ``eigvalsh_field`` keeps numpy's (..., n, n) layout, for the
-few cells that are diagonalised.
+between the two layouts. ``min_eig_field`` and ``min_eig_below`` take a
+packed field and factorise it packed; only ``eigvalsh_field`` keeps numpy's
+(..., n, n) layout, for the few cells that are diagonalised.
 
 All functions here are pure and safe to call concurrently. ``apply`` splits
 its cells into bands over the CPUs of the affinity mask
@@ -136,9 +136,7 @@ def min_eig_field(hfield: Array) -> tuple[float, int]:
     cell and its first np.argmin in C order, NaN, inf and LinAlgError
     included, but certified: the MIN_EIG_SAMPLE cells with the smallest
     diagonal entry give an eigenvalue c that bounds the minimum from above,
-    a Cholesky of H - (c + delta) I that completes proves a cell's computed
-    smallest eigenvalue lies above c, and only the cells where it breaks
-    down are diagonalised.
+    and min_eig_below(hfield, c) finds it among the cells that may hold it.
     """
     hfield = np.asarray(hfield, dtype=float)
     n = _packed_side(hfield.shape[0])
@@ -147,28 +145,49 @@ def min_eig_field(hfield: Array) -> tuple[float, int]:
     smallest_diag = functools.reduce(np.minimum, [cells[i] for i in pack_index(n).diagonal()])
     sample = np.argpartition(smallest_diag, min(MIN_EIG_SAMPLE, count) - 1)[:MIN_EIG_SAMPLE]
     c = np.min(eigvalsh_field(np.moveaxis(unpack(cells[:, sample]), -1, 0))[:, 0])
+    # c is a cell's computed minimum, so that cell breaks down: never None.
+    return min_eig_below(hfield, c)
+
+
+def min_eig_below(hfield: Array, bound: float) -> tuple[float, int] | None:
+    """min_eig_field(hfield) if some cell's smallest eigenvalue lies at or below bound, else None.
+
+    Certified: a Cholesky of H - (bound + delta) I that completes proves a
+    cell's computed smallest eigenvalue lies above bound, and only the cells
+    where it breaks down are diagonalised; None when every cell completes.
+    Every cell holding the field's computed minimum breaks down if that
+    minimum is at most bound, so the minimum and its first cell in C order
+    are those of a full diagonalisation, bit for bit.
+    """
+    hfield = np.asarray(hfield, dtype=float)
+    n = _packed_side(hfield.shape[0])
+    cells = hfield.reshape(hfield.shape[0], -1)
     # delta covers two backward errors, for n x n cells whose entries are
-    # bounded by m = max|H| (so ||H||_2 <= n m, and |c| <= n m because c is a
-    # cell eigenvalue); u = eps / 2 is the unit roundoff. A Cholesky of
-    # A = H - s I that completes gives R^T R = A + dA, |dA| <= gamma_(n+1)
-    # |R^T| |R| (Higham, Accuracy and Stability of Numerical Algorithms,
-    # Thm 10.3), so ||dA||_2 <= gamma_(n+1) trace(R^T R) <~ (n + 1) u 2 n^2 m
-    # = (n + 1) n^2 eps m, and lambda_min(H) > s - ||dA||_2; the gap up to
-    # 2 n^3 eps m absorbs the rounding of H - s I and of s. eigvalsh is
-    # backward stable: its eigenvalues lie within p(n) u ||H||_2 of the exact
-    # ones, and p(n) <= 4 n^2 keeps that below 2 n^3 eps m too. With delta =
-    # 4 n^3 eps m, a cell that completes has a computed minimum above c, so
-    # every cell holding the computed minimum (c's own among them) breaks
-    # down. A NaN or inf entry makes delta non-finite and every cell break down.
+    # bounded by m = max|H| (so ||H||_2 <= n m); u = eps / 2 is the unit
+    # roundoff. A Cholesky of A = H - s I that completes gives
+    # R^T R = A + dA, |dA| <= gamma_(n+1) |R^T| |R| (Higham, Accuracy and
+    # Stability of Numerical Algorithms, Thm 10.3), so ||dA||_2 <=
+    # gamma_(n+1) trace(R^T R) <~ (n + 1) u 2 n^2 m = (n + 1) n^2 eps m, and
+    # lambda_min(H) > s - ||dA||_2; the gap up to 2 n^3 eps m absorbs the
+    # rounding of H - s I and of s where |s| <= n m (a larger |s| lies far
+    # from every eigenvalue). eigvalsh is backward stable: its eigenvalues
+    # lie within p(n) u ||H||_2 of the exact ones, and p(n) <= 4 n^2 keeps
+    # that below 2 n^3 eps m too. With delta = 4 n^3 eps m, a cell that
+    # completes has a computed minimum above bound. A NaN or inf entry
+    # makes delta non-finite and every cell break down.
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         scale = np.maximum(cells.max(), -cells.min())
-        shift = c + MIN_EIG_MARGIN * n**3 * np.finfo(float).eps * scale
+        shift = bound + MIN_EIG_MARGIN * n**3 * np.finfo(float).eps * scale
         survivors = np.concatenate([
             start + np.flatnonzero(_cholesky_breaks_down(cells[:, start:start + MIN_EIG_BLOCK], shift))
-            for start in range(0, count, MIN_EIG_BLOCK)
+            for start in range(0, cells.shape[-1], MIN_EIG_BLOCK)
         ])
+    if survivors.size == 0:
+        return None
     mins = eigvalsh_field(np.moveaxis(unpack(cells[:, survivors]), -1, 0))[:, 0]
     k = int(np.argmin(mins))
+    if mins[k] > bound:  # cells that broke down within delta of bound
+        return None
     return float(mins[k]), int(survivors[k])
 
 

@@ -217,15 +217,7 @@ def test_cg_tol_1e10_gives_the_former_digests(case, as_config, tmp_path):
         assert got[name] == digest, f"mode {case} at --cg-tol 1e-10: {name} changed"
 
 
-def test_H_unchanged():
-    check_H(FilterParams(t_end=0.3), H_DIGESTS)
-
-
-def test_H_unchanged_at_cg_tol_1e10():
-    check_H(FilterParams(t_end=0.3, cg_tol=1e-10), H_DIGESTS_1E10)
-
-
-def check_H(p: FilterParams, expected: dict) -> None:
+def _check_H(p: FilterParams, expected: dict) -> None:
     u0, grid = rgb_scene()
     h0 = init_H0(u0, grid, window=5, alpha=0.1)
     state, _ = run(u0, h0, p, grid)
@@ -241,6 +233,14 @@ def check_H(p: FilterParams, expected: dict) -> None:
         history.update(h.tobytes())
     assert history.hexdigest() == expected["history"], "history of H changed"
     assert memory_form_check(u0, h0, p, 3, grid).hex() == expected["memory_form_check"]
+
+
+def test_H_unchanged():
+    _check_H(FilterParams(t_end=0.3), H_DIGESTS)
+
+
+def test_H_unchanged_at_cg_tol_1e10():
+    _check_H(FilterParams(t_end=0.3, cg_tol=1e-10), H_DIGESTS_1E10)
 
 
 # Runs every case in a fresh interpreter; argv[1] == "1" pins the process to

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import relaxdiff.integrate as integrate_mod
+import relaxdiff.tensors as tensors_mod
 from relaxdiff.baselines import CATTE_REGULARIZED, run_baseline
 from relaxdiff.errors import DimensionError, FitError, InvariantViolation, ParameterError, SolverError
 from relaxdiff.grid import GridSpec, channel_sums, face_average_tensors, l2_norm, mean_free
@@ -268,6 +269,26 @@ class TestRun:
         for r in traces:
             assert r.l2_norm_u <= prev * (1 + 1e-10)  # the former default cg_tol's allowance
             prev = r.l2_norm_u
+
+    def test_alpha_check_diagonalises_only_cells_below(self, rng, monkeypatch):
+        # H0 at exactly alpha Id in every cell ties at alpha everywhere, yet
+        # no cell is diagonalised; one cell a little below is, and it is named.
+        grid = GridSpec(dims=(40, 30), channels=3)
+        u0 = rng.standard_normal(grid.field_shape())
+        p = FilterParams(alpha=0.1)
+        diagonalised = []
+        monkeypatch.setattr(
+            tensors_mod, "eigvalsh_field", lambda h: diagonalised.append(h.shape[0]) or np.linalg.eigvalsh(h)
+        )
+        h0 = identity_field(grid.dims, 6, scale=0.1)
+        trajectory(u0, h0, p, grid)
+        assert diagonalised == []
+        h0[:, 7, 29] = pack((0.1 - 1e-12) * np.eye(6))  # on the bound: accepted
+        trajectory(u0, h0, p, grid)
+        h0[:, 33, 5] = pack(0.0999 * np.eye(6))
+        with pytest.raises(ParameterError, match=r"min eig 0\.0999 < alpha 0\.1 at cell \(33, 5\)$"):
+            trajectory(u0, h0, p, grid)
+        assert diagonalised == [1, 2]
 
     def test_initial_floor_precondition(self, rng):
         grid = GridSpec(dims=(5, 5), channels=1)

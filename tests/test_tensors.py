@@ -13,6 +13,7 @@ from relaxdiff.tensors import (
     MIN_EIG_BLOCK,
     _cholesky_breaks_down,
     apply,
+    min_eig_below,
     min_eig_field,
     pack,
     pack_index,
@@ -328,6 +329,22 @@ class TestMinEigFieldExact:
     @given(symmetric_fields())
     def test_equals_full_diagonalisation(self, hfield):
         assert_same_min_eig(hfield)
+
+    @settings(max_examples=100, deadline=None)
+    @given(symmetric_fields(), st.data())
+    def test_below_a_bound(self, hfield, data):
+        # The minimum and its first cell when the minimum is at most the
+        # bound, else None: bounds on it, an ulp to either side and away.
+        mins = np.linalg.eigvalsh(np.moveaxis(hfield, (0, 1), (-2, -1)))[..., 0].ravel()
+        low = float(np.min(mins))
+        bound = data.draw(st.sampled_from([
+            low, np.nextafter(low, -np.inf), np.nextafter(low, np.inf), low - 1e-3, low + 1e-3, low + 1.0,
+        ]))
+        got = min_eig_below(pack(hfield), bound)
+        if low <= bound:
+            assert got == (low, int(np.argmin(mins)))
+        else:
+            assert got is None
 
     @settings(max_examples=40, deadline=None)
     @given(symmetric_fields(), st.data())
