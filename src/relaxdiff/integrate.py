@@ -38,10 +38,10 @@ CLI filters in: 2.6e-5 for 5 steps at 512^2, against half an 8-bit level,
 1/255 ~ 3.9e-3. An output byte then moves, by one level, only where the
 exact value lies within that error of a rounding boundary (against 1e-10,
 one pixel in the bench scenes of four seeds, 4e-8 levels from it). The
-same bound gives L2 monotonicity up to cg_tol ||u||.
-The mass correction below holds the mass to rounding at any tolerance,
-the floor does not depend on u at all, and the memory-form check
-re-integrates along the computed u, so neither moves with cg_tol.
+same bound gives L2 monotonicity up to cg_tol ||u||. The solve's mass
+correction holds the mass to rounding at any tolerance, the floor does not
+depend on u, and the memory-form check re-integrates along the computed u,
+so none of the three moves with cg_tol.
 
 The floor is checked every step by tensors.min_eig_field, which returns the
 minimum of a full diagonalisation and its first cell bit for bit, from a

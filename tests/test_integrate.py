@@ -247,7 +247,7 @@ class TestRun:
         p = FilterParams(tau=0.5, sigma=1.0, dt=0.25, t_end=5.0, response=ResponseParams(s=0.1))
         _, us, _ = step_nodes(u0, h0, p, grid)
         norms = [l2_norm(mean_free(u, grid)) for u in us]
-        tol = 1e-10 * norms[0]  # the allowance of the former default cg_tol, kept
+        tol = 1e-10 * norms[0]  # fixed, 100 times tighter than the default cg_tol
         assert all(b <= a + tol for a, b in zip(norms, norms[1:]))
 
     def test_kappa_floor_tracked(self, rng):
@@ -267,7 +267,7 @@ class TestRun:
         _, traces = run(u0, h0, p, grid)
         prev = l2_norm(u0)
         for r in traces:
-            assert r.l2_norm_u <= prev * (1 + 1e-10)  # the former default cg_tol's allowance
+            assert r.l2_norm_u <= prev * (1 + 1e-10)  # fixed, 100 times tighter than the default cg_tol
             prev = r.l2_norm_u
 
     def test_alpha_check_diagonalises_only_cells_below(self, rng, monkeypatch):
