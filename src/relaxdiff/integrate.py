@@ -25,7 +25,9 @@ of HALF_TOL_PER_DT2 dt^2, capped at HALF_TOL_MAX and never below cg_tol.
 An O(dt^2) error in u_half keeps the memory-form gap O(dt^2), and the
 floor, the mass and L2 monotonicity do not depend on it. The no-relaxation
 baselines run the same step loop with H = F(D) sampled at the step's left
-endpoint instead, with no half solve.
+endpoint instead, with no half solve and no floor check: H is the response
+itself there, so the smallest eigenvalue the trace records comes from the
+response's closed form, response.response_min_eig.
 
 The main and baseline solves stop at a relative residual of cg_tol, 1e-8 by
 default, because the output is an 8-bit image. Their matrix is
@@ -43,10 +45,10 @@ correction holds the mass to rounding at any tolerance, the floor does not
 depend on u, and the memory-form check re-integrates along the computed u,
 so none of the three moves with cg_tol.
 
-The floor is checked every step by tensors.min_eig_field, which returns the
-minimum of a full diagonalisation and its first cell bit for bit, from a
-Cholesky of the packed H that clears every cell that cannot hold it; a broken
-floor is reported from that cell alone. trajectory()'s check of H0 against
+With relaxation the floor is checked every step by tensors.min_eig_field,
+which returns the minimum of a full diagonalisation and its first cell bit
+for bit, from a Cholesky of the packed H that clears every cell that cannot
+hold it; a broken floor is reported from that cell alone. trajectory()'s check of H0 against
 alpha needs no minimum unless a cell falls below, so it runs the Cholesky at
 that bound (tensors.min_eig_below) and diagonalises only the cells it does
 not clear.
@@ -82,7 +84,7 @@ from .grid import (
     mean_free,
 )
 from .mollifier import DELTA_SIGMA, GAUSSIAN, Kernel, grad_sigma
-from .response import ResponseParams, response_field, response_zero
+from .response import ResponseParams, response_field, response_min_eig, response_zero
 from .tensors import apply, eigvalsh_field, min_eig_below, min_eig_field, pack_index, unpack
 
 Array = np.ndarray
@@ -316,7 +318,8 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec):
     half-step backward-Euler prediction of u, checks the eigenvalue floor of
     the relaxed H and solves for the new u with it. With H None (no relaxation,
     the tau -> 0 limit) every step sets H = F(grad_sigma u) at the step's left
-    endpoint instead, with no half solve and no floor check.
+    endpoint instead, with no half solve and no floor check, and takes H's
+    smallest eigenvalue from the response's closed form.
 
     A generator: it yields (FilterState, TraceRecord) once per step and
     returns the final FilterState, the initial one when there are no steps.
@@ -347,28 +350,32 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec):
         if relax:
             _relax_H(u_half, h, p, grid, kern)
             del u_half  # not read again; held, it would add an image field to the step's peak
+            # The floor check runs before the face tensors exist, so its
+            # Cholesky blocks share the memory with H alone.
+            min_eig, flat = min_eig_field(h)
+            kappa = kappa_predicted(t, p)
+            if min_eig < kappa - KAPPA_SLACK:
+                cell = tuple(map(int, np.unravel_index(flat, grid.dims)))
+                tensor = unpack(h[(...,) + cell])
+                raise InvariantViolation(
+                    f"diffusivity eigenvalue floor broken at t={t:g}: "
+                    f"min eig {min_eig:.12g} < predicted {kappa:.12g} at cell {cell}",
+                    diagnostic={
+                        "t": t,
+                        "cell": cell,
+                        "kappa_predicted": kappa,
+                        "min_eig": min_eig,
+                        "tensor": tensor,
+                        "eigenvalues": eigvalsh_field(tensor),
+                    },
+                )
         else:
             h = None
-            h = response_field(grad_sigma(u, kern, grid), p.response)
-        # The floor check runs before the face tensors exist, so its
-        # Cholesky blocks share the memory with H alone.
-        min_eig, flat = min_eig_field(h)
-        kappa = kappa_predicted(t, p)
-        if relax and min_eig < kappa - KAPPA_SLACK:
-            cell = tuple(map(int, np.unravel_index(flat, grid.dims)))
-            tensor = unpack(h[(...,) + cell])
-            raise InvariantViolation(
-                f"diffusivity eigenvalue floor broken at t={t:g}: "
-                f"min eig {min_eig:.12g} < predicted {kappa:.12g} at cell {cell}",
-                diagnostic={
-                    "t": t,
-                    "cell": cell,
-                    "kappa_predicted": kappa,
-                    "min_eig": min_eig,
-                    "tensor": tensor,
-                    "eigenvalues": eigvalsh_field(tensor),
-                },
-            )
+            dfield = grad_sigma(u, kern, grid)
+            # H is the response itself, whose minimum has a closed form.
+            min_eig = response_min_eig(dfield, p.response)
+            h = response_field(dfield, p.response)
+            del dfield
         havg = face_average_tensors(h, grid)
         u, iters = _implicit_solve(u, havg, p.dt, grid, p.cg_tol, f"{'main' if relax else 'baseline'} solve {step}")
         if not np.all(np.isfinite(u)):

@@ -24,6 +24,13 @@ Perona-Malik style baseline. lipschitz_bound gives either response's
 Lipschitz constant over a ball of gradients in closed form; the predicted
 energy-decay rate depends on it.
 
+The eigenvalues follow from the one form: a + omega with multiplicity
+n - 1, on the complement of v, and a + omega - D:D/c along v, which is
+omega above the threshold and 3/2 - 3q/2 + omega below it; g(|D|) + omega,
+n times, for the scalar response. response_min_eig takes the smallest over
+a field from its largest D:D, which is how the no-relaxation baselines,
+where H is the response itself, report their minimum.
+
 The responses read gradient fields component-first, (k, d) + dims, as
 grid.gradient returns them, and return packed tensor fields, (P,) + dims
 with P = kd(kd+1)/2, as the step loop holds H: one cell field per entry
@@ -155,3 +162,25 @@ def lipschitz_bound(p: ResponseParams, radius: float, n: int) -> float:
     if p.kind == PERONA_MALIK_SCALAR:
         return math.sqrt(n) / p.lam
     return math.sqrt(n + 8) * min(radius, p.s) / (p.s * p.s)
+
+
+def response_min_eig(dfield: Array, p: ResponseParams) -> float:
+    """Smallest eigenvalue of response_field(dfield, p) over all cells, in closed form.
+
+    A cell's smallest eigenvalue is a - D:D/c + omega for the thresholded
+    projection: omega above the threshold, 3/2 - q/2 - q + omega with
+    q = D:D/s^2 below it. For Perona-Malik it is g(|D|) + omega. Both fall
+    as D:D grows, in floating point too, so the cell of the largest D:D
+    decides; for Perona-Malik the result has the bits of that cell's
+    diagonal. D:D is summed as the responses sum it; a NaN gives NaN.
+    """
+    dfield = _gradient_field(dfield)
+    v = dfield.reshape(dfield.shape[0] * dfield.shape[1], -1)
+    dd = float(np.max(np.einsum("an,an->n", v, v)))
+    if p.kind == PERONA_MALIK_SCALAR:
+        return 1.0 / (1.0 + math.sqrt(dd) / p.lam) + p.omega
+    s2 = p.s * p.s
+    if dd >= s2:
+        return p.omega
+    q = dd / s2
+    return 1.5 - 0.5 * q - q + p.omega

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import relaxdiff.integrate as integrate_mod
+from relaxdiff import tensors
 from relaxdiff.baselines import (
     CATTE_REGULARIZED,
     PERONA_MALIK,
@@ -12,8 +13,9 @@ from relaxdiff.baselines import (
 )
 from relaxdiff.errors import DimensionError, ParameterError, SolverError
 from relaxdiff.grid import GridSpec, l2_norm
+from relaxdiff.initial import init_H0
 from relaxdiff.integrate import FilterParams, TraceRecord, run
-from relaxdiff.response import ResponseParams
+from relaxdiff.response import PERONA_MALIK_SCALAR, ResponseParams, response_min_eig
 from relaxdiff.tensors import pack
 
 from conftest import disk_image, smooth_image
@@ -100,6 +102,51 @@ class TestRunBaseline:
         with pytest.raises(SolverError, match=r"^baseline solve of step 1 \(t=0\.1\): CG did not reach") as err:
             run_baseline(disk_image(16, radius=5.0)[0], p, CATTE_REGULARIZED, grid)
         assert err.value.residual > p.cg_tol
+
+
+class TestFloorCheckOnlyWithRelaxation:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of the certified floor check and of eigvalsh, and each grad_sigma result."""
+        calls = {"min_eig_field": 0, "eigvalsh": 0, "grads": []}
+        check, eigvalsh, grad_sigma = integrate_mod.min_eig_field, tensors.eigvalsh_field, integrate_mod.grad_sigma
+
+        def counted_check(h):
+            calls["min_eig_field"] += 1
+            return check(h)
+
+        def counted_eigvalsh(h):
+            calls["eigvalsh"] += 1
+            return eigvalsh(h)
+
+        def kept_grad(u, kern, grid):
+            calls["grads"].append(grad_sigma(u, kern, grid).copy())
+            return calls["grads"][-1]
+
+        monkeypatch.setattr(integrate_mod, "min_eig_field", counted_check)
+        monkeypatch.setattr(tensors, "eigvalsh_field", counted_eigvalsh)
+        monkeypatch.setattr(integrate_mod, "grad_sigma", kept_grad)
+        return calls
+
+    @pytest.mark.filterwarnings("ignore:unmollified scalar")
+    @pytest.mark.parametrize("kind", [CATTE_REGULARIZED, PERONA_MALIK])
+    def test_baselines_take_the_closed_form(self, rng, kind, calls):
+        grid = GridSpec(dims=(16, 16), channels=3)
+        u0 = disk_image(16, radius=5.0)[0] + 0.05 * rng.standard_normal(grid.field_shape())
+        p = FilterParams(sigma=1.0, dt=0.1, t_end=0.3, response=ResponseParams(s=0.1, omega=0.05))
+        _, traces = run_baseline(u0, p, kind, grid)
+        assert calls["min_eig_field"] == 0 and calls["eigvalsh"] == 0
+        response = p.response if kind == CATTE_REGULARIZED else replace(p.response, kind=PERONA_MALIK_SCALAR)
+        assert len(traces) == len(calls["grads"]) == 3
+        for r, g in zip(traces, calls["grads"]):
+            assert r.min_eig_H == response_min_eig(g, response)
+
+    def test_relax_mode_checks_the_floor_every_step(self, rng, calls):
+        grid = GridSpec(dims=(16, 16), channels=3)
+        u0 = disk_image(16, radius=5.0)[0] + 0.05 * rng.standard_normal(grid.field_shape())
+        h0 = init_H0(u0, grid, window=3, alpha=0.1)
+        run(u0, h0, FilterParams(sigma=1.0, dt=0.1, t_end=0.3), grid)
+        assert calls["min_eig_field"] == 3
 
 
 class TestCompareTrajectories:

@@ -50,14 +50,24 @@ energy and min_eig_H columns moved in their last digits (relative 4e-9 or
 less), the mass columns in the last bit or two:
 - relax: cg_iters 9, 9, 10 -> 7, 7, 7;
 - sharp-dt2: 43, 50 -> 34, 40 (its half solves stop at 4e-4 either way);
-- catte: 12, 12, 12 -> 10, 10, 9; its min_eig_H column holds rounding
-  around the response's zero eigenvalue, about -1e-16, and moved there;
-  grey mass is summed pairwise and did not move;
+- catte: 12, 12, 12 -> 10, 10, 9; its min_eig_H column then held
+  rounding around the response's zero eigenvalue, about -1e-16, and moved
+  there (the fifth re-record below made it exact); grey mass is summed
+  pairwise and did not move;
 - pm: 10, 10 -> 8, 8;
 - bump-omega: 9, 9, 10 -> 7, 7, 8.
 The digests of before, DIGESTS_1E10 and H_DIGESTS_1E10, stay as the record
 of ``--cg-tol 1e-10``: rerun with it, as a flag or in a config file, every
 case gives them back bit for bit, which pins that only the default moved.
+
+A fifth re-record moved catte's trace digest alone, in TRACE_DIGESTS and in
+DIGESTS_1E10, when the no-relaxation baselines took the smallest eigenvalue
+of H from the response's closed form instead of diagonalising it. Only the
+min_eig_H column moved: at the default cg_tol from -1.32e-16, -1.47e-16 and
+-1.94e-16, at 1e-10 from -1.32e-16, -1.94e-16 and -1.39e-16, to exactly 0
+in every row, the projection response's zero eigenvalue. pm's closed form
+gives the diagonal's own bits, so its digests did not move, and no image or
+stdout digest moved.
 
 The CLI never returns H, so ``test_H_unchanged`` pins it apart: the sha256
 of ``run()``'s final H and of its history of H (H0, then H at every step
@@ -111,7 +121,7 @@ DIGESTS_1E10 = {
     },
     "catte": {
         "image": "9fe890d2bbac139de7157647eea2b8026f2366b41bb3e0afa9ca1f9fac57daf4",
-        "trace": "a8f61a79732e52a96b4069d45b9a0fdbc9b12e914798ad41527e7d70d6ae7a7c",
+        "trace": "14e566823fe9563cd82297e881182bd21cdbf7d1f59f5fee3bc6710f6c85c6b2",
         "stdout": "36d67ef96385744201fc4bb6f1d88028f488cf591a63499055c0fd2c8868c611",
     },
     "pm": {
@@ -130,7 +140,7 @@ DIGESTS_1E10 = {
 TRACE_DIGESTS = {
     "relax": "fd52108b9ade8792543c3bc2ca638b47a8e0716fb1c0e67282481d96375acafd",
     "sharp-dt2": "1cdc923118d9e3a5e8cbb3e534a5b93c632535e20bbdfe1dc6ea97f3da30b41c",
-    "catte": "fb0c7ce1393fb1208500275671881a963a8676dec95c656fd0c9340e6655a696",
+    "catte": "ab54960e8f33281b481bc550c4fedfa73c79e65c5c127bb31a6e14f3e008e276",
     "pm": "3519134755f632ac806b64f27eb91c3801e8c12e357905859b008698e146c8e1",
     "bump-omega": "4adfb8d059acea1bd5f498e8edc35c740ddf061a79d0df0965db49b3166dec19",
 }

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaxdiff.errors import ParameterError
 from relaxdiff.response import (
@@ -10,9 +12,10 @@ from relaxdiff.response import (
     lipschitz_bound,
     response_field,
     response_fs,
+    response_min_eig,
     response_pm,
 )
-from relaxdiff.tensors import pack, unpack
+from relaxdiff.tensors import min_eig_field, pack, unpack
 
 from conftest import frobenius_sq_in_order
 
@@ -325,6 +328,62 @@ class TestLipschitzBound:
         for radius in (0.0, -1.0, math.nan):
             with pytest.raises(ParameterError):
                 lipschitz_bound(ResponseParams(), radius, 6)
+
+
+@st.composite
+def min_eig_cases(draw):
+    """A gradient field of kd 1-6 on 1 or 2 axes and response params for it.
+
+    Scales run from far below the threshold s to far above it, so both
+    branches decide the minimum.
+    """
+    kd = draw(st.integers(1, 6))
+    k, d = (kd // 2, 2) if kd % 2 == 0 else (kd, 1)
+    dims = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = 10.0 ** draw(st.floats(-2.0, 1.0))
+    dfield = s * 10.0 ** draw(st.floats(-3.0, 1.0)) * rng.standard_normal((k, d) + dims)
+    omega = draw(st.sampled_from([0.0, 1e-3, 0.5]))
+    if draw(st.booleans()):
+        return dfield, ResponseParams(s=s, omega=omega)
+    return dfield, ResponseParams(kind=PERONA_MALIK_SCALAR, lam=10.0 ** draw(st.floats(-2.0, 1.0)), omega=omega)
+
+
+class TestResponseMinEig:
+    @settings(max_examples=300, deadline=None)
+    @given(min_eig_cases())
+    def test_closed_form_against_diagonalisation(self, case):
+        dfield, p = case
+        got = response_min_eig(dfield, p)
+        f = response_field(dfield, p)
+        certified, _ = min_eig_field(f)
+        assert got >= p.omega
+        if p.kind == PERONA_MALIK_SCALAR:
+            assert got == certified
+            return
+        n = dfield.shape[0] * dfield.shape[1]
+        v = dfield.reshape(n, -1)
+        if float(np.max(np.einsum("an,an->n", v, v))) >= p.s * p.s:
+            assert got == p.omega
+        # eigvalsh's backward error, as argued in tensors.min_eig_below.
+        assert abs(got - certified) <= 2 * n**3 * np.finfo(float).eps * float(np.max(np.abs(f)))
+
+    @pytest.mark.parametrize("p", RESPONSES, ids=["fs", "pm"])
+    def test_largest_gradient_decides(self, p):
+        # One cell below the threshold s = 0.1, one above and a flat one:
+        # the steepest cell gives the field's minimum.
+        dfield = np.zeros((3, 2, 3))
+        dfield[0, 0, 0] = 0.05
+        dfield[1, 1, 1] = 0.3
+        got = response_min_eig(dfield, p)
+        assert got == response_min_eig(dfield[..., 1], p) < response_min_eig(dfield[..., 0], p)
+        assert response_min_eig(dfield[..., 2], p) == (1.0 if p.kind == PERONA_MALIK_SCALAR else 1.5) + p.omega
+
+    @pytest.mark.parametrize("p", RESPONSES, ids=["fs", "pm"])
+    def test_nan_gives_nan(self, p):
+        dfield = np.zeros((1, 2, 3))
+        dfield[0, 1, 2] = math.nan
+        assert math.isnan(response_min_eig(dfield, p))
 
 
 class TestResponseParamsValidation:
