@@ -42,6 +42,13 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_SOLVER = 4
 EXIT_INVARIANT = 5
+# An error exits with the code of the first class here that it is an instance of.
+EXIT_CODES = (
+    (ImageIOError, EXIT_IO),
+    (SolverError, EXIT_SOLVER),
+    (InvariantViolation, EXIT_INVARIANT),
+    (RelaxdiffError, EXIT_CONFIG),
+)
 
 PSNR_CAP = 99.0  # returned for (near-)identical images
 
@@ -331,18 +338,9 @@ def main(argv: list[str] | None = None) -> int:
         if reference is not None:
             print(f"psnr_vs_reference={psnr(out01, reference):.6f}")
         return EXIT_OK
-    except ImageIOError as exc:
-        print(f"error [{stage}]: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except SolverError as exc:
-        print(f"error [{stage}]: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except InvariantViolation as exc:
-        print(f"error [{stage}]: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
     except RelaxdiffError as exc:
         print(f"error [{stage}]: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 def console_main() -> None:
