@@ -48,10 +48,10 @@ so none of the three moves with cg_tol.
 With relaxation the floor is checked every step by tensors.min_eig_field,
 which returns the minimum of a full diagonalisation and its first cell bit
 for bit, from a Cholesky of the packed H that clears every cell that cannot
-hold it; a broken floor is reported from that cell alone. trajectory()'s check of H0 against
-alpha needs no minimum unless a cell falls below, so it runs the Cholesky at
-that bound (tensors.min_eig_below) and diagonalises only the cells it does
-not clear.
+hold it; a broken floor is reported from that cell alone. trajectory()'s
+check of H0 against alpha needs no minimum unless a cell falls below, so it
+runs the Cholesky at that bound (tensors.min_eig_below) and diagonalises
+only the cells it does not clear.
 
 The step loop is a generator: trajectory() hands it out, and run(), the
 baselines and memory_form_check read it step by step, so nothing stores
