@@ -6,7 +6,7 @@ relaxes toward a gradient-dependent response, tau d/dt H + H = F(grad u),
 under no-flux boundary conditions. Modules:
 
 - tensors:    fourth-order tensors applied to k x d matrices, eigenvalue floor
-- response:   the thresholded projection response, its scalar cousin, their Lipschitz constant
+- response:   thresholded projection and scalar responses as one field function, Lipschitz bound
 - mollifier:  lattice smoothing kernels and the regularized gradient
 - grid:       discrete gradient/divergence/face tensors with exact adjointness
 - initial:    [0, 1] <-> [-1, 1] working range, seeded noise, initial diffusivity
@@ -30,7 +30,7 @@ from .integrate import (
 )
 from .baselines import CATTE_REGULARIZED, PERONA_MALIK, compare_trajectories, run_baseline
 from .mollifier import Kernel, convolve, grad_sigma
-from .response import ResponseParams, lipschitz_bound, response_fs, response_pm
+from .response import ResponseParams, lipschitz_bound
 from .tensors import apply
 
 __all__ = [
@@ -61,8 +61,6 @@ __all__ = [
     "grad_sigma",
     "ResponseParams",
     "lipschitz_bound",
-    "response_fs",
-    "response_pm",
     "apply",
 ]
 

@@ -4,6 +4,8 @@ The CLI maps these onto process exit codes (see cli.EXIT_*); library users
 catch them directly.
 """
 
+import operator
+
 
 class RelaxdiffError(Exception):
     """Base class for all errors raised by this package."""
@@ -15,6 +17,14 @@ class DimensionError(RelaxdiffError, ValueError):
 
 class ParameterError(RelaxdiffError, ValueError):
     """A parameter violates its documented constraint."""
+
+
+def integer_param(value, name: str) -> int:
+    """value as an int through operator.index; a float such as 4.0 raises ParameterError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, not {value!r}") from None
 
 
 class SolverError(RelaxdiffError, RuntimeError):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import band_edges, for_bands
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, integer_param
 from .tensors import pack_index
 
 Array = np.ndarray
@@ -48,15 +48,16 @@ class GridSpec:
     channels: int = 1
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.dims)
+        dims = tuple(integer_param(n, "grid dims") for n in self.dims)
+        channels = integer_param(self.channels, "channels")
         if len(dims) == 0:
             raise ParameterError("grid needs at least one axis")
         if any(n < 2 for n in dims):
             raise ParameterError(f"all grid dims must be >= 2, got {dims}")
-        if self.channels < 1:
+        if channels < 1:
             raise ParameterError("channels must be >= 1")
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "channels", int(self.channels))
+        object.__setattr__(self, "channels", channels)
 
     @property
     def ndim(self) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, integer_param
 from .grid import GridSpec, check_image, gradient
 from .mollifier import _correlate1d
 from .tensors import pack_index
@@ -36,7 +36,7 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0 <= self.std < math.inf:
             raise ParameterError("noise std must be finite and >= 0")
-        if self.seed < 0:
+        if integer_param(self.seed, "noise seed") < 0:
             raise ParameterError("noise seed must be >= 0")
 
 

@@ -64,14 +64,15 @@ face tensors are full square.
 """
 
 import math
-import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .bands import for_bands
-from .errors import DimensionError, FitError, ImageIOError, InvariantViolation, ParameterError, SolverError
+from .errors import (
+    DimensionError, FitError, ImageIOError, InvariantViolation, ParameterError, SolverError, integer_param,
+)
 from .grid import (
     GridSpec,
     channel_sums,
@@ -469,8 +470,8 @@ def decay_rate_fit(traces: list[TraceRecord]) -> float:
         raise FitError("need at least 10 trace records to fit a decay rate")
     half = traces[len(traces) // 2 :]
     es = np.array([r.energy for r in half])
-    if np.any(es <= 0.0):
-        raise FitError("nonpositive energies in the fit window")
+    if not np.all((es > 0.0) & (es < math.inf)):  # NaN fails both
+        raise FitError("nonpositive or non-finite energies in the fit window")
     ts = np.array([r.t for r in half])
     slope = np.polyfit(ts, np.log(es), 1)[0]
     return float(slope)
@@ -496,10 +497,7 @@ def memory_form_check(u0: Array, H0: Array, p: FilterParams, steps: int, grid: G
     Frobenius sum over all kd x kd entries. Nothing of an earlier step is
     kept, so the memory does not grow with the step count.
     """
-    try:
-        steps = operator.index(steps)
-    except TypeError:
-        raise ParameterError(f"steps must be an integer, not {steps!r}") from None
+    steps = integer_param(steps, "steps")
     if steps < 0:
         raise ParameterError("steps must be >= 0")
     states = trajectory(u0, H0, replace(p, t_end=steps * p.dt), grid)

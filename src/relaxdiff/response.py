@@ -12,32 +12,36 @@ projection with an isotropic term,
 where the scalar first branch multiplies the identity tensor. Both branches
 meet at the threshold, the result is symmetric PSD for every D, and at D = 0
 the projection term carries coefficient zero, so F_s(0) = 3/2 Id without ever
-forming a degenerate projection. Expanding P gives both branches one form,
-F_s(D) = a Id - vv^T / c with v = vec(D): a = 1 and c = D:D above the
-threshold, a = 3/2 - q/2 and c = s^2 with q = D:D/s^2 below it, which is
-the form evaluated here.
+forming a degenerate projection. A scalar response g(|D|) Id with
+g(r) = 1/(1 + r/lambda) serves the Perona-Malik style baseline, and an
+optional uniform shift omega adds omega * Id to either, giving
+lambda_min >= omega; the shifted variant is what the exponential-decay
+experiments use.
 
-An optional uniform shift omega adds omega * Id, giving lambda_min >= omega;
-the shifted variant is what the exponential-decay experiments use. A scalar
-response g(|D|) Id with g(r) = 1/(1 + r/lambda) is provided for the
-Perona-Malik style baseline. lipschitz_bound gives either response's
-Lipschitz constant over a ball of gradients in closed form; the predicted
-energy-decay rate depends on it.
+Both kinds are one form, F(D) = a Id - vv^T / c + omega Id with
+v = vec(D), and differ only in its coefficients:
 
-The eigenvalues follow from the one form: a + omega with multiplicity
-n - 1, on the complement of v, and a + omega - D:D/c along v, which is
-omega above the threshold and 3/2 - 3q/2 + omega below it; g(|D|) + omega,
-n times, for the scalar response. response_min_eig takes the smallest over
-a field from its largest D:D, which is how the no-relaxation baselines,
-where H is the response itself, report their minimum.
+- thresholded projection: a = 1 and c = D:D above the threshold,
+  a = 3/2 - q/2 and c = s^2 with q = D:D/s^2 below it (expanding P);
+- Perona-Malik: a = g(|D|), with no projection term.
 
-The responses read gradient fields component-first, (k, d) + dims, as
-grid.gradient returns them, and return packed tensor fields, (P,) + dims
+response_field evaluates the form on a whole gradient field. Its
+eigenvalues are a + omega, n - 1 times on the complement of v, and
+a + omega - D:D/c along v: omega above the threshold, 3/2 - 3q/2 + omega
+below it. response_min_eig takes the smallest over a field from the same
+coefficients at its largest D:D; the no-relaxation baselines, where H is
+the response itself, report it as their minimum. lipschitz_bound gives
+either kind's Lipschitz constant over a ball of gradients in closed form;
+the predicted energy-decay rate depends on it.
+
+response_field reads gradient fields component-first, (k, d) + dims, as
+grid.gradient returns them, and returns packed tensor fields, (P,) + dims
 with P = kd(kd+1)/2, as the step loop holds H: one cell field per entry
 pair, numbered by tensors.pack_index. Each product v_a v_b is formed once,
 for a <= b; no lower-half product is made. D:D sums the squares in index
 order from +0.0, as tensors.apply sums its products (on a field of one cell
-einsum unrolls the sum instead).
+einsum unrolls the sum instead). Without a projection term the
+off-diagonal planes hold +0.0.
 """
 
 import math
@@ -46,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .tensors import pack, pack_index
+from .tensors import pack_index
 
 Array = np.ndarray
 
@@ -77,64 +81,53 @@ class ResponseParams:
             raise ParameterError("lambda must be > 0 for the scalar response")
 
 
-def _gradient_field(dfield: Array) -> Array:
+def _dd(dfield: Array) -> tuple[Array, Array]:
+    """A gradient field as (kd, cells), one cell field per component, and its D:D per cell."""
     dfield = np.asarray(dfield, dtype=float)
     if dfield.ndim < 2:
         raise DimensionError(f"expected k x d matrices, got shape {dfield.shape}")
-    return dfield
+    v = dfield.reshape(dfield.shape[0] * dfield.shape[1], -1)
+    return v, np.einsum("an,an->n", v, v)
 
 
-def response_fs(dfield: Array, p: ResponseParams) -> Array:
-    """Thresholded projection response of every cell of a gradient field.
+def _coefficients(dd, p: ResponseParams):
+    """(a, c) of F = a Id - vv^T / c + omega Id at D:D = dd; c is None without a projection term.
+
+    q is taken from min(D:D, s^2): a huge D:D overflows nothing, and a = 1 exactly above s^2.
+    """
+    if p.kind == PERONA_MALIK_SCALAR:
+        return 1.0 / (1.0 + np.sqrt(dd) / p.lam), None
+    s2 = p.s * p.s
+    return 1.5 - 0.5 * (np.minimum(dd, s2) / s2), np.where(dd >= s2, dd, s2)
+
+
+def response_field(dfield: Array, p: ResponseParams) -> Array:
+    """The response F of every cell of a gradient field, of either kind.
 
     dfield is component-first, with shape (k, d) + dims; the result is
     packed, (P,) + dims with P = kd(kd+1)/2. A single k x d matrix is a
     field with dims = ().
     """
-    if p.kind != THRESHOLDED_PROJECTION:
-        raise ParameterError("response_fs requires the thresholded-projection kind")
-    dfield = _gradient_field(dfield)
-    n = dfield.shape[0] * dfield.shape[1]
-    v = dfield.reshape(n, -1)  # one cell field per component
-    s2 = p.s * p.s
-    nrm2 = np.einsum("an,an->n", v, v)
-    proj_branch = nrm2 >= s2
-    a = np.where(proj_branch, 1.0, 1.5 - 0.5 * (nrm2 / s2))
-    c = np.where(proj_branch, nrm2, s2)
+    v, dd = _dd(dfield)
+    n = v.shape[0]
+    a, c = _coefficients(dd, p)
     out = np.empty((n * (n + 1) // 2, v.shape[1]))
     for r in range(n):
-        q = pack_index(n)[r, r]
-        row = out[q:q + n - r]  # the planes of entries (r, r), (r, r+1), ..., (r, n-1)
-        np.multiply(v[r], v[r:], out=row)
-        row /= c
-        np.subtract(a, row[0], out=row[0])
-        # 0 - x, not -x: an off-diagonal +0.0 stays +0.0. Adding omega * 0.0
-        # would change no off-diagonal bit, so omega goes to the diagonal alone.
-        np.subtract(0.0, row[1:], out=row[1:])
+        first = pack_index(n)[r, r]
+        row = out[first:first + n - r]  # the planes of entries (r, r), (r, r+1), ..., (r, n-1)
+        if c is None:
+            row[0] = a
+            row[1:] = 0.0
+        else:
+            np.multiply(v[r], v[r:], out=row)
+            row /= c
+            np.subtract(a, row[0], out=row[0])
+            # 0 - x, not -x: an off-diagonal +0.0 stays +0.0. Adding omega * 0.0
+            # would change no off-diagonal bit, so omega goes to the diagonal alone.
+            np.subtract(0.0, row[1:], out=row[1:])
         if p.omega > 0.0:
             row[0] += p.omega
-    return out.reshape(out.shape[:1] + dfield.shape[2:])
-
-
-def response_pm(dfield: Array, p: ResponseParams) -> Array:
-    """Scalar isotropic response g(|D|) Id, g(r) = (1 + r/lambda)^-1, per cell.
-
-    Shapes as for response_fs.
-    """
-    if p.kind != PERONA_MALIK_SCALAR:
-        raise ParameterError("response_pm requires the Perona-Malik kind")
-    dfield = _gradient_field(dfield)
-    n = dfield.shape[0] * dfield.shape[1]
-    v = dfield.reshape(n, -1)
-    g = 1.0 / (1.0 + np.sqrt(np.einsum("an,an->n", v, v)) / p.lam) + p.omega
-    return np.multiply.outer(pack(np.eye(n)), g.reshape(dfield.shape[2:]))
-
-
-def response_field(dfield: Array, p: ResponseParams) -> Array:
-    """Dispatch on the response kind."""
-    if p.kind == THRESHOLDED_PROJECTION:
-        return response_fs(dfield, p)
-    return response_pm(dfield, p)
+    return out.reshape(out.shape[:1] + np.shape(dfield)[2:])
 
 
 def response_zero(p: ResponseParams, k: int, d: int) -> Array:
@@ -167,20 +160,12 @@ def lipschitz_bound(p: ResponseParams, radius: float, n: int) -> float:
 def response_min_eig(dfield: Array, p: ResponseParams) -> float:
     """Smallest eigenvalue of response_field(dfield, p) over all cells, in closed form.
 
-    A cell's smallest eigenvalue is a - D:D/c + omega for the thresholded
-    projection: omega above the threshold, 3/2 - q/2 - q + omega with
-    q = D:D/s^2 below it. For Perona-Malik it is g(|D|) + omega. Both fall
-    as D:D grows, in floating point too, so the cell of the largest D:D
-    decides; for Perona-Malik the result has the bits of that cell's
-    diagonal. D:D is summed as the responses sum it; a NaN gives NaN.
+    A cell's smallest eigenvalue is a - D:D/c + omega, along v, or a + omega
+    without a projection term. Both fall as D:D grows, in floating point
+    too, so the cell of the largest D:D decides. A NaN gives NaN.
     """
-    dfield = _gradient_field(dfield)
-    v = dfield.reshape(dfield.shape[0] * dfield.shape[1], -1)
-    dd = float(np.max(np.einsum("an,an->n", v, v)))
-    if p.kind == PERONA_MALIK_SCALAR:
-        return 1.0 / (1.0 + math.sqrt(dd) / p.lam) + p.omega
-    s2 = p.s * p.s
-    if dd >= s2:
-        return p.omega
-    q = dd / s2
-    return 1.5 - 0.5 * q - q + p.omega
+    dd = float(np.max(_dd(dfield)[1]))
+    a, c = _coefficients(dd, p)
+    # D:D/c is 1 from the threshold up, also where D:D overflowed to inf.
+    along_v = 0.0 if c is None else (1.0 if dd >= c else dd / c)
+    return float(a - along_v + p.omega)

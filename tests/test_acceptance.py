@@ -18,7 +18,7 @@ from relaxdiff.integrate import FilterParams, memory_form_check, decay_rate_fit,
 from relaxdiff.response import (
     ResponseParams,
     lipschitz_bound,
-    response_fs,
+    response_field,
     response_zero,
 )
 from relaxdiff.tensors import min_eig_field, pack, unpack
@@ -213,7 +213,7 @@ def test_criterion_9_response_function_suite():
 
     # exact value at zero gradient
     p = ResponseParams(s=0.1)
-    exact_zero = np.array_equal(unpack(response_fs(np.zeros((3, 2)), p)), 1.5 * np.eye(6))
+    exact_zero = np.array_equal(unpack(response_field(np.zeros((3, 2)), p)), 1.5 * np.eye(6))
 
     # continuity at the threshold with a linear-in-epsilon bound
     continuity = True
@@ -223,13 +223,13 @@ def test_criterion_9_response_function_suite():
         v = d.ravel()
         bound = 2.2 * np.linalg.norm(1.5 * np.eye(6) - (np.eye(6) - np.outer(v, v) / (v @ v)))
         for eps in (1e-3, 1e-5, 1e-7):
-            gap = np.linalg.norm(unpack(response_fs(d * (1 - eps), p)) - unpack(response_fs(d * (1 + eps), p)))
+            gap = np.linalg.norm(unpack(response_field(d * (1 - eps), p)) - unpack(response_field(d * (1 + eps), p)))
             continuity &= gap <= bound * eps
 
     # positive semidefiniteness over 10^4 random matrices
     dfield = rng.standard_normal((3, 2, 100, 100))
     dfield *= rng.uniform(0.01, 30.0, size=(100, 100)) / 10.0
-    f = unpack(response_fs(dfield, p))
+    f = unpack(response_field(dfield, p))
     min_eig = float(np.min(np.linalg.eigvalsh(np.moveaxis(f, (0, 1), (-2, -1)))))
     psd = min_eig >= -1e-10
 

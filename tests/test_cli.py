@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -346,6 +347,24 @@ class TestMainPipeline:
         argv = [sys.executable, "-m", "relaxdiff", "--input", str(tmp_path / "nope.ppm"), "--output", str(tmp_path / "o.ppm")]
         proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == EXIT_IO and "no such image file" in proc.stderr
+
+    def test_huge_noise_baseline_prints_nothing(self, tmp_path):
+        # Gradients far above the threshold once overflowed D:D/s^2 in the
+        # discarded branch of the response, and numpy's RuntimeWarning went
+        # to stderr of a run that succeeded. The image bytes are unchanged.
+        img, _ = disk_image(n=24, radius=8.0)
+        inp, out = tmp_path / "disk.pgm", tmp_path / "o.pgm"
+        save_image(img[..., :1], str(inp))
+        env = dict(os.environ, PYTHONPATH=str(Path(relaxdiff.__file__).resolve().parent.parent))
+        argv = [
+            sys.executable, "-m", "relaxdiff", "--input", str(inp), "--output", str(out),
+            "--mode", "catte", "--noise-std", "1e154", "--t-end", "0.3",
+        ]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "psnr_vs_input=4.951316\n", "")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "da1042b7b857d2c063cc0f0c3fcd5dbede3db0b6ff05f7aa80da2de58cdf18e5"
+        )
 
     def test_import_loads_numpy_only(self):
         env = dict(os.environ, PYTHONPATH=str(Path(relaxdiff.__file__).resolve().parent.parent))

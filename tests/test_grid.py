@@ -31,6 +31,17 @@ class TestGridSpec:
         with pytest.raises(ParameterError):
             GridSpec(dims=(4,), channels=0)
 
+    @pytest.mark.parametrize("dims, channels", [((4.7, 4), 1), ((4, 4.0), 1), ((4, 4), 1.5)])
+    def test_non_integral_sizes_rejected(self, dims, channels):
+        # Truncated, they would give a grid nobody asked for.
+        with pytest.raises(ParameterError, match="must be an integer"):
+            GridSpec(dims=dims, channels=channels)
+
+    def test_numpy_integers_accepted(self):
+        g = GridSpec(dims=(np.int64(5), 3), channels=np.int32(2))
+        assert g.dims == (5, 3) and g.channels == 2
+        assert all(type(n) is int for n in g.dims + (g.channels,))
+
     def test_from_field(self, rng):
         u = rng.standard_normal((5, 7, 3))
         g = GridSpec.from_field(u)

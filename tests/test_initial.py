@@ -121,6 +121,12 @@ class TestAddNoise:
         with pytest.raises(ParameterError):
             NoiseSpec(std=-0.1)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3"])
+    def test_non_integral_seed_rejected(self, seed):
+        # numpy's generator would raise its own TypeError on the first draw.
+        with pytest.raises(ParameterError, match="noise seed must be an integer"):
+            NoiseSpec(std=0.1, seed=seed)
+
 
 class TestInitH0:
     def test_matches_scipy_window_sums(self, monkeypatch):

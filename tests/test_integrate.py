@@ -604,6 +604,16 @@ class TestDecayRateFit:
         with pytest.raises(FitError):
             decay_rate_fit(bad)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_energy_rejected(self, value):
+        traces = [
+            TraceRecord(t=0.1 * (i + 1), l2_norm_u=0.0, mass=(0.0,),
+                        energy=(value if i == 15 else 1.0), min_eig_H=0.0, cg_iters=1)
+            for i in range(20)
+        ]
+        with pytest.raises(FitError, match="non-finite"):
+            decay_rate_fit(traces)
+
 
 class TestMemoryFormCheck:
     def test_zero_steps(self, rng):

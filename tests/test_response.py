@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,23 +12,11 @@ from relaxdiff.response import (
     ResponseParams,
     lipschitz_bound,
     response_field,
-    response_fs,
     response_min_eig,
-    response_pm,
 )
 from relaxdiff.tensors import min_eig_field, pack, unpack
 
 from conftest import frobenius_sq_in_order
-
-
-def fs(d, p):
-    """response_fs unpacked to the full square, (kd, kd) + dims."""
-    return unpack(response_fs(d, p))
-
-
-def pm(d, p):
-    """response_pm unpacked to the full square, (kd, kd) + dims."""
-    return unpack(response_pm(d, p))
 
 
 def field(d, p):
@@ -57,7 +46,7 @@ def brute_force_fs(d, s, omega=0.0):
 class TestResponseFs:
     def test_zero_gradient_gives_three_halves_identity(self):
         p = ResponseParams(s=1.0)
-        out = fs(np.zeros((3, 2)), p)
+        out = field(np.zeros((3, 2)), p)
         np.testing.assert_array_equal(out, 1.5 * np.eye(6))
 
     def test_threshold_continuity_both_branches(self, rng):
@@ -67,14 +56,14 @@ class TestResponseFs:
         d *= s / np.linalg.norm(d)  # exactly on the threshold up to rounding
         smooth = brute_force_fs(d * (1 - 1e-14), s)
         proj = project_orth(d)
-        np.testing.assert_allclose(fs(d, p), proj, atol=1e-12)
+        np.testing.assert_allclose(field(d, p), proj, atol=1e-12)
         np.testing.assert_allclose(smooth, proj, atol=1e-12)
 
     def test_projection_branch_min_eig_zero(self):
         s = 0.3
         p = ResponseParams(s=s)
         d = np.array([[2 * s, 0.0], [0.0, 0.0]])
-        out = fs(d, p)
+        out = field(d, p)
         assert np.linalg.eigvalsh(out)[0] == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(out, project_orth(d), atol=1e-14)
 
@@ -83,7 +72,7 @@ class TestResponseFs:
         for _ in range(50):
             d = 0.8 * rng.standard_normal((3, 2))
             np.testing.assert_allclose(
-                fs(d, p), brute_force_fs(d, 0.5), atol=1e-12
+                field(d, p), brute_force_fs(d, 0.5), atol=1e-12
             )
 
     def test_symmetry(self, rng):
@@ -92,24 +81,24 @@ class TestResponseFs:
         p = ResponseParams(s=0.2)
         for _ in range(50):
             d = rng.standard_normal((3, 2))
-            out = response_fs(d, p)
+            out = response_field(d, p)
             assert out.shape == (21,)
             np.testing.assert_allclose(out, pack(brute_force_fs(d, 0.2)), atol=1e-14)
-        assert response_fs(rng.standard_normal((3, 2, 5, 4)), p).shape == (21, 5, 4)
-        assert response_pm(rng.standard_normal((1, 2, 7)), RESPONSES[1]).shape == (3, 7)
+        assert response_field(rng.standard_normal((3, 2, 5, 4)), p).shape == (21, 5, 4)
+        assert response_field(rng.standard_normal((1, 2, 7)), RESPONSES[1]).shape == (3, 7)
 
     def test_psd_over_random_inputs(self, rng):
         p = ResponseParams(s=0.4)
         for scale in (0.01, 0.3, 1.0, 30.0):
             for _ in range(50):
-                out = fs(scale * rng.standard_normal((3, 2)), p)
+                out = field(scale * rng.standard_normal((3, 2)), p)
                 assert np.linalg.eigvalsh(out)[0] >= -1e-10
 
     def test_min_eig_at_least_omega(self, rng):
         p = ResponseParams(s=0.4, omega=0.25)
         for scale in (0.0, 0.2, 5.0):
             d = scale * rng.standard_normal((3, 2))
-            assert np.linalg.eigvalsh(fs(d, p))[0] >= 0.25 - 1e-10
+            assert np.linalg.eigvalsh(field(d, p))[0] >= 0.25 - 1e-10
 
     def test_continuity_linear_in_eps(self, rng):
         s = 0.6
@@ -120,15 +109,28 @@ class TestResponseFs:
         # formula, |F(D(1-eps)) - F(D(1+eps))| <= ~2 eps |3/2 Id - P| + O(eps^2).
         bound = 2.2 * np.linalg.norm(1.5 * np.eye(6) - project_orth(d))
         for eps in (1e-3, 1e-5, 1e-7):
-            gap = np.linalg.norm(fs(d * (1 - eps), p) - fs(d * (1 + eps), p))
+            gap = np.linalg.norm(field(d * (1 - eps), p) - field(d * (1 + eps), p))
             assert gap <= bound * eps
 
     def test_shift_law(self, rng):
         s = 0.4
         d = rng.standard_normal((3, 2))
-        base = fs(d, ResponseParams(s=s))
-        shifted = fs(d, ResponseParams(s=s, omega=0.7))
+        base = field(d, ResponseParams(s=s))
+        shifted = field(d, ResponseParams(s=s, omega=0.7))
         np.testing.assert_array_equal(shifted, base + 0.7 * np.eye(6))
+
+    def test_huge_gradient_warns_nothing(self, rng):
+        # D:D about 1e307 at s = 0.1: D:D/s^2 would overflow, and is formed
+        # only below the threshold.
+        d = rng.standard_normal((3, 2))
+        d *= math.sqrt(1e307) / np.linalg.norm(d)
+        p = ResponseParams(s=0.1, omega=0.25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = field(d, p)
+            min_eig = response_min_eig(d, p)
+        np.testing.assert_allclose(out, project_orth(d) + 0.25 * np.eye(6), atol=1e-14)
+        assert min_eig == 0.25
 
     def test_operator_norm_bounded(self, rng):
         for omega in (0.0, 0.5):
@@ -136,27 +138,22 @@ class TestResponseFs:
             for scale in (0.05, 0.5, 3.0):
                 for _ in range(30):
                     d = scale * rng.standard_normal((3, 2))
-                    lam_max = np.linalg.eigvalsh(fs(d, p))[-1]
+                    lam_max = np.linalg.eigvalsh(field(d, p))[-1]
                     assert lam_max <= 1.5 + omega + 1.0
-
-    def test_wrong_kind_rejected(self):
-        p = ResponseParams(kind=PERONA_MALIK_SCALAR, lam=1.0)
-        with pytest.raises(ParameterError):
-            fs(np.zeros((2, 2)), p)
 
 
 class TestResponseFsField:
     def test_matches_single_cell(self, rng):
         p = ResponseParams(s=0.3, omega=0.1)
         dfield = 0.5 * rng.standard_normal((3, 2, 5, 4))
-        out = fs(dfield, p)
+        out = field(dfield, p)
         for i in range(5):
             for j in range(4):
-                np.testing.assert_allclose(out[..., i, j], fs(dfield[..., i, j], p), atol=1e-13)
+                np.testing.assert_allclose(out[..., i, j], field(dfield[..., i, j], p), atol=1e-13)
 
     def test_zero_field_exact(self):
         p = ResponseParams(s=0.1)
-        out = fs(np.zeros((2, 2, 3, 3)), p)
+        out = field(np.zeros((2, 2, 3, 3)), p)
         np.testing.assert_array_equal(out, np.broadcast_to((1.5 * np.eye(4))[..., None, None], (4, 4, 3, 3)))
 
     def test_same_bits_as_two_branch_form(self, rng):
@@ -174,7 +171,7 @@ class TestResponseFsField:
             ref = np.where((nrm2 >= s * s)[..., None, None], proj, smooth)
             if omega > 0.0:
                 ref += omega * np.eye(6)
-            got = fs(dfield, ResponseParams(s=s, omega=omega))
+            got = field(dfield, ResponseParams(s=s, omega=omega))
             assert got.tobytes() == np.moveaxis(ref, (-2, -1), (0, 1)).tobytes()
 
 
@@ -183,7 +180,7 @@ KD_SHAPES = {1: (1, 1), 2: (1, 2), 3: (3, 1), 4: (2, 2), 6: (3, 2), 8: (4, 2), 9
 
 
 def fs_from(g, nrm2, s, omega):
-    """response_fs from a given D:D, one entry plane at a time with plain ufuncs."""
+    """The thresholded-projection response from a given D:D, one entry plane at a time with plain ufuncs."""
     kd = g.shape[0] * g.shape[1]
     v = g.reshape((kd,) + g.shape[2:])
     s2 = s * s
@@ -201,7 +198,7 @@ def fs_from(g, nrm2, s, omega):
 
 
 def pm_from(g, nrm2, lam, omega):
-    """response_pm from a given D:D."""
+    """The Perona-Malik response from a given D:D."""
     kd = g.shape[0] * g.shape[1]
     scalar = 1.0 / (1.0 + np.sqrt(nrm2) / lam) + omega
     out = np.empty((kd, kd) + g.shape[2:])
@@ -242,30 +239,30 @@ class TestSummationOrder:
     @staticmethod
     def check(g, nrm2):
         for omega in (0.0, 0.25):
-            got = fs(g, ResponseParams(s=1.0, omega=omega))
+            got = field(g, ResponseParams(s=1.0, omega=omega))
             assert got.tobytes() == fs_from(g, nrm2, 1.0, omega).tobytes(), omega
-            got = pm(g, ResponseParams(kind=PERONA_MALIK_SCALAR, lam=0.5, omega=omega))
+            got = field(g, ResponseParams(kind=PERONA_MALIK_SCALAR, lam=0.5, omega=omega))
             assert got.tobytes() == pm_from(g, nrm2, 0.5, omega).tobytes(), omega
 
 
 class TestResponsePm:
     def test_zero_gives_identity(self):
         p = ResponseParams(kind=PERONA_MALIK_SCALAR, lam=2.0)
-        np.testing.assert_array_equal(pm(np.zeros((3, 2)), p), np.eye(6))
+        np.testing.assert_array_equal(field(np.zeros((3, 2)), p), np.eye(6))
 
     def test_half_at_lambda(self):
         lam = 1.7
         p = ResponseParams(kind=PERONA_MALIK_SCALAR, lam=lam)
         d = np.zeros((2, 2))
         d[0, 0] = lam
-        np.testing.assert_allclose(pm(d, p), 0.5 * np.eye(4), atol=1e-14)
+        np.testing.assert_allclose(field(d, p), 0.5 * np.eye(4), atol=1e-14)
 
     def test_monotone_decay_to_zero(self):
         p = ResponseParams(kind=PERONA_MALIK_SCALAR, lam=1.0)
         prev = np.inf
         for scale in (0.1, 1.0, 10.0, 1e4, 1e8):
             d = np.full((2, 2), scale)
-            lam_min = np.linalg.eigvalsh(pm(d, p))[0]
+            lam_min = np.linalg.eigvalsh(field(d, p))[0]
             assert lam_min < prev
             prev = lam_min
         assert prev < 1e-7

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from relaxdiff import tensors
 from relaxdiff.errors import DimensionError
 from relaxdiff.grid import inner
-from relaxdiff.response import ResponseParams, response_fs
+from relaxdiff.response import ResponseParams, response_field
 from relaxdiff.tensors import (
     MIN_EIG_BLOCK,
     _cholesky_breaks_down,
@@ -129,12 +129,12 @@ class TestApply:
 
 
 class TestProjectOrth:
-    """The projection onto the complement of D, as response_fs returns it above the threshold."""
+    """The projection onto the complement of D, as response_field returns it above the threshold."""
 
     P = ResponseParams(s=1e-3)
 
     def response(self, dhat):
-        return unpack(response_fs(dhat, self.P))
+        return unpack(response_field(dhat, self.P))
 
     def test_own_direction_removed(self):
         dhat = np.array([[1.0, 0.0], [0.0, 0.0]])
