@@ -28,7 +28,7 @@ from .integrate import (
     trajectory,
     write_trace_csv,
 )
-from .baselines import CATTE_REGULARIZED, PERONA_MALIK, compare_trajectories, run_baseline
+from .baselines import compare_trajectories, run_baseline
 from .mollifier import Kernel, convolve, grad_sigma
 from .response import ResponseParams, lipschitz_bound
 from .tensors import apply
@@ -52,8 +52,6 @@ __all__ = [
     "run",
     "trajectory",
     "write_trace_csv",
-    "CATTE_REGULARIZED",
-    "PERONA_MALIK",
     "compare_trajectories",
     "run_baseline",
     "Kernel",

@@ -1,26 +1,27 @@
 """Reference filters for limit studies.
 
-Both baselines skip the relaxation dynamics: they drain the filter's own step
+run_baseline skips the relaxation dynamics: it drains the filter's own step
 loop (integrate._step_loop) in its no-relaxation mode, which sets the
 diffusivity to F(grad_sigma u) at each step's left endpoint and then performs
 the same backward-Euler diffusion solve, so any difference in behavior
 isolates the H dynamics rather than the spatial scheme.
 
-The mollified variant is the tau -> 0 limit of the relaxation filter. The
-scalar variant is the same loop with sigma = 0 and the Perona-Malik response:
-the classical edge-stopping diffusion, analytically ill-posed and provided
-for demonstration only (use small steps, no stability guarantee).
+It runs the FilterParams it is given. Mollified (sigma >= 0.5), the
+thresholded projection response gives the tau -> 0 limit of the relaxation
+filter and the scalar response Catte et al.'s model. Unmollified, the scalar
+response is the classical Perona-Malik diffusion, analytically ill-posed and
+provided for demonstration only (use small steps, no stability guarantee);
+the projection response needs the mollifier.
 """
 
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .grid import GridSpec, check_image
-from .integrate import FilterParams, TraceRecord, _drain, _require_finite, _step_loop
+from .grid import GridSpec, _require_finite, check_image
+from .integrate import FilterParams, FilterState, TraceRecord, _drain, _step_loop
 
 # bench/child.py wraps these names when tracing. The step loop looks them up
 # in integrate, so only the wrappers there see calls.
@@ -29,42 +30,32 @@ from .integrate import (  # noqa: F401
     grad_sigma, gradient, l2_norm, response_field,
 )
 from .mollifier import DELTA_SIGMA
-from .response import PERONA_MALIK_SCALAR
+from .response import THRESHOLDED_PROJECTION
 
 Array = np.ndarray
 
-CATTE_REGULARIZED = "catte_regularized"
-PERONA_MALIK = "perona_malik"
 
+def run_baseline(u0: Array, p: FilterParams, grid: GridSpec) -> tuple[FilterState, list[TraceRecord]]:
+    """Run the no-relaxation filter of p; returns (final FilterState, trace records), as run() does.
 
-def run_baseline(
-    u0: Array,
-    p: FilterParams,
-    kind: str,
-    grid: GridSpec,
-):
-    """Run a no-relaxation filter; returns (final image, trace records).
-
-    The mollified kind requires sigma >= DELTA_SIGMA (0.5), below which the
-    kernel is the identity. The scalar kind ignores sigma and the response
-    kind in p. tau in p only scales the energy diagnostic; it does not enter
-    the dynamics.
+    The final state's H is the last step's response, None without steps.
+    The thresholded projection response requires sigma >= DELTA_SIGMA (0.5),
+    below which p has no kernel; the scalar response runs without one but
+    warns that it is ill-posed there. tau in p only scales the energy
+    diagnostic; it does not enter the dynamics.
     """
-    if kind not in (CATTE_REGULARIZED, PERONA_MALIK):
-        raise ParameterError(f"unknown baseline kind {kind!r}")
-    if kind == CATTE_REGULARIZED and p.sigma < DELTA_SIGMA:
+    kern = p.kernel()
+    if kern is None and p.response.kind == THRESHOLDED_PROJECTION:
         raise ParameterError(f"the mollified baseline requires sigma >= {DELTA_SIGMA:g}")
     u = check_image(u0, grid)
     _require_finite("u0", u)
-    if kind == PERONA_MALIK:
+    if kern is None:
         warnings.warn(
             "unmollified scalar edge-stopping diffusion is ill-posed; "
             "use small dt and expect no stability guarantee",
             stacklevel=2,
         )
-        p = replace(p, sigma=0.0, response=replace(p.response, kind=PERONA_MALIK_SCALAR))
-    final, traces = _drain(_step_loop(u.copy(), None, p, grid))
-    return final.u, traces
+    return _drain(_step_loop(u.copy(), None, p, grid))
 
 
 def compare_trajectories(a: list[TraceRecord], b: list[TraceRecord]) -> float:

@@ -15,10 +15,11 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 solver error,
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .baselines import CATTE_REGULARIZED, PERONA_MALIK, run_baseline
+from .baselines import run_baseline
 from .errors import (
     ImageIOError,
     InvariantViolation,
@@ -280,8 +281,9 @@ def build_config(argv: list[str] | None) -> argparse.Namespace:
 
 
 def _filter_params(ns: argparse.Namespace) -> FilterParams:
+    """FilterParams of the flags, every one checked; pm mode then drops the mollifier."""
     kind = PERONA_MALIK_SCALAR if ns.mode == MODE_PM else THRESHOLDED_PROJECTION
-    return FilterParams(
+    p = FilterParams(
         tau=ns.tau,
         sigma=ns.sigma,
         dt=ns.dt,
@@ -291,6 +293,7 @@ def _filter_params(ns: argparse.Namespace) -> FilterParams:
         kernel_kind=COMPACT_BUMP if ns.kernel == "bump" else GAUSSIAN,
         cg_tol=ns.cg_tol,
     )
+    return replace(p, sigma=0.0) if ns.mode == MODE_PM else p
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -320,13 +323,11 @@ def main(argv: list[str] | None = None) -> int:
         if ns.mode == MODE_RELAX:
             h0 = init_H0(work, grid, window=ns.window, alpha=ns.alpha)
             state, traces = run(work, h0, params, grid)
-            filtered = state.u
         else:
-            kind = CATTE_REGULARIZED if ns.mode == MODE_CATTE else PERONA_MALIK
-            filtered, traces = run_baseline(work, params, kind, grid)
+            state, traces = run_baseline(work, params, grid)
 
         stage = "output"
-        out01 = np.clip(unrescale(filtered), 0.0, 1.0)
+        out01 = np.clip(unrescale(state.u), 0.0, 1.0)
         if not np.all(np.isfinite(out01)):
             raise InvariantViolation("pipeline produced non-finite pixel values")
         # The trace goes first, so a trace that cannot be written leaves no image.

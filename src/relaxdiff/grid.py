@@ -258,6 +258,19 @@ def l2_norm(u: Array) -> float:
     return float(np.sqrt(max(inner(u, u), 0.0)))
 
 
+def _require_finite(name: str, a: Array) -> None:
+    """Reject input data, once at a run's entry, if its squared L2 norm is not finite.
+
+    A sum of squares is NaN only where a holds a NaN and inf only where a
+    holds an inf or the sum overflows, so one pass serves both checks. A CG
+    solve whose right-hand side has an infinite norm would stop at once.
+    """
+    if not math.isfinite(inner(a, a)):
+        if np.all(np.isfinite(a)):
+            raise ParameterError(f"{name} is too large: its squared L2 norm overflows")
+        raise ParameterError(f"{name} contains NaN or inf")
+
+
 def channel_sums(u: Array, grid: GridSpec) -> Array:
     """Per-channel sums of an image field, u.reshape(-1, k).sum(axis=0) bit for bit.
 

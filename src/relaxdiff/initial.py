@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, integer_param
-from .grid import GridSpec, check_image, gradient
+from .grid import GridSpec, _require_finite, check_image, gradient
 from .mollifier import _correlate1d
 from .tensors import pack_index
 
@@ -100,6 +100,7 @@ def init_H0(u_noisy: Array, grid: GridSpec, window: int, alpha: float) -> Array:
     if alpha <= 0:
         raise ParameterError("alpha must be > 0")
     u = check_image(u_noisy, grid)
+    _require_finite("u_noisy", u)  # before its covariance products can overflow
     kd = grid.channels * grid.ndim
     # One contiguous cell field per gradient component: the gradient's own layout.
     gflat = gradient(u, grid).reshape((kd,) + grid.dims)

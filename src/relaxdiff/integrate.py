@@ -65,16 +65,15 @@ face tensors are full square.
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bands import for_bands
-from .errors import (
-    DimensionError, FitError, ImageIOError, InvariantViolation, ParameterError, SolverError, integer_param,
-)
+from .errors import DimensionError, FitError, ImageIOError, InvariantViolation, ParameterError, SolverError
 from .grid import (
     GridSpec,
+    _require_finite,
     channel_sums,
     check_image,
     divergence,
@@ -157,12 +156,6 @@ class TraceRecord:
     energy: float
     min_eig_H: float
     cg_iters: int
-
-
-def _require_finite(name: str, a: Array) -> None:
-    """Reject NaN/inf input data once, at a run's entry."""
-    if not np.all(np.isfinite(a)):
-        raise ParameterError(f"{name} contains NaN or inf")
 
 
 def kappa_predicted(t: float, p: FilterParams) -> float:
@@ -315,12 +308,14 @@ def _num_steps(p: FilterParams) -> int:
 def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec):
     """The step loop of trajectory(), run() and run_baseline(), from validated (u, H).
 
-    With H given, every step relaxes H toward the response sampled at a
-    half-step backward-Euler prediction of u, checks the eigenvalue floor of
-    the relaxed H and solves for the new u with it. With H None (no relaxation,
-    the tau -> 0 limit) every step sets H = F(grad_sigma u) at the step's left
-    endpoint instead, with no half solve and no floor check, and takes H's
-    smallest eigenvalue from the response's closed form.
+    It runs p as given: p's kernel (none below DELTA_SIGMA) mollifies the
+    gradient and p's response kind gives F. With H given, every step relaxes
+    H toward the response sampled at a half-step backward-Euler prediction
+    of u, checks the eigenvalue floor of the relaxed H and solves for the
+    new u with it. With H None (no relaxation, the tau -> 0 limit) every
+    step sets H = F(grad_sigma u) at the step's left endpoint instead, with
+    no half solve and no floor check, and takes H's smallest eigenvalue from
+    the response's closed form.
 
     A generator: it yields (FilterState, TraceRecord) once per step and
     returns the final FilterState, the initial one when there are no steps.
@@ -477,7 +472,7 @@ def decay_rate_fit(traces: list[TraceRecord]) -> float:
     return float(slope)
 
 
-def memory_form_check(u0: Array, H0: Array, p: FilterParams, steps: int, grid: GridSpec) -> float:
+def memory_form_check(u0: Array, H0: Array, p: FilterParams, grid: GridSpec) -> float:
     """Largest cell-wise gap between stepped H and its memory-form integral.
 
     The relaxation law is equivalent to the Volterra form
@@ -489,7 +484,8 @@ def memory_form_check(u0: Array, H0: Array, p: FilterParams, steps: int, grid: G
     trajectory with trapezoidal averaging of the response samples under the
     exact exponential weights (so a constant response reproduces the stepped
     trajectory identically). H0 is packed, as run() takes it. Returns max
-    over steps and cells of the Frobenius gap; it shrinks as O(dt^2).
+    over the steps of run(u0, H0, p, grid), up to p.t_end, and over cells
+    of the Frobenius gap, 0.0 without steps; it shrinks as O(dt^2).
 
     The steps come from trajectory(), one at a time. The packed q is
     updated in place through the older of the two response samples, which
@@ -497,10 +493,7 @@ def memory_form_check(u0: Array, H0: Array, p: FilterParams, steps: int, grid: G
     Frobenius sum over all kd x kd entries. Nothing of an earlier step is
     kept, so the memory does not grow with the step count.
     """
-    steps = integer_param(steps, "steps")
-    if steps < 0:
-        raise ParameterError("steps must be >= 0")
-    states = trajectory(u0, H0, replace(p, t_end=steps * p.dt), grid)
+    states = trajectory(u0, H0, p, grid)
 
     kern = p.kernel()
     theta = math.exp(-p.dt / p.tau)

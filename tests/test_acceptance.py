@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 import relaxdiff as rd
-from relaxdiff.baselines import CATTE_REGULARIZED, compare_trajectories, run_baseline
+from relaxdiff.baselines import compare_trajectories, run_baseline
 from relaxdiff.cli import load_image, main, psnr, save_image
 from relaxdiff.grid import GridSpec, divergence, gradient, inner, l2_norm, mean_free
 from relaxdiff.initial import NoiseSpec, add_noise, init_H0, rescale, unrescale
@@ -179,8 +179,8 @@ def test_criterion_7_memory_form_equivalence():
     # differentiable along the whole trajectory, the regime in which the
     # trapezoidal re-integration admits a clean second-order comparison
     base = FilterParams(tau=0.5, sigma=1.0, dt=0.2, response=ResponseParams(s=0.4), alpha=0.1)
-    d_coarse = memory_form_check(u0, h0, base, steps=8, grid=grid)
-    d_fine = memory_form_check(u0, h0, replace(base, dt=0.1), steps=16, grid=grid)
+    d_coarse = memory_form_check(u0, h0, replace(base, t_end=8 * base.dt), grid)
+    d_fine = memory_form_check(u0, h0, replace(base, dt=0.1, t_end=16 * 0.1), grid)
     ratio = d_coarse / d_fine
     ok = 3.0 <= ratio <= 5.0
     check(7, ok, time.perf_counter() - t0, 20.0,
@@ -196,7 +196,7 @@ def test_criterion_8_tau_to_zero_limit():
     h0 = np.multiply.outer(pack(0.1 * np.eye(kd)), np.ones(grid.dims))
     base = FilterParams(tau=0.4, sigma=1.0, dt=0.1, t_end=2.0,
                         response=ResponseParams(s=0.1), alpha=0.1)
-    _, catte_traces = run_baseline(u0, base, CATTE_REGULARIZED, grid)
+    _, catte_traces = run_baseline(u0, base, grid)
     dists = []
     for tau in (0.4, 0.2, 0.1, 0.05):
         _, traces = run(u0, h0, replace(base, tau=tau), grid)

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -5,20 +6,30 @@ import pytest
 
 import relaxdiff.integrate as integrate_mod
 from relaxdiff import tensors
-from relaxdiff.baselines import (
-    CATTE_REGULARIZED,
-    PERONA_MALIK,
-    compare_trajectories,
-    run_baseline,
-)
+from relaxdiff.baselines import compare_trajectories, run_baseline
 from relaxdiff.errors import DimensionError, ParameterError, SolverError
 from relaxdiff.grid import GridSpec, l2_norm
 from relaxdiff.initial import init_H0
 from relaxdiff.integrate import FilterParams, TraceRecord, run
-from relaxdiff.response import PERONA_MALIK_SCALAR, ResponseParams, response_min_eig
+from relaxdiff.response import PERONA_MALIK_SCALAR, THRESHOLDED_PROJECTION, ResponseParams, response_min_eig
 from relaxdiff.tensors import pack
 
 from conftest import disk_image, smooth_image
+
+# The no-relaxation configurations, one per pair of mollifier and response
+# kind: (sigma, response kind, what run_baseline does with them).
+NO_RELAXATION = {
+    "catte_regularized": (1.0, THRESHOLDED_PROJECTION, "runs"),  # the tau -> 0 limit of the filter
+    "mollified_perona_malik": (1.0, PERONA_MALIK_SCALAR, "runs"),  # Catte et al.'s model
+    "perona_malik": (0.0, PERONA_MALIK_SCALAR, "warns"),  # ill-posed without the mollifier
+    "sharp_projection": (0.0, THRESHOLDED_PROJECTION, "raises"),
+}
+RUNNABLE = [name for name, (_, _, outcome) in NO_RELAXATION.items() if outcome != "raises"]
+
+
+def no_relaxation_params(name: str, **kw) -> FilterParams:
+    sigma, kind, _ = NO_RELAXATION[name]
+    return FilterParams(sigma=sigma, response=ResponseParams(s=0.1, omega=0.05, kind=kind), **kw)
 
 
 def make_records(values, dt=0.1):
@@ -33,36 +44,40 @@ class TestRunBaseline:
         grid = GridSpec(dims=(6, 6), channels=2)
         u0 = np.full(grid.field_shape(), 0.4)
         p = FilterParams(sigma=1.0, dt=0.5, t_end=2.0, response=ResponseParams(s=0.1))
-        out, traces = run_baseline(u0, p, CATTE_REGULARIZED, grid)
-        np.testing.assert_array_equal(out, u0)
-        assert len(traces) == 4
+        final, traces = run_baseline(u0, p, grid)
+        np.testing.assert_array_equal(final.u, u0)
+        assert final.t == traces[-1].t and len(traces) == 4
 
     def test_catte_requires_sigma(self, rng):
         grid = GridSpec(dims=(6, 6), channels=1)
         u0 = rng.standard_normal(grid.field_shape())
         for sigma in (0.0, 0.3):  # a sub-pixel bandwidth's kernel is the identity
             with pytest.raises(ParameterError, match=r"sigma >= 0\.5"):
-                run_baseline(u0, FilterParams(sigma=sigma), CATTE_REGULARIZED, grid)
+                run_baseline(u0, FilterParams(sigma=sigma), grid)
 
-    def test_unknown_kind(self, rng):
-        grid = GridSpec(dims=(4, 4), channels=1)
-        u0 = rng.standard_normal(grid.field_shape())
-        with pytest.raises(ParameterError):
-            run_baseline(u0, FilterParams(), "median", grid)
-
-    @pytest.mark.parametrize("kind", [CATTE_REGULARIZED, PERONA_MALIK])
-    def test_non_finite_data_rejected(self, rng, kind):
+    @pytest.mark.parametrize("name", RUNNABLE)
+    def test_non_finite_data_rejected(self, rng, name):
         grid = GridSpec(dims=(6, 6), channels=1)
         u0 = rng.standard_normal(grid.field_shape())
         u0[3, 2, 0] = np.nan
-        with pytest.raises(ParameterError, match="u0"):
-            run_baseline(u0, FilterParams(), kind, grid)
+        with pytest.raises(ParameterError, match="u0 contains NaN or inf"):
+            run_baseline(u0, no_relaxation_params(name), grid)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", RUNNABLE)
+    def test_overflowing_norm_rejected(self, name):
+        # Finite pixels whose squares sum past the largest float: the CG's
+        # stop test would pass at once and the run would filter nothing.
+        grid = GridSpec(dims=(6, 6), channels=1)
+        u0 = np.full(grid.field_shape(), 1e154)
+        with pytest.raises(ParameterError, match="^u0 is too large: its squared L2 norm overflows$"):
+            run_baseline(u0, no_relaxation_params(name), grid)
 
     def test_mass_and_monotonicity(self, rng):
         grid = GridSpec(dims=(12, 12), channels=3)
         u0 = 0.5 * rng.standard_normal(grid.field_shape())
         p = FilterParams(sigma=1.0, dt=0.2, t_end=2.0, response=ResponseParams(s=0.1))
-        out, traces = run_baseline(u0, p, CATTE_REGULARIZED, grid)
+        _, traces = run_baseline(u0, p, grid)
         mass0 = u0.reshape(-1, 3).sum(axis=0)
         for r in traces:
             np.testing.assert_allclose(r.mass, mass0, atol=1e-9 * np.abs(u0).sum())
@@ -74,9 +89,9 @@ class TestRunBaseline:
         u0 = 0.3 * rng.standard_normal(grid.field_shape())
         p = FilterParams(sigma=0.0, dt=0.05, t_end=0.25, response=ResponseParams(s=0.1, kind="perona_malik_scalar", lam=0.5))
         with pytest.warns(UserWarning):
-            out, traces = run_baseline(u0, p, PERONA_MALIK, grid)
+            final, traces = run_baseline(u0, p, grid)
         assert len(traces) == 5
-        assert np.all(np.isfinite(out))
+        assert np.all(np.isfinite(final.u))
 
     def test_tau_limit_consistency(self):
         # In the resolved regime (tau a few steps wide) halving tau roughly
@@ -87,7 +102,7 @@ class TestRunBaseline:
         kd = 6
         h0 = np.multiply.outer(pack(0.1 * np.eye(kd)), np.ones(grid.dims))
         base = FilterParams(tau=0.8, sigma=1.0, dt=0.05, t_end=1.5, response=ResponseParams(s=0.1), alpha=0.1)
-        _, catte = run_baseline(u0, base, CATTE_REGULARIZED, grid)
+        _, catte = run_baseline(u0, base, grid)
         dists = []
         for tau in (0.8, 0.4, 0.2):
             _, tr = run(u0, h0, replace(base, tau=tau), grid)
@@ -100,8 +115,29 @@ class TestRunBaseline:
         grid = GridSpec(dims=(16, 16), channels=3)
         p = FilterParams(tau=0.5, sigma=1.0, dt=0.1, t_end=0.5)
         with pytest.raises(SolverError, match=r"^baseline solve of step 1 \(t=0\.1\): CG did not reach") as err:
-            run_baseline(disk_image(16, radius=5.0)[0], p, CATTE_REGULARIZED, grid)
+            run_baseline(disk_image(16, radius=5.0)[0], p, grid)
         assert err.value.residual > p.cg_tol
+
+
+class TestNoRelaxationConfigurations:
+    @pytest.mark.parametrize("name", NO_RELAXATION)
+    def test_outcome(self, rng, name):
+        grid = GridSpec(dims=(8, 8), channels=3)
+        u0 = disk_image(8, radius=3.0)[0] + 0.05 * rng.standard_normal(grid.field_shape())
+        p = no_relaxation_params(name, dt=0.05, t_end=0.15)
+        if NO_RELAXATION[name][2] == "raises":
+            with pytest.raises(ParameterError, match=r"^the mollified baseline requires sigma >= 0\.5$"):
+                run_baseline(u0, p, grid)
+            return
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            final, traces = run_baseline(u0, p, grid)
+        messages = [(w.category, str(w.message).split(";")[0]) for w in caught]
+        if NO_RELAXATION[name][2] == "warns":
+            assert messages == [(UserWarning, "unmollified scalar edge-stopping diffusion is ill-posed")]
+        else:
+            assert messages == []
+        assert len(traces) == 3 and final.t == traces[-1].t and np.all(np.isfinite(final.u))
 
 
 class TestFloorCheckOnlyWithRelaxation:
@@ -129,17 +165,16 @@ class TestFloorCheckOnlyWithRelaxation:
         return calls
 
     @pytest.mark.filterwarnings("ignore:unmollified scalar")
-    @pytest.mark.parametrize("kind", [CATTE_REGULARIZED, PERONA_MALIK])
-    def test_baselines_take_the_closed_form(self, rng, kind, calls):
+    @pytest.mark.parametrize("name", RUNNABLE)
+    def test_baselines_take_the_closed_form(self, rng, name, calls):
         grid = GridSpec(dims=(16, 16), channels=3)
         u0 = disk_image(16, radius=5.0)[0] + 0.05 * rng.standard_normal(grid.field_shape())
-        p = FilterParams(sigma=1.0, dt=0.1, t_end=0.3, response=ResponseParams(s=0.1, omega=0.05))
-        _, traces = run_baseline(u0, p, kind, grid)
+        p = no_relaxation_params(name, dt=0.1, t_end=0.3)
+        _, traces = run_baseline(u0, p, grid)
         assert calls["min_eig_field"] == 0 and calls["eigvalsh"] == 0
-        response = p.response if kind == CATTE_REGULARIZED else replace(p.response, kind=PERONA_MALIK_SCALAR)
         assert len(traces) == len(calls["grads"]) == 3
         for r, g in zip(traces, calls["grads"]):
-            assert r.min_eig_H == response_min_eig(g, response)
+            assert r.min_eig_H == response_min_eig(g, p.response)
 
     def test_relax_mode_checks_the_floor_every_step(self, rng, calls):
         grid = GridSpec(dims=(16, 16), channels=3)

@@ -4,6 +4,7 @@ import pytest
 from relaxdiff.errors import DimensionError, ParameterError
 from relaxdiff.grid import (
     GridSpec,
+    _require_finite,
     divergence,
     face_average_tensors,
     gradient,
@@ -191,6 +192,18 @@ class TestMeanFree:
             u = rng.standard_normal(grid.field_shape()) * 10.0 ** rng.integers(-8, 9, grid.field_shape())
             expected = u - u.reshape(-1, channels).mean(axis=0)
             assert mean_free(u, grid).tobytes() == expected.tobytes(), dims
+
+
+class TestRequireFinite:
+    @pytest.mark.filterwarnings("error")
+    def test_names_the_array_and_the_fault(self):
+        big = np.full((4, 4, 1), 1e154)  # 16 squares of 1e308 overflow
+        _require_finite("a", big[:2, :2] / 2.0)  # four squares of 2.5e307 do not
+        for a, message in ((big, "a is too large: its squared L2 norm overflows"),
+                           (np.full(3, np.inf), "a contains NaN or inf"),
+                           (np.array([np.nan, 1e300, 1e300]), "a contains NaN or inf")):
+            with pytest.raises(ParameterError, match=f"^{message}$"):
+                _require_finite("a", a)
 
 
 class TestPoincareEstimate:

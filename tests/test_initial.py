@@ -129,6 +129,16 @@ class TestAddNoise:
 
 
 class TestInitH0:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale, message", [
+        (1e154, "u_noisy is too large: its squared L2 norm overflows"),  # so would the covariance products
+        (np.nan, "u_noisy contains NaN or inf"),
+    ])
+    def test_input_checked_before_the_covariance(self, rng, scale, message):
+        grid = GridSpec(dims=(8, 8), channels=3)
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            init_H0(scale * rng.standard_normal(grid.field_shape()), grid, window=3, alpha=0.1)
+
     def test_matches_scipy_window_sums(self, monkeypatch):
         grid = GridSpec(dims=(32, 32), channels=3)
         u = disk_image(32, radius=10.0)[0] + 0.05 * np.random.default_rng(5).standard_normal(grid.field_shape())

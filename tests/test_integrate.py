@@ -6,7 +6,7 @@ import pytest
 
 import relaxdiff.integrate as integrate_mod
 import relaxdiff.tensors as tensors_mod
-from relaxdiff.baselines import CATTE_REGULARIZED, run_baseline
+from relaxdiff.baselines import run_baseline
 from relaxdiff.errors import DimensionError, FitError, InvariantViolation, ParameterError, SolverError
 from relaxdiff.grid import GridSpec, channel_sums, face_average_tensors, l2_norm, mean_free
 from relaxdiff.initial import init_H0
@@ -320,10 +320,10 @@ class TestRun:
         monkeypatch.setattr(integrate_mod, "_implicit_solve", counted_solve)
         p = FilterParams(dt=0.2, t_end=0.6)
         state, traces = run(u0, init_H0(u0, grid, window=3, alpha=0.1), p, grid)
-        final, baseline_traces = run_baseline(u0, p, CATTE_REGULARIZED, grid)
+        final, baseline_traces = run_baseline(u0, p, grid)
         assert iters == [0] * 9
         assert [r.cg_iters for r in traces + baseline_traces] == [0] * 6
-        assert not state.u.any() and not final.any()
+        assert not state.u.any() and not final.u.any()
 
     def test_non_finite_solution_names_time_and_step(self, monkeypatch):
         grid = GridSpec(dims=(8, 8), channels=3)
@@ -347,6 +347,17 @@ class TestRun:
         data[which][2, 3, 1] = value
         with pytest.raises(ParameterError, match=which):
             run(data["u0"], data["H0"], FilterParams(), grid)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("which", ["u0", "H0"])
+    def test_overflowing_norm_rejected(self, rng, which):
+        # Finite data whose squares sum past the largest float: the CG's stop
+        # test would pass at once, and an H0 this large breaks the solve.
+        grid = GridSpec(dims=(6, 6), channels=3)
+        data = {"u0": rng.standard_normal(grid.field_shape()), "H0": identity_field(grid.dims, 6, scale=0.2)}
+        data[which] *= 1e160
+        with pytest.raises(ParameterError, match=f"^{which} is too large: its squared L2 norm overflows$"):
+            trajectory(data["u0"], data["H0"], FilterParams(alpha=0.2), grid)
 
     def test_H0_shape_rejected(self, rng):
         # H0 is packed, (P,) + dims; a full-square field, a cell-first one
@@ -447,7 +458,7 @@ class TestRun:
         run(u0, h0, p, grid)
         assert len(calls) == 6
         calls.clear()
-        run_baseline(u0, p, CATTE_REGULARIZED, grid)
+        run_baseline(u0, p, grid)
         assert len(calls) == 5
 
     def test_trace_schema_and_iters(self, rng):
@@ -472,7 +483,7 @@ class TestRun:
         run(u0, h0, p, grid)
         for state, _ in trajectory(u0, h0, p, grid):
             assert state.u is not u0 and state.H is not h0
-        memory_form_check(u0, h0, p, steps=3, grid=grid)
+        memory_form_check(u0, h0, replace(p, t_end=3 * p.dt), grid)
         assert (u0.tobytes(), h0.tobytes()) == before
 
 
@@ -621,7 +632,7 @@ class TestMemoryFormCheck:
         u0 = rng.standard_normal(grid.field_shape())
         h0 = identity_field(grid.dims, 2, scale=0.2)
         p = FilterParams(alpha=0.2)
-        assert memory_form_check(u0, h0, p, steps=0, grid=grid) == 0.0
+        assert memory_form_check(u0, h0, replace(p, t_end=0.0), grid) == 0.0
 
     def test_constant_response_stub_exact(self, rng, monkeypatch):
         # With F literally constant both forms telescope identically.
@@ -631,7 +642,7 @@ class TestMemoryFormCheck:
         u0 = rng.standard_normal(grid.field_shape())
         h0 = identity_field(grid.dims, 2, scale=0.3)
         p = FilterParams(tau=0.7, sigma=0.0, dt=0.3, alpha=0.3)
-        assert memory_form_check(u0, h0, p, steps=6, grid=grid) <= 1e-12
+        assert memory_form_check(u0, h0, replace(p, t_end=6 * p.dt), grid) <= 1e-12
 
     def test_second_order_ratio(self):
         # Smooth-branch regime: gradients stay below the contrast threshold,
@@ -641,8 +652,8 @@ class TestMemoryFormCheck:
         u0 = smooth_image(16)
         h0 = init_H0(u0, grid, window=5, alpha=0.1)
         base = FilterParams(tau=0.5, sigma=1.0, dt=0.2, response=ResponseParams(s=0.4), alpha=0.1)
-        d1 = memory_form_check(u0, h0, base, steps=8, grid=grid)
-        d2 = memory_form_check(u0, h0, replace(base, dt=0.1), steps=16, grid=grid)
+        d1 = memory_form_check(u0, h0, replace(base, t_end=8 * base.dt), grid)
+        d2 = memory_form_check(u0, h0, replace(base, dt=0.1, t_end=16 * 0.1), grid)
         assert 3.0 <= d1 / d2 <= 5.0
 
     def test_second_order_at_small_dt(self):
@@ -653,24 +664,9 @@ class TestMemoryFormCheck:
         u0 = smooth_image(16)
         h0 = init_H0(u0, grid, window=5, alpha=0.1)
         base = FilterParams(tau=0.5, sigma=1.0, dt=0.0125, response=ResponseParams(s=0.4), alpha=0.1)
-        d1 = memory_form_check(u0, h0, base, steps=32, grid=grid)
-        d2 = memory_form_check(u0, h0, replace(base, dt=0.00625), steps=64, grid=grid)
+        d1 = memory_form_check(u0, h0, replace(base, t_end=32 * base.dt), grid)
+        d2 = memory_form_check(u0, h0, replace(base, dt=0.00625, t_end=64 * 0.00625), grid)
         assert 3.5 <= d1 / d2 <= 4.5
-
-    def test_negative_steps_rejected(self, rng):
-        grid = GridSpec(dims=(4, 4), channels=1)
-        u0 = rng.standard_normal(grid.field_shape())
-        h0 = identity_field(grid.dims, 2, scale=0.2)
-        with pytest.raises(ParameterError):
-            memory_form_check(u0, h0, FilterParams(alpha=0.2), steps=-1, grid=grid)
-
-    @pytest.mark.parametrize("steps", [2.5, 2.0, "3"])
-    def test_non_integer_steps_rejected(self, rng, steps):
-        grid = GridSpec(dims=(4, 4), channels=1)
-        u0 = rng.standard_normal(grid.field_shape())
-        h0 = identity_field(grid.dims, 2, scale=0.2)
-        with pytest.raises(ParameterError, match="steps must be an integer"):
-            memory_form_check(u0, h0, FilterParams(alpha=0.2), steps=steps, grid=grid)
 
     @pytest.mark.parametrize("steps", [0, 1])
     @pytest.mark.parametrize("bad", ["nan_u0", "full_square_H0", "H0_below_alpha"])
@@ -685,7 +681,7 @@ class TestMemoryFormCheck:
         else:
             h0 = 0.5 * h0
         with pytest.raises(ParameterError):
-            memory_form_check(u0, h0, FilterParams(alpha=0.2), steps=steps, grid=grid)
+            memory_form_check(u0, h0, FilterParams(alpha=0.2, t_end=steps * 0.1), grid)
 
 
 class TestTraceCsv:

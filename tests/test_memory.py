@@ -11,10 +11,11 @@ what a call still holds when it returns counts too.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 
-from relaxdiff.baselines import CATTE_REGULARIZED, run_baseline
+from relaxdiff.baselines import run_baseline
 from relaxdiff.grid import GridSpec, inner, mean_free
 from relaxdiff.initial import init_H0
 from relaxdiff.integrate import FilterParams, _relax_H, energy, memory_form_check, run
@@ -105,8 +106,9 @@ def test_memory_form_check_peak_is_flat_in_the_step_count():
     u0, grid = rgb_scene()
     h0 = init_H0(u0, grid, window=5, alpha=0.1)
     unit = h_field_bytes(grid)
+    p = FilterParams()
     for steps in (3, 24):
-        _, peak = traced_peak(lambda: memory_form_check(u0, h0, FilterParams(t_end=0.3), steps, grid))
+        _, peak = traced_peak(lambda: memory_form_check(u0, h0, replace(p, t_end=steps * p.dt), grid))
         assert peak <= 4.55 * unit, (steps, peak / unit)
 
 
@@ -121,5 +123,5 @@ def test_grey_catte_peak_in_image_fields():
     rng = np.random.default_rng(8)
     tiles = rng.uniform(-0.8, 0.8, (8, 8, 1))
     u0 = np.kron(tiles, np.ones((16, 16, 1))) + 0.1 * rng.standard_normal(grid.field_shape())
-    _, peak = traced_peak(lambda: run_baseline(u0, FilterParams(t_end=0.3), CATTE_REGULARIZED, grid))
+    _, peak = traced_peak(lambda: run_baseline(u0, FilterParams(t_end=0.3), grid))
     assert peak <= (15.67 + 0.25) * u0.nbytes, peak / u0.nbytes
