@@ -13,9 +13,13 @@ under no-flux boundary conditions. Modules:
 - integrate:  the coupled time stepper plus energy/decay/memory diagnostics
 - baselines:  no-relaxation reference filters and trajectory comparison
 - cli:        PPM/PGM pipeline front end
+
+The root exports the entry points, their parameter types and diagnostics.
+The entry points take the image, dims + (k,), whose shape is the grid
+(GridSpec.from_field); the kernels stay in their modules.
 """
 
-from .grid import GridSpec, divergence, gradient, poincare_estimate
+from .grid import GridSpec, poincare_estimate
 from .initial import NoiseSpec, add_noise, init_H0, rescale, unrescale
 from .integrate import (
     FilterParams,
@@ -29,14 +33,10 @@ from .integrate import (
     write_trace_csv,
 )
 from .baselines import compare_trajectories, run_baseline
-from .mollifier import Kernel, convolve, grad_sigma
 from .response import ResponseParams, lipschitz_bound
-from .tensors import apply
 
 __all__ = [
     "GridSpec",
-    "divergence",
-    "gradient",
     "poincare_estimate",
     "NoiseSpec",
     "add_noise",
@@ -54,12 +54,8 @@ __all__ = [
     "write_trace_csv",
     "compare_trajectories",
     "run_baseline",
-    "Kernel",
-    "convolve",
-    "grad_sigma",
     "ResponseParams",
     "lipschitz_bound",
-    "apply",
 ]
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ import warnings
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .grid import GridSpec, _require_finite, check_image
+from .grid import GridSpec, _require_finite
 from .integrate import FilterParams, FilterState, TraceRecord, _drain, _step_loop
 
 # bench/child.py wraps these names when tracing. The step loop looks them up
@@ -35,8 +35,8 @@ from .response import THRESHOLDED_PROJECTION
 Array = np.ndarray
 
 
-def run_baseline(u0: Array, p: FilterParams, grid: GridSpec) -> tuple[FilterState, list[TraceRecord]]:
-    """Run the no-relaxation filter of p; returns (final FilterState, trace records), as run() does.
+def run_baseline(u0: Array, p: FilterParams) -> tuple[FilterState, list[TraceRecord]]:
+    """Run the no-relaxation filter of p on the image u0; returns (final FilterState, traces), as run() does.
 
     The final state's H is the last step's response, None without steps.
     The thresholded projection response requires sigma >= DELTA_SIGMA (0.5),
@@ -47,7 +47,8 @@ def run_baseline(u0: Array, p: FilterParams, grid: GridSpec) -> tuple[FilterStat
     kern = p.kernel()
     if kern is None and p.response.kind == THRESHOLDED_PROJECTION:
         raise ParameterError(f"the mollified baseline requires sigma >= {DELTA_SIGMA:g}")
-    u = check_image(u0, grid)
+    u = np.asarray(u0, dtype=float)
+    grid = GridSpec.from_field(u)
     _require_finite("u0", u)
     if kern is None:
         warnings.warn(

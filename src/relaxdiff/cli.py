@@ -321,15 +321,13 @@ def main(argv: list[str] | None = None) -> int:
 
         stage = "filtering"
         if ns.mode == MODE_RELAX:
-            h0 = init_H0(work, grid, window=ns.window, alpha=ns.alpha)
-            state, traces = run(work, h0, params, grid)
+            # H0 passed inline: run() frees it once its copy is made.
+            state, traces = run(work, init_H0(work, window=ns.window, alpha=ns.alpha), params)
         else:
-            state, traces = run_baseline(work, params, grid)
+            state, traces = run_baseline(work, params)
 
         stage = "output"
         out01 = np.clip(unrescale(state.u), 0.0, 1.0)
-        if not np.all(np.isfinite(out01)):
-            raise InvariantViolation("pipeline produced non-finite pixel values")
         # The trace goes first, so a trace that cannot be written leaves no image.
         if ns.trace:
             write_trace_csv(traces, ns.trace, grid.channels)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, integer_param
-from .grid import GridSpec, _require_finite, check_image, gradient
+from .grid import GridSpec, _require_finite, gradient
 from .mollifier import _correlate1d
 from .tensors import pack_index
 
@@ -75,8 +75,8 @@ def _window_sums(values: Array, dims: tuple[int, ...], window: int) -> Array:
     return out
 
 
-def init_H0(u_noisy: Array, grid: GridSpec, window: int, alpha: float) -> Array:
-    """Initial diffusivity: windowed gradient covariance plus alpha * Id.
+def init_H0(u_noisy: Array, window: int, alpha: float) -> Array:
+    """Initial diffusivity of the image u_noisy: windowed gradient covariance plus alpha * Id.
 
     For every cell, the sample covariance (1/(m-1) divisor, m = number of
     valid window samples) of the vectorised gradients over the window x ...
@@ -95,11 +95,12 @@ def init_H0(u_noisy: Array, grid: GridSpec, window: int, alpha: float) -> Array:
     """
     if window < 3 or window % 2 == 0:
         raise ParameterError("window must be odd and >= 3")
+    u = np.asarray(u_noisy, dtype=float)
+    grid = GridSpec.from_field(u)
     if any(window > n for n in grid.dims):
         raise ParameterError(f"window {window} exceeds grid dims {grid.dims}")
     if alpha <= 0:
         raise ParameterError("alpha must be > 0")
-    u = check_image(u_noisy, grid)
     _require_finite("u_noisy", u)  # before its covariance products can overflow
     kd = grid.channels * grid.ndim
     # One contiguous cell field per gradient component: the gradient's own layout.

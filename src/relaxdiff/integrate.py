@@ -53,6 +53,12 @@ check of H0 against alpha needs no minimum unless a cell falls below, so it
 runs the Cholesky at that bound (tensors.min_eig_below) and diagonalises
 only the cells it does not clear.
 
+Below its bound each check allows an absolute slack, KAPPA_SLACK per step
+and 1e-12 for H0, plus tensors.eig_margin(H), 4 n^3 eps max|H| for n x n
+cells: the rounding of a computed eigenvalue at H's scale. So the checks
+pass a valid run at any scale of alpha and omega, and still catch a floor
+broken by more than rounding.
+
 The step loop is a generator: trajectory() hands it out, and run(), the
 baselines and memory_form_check read it step by step, so nothing stores
 the trajectory.
@@ -75,7 +81,6 @@ from .grid import (
     GridSpec,
     _require_finite,
     channel_sums,
-    check_image,
     divergence,
     face_average_tensors,
     gradient,
@@ -85,11 +90,11 @@ from .grid import (
 )
 from .mollifier import DELTA_SIGMA, GAUSSIAN, Kernel, grad_sigma
 from .response import ResponseParams, response_field, response_min_eig, response_zero
-from .tensors import apply, eigvalsh_field, min_eig_below, min_eig_field, pack_index, unpack
+from .tensors import apply, eig_margin, eigvalsh_field, min_eig_below, min_eig_field, pack_index, unpack
 
 Array = np.ndarray
 
-KAPPA_SLACK = 1e-8  # additive slack on the eigenvalue floor check
+KAPPA_SLACK = 1e-8  # absolute slack of the floor check, besides eig_margin(H) (see the module docstring)
 # Relative CG tolerance of the half-step solve: HALF_TOL_PER_DT2 dt^2, capped
 # at HALF_TOL_MAX and never below the run's cg_tol (see the module docstring).
 HALF_TOL_PER_DT2 = 1e-4
@@ -188,7 +193,8 @@ def _implicit_solve(
     each element by the same operations as in one pass, so their bits do not
     depend on the CPU count; the dot products stay whole, in grid.inner's
     order. ``where`` names the solve in the SolverError raised after
-    cg_max_iter(grid.ncells) iterations.
+    cg_max_iter(grid.ncells) iterations or at a breakdown, whose message
+    names the relative residual that it carries.
     """
 
     def apply_a(x: Array) -> Array:
@@ -215,7 +221,11 @@ def _implicit_solve(
         ap = apply_a(p)
         pap = inner(p, ap)
         if not pap > 0.0:  # the operator is SPD: only rounding at extreme scales gets here
-            raise SolverError(f"{where}: CG broke down at iteration {it}", residual=math.sqrt(rs) / b_nrm)
+            res = math.sqrt(rs) / b_nrm
+            raise SolverError(
+                f"{where}: CG broke down at iteration {it} (relative residual {res:.6g})",
+                residual=res,
+            )
         alpha = rs / pap
         apf = ap.reshape(-1)
 
@@ -241,9 +251,10 @@ def _implicit_solve(
 
         for_bands(update_p, size, 3 * size)
         rs = rs_new
+    res = math.sqrt(rs) / b_nrm
     raise SolverError(
-        f"{where}: CG did not reach tol {cg_tol:g} in {max_iter} iterations",
-        residual=math.sqrt(rs) / b_nrm,
+        f"{where}: CG did not reach tol {cg_tol:g} in {max_iter} iterations (relative residual {res:.6g})",
+        residual=res,
     )
 
 
@@ -269,8 +280,8 @@ def _relax_H(u_sample: Array, h: Array, p: FilterParams, grid: GridSpec, kern: K
     for_bands(band, flat.size, 2 * flat.size)
 
 
-def energy(state: FilterState, p: FilterParams, grid: GridSpec) -> float:
-    """Discrete energy: half the mean-free intensity mass plus the H misfit.
+def energy(state: FilterState, p: FilterParams) -> float:
+    """Discrete energy, on state.u's grid: half the mean-free intensity mass plus the H misfit.
 
     E = 1/2 ||u - mean||^2 + tau/2 ||H - F(0)||^2 (plain sums over cells).
     The per-channel mean is removed from u because the flux form conserves
@@ -282,6 +293,7 @@ def energy(state: FilterState, p: FilterParams, grid: GridSpec) -> float:
     (P,) + dims: each plane's square sum is taken once and added at (a, b)
     and at (b, a).
     """
+    grid = GridSpec.from_field(state.u)
     umf = mean_free(state.u, grid)
     term_u = 0.5 * inner(umf, umf)
     f0 = response_zero(p.response, grid.channels, grid.ndim)
@@ -350,7 +362,7 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec):
             # Cholesky blocks share the memory with H alone.
             min_eig, flat = min_eig_field(h)
             kappa = kappa_predicted(t, p)
-            if min_eig < kappa - KAPPA_SLACK:
+            if min_eig < kappa - KAPPA_SLACK - eig_margin(h):
                 cell = tuple(map(int, np.unravel_index(flat, grid.dims)))
                 tensor = unpack(h[(...,) + cell])
                 raise InvariantViolation(
@@ -385,7 +397,7 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec):
             t=t,
             l2_norm_u=l2_norm(u),
             mass=tuple(channel_sums(u, grid)),
-            energy=energy(FilterState(t=t, u=u, H=h), p, grid),
+            energy=energy(FilterState(t=t, u=u, H=h), p),
             min_eig_H=min_eig,
             cg_iters=iters,
         )
@@ -406,16 +418,18 @@ def _drain(steps) -> tuple[FilterState, list[TraceRecord]]:
             return end.value, traces
 
 
-def trajectory(u0: Array, H0: Array, p: FilterParams, grid: GridSpec) -> Iterator[tuple[FilterState, TraceRecord]]:
-    """Iterator over the steps of run(u0, H0, p, grid), one (FilterState, TraceRecord) per step.
+def trajectory(u0: Array, H0: Array, p: FilterParams) -> Iterator[tuple[FilterState, TraceRecord]]:
+    """Iterator over the steps of run(u0, H0, p), one (FilterState, TraceRecord) per step.
 
-    The inputs are checked here, at call time, as run() checks them, so a
-    bad u0 or H0 raises before the first step; zero steps yield nothing.
+    u0 is an image, dims + (k,), and its shape is the grid. The inputs are
+    checked here, at call time, as run() checks them, so a bad u0 or H0
+    raises before the first step; zero steps yield nothing.
     The yielded arrays belong to the step loop. Each state's u is a new
     array, but its H is one array that the next step relaxes in place: read
     or copy what you need from a state before advancing the iterator.
     """
-    u = check_image(u0, grid)
+    u = np.asarray(u0, dtype=float)
+    grid = GridSpec.from_field(u)
     _require_finite("u0", u)
     # C order: _relax_H relaxes h in place through h.reshape(-1), which
     # would be a copy of any other layout.
@@ -427,8 +441,9 @@ def trajectory(u0: Array, H0: Array, p: FilterParams, grid: GridSpec) -> Iterato
     _require_finite("H0", h)
     # Only the cells whose Cholesky does not clear the bound are diagonalised:
     # an H0 at alpha Id in its flat cells ties at alpha almost everywhere.
-    low = min_eig_below(h, p.alpha - 1e-12)
-    if low is not None and low[0] < p.alpha - 1e-12:
+    floor = p.alpha - 1e-12 - eig_margin(h)
+    low = min_eig_below(h, floor)
+    if low is not None and low[0] < floor:
         init_min, flat = low
         cell = tuple(map(int, np.unravel_index(flat, grid.dims)))
         raise ParameterError(
@@ -439,8 +454,8 @@ def trajectory(u0: Array, H0: Array, p: FilterParams, grid: GridSpec) -> Iterato
     return _step_loop(u.copy(), h, p, grid)
 
 
-def run(u0: Array, H0: Array, p: FilterParams, grid: GridSpec) -> tuple[FilterState, list[TraceRecord]]:
-    """Integrate the coupled system from (u0, H0) until t >= t_end.
+def run(u0: Array, H0: Array, p: FilterParams) -> tuple[FilterState, list[TraceRecord]]:
+    """Integrate the coupled system from the image u0 and H0 until t >= t_end.
 
     Returns (final FilterState, list of per-step TraceRecords): trajectory()
     drained, keeping only the records. With zero steps the final state is
@@ -449,14 +464,17 @@ def run(u0: Array, H0: Array, p: FilterParams, grid: GridSpec) -> tuple[FilterSt
     H0 and the state's H are packed, (P,) + dims with P = kd(kd+1)/2, one
     plane per entry a <= b (see tensors.pack_index): a symmetric field by
     construction. tensors.pack converts a full-square field, (kd, kd) + dims,
-    and tensors.unpack converts back. run() relaxes a copy of H0 of its own.
+    and tensors.unpack converts back. run() relaxes a copy of H0 of its own
+    and lets go of u0 and H0 once trajectory() has copied them.
 
     Raises InvariantViolation (with a diagnostic dump of the offending cell)
     if a cell's smallest eigenvalue drops below the predicted floor, and
     ParameterError if H0 has another shape, if u0 or H0 holds NaN/inf or if
     a cell of the initial diffusivity does not clear alpha (named too).
     """
-    return _drain(trajectory(u0, H0, p, grid))
+    steps = trajectory(u0, H0, p)
+    del u0, H0  # a caller that passes H0 inline frees it here
+    return _drain(steps)
 
 
 def decay_rate_fit(traces: list[TraceRecord]) -> float:
@@ -472,7 +490,7 @@ def decay_rate_fit(traces: list[TraceRecord]) -> float:
     return float(slope)
 
 
-def memory_form_check(u0: Array, H0: Array, p: FilterParams, grid: GridSpec) -> float:
+def memory_form_check(u0: Array, H0: Array, p: FilterParams) -> float:
     """Largest cell-wise gap between stepped H and its memory-form integral.
 
     The relaxation law is equivalent to the Volterra form
@@ -484,17 +502,20 @@ def memory_form_check(u0: Array, H0: Array, p: FilterParams, grid: GridSpec) -> 
     trajectory with trapezoidal averaging of the response samples under the
     exact exponential weights (so a constant response reproduces the stepped
     trajectory identically). H0 is packed, as run() takes it. Returns max
-    over the steps of run(u0, H0, p, grid), up to p.t_end, and over cells
+    over the steps of run(u0, H0, p), up to p.t_end, and over cells
     of the Frobenius gap, 0.0 without steps; it shrinks as O(dt^2).
 
     The steps come from trajectory(), one at a time. The packed q is
     updated in place through the older of the two response samples, which
-    then takes q - H; that gap is unpacked and squared in place for its
-    Frobenius sum over all kd x kd entries. Nothing of an earlier step is
-    kept, so the memory does not grow with the step count.
+    then takes q - H; that gap is squared in place, and its Frobenius sum
+    adds the planes of all kd x kd entries cell by cell in row-major order,
+    as a sum over the first axis of the unpacked gap adds them, bit for bit.
+    No full-square array is made, and nothing of an earlier step is kept,
+    so the memory does not grow with the step count.
     """
-    states = trajectory(u0, H0, p, grid)
-
+    states = trajectory(u0, H0, p)
+    grid = GridSpec.from_field(u0)
+    entries = pack_index(grid.channels * grid.ndim).ravel()
     kern = p.kernel()
     theta = math.exp(-p.dt / p.tau)
     # trajectory() has checked u0 and H0: q starts from H0 as the loop's
@@ -508,11 +529,14 @@ def memory_form_check(u0: Array, H0: Array, p: FilterParams, grid: GridSpec) -> 
         f_prev += f_next
         f_prev *= (1.0 - theta) * 0.5
         q += f_prev
-        gap = unpack(np.subtract(q, state.H, out=f_prev)).reshape((-1,) + grid.dims)
+        gap = np.subtract(q, state.H, out=f_prev)
         del f_prev
         gap *= gap
-        worst = max(worst, float(np.max(np.sqrt(np.sum(gap, axis=0)))))
-        del gap  # held, it would add an H field to the next step's peak
+        total = gap[entries[0]].copy()
+        for e in entries[1:]:
+            total += gap[e]
+        worst = max(worst, float(np.max(np.sqrt(total))))
+        del gap  # held, it would add a packed field to the next step's peak
     return worst
 
 

@@ -149,6 +149,19 @@ def min_eig_field(hfield: Array) -> tuple[float, int]:
     return min_eig_below(hfield, c)
 
 
+def eig_margin(hfield: Array) -> float:
+    """MIN_EIG_MARGIN n^3 eps max|H| of a packed field, (P,) + dims, for n x n cells.
+
+    It bounds the rounding of a computed smallest eigenvalue at the field's
+    scale (see min_eig_below), which shifts its Cholesky by it; the floor
+    checks of integrate allow it below their bounds. NaN or inf when an
+    entry is.
+    """
+    hfield = np.asarray(hfield, dtype=float)
+    n = _packed_side(hfield.shape[0])
+    return float(MIN_EIG_MARGIN * n**3 * np.finfo(float).eps * max(hfield.max(), -hfield.min()))
+
+
 def min_eig_below(hfield: Array, bound: float) -> tuple[float, int] | None:
     """min_eig_field(hfield) if some cell's smallest eigenvalue lies at or below bound, else None.
 
@@ -160,7 +173,6 @@ def min_eig_below(hfield: Array, bound: float) -> tuple[float, int] | None:
     are those of a full diagonalisation, bit for bit.
     """
     hfield = np.asarray(hfield, dtype=float)
-    n = _packed_side(hfield.shape[0])
     cells = hfield.reshape(hfield.shape[0], -1)
     # delta covers two backward errors, for n x n cells whose entries are
     # bounded by m = max|H| (so ||H||_2 <= n m); u = eps / 2 is the unit
@@ -176,8 +188,7 @@ def min_eig_below(hfield: Array, bound: float) -> tuple[float, int] | None:
     # completes has a computed minimum above bound. A NaN or inf entry
     # makes delta non-finite and every cell break down.
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        scale = np.maximum(cells.max(), -cells.min())
-        shift = bound + MIN_EIG_MARGIN * n**3 * np.finfo(float).eps * scale
+        shift = bound + eig_margin(cells)
         survivors = np.concatenate([
             start + np.flatnonzero(_cholesky_breaks_down(cells[:, start:start + MIN_EIG_BLOCK], shift))
             for start in range(0, cells.shape[-1], MIN_EIG_BLOCK)

@@ -24,10 +24,10 @@ def random_psd_field(rng, dims, n, floor=0.0):
     return np.moveaxis(field, 0, -1).reshape((n, n) + tuple(dims)).copy()
 
 
-def step_nodes(u0, h0, p, grid):
+def step_nodes(u0, h0, p):
     """trajectory()'s records and copies of u and H at every step node, the initial one first."""
     records, us, hs = [], [u0], [h0]
-    for state, record in trajectory(u0, h0, p, grid):
+    for state, record in trajectory(u0, h0, p):
         records.append(record)
         us.append(state.u.copy())
         hs.append(state.H.copy())

@@ -38,13 +38,13 @@ def test_criterion_1_kappa_bound_preservation():
     rng = np.random.default_rng(101)
     grid = GridSpec(dims=(32, 32), channels=3)
     u0 = 0.5 * rng.standard_normal(grid.field_shape())
-    h0 = init_H0(u0, grid, window=5, alpha=0.1)
+    h0 = init_H0(u0, window=5, alpha=0.1)
     ok = True
     worst = np.inf
     for dt in (0.01, 0.1, 1.0):
         p = FilterParams(tau=0.5, sigma=1.0, dt=dt, t_end=2.0,
                          response=ResponseParams(s=0.1), alpha=0.1)
-        _, traces = run(u0, h0, p, grid)
+        _, traces = run(u0, h0, p)
         for r in traces:
             margin = r.min_eig_H - (0.1 * math.exp(-r.t / 0.5) - 1e-8)
             worst = min(worst, margin)
@@ -58,13 +58,13 @@ def test_criterion_2_discrete_a_priori_estimate():
     rng = np.random.default_rng(202)
     grid = GridSpec(dims=(16, 16), channels=3)
     u0 = 0.5 * rng.standard_normal(grid.field_shape())
-    h0 = init_H0(u0, grid, window=5, alpha=0.1)
+    h0 = init_H0(u0, window=5, alpha=0.1)
     ok = True
     worst = 0.0
     for dt in (0.1, 10.0):
         p = FilterParams(tau=0.5, sigma=1.0, dt=dt, t_end=500 * dt,
                          response=ResponseParams(s=0.1), alpha=0.1)
-        traces, us, _ = step_nodes(u0, h0, p, grid)
+        traces, us, _ = step_nodes(u0, h0, p)
         assert len(traces) == 500
         norms = [l2_norm(mean_free(u, grid)) for u in us]
         allowed = 1e-10 * norms[0]  # fixed, 100 times tighter than the default cg_tol
@@ -80,10 +80,10 @@ def test_criterion_3_mass_conservation():
     rng = np.random.default_rng(303)
     grid = GridSpec(dims=(16, 16), channels=3)
     u0 = 0.5 * rng.standard_normal(grid.field_shape())
-    h0 = init_H0(u0, grid, window=5, alpha=0.1)
+    h0 = init_H0(u0, window=5, alpha=0.1)
     p = FilterParams(tau=0.5, sigma=1.0, dt=0.1, t_end=100.0,
                      response=ResponseParams(s=0.1), alpha=0.1)
-    _, traces = run(u0, h0, p, grid)
+    _, traces = run(u0, h0, p)
     assert len(traces) == 1000
     mass0 = u0.reshape(-1, 3).sum(axis=0)
     l1 = float(np.abs(u0).sum())
@@ -122,7 +122,7 @@ def test_criterion_4_discrete_green_identity():
 def _decay_scenario():
     grid = GridSpec(dims=(32, 32), channels=3)
     u0 = smooth_image(32)
-    h0 = init_H0(u0, grid, window=5, alpha=0.1)
+    h0 = init_H0(u0, window=5, alpha=0.1)
     resp = ResponseParams(s=0.1, omega=0.5)
     return grid, u0, h0, resp
 
@@ -131,7 +131,7 @@ def test_criterion_5_energy_decay():
     t0 = time.perf_counter()
     grid, u0, h0, resp = _decay_scenario()
     p = FilterParams(tau=0.5, sigma=0.0, dt=0.05, t_end=6.0, response=resp, alpha=0.1)
-    _, traces = run(u0, h0, p, grid)
+    _, traces = run(u0, h0, p)
 
     es = [r.energy for r in traces]
     monotone = all(b <= a + 1e-12 * es[0] for a, b in zip(es[5:], es[6:]))
@@ -158,7 +158,7 @@ def test_criterion_6_convergence_to_stationary_point():
     cp = rd.poincare_estimate(grid)
     t_end = 10.0 * max(0.5, 1.0 / (resp.omega * cp))
     p = FilterParams(tau=0.5, sigma=0.0, dt=2.0, t_end=t_end, response=resp, alpha=0.1)
-    state, _ = run(u0, h0, p, grid)
+    state, _ = run(u0, h0, p)
 
     init_mf = l2_norm(mean_free(u0, grid))
     final_mf = l2_norm(mean_free(state.u, grid))
@@ -172,15 +172,14 @@ def test_criterion_6_convergence_to_stationary_point():
 
 def test_criterion_7_memory_form_equivalence():
     t0 = time.perf_counter()
-    grid = GridSpec(dims=(16, 16), channels=3)
     u0 = smooth_image(16)
-    h0 = init_H0(u0, grid, window=5, alpha=0.1)
+    h0 = init_H0(u0, window=5, alpha=0.1)
     # gradients stay below the contrast threshold: the response is twice
     # differentiable along the whole trajectory, the regime in which the
     # trapezoidal re-integration admits a clean second-order comparison
     base = FilterParams(tau=0.5, sigma=1.0, dt=0.2, response=ResponseParams(s=0.4), alpha=0.1)
-    d_coarse = memory_form_check(u0, h0, replace(base, t_end=8 * base.dt), grid)
-    d_fine = memory_form_check(u0, h0, replace(base, dt=0.1, t_end=16 * 0.1), grid)
+    d_coarse = memory_form_check(u0, h0, replace(base, t_end=8 * base.dt))
+    d_fine = memory_form_check(u0, h0, replace(base, dt=0.1, t_end=16 * 0.1))
     ratio = d_coarse / d_fine
     ok = 3.0 <= ratio <= 5.0
     check(7, ok, time.perf_counter() - t0, 20.0,
@@ -196,10 +195,10 @@ def test_criterion_8_tau_to_zero_limit():
     h0 = np.multiply.outer(pack(0.1 * np.eye(kd)), np.ones(grid.dims))
     base = FilterParams(tau=0.4, sigma=1.0, dt=0.1, t_end=2.0,
                         response=ResponseParams(s=0.1), alpha=0.1)
-    _, catte_traces = run_baseline(u0, base, grid)
+    _, catte_traces = run_baseline(u0, base)
     dists = []
     for tau in (0.4, 0.2, 0.1, 0.05):
-        _, traces = run(u0, h0, replace(base, tau=tau), grid)
+        _, traces = run(u0, h0, replace(base, tau=tau))
         dists.append(compare_trajectories(traces, catte_traces))
     ok = all(a > b for a, b in zip(dists, dists[1:]))
     check(8, ok, time.perf_counter() - t0, 60.0,
@@ -244,10 +243,10 @@ def test_criterion_10_end_to_end_denoising():
     grid = GridSpec(dims=(64, 64), channels=3)
     work = rescale(clean01)
     noisy = add_noise(work, NoiseSpec(std=0.1, seed=3))
-    h0 = init_H0(noisy, grid, window=5, alpha=0.1)
+    h0 = init_H0(noisy, window=5, alpha=0.1)
     p = FilterParams(tau=0.5, sigma=1.0, dt=0.1, t_end=2.0,
                      response=ResponseParams(s=0.1), alpha=0.1)  # CLI defaults
-    state, _ = run(noisy, h0, p, grid)
+    state, _ = run(noisy, h0, p)
 
     out01 = np.clip(unrescale(state.u), 0.0, 1.0)
     noisy01 = np.clip(unrescale(noisy), 0.0, 1.0)

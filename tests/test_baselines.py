@@ -9,7 +9,7 @@ from relaxdiff import tensors
 from relaxdiff.baselines import compare_trajectories, run_baseline
 from relaxdiff.errors import DimensionError, ParameterError, SolverError
 from relaxdiff.grid import GridSpec, l2_norm
-from relaxdiff.initial import init_H0
+from relaxdiff.initial import init_H0, rescale
 from relaxdiff.integrate import FilterParams, TraceRecord, run
 from relaxdiff.response import PERONA_MALIK_SCALAR, THRESHOLDED_PROJECTION, ResponseParams, response_min_eig
 from relaxdiff.tensors import pack
@@ -44,7 +44,7 @@ class TestRunBaseline:
         grid = GridSpec(dims=(6, 6), channels=2)
         u0 = np.full(grid.field_shape(), 0.4)
         p = FilterParams(sigma=1.0, dt=0.5, t_end=2.0, response=ResponseParams(s=0.1))
-        final, traces = run_baseline(u0, p, grid)
+        final, traces = run_baseline(u0, p)
         np.testing.assert_array_equal(final.u, u0)
         assert final.t == traces[-1].t and len(traces) == 4
 
@@ -53,7 +53,7 @@ class TestRunBaseline:
         u0 = rng.standard_normal(grid.field_shape())
         for sigma in (0.0, 0.3):  # a sub-pixel bandwidth's kernel is the identity
             with pytest.raises(ParameterError, match=r"sigma >= 0\.5"):
-                run_baseline(u0, FilterParams(sigma=sigma), grid)
+                run_baseline(u0, FilterParams(sigma=sigma))
 
     @pytest.mark.parametrize("name", RUNNABLE)
     def test_non_finite_data_rejected(self, rng, name):
@@ -61,7 +61,7 @@ class TestRunBaseline:
         u0 = rng.standard_normal(grid.field_shape())
         u0[3, 2, 0] = np.nan
         with pytest.raises(ParameterError, match="u0 contains NaN or inf"):
-            run_baseline(u0, no_relaxation_params(name), grid)
+            run_baseline(u0, no_relaxation_params(name))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("name", RUNNABLE)
@@ -71,13 +71,13 @@ class TestRunBaseline:
         grid = GridSpec(dims=(6, 6), channels=1)
         u0 = np.full(grid.field_shape(), 1e154)
         with pytest.raises(ParameterError, match="^u0 is too large: its squared L2 norm overflows$"):
-            run_baseline(u0, no_relaxation_params(name), grid)
+            run_baseline(u0, no_relaxation_params(name))
 
     def test_mass_and_monotonicity(self, rng):
         grid = GridSpec(dims=(12, 12), channels=3)
         u0 = 0.5 * rng.standard_normal(grid.field_shape())
         p = FilterParams(sigma=1.0, dt=0.2, t_end=2.0, response=ResponseParams(s=0.1))
-        _, traces = run_baseline(u0, p, grid)
+        _, traces = run_baseline(u0, p)
         mass0 = u0.reshape(-1, 3).sum(axis=0)
         for r in traces:
             np.testing.assert_allclose(r.mass, mass0, atol=1e-9 * np.abs(u0).sum())
@@ -89,9 +89,20 @@ class TestRunBaseline:
         u0 = 0.3 * rng.standard_normal(grid.field_shape())
         p = FilterParams(sigma=0.0, dt=0.05, t_end=0.25, response=ResponseParams(s=0.1, kind="perona_malik_scalar", lam=0.5))
         with pytest.warns(UserWarning):
-            final, traces = run_baseline(u0, p, grid)
+            final, traces = run_baseline(u0, p)
         assert len(traces) == 5
         assert np.all(np.isfinite(final.u))
+
+    def test_catte_converges_at_first_order_in_dt(self):
+        # Backward Euler with H frozen at each step's left endpoint: halving
+        # dt halves the distance to a 512-step reference (measured 2.02,
+        # 2.06 and 2.14).
+        img, _ = disk_image(32, radius=10.0)
+        u0 = rescale(img) + 0.1 * np.random.default_rng(0).standard_normal(img.shape)
+        ref = run_baseline(u0, FilterParams(dt=1.6 / 512, t_end=1.6))[0].u
+        dists = [l2_norm(run_baseline(u0, FilterParams(dt=1.6 / n, t_end=1.6))[0].u - ref) for n in (8, 16, 32, 64)]
+        for a, b in zip(dists, dists[1:]):
+            assert 1.7 <= a / b <= 2.3, dists
 
     def test_tau_limit_consistency(self):
         # In the resolved regime (tau a few steps wide) halving tau roughly
@@ -102,21 +113,21 @@ class TestRunBaseline:
         kd = 6
         h0 = np.multiply.outer(pack(0.1 * np.eye(kd)), np.ones(grid.dims))
         base = FilterParams(tau=0.8, sigma=1.0, dt=0.05, t_end=1.5, response=ResponseParams(s=0.1), alpha=0.1)
-        _, catte = run_baseline(u0, base, grid)
+        _, catte = run_baseline(u0, base)
         dists = []
         for tau in (0.8, 0.4, 0.2):
-            _, tr = run(u0, h0, replace(base, tau=tau), grid)
+            _, tr = run(u0, h0, replace(base, tau=tau))
             dists.append(compare_trajectories(tr, catte))
         for a, b in zip(dists, dists[1:]):
             assert 1.0 <= a / b <= 3.0  # halving +- 50% slack
 
     def test_solver_error_names_step_time_and_solve(self, monkeypatch):
         monkeypatch.setattr(integrate_mod, "cg_max_iter", lambda ncells: 1)
-        grid = GridSpec(dims=(16, 16), channels=3)
         p = FilterParams(tau=0.5, sigma=1.0, dt=0.1, t_end=0.5)
         with pytest.raises(SolverError, match=r"^baseline solve of step 1 \(t=0\.1\): CG did not reach") as err:
-            run_baseline(disk_image(16, radius=5.0)[0], p, grid)
+            run_baseline(disk_image(16, radius=5.0)[0], p)
         assert err.value.residual > p.cg_tol
+        assert str(err.value).endswith(f"iterations (relative residual {err.value.residual:.6g})")
 
 
 class TestNoRelaxationConfigurations:
@@ -127,11 +138,11 @@ class TestNoRelaxationConfigurations:
         p = no_relaxation_params(name, dt=0.05, t_end=0.15)
         if NO_RELAXATION[name][2] == "raises":
             with pytest.raises(ParameterError, match=r"^the mollified baseline requires sigma >= 0\.5$"):
-                run_baseline(u0, p, grid)
+                run_baseline(u0, p)
             return
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            final, traces = run_baseline(u0, p, grid)
+            final, traces = run_baseline(u0, p)
         messages = [(w.category, str(w.message).split(";")[0]) for w in caught]
         if NO_RELAXATION[name][2] == "warns":
             assert messages == [(UserWarning, "unmollified scalar edge-stopping diffusion is ill-posed")]
@@ -170,7 +181,7 @@ class TestFloorCheckOnlyWithRelaxation:
         grid = GridSpec(dims=(16, 16), channels=3)
         u0 = disk_image(16, radius=5.0)[0] + 0.05 * rng.standard_normal(grid.field_shape())
         p = no_relaxation_params(name, dt=0.1, t_end=0.3)
-        _, traces = run_baseline(u0, p, grid)
+        _, traces = run_baseline(u0, p)
         assert calls["min_eig_field"] == 0 and calls["eigvalsh"] == 0
         assert len(traces) == len(calls["grads"]) == 3
         for r, g in zip(traces, calls["grads"]):
@@ -179,8 +190,8 @@ class TestFloorCheckOnlyWithRelaxation:
     def test_relax_mode_checks_the_floor_every_step(self, rng, calls):
         grid = GridSpec(dims=(16, 16), channels=3)
         u0 = disk_image(16, radius=5.0)[0] + 0.05 * rng.standard_normal(grid.field_shape())
-        h0 = init_H0(u0, grid, window=3, alpha=0.1)
-        run(u0, h0, FilterParams(sigma=1.0, dt=0.1, t_end=0.3), grid)
+        h0 = init_H0(u0, window=3, alpha=0.1)
+        run(u0, h0, FilterParams(sigma=1.0, dt=0.1, t_end=0.3))
         assert calls["min_eig_field"] == 3
 
 

@@ -233,6 +233,22 @@ class TestMainPipeline:
             for ext in ("ppm", "csv"):
                 assert (tmp_path / f"{tag}.{ext}").read_bytes() == (tmp_path / f"default.{ext}").read_bytes(), (tag, ext)
 
+    def test_floor_checks_hold_at_large_scale(self, tmp_path, capsys):
+        # The floor checks allow the rounding of eigenvalues at H's scale.
+        # With an absolute slack alone these runs exited 2 (min eig 3000 <
+        # alpha 3000, on the CLI's own init_H0) and 5 (min eig
+        # 1.81269246922e+19 < predicted 1.81269246922e+19), on 12 x 12 images
+        # of uniform random pixels.
+        for seed, flags in (
+            (1, ["--alpha", "3000", "--noise-std", "0"]),
+            (0, ["--noise-std", "0.5", "--omega", "1e20"]),
+            (0, ["--noise-std", "0.5", "--omega", "1e15", "--dt", "2"]),
+        ):
+            inp = tmp_path / f"uniform{seed}.ppm"
+            save_image(np.random.default_rng(seed).uniform(0, 1, (12, 12, 3)), str(inp))
+            assert main(["--input", str(inp), "--output", str(tmp_path / "o.ppm"), *flags]) == EXIT_OK, flags
+            assert capsys.readouterr().err == ""
+
     def test_solver_and_invariant_exit_codes(self, tmp_path, monkeypatch):
         import relaxdiff.cli as cli_mod
         from relaxdiff.errors import InvariantViolation, SolverError

@@ -230,9 +230,9 @@ def test_cg_tol_1e10_gives_the_former_digests(case, as_config, tmp_path):
 
 def _check_H(p: FilterParams, expected: dict) -> None:
     u0, grid = rgb_scene()
-    h0 = init_H0(u0, grid, window=5, alpha=0.1)
-    state, _ = run(u0, h0, p, grid)
-    _, _, hs = step_nodes(u0, h0, p, grid)
+    h0 = init_H0(u0, window=5, alpha=0.1)
+    state, _ = run(u0, h0, p)
+    _, _, hs = step_nodes(u0, h0, p)
     kd = grid.channels * grid.ndim
     final = unpack(state.H)
     assert final.shape == (kd, kd) + grid.dims and len(hs) == 4
@@ -243,7 +243,7 @@ def _check_H(p: FilterParams, expected: dict) -> None:
         assert h.shape == final.shape
         history.update(h.tobytes())
     assert history.hexdigest() == expected["history"], "history of H changed"
-    assert memory_form_check(u0, h0, replace(p, t_end=3 * p.dt), grid).hex() == expected["memory_form_check"]
+    assert memory_form_check(u0, h0, replace(p, t_end=3 * p.dt)).hex() == expected["memory_form_check"]
 
 
 def test_H_unchanged():

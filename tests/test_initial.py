@@ -137,18 +137,18 @@ class TestInitH0:
     def test_input_checked_before_the_covariance(self, rng, scale, message):
         grid = GridSpec(dims=(8, 8), channels=3)
         with pytest.raises(ParameterError, match=f"^{message}$"):
-            init_H0(scale * rng.standard_normal(grid.field_shape()), grid, window=3, alpha=0.1)
+            init_H0(scale * rng.standard_normal(grid.field_shape()), window=3, alpha=0.1)
 
     def test_matches_scipy_window_sums(self, monkeypatch):
         grid = GridSpec(dims=(32, 32), channels=3)
         u = disk_image(32, radius=10.0)[0] + 0.05 * np.random.default_rng(5).standard_normal(grid.field_shape())
-        h0 = unpack(init_H0(u, grid, window=5, alpha=0.1))
+        h0 = unpack(init_H0(u, window=5, alpha=0.1))
         monkeypatch.setattr(
             initial_mod,
             "_correlate1d",
             lambda v, w, axis: correlate1d(v, w, axis=axis, mode="constant", cval=0.0),
         )
-        np.testing.assert_allclose(h0, unpack(init_H0(u, grid, window=5, alpha=0.1)), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(h0, unpack(init_H0(u, window=5, alpha=0.1)), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("scene", ["noise", "affine", "signed zeros"])
     def test_bit_equal_to_all_products(self, scene, rng):
@@ -161,7 +161,7 @@ class TestInitH0:
             u = np.stack([0.1 * xx - 0.2 * yy, -0.3 * xx, 0.0 * xx + 0.5], axis=-1)
             if scene == "noise":
                 u = u + rng.standard_normal(grid.field_shape())
-        h0 = init_H0(u, grid, window=5 if grid.ndim == 2 else 3, alpha=0.1)
+        h0 = init_H0(u, window=5 if grid.ndim == 2 else 3, alpha=0.1)
         reference = all_products_H0(u, grid, window=5 if grid.ndim == 2 else 3, alpha=0.1)
         kd = grid.channels * grid.ndim
         assert h0.shape == (kd * (kd + 1) // 2,) + grid.dims
@@ -170,8 +170,7 @@ class TestInitH0:
     def test_off_diagonal_negative_zero_becomes_positive(self):
         # The covariance is -0.0 there; adding alpha * Id adds +0.0 off the
         # diagonal, which makes it +0.0.
-        grid = GridSpec(dims=(12,), channels=2)
-        h0 = unpack(init_H0(signed_zero_scene(12), grid, window=3, alpha=0.1))
+        h0 = unpack(init_H0(signed_zero_scene(12), window=3, alpha=0.1))
         assert np.all(h0[0, 1] == 0.0)
         assert not np.any(np.signbit(h0[0, 1]))
 
@@ -180,21 +179,21 @@ class TestInitH0:
         grid = GridSpec(dims=(n, n), channels=1)
         xx = np.arange(n, dtype=float)[:, None] * np.ones(n)[None, :]
         u = (0.2 * xx + 0.1)[..., None]
-        h0 = unpack(init_H0(u, grid, window=3, alpha=0.4))
+        h0 = unpack(init_H0(u, window=3, alpha=0.4))
         expected = np.broadcast_to((0.4 * np.eye(2))[..., None, None], (2, 2) + grid.dims)
         np.testing.assert_allclose(h0, expected, atol=1e-12)
 
     def test_eigenvalue_floor(self, rng):
         grid = GridSpec(dims=(12, 12), channels=3)
         u = rng.standard_normal(grid.field_shape())
-        h0 = unpack(init_H0(u, grid, window=5, alpha=0.1))
+        h0 = unpack(init_H0(u, window=5, alpha=0.1))
         eigs = np.linalg.eigvalsh(np.moveaxis(h0, (0, 1), (-2, -1)))
         assert float(eigs[..., 0].min()) >= 0.1 - 1e-10
 
     def test_is_psd_every_cell(self, rng):
         grid = GridSpec(dims=(7, 8), channels=2)
         u = rng.standard_normal(grid.field_shape())
-        h0 = unpack(init_H0(u, grid, window=3, alpha=0.15))
+        h0 = unpack(init_H0(u, window=3, alpha=0.15))
         for idx in np.ndindex(*grid.dims):
             assert np.linalg.eigvalsh(h0[(...,) + idx])[0] >= 0.15 - 1e-10
 
@@ -202,14 +201,14 @@ class TestInitH0:
         n = 12
         grid = GridSpec(dims=(n,), channels=1)
         u = (np.arange(n) % 2).astype(float)[:, None]
-        h0 = unpack(init_H0(u, grid, window=3, alpha=0.1))
+        h0 = unpack(init_H0(u, window=3, alpha=0.1))
         oracle = brute_force_H0(u, grid, window=3, alpha=0.1)
         np.testing.assert_allclose(h0, oracle, atol=1e-12)
 
     def test_random_2d_against_brute_force(self, rng):
         grid = GridSpec(dims=(8, 6), channels=2)
         u = rng.standard_normal(grid.field_shape())
-        h0 = unpack(init_H0(u, grid, window=5, alpha=0.1))
+        h0 = unpack(init_H0(u, window=5, alpha=0.1))
         oracle = brute_force_H0(u, grid, window=5, alpha=0.1)
         np.testing.assert_allclose(h0, oracle, atol=1e-11)
 
@@ -217,8 +216,8 @@ class TestInitH0:
         grid = GridSpec(dims=(14, 14), channels=1)
         u = rng.standard_normal(grid.field_shape())
         shifted = np.roll(u, shift=2, axis=0)
-        h_base = unpack(init_H0(u, grid, window=3, alpha=0.1))
-        h_shift = unpack(init_H0(shifted, grid, window=3, alpha=0.1))
+        h_base = unpack(init_H0(u, window=3, alpha=0.1))
+        h_shift = unpack(init_H0(shifted, window=3, alpha=0.1))
         # compare cells whose windows (and gradient stencils) avoid both
         # boundaries before and after the shift
         np.testing.assert_allclose(h_shift[..., 4:12, 2:12], h_base[..., 2:10, 2:12], atol=1e-12)
@@ -227,10 +226,10 @@ class TestInitH0:
         grid = GridSpec(dims=(6, 6), channels=1)
         u = rng.standard_normal(grid.field_shape())
         with pytest.raises(ParameterError):
-            init_H0(u, grid, window=4, alpha=0.1)
+            init_H0(u, window=4, alpha=0.1)
         with pytest.raises(ParameterError):
-            init_H0(u, grid, window=1, alpha=0.1)
+            init_H0(u, window=1, alpha=0.1)
         with pytest.raises(ParameterError):
-            init_H0(u, grid, window=7, alpha=0.1)
+            init_H0(u, window=7, alpha=0.1)
         with pytest.raises(ParameterError):
-            init_H0(u, grid, window=3, alpha=0.0)
+            init_H0(u, window=3, alpha=0.0)

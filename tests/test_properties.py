@@ -7,7 +7,8 @@ SystemExit(0) after printing the --help text; ``load_image`` must return a
 [0, 1] field or raise an ImageIOError subclass. The steps of ``run``, read
 from ``trajectory``, on an 8 x 8 RGB scene with drawn parameters must raise
 a RelaxdiffError or keep the paper's three guarantees: mass, eigenvalue
-floor and L2 monotonicity.
+floor and L2 monotonicity. With alpha and omega drawn over many decades, a
+run must pass both floor checks.
 
 ``--dt`` and ``--t-end`` always come last on the command line, from ranges
 that allow at most six steps, so no drawn run is long.
@@ -33,9 +34,10 @@ from relaxdiff.cli import (
 )
 from relaxdiff.errors import ImageIOError, RelaxdiffError
 from relaxdiff.grid import GridSpec, l2_norm, mean_free
-from relaxdiff.initial import init_H0
-from relaxdiff.integrate import FilterParams, kappa_predicted
+from relaxdiff.initial import init_H0, rescale
+from relaxdiff.integrate import KAPPA_SLACK, FilterParams, kappa_predicted
 from relaxdiff.response import ResponseParams
+from relaxdiff.tensors import eig_margin
 
 from conftest import disk_image, step_nodes
 
@@ -179,20 +181,43 @@ def plausible_or_finite(lo, hi):
 # lost channel means back: 1e-9 of the L1 mass was passed from dt ~ 1e7 on.
 @example(dt=1e8, tau=1.0, s=1.0, omega=0.0, sigma=0.0, steps=4)
 @example(dt=1e10, tau=1.0, s=1.0, omega=0.0, sigma=0.0, steps=4)
+# The floor check's slack was 1e-8 alone, below the rounding of eigenvalues
+# near 7e14: one step raised InvariantViolation, min eig one unit in the last
+# place under the floor.
+@example(dt=1.0, tau=1.0, s=1.0, omega=1133007968679298.0, sigma=0.0, steps=1)
 def test_run_keeps_its_guarantees_or_raises(dt, tau, s, omega, sigma, steps):
     grid = GridSpec(dims=(8, 8), channels=3)
     clean, _ = disk_image(n=8, radius=2.5)
     u0 = clean + 0.05 * np.random.default_rng(3).standard_normal(clean.shape)
-    h0 = init_H0(u0, grid, window=3, alpha=0.1)
+    h0 = init_H0(u0, window=3, alpha=0.1)
     try:
         p = FilterParams(tau=tau, sigma=sigma, dt=dt, t_end=steps * dt, response=ResponseParams(s=s, omega=omega))
-        traces, us, _ = step_nodes(u0, h0, p, grid)
+        traces, us, hs = step_nodes(u0, h0, p)
     except RelaxdiffError:
         return
     mass0 = u0.reshape(-1, 3).sum(axis=0)
     mass_tol = 1e-9 * np.abs(u0).reshape(-1, 3).sum(axis=0)
     norms = [l2_norm(mean_free(u, grid)) for u in us]
-    for r, a, b in zip(traces, norms, norms[1:]):
+    for r, h, a, b in zip(traces, hs[1:], norms, norms[1:]):
         assert np.all(np.abs(np.array(r.mass) - mass0) <= mass_tol), (r.t, r.mass)
-        assert r.min_eig_H >= kappa_predicted(r.t, p) - 1e-8, (r.t, r.min_eig_H)
+        assert r.min_eig_H >= kappa_predicted(r.t, p) - KAPPA_SLACK - eig_margin(h), (r.t, r.min_eig_H)
         assert b <= a + 1e-10 * norms[0], (r.t, a, b)  # fixed, 100 times tighter than the default cg_tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alpha=st.floats(-6.0, 15.0).map(lambda e: 10.0**e),
+    omega=st.one_of(st.just(0.0), st.floats(-6.0, 20.0).map(lambda e: 10.0**e)),
+    dt=st.floats(0.01, 2.0),
+)
+def test_floor_checks_hold_at_every_scale(alpha, omega, dt):
+    # The alpha check and the per-step floor check allow the rounding of
+    # eigenvalues at H's scale, so a valid run passes both however large H
+    # is. With absolute slacks alone, runs failed from alpha 3000 and from
+    # omega 1e15 on.
+    u0 = rescale(np.random.default_rng(1).uniform(0, 1, (8, 8, 3)))
+    h0 = init_H0(u0, window=3, alpha=alpha)
+    p = FilterParams(dt=dt, t_end=2 * dt, alpha=alpha, response=ResponseParams(omega=omega))
+    traces, _, hs = step_nodes(u0, h0, p)
+    for r, h in zip(traces, hs[1:]):
+        assert r.min_eig_H >= kappa_predicted(r.t, p) - KAPPA_SLACK - eig_margin(h), (r.t, r.min_eig_H)
