@@ -20,17 +20,24 @@ least BAND_MIN_WORK of the call's ``work``, the float64 elements it reads
 and writes: small fields run as one plain call, and the banded kernels split
 only where the split was measured to pay.
 
-The banded kernels are ``grid.gradient``, ``grid.divergence`` and
-``grid.face_average_tensors``, in rows, ``tensors.apply``, in flattened
-cells, ``integrate._relax_H``, in the flattened values of the packed H
-(P = kd(kd+1)/2 planes, see ``tensors.pack_index``), and the vector updates
-of ``integrate._implicit_solve``'s CG, r -= alpha A p, x += alpha p and
-p = beta p + r, in the flattened values of the image fields. The
-gradient, the divergence and the face averaging band the spatial axis 0 of
-their component-first fields, (k, d) + dims, (P,) + dims and
-(kd, kd) + dims, so a band is a slice of every component at once. ``face_average_tensors``, the one
-banded kernel that needs scratch space, gets its buffers from the caller,
-as the rules below ask.
+The banded kernels are:
+- ``grid.gradient``, ``grid.divergence`` and ``grid.face_average_tensors``,
+  in rows: they band the spatial axis 0 of their component-first fields,
+  (k, d) + dims, (P,) + dims and (kd, kd) + dims, so a band is a slice of
+  every component at once;
+- ``mollifier._correlate1d``, which serves ``convolve`` and ``init_H0``'s
+  window sums, in rows of the field's axis 0 along every axis it sums;
+- ``tensors.apply`` and ``response.response_field``, in flattened cells;
+- ``integrate._relax_H``, in the flattened values of the packed H
+  (P = kd(kd+1)/2 planes, see ``tensors.pack_index``);
+- ``integrate.energy``, in whole packed planes, each plane's square sum
+  taken whole and the sums added by the caller in ``pack_index`` order;
+- the vector updates of ``integrate._implicit_solve``'s CG,
+  r -= alpha A p, x += alpha p and p = beta p + r, in the flattened values
+  of the image fields.
+``face_average_tensors``, ``_correlate1d``, ``response_field`` and
+``energy`` need scratch space, and get it from their caller's thread, as
+the rules below ask.
 
 A band function must keep three rules, which keep the output bits and the
 memory the same as those of one call over all rows:
@@ -38,7 +45,11 @@ memory the same as those of one call over all rows:
   allocates no array of its own: a band thread allocates in its own malloc
   arena, which keeps the memory after the band ends and so raises the peak.
   A band that needs scratch space gets a buffer the caller allocated for it,
-  one per band of ``band_edges``;
+  one per band of ``band_edges``. numpy allocates too, iterator buffers of
+  up to 8192 values per operand, for a ufunc whose operands are neither
+  contiguous nor one-dimensional, so a band that keeps to contiguous
+  blocks and one-dimensional slices allocates nothing (the gradient's and
+  the divergence's bands do not yet);
 - it never calls ``for_bands`` itself (the nested call would wait for the
   band threads, which wait for it);
 - it enters any ``np.errstate`` it needs inside the band, because that state

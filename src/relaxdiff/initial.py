@@ -91,7 +91,9 @@ def init_H0(u_noisy: Array, window: int, alpha: float) -> Array:
     triangle is computed once, one cell-sized field at a time, and written
     to its plane pack_index(kd)[a, b]; no field of all kd x kd products is
     formed. Off the diagonal alpha * Id adds +0.0, which turns a covariance
-    of -0.0 into +0.0.
+    of -0.0 into +0.0. An input whose squared L2 norm is finite may still
+    overflow a covariance: that raises ParameterError, naming the entry
+    (a, b) and its first cell in C order.
     """
     if window < 3 or window % 2 == 0:
         raise ParameterError("window must be odd and >= 3")
@@ -120,11 +122,20 @@ def init_H0(u_noisy: Array, window: int, alpha: float) -> Array:
     divisor = np.maximum(counts - 1.0, 1.0)
     index = pack_index(kd)
     h0 = np.empty((kd * (kd + 1) // 2,) + grid.dims)
-    for a in range(kd):
-        for b in range(a, kd):
-            cov = _window_sums(gflat[a] * gvalid[b], grid.dims, window)
-            cov -= s1[a] * s1[b] / counts
-            cov /= divisor
-            cov += alpha if a == b else 0.0
-            h0[index[a, b]] = cov
+    # A finite input can still overflow the products and window sums below:
+    # their inf and NaN are caught per entry, without numpy's warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(kd):
+            for b in range(a, kd):
+                cov = _window_sums(gflat[a] * gvalid[b], grid.dims, window)
+                cov -= s1[a] * s1[b] / counts
+                cov /= divisor
+                cov += alpha if a == b else 0.0
+                finite = np.isfinite(cov)
+                if not finite.all():
+                    cell = tuple(map(int, np.unravel_index(np.argmin(finite), grid.dims)))
+                    raise ParameterError(
+                        f"u_noisy is too large: its gradient covariance ({a}, {b}) overflows at cell {cell}"
+                    )
+                h0[index[a, b]] = cov
     return h0

@@ -75,7 +75,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bands import for_bands
+from .bands import band_edges, for_bands
 from .errors import DimensionError, FitError, ImageIOError, InvariantViolation, ParameterError, SolverError
 from .grid import (
     GridSpec,
@@ -289,21 +289,30 @@ def energy(state: FilterState, p: FilterParams) -> float:
     part, which is what this functional measures. The misfit is summed one
     entry (a, b) of H at a time, in row-major order, each entry's square sum
     taken over its plane H[a, b] - F(0)[a, b], or over H[a, b] itself where
-    F(0)[a, b] is zero, so no H-sized array is made. H is packed,
+    F(0)[a, b] is zero, so no H-sized array is made (H is copied only if it
+    is not C-contiguous, which the step loop's H is). H is packed,
     (P,) + dims: each plane's square sum is taken once and added at (a, b)
-    and at (b, a).
+    and at (b, a). The planes' square sums run in bands of whole planes
+    (relaxdiff.bands), each band forming H[a, b] - F(0)[a, b] in one plane
+    of scratch allocated here for it.
     """
     grid = GridSpec.from_field(state.u)
     umf = mean_free(state.u, grid)
     term_u = 0.5 * inner(umf, umf)
     f0 = response_zero(p.response, grid.channels, grid.ndim)
-    h = np.asarray(state.H, dtype=float)
+    h = np.ascontiguousarray(state.H, dtype=float)
     if h.shape != f0.shape + grid.dims:
         raise DimensionError(f"tensor field shape {h.shape} != {f0.shape + grid.dims}")
-    sums = []
-    for e, h_e in enumerate(h):
-        plane = h_e - f0[e] if f0[e] else h_e
-        sums.append(inner(plane, plane))
+    sums = [0.0] * f0.size
+    edges = band_edges(f0.size, h.size)
+    scratch = {start: np.empty(grid.dims) for start in edges[:-1]}
+
+    def band(start: int, stop: int) -> None:
+        for e in range(start, stop):
+            plane = np.subtract(h[e], f0[e], out=scratch[start]) if f0[e] else h[e]
+            sums[e] = inner(plane, plane)
+
+    for_bands(band, f0.size, h.size)
     misfit = 0.0
     for e in pack_index(grid.channels * grid.ndim).flat:
         misfit += sums[e]

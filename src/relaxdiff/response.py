@@ -39,9 +39,11 @@ grid.gradient returns them, and returns packed tensor fields, (P,) + dims
 with P = kd(kd+1)/2, as the step loop holds H: one cell field per entry
 pair, numbered by tensors.pack_index. Each product v_a v_b is formed once,
 for a <= b; no lower-half product is made. D:D sums the squares in index
-order from +0.0, as tensors.apply sums its products (on a field of one cell
-einsum unrolls the sum instead). Without a projection term the
-off-diagonal planes hold +0.0.
+order from +0.0, as tensors.apply sums its products. On a field of one cell
+einsum unrolls that sum instead, and may round D:D differently. A band of
+one cell of a larger field is a strided slice, which einsum sums in index
+order, so the bands of response_field keep D:D's bits at any band count.
+Without a projection term the off-diagonal planes hold +0.0.
 """
 
 import math
@@ -49,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bands import for_bands
 from .errors import DimensionError, ParameterError
 from .tensors import pack_index
 
@@ -81,24 +84,32 @@ class ResponseParams:
             raise ParameterError("lambda must be > 0 for the scalar response")
 
 
-def _dd(dfield: Array) -> tuple[Array, Array]:
-    """A gradient field as (kd, cells), one cell field per component, and its D:D per cell."""
+def _cells(dfield: Array) -> Array:
+    """A gradient field as (kd, cells), one cell field per component."""
     dfield = np.asarray(dfield, dtype=float)
     if dfield.ndim < 2:
         raise DimensionError(f"expected k x d matrices, got shape {dfield.shape}")
-    v = dfield.reshape(dfield.shape[0] * dfield.shape[1], -1)
-    return v, np.einsum("an,an->n", v, v)
+    return dfield.reshape(dfield.shape[0] * dfield.shape[1], -1)
 
 
-def _coefficients(dd, p: ResponseParams):
+def _coefficients(dd: Array, p: ResponseParams, a: Array, c: Array):
     """(a, c) of F = a Id - vv^T / c + omega Id at D:D = dd; c is None without a projection term.
 
-    q is taken from min(D:D, s^2): a huge D:D overflows nothing, and a = 1 exactly above s^2.
+    Each is one chain of ufuncs into the arrays a and c, of dd's shape (c
+    may be dd itself). q is taken from min(D:D, s^2): a huge D:D overflows
+    nothing, and a = 1 exactly above s^2. c = fmax(D:D, s^2) is
+    where(D:D >= s^2, D:D, s^2) bit for bit, also at a NaN.
     """
     if p.kind == PERONA_MALIK_SCALAR:
-        return 1.0 / (1.0 + np.sqrt(dd) / p.lam), None
+        np.sqrt(dd, out=a)
+        np.divide(a, p.lam, out=a)
+        np.add(1.0, a, out=a)
+        return np.divide(1.0, a, out=a), None
     s2 = p.s * p.s
-    return 1.5 - 0.5 * (np.minimum(dd, s2) / s2), np.where(dd >= s2, dd, s2)
+    np.minimum(dd, s2, out=a)
+    np.divide(a, s2, out=a)
+    np.multiply(0.5, a, out=a)
+    return np.subtract(1.5, a, out=a), np.fmax(dd, s2, out=c)
 
 
 def response_field(dfield: Array, p: ResponseParams) -> Array:
@@ -106,27 +117,38 @@ def response_field(dfield: Array, p: ResponseParams) -> Array:
 
     dfield is component-first, with shape (k, d) + dims; the result is
     packed, (P,) + dims with P = kd(kd+1)/2. A single k x d matrix is a
-    field with dims = ().
+    field with dims = (). The cells run in bands (relaxdiff.bands), each
+    through its own cells of the D:D and a fields allocated here, and each
+    entry plane by one-dimensional ufunc calls, which need no buffers; c
+    overwrites D:D, which nothing reads after it.
     """
-    v, dd = _dd(dfield)
-    n = v.shape[0]
-    a, c = _coefficients(dd, p)
-    out = np.empty((n * (n + 1) // 2, v.shape[1]))
-    for r in range(n):
-        first = pack_index(n)[r, r]
-        row = out[first:first + n - r]  # the planes of entries (r, r), (r, r+1), ..., (r, n-1)
-        if c is None:
-            row[0] = a
-            row[1:] = 0.0
-        else:
-            np.multiply(v[r], v[r:], out=row)
-            row /= c
-            np.subtract(a, row[0], out=row[0])
-            # 0 - x, not -x: an off-diagonal +0.0 stays +0.0. Adding omega * 0.0
-            # would change no off-diagonal bit, so omega goes to the diagonal alone.
-            np.subtract(0.0, row[1:], out=row[1:])
-        if p.omega > 0.0:
-            row[0] += p.omega
+    v = _cells(dfield)
+    n, cells = v.shape
+    index = pack_index(n)
+    out = np.empty((n * (n + 1) // 2, cells))
+    dd, a = np.empty(cells), np.empty(cells)
+
+    def band(start: int, stop: int) -> None:
+        vb = v[:, start:stop]
+        ddb = np.einsum("an,an->n", vb, vb, out=dd[start:stop])
+        ab, cb = _coefficients(ddb, p, a[start:stop], ddb)
+        for r in range(n):
+            for s in range(r, n):
+                plane = out[index[r, s], start:stop]
+                # 0 - x off the diagonal, not -x: a +0.0 stays +0.0.
+                diagonal = ab if s == r else 0.0
+                if cb is None:
+                    plane[:] = diagonal
+                else:
+                    np.multiply(vb[r], vb[s], out=plane)
+                    plane /= cb
+                    np.subtract(diagonal, plane, out=plane)
+                # Adding omega * 0.0 would change no off-diagonal bit, so
+                # omega goes to the diagonal alone.
+                if s == r and p.omega > 0.0:
+                    plane += p.omega
+
+    for_bands(band, cells, (n + out.shape[0] + 2) * cells)
     return out.reshape(out.shape[:1] + np.shape(dfield)[2:])
 
 
@@ -164,8 +186,9 @@ def response_min_eig(dfield: Array, p: ResponseParams) -> float:
     without a projection term. Both fall as D:D grows, in floating point
     too, so the cell of the largest D:D decides. A NaN gives NaN.
     """
-    dd = float(np.max(_dd(dfield)[1]))
-    a, c = _coefficients(dd, p)
+    v = _cells(dfield)
+    dd = float(np.max(np.einsum("an,an->n", v, v)))
+    a, c = _coefficients(dd, p, np.empty(()), np.empty(()))
     # D:D/c is 1 from the threshold up, also where D:D overflowed to inf.
     along_v = 0.0 if c is None else (1.0 if dd >= c else dd / c)
     return float(a - along_v + p.omega)

@@ -13,9 +13,9 @@ import pytest
 
 from relaxdiff import bands, grid as grid_mod
 from relaxdiff.grid import GridSpec, divergence, face_average_tensors, gradient
-from relaxdiff.integrate import FilterParams, _implicit_solve, _relax_H
-from relaxdiff.mollifier import grad_sigma
-from relaxdiff.response import response_field
+from relaxdiff.integrate import FilterParams, FilterState, _implicit_solve, _relax_H, energy
+from relaxdiff.mollifier import _correlate1d, grad_sigma
+from relaxdiff.response import PERONA_MALIK_SCALAR, THRESHOLDED_PROJECTION, ResponseParams, response_field
 from relaxdiff.tensors import apply, pack
 
 from conftest import apply_in_order, random_psd_field
@@ -201,6 +201,46 @@ def test_kernels_bit_equal_for_1_2_3_bands(dims, channels, rng, set_workers, mon
         "_relax_H": theta * planes + (1.0 - theta) * f,
         "_implicit_solve": solved[0],
     }
+    # The field passes banded without a spelled-out reference here are
+    # checked against their one-band result. Signed zeros in the image and
+    # the gradient; radii of 1, of 4 (wider than a band of two or three
+    # rows) and of 11 (wider than every axis), on every axis of the image.
+    signed = u.copy()
+    signed.reshape(-1)[::3] = -0.0
+    dfield = jfield.copy()
+    dfield.reshape(-1)[::4] = -0.0
+    weights = {}
+    for r in (1, 4, 11):
+        w = rng.uniform(0.1, 1.0, 2 * r + 1)
+        weights[r] = 0.5 * (w + w[::-1])
+    responses = [
+        ResponseParams(s=0.5, omega=omega, kind=kind, lam=0.7)
+        for kind in (THRESHOLDED_PROJECTION, PERONA_MALIK_SCALAR)
+        for omega in (0.0, 0.25)
+    ]
+    spread = rng.standard_normal((kd, 1, 24)) * 10.0 ** rng.integers(-4, 5, (kd, 1, 24))
+    state = FilterState(t=0.0, u=u, H=planes)
+
+    def banded_passes():
+        return {
+            **{
+                f"_correlate1d radius {r} axis {axis}": _correlate1d(signed, w, axis)
+                for r, w in weights.items()
+                for axis in range(signed.ndim)
+            },
+            **{f"response_field {q}": response_field(dfield, q) for q in responses},
+            # Fields of two and three cells, with bands of one cell: einsum
+            # sums such a strided slice in index order, while a field of one
+            # cell would round D:D differently for about a third of them.
+            **{
+                f"response_field of cells {i}:{i + n}": response_field(spread[..., i:i + n], p.response)
+                for n in (2, 3)
+                for i in range(0, spread.shape[-1], n)
+            },
+            "energy": np.array(energy(state, p)),
+        }
+
+    reference.update(banded_passes())
     default_chunk = grid_mod.FACE_AVERAGE_CHUNK
     for workers in (1, 2, 3):
         set_workers(workers)
@@ -215,6 +255,7 @@ def test_kernels_bit_equal_for_1_2_3_bands(dims, channels, rng, set_workers, mon
             "face_average_tensors": face_average_tensors(planes, grid),
             "_relax_H": relaxed,
             "_implicit_solve": x,
+            **banded_passes(),
         }
         for name, value in got.items():
             assert value.shape == reference[name].shape, name

@@ -139,6 +139,19 @@ class TestInitH0:
         with pytest.raises(ParameterError, match=f"^{message}$"):
             init_H0(scale * rng.standard_normal(grid.field_shape()), window=3, alpha=0.1)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_covariance_overflow_names_its_entry_and_cell(self, workers, set_workers):
+        # The squared norm, 1.69e308, is finite, so the input passes its
+        # check, but the window sums of the squared gradient overflow; the
+        # band threads of those sums warn nothing either.
+        set_workers(workers)
+        u = np.zeros((8, 8, 1))
+        u[3, 4, 0] = 1.3e154
+        message = r"^u_noisy is too large: its gradient covariance \(0, 0\) overflows at cell \(2, 3\)$"
+        with pytest.raises(ParameterError, match=message):
+            init_H0(u, window=3, alpha=0.1)
+
     def test_matches_scipy_window_sums(self, monkeypatch):
         grid = GridSpec(dims=(32, 32), channels=3)
         u = disk_image(32, radius=10.0)[0] + 0.05 * np.random.default_rng(5).standard_normal(grid.field_shape())

@@ -1,5 +1,5 @@
 """Peak memory of init_H0, run(), the relaxation, the energy, the memory-form
-check and the grey catte baseline.
+check and the grey catte baseline, and of the banded field passes.
 
 At 64 x 64 RGB one full-square H field is 6 x 6 float64 per cell, 1.7 MiB,
 against 0.1 MiB for the image, so the fields of tensors set the peak, and it
@@ -16,10 +16,11 @@ from dataclasses import replace
 import numpy as np
 
 from relaxdiff.baselines import run_baseline
-from relaxdiff.grid import GridSpec, inner, mean_free
+from relaxdiff.grid import GridSpec, gradient, inner, mean_free
 from relaxdiff.initial import init_H0
-from relaxdiff.integrate import FilterParams, _relax_H, energy, memory_form_check, run
-from relaxdiff.response import response_zero
+from relaxdiff.integrate import FilterParams, FilterState, _relax_H, energy, memory_form_check, run
+from relaxdiff.mollifier import convolve
+from relaxdiff.response import response_field, response_zero
 from relaxdiff.tensors import unpack
 
 from conftest import rgb_scene
@@ -127,3 +128,36 @@ def test_grey_catte_peak_in_image_fields():
     u0 = np.kron(tiles, np.ones((16, 16, 1))) + 0.1 * rng.standard_normal(grid.field_shape())
     _, peak = traced_peak(lambda: run_baseline(u0, FilterParams(t_end=0.3)))
     assert peak <= (15.67 + 0.25) * u0.nbytes, peak / u0.nbytes
+
+
+def test_band_threads_allocate_nothing(set_workers):
+    # A band thread that allocates keeps the memory in its own malloc arena
+    # after the band ends (relaxdiff.bands), so the banded passes allocate
+    # only in the calling thread: the result, and the scratch they declare.
+    # response_field: D:D and a, two cell fields at any band count.
+    # convolve: the first pass's output and the pair buffers of the bands,
+    # one image field in all. energy: the mean-free u and one plane per band.
+    # At 256 x 256 RGB half a cell field, 256 KiB, is twice the slack, which
+    # holds the Python objects and numpy's iterator buffers of the
+    # correlation's edge columns (measured up to 59 KiB).
+    grid = GridSpec(dims=(256, 256), channels=3)
+    u0 = np.random.default_rng(8).uniform(-1.0, 1.0, grid.field_shape())
+    p = FilterParams(t_end=0.3)
+    dfield = gradient(u0, grid)
+    state = FilterState(t=0.0, u=u0, H=response_field(dfield, p.response))
+    plane = grid.ncells * 8
+    slack = 1 << 17
+    passes = {
+        "response_field": (lambda: response_field(dfield, p.response), lambda bands: 2 * plane),
+        "convolve": (lambda: convolve(u0, p.kernel(), grid), lambda bands: 2 * u0.nbytes),
+        "energy": (lambda: energy(state, p), lambda bands: u0.nbytes + bands * plane),
+    }
+    for name, (call, scratch) in passes.items():
+        peaks = {}
+        for bands in (1, 2):
+            set_workers(bands)
+            call()  # the band threads start outside the traced call
+            result, peaks[bands] = traced_peak(call)
+            own = np.asarray(result).nbytes
+            assert peaks[bands] <= own + scratch(bands) + slack, (name, bands, peaks[bands] - own - scratch(bands))
+        assert peaks[2] <= peaks[1] + scratch(2) - scratch(1) + slack, (name, peaks)
