@@ -21,13 +21,15 @@ and writes: small fields run as one plain call, and the banded kernels split
 only where the split was measured to pay.
 
 The banded kernels are:
-- ``grid.gradient``, ``grid.divergence`` and ``grid.face_average_tensors``,
-  in rows: they band the spatial axis 0 of their component-first fields,
-  (k, d) + dims, (P,) + dims and (kd, kd) + dims, so a band is a slice of
-  every component at once;
+- ``grid.gradient``, ``grid.flux``, ``grid.divergence`` and
+  ``grid.face_average_tensors``, in rows: they band the spatial axis 0 of
+  their component-first fields, (k, d) + dims, (P,) + dims and
+  (kd, kd) + dims, so a band is a slice of every component at once. The
+  flux, the CG's tensors applied to the gradient, takes each chunk's
+  gradient and its ``tensors.apply`` in one band, with one hand-off;
 - ``mollifier._correlate1d``, which serves ``convolve`` and ``init_H0``'s
   window sums, in rows of the field's axis 0 along every axis it sums;
-- ``tensors.apply`` and ``response.response_field``, in flattened cells;
+- ``response.response_field``, in flattened cells;
 - ``integrate._relax_H``, in the flattened values of the packed H
   (P = kd(kd+1)/2 planes, see ``tensors.pack_index``);
 - ``integrate.energy``, in whole packed planes, each plane's square sum
@@ -35,9 +37,9 @@ The banded kernels are:
 - the vector updates of ``integrate._implicit_solve``'s CG,
   r -= alpha A p, x += alpha p and p = beta p + r, in the flattened values
   of the image fields.
-``face_average_tensors``, ``_correlate1d``, ``response_field`` and
-``energy`` need scratch space, and get it from their caller's thread, as
-the rules below ask.
+``flux``, ``divergence``, ``face_average_tensors``, ``_correlate1d``,
+``response_field`` and ``energy`` need scratch space, and get it from their
+caller's thread, as the rules below ask.
 
 A band function must keep three rules, which keep the output bits and the
 memory the same as those of one call over all rows:
@@ -48,8 +50,7 @@ memory the same as those of one call over all rows:
   one per band of ``band_edges``. numpy allocates too, iterator buffers of
   up to 8192 values per operand, for a ufunc whose operands are neither
   contiguous nor one-dimensional, so a band that keeps to contiguous
-  blocks and one-dimensional slices allocates nothing (the gradient's and
-  the divergence's bands do not yet);
+  blocks and one-dimensional slices allocates nothing;
 - it never calls ``for_bands`` itself (the nested call would wait for the
   band threads, which wait for it);
 - it enters any ``np.errstate`` it needs inside the band, because that state

@@ -15,15 +15,20 @@ with zero flux through all boundary faces. That pairing is what the no-flux
 boundary treatment means discretely: summation by parts holds to rounding,
 so total intensity is conserved and the integrator's CG operator
 div(apply(face_average_tensors(H), grad u)) is exactly symmetric and coercive.
+The CG forms it as divergence(flux(havg, u)): ``flux`` is the tensors
+applied to the gradient in one pass, with no field-sized gradient.
 
-The gradient and the divergence run in row bands over the CPUs
-(``relaxdiff.bands``), each element computed by the same operations in the
-same order as in one pass over the field, so their bits do not depend on the
-CPU count. Each reads or writes the image field through a channel-first view,
-one ufunc call per axis for all channels; the face averaging runs in row
-bands too. The inner product sums with numpy's einsum loop, which is
-single-threaded, and not with BLAS, whose dot product splits long vectors
-over threads and so rounds differently with the number of threads.
+The gradient, the flux, the divergence and the face averaging run in row
+bands over the CPUs (``relaxdiff.bands``), each element computed by the same
+operations in the same order as in one pass over the field, so their bits do
+not depend on the CPU count. The first three read or write channel c of the
+image field as the strided line u.reshape(-1)[c::k], and each component as a
+flat cell field, by one-dimensional ufunc calls, one per channel and axis:
+numpy needs no iterator buffers for them, so their bands allocate nothing.
+Along axis j a cell's neighbour lies prod(dims[j+1:]) cells further on.
+The inner product sums with numpy's einsum loop, which is single-threaded,
+and not with BLAS, whose dot product splits long vectors over threads and so
+rounds differently with the number of threads.
 """
 
 import math
@@ -33,6 +38,7 @@ import numpy as np
 
 from .bands import band_edges, for_bands
 from .errors import DimensionError, ParameterError, integer_param
+from . import tensors
 from .tensors import pack_index
 
 Array = np.ndarray
@@ -86,38 +92,83 @@ def check_image(u: Array, grid: GridSpec) -> Array:
     return u
 
 
-def _axis_slices(ndim: int, axis: int):
-    """(cells with a forward face, their forward neighbors, last cells)."""
-    lo = [slice(None)] * ndim
-    hi = [slice(None)] * ndim
-    last = [slice(None)] * ndim
-    lo[axis] = slice(0, -1)
-    hi[axis] = slice(1, None)
-    last[axis] = slice(-1, None)
-    return tuple(lo), tuple(hi), tuple(last)
+def _gradient_rows(uf: Array, grid: GridSpec, start: int, stop: int, out: Array) -> None:
+    """The gradient of rows [start, stop) of axis 0 into out, (k, d, cells of those rows).
+
+    uf is the image's flat values, channel last, so channel c is the strided
+    line uf[c::k]; along axis j a cell's neighbour lies prod(dims[j+1:])
+    cells further on. Each component is one one-dimensional ufunc call, and
+    the slots without a forward face, which that call filled with the pair
+    that wraps past the end of axis j, are set to 0.0 after it.
+    """
+    k, dims = grid.channels, grid.dims
+    row = math.prod(dims[1:])
+    lo, hi = start * row, stop * row
+    top = min(stop, dims[0] - 1) * row  # the last row has no axis-0 face
+    for c in range(k):
+        uc = uf[c::k]
+        np.subtract(uc[lo + row:top + row], uc[lo:top], out=out[c, 0, :top - lo])
+        out[c, 0, top - lo:] = 0.0
+        for j in range(1, grid.ndim):
+            stride = math.prod(dims[j + 1:])
+            oc = out[c, j]
+            np.subtract(uc[lo + stride:hi], uc[lo:hi - stride], out=oc[:hi - lo - stride])
+            oc.reshape(-1, dims[j], stride)[:, -1] = 0.0
 
 
 def gradient(u: Array, grid: GridSpec) -> Array:
     """Forward-difference gradient field of shape (k, d) + dims, component-first."""
     u = check_image(u, grid)
-    d = grid.ndim
-    n0 = grid.dims[0]
-    uk = np.moveaxis(u, -1, 0)  # (k,) + dims view: one ufunc call per axis covers every channel
-    out = np.empty((grid.channels, d) + grid.dims)
+    out = np.empty((grid.channels, grid.ndim) + grid.dims)
+    uf, of = u.reshape(-1), out.reshape(grid.channels, grid.ndim, -1)
+    row = math.prod(grid.dims[1:])
 
     def band(start: int, stop: int) -> None:
-        # Axis 0 reads one row past the band; the last row has no forward face.
-        top = min(stop, n0 - 1)
-        np.subtract(uk[:, start + 1:top + 1], uk[:, start:top], out=out[:, 0, start:top])
-        out[:, 0, top:stop] = 0.0
-        ub = uk[:, start:stop]
-        for j in range(1, d):
-            lo, hi, last = ((slice(None),) + s for s in _axis_slices(d, j))
-            ob = out[:, j, start:stop]
-            np.subtract(ub[hi], ub[lo], out=ob[lo])
-            ob[last] = 0.0
+        _gradient_rows(uf, grid, start, stop, of[:, :, start * row:stop * row])
 
-    for_bands(band, n0, u.size + out.size)
+    for_bands(band, grid.dims[0], u.size + out.size)
+    return out
+
+
+def flux(havg: Array, u: Array, grid: GridSpec) -> Array:
+    """tensors.apply(havg, gradient(u, grid)) bit for bit, with no field-sized gradient.
+
+    havg holds the face tensors full square, (kd, kd) + dims; the result is
+    the flux, (k, d) + dims. One banded pass over the rows of axis 0: each
+    chunk of whole rows, about tensors.APPLY_CHUNK cells, takes its gradient
+    into a buffer of its band, allocated here, and applies the tensors to it
+    by one tensors.apply, so every element comes from the same operations as
+    in the two calls. Overflow gives inf or NaN without a warning; the CG
+    reports it.
+    """
+    u = check_image(u, grid)
+    havg = np.asarray(havg, dtype=float)
+    k, d = grid.channels, grid.ndim
+    kd = k * d
+    if havg.shape != (kd, kd) + grid.dims:
+        raise DimensionError(f"face tensor shape {havg.shape} != {(kd, kd) + grid.dims}")
+    n0 = grid.dims[0]
+    row = math.prod(grid.dims[1:])
+    work = havg.size + u.size * (1 + d)
+    edges = band_edges(n0, work)
+    rows = min(max(1, tensors.APPLY_CHUNK // row), max(np.diff(edges)))  # rows per chunk
+    # The scratch comes before the output, below it in the heap, so that
+    # freeing it leaves no free top that glibc trims and faults in again at
+    # the next call (measured: 5,384 against 4,616 minor faults per CLI run
+    # at 256 x 256 RGB).
+    scratch = {start: np.empty((kd, rows * row)) for start in edges[:-1]}
+    out = np.empty((k, d) + grid.dims)
+    uf, hf, of = u.reshape(-1), havg.reshape(kd, kd, -1), out.reshape(k, d, -1)
+
+    def band(start: int, stop: int) -> None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a in range(start, stop, rows):
+                b = min(a + rows, stop)
+                g = scratch[start][:, :(b - a) * row].reshape(k, d, -1)
+                _gradient_rows(uf, grid, a, b, g)
+                tensors.apply(hf[:, :, a * row:b * row], g, out=of[:, :, a * row:b * row])
+
+    for_bands(band, n0, work)
     return out
 
 
@@ -128,33 +179,53 @@ def divergence(jfield: Array, grid: GridSpec) -> Array:
     field, dims + (k,). The padding slot of each axis (last cell) is
     ignored, which realises the vanishing normal flux: sum over all cells of
     the output is exactly zero.
+
+    Per element: + its own face, - the face behind it, axis by axis, the sum
+    starting from f + 0.0 (so a first term of -0.0 gives +0.0), or from 0.0
+    in the last row of axis 0, which has no face of its own. Channel c of
+    the output is the strided line out.reshape(-1)[c::k], written by
+    one-dimensional ufunc calls over chunks of whole rows, about
+    FACE_AVERAGE_CHUNK cells each. The terms of axes 1.. go through one
+    buffer per band, in which the padding slots are set to +0.0: adding or
+    subtracting it leaves every sum as it is, since a sum that starts so is
+    never -0.0. Overflow gives inf or NaN without a warning; the CG reports
+    it.
     """
     jfield = np.asarray(jfield, dtype=float)
-    d = grid.ndim
-    if jfield.shape != (grid.channels, d) + grid.dims:
-        raise DimensionError(
-            f"flux shape {jfield.shape} != {(grid.channels, d) + grid.dims}"
-        )
-    n0 = grid.dims[0]
-    out = np.zeros(grid.field_shape())
-    ok = np.moveaxis(out, -1, 0)  # (k,) + dims view, as the flux is laid out
+    k, d, dims = grid.channels, grid.ndim, grid.dims
+    if jfield.shape != (k, d) + dims:
+        raise DimensionError(f"flux shape {jfield.shape} != {(k, d) + dims}")
+    n0 = dims[0]
+    row = math.prod(dims[1:])
+    out = np.empty(grid.field_shape())
+    jf, of = jfield.reshape(k, d, -1), out.reshape(-1)
+    work = jfield.size + out.size
+    edges = band_edges(n0, work)
+    rows = min(max(1, FACE_AVERAGE_CHUNK // row), max(np.diff(edges)))  # rows per chunk
+    scratch = {start: np.empty(rows * row) for start in edges[:-1]}
 
     def band(start: int, stop: int) -> None:
-        # Per element: + its own face, - the face behind it, axis by axis.
-        # Axis 0 reads the flux of one row before the band; the last row's
-        # slot is a boundary face and carries no flux.
-        top = min(stop, n0 - 1)
-        ok[:, start:top] += jfield[:, 0, start:top]
-        first = max(start, 1)
-        ok[:, first:stop] -= jfield[:, 0, first - 1:stop - 1]
-        ob = ok[:, start:stop]
-        for j in range(1, d):
-            lo, hi, _ = ((slice(None),) + s for s in _axis_slices(d, j))
-            f = jfield[:, j, start:stop][lo]  # interior faces only; boundary flux is zero
-            ob[lo] += f
-            ob[hi] -= f
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a in range(start, stop, rows):
+                b = min(a + rows, stop)
+                lo, hi = a * row, b * row
+                top = min(b, n0 - 1) * row  # cells below top have a face along axis 0
+                first = max(a, 1) * row  # cells from first on have one behind them
+                for c in range(k):
+                    oc, f = of[c::k], jf[c, 0]
+                    np.add(f[lo:top], 0.0, out=oc[lo:top])
+                    oc[top:hi] = 0.0
+                    np.subtract(oc[first:hi], f[first - row:hi - row], out=oc[first:hi])
+                    ob = oc[lo:hi]
+                    for j in range(1, d):
+                        stride = math.prod(dims[j + 1:])
+                        t = scratch[start][:hi - lo]
+                        np.copyto(t, jf[c, j, lo:hi])
+                        t.reshape(-1, dims[j], stride)[:, -1] = 0.0
+                        ob += t
+                        ob[stride:] -= t[:-stride]
 
-    for_bands(band, n0, jfield.size + out.size)
+    for_bands(band, n0, work)
     return out
 
 
@@ -198,7 +269,7 @@ def face_average_tensors(hfield: Array, grid: GridSpec) -> Array:
     # axis-0 face in every row but the last. Small integers, exact in float.
     faces = np.zeros(grid.dims[1:])
     for j in range(1, d):
-        faces[_axis_slices(d - 1, j - 1)[0]] += 1.0
+        faces[(slice(None),) * (j - 1) + (slice(0, -1),)] += 1.0  # cells with a face along axis j
     count = (faces + 1.0).ravel()
     last_count = np.maximum(faces, 1.0).ravel()  # the corner's 0 -> 1
     corner = tuple(n - 1 for n in grid.dims)

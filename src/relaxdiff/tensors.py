@@ -17,11 +17,12 @@ between the two layouts. ``min_eig_field`` and ``min_eig_below`` take a
 packed field and factorise it packed; only ``eigvalsh_field`` keeps numpy's
 (..., n, n) layout, for the few cells that are diagonalised.
 
-All functions here are pure and safe to call concurrently. ``apply`` splits
-its cells into bands over the CPUs of the affinity mask
-(``relaxdiff.bands``). Each output element sums its products in index order
-from +0.0, the order einsum takes over a component-first field of two or
-more cells, so its bits do not depend on the CPU count.
+All functions here are pure and safe to call concurrently. None of them
+runs in bands: ``grid.flux`` calls ``apply`` on each chunk of rows of its
+bands (``relaxdiff.bands``). Each output element of ``apply`` sums its
+products in index order from +0.0, the order einsum takes over a
+component-first field of two or more cells, so its bits do not depend on how
+the cells are split, nor on the CPU count.
 """
 
 import functools
@@ -29,7 +30,6 @@ import math
 
 import numpy as np
 
-from .bands import for_bands
 from .errors import DimensionError
 
 Array = np.ndarray
@@ -40,8 +40,9 @@ MIN_EIG_SAMPLE = 64
 MIN_EIG_BLOCK = 4096
 MIN_EIG_MARGIN = 4
 
-# apply: cells per einsum call, so that a chunk's slices of h, g and the
-# output stay in cache (an unchunked band was measured up to 10 % slower).
+# grid.flux: cells per chunk, one apply each, so that a chunk's slices of
+# the tensors, its gradient and the flux stay in cache (whole bands were
+# measured up to 10 % slower).
 APPLY_CHUNK = 1 << 15
 
 
@@ -89,15 +90,18 @@ def unpack(planes: Array) -> Array:
     return planes[pack_index(_packed_side(planes.shape[0]))]
 
 
-def apply(h: Array, g: Array) -> Array:
+def apply(h: Array, g: Array, out: Array | None = None) -> Array:
     """Apply tensors to k x d matrices cell by cell: (H D)_ij = sum_IJ H_ijIJ D_IJ.
 
     Both are component-first: h has shape (k*d, k*d) + dims and g (k, d) +
     dims, and so does the result's (k, d) + dims. With p_b = h_ab g_b, each
     output element sums the p_b in index order starting from +0.0: one
-    einsum per APPLY_CHUNK cells of a band. A field of one cell (a single
-    tensor and matrix, dims = () or all ones) is the exception: einsum then
-    unrolls the sum over b, and the last bits may differ from index order.
+    einsum over all cells. A field of one cell (a single tensor and matrix,
+    dims = () or all ones) is the exception: einsum then unrolls the sum
+    over b, and the last bits may differ from index order. out, if given,
+    takes the result; it must reshape to (k*d, cells) as a view, as a slice
+    of cells of a C-ordered field does. grid.flux calls this once per chunk
+    of a band.
     """
     h = np.asarray(h, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -107,17 +111,10 @@ def apply(h: Array, g: Array) -> Array:
     if h.shape != (kd, kd) + g.shape[2:]:
         raise DimensionError(f"tensor shape {h.shape} does not fit matrix shape {g.shape}")
     n = math.prod(g.shape[2:])
-    hf = h.reshape(kd, kd, n)
-    gf = g.reshape(kd, n)
-    out = np.empty((kd, n))
-
-    def band(start: int, stop: int) -> None:
-        for a in range(start, stop, APPLY_CHUNK):
-            b = min(a + APPLY_CHUNK, stop)
-            np.einsum("abn,bn->an", hf[:, :, a:b], gf[:, a:b], out=out[:, a:b])
-
-    for_bands(band, n, h.size + 2 * g.size)
-    return out.reshape(g.shape)
+    if out is None:
+        out = np.empty(g.shape)
+    np.einsum("abn,bn->an", h.reshape(kd, kd, n), g.reshape(kd, n), out=out.reshape(kd, n))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from relaxdiff import bands, grid as grid_mod
-from relaxdiff.grid import GridSpec, divergence, face_average_tensors, gradient
+from relaxdiff import bands, grid as grid_mod, tensors
+from relaxdiff.grid import GridSpec, divergence, face_average_tensors, flux, gradient
 from relaxdiff.integrate import FilterParams, FilterState, _implicit_solve, _relax_H, energy
 from relaxdiff.mollifier import _correlate1d, grad_sigma
 from relaxdiff.response import PERONA_MALIK_SCALAR, THRESHOLDED_PROJECTION, ResponseParams, response_field
@@ -193,10 +193,20 @@ def test_kernels_bit_equal_for_1_2_3_bands(dims, channels, rng, set_workers, mon
     set_workers(1)
     solved = _implicit_solve(b, havg, p.dt, grid, p.cg_tol)
     assert solved[1] > 1
+    # Signed zeros in the image and the flux, whose padding slots (the last
+    # cell of each axis) hold non-zero values that the divergence ignores.
+    signed = u.copy()
+    signed.reshape(-1)[::3] = -0.0
+    dfield = jfield.copy()
+    dfield.reshape(-1)[::4] = -0.0
+    signed_gradient = np.moveaxis(_gradient_ref(signed, grid), (-2, -1), (0, 1))
     reference = {
         "gradient": np.moveaxis(_gradient_ref(u, grid), (-2, -1), (0, 1)),
+        "gradient of signed zeros": signed_gradient,
         "divergence": _divergence_ref(np.moveaxis(jfield, (0, 1), (-2, -1)), grid),
+        "divergence of signed zeros": _divergence_ref(np.moveaxis(dfield, (0, 1), (-2, -1)), grid),
         "apply": apply_in_order(h, jfield),
+        "flux": apply_in_order(h, signed_gradient),
         "face_average_tensors": _face_average_ref(h, grid),
         "_relax_H": theta * planes + (1.0 - theta) * f,
         "_implicit_solve": solved[0],
@@ -205,10 +215,6 @@ def test_kernels_bit_equal_for_1_2_3_bands(dims, channels, rng, set_workers, mon
     # checked against their one-band result. Signed zeros in the image and
     # the gradient; radii of 1, of 4 (wider than a band of two or three
     # rows) and of 11 (wider than every axis), on every axis of the image.
-    signed = u.copy()
-    signed.reshape(-1)[::3] = -0.0
-    dfield = jfield.copy()
-    dfield.reshape(-1)[::4] = -0.0
     weights = {}
     for r in (1, 4, 11):
         w = rng.uniform(0.1, 1.0, 2 * r + 1)
@@ -242,6 +248,8 @@ def test_kernels_bit_equal_for_1_2_3_bands(dims, channels, rng, set_workers, mon
 
     reference.update(banded_passes())
     default_chunk = grid_mod.FACE_AVERAGE_CHUNK
+    default_apply_chunk = tensors.APPLY_CHUNK
+    row = math.prod(dims[1:])
     for workers in (1, 2, 3):
         set_workers(workers)
         relaxed = planes.copy()
@@ -250,8 +258,11 @@ def test_kernels_bit_equal_for_1_2_3_bands(dims, channels, rng, set_workers, mon
         assert iters == solved[1], f"CG iterations with {workers} bands"
         got = {
             "gradient": gradient(u, grid),
+            "gradient of signed zeros": gradient(signed, grid),
             "divergence": divergence(jfield, grid),
+            "divergence of signed zeros": divergence(dfield, grid),
             "apply": apply(h, jfield),
+            "flux": flux(h, signed, grid),
             "face_average_tensors": face_average_tensors(planes, grid),
             "_relax_H": relaxed,
             "_implicit_solve": x,
@@ -260,8 +271,16 @@ def test_kernels_bit_equal_for_1_2_3_bands(dims, channels, rng, set_workers, mon
         for name, value in got.items():
             assert value.shape == reference[name].shape, name
             assert value.tobytes() == reference[name].tobytes(), f"{name} with {workers} bands"
-        # Chunks of one row of one entry plane, and of a few rows and planes.
-        for chunk in (1, 6 * math.prod(dims[1:]), default_chunk):
+        # Chunks of one row of one entry plane, and of a few rows and planes;
+        # the divergence's chunks are one row and a few rows.
+        for chunk in (1, 6 * row, default_chunk):
             monkeypatch.setattr(grid_mod, "FACE_AVERAGE_CHUNK", chunk)
             value = face_average_tensors(planes, grid)
             assert value.tobytes() == reference["face_average_tensors"].tobytes(), f"{chunk}-value chunks, {workers} bands"
+            value = divergence(dfield, grid)
+            assert value.tobytes() == reference["divergence of signed zeros"].tobytes(), f"{chunk}-value chunks, {workers} bands"
+        # The flux's chunks: one row, a few rows, and the default.
+        for chunk in (row, 3 * row, default_apply_chunk):
+            monkeypatch.setattr(tensors, "APPLY_CHUNK", chunk)
+            value = flux(h, signed, grid)
+            assert value.tobytes() == reference["flux"].tobytes(), f"{chunk}-cell flux chunks, {workers} bands"

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import relaxdiff.integrate as integrate_mod
 import relaxdiff.tensors as tensors_mod
 from relaxdiff.baselines import run_baseline
 from relaxdiff.errors import DimensionError, FitError, InvariantViolation, ParameterError, SolverError
-from relaxdiff.grid import GridSpec, channel_sums, face_average_tensors, l2_norm, mean_free
+from relaxdiff.grid import GridSpec, channel_sums, divergence, face_average_tensors, flux, l2_norm, mean_free
 from relaxdiff.initial import init_H0, rescale
 from relaxdiff.integrate import (
     MAX_STEPS,
@@ -457,6 +458,42 @@ class TestRun:
             run(u0, h0, p)
         assert err.value.residual > p.cg_tol
         assert str(err.value).endswith(f"iterations (relative residual {err.value.residual:.6g})")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_operator_overflow_is_one_solver_error(self, workers, set_workers):
+        # From omega about 6.5e153 the face tensors are so large that the
+        # divergence overflows in the main solve's first operator apply. That
+        # once printed numpy's "overflow encountered in subtract" and then
+        # reported a CG breakdown.
+        set_workers(workers)
+        clean, _ = disk_image(n=8, radius=2.5)
+        u0 = clean + 0.05 * np.random.default_rng(3).standard_normal(clean.shape)
+        h0 = init_H0(u0, window=3, alpha=0.1)
+        p = FilterParams(tau=0.5, sigma=0.0, dt=1.0, t_end=1.0, response=ResponseParams(s=1.0, omega=6.511974122340293e153))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match=r"^main solve of step 1 \(t=1\): the operator overflowed at iteration"):
+                run(u0, h0, p)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_operator_overflow_inside_the_iterations(self, workers, set_workers, rng):
+        # A tiny u under face tensors of 1e250: A u and the first residual
+        # are finite, A r is not, so p.Ap overflows at iteration 1. The flux
+        # (whose differences overflow here) and the divergence give inf or
+        # NaN without a warning.
+        set_workers(workers)
+        grid = GridSpec(dims=(8, 8), channels=3)
+        u = 1e-100 * rng.standard_normal(grid.field_shape())
+        havg = face_average_tensors(identity_field(grid.dims, 6, scale=1e250), grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stripes = np.zeros(grid.field_shape())
+            stripes[::2] = 1e308
+            stripes[1::2] = -1e308
+            assert not np.any(np.isfinite(divergence(flux(havg, stripes, grid), grid)))
+            with pytest.raises(SolverError, match=r"^diffusion solve: the operator overflowed at iteration 1 ") as err:
+                _implicit_solve(u, havg, 1.0, grid, 1e-8)
+        assert math.isfinite(err.value.residual)
 
     def test_face_average_once_per_step(self, rng, monkeypatch):
         # run() carries each step's face tensors into the next step's half

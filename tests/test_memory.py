@@ -16,7 +16,8 @@ from dataclasses import replace
 import numpy as np
 
 from relaxdiff.baselines import run_baseline
-from relaxdiff.grid import GridSpec, gradient, inner, mean_free
+from relaxdiff import grid as grid_mod, tensors
+from relaxdiff.grid import GridSpec, divergence, face_average_tensors, flux, gradient, inner, mean_free
 from relaxdiff.initial import init_H0
 from relaxdiff.integrate import FilterParams, FilterState, _relax_H, energy, memory_form_check, run
 from relaxdiff.mollifier import convolve
@@ -53,11 +54,14 @@ def test_peaks_in_H_fields():
     # H0 exists before tracing starts: run()'s copy of it counts, H0 does
     # not. The main solve holds the peak: the packed H (0.58) and the
     # full-square face tensors are 1.58 H fields, the CG's vectors and the
-    # operator's temporaries the rest. A full-square H would add 0.42.
+    # operator's temporaries the rest (2.27; 2.35 while the CG made a
+    # field-sized gradient per operator apply, which grid.flux forms chunk by
+    # chunk). A full-square H would add 0.42.
     _, run_peak = traced_peak(lambda: run(u0, h0, p))
     # The CLI's sequence: init_H0's packed result, passed inline, is freed
-    # once run() has copied it, so the sequence peaks as run() does (2.36;
-    # 2.94 while run() held its H0 to the end).
+    # once run() has copied it, so the sequence peaks as run() does (2.26,
+    # 2.35 with the field-sized gradient; 2.94 while run() held its H0 to
+    # the end).
     _, cli_peak = traced_peak(lambda: run(u0, init_H0(u0, window=5, alpha=0.1), p))
     assert init_peak <= 1.41 * unit, init_peak / unit
     assert run_peak <= 2.38 * unit, run_peak / unit
@@ -100,8 +104,9 @@ def test_energy_sums_plane_by_plane_in_a_fraction_of_an_H_field():
 
 def test_memory_form_check_peak_is_flat_in_the_step_count():
     # The steps arrive one at a time from trajectory(), so nothing grows
-    # with their count: one bound holds at 3 and at 24 steps (measured 3.77
-    # and 3.79 H fields; a stored history took 7.02 and 21.02). q's update
+    # with their count: one bound holds at 3 and at 24 steps (measured 3.67
+    # and 3.68 H fields, 3.68 and 3.73 with the CG's field-sized gradient;
+    # a stored history took 7.02 and 21.02). q's update
     # and the squared gap run in place, in the older response sample, and
     # the gap's Frobenius sum adds its packed planes cell by cell (out of
     # place they took 5.47, and an unpacked gap 4.45). The bound allows 0.1
@@ -120,8 +125,10 @@ def test_grey_catte_peak_in_image_fields():
     # 11 image fields of the packed H (3), the face tensors (4) and CG
     # vectors, the flux (2), and the divergence's output and temporaries. At
     # 128 x 128 grey every kernel runs as one band, whatever the CPU count.
-    # The bound allows a quarter of an image field over the measured 15.67,
-    # less than any temporary the size of an image field.
+    # The bound allows a quarter of an image field over the 15.67 measured
+    # while the CG made a field-sized gradient (15.56 on the last such
+    # version), less than any temporary the size of an image field; with
+    # the flux's gradient formed chunk by chunk it measured 15.08.
     grid = GridSpec(dims=(128, 128), channels=1)
     rng = np.random.default_rng(8)
     tiles = rng.uniform(-0.8, 0.8, (8, 8, 1))
@@ -137,17 +144,27 @@ def test_band_threads_allocate_nothing(set_workers):
     # response_field: D:D and a, two cell fields at any band count.
     # convolve: the first pass's output and the pair buffers of the bands,
     # one image field in all. energy: the mean-free u and one plane per band.
-    # At 256 x 256 RGB half a cell field, 256 KiB, is twice the slack, which
+    # gradient: nothing. divergence: at most FACE_AVERAGE_CHUNK values per
+    # band. flux: the gradient of at most APPLY_CHUNK cells per band. At
+    # 256 x 256 RGB half a cell field, 256 KiB, is twice the slack, which
     # holds the Python objects and numpy's iterator buffers of the
-    # correlation's edge columns (measured up to 59 KiB).
+    # correlation's edge columns (measured up to 59 KiB). The gradient and
+    # the divergence once allocated such buffers in every band, 194 KiB
+    # each; their one-dimensional ufunc calls measured 1.5 to 4.3 KiB over
+    # their result and scratch.
     grid = GridSpec(dims=(256, 256), channels=3)
     u0 = np.random.default_rng(8).uniform(-1.0, 1.0, grid.field_shape())
     p = FilterParams(t_end=0.3)
     dfield = gradient(u0, grid)
     state = FilterState(t=0.0, u=u0, H=response_field(dfield, p.response))
+    havg = face_average_tensors(state.H, grid)
+    kd = grid.channels * grid.ndim
     plane = grid.ncells * 8
     slack = 1 << 17
     passes = {
+        "gradient": (lambda: gradient(u0, grid), lambda bands: 0),
+        "divergence": (lambda: divergence(dfield, grid), lambda bands: bands * grid_mod.FACE_AVERAGE_CHUNK * 8),
+        "flux": (lambda: flux(havg, u0, grid), lambda bands: bands * kd * tensors.APPLY_CHUNK * 8),
         "response_field": (lambda: response_field(dfield, p.response), lambda bands: 2 * plane),
         "convolve": (lambda: convolve(u0, p.kernel(), grid), lambda bands: 2 * u0.nbytes),
         "energy": (lambda: energy(state, p), lambda bands: u0.nbytes + bands * plane),
