@@ -15,11 +15,12 @@ under no-flux boundary conditions. Modules:
 - cli:        PPM/PGM pipeline front end
 
 The root exports the entry points, their parameter types and diagnostics.
-The entry points take the image, dims + (k,), whose shape is the grid
-(GridSpec.from_field); the kernels stay in their modules.
+The entry points take the image, dims + (k,), whose shape is the grid, and
+check it once (grid.check_image); the kernels stay in their modules and
+read dims, k and d from the arrays they are given.
 """
 
-from .grid import GridSpec, poincare_estimate
+from .grid import poincare_estimate
 from .initial import NoiseSpec, add_noise, init_H0, rescale, unrescale
 from .integrate import (
     FilterParams,
@@ -36,7 +37,6 @@ from .baselines import compare_trajectories, run_baseline
 from .response import ResponseParams, lipschitz_bound
 
 __all__ = [
-    "GridSpec",
     "poincare_estimate",
     "NoiseSpec",
     "add_noise",

@@ -20,7 +20,7 @@ import warnings
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .grid import GridSpec, _require_finite
+from .grid import check_image
 from .integrate import FilterParams, FilterState, TraceRecord, _drain, _step_loop
 
 # bench/child.py wraps these names when tracing. The step loop looks them up
@@ -47,16 +47,14 @@ def run_baseline(u0: Array, p: FilterParams) -> tuple[FilterState, list[TraceRec
     kern = p.kernel()
     if kern is None and p.response.kind == THRESHOLDED_PROJECTION:
         raise ParameterError(f"the mollified baseline requires sigma >= {DELTA_SIGMA:g}")
-    u = np.asarray(u0, dtype=float)
-    grid = GridSpec.from_field(u)
-    _require_finite("u0", u)
+    u = check_image("u0", u0)
     if kern is None:
         warnings.warn(
             "unmollified scalar edge-stopping diffusion is ill-posed; "
             "use small dt and expect no stability guarantee",
             stacklevel=2,
         )
-    return _drain(_step_loop(u.copy(), None, p, grid))
+    return _drain(_step_loop(u.copy(), None, p))
 
 
 def compare_trajectories(a: list[TraceRecord], b: list[TraceRecord]) -> float:

@@ -30,7 +30,7 @@ from .errors import (
     SolverError,
     TruncatedPayloadError,
 )
-from .grid import GridSpec
+from .grid import check_image
 from .initial import NoiseSpec, add_noise, init_H0, rescale, unrescale
 from .integrate import FilterParams, run, write_trace_csv
 from .mollifier import COMPACT_BUMP, GAUSSIAN
@@ -308,8 +308,7 @@ def main(argv: list[str] | None = None) -> int:
         noise = NoiseSpec(std=ns.noise_std, seed=ns.seed)
 
         stage = "image loading"
-        raw = load_image(ns.input)
-        grid = GridSpec.from_field(raw)
+        raw = check_image("input image", load_image(ns.input))
         reference = load_image(ns.reference) if ns.reference else None
         if reference is not None and reference.shape != raw.shape:
             raise ParameterError(f"reference shape {reference.shape} != input shape {raw.shape}")
@@ -330,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
         out01 = np.clip(unrescale(state.u), 0.0, 1.0)
         # The trace goes first, so a trace that cannot be written leaves no image.
         if ns.trace:
-            write_trace_csv(traces, ns.trace, grid.channels)
+            write_trace_csv(traces, ns.trace, raw.shape[-1])
         save_image(out01, ns.output)
 
         print(f"psnr_vs_input={psnr(out01, raw):.6f}")

@@ -1,22 +1,24 @@
 """Discrete differential operators on the pixel grid.
 
-Image fields are cell-centered numpy arrays of shape dims + (k,). The
-discrete gradient takes forward differences along each axis. It is stored
-component-first, with shape (k, d) + dims: the value for the face between
-cells x and x+e_j is at slot (:, j, x), so each component is one contiguous
-cell field, and the last slot per axis (which has no forward face) holds
-zero. Fluxes share that layout, and tensor fields have the matching one:
-the face averaging takes H packed, (P,) + dims with P = kd(kd+1)/2 (see
-``tensors.pack_index``), and returns the face tensors full square,
-(kd, kd) + dims, which the CG operator applies to the gradient cell by
-cell (``tensors.apply``). The divergence is built as the
-exact negative adjoint of this gradient under the plain grid inner products,
-with zero flux through all boundary faces. That pairing is what the no-flux
-boundary treatment means discretely: summation by parts holds to rounding,
-so total intensity is conserved and the integrator's CG operator
-div(apply(face_average_tensors(H), grad u)) is exactly symmetric and coercive.
-The CG forms it as divergence(flux(havg, u)): ``flux`` is the tensors
-applied to the gradient in one pass, with no field-sized gradient.
+Image fields are cell-centered numpy arrays of shape dims + (k,), and that
+shape is the grid: each kernel here reads dims, k and d = len(dims) from the
+arrays it is given, and ``check_image`` checks an image once, where a run
+enters. The discrete gradient takes forward differences along each axis. It
+is stored component-first, with shape (k, d) + dims: the value for the face
+between cells x and x+e_j is at slot (:, j, x), so each component is one
+contiguous cell field, and the last slot per axis (which has no forward
+face) holds zero. Fluxes share that layout, and tensor fields have the
+matching one: the face averaging takes H packed, (P,) + dims with P =
+kd(kd+1)/2 (see ``tensors.pack_index``), and returns the face tensors full
+square, (kd, kd) + dims, which the CG operator applies to the gradient cell
+by cell (``tensors.apply``). The divergence is built as the exact negative
+adjoint of this gradient under the plain grid inner products, with zero flux
+through all boundary faces. That pairing is what the no-flux boundary
+treatment means discretely: summation by parts holds to rounding, so total
+intensity is conserved and the integrator's CG operator
+div(apply(face_average_tensors(H), grad u)) is exactly symmetric and
+coercive. The CG forms it as divergence(flux(havg, u)): ``flux`` is the
+tensors applied to the gradient in one pass, with no field-sized gradient.
 
 The gradient, the flux, the divergence and the face averaging run in row
 bands over the CPUs (``relaxdiff.bands``), each element computed by the same
@@ -32,67 +34,42 @@ rounds differently with the number of threads.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bands import band_edges, for_bands
-from .errors import DimensionError, ParameterError, integer_param
+from .errors import DimensionError, ParameterError
 from . import tensors
-from .tensors import pack_index
+from .tensors import _packed_side, pack_index
 
 Array = np.ndarray
 
 FACE_AVERAGE_CHUNK = 1 << 16  # float64 values per chunk of face_average_tensors, and per band's buffer
+# flux: cells per chunk, one tensors.apply each, so that a chunk's slices of
+# the tensors, its gradient and the flux stay in cache (whole bands were
+# measured up to 10 % slower).
+APPLY_CHUNK = 1 << 15
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Grid of unit pixels: sizes per axis and channel count."""
+def check_image(name: str, u: Array) -> Array:
+    """u as a float image, dims + (k,), checked once at a run's entry.
 
-    dims: tuple[int, ...]
-    channels: int = 1
-
-    def __post_init__(self):
-        dims = tuple(integer_param(n, "grid dims") for n in self.dims)
-        channels = integer_param(self.channels, "channels")
-        if len(dims) == 0:
-            raise ParameterError("grid needs at least one axis")
-        if any(n < 2 for n in dims):
-            raise ParameterError(f"all grid dims must be >= 2, got {dims}")
-        if channels < 1:
-            raise ParameterError("channels must be >= 1")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "channels", channels)
-
-    @property
-    def ndim(self) -> int:
-        return len(self.dims)
-
-    @property
-    def ncells(self) -> int:
-        return int(np.prod(self.dims))
-
-    def field_shape(self) -> tuple[int, ...]:
-        return self.dims + (self.channels,)
-
-    @staticmethod
-    def from_field(u: Array) -> "GridSpec":
-        """Grid implied by a dims + (k,) array."""
-        u = np.asarray(u)
-        if u.ndim < 2:
-            raise DimensionError("image field needs shape dims + (channels,)")
-        return GridSpec(dims=u.shape[:-1], channels=u.shape[-1])
-
-
-def check_image(u: Array, grid: GridSpec) -> Array:
+    Its shape is the grid: every dim must be at least 2 and k at least 1.
+    Its squared L2 norm must be finite (see _require_finite), where name
+    names it.
+    """
     u = np.asarray(u, dtype=float)
-    if u.shape != grid.field_shape():
-        raise DimensionError(f"field shape {u.shape} != grid shape {grid.field_shape()}")
+    if u.ndim < 2:
+        raise DimensionError("image field needs shape dims + (channels,)")
+    if any(n < 2 for n in u.shape[:-1]):
+        raise ParameterError(f"all grid dims must be >= 2, got {u.shape[:-1]}")
+    if u.shape[-1] < 1:
+        raise ParameterError("channels must be >= 1")
+    _require_finite(name, u)
     return u
 
 
-def _gradient_rows(uf: Array, grid: GridSpec, start: int, stop: int, out: Array) -> None:
+def _gradient_rows(uf: Array, k: int, dims: tuple[int, ...], start: int, stop: int, out: Array) -> None:
     """The gradient of rows [start, stop) of axis 0 into out, (k, d, cells of those rows).
 
     uf is the image's flat values, channel last, so channel c is the strided
@@ -101,7 +78,6 @@ def _gradient_rows(uf: Array, grid: GridSpec, start: int, stop: int, out: Array)
     the slots without a forward face, which that call filled with the pair
     that wraps past the end of axis j, are set to 0.0 after it.
     """
-    k, dims = grid.channels, grid.dims
     row = math.prod(dims[1:])
     lo, hi = start * row, stop * row
     top = min(stop, dims[0] - 1) * row  # the last row has no axis-0 face
@@ -109,55 +85,58 @@ def _gradient_rows(uf: Array, grid: GridSpec, start: int, stop: int, out: Array)
         uc = uf[c::k]
         np.subtract(uc[lo + row:top + row], uc[lo:top], out=out[c, 0, :top - lo])
         out[c, 0, top - lo:] = 0.0
-        for j in range(1, grid.ndim):
+        for j in range(1, len(dims)):
             stride = math.prod(dims[j + 1:])
             oc = out[c, j]
             np.subtract(uc[lo + stride:hi], uc[lo:hi - stride], out=oc[:hi - lo - stride])
             oc.reshape(-1, dims[j], stride)[:, -1] = 0.0
 
 
-def gradient(u: Array, grid: GridSpec) -> Array:
-    """Forward-difference gradient field of shape (k, d) + dims, component-first."""
-    u = check_image(u, grid)
-    out = np.empty((grid.channels, grid.ndim) + grid.dims)
-    uf, of = u.reshape(-1), out.reshape(grid.channels, grid.ndim, -1)
-    row = math.prod(grid.dims[1:])
+def gradient(u: Array) -> Array:
+    """Forward-difference gradient of an image, dims + (k,), of shape (k, d) + dims, component-first."""
+    u = np.asarray(u, dtype=float)
+    k, dims = u.shape[-1], u.shape[:-1]
+    out = np.empty((k, len(dims)) + dims)
+    uf, of = u.reshape(-1), out.reshape(k, len(dims), -1)
+    row = math.prod(dims[1:])
 
     def band(start: int, stop: int) -> None:
-        _gradient_rows(uf, grid, start, stop, of[:, :, start * row:stop * row])
+        _gradient_rows(uf, k, dims, start, stop, of[:, :, start * row:stop * row])
 
-    for_bands(band, grid.dims[0], u.size + out.size)
+    for_bands(band, dims[0], u.size + out.size)
     return out
 
 
-def flux(havg: Array, u: Array, grid: GridSpec) -> Array:
-    """tensors.apply(havg, gradient(u, grid)) bit for bit, with no field-sized gradient.
+def flux(havg: Array, u: Array) -> Array:
+    """tensors.apply(havg, gradient(u)) bit for bit, with no field-sized gradient.
 
-    havg holds the face tensors full square, (kd, kd) + dims; the result is
+    havg holds the face tensors full square, (kd, kd) + dims, for the image
+    u, dims + (k,); any other shape raises DimensionError. The result is
     the flux, (k, d) + dims. One banded pass over the rows of axis 0: each
-    chunk of whole rows, about tensors.APPLY_CHUNK cells, takes its gradient
+    chunk of whole rows, about APPLY_CHUNK cells, takes its gradient
     into a buffer of its band, allocated here, and applies the tensors to it
     by one tensors.apply, so every element comes from the same operations as
     in the two calls. Overflow gives inf or NaN without a warning; the CG
     reports it.
     """
-    u = check_image(u, grid)
+    u = np.asarray(u, dtype=float)
     havg = np.asarray(havg, dtype=float)
-    k, d = grid.channels, grid.ndim
+    k, dims = u.shape[-1], u.shape[:-1]
+    d = len(dims)
     kd = k * d
-    if havg.shape != (kd, kd) + grid.dims:
-        raise DimensionError(f"face tensor shape {havg.shape} != {(kd, kd) + grid.dims}")
-    n0 = grid.dims[0]
-    row = math.prod(grid.dims[1:])
+    if havg.shape != (kd, kd) + dims:
+        raise DimensionError(f"face tensor shape {havg.shape} != {(kd, kd) + dims}")
+    n0 = dims[0]
+    row = math.prod(dims[1:])
     work = havg.size + u.size * (1 + d)
     edges = band_edges(n0, work)
-    rows = min(max(1, tensors.APPLY_CHUNK // row), max(np.diff(edges)))  # rows per chunk
+    rows = min(max(1, APPLY_CHUNK // row), max(np.diff(edges)))  # rows per chunk
     # The scratch comes before the output, below it in the heap, so that
     # freeing it leaves no free top that glibc trims and faults in again at
     # the next call (measured: 5,384 against 4,616 minor faults per CLI run
     # at 256 x 256 RGB).
     scratch = {start: np.empty((kd, rows * row)) for start in edges[:-1]}
-    out = np.empty((k, d) + grid.dims)
+    out = np.empty((k, d) + dims)
     uf, hf, of = u.reshape(-1), havg.reshape(kd, kd, -1), out.reshape(k, d, -1)
 
     def band(start: int, stop: int) -> None:
@@ -165,20 +144,21 @@ def flux(havg: Array, u: Array, grid: GridSpec) -> Array:
             for a in range(start, stop, rows):
                 b = min(a + rows, stop)
                 g = scratch[start][:, :(b - a) * row].reshape(k, d, -1)
-                _gradient_rows(uf, grid, a, b, g)
+                _gradient_rows(uf, k, dims, a, b, g)
                 tensors.apply(hf[:, :, a * row:b * row], g, out=of[:, :, a * row:b * row])
 
     for_bands(band, n0, work)
     return out
 
 
-def divergence(jfield: Array, grid: GridSpec) -> Array:
+def divergence(jfield: Array) -> Array:
     """Negative adjoint of ``gradient``; boundary faces carry zero flux.
 
-    jfield has the gradient's layout, (k, d) + dims; the result is an image
-    field, dims + (k,). The padding slot of each axis (last cell) is
-    ignored, which realises the vanishing normal flux: sum over all cells of
-    the output is exactly zero.
+    jfield has the gradient's layout, (k, d) + dims, with d = len(dims): any
+    other shape raises DimensionError. The result is an image field, dims +
+    (k,). The padding slot of each axis (last cell) is ignored, which
+    realises the vanishing normal flux: sum over all cells of the output is
+    exactly zero.
 
     Per element: + its own face, - the face behind it, axis by axis, the sum
     starting from f + 0.0 (so a first term of -0.0 gives +0.0), or from 0.0
@@ -192,12 +172,12 @@ def divergence(jfield: Array, grid: GridSpec) -> Array:
     it.
     """
     jfield = np.asarray(jfield, dtype=float)
-    k, d, dims = grid.channels, grid.ndim, grid.dims
-    if jfield.shape != (k, d) + dims:
-        raise DimensionError(f"flux shape {jfield.shape} != {(k, d) + dims}")
+    if jfield.ndim < 3 or jfield.shape[1] != jfield.ndim - 2:
+        raise DimensionError(f"flux shape {jfield.shape} is not (k, d) + dims with d = len(dims)")
+    k, d, dims = jfield.shape[0], jfield.shape[1], jfield.shape[2:]
     n0 = dims[0]
     row = math.prod(dims[1:])
-    out = np.empty(grid.field_shape())
+    out = np.empty(dims + (k,))
     jf, of = jfield.reshape(k, d, -1), out.reshape(-1)
     work = jfield.size + out.size
     edges = band_edges(n0, work)
@@ -229,18 +209,19 @@ def divergence(jfield: Array, grid: GridSpec) -> Array:
     return out
 
 
-def face_average_tensors(hfield: Array, grid: GridSpec) -> Array:
+def face_average_tensors(hfield: Array) -> Array:
     """One tensor per cell slot, averaged from the tensors at its forward faces.
 
     hfield is packed, (P,) + dims with P = kd(kd+1)/2, as the step loop
     holds H; the result is full square, (kd, kd) + dims, the layout
-    ``tensors.apply`` reads. Any other shape raises DimensionError. Each
-    forward face between x and x+e_j carries the arithmetic mean of the two
-    adjacent cell tensors; the slot tensor is the mean over the cell's
-    existing forward faces (the far corner keeps its own tensor). Being a
-    convex combination of cell tensors, the result stays symmetric and keeps
-    any shared eigenvalue floor, which makes the diffusion form exactly
-    symmetric and coercive.
+    ``tensors.apply`` reads. A P that no kd gives raises DimensionError;
+    ``flux`` checks the result against its image. Each forward face between
+    x and x+e_j carries the arithmetic mean of the two adjacent cell
+    tensors; the slot tensor is the mean over the cell's existing forward
+    faces (the far corner keeps its own tensor). Being a convex combination
+    of cell tensors, the result stays symmetric and keeps any shared
+    eigenvalue floor, which makes the diffusion form exactly symmetric and
+    coercive.
 
     Per element the sum starts from 0.0 (so a first term of -0.0 gives
     +0.0), adds 0.5 (h[x] + h[x + e_j]) axis by axis and divides by the face
@@ -258,23 +239,21 @@ def face_average_tensors(hfield: Array, grid: GridSpec) -> Array:
     field-sized array is the output.
     """
     hfield = np.asarray(hfield, dtype=float)
-    kd = grid.channels * grid.ndim
-    packed = (kd * (kd + 1) // 2,) + grid.dims
-    if hfield.shape != packed:
-        raise DimensionError(f"packed tensor field shape {hfield.shape} != {packed}")
-    d = grid.ndim
-    n0 = grid.dims[0]
-    row = math.prod(grid.dims[1:])
+    kd = _packed_side(hfield.shape[0])
+    dims = hfield.shape[1:]
+    d = len(dims)
+    n0 = dims[0]
+    row = math.prod(dims[1:])
     # Face counts of the cells of a row: its faces along axes 1.., plus the
     # axis-0 face in every row but the last. Small integers, exact in float.
-    faces = np.zeros(grid.dims[1:])
+    faces = np.zeros(dims[1:])
     for j in range(1, d):
         faces[(slice(None),) * (j - 1) + (slice(0, -1),)] += 1.0  # cells with a face along axis j
     count = (faces + 1.0).ravel()
     last_count = np.maximum(faces, 1.0).ravel()  # the corner's 0 -> 1
-    corner = tuple(n - 1 for n in grid.dims)
+    corner = tuple(n - 1 for n in dims)
     index = pack_index(kd)
-    out = np.empty((kd, kd) + grid.dims)
+    out = np.empty((kd, kd) + dims)
     hp = hfield.reshape(hfield.shape[0], -1)  # one flat cell plane per entry pair
     op = out.reshape(kd * kd, -1)  # one flat cell plane per tensor entry
     work = hfield.size + out.size
@@ -300,9 +279,9 @@ def face_average_tensors(hfield: Array, grid: GridSpec) -> Array:
                     acc[:, :mid] += 0.0
                     acc[:, mid:] = 0.0
                     for j in range(1, d):
-                        stride = math.prod(grid.dims[j + 1:])
+                        stride = math.prod(dims[j + 1:])
                         np.add(hb[:, :-stride], hb[:, stride:], out=t[:, :-stride])
-                        t.reshape(f - e, -1, grid.dims[j], stride)[:, :, -1] = 0.0
+                        t.reshape(f - e, -1, dims[j], stride)[:, :, -1] = 0.0
                         t *= 0.5
                         acc += t
                     cells = acc.reshape(f - e, b - a, row)
@@ -342,24 +321,24 @@ def _require_finite(name: str, a: Array) -> None:
         raise ParameterError(f"{name} contains NaN or inf")
 
 
-def channel_sums(u: Array, grid: GridSpec) -> Array:
+def channel_sums(u: Array) -> Array:
     """Per-channel sums of an image field, u.reshape(-1, k).sum(axis=0) bit for bit.
 
     For k >= 2 that sum runs in index order, which einsum takes in a fifth of
     the time; for k = 1 it is pairwise, so grey keeps it.
     """
-    v = u.reshape(-1, grid.channels)
-    return np.einsum("nc->c", v) if grid.channels > 1 else v.sum(axis=0)
+    v = u.reshape(-1, u.shape[-1])
+    return np.einsum("nc->c", v) if v.shape[1] > 1 else v.sum(axis=0)
 
 
-def mean_free(u: Array, grid: GridSpec) -> Array:
+def mean_free(u: Array) -> Array:
     """Remove the per-channel spatial mean (the conserved part), numpy's mean bit for bit."""
-    u = check_image(u, grid)
-    return u - channel_sums(u, grid) / grid.ncells
+    u = np.asarray(u, dtype=float)
+    return u - channel_sums(u) / math.prod(u.shape[:-1])
 
 
-def poincare_estimate(grid: GridSpec) -> float:
-    """Smallest nonzero eigenvalue of the scalar no-flux Laplacian on the grid.
+def poincare_estimate(dims: tuple[int, ...]) -> float:
+    """Smallest nonzero eigenvalue of the scalar no-flux Laplacian on a grid of these dims.
 
     The operator is a sum of 1-d Neumann Laplacians, one per axis, whose
     eigenvalues are 4 sin^2(pi k / (2 n_j)) for k = 0 .. n_j - 1, so the
@@ -367,4 +346,4 @@ def poincare_estimate(grid: GridSpec) -> float:
     constant in ||grad u||^2 >= C ||u||^2 for mean-free u, used by the
     decay-rate predictions.
     """
-    return min(4.0 * math.sin(math.pi / (2 * n)) ** 2 for n in grid.dims)
+    return min(4.0 * math.sin(math.pi / (2 * n)) ** 2 for n in dims)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, integer_param
-from .grid import GridSpec, _require_finite, gradient
+from .grid import check_image, gradient
 from .mollifier import _correlate1d
 from .tensors import pack_index
 
@@ -97,43 +97,42 @@ def init_H0(u_noisy: Array, window: int, alpha: float) -> Array:
     """
     if window < 3 or window % 2 == 0:
         raise ParameterError("window must be odd and >= 3")
-    u = np.asarray(u_noisy, dtype=float)
-    grid = GridSpec.from_field(u)
-    if any(window > n for n in grid.dims):
-        raise ParameterError(f"window {window} exceeds grid dims {grid.dims}")
+    u = check_image("u_noisy", u_noisy)  # finite before its covariance products can overflow
+    dims = u.shape[:-1]
+    if any(window > n for n in dims):
+        raise ParameterError(f"window {window} exceeds grid dims {dims}")
     if alpha <= 0:
         raise ParameterError("alpha must be > 0")
-    _require_finite("u_noisy", u)  # before its covariance products can overflow
-    kd = grid.channels * grid.ndim
+    kd = u.shape[-1] * len(dims)
     # One contiguous cell field per gradient component: the gradient's own layout.
-    gflat = gradient(u, grid).reshape((kd,) + grid.dims)
+    gflat = gradient(u).reshape((kd,) + dims)
 
-    valid = np.ones(grid.dims)
-    for axis, n in enumerate(grid.dims):
-        sl = [slice(None)] * len(grid.dims)
+    valid = np.ones(dims)
+    for axis in range(len(dims)):
+        sl = [slice(None)] * len(dims)
         sl[axis] = slice(-1, None)
         valid[tuple(sl)] = 0.0
 
-    counts = _window_sums(valid, grid.dims, window)
+    counts = _window_sums(valid, dims, window)
     gvalid = gflat * valid
-    s1 = [_window_sums(g, grid.dims, window) for g in gvalid]
+    s1 = [_window_sums(g, dims, window) for g in gvalid]
     # A single-sample window has an identically zero numerator, so clamping
     # the divisor just avoids 0/0 there and leaves cov = 0.
     divisor = np.maximum(counts - 1.0, 1.0)
     index = pack_index(kd)
-    h0 = np.empty((kd * (kd + 1) // 2,) + grid.dims)
+    h0 = np.empty((kd * (kd + 1) // 2,) + dims)
     # A finite input can still overflow the products and window sums below:
     # their inf and NaN are caught per entry, without numpy's warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(kd):
             for b in range(a, kd):
-                cov = _window_sums(gflat[a] * gvalid[b], grid.dims, window)
+                cov = _window_sums(gflat[a] * gvalid[b], dims, window)
                 cov -= s1[a] * s1[b] / counts
                 cov /= divisor
                 cov += alpha if a == b else 0.0
                 finite = np.isfinite(cov)
                 if not finite.all():
-                    cell = tuple(map(int, np.unravel_index(np.argmin(finite), grid.dims)))
+                    cell = tuple(map(int, np.unravel_index(np.argmin(finite), dims)))
                     raise ParameterError(
                         f"u_noisy is too large: its gradient covariance ({a}, {b}) overflows at cell {cell}"
                     )

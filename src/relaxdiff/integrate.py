@@ -57,16 +57,21 @@ Below its bound each check allows an absolute slack, KAPPA_SLACK per step
 and 1e-12 for H0, plus tensors.eig_margin(H), 4 n^3 eps max|H| for n x n
 cells: the rounding of a computed eigenvalue at H's scale. So the checks
 pass a valid run at any scale of alpha and omega, and still catch a floor
-broken by more than rounding.
+broken by more than rounding. An H that holds NaN or inf, as a response
+whose products overflow gives, makes eig_margin(H) non-finite; the step's
+check then names its first such cell, where a NaN would have made every
+comparison with the floor false.
 
 The step loop is a generator: trajectory() hands it out, and run(), the
 baselines and memory_form_check read it step by step, so nothing stores
 the trajectory.
 
-H is symmetric, so it is held packed everywhere, (P,) + dims with
-P = kd(kd+1)/2 (21 of the 36 entry planes for RGB in 2-D; see
-tensors.pack_index): H0, the state's H, the responses and F(0). Only the
-face tensors are full square.
+u is an image, dims + (k,), and its shape is the grid: the entry points
+check it once (grid.check_image), and the step loop and the solves read
+dims and k from the arrays they hold. H is symmetric, so it is held packed
+everywhere, (P,) + dims with P = kd(kd+1)/2 (21 of the 36 entry planes for
+RGB in 2-D; see tensors.pack_index): H0, the state's H, the responses and
+F(0). Only the face tensors are full square.
 """
 
 import math
@@ -77,7 +82,7 @@ import numpy as np
 
 from .bands import band_edges, for_bands
 from .errors import DimensionError, FitError, ImageIOError, InvariantViolation, ParameterError, SolverError
-from .grid import GridSpec, _require_finite, channel_sums, divergence, face_average_tensors, flux, inner, l2_norm, mean_free
+from .grid import _require_finite, channel_sums, check_image, divergence, face_average_tensors, flux, inner, l2_norm, mean_free
 
 # bench/child.py wraps integrate.gradient and baselines.gradient, which
 # imports it from here, when tracing; the CG forms its gradient inside
@@ -168,11 +173,10 @@ def _implicit_solve(
     u: Array,
     havg: Array,
     dt: float,
-    grid: GridSpec,
     cg_tol: float,
     where: str = "diffusion solve",
 ) -> tuple[Array, int]:
-    """CG solve of (I - dt div(H grad)) x = u with precomputed face tensors.
+    """CG solve of (I - dt div(H grad)) x = u, u an image, with its precomputed face tensors.
 
     Starting from x0 = u keeps every Krylov update in the zero-sum subspace
     (the operator preserves channel means), so the solution's per-channel
@@ -190,24 +194,29 @@ def _implicit_solve(
     each element by the same operations as in one pass, so their bits do not
     depend on the CPU count; the dot products stay whole, in grid.inner's
     order. ``where`` names the solve in the SolverError raised after
-    cg_max_iter(grid.ncells) iterations, at a breakdown, or where the
-    operator overflowed (a residual or p.Ap that is not finite, as at
-    extreme dt or H), whose message names the relative residual that it
-    carries. The operator and the updates overflow silently, so numpy prints
-    no warning before that error.
+    cg_max_iter(cells) iterations, at a breakdown, or where the operator
+    overflowed (a residual or p.Ap that is not finite, as at extreme dt or
+    H). Its message names the relative residual that it carries, or, where
+    that residual is not finite and so tells nothing of the scale, dt and
+    the largest finite |entry| of the face tensors. The operator and the
+    updates overflow silently, so numpy prints no warning before that error.
     """
+    cells = u.size // u.shape[-1]
 
     def apply_a(x: Array) -> Array:
-        out = divergence(flux(havg, x, grid), grid)
+        out = divergence(flux(havg, x))
         with np.errstate(over="ignore", invalid="ignore"):  # the CG reports it
             out *= dt
             return np.subtract(x, out, out=out)
 
     def failure(what: str, rs: float) -> SolverError:
         res = math.sqrt(rs) / b_nrm
-        return SolverError(f"{where}: {what} (relative residual {res:.6g})", residual=res)
+        if math.isfinite(res):
+            return SolverError(f"{where}: {what} (relative residual {res:.6g})", residual=res)
+        scale = float(np.max(np.abs(havg), where=np.isfinite(havg), initial=0.0))
+        return SolverError(f"{where}: {what} (dt {dt:g}, largest finite |face tensor entry| {scale:.6g})", residual=res)
 
-    max_iter = cg_max_iter(grid.ncells)
+    max_iter = cg_max_iter(cells)
     b_nrm = math.sqrt(inner(u, u))
     if b_nrm == 0.0:
         return np.zeros_like(u), 0
@@ -249,7 +258,7 @@ def _implicit_solve(
         if not math.isfinite(rs_new):
             raise failure(f"the operator overflowed at iteration {it}", rs)
         if math.sqrt(rs_new) <= cg_tol * b_nrm:
-            x += (channel_sums(u, grid) - channel_sums(x, grid)) / grid.ncells
+            x += (channel_sums(u) - channel_sums(x)) / cells
             return x, it
         beta = rs_new / rs
 
@@ -264,7 +273,7 @@ def _implicit_solve(
     raise failure(f"CG did not reach tol {cg_tol:g} in {max_iter} iterations", rs)
 
 
-def _relax_H(u_sample: Array, h: Array, p: FilterParams, grid: GridSpec, kern: Kernel | None) -> None:
+def _relax_H(u_sample: Array, h: Array, p: FilterParams, kern: Kernel | None) -> None:
     """Exact relaxation of h over one step, in place, with F frozen at u_sample.
 
     h becomes theta h + (1 - theta) F, each element by the same two products
@@ -273,7 +282,7 @@ def _relax_H(u_sample: Array, h: Array, p: FilterParams, grid: GridSpec, kern: K
     packed, (P,) + dims, and h must be C-contiguous, as run()'s packed copy
     of H is.
     """
-    f = response_field(grad_sigma(u_sample, kern, grid), p.response).reshape(-1)
+    f = response_field(grad_sigma(u_sample, kern), p.response).reshape(-1)
     theta = math.exp(-p.dt / p.tau)
     flat = h.reshape(-1)
 
@@ -302,16 +311,16 @@ def energy(state: FilterState, p: FilterParams) -> float:
     (relaxdiff.bands), each band forming H[a, b] - F(0)[a, b] in one plane
     of scratch allocated here for it.
     """
-    grid = GridSpec.from_field(state.u)
-    umf = mean_free(state.u, grid)
+    umf = mean_free(state.u)
     term_u = 0.5 * inner(umf, umf)
-    f0 = response_zero(p.response, grid.channels, grid.ndim)
+    k, dims = umf.shape[-1], umf.shape[:-1]
+    f0 = response_zero(p.response, k, len(dims))
     h = np.ascontiguousarray(state.H, dtype=float)
-    if h.shape != f0.shape + grid.dims:
-        raise DimensionError(f"tensor field shape {h.shape} != {f0.shape + grid.dims}")
+    if h.shape != f0.shape + dims:
+        raise DimensionError(f"tensor field shape {h.shape} != {f0.shape + dims}")
     sums = [0.0] * f0.size
     edges = band_edges(f0.size, h.size)
-    scratch = {start: np.empty(grid.dims) for start in edges[:-1]}
+    scratch = {start: np.empty(dims) for start in edges[:-1]}
 
     def band(start: int, stop: int) -> None:
         for e in range(start, stop):
@@ -320,7 +329,7 @@ def energy(state: FilterState, p: FilterParams) -> float:
 
     for_bands(band, f0.size, h.size)
     misfit = 0.0
-    for e in pack_index(grid.channels * grid.ndim).flat:
+    for e in pack_index(k * len(dims)).flat:
         misfit += sums[e]
     return term_u + 0.5 * p.tau * misfit
 
@@ -332,7 +341,7 @@ def _num_steps(p: FilterParams) -> int:
     return max(1, int(math.ceil(n - 1e-9)))
 
 
-def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec):
+def _step_loop(u: Array, h: Array | None, p: FilterParams):
     """The step loop of trajectory(), run() and run_baseline(), from validated (u, H).
 
     It runs p as given: p's kernel (none below DELTA_SIGMA) mollifies the
@@ -356,7 +365,7 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec):
     t = 0.0
     # The face tensors of each step's relaxed H serve its main solve and the
     # next step's half-step solve.
-    havg = face_average_tensors(h, grid) if relax else None
+    havg = face_average_tensors(h) if relax else None
     for n in range(_num_steps(p)):
         t = (n + 1) * p.dt
         step = f"of step {n + 1} (t={t:g})"
@@ -365,20 +374,28 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec):
             # step midpoint (second-order consistency with the memory form)
             # while the H-update itself stays the exact convex-combination
             # relaxation.
-            u_half, _ = _implicit_solve(u, havg, 0.5 * p.dt, grid, half_tol, f"half solve {step}")
+            u_half, _ = _implicit_solve(u, havg, 0.5 * p.dt, half_tol, f"half solve {step}")
         # The old face tensors are dead now, and so is the old H without
         # relaxation. Dropping them before the response allocates its
         # temporaries lowers a step's peak memory by one H field or two.
         havg = None
         if relax:
-            _relax_H(u_half, h, p, grid, kern)
+            _relax_H(u_half, h, p, kern)
             del u_half  # not read again; held, it would add an image field to the step's peak
             # The floor check runs before the face tensors exist, so its
-            # Cholesky blocks share the memory with H alone.
+            # Cholesky blocks share the memory with H alone. A NaN or inf
+            # entry would make every comparison with the floor false.
+            margin = eig_margin(h)
+            if not math.isfinite(margin):  # some entry of h is not finite
+                cell = tuple(map(int, np.unravel_index(np.argmin(np.isfinite(h).all(axis=0)), u.shape[:-1])))
+                raise InvariantViolation(
+                    f"diffusivity became non-finite at t={t:g}: first at cell {cell}",
+                    diagnostic={"t": t, "cell": cell, "tensor": unpack(h[(...,) + cell])},
+                )
             min_eig, flat = min_eig_field(h)
             kappa = kappa_predicted(t, p)
-            if min_eig < kappa - KAPPA_SLACK - eig_margin(h):
-                cell = tuple(map(int, np.unravel_index(flat, grid.dims)))
+            if not min_eig >= kappa - KAPPA_SLACK - margin:
+                cell = tuple(map(int, np.unravel_index(flat, u.shape[:-1])))
                 tensor = unpack(h[(...,) + cell])
                 raise InvariantViolation(
                     f"diffusivity eigenvalue floor broken at t={t:g}: "
@@ -394,13 +411,13 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec):
                 )
         else:
             h = None
-            dfield = grad_sigma(u, kern, grid)
+            dfield = grad_sigma(u, kern)
             # H is the response itself, whose minimum has a closed form.
             min_eig = response_min_eig(dfield, p.response)
             h = response_field(dfield, p.response)
             del dfield
-        havg = face_average_tensors(h, grid)
-        u, iters = _implicit_solve(u, havg, p.dt, grid, p.cg_tol, f"{'main' if relax else 'baseline'} solve {step}")
+        havg = face_average_tensors(h)
+        u, iters = _implicit_solve(u, havg, p.dt, p.cg_tol, f"{'main' if relax else 'baseline'} solve {step}")
         if not np.all(np.isfinite(u)):
             raise InvariantViolation(
                 f"intensity field became non-finite at t={t:g}",
@@ -411,7 +428,7 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams, grid: GridSpec):
         yield FilterState(t=t, u=u, H=h), TraceRecord(
             t=t,
             l2_norm_u=l2_norm(u),
-            mass=tuple(channel_sums(u, grid)),
+            mass=tuple(channel_sums(u)),
             energy=energy(FilterState(t=t, u=u, H=h), p),
             min_eig_H=min_eig,
             cg_iters=iters,
@@ -443,14 +460,13 @@ def trajectory(u0: Array, H0: Array, p: FilterParams) -> Iterator[tuple[FilterSt
     array, but its H is one array that the next step relaxes in place: read
     or copy what you need from a state before advancing the iterator.
     """
-    u = np.asarray(u0, dtype=float)
-    grid = GridSpec.from_field(u)
-    _require_finite("u0", u)
+    u = check_image("u0", u0)
+    dims = u.shape[:-1]
     # C order: _relax_H relaxes h in place through h.reshape(-1), which
     # would be a copy of any other layout.
     h = np.array(H0, dtype=float, order="C")
-    kd = grid.channels * grid.ndim
-    shape = (kd * (kd + 1) // 2,) + grid.dims
+    kd = u.shape[-1] * len(dims)
+    shape = (kd * (kd + 1) // 2,) + dims
     if h.shape != shape:
         raise ParameterError(f"H0 shape {h.shape} != {shape}, the packed triangle (see relaxdiff.tensors.pack)")
     _require_finite("H0", h)
@@ -460,13 +476,13 @@ def trajectory(u0: Array, H0: Array, p: FilterParams) -> Iterator[tuple[FilterSt
     low = min_eig_below(h, floor)
     if low is not None and low[0] < floor:
         init_min, flat = low
-        cell = tuple(map(int, np.unravel_index(flat, grid.dims)))
+        cell = tuple(map(int, np.unravel_index(flat, dims)))
         raise ParameterError(
             "initial diffusivity violates the alpha eigenvalue floor: "
             f"min eig {init_min:.6g} < alpha {p.alpha:g} at cell {cell}"
         )
     # Only the step loop holds its copy of u, so each solve frees the last u.
-    return _step_loop(u.copy(), h, p, grid)
+    return _step_loop(u.copy(), h, p)
 
 
 def run(u0: Array, H0: Array, p: FilterParams) -> tuple[FilterState, list[TraceRecord]]:
@@ -529,17 +545,17 @@ def memory_form_check(u0: Array, H0: Array, p: FilterParams) -> float:
     so the memory does not grow with the step count.
     """
     states = trajectory(u0, H0, p)
-    grid = GridSpec.from_field(u0)
-    entries = pack_index(grid.channels * grid.ndim).ravel()
+    shape = np.shape(u0)
+    entries = pack_index(shape[-1] * (len(shape) - 1)).ravel()
     kern = p.kernel()
     theta = math.exp(-p.dt / p.tau)
     # trajectory() has checked u0 and H0: q starts from H0 as the loop's
     # copy does, and grad_sigma converts u0 as trajectory() did.
     q = np.array(H0, dtype=float, order="C")
-    f_next = response_field(grad_sigma(u0, kern, grid), p.response)
+    f_next = response_field(grad_sigma(u0, kern), p.response)
     worst = 0.0
     for state, _ in states:
-        f_prev, f_next = f_next, response_field(grad_sigma(state.u, kern, grid), p.response)
+        f_prev, f_next = f_next, response_field(grad_sigma(state.u, kern), p.response)
         q *= theta
         f_prev += f_next
         f_prev *= (1.0 - theta) * 0.5

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bands import band_edges, for_bands
 from .errors import ParameterError
-from .grid import GridSpec, check_image, gradient
+from .grid import gradient
 
 Array = np.ndarray
 
@@ -166,16 +166,16 @@ def _correlate1d(u: Array, w: Array, axis: int) -> Array:
     return out
 
 
-def convolve(u: Array, kern: Kernel, grid: GridSpec) -> Array:
+def convolve(u: Array, kern: Kernel) -> Array:
     """Domain-restricted smoothing of every channel, constants preserved.
 
     Linear in u. Each separable pass divides by the sum of in-domain weights
     for that output pixel, so rows of effective weights always sum to one.
     """
-    out = check_image(u, grid)
+    out = np.asarray(u, dtype=float)
     w = kern.weights()
-    for axis in range(grid.ndim):
-        n = grid.dims[axis]
+    for axis in range(out.ndim - 1):
+        n = out.shape[axis]
         # In-domain weight sum for each position along this axis.
         norm = _correlate1d(np.ones(n), w, 0)
         shape = [1] * out.ndim
@@ -185,11 +185,11 @@ def convolve(u: Array, kern: Kernel, grid: GridSpec) -> Array:
     return out
 
 
-def grad_sigma(u: Array, kern: Kernel | None, grid: GridSpec) -> Array:
+def grad_sigma(u: Array, kern: Kernel | None) -> Array:
     """Gradient of the mollified image; a missing kernel is the sharp limit.
 
     Without a kernel the result is gradient(u) bit for bit.
     """
     if kern is None:
-        return gradient(u, grid)
-    return gradient(convolve(u, kern, grid), grid)
+        return gradient(u)
+    return gradient(convolve(u, kern))

@@ -120,7 +120,10 @@ def response_field(dfield: Array, p: ResponseParams) -> Array:
     field with dims = (). The cells run in bands (relaxdiff.bands), each
     through its own cells of the D:D and a fields allocated here, and each
     entry plane by one-dimensional ufunc calls, which need no buffers; c
-    overwrites D:D, which nothing reads after it.
+    overwrites D:D, which nothing reads after it. Products that overflow,
+    past about 1.3e154 per component, give inf or NaN without a warning:
+    with relaxation the floor check names the first cell of a non-finite
+    H, and without it the CG reports the overflow.
     """
     v = _cells(dfield)
     n, cells = v.shape
@@ -130,23 +133,24 @@ def response_field(dfield: Array, p: ResponseParams) -> Array:
 
     def band(start: int, stop: int) -> None:
         vb = v[:, start:stop]
-        ddb = np.einsum("an,an->n", vb, vb, out=dd[start:stop])
-        ab, cb = _coefficients(ddb, p, a[start:stop], ddb)
-        for r in range(n):
-            for s in range(r, n):
-                plane = out[index[r, s], start:stop]
-                # 0 - x off the diagonal, not -x: a +0.0 stays +0.0.
-                diagonal = ab if s == r else 0.0
-                if cb is None:
-                    plane[:] = diagonal
-                else:
-                    np.multiply(vb[r], vb[s], out=plane)
-                    plane /= cb
-                    np.subtract(diagonal, plane, out=plane)
-                # Adding omega * 0.0 would change no off-diagonal bit, so
-                # omega goes to the diagonal alone.
-                if s == r and p.omega > 0.0:
-                    plane += p.omega
+        with np.errstate(over="ignore", invalid="ignore"):
+            ddb = np.einsum("an,an->n", vb, vb, out=dd[start:stop])
+            ab, cb = _coefficients(ddb, p, a[start:stop], ddb)
+            for r in range(n):
+                for s in range(r, n):
+                    plane = out[index[r, s], start:stop]
+                    # 0 - x off the diagonal, not -x: a +0.0 stays +0.0.
+                    diagonal = ab if s == r else 0.0
+                    if cb is None:
+                        plane[:] = diagonal
+                    else:
+                        np.multiply(vb[r], vb[s], out=plane)
+                        plane /= cb
+                        np.subtract(diagonal, plane, out=plane)
+                    # Adding omega * 0.0 would change no off-diagonal bit, so
+                    # omega goes to the diagonal alone.
+                    if s == r and p.omega > 0.0:
+                        plane += p.omega
 
     for_bands(band, cells, (n + out.shape[0] + 2) * cells)
     return out.reshape(out.shape[:1] + np.shape(dfield)[2:])

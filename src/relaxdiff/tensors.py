@@ -19,10 +19,10 @@ packed field and factorise it packed; only ``eigvalsh_field`` keeps numpy's
 
 All functions here are pure and safe to call concurrently. None of them
 runs in bands: ``grid.flux`` calls ``apply`` on each chunk of rows of its
-bands (``relaxdiff.bands``). Each output element of ``apply`` sums its
-products in index order from +0.0, the order einsum takes over a
-component-first field of two or more cells, so its bits do not depend on how
-the cells are split, nor on the CPU count.
+bands (``relaxdiff.bands``), about ``grid.APPLY_CHUNK`` cells each. Each
+output element of ``apply`` sums its products in index order from +0.0,
+the order einsum takes over a component-first field of two or more cells,
+so its bits do not depend on how the cells are split, nor on the CPU count.
 """
 
 import functools
@@ -39,11 +39,6 @@ Array = np.ndarray
 MIN_EIG_SAMPLE = 64
 MIN_EIG_BLOCK = 4096
 MIN_EIG_MARGIN = 4
-
-# grid.flux: cells per chunk, one apply each, so that a chunk's slices of
-# the tensors, its gradient and the flux stay in cache (whole bands were
-# measured up to 10 % slower).
-APPLY_CHUNK = 1 << 15
 
 
 @functools.cache

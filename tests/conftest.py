@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from relaxdiff import bands
-from relaxdiff.grid import GridSpec
 from relaxdiff.integrate import trajectory
 
 
@@ -90,22 +89,15 @@ def disk_image(n=64, radius=20.0, inside=(0.75, 0.70, 0.65), outside=(0.25, 0.30
 
 
 def rgb_scene():
-    """The 64 x 64 RGB scene of the memory and H digest tests: a tiled, noisy image and its grid."""
-    grid = GridSpec(dims=(64, 64), channels=3)
+    """The 64 x 64 RGB image of the memory and H digest tests: tiled and noisy."""
     rng = np.random.default_rng(8)
     tiles = rng.uniform(-0.8, 0.8, (8, 8, 3))
-    u0 = np.kron(tiles, np.ones((8, 8, 1))) + 0.1 * rng.standard_normal(grid.field_shape())
-    return u0, grid
+    return np.kron(tiles, np.ones((8, 8, 1))) + 0.1 * rng.standard_normal((64, 64, 3))
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240915)
-
-
-@pytest.fixture
-def grid_16x16_rgb():
-    return GridSpec(dims=(16, 16), channels=3)
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ import numpy as np
 import relaxdiff as rd
 from relaxdiff.baselines import compare_trajectories, run_baseline
 from relaxdiff.cli import load_image, main, psnr, save_image
-from relaxdiff.grid import GridSpec, divergence, gradient, inner, l2_norm, mean_free
+from relaxdiff.grid import divergence, gradient, inner, l2_norm, mean_free
 from relaxdiff.initial import NoiseSpec, add_noise, init_H0, rescale, unrescale
 from relaxdiff.integrate import FilterParams, memory_form_check, decay_rate_fit, run
 from relaxdiff.response import (
@@ -36,8 +36,7 @@ def check(criterion: int, ok: bool, elapsed: float, budget: float, detail: str):
 def test_criterion_1_kappa_bound_preservation():
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
-    grid = GridSpec(dims=(32, 32), channels=3)
-    u0 = 0.5 * rng.standard_normal(grid.field_shape())
+    u0 = 0.5 * rng.standard_normal((32, 32, 3))
     h0 = init_H0(u0, window=5, alpha=0.1)
     ok = True
     worst = np.inf
@@ -56,8 +55,7 @@ def test_criterion_1_kappa_bound_preservation():
 def test_criterion_2_discrete_a_priori_estimate():
     t0 = time.perf_counter()
     rng = np.random.default_rng(202)
-    grid = GridSpec(dims=(16, 16), channels=3)
-    u0 = 0.5 * rng.standard_normal(grid.field_shape())
+    u0 = 0.5 * rng.standard_normal((16, 16, 3))
     h0 = init_H0(u0, window=5, alpha=0.1)
     ok = True
     worst = 0.0
@@ -66,7 +64,7 @@ def test_criterion_2_discrete_a_priori_estimate():
                          response=ResponseParams(s=0.1), alpha=0.1)
         traces, us, _ = step_nodes(u0, h0, p)
         assert len(traces) == 500
-        norms = [l2_norm(mean_free(u, grid)) for u in us]
+        norms = [l2_norm(mean_free(u)) for u in us]
         allowed = 1e-10 * norms[0]  # fixed, 100 times tighter than the default cg_tol
         for a, b in zip(norms, norms[1:]):
             worst = max(worst, b - a)
@@ -78,8 +76,7 @@ def test_criterion_2_discrete_a_priori_estimate():
 def test_criterion_3_mass_conservation():
     t0 = time.perf_counter()
     rng = np.random.default_rng(303)
-    grid = GridSpec(dims=(16, 16), channels=3)
-    u0 = 0.5 * rng.standard_normal(grid.field_shape())
+    u0 = 0.5 * rng.standard_normal((16, 16, 3))
     h0 = init_H0(u0, window=5, alpha=0.1)
     p = FilterParams(tau=0.5, sigma=1.0, dt=0.1, t_end=100.0,
                      response=ResponseParams(s=0.1), alpha=0.1)
@@ -105,12 +102,11 @@ def test_criterion_4_discrete_green_identity():
     worst = 0.0
     for n in (8, 16, 32):
         for k in (1, 3):
-            grid = GridSpec(dims=(n, n), channels=k)
             for _ in range(100):
-                u = rng.standard_normal(grid.field_shape())
-                j = rng.standard_normal((k, 2) + grid.dims)
-                lhs = inner(gradient(u, grid), j)
-                rhs = inner(u, divergence(j, grid))
+                u = rng.standard_normal((n, n, k))
+                j = rng.standard_normal((k, 2, n, n))
+                lhs = inner(gradient(u), j)
+                rhs = inner(u, divergence(j))
                 scale = max(1.0, abs(lhs), abs(rhs))
                 residual = abs(lhs + rhs) / scale
                 worst = max(worst, residual)
@@ -120,16 +116,15 @@ def test_criterion_4_discrete_green_identity():
 
 
 def _decay_scenario():
-    grid = GridSpec(dims=(32, 32), channels=3)
     u0 = smooth_image(32)
     h0 = init_H0(u0, window=5, alpha=0.1)
     resp = ResponseParams(s=0.1, omega=0.5)
-    return grid, u0, h0, resp
+    return u0, h0, resp
 
 
 def test_criterion_5_energy_decay():
     t0 = time.perf_counter()
-    grid, u0, h0, resp = _decay_scenario()
+    u0, h0, resp = _decay_scenario()
     p = FilterParams(tau=0.5, sigma=0.0, dt=0.05, t_end=6.0, response=resp, alpha=0.1)
     _, traces = run(u0, h0, p)
 
@@ -137,13 +132,13 @@ def test_criterion_5_energy_decay():
     monotone = all(b <= a + 1e-12 * es[0] for a, b in zip(es[5:], es[6:]))
 
     slope = decay_rate_fit(traces)
-    cp = rd.poincare_estimate(grid)
+    cp = rd.poincare_estimate(u0.shape[:-1])
     eigs0 = np.linalg.eigvalsh(np.moveaxis(unpack(h0), (0, 1), (-2, -1)))
     khat0 = float(np.min(eigs0))
     # spot-check the certified floor against the full diagonalisation
     assert min_eig_field(h0)[0] == khat0
     khat = min(khat0, min(r.min_eig_H for r in traces))
-    g0 = gradient(u0, grid)
+    g0 = gradient(u0)
     radius = max(2.0 * resp.s, float(np.sqrt((g0 ** 2).sum(axis=(0, 1))).max()))
     chat = lipschitz_bound(resp, radius, 6)
     bound = min(khat * cp / (chat * chat), 1.0 / p.tau)
@@ -154,14 +149,14 @@ def test_criterion_5_energy_decay():
 
 def test_criterion_6_convergence_to_stationary_point():
     t0 = time.perf_counter()
-    grid, u0, h0, resp = _decay_scenario()
-    cp = rd.poincare_estimate(grid)
+    u0, h0, resp = _decay_scenario()
+    cp = rd.poincare_estimate(u0.shape[:-1])
     t_end = 10.0 * max(0.5, 1.0 / (resp.omega * cp))
     p = FilterParams(tau=0.5, sigma=0.0, dt=2.0, t_end=t_end, response=resp, alpha=0.1)
     state, _ = run(u0, h0, p)
 
-    init_mf = l2_norm(mean_free(u0, grid))
-    final_mf = l2_norm(mean_free(state.u, grid))
+    init_mf = l2_norm(mean_free(u0))
+    final_mf = l2_norm(mean_free(state.u))
     f0 = unpack(response_zero(resp, 3, 2))[..., None, None]
     dev0 = float(np.linalg.norm((unpack(h0) - f0).reshape(36, -1), axis=0).max())
     devT = float(np.linalg.norm((unpack(state.H) - f0).reshape(36, -1), axis=0).max())
@@ -189,10 +184,9 @@ def test_criterion_7_memory_form_equivalence():
 def test_criterion_8_tau_to_zero_limit():
     t0 = time.perf_counter()
     rng = np.random.default_rng(808)
-    grid = GridSpec(dims=(32, 32), channels=3)
-    u0 = smooth_image(32) + 0.1 * rng.standard_normal(grid.field_shape())
+    u0 = smooth_image(32) + 0.1 * rng.standard_normal((32, 32, 3))
     kd = 6
-    h0 = np.multiply.outer(pack(0.1 * np.eye(kd)), np.ones(grid.dims))
+    h0 = np.multiply.outer(pack(0.1 * np.eye(kd)), np.ones((32, 32)))
     base = FilterParams(tau=0.4, sigma=1.0, dt=0.1, t_end=2.0,
                         response=ResponseParams(s=0.1), alpha=0.1)
     _, catte_traces = run_baseline(u0, base)
@@ -240,7 +234,6 @@ def test_criterion_9_response_function_suite():
 def test_criterion_10_end_to_end_denoising():
     t0 = time.perf_counter()
     clean01, rmap = disk_image(n=64, radius=20.0)
-    grid = GridSpec(dims=(64, 64), channels=3)
     work = rescale(clean01)
     noisy = add_noise(work, NoiseSpec(std=0.1, seed=3))
     h0 = init_H0(noisy, window=5, alpha=0.1)
@@ -252,7 +245,7 @@ def test_criterion_10_end_to_end_denoising():
     noisy01 = np.clip(unrescale(noisy), 0.0, 1.0)
     gain = psnr(out01, clean01) - psnr(noisy01, clean01)
 
-    g = gradient(out01, grid)
+    g = gradient(out01)
     mag = np.sqrt((g ** 2).sum(axis=(0, 1)))
     rings = np.round(rmap).astype(int)
     profile = np.array([mag[rings == rr].mean() if np.any(rings == rr) else 0.0 for rr in range(30)])

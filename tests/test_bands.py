@@ -11,8 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from relaxdiff import bands, grid as grid_mod, tensors
-from relaxdiff.grid import GridSpec, divergence, face_average_tensors, flux, gradient
+from relaxdiff import bands, grid as grid_mod
+from relaxdiff.grid import divergence, face_average_tensors, flux, gradient
 from relaxdiff.integrate import FilterParams, FilterState, _implicit_solve, _relax_H, energy
 from relaxdiff.mollifier import _correlate1d, grad_sigma
 from relaxdiff.response import PERONA_MALIK_SCALAR, THRESHOLDED_PROJECTION, ResponseParams, response_field
@@ -128,9 +128,9 @@ def test_forked_child_starts_its_own_band_threads(set_workers):
     assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
 
 
-def _gradient_ref(u, grid):
-    d = grid.ndim
-    out = np.zeros(grid.dims + (grid.channels, d))
+def _gradient_ref(u):
+    d = u.ndim - 1
+    out = np.zeros(u.shape + (d,))
     for j in range(d):
         lo = [slice(None)] * d
         hi = [slice(None)] * d
@@ -139,9 +139,9 @@ def _gradient_ref(u, grid):
     return out
 
 
-def _divergence_ref(jfield, grid):
-    d = grid.ndim
-    out = np.zeros(grid.field_shape())
+def _divergence_ref(jfield):
+    d = jfield.ndim - 2
+    out = np.zeros(jfield.shape[:-1])
     for j in range(d):
         lo = [slice(None)] * d
         hi = [slice(None)] * d
@@ -152,10 +152,10 @@ def _divergence_ref(jfield, grid):
     return out
 
 
-def _face_average_ref(hfield, grid):
-    d = grid.ndim
+def _face_average_ref(hfield):
+    d = hfield.ndim - 2
     out = np.zeros_like(hfield)
-    count = np.zeros(grid.dims)
+    count = np.zeros(hfield.shape[2:])
     for j in range(d):
         lo = [slice(None)] * d
         hi = [slice(None)] * d
@@ -172,10 +172,9 @@ def _face_average_ref(hfield, grid):
 @pytest.mark.parametrize("dims", [(2, 5), (7, 3), (9,), (3, 4, 5)])
 @pytest.mark.parametrize("channels", [3, 1])
 def test_kernels_bit_equal_for_1_2_3_bands(dims, channels, rng, set_workers, monkeypatch):
-    grid = GridSpec(dims=dims, channels=channels)
-    kd = channels * grid.ndim
-    u = rng.standard_normal(grid.field_shape())
-    jfield = rng.standard_normal((channels, grid.ndim) + grid.dims)
+    kd = channels * len(dims)
+    u = rng.standard_normal(dims + (channels,))
+    jfield = rng.standard_normal((channels, len(dims)) + dims)
     h = random_psd_field(rng, dims, kd, floor=0.1)
     # Face terms of -0.0: a sum that starts from 0.0 makes them +0.0, and the
     # far corner keeps its own -0.0.
@@ -184,14 +183,14 @@ def test_kernels_bit_equal_for_1_2_3_bands(dims, channels, rng, set_workers, mon
     planes = pack(h)  # the face averaging and the relaxation take H packed
     p = FilterParams(tau=0.4, sigma=1.0, dt=0.3)
     theta = math.exp(-p.dt / p.tau)
-    f = response_field(grad_sigma(u, p.kernel(), grid), p.response)
+    f = response_field(grad_sigma(u, p.kernel()), p.response)
     # The CG's vector updates run in bands; its right-hand side holds -0.0
     # entries, and the solve at one band is the reference.
     b = u.copy()
     b.reshape(-1)[::4] = -0.0
-    havg = face_average_tensors(planes, grid)
+    havg = face_average_tensors(planes)
     set_workers(1)
-    solved = _implicit_solve(b, havg, p.dt, grid, p.cg_tol)
+    solved = _implicit_solve(b, havg, p.dt, p.cg_tol)
     assert solved[1] > 1
     # Signed zeros in the image and the flux, whose padding slots (the last
     # cell of each axis) hold non-zero values that the divergence ignores.
@@ -199,15 +198,15 @@ def test_kernels_bit_equal_for_1_2_3_bands(dims, channels, rng, set_workers, mon
     signed.reshape(-1)[::3] = -0.0
     dfield = jfield.copy()
     dfield.reshape(-1)[::4] = -0.0
-    signed_gradient = np.moveaxis(_gradient_ref(signed, grid), (-2, -1), (0, 1))
+    signed_gradient = np.moveaxis(_gradient_ref(signed), (-2, -1), (0, 1))
     reference = {
-        "gradient": np.moveaxis(_gradient_ref(u, grid), (-2, -1), (0, 1)),
+        "gradient": np.moveaxis(_gradient_ref(u), (-2, -1), (0, 1)),
         "gradient of signed zeros": signed_gradient,
-        "divergence": _divergence_ref(np.moveaxis(jfield, (0, 1), (-2, -1)), grid),
-        "divergence of signed zeros": _divergence_ref(np.moveaxis(dfield, (0, 1), (-2, -1)), grid),
+        "divergence": _divergence_ref(np.moveaxis(jfield, (0, 1), (-2, -1))),
+        "divergence of signed zeros": _divergence_ref(np.moveaxis(dfield, (0, 1), (-2, -1))),
         "apply": apply_in_order(h, jfield),
         "flux": apply_in_order(h, signed_gradient),
-        "face_average_tensors": _face_average_ref(h, grid),
+        "face_average_tensors": _face_average_ref(h),
         "_relax_H": theta * planes + (1.0 - theta) * f,
         "_implicit_solve": solved[0],
     }
@@ -248,22 +247,22 @@ def test_kernels_bit_equal_for_1_2_3_bands(dims, channels, rng, set_workers, mon
 
     reference.update(banded_passes())
     default_chunk = grid_mod.FACE_AVERAGE_CHUNK
-    default_apply_chunk = tensors.APPLY_CHUNK
+    default_apply_chunk = grid_mod.APPLY_CHUNK
     row = math.prod(dims[1:])
     for workers in (1, 2, 3):
         set_workers(workers)
         relaxed = planes.copy()
-        _relax_H(u, relaxed, p, grid, p.kernel())
-        x, iters = _implicit_solve(b, havg, p.dt, grid, p.cg_tol)
+        _relax_H(u, relaxed, p, p.kernel())
+        x, iters = _implicit_solve(b, havg, p.dt, p.cg_tol)
         assert iters == solved[1], f"CG iterations with {workers} bands"
         got = {
-            "gradient": gradient(u, grid),
-            "gradient of signed zeros": gradient(signed, grid),
-            "divergence": divergence(jfield, grid),
-            "divergence of signed zeros": divergence(dfield, grid),
+            "gradient": gradient(u),
+            "gradient of signed zeros": gradient(signed),
+            "divergence": divergence(jfield),
+            "divergence of signed zeros": divergence(dfield),
             "apply": apply(h, jfield),
-            "flux": flux(h, signed, grid),
-            "face_average_tensors": face_average_tensors(planes, grid),
+            "flux": flux(h, signed),
+            "face_average_tensors": face_average_tensors(planes),
             "_relax_H": relaxed,
             "_implicit_solve": x,
             **banded_passes(),
@@ -275,12 +274,12 @@ def test_kernels_bit_equal_for_1_2_3_bands(dims, channels, rng, set_workers, mon
         # the divergence's chunks are one row and a few rows.
         for chunk in (1, 6 * row, default_chunk):
             monkeypatch.setattr(grid_mod, "FACE_AVERAGE_CHUNK", chunk)
-            value = face_average_tensors(planes, grid)
+            value = face_average_tensors(planes)
             assert value.tobytes() == reference["face_average_tensors"].tobytes(), f"{chunk}-value chunks, {workers} bands"
-            value = divergence(dfield, grid)
+            value = divergence(dfield)
             assert value.tobytes() == reference["divergence of signed zeros"].tobytes(), f"{chunk}-value chunks, {workers} bands"
         # The flux's chunks: one row, a few rows, and the default.
         for chunk in (row, 3 * row, default_apply_chunk):
-            monkeypatch.setattr(tensors, "APPLY_CHUNK", chunk)
-            value = flux(h, signed, grid)
+            monkeypatch.setattr(grid_mod, "APPLY_CHUNK", chunk)
+            value = flux(h, signed)
             assert value.tobytes() == reference["flux"].tobytes(), f"{chunk}-cell flux chunks, {workers} bands"

@@ -8,7 +8,7 @@ import relaxdiff.integrate as integrate_mod
 from relaxdiff import tensors
 from relaxdiff.baselines import compare_trajectories, run_baseline
 from relaxdiff.errors import DimensionError, ParameterError, SolverError
-from relaxdiff.grid import GridSpec, l2_norm
+from relaxdiff.grid import l2_norm
 from relaxdiff.initial import init_H0, rescale
 from relaxdiff.integrate import FilterParams, TraceRecord, run
 from relaxdiff.response import PERONA_MALIK_SCALAR, THRESHOLDED_PROJECTION, ResponseParams, response_min_eig
@@ -41,24 +41,21 @@ def make_records(values, dt=0.1):
 
 class TestRunBaseline:
     def test_constant_unchanged(self):
-        grid = GridSpec(dims=(6, 6), channels=2)
-        u0 = np.full(grid.field_shape(), 0.4)
+        u0 = np.full((6, 6, 2), 0.4)
         p = FilterParams(sigma=1.0, dt=0.5, t_end=2.0, response=ResponseParams(s=0.1))
         final, traces = run_baseline(u0, p)
         np.testing.assert_array_equal(final.u, u0)
         assert final.t == traces[-1].t and len(traces) == 4
 
     def test_catte_requires_sigma(self, rng):
-        grid = GridSpec(dims=(6, 6), channels=1)
-        u0 = rng.standard_normal(grid.field_shape())
+        u0 = rng.standard_normal((6, 6, 1))
         for sigma in (0.0, 0.3):  # a sub-pixel bandwidth's kernel is the identity
             with pytest.raises(ParameterError, match=r"sigma >= 0\.5"):
                 run_baseline(u0, FilterParams(sigma=sigma))
 
     @pytest.mark.parametrize("name", RUNNABLE)
     def test_non_finite_data_rejected(self, rng, name):
-        grid = GridSpec(dims=(6, 6), channels=1)
-        u0 = rng.standard_normal(grid.field_shape())
+        u0 = rng.standard_normal((6, 6, 1))
         u0[3, 2, 0] = np.nan
         with pytest.raises(ParameterError, match="u0 contains NaN or inf"):
             run_baseline(u0, no_relaxation_params(name))
@@ -68,14 +65,12 @@ class TestRunBaseline:
     def test_overflowing_norm_rejected(self, name):
         # Finite pixels whose squares sum past the largest float: the CG's
         # stop test would pass at once and the run would filter nothing.
-        grid = GridSpec(dims=(6, 6), channels=1)
-        u0 = np.full(grid.field_shape(), 1e154)
+        u0 = np.full((6, 6, 1), 1e154)
         with pytest.raises(ParameterError, match="^u0 is too large: its squared L2 norm overflows$"):
             run_baseline(u0, no_relaxation_params(name))
 
     def test_mass_and_monotonicity(self, rng):
-        grid = GridSpec(dims=(12, 12), channels=3)
-        u0 = 0.5 * rng.standard_normal(grid.field_shape())
+        u0 = 0.5 * rng.standard_normal((12, 12, 3))
         p = FilterParams(sigma=1.0, dt=0.2, t_end=2.0, response=ResponseParams(s=0.1))
         _, traces = run_baseline(u0, p)
         mass0 = u0.reshape(-1, 3).sum(axis=0)
@@ -85,8 +80,7 @@ class TestRunBaseline:
         assert all(b <= a * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
 
     def test_perona_malik_warns_and_runs(self, rng):
-        grid = GridSpec(dims=(8, 8), channels=1)
-        u0 = 0.3 * rng.standard_normal(grid.field_shape())
+        u0 = 0.3 * rng.standard_normal((8, 8, 1))
         p = FilterParams(sigma=0.0, dt=0.05, t_end=0.25, response=ResponseParams(s=0.1, kind="perona_malik_scalar", lam=0.5))
         with pytest.warns(UserWarning):
             final, traces = run_baseline(u0, p)
@@ -107,11 +101,11 @@ class TestRunBaseline:
     def test_tau_limit_consistency(self):
         # In the resolved regime (tau a few steps wide) halving tau roughly
         # halves the trajectory distance to the no-relaxation limit.
-        grid = GridSpec(dims=(16, 16), channels=3)
+        dims = (16, 16)
         rng = np.random.default_rng(5)
-        u0 = smooth_image(16) + 0.1 * rng.standard_normal(grid.field_shape())
+        u0 = smooth_image(16) + 0.1 * rng.standard_normal(dims + (3,))
         kd = 6
-        h0 = np.multiply.outer(pack(0.1 * np.eye(kd)), np.ones(grid.dims))
+        h0 = np.multiply.outer(pack(0.1 * np.eye(kd)), np.ones(dims))
         base = FilterParams(tau=0.8, sigma=1.0, dt=0.05, t_end=1.5, response=ResponseParams(s=0.1), alpha=0.1)
         _, catte = run_baseline(u0, base)
         dists = []
@@ -133,8 +127,7 @@ class TestRunBaseline:
 class TestNoRelaxationConfigurations:
     @pytest.mark.parametrize("name", NO_RELAXATION)
     def test_outcome(self, rng, name):
-        grid = GridSpec(dims=(8, 8), channels=3)
-        u0 = disk_image(8, radius=3.0)[0] + 0.05 * rng.standard_normal(grid.field_shape())
+        u0 = disk_image(8, radius=3.0)[0] + 0.05 * rng.standard_normal((8, 8, 3))
         p = no_relaxation_params(name, dt=0.05, t_end=0.15)
         if NO_RELAXATION[name][2] == "raises":
             with pytest.raises(ParameterError, match=r"^the mollified baseline requires sigma >= 0\.5$"):
@@ -166,8 +159,8 @@ class TestFloorCheckOnlyWithRelaxation:
             calls["eigvalsh"] += 1
             return eigvalsh(h)
 
-        def kept_grad(u, kern, grid):
-            calls["grads"].append(grad_sigma(u, kern, grid).copy())
+        def kept_grad(u, kern):
+            calls["grads"].append(grad_sigma(u, kern).copy())
             return calls["grads"][-1]
 
         monkeypatch.setattr(integrate_mod, "min_eig_field", counted_check)
@@ -178,8 +171,7 @@ class TestFloorCheckOnlyWithRelaxation:
     @pytest.mark.filterwarnings("ignore:unmollified scalar")
     @pytest.mark.parametrize("name", RUNNABLE)
     def test_baselines_take_the_closed_form(self, rng, name, calls):
-        grid = GridSpec(dims=(16, 16), channels=3)
-        u0 = disk_image(16, radius=5.0)[0] + 0.05 * rng.standard_normal(grid.field_shape())
+        u0 = disk_image(16, radius=5.0)[0] + 0.05 * rng.standard_normal((16, 16, 3))
         p = no_relaxation_params(name, dt=0.1, t_end=0.3)
         _, traces = run_baseline(u0, p)
         assert calls["min_eig_field"] == 0 and calls["eigvalsh"] == 0
@@ -188,8 +180,7 @@ class TestFloorCheckOnlyWithRelaxation:
             assert r.min_eig_H == response_min_eig(g, p.response)
 
     def test_relax_mode_checks_the_floor_every_step(self, rng, calls):
-        grid = GridSpec(dims=(16, 16), channels=3)
-        u0 = disk_image(16, radius=5.0)[0] + 0.05 * rng.standard_normal(grid.field_shape())
+        u0 = disk_image(16, radius=5.0)[0] + 0.05 * rng.standard_normal((16, 16, 3))
         h0 = init_H0(u0, window=3, alpha=0.1)
         run(u0, h0, FilterParams(sigma=1.0, dt=0.1, t_end=0.3))
         assert calls["min_eig_field"] == 3

@@ -229,13 +229,12 @@ def test_cg_tol_1e10_gives_the_former_digests(case, as_config, tmp_path):
 
 
 def _check_H(p: FilterParams, expected: dict) -> None:
-    u0, grid = rgb_scene()
+    u0 = rgb_scene()
     h0 = init_H0(u0, window=5, alpha=0.1)
     state, _ = run(u0, h0, p)
     _, _, hs = step_nodes(u0, h0, p)
-    kd = grid.channels * grid.ndim
     final = unpack(state.H)
-    assert final.shape == (kd, kd) + grid.dims and len(hs) == 4
+    assert final.shape == (6, 6, 64, 64) and len(hs) == 4
     assert _sha(final.tobytes()) == expected["final"], "final H changed"
     history = hashlib.sha256()
     for h in hs:

@@ -4,30 +4,30 @@ from scipy.ndimage import correlate1d
 
 import relaxdiff.initial as initial_mod
 from relaxdiff.errors import ParameterError
-from relaxdiff.grid import GridSpec, gradient
+from relaxdiff.grid import gradient
 from relaxdiff.initial import NoiseSpec, add_noise, init_H0, rescale, unrescale
 from relaxdiff.tensors import unpack
 
 from conftest import disk_image
 
 
-def brute_force_H0(u, grid, window, alpha):
+def brute_force_H0(u, window, alpha):
     """Per-cell covariance via explicit python loops over the clipped window.
 
     Samples come from cells owning a forward face along every axis (the
     gradient's boundary slots are stencil padding, not data). The result is
     component-first, (kd, kd) + dims, as unpack(init_H0(...)) gives it.
     """
-    g = gradient(u, grid)
-    kd = grid.channels * grid.ndim
-    gflat = np.moveaxis(g.reshape((kd,) + grid.dims), 0, -1)
+    dims = u.shape[:-1]
+    kd = u.shape[-1] * len(dims)
+    gflat = np.moveaxis(gradient(u).reshape((kd,) + dims), 0, -1)
     half = window // 2
-    out = np.zeros((kd, kd) + grid.dims)
-    for idx in np.ndindex(*grid.dims):
+    out = np.zeros((kd, kd) + dims)
+    for idx in np.ndindex(*dims):
         samples = []
-        for off in np.ndindex(*(window,) * grid.ndim):
+        for off in np.ndindex(*(window,) * len(dims)):
             pos = tuple(i + o - half for i, o in zip(idx, off))
-            if all(0 <= p < n - 1 for p, n in zip(pos, grid.dims)):
+            if all(0 <= p < n - 1 for p, n in zip(pos, dims)):
                 samples.append(gflat[pos])
         samples = np.array(samples)
         m = len(samples)
@@ -41,23 +41,23 @@ def brute_force_H0(u, grid, window, alpha):
     return out
 
 
-def all_products_H0(u, grid, window, alpha):
+def all_products_H0(u, window, alpha):
     """The covariance from the field of all kd x kd gradient products.
 
     Its window sums and arithmetic are those init_H0 applies to the upper
     triangle only, so the two agree bit for bit. It is formed cell-first and
     returned as a component-first view.
     """
-    g = gradient(u, grid)
-    kd = grid.channels * grid.ndim
-    gflat = np.moveaxis(g.reshape((kd,) + grid.dims), 0, -1)
-    valid = np.ones(grid.dims)
-    for axis in range(grid.ndim):
+    dims = u.shape[:-1]
+    kd = u.shape[-1] * len(dims)
+    gflat = np.moveaxis(gradient(u).reshape((kd,) + dims), 0, -1)
+    valid = np.ones(dims)
+    for axis in range(len(dims)):
         valid[(slice(None),) * axis + (-1,)] = 0.0
-    counts = initial_mod._window_sums(valid, grid.dims, window)
-    s1 = initial_mod._window_sums(gflat * valid[..., None], grid.dims, window)
+    counts = initial_mod._window_sums(valid, dims, window)
+    s1 = initial_mod._window_sums(gflat * valid[..., None], dims, window)
     outer = np.einsum("...a,...b->...ab", gflat, gflat)
-    s2 = initial_mod._window_sums(outer * valid[..., None, None], grid.dims, window)
+    s2 = initial_mod._window_sums(outer * valid[..., None, None], dims, window)
     m = counts[..., None, None]
     mean_outer = np.einsum("...a,...b->...ab", s1, s1) / m
     cov = (s2 - mean_outer) / np.maximum(m - 1.0, 1.0)
@@ -135,9 +135,8 @@ class TestInitH0:
         (np.nan, "u_noisy contains NaN or inf"),
     ])
     def test_input_checked_before_the_covariance(self, rng, scale, message):
-        grid = GridSpec(dims=(8, 8), channels=3)
         with pytest.raises(ParameterError, match=f"^{message}$"):
-            init_H0(scale * rng.standard_normal(grid.field_shape()), window=3, alpha=0.1)
+            init_H0(scale * rng.standard_normal((8, 8, 3)), window=3, alpha=0.1)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("workers", [1, 2])
@@ -153,8 +152,7 @@ class TestInitH0:
             init_H0(u, window=3, alpha=0.1)
 
     def test_matches_scipy_window_sums(self, monkeypatch):
-        grid = GridSpec(dims=(32, 32), channels=3)
-        u = disk_image(32, radius=10.0)[0] + 0.05 * np.random.default_rng(5).standard_normal(grid.field_shape())
+        u = disk_image(32, radius=10.0)[0] + 0.05 * np.random.default_rng(5).standard_normal((32, 32, 3))
         h0 = unpack(init_H0(u, window=5, alpha=0.1))
         monkeypatch.setattr(
             initial_mod,
@@ -166,18 +164,17 @@ class TestInitH0:
     @pytest.mark.parametrize("scene", ["noise", "affine", "signed zeros"])
     def test_bit_equal_to_all_products(self, scene, rng):
         if scene == "signed zeros":
-            grid = GridSpec(dims=(12,), channels=2)
             u = signed_zero_scene(12)
         else:
-            grid = GridSpec(dims=(13, 9), channels=3)
             xx, yy = np.meshgrid(np.arange(13.0), np.arange(9.0), indexing="ij")
             u = np.stack([0.1 * xx - 0.2 * yy, -0.3 * xx, 0.0 * xx + 0.5], axis=-1)
             if scene == "noise":
-                u = u + rng.standard_normal(grid.field_shape())
-        h0 = init_H0(u, window=5 if grid.ndim == 2 else 3, alpha=0.1)
-        reference = all_products_H0(u, grid, window=5 if grid.ndim == 2 else 3, alpha=0.1)
-        kd = grid.channels * grid.ndim
-        assert h0.shape == (kd * (kd + 1) // 2,) + grid.dims
+                u = u + rng.standard_normal((13, 9, 3))
+        dims = u.shape[:-1]
+        h0 = init_H0(u, window=5 if len(dims) == 2 else 3, alpha=0.1)
+        reference = all_products_H0(u, window=5 if len(dims) == 2 else 3, alpha=0.1)
+        kd = u.shape[-1] * len(dims)
+        assert h0.shape == (kd * (kd + 1) // 2,) + dims
         assert unpack(h0).tobytes() == reference.tobytes()
 
     def test_off_diagonal_negative_zero_becomes_positive(self):
@@ -189,45 +186,41 @@ class TestInitH0:
 
     def test_affine_image_gives_alpha_identity(self):
         n = 10
-        grid = GridSpec(dims=(n, n), channels=1)
+        dims = (n, n)
         xx = np.arange(n, dtype=float)[:, None] * np.ones(n)[None, :]
         u = (0.2 * xx + 0.1)[..., None]
         h0 = unpack(init_H0(u, window=3, alpha=0.4))
-        expected = np.broadcast_to((0.4 * np.eye(2))[..., None, None], (2, 2) + grid.dims)
+        expected = np.broadcast_to((0.4 * np.eye(2))[..., None, None], (2, 2) + dims)
         np.testing.assert_allclose(h0, expected, atol=1e-12)
 
     def test_eigenvalue_floor(self, rng):
-        grid = GridSpec(dims=(12, 12), channels=3)
-        u = rng.standard_normal(grid.field_shape())
+        u = rng.standard_normal((12, 12, 3))
         h0 = unpack(init_H0(u, window=5, alpha=0.1))
         eigs = np.linalg.eigvalsh(np.moveaxis(h0, (0, 1), (-2, -1)))
         assert float(eigs[..., 0].min()) >= 0.1 - 1e-10
 
     def test_is_psd_every_cell(self, rng):
-        grid = GridSpec(dims=(7, 8), channels=2)
-        u = rng.standard_normal(grid.field_shape())
+        dims = (7, 8)
+        u = rng.standard_normal(dims + (2,))
         h0 = unpack(init_H0(u, window=3, alpha=0.15))
-        for idx in np.ndindex(*grid.dims):
+        for idx in np.ndindex(*dims):
             assert np.linalg.eigvalsh(h0[(...,) + idx])[0] >= 0.15 - 1e-10
 
     def test_alternating_1d_against_brute_force(self):
         n = 12
-        grid = GridSpec(dims=(n,), channels=1)
         u = (np.arange(n) % 2).astype(float)[:, None]
         h0 = unpack(init_H0(u, window=3, alpha=0.1))
-        oracle = brute_force_H0(u, grid, window=3, alpha=0.1)
+        oracle = brute_force_H0(u, window=3, alpha=0.1)
         np.testing.assert_allclose(h0, oracle, atol=1e-12)
 
     def test_random_2d_against_brute_force(self, rng):
-        grid = GridSpec(dims=(8, 6), channels=2)
-        u = rng.standard_normal(grid.field_shape())
+        u = rng.standard_normal((8, 6, 2))
         h0 = unpack(init_H0(u, window=5, alpha=0.1))
-        oracle = brute_force_H0(u, grid, window=5, alpha=0.1)
+        oracle = brute_force_H0(u, window=5, alpha=0.1)
         np.testing.assert_allclose(h0, oracle, atol=1e-11)
 
     def test_translation_covariance_interior(self, rng):
-        grid = GridSpec(dims=(14, 14), channels=1)
-        u = rng.standard_normal(grid.field_shape())
+        u = rng.standard_normal((14, 14, 1))
         shifted = np.roll(u, shift=2, axis=0)
         h_base = unpack(init_H0(u, window=3, alpha=0.1))
         h_shift = unpack(init_H0(shifted, window=3, alpha=0.1))
@@ -236,8 +229,7 @@ class TestInitH0:
         np.testing.assert_allclose(h_shift[..., 4:12, 2:12], h_base[..., 2:10, 2:12], atol=1e-12)
 
     def test_validation(self, rng):
-        grid = GridSpec(dims=(6, 6), channels=1)
-        u = rng.standard_normal(grid.field_shape())
+        u = rng.standard_normal((6, 6, 1))
         with pytest.raises(ParameterError):
             init_H0(u, window=4, alpha=0.1)
         with pytest.raises(ParameterError):

@@ -9,7 +9,7 @@ import relaxdiff.integrate as integrate_mod
 import relaxdiff.tensors as tensors_mod
 from relaxdiff.baselines import run_baseline
 from relaxdiff.errors import DimensionError, FitError, InvariantViolation, ParameterError, SolverError
-from relaxdiff.grid import GridSpec, channel_sums, divergence, face_average_tensors, flux, l2_norm, mean_free
+from relaxdiff.grid import channel_sums, divergence, face_average_tensors, flux, l2_norm, mean_free
 from relaxdiff.initial import init_H0, rescale
 from relaxdiff.integrate import (
     MAX_STEPS,
@@ -97,11 +97,10 @@ class TestChannelSums:
         # for k = 1. Magnitudes from 1e-8 to 1e8, so another order rounds
         # differently.
         for dims in ((2,), (7, 3), (64, 65), (256, 256)):
-            grid = GridSpec(dims=dims, channels=channels)
             for _ in range(3):
-                u = rng.standard_normal(grid.field_shape()) * 10.0 ** rng.integers(-8, 9, grid.field_shape())
+                u = rng.standard_normal(dims + (channels,)) * 10.0 ** rng.integers(-8, 9, dims + (channels,))
                 expected = u.reshape(-1, channels).sum(axis=0)
-                assert channel_sums(u, grid).tobytes() == expected.tobytes(), dims
+                assert channel_sums(u).tobytes() == expected.tobytes(), dims
 
 
 class TestStepH:
@@ -109,82 +108,81 @@ class TestStepH:
 
     def test_fixed_point_when_F_equals_H(self):
         # A constant image has zero gradient, so F = F(0); start H there.
-        grid = GridSpec(dims=(6, 6), channels=2)
+        dims = (6, 6)
         p = FilterParams(tau=0.5, sigma=0.0, dt=0.3, response=ResponseParams(s=0.2))
-        u = np.full(grid.field_shape(), 0.4)
-        h0 = identity_field(grid.dims, 4, scale=1.5)  # F(0) = 3/2 Id
+        u = np.full(dims + (2,), 0.4)
+        h0 = identity_field(dims, 4, scale=1.5)  # F(0) = 3/2 Id
         h = h0.copy()
-        _relax_H(u, h, p, grid, p.kernel())
+        _relax_H(u, h, p, p.kernel())
         np.testing.assert_allclose(h, h0, atol=1e-14)
 
     def test_zero_response_stub_scalar_exponential(self, monkeypatch):
-        grid = GridSpec(dims=(4, 4), channels=1)
+        dims = (4, 4)
         alpha = 0.37
         p = FilterParams(tau=0.8, sigma=0.0, dt=0.8, alpha=alpha)
         monkeypatch.setattr(integrate_mod, "response_field", lambda d, rp: np.zeros((3,) + d.shape[2:]))
-        u = np.zeros(grid.field_shape())
-        h = identity_field(grid.dims, 2, scale=alpha)
-        _relax_H(u, h, p, grid, p.kernel())
-        expected = identity_field(grid.dims, 2, scale=alpha * math.exp(-1.0))
+        u = np.zeros(dims + (1,))
+        h = identity_field(dims, 2, scale=alpha)
+        _relax_H(u, h, p, p.kernel())
+        expected = identity_field(dims, 2, scale=alpha * math.exp(-1.0))
         np.testing.assert_allclose(h, expected, atol=1e-14)
 
     def test_frozen_u_geometric_convergence(self, rng):
-        grid = GridSpec(dims=(5, 5), channels=2)
+        dims = (5, 5)
         p = FilterParams(tau=0.4, sigma=0.0, dt=0.2, response=ResponseParams(s=0.3))
-        u = 0.3 * rng.standard_normal(grid.field_shape())
-        f = response_field(grad_sigma(u, None, grid), p.response)
-        h = pack(random_psd_field(rng, grid.dims, 4, floor=0.1))
+        u = 0.3 * rng.standard_normal(dims + (2,))
+        f = response_field(grad_sigma(u, None), p.response)
+        h = pack(random_psd_field(rng, dims, 4, floor=0.1))
         theta = math.exp(-p.dt / p.tau)
         err_prev = float(np.max(np.abs(h - f)))
         for _ in range(8):
-            _relax_H(u, h, p, grid, p.kernel())
+            _relax_H(u, h, p, p.kernel())
             err = float(np.max(np.abs(h - f)))
             assert err == pytest.approx(theta * err_prev, rel=1e-10, abs=1e-13)
             err_prev = err
 
     def test_convexity_preserves_floor(self, rng):
-        grid = GridSpec(dims=(6, 6), channels=3)
+        dims = (6, 6)
         p = FilterParams(tau=0.5, sigma=0.0, dt=5.0, response=ResponseParams(s=0.1))
-        u = rng.standard_normal(grid.field_shape())
-        h = pack(random_psd_field(rng, grid.dims, 6, floor=0.2))
-        _relax_H(u, h, p, grid, p.kernel())
+        u = rng.standard_normal(dims + (3,))
+        h = pack(random_psd_field(rng, dims, 6, floor=0.2))
+        _relax_H(u, h, p, p.kernel())
         # response is PSD, H has floor 0.2, any dt keeps a convex mix PSD
         assert float(np.min(np.linalg.eigvalsh(np.moveaxis(unpack(h), (0, 1), (-2, -1))))) >= min(0.2, 0.0) - 1e-10
 
 
-def implicit_step(u, h, p, grid):
+def implicit_step(u, h, p):
     """One backward-Euler diffusion step of u with frozen packed H, as the step loop solves it."""
-    havg = face_average_tensors(h, grid)
-    return _implicit_solve(u, havg, p.dt, grid, p.cg_tol)[0]
+    return _implicit_solve(u, face_average_tensors(h), p.dt, p.cg_tol)[0]
 
 
 class TestStepU:
     """The backward-Euler diffusion solve of the step loop (_implicit_solve)."""
 
     def test_constant_unchanged(self):
-        grid = GridSpec(dims=(7, 7), channels=2)
+        dims = (7, 7)
         p = FilterParams(dt=2.0)
-        u = np.full(grid.field_shape(), -0.3)
-        h = identity_field(grid.dims, 4)
-        out = implicit_step(u, h, p, grid)
+        u = np.full(dims + (2,), -0.3)
+        h = identity_field(dims, 4)
+        out = implicit_step(u, h, p)
         np.testing.assert_array_equal(out, u)
 
     def test_two_cell_hand_solve(self):
-        grid = GridSpec(dims=(2,), channels=1)
+        dims = (2,)
         p = FilterParams(dt=1.0)
         u = np.array([[1.0], [-1.0]])
-        h = identity_field(grid.dims, 1)
-        out = implicit_step(u, h, p, grid)
+        h = identity_field(dims, 1)
+        out = implicit_step(u, h, p)
         # (I - div grad) on two cells is [[2, -1], [-1, 2]]; solving against
         # (1, -1) gives (1/3, -1/3).
         np.testing.assert_allclose(out, [[1.0 / 3.0], [-1.0 / 3.0]], atol=1e-10)
 
     def test_mass_conserved_and_norm_nonincreasing(self, rng):
-        grid = GridSpec(dims=(12, 10), channels=3)
+        dims = (12, 10)
         p = FilterParams(dt=7.0, cg_tol=1e-10)
-        u = rng.standard_normal(grid.field_shape())
-        h = pack(random_psd_field(rng, grid.dims, 6, floor=0.05))
-        out = implicit_step(u, h, p, grid)
+        u = rng.standard_normal(dims + (3,))
+        h = pack(random_psd_field(rng, dims, 6, floor=0.05))
+        out = implicit_step(u, h, p)
         mass_in = u.reshape(-1, 3).sum(axis=0)
         mass_out = out.reshape(-1, 3).sum(axis=0)
         np.testing.assert_allclose(mass_out, mass_in, atol=1e-10 * np.abs(u).sum())
@@ -194,32 +192,31 @@ class TestStepU:
     def test_default_tolerance_bounds_the_error(self, dt, rng):
         # ||A^-1|| <= 1, so a residual below cg_tol ||u|| puts the solution
         # within cg_tol ||u|| of the exact one (the module docstring).
-        grid = GridSpec(dims=(32, 32), channels=3)
-        u = rng.uniform(-1.0, 1.0, grid.field_shape())
-        havg = face_average_tensors(init_H0(u, window=5, alpha=0.1), grid)
+        u = rng.uniform(-1.0, 1.0, (32, 32, 3))
+        havg = face_average_tensors(init_H0(u, window=5, alpha=0.1))
         cg_tol = FilterParams().cg_tol
         assert cg_tol == 1e-8
-        x, iters = _implicit_solve(u, havg, dt, grid, cg_tol)
-        reference, ref_iters = _implicit_solve(u, havg, dt, grid, 1e-14)
+        x, iters = _implicit_solve(u, havg, dt, cg_tol)
+        reference, ref_iters = _implicit_solve(u, havg, dt, 1e-14)
         assert 0 < iters < ref_iters
         assert l2_norm(x - reference) <= cg_tol * l2_norm(u)
 
     def test_solver_error_carries_residual(self, rng, monkeypatch):
         monkeypatch.setattr(integrate_mod, "cg_max_iter", lambda ncells: 2)
-        grid = GridSpec(dims=(16, 16), channels=1)
+        dims = (16, 16)
         p = FilterParams(dt=50.0, cg_tol=1e-10)
-        u = rng.standard_normal(grid.field_shape())
-        h = identity_field(grid.dims, 2)
+        u = rng.standard_normal(dims + (1,))
+        h = identity_field(dims, 2)
         with pytest.raises(SolverError) as err:
-            implicit_step(u, h, p, grid)
+            implicit_step(u, h, p)
         assert np.isfinite(err.value.residual) and err.value.residual > 0
 
 
 class TestRun:
     def test_zero_steps_returns_initial(self, rng):
-        grid = GridSpec(dims=(6, 6), channels=2)
-        u0 = rng.standard_normal(grid.field_shape())
-        h0 = identity_field(grid.dims, 4, scale=0.3)
+        dims = (6, 6)
+        u0 = rng.standard_normal(dims + (2,))
+        h0 = identity_field(dims, 4, scale=0.3)
         p = FilterParams(t_end=0.0, alpha=0.3)
         state, traces = run(u0, h0, p)
         assert traces == []
@@ -228,32 +225,30 @@ class TestRun:
         np.testing.assert_array_equal(state.H, h0)
 
     def test_constant_u_relaxes_H_to_response_at_zero(self):
-        grid = GridSpec(dims=(6, 6), channels=2)
+        dims = (6, 6)
         omega = 0.2
         p = FilterParams(
             tau=0.5, sigma=0.0, dt=0.5, t_end=10.0,
             response=ResponseParams(s=0.1, omega=omega), alpha=0.15,
         )
-        u0 = np.full(grid.field_shape(), 0.6)
-        h0 = identity_field(grid.dims, 4, scale=0.15)
+        u0 = np.full(dims + (2,), 0.6)
+        h0 = identity_field(dims, 4, scale=0.15)
         state, traces = run(u0, h0, p)
         np.testing.assert_array_equal(state.u, u0)
         f0 = unpack(response_zero(p.response, 2, 2))  # (3/2 + omega) Id
-        np.testing.assert_allclose(unpack(state.H), np.multiply.outer(f0, np.ones(grid.dims)), atol=1e-8)
+        np.testing.assert_allclose(unpack(state.H), np.multiply.outer(f0, np.ones(dims)), atol=1e-8)
 
     def test_mean_free_norm_monotone_32x32(self, rng):
-        grid = GridSpec(dims=(32, 32), channels=3)
-        u0 = 0.5 * rng.standard_normal(grid.field_shape())
+        u0 = 0.5 * rng.standard_normal((32, 32, 3))
         h0 = init_H0(u0, window=5, alpha=0.1)
         p = FilterParams(tau=0.5, sigma=1.0, dt=0.25, t_end=5.0, response=ResponseParams(s=0.1))
         _, us, _ = step_nodes(u0, h0, p)
-        norms = [l2_norm(mean_free(u, grid)) for u in us]
+        norms = [l2_norm(mean_free(u)) for u in us]
         tol = 1e-10 * norms[0]  # fixed, 100 times tighter than the default cg_tol
         assert all(b <= a + tol for a, b in zip(norms, norms[1:]))
 
     def test_kappa_floor_tracked(self, rng):
-        grid = GridSpec(dims=(10, 10), channels=2)
-        u0 = rng.standard_normal(grid.field_shape())
+        u0 = rng.standard_normal((10, 10, 2))
         h0 = init_H0(u0, window=3, alpha=0.2)
         p = FilterParams(tau=0.3, sigma=0.0, dt=0.4, t_end=4.0, alpha=0.2, response=ResponseParams(s=0.1))
         _, traces = run(u0, h0, p)
@@ -261,8 +256,7 @@ class TestRun:
             assert r.min_eig_H >= kappa_predicted(r.t, p) - 1e-8
 
     def test_unconditional_stability_huge_dt(self, rng):
-        grid = GridSpec(dims=(8, 8), channels=2)
-        u0 = rng.standard_normal(grid.field_shape())
+        u0 = rng.standard_normal((8, 8, 2))
         h0 = init_H0(u0, window=3, alpha=0.1)
         p = FilterParams(tau=0.5, sigma=0.0, dt=1000.0, t_end=3000.0, response=ResponseParams(s=0.1))
         _, traces = run(u0, h0, p)
@@ -287,14 +281,14 @@ class TestRun:
     def test_alpha_check_diagonalises_only_cells_below(self, rng, monkeypatch):
         # H0 at exactly alpha Id in every cell ties at alpha everywhere, yet
         # no cell is diagonalised; one cell a little below is, and it is named.
-        grid = GridSpec(dims=(40, 30), channels=3)
-        u0 = rng.standard_normal(grid.field_shape())
+        dims = (40, 30)
+        u0 = rng.standard_normal(dims + (3,))
         p = FilterParams(alpha=0.1)
         diagonalised = []
         monkeypatch.setattr(
             tensors_mod, "eigvalsh_field", lambda h: diagonalised.append(h.shape[0]) or np.linalg.eigvalsh(h)
         )
-        h0 = identity_field(grid.dims, 6, scale=0.1)
+        h0 = identity_field(dims, 6, scale=0.1)
         trajectory(u0, h0, p)
         assert diagonalised == []
         h0[:, 7, 29] = pack((0.1 - 1e-12) * np.eye(6))  # on the bound: accepted
@@ -305,24 +299,23 @@ class TestRun:
         assert diagonalised == [1, 2]
 
     def test_initial_floor_precondition(self, rng):
-        grid = GridSpec(dims=(5, 5), channels=1)
-        u0 = rng.standard_normal(grid.field_shape())
-        h0 = identity_field(grid.dims, 2, scale=0.05)
+        dims = (5, 5)
+        u0 = rng.standard_normal(dims + (1,))
+        h0 = identity_field(dims, 2, scale=0.05)
         with pytest.raises(ParameterError):
             run(u0, h0, FilterParams(alpha=0.1))
         # One cell below alpha, at a known position of a non-square grid:
         # the error names it, and trajectory() raises at the call.
-        grid = GridSpec(dims=(5, 7), channels=2)
-        h0 = identity_field(grid.dims, 4, scale=0.2)
+        dims = (5, 7)
+        h0 = identity_field(dims, 4, scale=0.2)
         h0[:, 3, 4] = pack(0.05 * np.eye(4))
         with pytest.raises(ParameterError, match=r"alpha eigenvalue floor: min eig 0\.05 < alpha 0\.1 at cell \(3, 4\)$"):
-            trajectory(rng.standard_normal(grid.field_shape()), h0, FilterParams(alpha=0.1))
+            trajectory(rng.standard_normal(dims + (2,)), h0, FilterParams(alpha=0.1))
 
     def test_zero_image_needs_no_cg_iteration(self, monkeypatch):
         # A zero right-hand side returns the zero solution before the first
         # iteration, in the filter's half and main solves and in the baseline's.
-        grid = GridSpec(dims=(8, 8), channels=3)
-        u0 = np.zeros(grid.field_shape())
+        u0 = np.zeros((8, 8, 3))
         iters = []
         solve = integrate_mod._implicit_solve
 
@@ -340,12 +333,11 @@ class TestRun:
         assert not state.u.any() and not final.u.any()
 
     def test_non_finite_solution_names_time_and_step(self, monkeypatch):
-        grid = GridSpec(dims=(8, 8), channels=3)
         u0 = disk_image(8, radius=3.0)[0]
         solve = integrate_mod._implicit_solve
 
-        def nan_main_solve(u, havg, dt, grid, cg_tol, where):
-            x, iters = solve(u, havg, dt, grid, cg_tol, where)
+        def nan_main_solve(u, havg, dt, cg_tol, where):
+            x, iters = solve(u, havg, dt, cg_tol, where)
             return (np.full_like(x, np.nan) if where.startswith("main") else x), iters
 
         monkeypatch.setattr(integrate_mod, "_implicit_solve", nan_main_solve)
@@ -356,8 +348,8 @@ class TestRun:
     @pytest.mark.parametrize("which", ["u0", "H0"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_data_rejected(self, rng, which, value):
-        grid = GridSpec(dims=(6, 6), channels=3)
-        data = {"u0": rng.standard_normal(grid.field_shape()), "H0": identity_field(grid.dims, 6, scale=0.2)}
+        dims = (6, 6)
+        data = {"u0": rng.standard_normal(dims + (3,)), "H0": identity_field(dims, 6, scale=0.2)}
         data[which][2, 3, 1] = value
         with pytest.raises(ParameterError, match=which):
             run(data["u0"], data["H0"], FilterParams())
@@ -367,8 +359,8 @@ class TestRun:
     def test_overflowing_norm_rejected(self, rng, which):
         # Finite data whose squares sum past the largest float: the CG's stop
         # test would pass at once, and an H0 this large breaks the solve.
-        grid = GridSpec(dims=(6, 6), channels=3)
-        data = {"u0": rng.standard_normal(grid.field_shape()), "H0": identity_field(grid.dims, 6, scale=0.2)}
+        dims = (6, 6)
+        data = {"u0": rng.standard_normal(dims + (3,)), "H0": identity_field(dims, 6, scale=0.2)}
         data[which] *= 1e160
         with pytest.raises(ParameterError, match=f"^{which} is too large: its squared L2 norm overflows$"):
             trajectory(data["u0"], data["H0"], FilterParams(alpha=0.2))
@@ -376,9 +368,9 @@ class TestRun:
     def test_H0_shape_rejected(self, rng):
         # H0 is packed, (P,) + dims; a full-square field, a cell-first one
         # or another grid's field must fail before the filter runs.
-        grid = GridSpec(dims=(8, 8), channels=3)
-        u0 = rng.standard_normal(grid.field_shape())
-        h0 = identity_field(grid.dims, 6, scale=0.2)
+        dims = (8, 8)
+        u0 = rng.standard_normal(dims + (3,))
+        h0 = identity_field(dims, 6, scale=0.2)
         full = unpack(h0)
         for bad in (full, np.moveaxis(full, (0, 1), (-2, -1)).copy(), h0[..., :7], h0[:10]):
             with pytest.raises(ParameterError, match=r"H0 shape .* != \(21, 8, 8\).*relaxdiff\.tensors\.pack"):
@@ -389,8 +381,7 @@ class TestRun:
         # The step loop relaxes run()'s copy of H0 in place through a flat
         # view, so that copy must be C-ordered whatever the caller's layout:
         # flattening a Fortran-ordered copy would copy it, and H would not relax.
-        grid = GridSpec(dims=(8, 8), channels=3)
-        u0 = rng.standard_normal(grid.field_shape())
+        u0 = rng.standard_normal((8, 8, 3))
         h0 = init_H0(u0, window=3, alpha=0.1)
         p = FilterParams(tau=0.5, sigma=1.0, dt=0.1, t_end=0.3)
         expected, _ = run(u0, h0, p)
@@ -402,8 +393,7 @@ class TestRun:
 
     @pytest.mark.parametrize("sigma", [1.0, 0.0])
     def test_min_eig_H_equals_full_diagonalisation(self, rng, sigma):
-        grid = GridSpec(dims=(32, 32), channels=3)
-        u0 = disk_image(32, radius=10.0)[0] + 0.05 * rng.standard_normal(grid.field_shape())
+        u0 = disk_image(32, radius=10.0)[0] + 0.05 * rng.standard_normal((32, 32, 3))
         h0 = init_H0(u0, window=3, alpha=0.1)
         p = FilterParams(tau=0.5, sigma=sigma, dt=0.1, t_end=0.5)
         traces, _, hs = step_nodes(u0, h0, p)
@@ -414,8 +404,8 @@ class TestRun:
     def test_floor_violation_reports_the_full_argmin(self, rng, monkeypatch):
         # A shifted response breaks the floor everywhere; the diagnostic must
         # name the cell and eigenvalues that diagonalising every cell gives.
-        grid = GridSpec(dims=(32, 32), channels=3)
-        u0 = disk_image(32, radius=10.0)[0] + 0.05 * rng.standard_normal(grid.field_shape())
+        dims = (32, 32)
+        u0 = disk_image(32, radius=10.0)[0] + 0.05 * rng.standard_normal(dims + (3,))
         h0 = init_H0(u0, window=3, alpha=0.1)
         shift = 2.0 * pack(np.eye(6))[:, None, None]
         monkeypatch.setattr(integrate_mod, "response_field", lambda d, rp: response_field(d, rp) - shift)
@@ -427,7 +417,7 @@ class TestRun:
         diag = err.value.diagnostic
         h = np.moveaxis(unpack(fields[-1]), (0, 1), (-2, -1))
         eigs = np.linalg.eigvalsh(h)
-        cell = np.unravel_index(int(np.argmin(eigs[..., 0])), grid.dims)
+        cell = np.unravel_index(int(np.argmin(eigs[..., 0])), dims)
         assert diag["cell"] == cell
         np.testing.assert_array_equal(diag["eigenvalues"], eigs[cell])
         np.testing.assert_array_equal(diag["tensor"], h[cell])
@@ -436,9 +426,9 @@ class TestRun:
     def test_invariant_violation_diagnostic(self, rng, monkeypatch):
         # A response stub violating positive semidefiniteness must trip the
         # runtime floor check and report the offending cell.
-        grid = GridSpec(dims=(4, 4), channels=1)
-        u0 = rng.standard_normal(grid.field_shape())
-        h0 = identity_field(grid.dims, 2, scale=0.2)
+        dims = (4, 4)
+        u0 = rng.standard_normal(dims + (1,))
+        h0 = identity_field(dims, 2, scale=0.2)
         monkeypatch.setattr(
             integrate_mod, "response_field",
             lambda d, rp: np.multiply.outer(-pack(np.eye(2)), np.ones(d.shape[2:])),
@@ -470,10 +460,34 @@ class TestRun:
         u0 = clean + 0.05 * np.random.default_rng(3).standard_normal(clean.shape)
         h0 = init_H0(u0, window=3, alpha=0.1)
         p = FilterParams(tau=0.5, sigma=0.0, dt=1.0, t_end=1.0, response=ResponseParams(s=1.0, omega=6.511974122340293e153))
+        # The residual overflowed too, so the message names the scale that
+        # overflowed the operator instead: dt and the face tensors, about
+        # omega (1 - e^(-2)) = 5.63e153.
+        message = (r"^main solve of step 1 \(t=1\): the operator overflowed at iteration 0 "
+                   r"\(dt 1, largest finite \|face tensor entry\| 5\.63067e\+153\)$")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SolverError, match=r"^main solve of step 1 \(t=1\): the operator overflowed at iteration"):
+            with pytest.raises(SolverError, match=message) as err:
                 run(u0, h0, p)
+        assert not math.isfinite(err.value.residual)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_finite_H_is_named_by_its_first_cell(self, workers, set_workers):
+        # The image's squared norm, 1.62e308, is finite, but its gradient
+        # of -1.8e154 at (3, 3) overflows the response's products v_r v_s
+        # there, which makes the relaxed H NaN. A NaN entry once made every
+        # comparison with the floor false, so the check passed, after two
+        # RuntimeWarnings from response_field, and the main solve overflowed.
+        set_workers(workers)
+        u0 = np.zeros((8, 8, 1))
+        u0[3, 3, 0], u0[3, 4, 0] = 9e153, -9e153
+        p = FilterParams(sigma=0.0, dt=0.1, t_end=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantViolation, match=r"^diffusivity became non-finite at t=0\.1: first at cell \(3, 3\)$") as err:
+                run(u0, identity_field((8, 8), 2, scale=0.1), p)
+        assert err.value.diagnostic["cell"] == (3, 3)
+        assert not np.all(np.isfinite(err.value.diagnostic["tensor"]))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_operator_overflow_inside_the_iterations(self, workers, set_workers, rng):
@@ -482,17 +496,17 @@ class TestRun:
         # (whose differences overflow here) and the divergence give inf or
         # NaN without a warning.
         set_workers(workers)
-        grid = GridSpec(dims=(8, 8), channels=3)
-        u = 1e-100 * rng.standard_normal(grid.field_shape())
-        havg = face_average_tensors(identity_field(grid.dims, 6, scale=1e250), grid)
+        dims = (8, 8)
+        u = 1e-100 * rng.standard_normal(dims + (3,))
+        havg = face_average_tensors(identity_field(dims, 6, scale=1e250))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            stripes = np.zeros(grid.field_shape())
+            stripes = np.zeros(dims + (3,))
             stripes[::2] = 1e308
             stripes[1::2] = -1e308
-            assert not np.any(np.isfinite(divergence(flux(havg, stripes, grid), grid)))
+            assert not np.any(np.isfinite(divergence(flux(havg, stripes))))
             with pytest.raises(SolverError, match=r"^diffusion solve: the operator overflowed at iteration 1 ") as err:
-                _implicit_solve(u, havg, 1.0, grid, 1e-8)
+                _implicit_solve(u, havg, 1.0, 1e-8)
         assert math.isfinite(err.value.residual)
 
     def test_face_average_once_per_step(self, rng, monkeypatch):
@@ -500,9 +514,8 @@ class TestRun:
         # solve, so it averages n_steps + 1 times; a baseline, once per step.
         calls = []
         average = integrate_mod.face_average_tensors
-        monkeypatch.setattr(integrate_mod, "face_average_tensors", lambda h, g: calls.append(1) or average(h, g))
-        grid = GridSpec(dims=(8, 8), channels=3)
-        u0 = rng.standard_normal(grid.field_shape())
+        monkeypatch.setattr(integrate_mod, "face_average_tensors", lambda h: calls.append(1) or average(h))
+        u0 = rng.standard_normal((8, 8, 3))
         h0 = init_H0(u0, window=3, alpha=0.1)
         p = FilterParams(tau=0.5, sigma=1.0, dt=0.1, t_end=0.5)
         run(u0, h0, p)
@@ -512,8 +525,7 @@ class TestRun:
         assert len(calls) == 5
 
     def test_trace_schema_and_iters(self, rng):
-        grid = GridSpec(dims=(8, 8), channels=3)
-        u0 = rng.standard_normal(grid.field_shape())
+        u0 = rng.standard_normal((8, 8, 3))
         h0 = init_H0(u0, window=3, alpha=0.1)
         p = FilterParams(tau=0.5, sigma=1.0, dt=0.5, t_end=1.5, response=ResponseParams(s=0.1))
         _, traces = run(u0, h0, p)
@@ -525,8 +537,7 @@ class TestRun:
 
     def test_caller_arrays_left_untouched(self, rng):
         # The step loop relaxes H in place, on its own copy only.
-        grid = GridSpec(dims=(8, 8), channels=3)
-        u0 = rng.standard_normal(grid.field_shape())
+        u0 = rng.standard_normal((8, 8, 3))
         h0 = init_H0(u0, window=3, alpha=0.1)
         before = (u0.tobytes(), h0.tobytes())
         p = FilterParams(tau=0.5, sigma=1.0, dt=0.1, t_end=0.3)
@@ -544,8 +555,7 @@ def record_bits(r):
 
 class TestTrajectory:
     def setup_scene(self, rng):
-        grid = GridSpec(dims=(8, 8), channels=3)
-        u0 = rng.standard_normal(grid.field_shape())
+        u0 = rng.standard_normal((8, 8, 3))
         return u0, init_H0(u0, window=3, alpha=0.1)
 
     def test_records_and_last_state_are_run_bit_for_bit(self, rng):
@@ -581,36 +591,36 @@ class TestTrajectory:
 
 class TestEnergy:
     def test_stationary_point_zero(self):
-        grid = GridSpec(dims=(5, 4), channels=2)
+        dims = (5, 4)
         p = FilterParams(tau=0.7, response=ResponseParams(s=0.1, omega=0.3))
-        f0 = np.multiply.outer(response_zero(p.response, 2, 2), np.ones(grid.dims))
-        state = FilterState(t=0.0, u=np.zeros(grid.field_shape()), H=f0)
+        f0 = np.multiply.outer(response_zero(p.response, 2, 2), np.ones(dims))
+        state = FilterState(t=0.0, u=np.zeros(dims + (2,)), H=f0)
         assert energy(state, p) == 0.0
 
     def test_identity_offset_value(self):
-        grid = GridSpec(dims=(5, 4), channels=2)
+        dims = (5, 4)
         tau = 0.7
         p = FilterParams(tau=tau, response=ResponseParams(s=0.1))
         kd = 4
         f0 = response_zero(p.response, 2, 2)
-        h = np.multiply.outer(f0 + pack(np.eye(kd)), np.ones(grid.dims))
-        state = FilterState(t=0.0, u=np.zeros(grid.field_shape()), H=h)
-        assert energy(state, p) == pytest.approx(0.5 * tau * grid.ncells * kd, rel=1e-14)
+        h = np.multiply.outer(f0 + pack(np.eye(kd)), np.ones(dims))
+        state = FilterState(t=0.0, u=np.zeros(dims + (2,)), H=h)
+        assert energy(state, p) == pytest.approx(0.5 * tau * math.prod(dims) * kd, rel=1e-14)
 
     def test_quadratic_in_u(self, rng):
-        grid = GridSpec(dims=(6, 6), channels=3)
+        dims = (6, 6)
         p = FilterParams(tau=0.5, response=ResponseParams(s=0.1))
-        f0 = np.multiply.outer(response_zero(p.response, 3, 2), np.ones(grid.dims))
-        u = rng.standard_normal(grid.field_shape())
+        f0 = np.multiply.outer(response_zero(p.response, 3, 2), np.ones(dims))
+        u = rng.standard_normal(dims + (3,))
         e1 = energy(FilterState(0.0, u, f0), p)
         e2 = energy(FilterState(0.0, 2.0 * u, f0), p)
         assert e2 == pytest.approx(4.0 * e1, rel=1e-12)
 
     def test_mean_part_carries_no_energy(self, rng):
-        grid = GridSpec(dims=(6, 6), channels=2)
+        dims = (6, 6)
         p = FilterParams(tau=0.5, response=ResponseParams(s=0.1))
-        f0 = np.multiply.outer(response_zero(p.response, 2, 2), np.ones(grid.dims))
-        u = rng.standard_normal(grid.field_shape())
+        f0 = np.multiply.outer(response_zero(p.response, 2, 2), np.ones(dims))
+        u = rng.standard_normal(dims + (2,))
         e1 = energy(FilterState(0.0, u, f0), p)
         e2 = energy(FilterState(0.0, u + 3.7, f0), p)
         assert e2 == pytest.approx(e1, rel=1e-12)
@@ -619,9 +629,8 @@ class TestEnergy:
         # H is packed and read one entry plane at a time: a field of another
         # shape, a full-square or cell-first one included, fails instead of
         # giving a number.
-        grid = GridSpec(dims=(5, 3), channels=2)
         p = FilterParams(tau=0.5, response=ResponseParams(s=0.1))
-        u = np.zeros(grid.field_shape())
+        u = np.zeros((5, 3, 2))
         for shape in ((4, 4, 5, 3), (5, 3, 4, 4), (4, 4, 5), (4, 4, 5, 3, 1), (10, 5), (6, 5, 3), (10, 5, 3, 1)):
             with pytest.raises(DimensionError):
                 energy(FilterState(0.0, u, np.zeros(shape)), p)
@@ -677,19 +686,19 @@ class TestDecayRateFit:
 
 class TestMemoryFormCheck:
     def test_zero_steps(self, rng):
-        grid = GridSpec(dims=(6, 6), channels=1)
-        u0 = rng.standard_normal(grid.field_shape())
-        h0 = identity_field(grid.dims, 2, scale=0.2)
+        dims = (6, 6)
+        u0 = rng.standard_normal(dims + (1,))
+        h0 = identity_field(dims, 2, scale=0.2)
         p = FilterParams(alpha=0.2)
         assert memory_form_check(u0, h0, replace(p, t_end=0.0)) == 0.0
 
     def test_constant_response_stub_exact(self, rng, monkeypatch):
         # With F literally constant both forms telescope identically.
-        grid = GridSpec(dims=(6, 6), channels=1)
-        const = identity_field(grid.dims, 2, scale=0.8)
+        dims = (6, 6)
+        const = identity_field(dims, 2, scale=0.8)
         monkeypatch.setattr(integrate_mod, "response_field", lambda d, rp: const.copy())
-        u0 = rng.standard_normal(grid.field_shape())
-        h0 = identity_field(grid.dims, 2, scale=0.3)
+        u0 = rng.standard_normal(dims + (1,))
+        h0 = identity_field(dims, 2, scale=0.3)
         p = FilterParams(tau=0.7, sigma=0.0, dt=0.3, alpha=0.3)
         assert memory_form_check(u0, h0, replace(p, t_end=6 * p.dt)) <= 1e-12
 
@@ -718,9 +727,9 @@ class TestMemoryFormCheck:
     @pytest.mark.parametrize("steps", [0, 1])
     @pytest.mark.parametrize("bad", ["nan_u0", "full_square_H0", "H0_below_alpha"])
     def test_inputs_checked_at_every_step_count(self, rng, steps, bad):
-        grid = GridSpec(dims=(4, 4), channels=1)
-        u0 = rng.standard_normal(grid.field_shape())
-        h0 = identity_field(grid.dims, 2, scale=0.2)
+        dims = (4, 4)
+        u0 = rng.standard_normal(dims + (1,))
+        h0 = identity_field(dims, 2, scale=0.2)
         if bad == "nan_u0":
             u0[1, 1, 0] = math.nan
         elif bad == "full_square_H0":

@@ -16,8 +16,8 @@ from dataclasses import replace
 import numpy as np
 
 from relaxdiff.baselines import run_baseline
-from relaxdiff import grid as grid_mod, tensors
-from relaxdiff.grid import GridSpec, divergence, face_average_tensors, flux, gradient, inner, mean_free
+from relaxdiff import grid as grid_mod
+from relaxdiff.grid import divergence, face_average_tensors, flux, gradient, inner, mean_free
 from relaxdiff.initial import init_H0
 from relaxdiff.integrate import FilterParams, FilterState, _relax_H, energy, memory_form_check, run
 from relaxdiff.mollifier import convolve
@@ -39,15 +39,15 @@ def traced_peak(fn):
     return result, peak
 
 
-def h_field_bytes(grid):
-    """Bytes of one full-square H field, (kd, kd) + dims in float64: the unit of the RGB bounds."""
-    kd = grid.channels * grid.ndim
-    return kd * kd * grid.ncells * 8
+def h_field_bytes(u):
+    """Bytes of one full-square H field of the image u, (kd, kd) + dims in float64: the unit of the RGB bounds."""
+    kd = u.shape[-1] * (u.ndim - 1)
+    return kd * kd * (u.size // u.shape[-1]) * 8
 
 
 def test_peaks_in_H_fields():
-    u0, grid = rgb_scene()
-    unit = h_field_bytes(grid)
+    u0 = rgb_scene()
+    unit = h_field_bytes(u0)
     p = FilterParams(t_end=0.3)
     # init_H0's packed result (0.58) and its window sums of the gradient.
     h0, init_peak = traced_peak(lambda: init_H0(u0, window=5, alpha=0.1))
@@ -72,23 +72,23 @@ def test_relaxation_holds_F_as_21_planes():
     # _relax_H on the packed H: F is 21 planes, 0.58 of an H field, and the
     # mollified gradient, D:D and the response's coefficients add about
     # 0.31. A full-square F alone would be 1.0.
-    u0, grid = rgb_scene()
+    u0 = rgb_scene()
     p = FilterParams(t_end=0.3)
     h = init_H0(u0, window=5, alpha=0.1)
-    full = h_field_bytes(grid)
-    _, peak = traced_peak(lambda: _relax_H(u0, h, p, grid, p.kernel()))
+    full = h_field_bytes(u0)
+    _, peak = traced_peak(lambda: _relax_H(u0, h, p, p.kernel()))
     assert peak <= 0.92 * full, peak / full
 
 
 def test_energy_sums_plane_by_plane_in_a_fraction_of_an_H_field():
-    u0, grid = rgb_scene()
+    u0 = rgb_scene()
     p = FilterParams(t_end=0.3)
     state, _ = run(u0, init_H0(u0, window=5, alpha=0.1), p)
     # Reference: the mean-free term, then ||H - F(0)||^2 summed one entry
     # plane at a time in row-major order.
-    f0 = unpack(response_zero(p.response, grid.channels, grid.ndim))
+    f0 = unpack(response_zero(p.response, 3, 2))
     h = unpack(state.H)
-    umf = mean_free(state.u, grid)
+    umf = mean_free(state.u)
     misfit = 0.0
     for a in range(f0.shape[0]):
         for b in range(f0.shape[1]):
@@ -99,7 +99,7 @@ def test_energy_sums_plane_by_plane_in_a_fraction_of_an_H_field():
     assert got.hex() == expected.hex()
     # An image field (the mean-free u) is 1/12 of an H field and an entry
     # plane 1/36: nothing H-sized is made.
-    assert peak <= 0.2 * h_field_bytes(grid), peak / h_field_bytes(grid)
+    assert peak <= 0.2 * h_field_bytes(u0), peak / h_field_bytes(u0)
 
 
 def test_memory_form_check_peak_is_flat_in_the_step_count():
@@ -111,9 +111,9 @@ def test_memory_form_check_peak_is_flat_in_the_step_count():
     # the gap's Frobenius sum adds its packed planes cell by cell (out of
     # place they took 5.47, and an unpacked gap 4.45). The bound allows 0.1
     # over the measured peak, less than one packed temporary (0.58).
-    u0, grid = rgb_scene()
+    u0 = rgb_scene()
     h0 = init_H0(u0, window=5, alpha=0.1)
-    unit = h_field_bytes(grid)
+    unit = h_field_bytes(u0)
     p = FilterParams()
     for steps in (3, 24):
         _, peak = traced_peak(lambda: memory_form_check(u0, h0, replace(p, t_end=steps * p.dt)))
@@ -129,10 +129,9 @@ def test_grey_catte_peak_in_image_fields():
     # while the CG made a field-sized gradient (15.56 on the last such
     # version), less than any temporary the size of an image field; with
     # the flux's gradient formed chunk by chunk it measured 15.08.
-    grid = GridSpec(dims=(128, 128), channels=1)
     rng = np.random.default_rng(8)
     tiles = rng.uniform(-0.8, 0.8, (8, 8, 1))
-    u0 = np.kron(tiles, np.ones((16, 16, 1))) + 0.1 * rng.standard_normal(grid.field_shape())
+    u0 = np.kron(tiles, np.ones((16, 16, 1))) + 0.1 * rng.standard_normal((128, 128, 1))
     _, peak = traced_peak(lambda: run_baseline(u0, FilterParams(t_end=0.3)))
     assert peak <= (15.67 + 0.25) * u0.nbytes, peak / u0.nbytes
 
@@ -152,21 +151,20 @@ def test_band_threads_allocate_nothing(set_workers):
     # the divergence once allocated such buffers in every band, 194 KiB
     # each; their one-dimensional ufunc calls measured 1.5 to 4.3 KiB over
     # their result and scratch.
-    grid = GridSpec(dims=(256, 256), channels=3)
-    u0 = np.random.default_rng(8).uniform(-1.0, 1.0, grid.field_shape())
+    u0 = np.random.default_rng(8).uniform(-1.0, 1.0, (256, 256, 3))
     p = FilterParams(t_end=0.3)
-    dfield = gradient(u0, grid)
+    dfield = gradient(u0)
     state = FilterState(t=0.0, u=u0, H=response_field(dfield, p.response))
-    havg = face_average_tensors(state.H, grid)
-    kd = grid.channels * grid.ndim
-    plane = grid.ncells * 8
+    havg = face_average_tensors(state.H)
+    kd = 6
+    plane = 256 * 256 * 8
     slack = 1 << 17
     passes = {
-        "gradient": (lambda: gradient(u0, grid), lambda bands: 0),
-        "divergence": (lambda: divergence(dfield, grid), lambda bands: bands * grid_mod.FACE_AVERAGE_CHUNK * 8),
-        "flux": (lambda: flux(havg, u0, grid), lambda bands: bands * kd * tensors.APPLY_CHUNK * 8),
+        "gradient": (lambda: gradient(u0), lambda bands: 0),
+        "divergence": (lambda: divergence(dfield), lambda bands: bands * grid_mod.FACE_AVERAGE_CHUNK * 8),
+        "flux": (lambda: flux(havg, u0), lambda bands: bands * kd * grid_mod.APPLY_CHUNK * 8),
         "response_field": (lambda: response_field(dfield, p.response), lambda bands: 2 * plane),
-        "convolve": (lambda: convolve(u0, p.kernel(), grid), lambda bands: 2 * u0.nbytes),
+        "convolve": (lambda: convolve(u0, p.kernel()), lambda bands: 2 * u0.nbytes),
         "energy": (lambda: energy(state, p), lambda bands: u0.nbytes + bands * plane),
     }
     for name, (call, scratch) in passes.items():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.ndimage import correlate1d
 
 from relaxdiff.errors import ParameterError
-from relaxdiff.grid import GridSpec, gradient
+from relaxdiff.grid import gradient
 from relaxdiff.mollifier import COMPACT_BUMP, Kernel, _correlate1d, convolve, grad_sigma
 
 
@@ -124,9 +124,8 @@ class TestCorrelate1d:
 
 class TestConvolve:
     def test_constant_preserved(self):
-        grid = GridSpec(dims=(12, 9), channels=2)
-        u = np.full(grid.field_shape(), 3.25)
-        out = convolve(u, Kernel(sigma=2.0), grid)
+        u = np.full((12, 9, 2), 3.25)
+        out = convolve(u, Kernel(sigma=2.0))
         np.testing.assert_allclose(out, 3.25, atol=1e-13)
 
     def test_impulse_center_value(self):
@@ -134,10 +133,9 @@ class TestConvolve:
         # normalized discrete Gaussian; the response to a unit impulse peaks
         # at the product of the 1-d center weights.
         sigma = 2.0
-        grid = GridSpec(dims=(33, 33), channels=1)
-        u = np.zeros(grid.field_shape())
+        u = np.zeros((33, 33, 1))
         u[16, 16, 0] = 1.0
-        out = convolve(u, Kernel(sigma=sigma), grid)
+        out = convolve(u, Kernel(sigma=sigma))
         w = normalized_gaussian_weights(sigma)
         center = w[len(w) // 2]
         assert out[16, 16, 0] == pytest.approx(center * center, rel=1e-12)
@@ -147,20 +145,19 @@ class TestConvolve:
         np.testing.assert_allclose(out, np.swapaxes(out, 0, 1), atol=1e-15)
 
     def test_linearity(self, rng):
-        grid = GridSpec(dims=(10, 7), channels=2)
+        dims = (10, 7)
         kern = Kernel(sigma=1.5)
-        u = rng.standard_normal(grid.field_shape())
-        v = rng.standard_normal(grid.field_shape())
-        lhs = convolve(2.0 * u - 0.5 * v, kern, grid)
-        rhs = 2.0 * convolve(u, kern, grid) - 0.5 * convolve(v, kern, grid)
+        u = rng.standard_normal(dims + (2,))
+        v = rng.standard_normal(dims + (2,))
+        lhs = convolve(2.0 * u - 0.5 * v, kern)
+        rhs = 2.0 * convolve(u, kern) - 0.5 * convolve(v, kern)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_1d_oracle(self, rng):
         # Brute-force domain-restricted renormalized convolution in 1-d.
-        grid = GridSpec(dims=(17,), channels=1)
-        u = rng.standard_normal(grid.field_shape())
+        u = rng.standard_normal((17, 1))
         sigma = 1.2
-        out = convolve(u, Kernel(sigma=sigma), grid)
+        out = convolve(u, Kernel(sigma=sigma))
         w = normalized_gaussian_weights(sigma)
         r = len(w) // 2
         expected = np.zeros_like(u)
@@ -178,51 +175,46 @@ class TestConvolve:
 
 class TestGradSigma:
     def test_constant_zero_gradient(self):
-        grid = GridSpec(dims=(9, 9), channels=2)
-        u = np.full(grid.field_shape(), -0.7)
-        out = grad_sigma(u, Kernel(sigma=1.0), grid)
+        u = np.full((9, 9, 2), -0.7)
+        out = grad_sigma(u, Kernel(sigma=1.0))
         np.testing.assert_allclose(out, 0.0, atol=1e-13)
 
     def test_ramp_slope_in_interior(self):
         n = 48
-        grid = GridSpec(dims=(n, n), channels=1)
         xx = np.arange(n, dtype=float)[:, None] * np.ones(n)[None, :]
         u = (0.03 * xx)[..., None]
-        out = grad_sigma(u, Kernel(sigma=1.0), grid)
+        out = grad_sigma(u, Kernel(sigma=1.0))
         interior = out[0, 0, 8 : n - 8, 8 : n - 8]
         np.testing.assert_allclose(interior, 0.03, atol=1e-10)
 
     def test_sharp_mode_bit_for_bit(self, rng):
-        grid = GridSpec(dims=(11, 13), channels=3)
-        u = rng.standard_normal(grid.field_shape())
-        np.testing.assert_array_equal(grad_sigma(u, None, grid), gradient(u, grid))
+        u = rng.standard_normal((11, 13, 3))
+        np.testing.assert_array_equal(grad_sigma(u, None), gradient(u))
 
 
 class TestSmoothingBounds:
     def test_grad_sigma_bounded_on_unit_fields(self, rng):
         # Mollification makes the gradient sup-norm controlled by the L2 norm.
-        grid = GridSpec(dims=(16, 16), channels=1)
         kern = Kernel(sigma=2.0)
         worst = 0.0
         for _ in range(10):
-            u = rng.standard_normal(grid.field_shape())
+            u = rng.standard_normal((16, 16, 1))
             u /= np.linalg.norm(u.ravel())
-            g = grad_sigma(u, kern, grid)
+            g = grad_sigma(u, kern)
             worst = max(worst, float(np.max(np.abs(g))))
         assert worst < 1.0  # loose but finite; raw gradients of unit fields reach ~2
 
     def test_monotone_damping_statistical(self):
         # Soft property: larger bandwidth damps the worst-case mollified
         # gradient. Discreteness allows a small fraction of violations.
-        grid = GridSpec(dims=(16, 16), channels=1)
         sigmas = (0.5, 1.0, 2.0, 4.0)
         violations = 0
         comparisons = 0
         for seed in range(24):
-            u = np.random.default_rng(seed).standard_normal(grid.field_shape())
+            u = np.random.default_rng(seed).standard_normal((16, 16, 1))
             maxima = []
             for s in sigmas:
-                g = grad_sigma(u, Kernel(sigma=s), grid)
+                g = grad_sigma(u, Kernel(sigma=s))
                 maxima.append(float(np.max(np.abs(g))))
             for a, b in zip(maxima, maxima[1:]):
                 comparisons += 1

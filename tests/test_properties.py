@@ -33,7 +33,7 @@ from relaxdiff.cli import (
     save_image,
 )
 from relaxdiff.errors import ImageIOError, RelaxdiffError
-from relaxdiff.grid import GridSpec, l2_norm, mean_free
+from relaxdiff.grid import l2_norm, mean_free
 from relaxdiff.initial import init_H0, rescale
 from relaxdiff.integrate import KAPPA_SLACK, FilterParams, kappa_predicted
 from relaxdiff.response import ResponseParams
@@ -186,7 +186,6 @@ def plausible_or_finite(lo, hi):
 # place under the floor.
 @example(dt=1.0, tau=1.0, s=1.0, omega=1133007968679298.0, sigma=0.0, steps=1)
 def test_run_keeps_its_guarantees_or_raises(dt, tau, s, omega, sigma, steps):
-    grid = GridSpec(dims=(8, 8), channels=3)
     clean, _ = disk_image(n=8, radius=2.5)
     u0 = clean + 0.05 * np.random.default_rng(3).standard_normal(clean.shape)
     h0 = init_H0(u0, window=3, alpha=0.1)
@@ -197,7 +196,7 @@ def test_run_keeps_its_guarantees_or_raises(dt, tau, s, omega, sigma, steps):
         return
     mass0 = u0.reshape(-1, 3).sum(axis=0)
     mass_tol = 1e-9 * np.abs(u0).reshape(-1, 3).sum(axis=0)
-    norms = [l2_norm(mean_free(u, grid)) for u in us]
+    norms = [l2_norm(mean_free(u)) for u in us]
     for r, h, a, b in zip(traces, hs[1:], norms, norms[1:]):
         assert np.all(np.abs(np.array(r.mass) - mass0) <= mass_tol), (r.t, r.mass)
         assert r.min_eig_H >= kappa_predicted(r.t, p) - KAPPA_SLACK - eig_margin(h), (r.t, r.min_eig_H)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaxdiff import tensors
 from relaxdiff.errors import DimensionError
 from relaxdiff.grid import inner
 from relaxdiff.response import ResponseParams, response_field
@@ -97,7 +96,7 @@ class TestApply:
 
     @pytest.mark.parametrize("dims", [(), (1,), (2, 5), (7, 3), (3, 4, 5)])
     @pytest.mark.parametrize("kd", sorted(KD_SHAPES))
-    def test_sums_in_the_spelled_out_order(self, kd, dims, rng, set_workers, monkeypatch):
+    def test_sums_in_the_spelled_out_order(self, kd, dims, rng):
         k, d = KD_SHAPES[kd]
         if math.prod(dims) == 1:
             # One cell: einsum unrolls the sum, as apply's docstring says, so
@@ -117,15 +116,9 @@ class TestApply:
         # and the last cell's first row is -0.0.
         g.reshape(kd, -1)[:, 0] = -0.0
         h.reshape(kd, kd, -1)[0, :, -1] = -0.0
-        expected = apply_in_order(h, g)
-        chunks = (tensors.APPLY_CHUNK, 2)
-        for workers in (1, 2, 3):
-            set_workers(workers)
-            for chunk in chunks:
-                monkeypatch.setattr(tensors, "APPLY_CHUNK", chunk)
-                got = apply(h, g)
-                assert got.shape == g.shape
-                assert got.tobytes() == expected.tobytes(), f"{workers} bands, {chunk}-cell chunks"
+        got = apply(h, g)
+        assert got.shape == g.shape
+        assert got.tobytes() == apply_in_order(h, g).tobytes()
 
 
 class TestProjectOrth:
