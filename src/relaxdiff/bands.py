@@ -28,7 +28,8 @@ The banded kernels are:
   flux, the CG's tensors applied to the gradient, takes each chunk's
   gradient and its ``tensors.apply`` in one band, with one hand-off;
 - ``mollifier._correlate1d``, which serves ``convolve`` and ``init_H0``'s
-  window sums, in rows of the field's axis 0 along every axis it sums;
+  window sums, in rows of the field's axis 0 along every axis it sums, each
+  band by the one routine ``_correlate_block``;
 - ``response.response_field``, in flattened cells;
 - ``integrate._relax_H``, in the flattened values of the packed H
   (P = kd(kd+1)/2 planes, see ``tensors.pack_index``);

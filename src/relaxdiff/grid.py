@@ -236,7 +236,8 @@ def face_average_tensors(hfield: Array) -> Array:
     through one buffer per band, in which the pairs that wrap past the end
     of axis j are set to 0.0 before they are added. Adding +0.0 leaves every
     sum as it is, since a sum that starts from 0.0 is never -0.0. The only
-    field-sized array is the output.
+    field-sized array is the output. Overflow gives inf or NaN without a
+    warning; the CG reports it.
     """
     hfield = np.asarray(hfield, dtype=float)
     kd = _packed_side(hfield.shape[0])
@@ -263,32 +264,33 @@ def face_average_tensors(hfield: Array) -> Array:
     scratch = {start: np.empty((planes, rows * row)) for start in edges[:-1]}
 
     def band(start: int, stop: int) -> None:
-        for a in range(start, stop, rows):
-            b = min(a + rows, stop)
-            lo, hi = a * row, b * row
-            top = min(b, n0 - 1) - a  # rows a .. a+top-1 have an axis-0 face
-            mid = top * row
-            for r in range(kd):
-                for e in range(r, kd, planes):
-                    f = min(e + planes, kd)
-                    q = index[r, e]  # the packed planes of entries (r, e) .. (r, f-1)
-                    hb, t = hp[q:q + f - e, lo:hi], scratch[start][:f - e, :hi - lo]
-                    acc = op[r * kd + e:r * kd + f, lo:hi]
-                    np.add(hb[:, :mid], hp[q:q + f - e, lo + row:lo + row + mid], out=acc[:, :mid])
-                    acc[:, :mid] *= 0.5
-                    acc[:, :mid] += 0.0
-                    acc[:, mid:] = 0.0
-                    for j in range(1, d):
-                        stride = math.prod(dims[j + 1:])
-                        np.add(hb[:, :-stride], hb[:, stride:], out=t[:, :-stride])
-                        t.reshape(f - e, -1, dims[j], stride)[:, :, -1] = 0.0
-                        t *= 0.5
-                        acc += t
-                    cells = acc.reshape(f - e, b - a, row)
-                    cells[:, :top] /= count
-                    cells[:, top:] /= last_count
-                    for c in range(max(e, r + 1), f):
-                        op[c * kd + r, lo:hi] = op[r * kd + c, lo:hi]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a in range(start, stop, rows):
+                b = min(a + rows, stop)
+                lo, hi = a * row, b * row
+                top = min(b, n0 - 1) - a  # rows a .. a+top-1 have an axis-0 face
+                mid = top * row
+                for r in range(kd):
+                    for e in range(r, kd, planes):
+                        f = min(e + planes, kd)
+                        q = index[r, e]  # the packed planes of entries (r, e) .. (r, f-1)
+                        hb, t = hp[q:q + f - e, lo:hi], scratch[start][:f - e, :hi - lo]
+                        acc = op[r * kd + e:r * kd + f, lo:hi]
+                        np.add(hb[:, :mid], hp[q:q + f - e, lo + row:lo + row + mid], out=acc[:, :mid])
+                        acc[:, :mid] *= 0.5
+                        acc[:, :mid] += 0.0
+                        acc[:, mid:] = 0.0
+                        for j in range(1, d):
+                            stride = math.prod(dims[j + 1:])
+                            np.add(hb[:, :-stride], hb[:, stride:], out=t[:, :-stride])
+                            t.reshape(f - e, -1, dims[j], stride)[:, :, -1] = 0.0
+                            t *= 0.5
+                            acc += t
+                        cells = acc.reshape(f - e, b - a, row)
+                        cells[:, :top] /= count
+                        cells[:, top:] /= last_count
+                        for c in range(max(e, r + 1), f):
+                            op[c * kd + r, lo:hi] = op[r * kd + c, lo:hi]
 
     for_bands(band, n0, work)
     out[(...,) + corner] = hfield[(...,) + corner][index]

@@ -60,7 +60,10 @@ def add_noise(u: Array, spec: NoiseSpec) -> Array:
     if spec.std == 0.0:
         return u.copy()
     rng = np.random.default_rng(spec.seed)
-    return u + spec.std * rng.standard_normal(u.shape)
+    # A std near the largest float overflows to inf without a warning: the
+    # filter's finiteness check reports it.
+    with np.errstate(over="ignore"):
+        return u + spec.std * rng.standard_normal(u.shape)
 
 
 def _window_sums(values: Array, dims: tuple[int, ...], window: int) -> Array:

@@ -1,13 +1,14 @@
 """Spatial mollification and the regularized gradient.
 
 The smoothing kernel is discretised on the pixel lattice, truncated at its
-support radius and applied separably, one axis at a time, by a numpy
-correlation that sums shifted slices of the field. The convolution
-integrates over the image domain only; near the border the visible part of
-the kernel is renormalised per output pixel so that constants pass through
-unchanged. That choice loses the exact mass-preservation of a free-space
-convolution but avoids artificial darkening at the border and matches the
-no-flux reading of the boundary. Bandwidths are in pixel units.
+support radius and applied separably, one axis at a time, by one numpy
+correlation routine that sums shifted flat runs of the field along any
+axis. The convolution integrates over the image domain only; near the
+border the visible part of the kernel is renormalised per output pixel so
+that constants pass through unchanged. That choice loses the exact
+mass-preservation of a free-space convolution but avoids artificial
+darkening at the border and matches the no-flux reading of the boundary.
+Bandwidths are in pixel units.
 """
 
 import math
@@ -68,51 +69,32 @@ class Kernel:
         return w / w.sum()
 
 
-def _correlate_rows(u: Array, w: Array, out: Array, pair: Array, start: int, stop: int) -> None:
-    """Rows [start, stop) of u's correlation with w along axis 0, into the same rows of out.
+def _correlate_block(u: Array, w: Array, out: Array, pair: Array, lo: int, hi: int) -> None:
+    """Positions [lo, hi) of axis 1 of u's correlation with w, into out.
 
-    pair is scratch for those rows. For the offset m, rows below
-    min(m, n - m) take the low edge's pair sum, rows from max(m, n - m) the
-    high edge's, and the rows between take both terms, or none where
-    2m > n; each rule applies to the rows it shares with the band.
+    u and out are C-contiguous (outer, n, inner) arrays, and pair is scratch
+    for the (outer, hi - lo, inner) values the call fills. outer is 1 or
+    [lo, hi) is the whole axis, so those values are one flat run. For the
+    offset m the sums of both terms are one add over the flat values,
+    m * inner apart. That add is also wrong where x - m or x + m leaves the
+    axis, and the edge rules of _correlate1d then set those sums, on the
+    positions of [lo, hi) they cover.
     """
-    n = u.shape[0]
+    outer, n, inner = u.shape
     r = w.size // 2
-    ob = out[start:stop]
-    np.multiply(w[r], u[start:stop], out=ob)
+    base, size = lo * inner, outer * (hi - lo) * inner
+    flat, of, pf = u.reshape(-1), out.reshape(-1)[base:base + size], pair.reshape(-1)
+    pb = pair.reshape(outer, hi - lo, inner)
+    np.multiply(w[r], flat[base:base + size], out=of)
     for m in range(min(r, n - 1), 0, -1):
-        low, high = (min(max(x, start), stop) for x in (min(m, n - m), max(m, n - m)))
-        np.add(0.0, u[start + m:low + m], out=pair[:low - start])
+        low, high = (min(max(x, lo), hi) for x in (min(m, n - m), max(m, n - m)))
         if 2 * m <= n:
-            np.add(u[low - m:high - m], u[low + m:high + m], out=pair[low - start:high - start])
+            a, b, shift = low * inner, flat.size - (n - high) * inner, m * inner
+            np.add(flat[a - shift:b - shift], flat[a + shift:b + shift], out=pf[a - base:b - base])
         else:
-            pair[low - start:high - start] = 0.0
-        pair[high - start:] = u[high - m:stop - m]
-        pair *= w[r + m]
-        ob += pair
-
-
-def _correlate_middle(u: Array, w: Array, out: Array, pair: Array) -> None:
-    """u's correlation with w along axis 1, into out, for C-contiguous (outer, n, inner) arrays.
-
-    pair is scratch of u's shape. For the offset m the sums of both terms
-    are one add over the flat values, m * inner apart. That add is also
-    wrong where x - m or x + m leaves the axis, and those values are then
-    set by the edge rules, as in _correlate_rows.
-    """
-    n, inner = u.shape[1:]
-    r = w.size // 2
-    flat, of, pf = u.reshape(-1), out.reshape(-1), pair.reshape(-1)
-    np.multiply(w[r], flat, out=of)
-    for m in range(min(r, n - 1), 0, -1):
-        low, high = min(m, n - m), max(m, n - m)
-        if 2 * m <= n:
-            shift = m * inner
-            np.add(flat[:-2 * shift], flat[2 * shift:], out=pf[shift:-shift])
-        else:
-            pair[:, low:high] = 0.0
-        np.add(0.0, u[:, m:m + low], out=pair[:, :low])
-        pair[:, high:] = u[:, high - m:n - m]
+            pb[:, low - lo:high - lo] = 0.0
+        np.add(0.0, u[:, lo + m:low + m], out=pb[:, :low - lo])
+        pb[:, high - lo:] = u[:, high - m:hi - m]
         pf *= w[r + m]
         of += pf
 
@@ -132,11 +114,13 @@ def _correlate1d(u: Array, w: Array, axis: int) -> Array:
     u[x - m], and where neither exists +0.0.
 
     The correlation runs in bands of u's axis 0, its memory rows
-    (relaxdiff.bands), each element by the same operations as in one pass.
-    Along axis 0 a band takes its own output rows and reads up to r rows past
-    its edges; along any other axis a band correlates its own rows whole, as
-    (outer, n, inner) blocks of contiguous values. Each band sums its pairs
-    in a buffer allocated here for it. A sum that overflows gives inf, or NaN
+    (relaxdiff.bands), each element by the same operations as in one pass,
+    and every band by one _correlate_block call on (outer, n, inner) views
+    with the summed axis in the middle. Along axis 0 the field is one block,
+    (1, n, inner), and a band fills its own positions of it, reading up to r
+    rows past its edges; along any other axis a band's rows are whole
+    blocks. Each band sums its pairs in a buffer allocated here for it. A
+    sum that overflows gives inf, or NaN
     where infinities of both signs meet, and no warning: a caller whose
     input can overflow checks the result.
     """
@@ -152,15 +136,12 @@ def _correlate1d(u: Array, w: Array, axis: int) -> Array:
     work = 2 * min(w.size // 2, n - 1) * u.size
     edges = band_edges(rows, work)
     pair = {a: np.empty((b - a,) + u.shape[1:]) for a, b in zip(edges, edges[1:])}
+    block = (-1, n, inner)
 
     def band(start: int, stop: int) -> None:
+        ub, ob, lo, hi = (u, out, start, stop) if axis == 0 else (u[start:stop], out[start:stop], 0, n)
         with np.errstate(over="ignore", invalid="ignore"):
-            if axis == 0:
-                _correlate_rows(u, w, out, pair[start], start, stop)
-            else:
-                block = (-1, n, inner)
-                _correlate_middle(u[start:stop].reshape(block), w, out[start:stop].reshape(block),
-                                  pair[start].reshape(block))
+            _correlate_block(ub.reshape(block), w, ob.reshape(block), pair[start], lo, hi)
 
     for_bands(band, rows, work)
     return out

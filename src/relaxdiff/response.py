@@ -192,7 +192,8 @@ def response_min_eig(dfield: Array, p: ResponseParams) -> float:
     """
     v = _cells(dfield)
     dd = float(np.max(np.einsum("an,an->n", v, v)))
-    a, c = _coefficients(dd, p, np.empty(()), np.empty(()))
+    with np.errstate(over="ignore"):  # a subnormal lambda: a = 1 / (1 + inf) = 0
+        a, c = _coefficients(dd, p, np.empty(()), np.empty(()))
     # D:D/c is 1 from the threshold up, also where D:D overflowed to inf.
     along_v = 0.0 if c is None else (1.0 if dd >= c else dd / c)
     return float(a - along_v + p.omega)

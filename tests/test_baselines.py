@@ -87,6 +87,22 @@ class TestRunBaseline:
         assert len(traces) == 5
         assert np.all(np.isfinite(final.u))
 
+    def test_subnormal_lambda_gives_a_zero_floor_silently(self, rng):
+        # D:D / lambda overflows at lambda = 1e-320, so a = 1 / (1 + inf) = 0:
+        # the closed-form floor is 0.0, the smallest eigenvalue of the
+        # response, and numpy prints no overflow warning on the way.
+        u0 = 0.3 * rng.standard_normal((8, 8, 3))
+        p = FilterParams(sigma=0.0, dt=0.1, t_end=0.3, response=ResponseParams(kind=PERONA_MALIK_SCALAR, lam=1e-320))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            final, traces = run_baseline(u0, p)
+        assert [(w.category, str(w.message).split(";")[0]) for w in caught] == [
+            (UserWarning, "unmollified scalar edge-stopping diffusion is ill-posed")
+        ]
+        assert [r.min_eig_H for r in traces] == [0.0] * 3
+        cells = np.moveaxis(tensors.unpack(final.H), (0, 1), (-2, -1))
+        assert np.min(np.linalg.eigvalsh(cells)) == 0.0
+
     def test_catte_converges_at_first_order_in_dt(self):
         # Backward Euler with H frozen at each step's left endpoint: halving
         # dt halves the distance to a 512-step reference (measured 2.02,

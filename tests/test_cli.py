@@ -388,15 +388,18 @@ class TestMainPipeline:
         inp, out = tmp_path / "disk.pgm", tmp_path / "o.pgm"
         save_image(img[..., :1], str(inp))
         env = dict(os.environ, PYTHONPATH=str(Path(relaxdiff.__file__).resolve().parent.parent))
-        argv = [
-            sys.executable, "-m", "relaxdiff", "--input", str(inp), "--output", str(out),
-            "--mode", "catte", "--noise-std", "1e154", "--t-end", "0.3",
-        ]
-        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (
-            EXIT_CONFIG, "", "error [filtering]: u0 is too large: its squared L2 norm overflows\n"
-        )
-        assert not out.exists()
+        # Noise of 1.7e308 overflows the draws themselves to inf.
+        for std, error in (
+            ("1e154", "u0 is too large: its squared L2 norm overflows"),
+            ("1.7e308", "u0 contains NaN or inf"),
+        ):
+            argv = [
+                sys.executable, "-m", "relaxdiff", "--input", str(inp), "--output", str(out),
+                "--mode", "catte", "--noise-std", std, "--t-end", "0.3",
+            ]
+            proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_CONFIG, "", f"error [filtering]: {error}\n")
+            assert not out.exists()
 
     def test_import_loads_numpy_only(self):
         env = dict(os.environ, PYTHONPATH=str(Path(relaxdiff.__file__).resolve().parent.parent))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,24 @@ class TestDiffusionApply:
         assert havg.shape == hfield.shape
         assert havg.tobytes() == np.swapaxes(havg, 0, 1).tobytes()
         assert float(np.min(np.linalg.eigvalsh(np.moveaxis(havg, (0, 1), (-2, -1))))) >= 0.2 - 1e-10
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_face_average_overflows_to_inf_silently(self, workers, set_workers):
+        # Rows 0 and 1 hold entries near the largest float: their pair sums
+        # overflow to inf, while a sum with a row of ones stays finite, in
+        # either band of two and with no numpy warning.
+        set_workers(workers)
+        h = np.ones((3, 4, 3))  # kd = 2, dims (4, 3)
+        h[:, :2] = 1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            havg = face_average_tensors(h)
+        expected = np.ones((4, 3))
+        expected[0] = expected[1, :2] = np.inf
+        expected[1, 2] = 0.5 * (1.7e308 + 1.0)
+        for a in range(2):
+            for b in range(2):
+                assert havg[a, b].tobytes() == expected.tobytes()
 
     def test_face_average_rejects_other_layouts(self, rng):
         # It takes H packed, (P,) + dims with P = kd(kd+1)/2: a cell-first

@@ -107,19 +107,23 @@ class TestCorrelate1d:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
     @pytest.mark.parametrize("r", [1, 2, 4])
-    def test_signed_zeros_and_short_axes(self, n, r):
+    def test_signed_zeros_and_short_axes(self, n, r, set_workers):
         # Axes as short as r + 1 and shorter than 2r + 1, on a field of
-        # signed zeros and values: every pair is an edge pair somewhere.
+        # signed zeros and values: every pair is an edge pair somewhere. At
+        # two and three bands, bands of one to three rows meet the edge rules
+        # and 2m > n along both axes.
         rng = np.random.default_rng(100 * n + r)
         u = rng.standard_normal((n, 3, 2))
         u[:, 0] = -0.0
         u[:, 1, 0] = 0.0
         w = rng.uniform(0.1, 1.0, 2 * r + 1)
         w = 0.5 * (w + w[::-1])
-        for axis in (0, 1):
-            out = _correlate1d(u, w, axis)
-            np.testing.assert_array_equal(out, correlate1d(u, w, axis=axis, mode="constant", cval=0.0))
-            assert out.tobytes() == correlate1d_pairs_ref(u, w, axis).tobytes()
+        for workers in (1, 2, 3):
+            set_workers(workers)
+            for axis in (0, 1):
+                out = _correlate1d(u, w, axis)
+                np.testing.assert_array_equal(out, correlate1d(u, w, axis=axis, mode="constant", cval=0.0))
+                assert out.tobytes() == correlate1d_pairs_ref(u, w, axis).tobytes(), f"{workers} bands"
 
 
 class TestConvolve:
