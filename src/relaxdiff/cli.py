@@ -4,9 +4,10 @@ The pipeline is: load -> rescale [0, 1] to [-1, 1] -> optional noise ->
 initial diffusivity -> filter run -> back to [0, 1] -> clamp -> save. Binary PPM
 (P6, 8-bit RGB) and PGM (P5, 8-bit gray) are the supported formats; they are
 simple enough to make byte-identical reproducibility a testable contract.
-Values are mapped to [0, 1] by v/255 on load; quantization on save rounds
-half up, and clamping happens only at save time so the interior of the
-pipeline stays unclamped.
+The loaded images stay 8-bit samples, one byte each; the pipeline forms the
+[0, 1] values v/255 only where it needs floats, for the rescale and the two
+PSNRs. Quantization on save rounds half up, and clamping happens only at
+save time so the interior of the pipeline stays unclamped.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 solver error,
 5 invariant violation.
@@ -90,9 +91,10 @@ def _read_tokens(data: bytes, count: int):
 
 
 def load_image(path: str) -> Array:
-    """Read a binary PGM (P5) or PPM (P6) with maxval 255 into [0, 1] floats.
+    """Read a binary PGM (P5) or PPM (P6) with maxval 255: its samples, as read-only uint8.
 
-    The result has shape (height, width, channels) with channels 1 or 3.
+    The result has shape (height, width, channels) with channels 1 or 3;
+    v / 255.0 maps it onto [0, 1].
     """
     try:
         with open(path, "rb") as fh:
@@ -127,8 +129,7 @@ def load_image(path: str) -> Array:
         raise TruncatedPayloadError(
             f"payload has {len(payload)} bytes, header promises {expected}"
         )
-    raw = np.frombuffer(payload, dtype=np.uint8).astype(float)
-    return (raw / 255.0).reshape(height, width, channels)
+    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
 
 
 def save_image(field: Array, path: str) -> None:
@@ -308,13 +309,15 @@ def main(argv: list[str] | None = None) -> int:
         noise = NoiseSpec(std=ns.noise_std, seed=ns.seed)
 
         stage = "image loading"
-        raw = check_image("input image", load_image(ns.input))
+        # The images stay uint8 through the run: a float copy of each would
+        # add an image field of eight bytes a sample to its peak.
+        raw = load_image(ns.input)
+        work = check_image("input image", rescale(raw / 255.0))
         reference = load_image(ns.reference) if ns.reference else None
         if reference is not None and reference.shape != raw.shape:
             raise ParameterError(f"reference shape {reference.shape} != input shape {raw.shape}")
 
         stage = "noise injection"
-        work = rescale(raw)
         if noise.std > 0:
             work = add_noise(work, noise)
 
@@ -332,9 +335,9 @@ def main(argv: list[str] | None = None) -> int:
             write_trace_csv(traces, ns.trace, raw.shape[-1])
         save_image(out01, ns.output)
 
-        print(f"psnr_vs_input={psnr(out01, raw):.6f}")
+        print(f"psnr_vs_input={psnr(out01, raw / 255.0):.6f}")
         if reference is not None:
-            print(f"psnr_vs_reference={psnr(out01, reference):.6f}")
+            print(f"psnr_vs_reference={psnr(out01, reference / 255.0):.6f}")
         return EXIT_OK
     except RelaxdiffError as exc:
         print(f"error [{stage}]: {exc}", file=sys.stderr)

@@ -11,13 +11,16 @@ face) holds zero. Fluxes share that layout, and tensor fields have the
 matching one: the face averaging takes H packed, (P,) + dims with P =
 kd(kd+1)/2 (see ``tensors.pack_index``), and returns the face tensors full
 square, (kd, kd) + dims, which the CG operator applies to the gradient cell
-by cell (``tensors.apply``). The divergence is built as the exact negative
-adjoint of this gradient under the plain grid inner products, with zero flux
-through all boundary faces. That pairing is what the no-flux boundary
-treatment means discretely: summation by parts holds to rounding, so total
-intensity is conserved and the integrator's CG operator
-div(apply(face_average_tensors(H), grad u)) is exactly symmetric and
-coercive. The CG forms it as divergence(flux(havg, u)): ``flux`` is the
+by cell (``tensors.apply``). For kd <= 2 (grey in 2-D), where the packed
+plane of entry (a, b) is plane a + b, that square is a read-only view of
+the P packed planes with equal strides on its two tensor axes, so the
+mirrored plane is never stored. The divergence is built as the exact
+negative adjoint of this gradient under the plain grid inner products,
+with zero flux through all boundary faces. That pairing is what the
+no-flux boundary treatment means discretely: summation by parts holds to
+rounding, so total intensity is conserved and the integrator's CG
+operator div(apply(face_average_tensors(H), grad u)) is exactly symmetric
+and coercive. The CG forms it as divergence(flux(havg, u)): ``flux`` is the
 tensors applied to the gradient in one pass, with no field-sized gradient.
 
 The gradient, the flux, the divergence and the face averaging run in row
@@ -223,6 +226,13 @@ def face_average_tensors(hfield: Array) -> Array:
     eigenvalue floor, which makes the diffusion form exactly symmetric and
     coercive.
 
+    For kd <= 2 (grey in 2-D, two channels in 1-D), and only there, the
+    packed plane of entry (a, b) is plane a + b (``tensors.pack_index``).
+    So only the P packed planes are written, and the result is a read-only
+    view of them whose two tensor axes have equal strides: (0, 1) and
+    (1, 0) are one plane. For kd > 2 the result is a writeable C-ordered
+    array of all kd x kd planes.
+
     Per element the sum starts from 0.0 (so a first term of -0.0 gives
     +0.0), adds 0.5 (h[x] + h[x + e_j]) axis by axis and divides by the face
     count. The rows run in bands, a chunk of whole rows at a time, read as
@@ -231,13 +241,13 @@ def face_average_tensors(hfield: Array) -> Array:
     chunk and a group hold about FACE_AVERAGE_CHUNK values together (few
     long planes keep the CPU caches from thrashing on planes a power of two
     apart). A group's sums go straight into its output planes (a, b), which
-    lie side by side, and are then copied to their mirrors (b, a). The
-    axis-0 terms go straight into the output; those of the other axes go
-    through one buffer per band, in which the pairs that wrap past the end
-    of axis j are set to 0.0 before they are added. Adding +0.0 leaves every
-    sum as it is, since a sum that starts from 0.0 is never -0.0. The only
-    field-sized array is the output. Overflow gives inf or NaN without a
-    warning; the CG reports it.
+    lie side by side, and for kd > 2 are then copied to their mirrors
+    (b, a). The axis-0 terms go straight into the output; those of the
+    other axes go through one buffer per band, in which the pairs that wrap
+    past the end of axis j are set to 0.0 before they are added. Adding
+    +0.0 leaves every sum as it is, since a sum that starts from 0.0 is
+    never -0.0. The only field-sized array is the output. Overflow gives inf
+    or NaN without a warning; the CG reports it.
     """
     hfield = np.asarray(hfield, dtype=float)
     kd = _packed_side(hfield.shape[0])
@@ -254,9 +264,11 @@ def face_average_tensors(hfield: Array) -> Array:
     last_count = np.maximum(faces, 1.0).ravel()  # the corner's 0 -> 1
     corner = tuple(n - 1 for n in dims)
     index = pack_index(kd)
-    out = np.empty((kd, kd) + dims)
+    packed = kd <= 2  # where index[a, b] == a + b
+    slot = index if packed else np.arange(kd * kd).reshape(kd, kd)  # the output plane of entry (a, b)
+    out = np.empty((hfield.shape[0] if packed else kd * kd,) + dims)
     hp = hfield.reshape(hfield.shape[0], -1)  # one flat cell plane per entry pair
-    op = out.reshape(kd * kd, -1)  # one flat cell plane per tensor entry
+    op = out.reshape(out.shape[0], -1)  # one flat cell plane per output plane
     work = hfield.size + out.size
     edges = band_edges(n0, work)
     rows = min(max(1, FACE_AVERAGE_CHUNK // row), max(np.diff(edges)))  # rows per chunk
@@ -275,7 +287,7 @@ def face_average_tensors(hfield: Array) -> Array:
                         f = min(e + planes, kd)
                         q = index[r, e]  # the packed planes of entries (r, e) .. (r, f-1)
                         hb, t = hp[q:q + f - e, lo:hi], scratch[start][:f - e, :hi - lo]
-                        acc = op[r * kd + e:r * kd + f, lo:hi]
+                        acc = op[slot[r, e]:slot[r, e] + f - e, lo:hi]
                         np.add(hb[:, :mid], hp[q:q + f - e, lo + row:lo + row + mid], out=acc[:, :mid])
                         acc[:, :mid] *= 0.5
                         acc[:, :mid] += 0.0
@@ -289,12 +301,16 @@ def face_average_tensors(hfield: Array) -> Array:
                         cells = acc.reshape(f - e, b - a, row)
                         cells[:, :top] /= count
                         cells[:, top:] /= last_count
-                        for c in range(max(e, r + 1), f):
-                            op[c * kd + r, lo:hi] = op[r * kd + c, lo:hi]
+                        if not packed:
+                            for c in range(max(e, r + 1), f):
+                                op[slot[c, r], lo:hi] = op[slot[r, c], lo:hi]
 
     for_bands(band, n0, work)
-    out[(...,) + corner] = hfield[(...,) + corner][index]
-    return out
+    out[(slot.ravel(),) + corner] = hfield[(index.ravel(),) + corner]
+    if not packed:
+        return out.reshape((kd, kd) + dims)
+    s = out.strides
+    return np.lib.stride_tricks.as_strided(out, (kd, kd) + dims, (s[0], s[0]) + s[1:], writeable=False)
 
 
 def inner(u: Array, v: Array) -> float:

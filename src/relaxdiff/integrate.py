@@ -71,7 +71,8 @@ check it once (grid.check_image), and the step loop and the solves read
 dims and k from the arrays they hold. H is symmetric, so it is held packed
 everywhere, (P,) + dims with P = kd(kd+1)/2 (21 of the 36 entry planes for
 RGB in 2-D; see tensors.pack_index): H0, the state's H, the responses and
-F(0). Only the face tensors are full square.
+F(0). Only the face tensors are full square, and for kd <= 2 even they
+are their packed planes, viewed as the square.
 """
 
 import math
@@ -392,7 +393,7 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams):
                     f"diffusivity became non-finite at t={t:g}: first at cell {cell}",
                     diagnostic={"t": t, "cell": cell, "tensor": unpack(h[(...,) + cell])},
                 )
-            min_eig, flat = min_eig_field(h)
+            min_eig, flat = min_eig_field(h, _margin=margin)
             kappa = kappa_predicted(t, p)
             if not min_eig >= kappa - KAPPA_SLACK - margin:
                 cell = tuple(map(int, np.unravel_index(flat, u.shape[:-1])))
@@ -472,8 +473,9 @@ def trajectory(u0: Array, H0: Array, p: FilterParams) -> Iterator[tuple[FilterSt
     _require_finite("H0", h)
     # Only the cells whose Cholesky does not clear the bound are diagonalised:
     # an H0 at alpha Id in its flat cells ties at alpha almost everywhere.
-    floor = p.alpha - 1e-12 - eig_margin(h)
-    low = min_eig_below(h, floor)
+    margin = eig_margin(h)
+    floor = p.alpha - 1e-12 - margin
+    low = min_eig_below(h, floor, _margin=margin)
     if low is not None and low[0] < floor:
         init_min, flat = low
         cell = tuple(map(int, np.unravel_index(flat, dims)))

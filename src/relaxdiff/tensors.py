@@ -9,10 +9,11 @@ storage and dense symmetric eigensolvers are the right tool.
 Tensor fields are component-first: one contiguous cell field per entry, a
 single tensor being a field with dims = (). The face tensors, which
 ``apply`` takes with a component-first gradient, (k, d) + dims, are full
-square, (kd, kd) + dims. H, the responses and F(0) are packed,
-(P,) + dims with P = kd(kd+1)/2 (21 for RGB in 2-D, 3 for grey): entries
-(a, b) and (b, a) share one plane, numbered by ``pack_index``, so a packed
-field is symmetric by construction. ``pack`` and ``unpack`` convert
+square, (kd, kd) + dims; for kd <= 2 they are a read-only view of their
+packed planes (``grid.face_average_tensors``). H, the responses and F(0)
+are packed, (P,) + dims with P = kd(kd+1)/2 (21 for RGB in 2-D, 3 for
+grey): entries (a, b) and (b, a) share one plane, numbered by
+``pack_index``, so a packed field is symmetric by construction. ``pack`` and ``unpack`` convert
 between the two layouts. ``min_eig_field`` and ``min_eig_below`` take a
 packed field and factorise it packed; only ``eigvalsh_field`` keeps numpy's
 (..., n, n) layout, for the few cells that are diagonalised.
@@ -121,7 +122,7 @@ def eigvalsh_field(hfield: Array) -> Array:
     return np.linalg.eigvalsh(hfield)
 
 
-def min_eig_field(hfield: Array) -> tuple[float, int]:
+def min_eig_field(hfield: Array, _margin: float | None = None) -> tuple[float, int]:
     """(smallest eigenvalue, flat cell holding it) of a packed symmetric tensor field, (P,) + dims.
 
     Equal bit for bit to the minimum of eigvalsh_field over every unpacked
@@ -129,6 +130,8 @@ def min_eig_field(hfield: Array) -> tuple[float, int]:
     included, but certified: the MIN_EIG_SAMPLE cells with the smallest
     diagonal entry give an eigenvalue c that bounds the minimum from above,
     and min_eig_below(hfield, c) finds it among the cells that may hold it.
+    _margin, if given, is eig_margin(hfield), which a caller that has it
+    passes on to min_eig_below so that H is not swept for it again.
     """
     hfield = np.asarray(hfield, dtype=float)
     n = _packed_side(hfield.shape[0])
@@ -138,7 +141,7 @@ def min_eig_field(hfield: Array) -> tuple[float, int]:
     sample = np.argpartition(smallest_diag, min(MIN_EIG_SAMPLE, count) - 1)[:MIN_EIG_SAMPLE]
     c = np.min(eigvalsh_field(np.moveaxis(unpack(cells[:, sample]), -1, 0))[:, 0])
     # c is a cell's computed minimum, so that cell breaks down: never None.
-    return min_eig_below(hfield, c)
+    return min_eig_below(hfield, c, _margin)
 
 
 def eig_margin(hfield: Array) -> float:
@@ -154,7 +157,7 @@ def eig_margin(hfield: Array) -> float:
     return float(MIN_EIG_MARGIN * n**3 * np.finfo(float).eps * max(hfield.max(), -hfield.min()))
 
 
-def min_eig_below(hfield: Array, bound: float) -> tuple[float, int] | None:
+def min_eig_below(hfield: Array, bound: float, _margin: float | None = None) -> tuple[float, int] | None:
     """min_eig_field(hfield) if some cell's smallest eigenvalue lies at or below bound, else None.
 
     Certified: a Cholesky of H - (bound + delta) I that completes proves a
@@ -162,7 +165,8 @@ def min_eig_below(hfield: Array, bound: float) -> tuple[float, int] | None:
     where it breaks down are diagonalised; None when every cell completes.
     Every cell holding the field's computed minimum breaks down if that
     minimum is at most bound, so the minimum and its first cell in C order
-    are those of a full diagonalisation, bit for bit.
+    are those of a full diagonalisation, bit for bit. _margin, if given, is
+    eig_margin(hfield), from a caller that has computed it already.
     """
     hfield = np.asarray(hfield, dtype=float)
     cells = hfield.reshape(hfield.shape[0], -1)
@@ -180,7 +184,7 @@ def min_eig_below(hfield: Array, bound: float) -> tuple[float, int] | None:
     # completes has a computed minimum above bound. A NaN or inf entry
     # makes delta non-finite and every cell break down.
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        shift = bound + eig_margin(cells)
+        shift = bound + (eig_margin(cells) if _margin is None else _margin)
         survivors = np.concatenate([
             start + np.flatnonzero(_cholesky_breaks_down(cells[:, start:start + MIN_EIG_BLOCK], shift))
             for start in range(0, cells.shape[-1], MIN_EIG_BLOCK)

@@ -277,7 +277,7 @@ def test_criterion_11_cli_determinism_and_format(tmp_path):
     identical_csv = (tmp_path / "trace_a.csv").read_bytes() == (tmp_path / "trace_b.csv").read_bytes()
 
     resaved = tmp_path / "resaved.ppm"
-    save_image(load_image(str(tmp_path / "out_a.ppm")), str(resaved))
+    save_image(load_image(str(tmp_path / "out_a.ppm")) / 255.0, str(resaved))
     roundtrip = resaved.read_bytes() == (tmp_path / "out_a.ppm").read_bytes()
 
     ok = identical_img and identical_csv and roundtrip

@@ -283,3 +283,36 @@ def test_kernels_bit_equal_for_1_2_3_bands(dims, channels, rng, set_workers, mon
             monkeypatch.setattr(grid_mod, "APPLY_CHUNK", chunk)
             value = flux(h, signed)
             assert value.tobytes() == reference["flux"].tobytes(), f"{chunk}-cell flux chunks, {workers} bands"
+
+
+@pytest.mark.parametrize("dims, channels", [((7, 3), 1), ((9,), 2), ((7, 3), 3)])
+def test_face_tensors_view_their_packed_planes_where_kd_is_at_most_2(dims, channels, rng, set_workers):
+    # For kd <= 2 the face tensors are their P packed planes, read-only, with
+    # (0, 1) and (1, 0) one plane; flux's per-chunk view of them is no copy.
+    # The flux, the operator and the CG give the bytes of a C-ordered copy,
+    # with -0.0 off the diagonal and in the image, at 1 and 2 bands. For
+    # kd > 2 they stay a writeable C-ordered square.
+    kd = channels * len(dims)
+    h = random_psd_field(rng, dims, kd, floor=0.1)
+    h[0, -1, ::2] = h[-1, 0, ::2] = -0.0
+    planes = pack(h)
+    u = rng.standard_normal(dims + (channels,))
+    u.reshape(-1)[::3] = -0.0
+    packed = kd <= 2
+    for workers in (1, 2):
+        set_workers(workers)
+        havg = face_average_tensors(planes)
+        assert havg.tobytes() == _face_average_ref(h).tobytes(), workers
+        square = np.ascontiguousarray(havg)
+        assert havg.flags.writeable != packed and havg.flags.c_contiguous != packed
+        assert np.shares_memory(havg.reshape(kd, kd, -1), havg)
+        low, high = np.lib.array_utils.byte_bounds(havg)
+        assert high - low == (planes.shape[0] if packed else kd * kd) * planes[0].nbytes
+        if packed:
+            with pytest.raises(ValueError, match="read-only"):
+                havg[0, 0] = 0.0
+        assert flux(havg, u).tobytes() == flux(square, u).tobytes(), workers
+        assert divergence(flux(havg, u)).tobytes() == divergence(flux(square, u)).tobytes(), workers
+        x, iters = _implicit_solve(u, havg, 0.3, 1e-8)
+        x_square, iters_square = _implicit_solve(u, square, 0.3, 1e-8)
+        assert iters == iters_square > 1 and x.tobytes() == x_square.tobytes(), workers

@@ -167,9 +167,9 @@ class TestFloorCheckOnlyWithRelaxation:
         calls = {"min_eig_field": 0, "eigvalsh": 0, "grads": []}
         check, eigvalsh, grad_sigma = integrate_mod.min_eig_field, tensors.eigvalsh_field, integrate_mod.grad_sigma
 
-        def counted_check(h):
+        def counted_check(h, **kw):
             calls["min_eig_field"] += 1
-            return check(h)
+            return check(h, **kw)
 
         def counted_eigvalsh(h):
             calls["eigvalsh"] += 1

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import relaxdiff
+import relaxdiff.cli as cli_mod
 from relaxdiff.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
@@ -36,15 +37,15 @@ class TestLoadImage:
         path = tmp_path / "white.ppm"
         path.write_bytes(b"P6\n2 2\n255\n" + b"\xff" * 12)
         img = load_image(str(path))
-        assert img.shape == (2, 2, 3)
-        np.testing.assert_array_equal(img, 1.0)
+        assert img.shape == (2, 2, 3) and img.dtype == np.uint8
+        np.testing.assert_array_equal(img, 255)
 
     def test_p5_byte_mapping(self, tmp_path):
         path = tmp_path / "gray.pgm"
         path.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 128, 255, 64]))
         img = load_image(str(path))
-        expected = np.array([0, 128, 255, 64], dtype=float).reshape(2, 2, 1) / 255.0
-        np.testing.assert_array_equal(img, expected)
+        assert img.dtype == np.uint8 and not img.flags.writeable
+        np.testing.assert_array_equal(img, np.array([0, 128, 255, 64]).reshape(2, 2, 1))
 
     def test_header_comments(self, tmp_path):
         path = tmp_path / "c.pgm"
@@ -90,7 +91,7 @@ class TestSaveImage:
         first = tmp_path / "a.ppm"
         second = tmp_path / "b.ppm"
         save_image(rng.uniform(0, 1, size=(7, 5, 3)), str(first))
-        save_image(load_image(str(first)), str(second))
+        save_image(load_image(str(first)) / 255.0, str(second))
         assert first.read_bytes() == second.read_bytes()
 
     def test_rejects_nonfinite(self, tmp_path):
@@ -207,6 +208,19 @@ class TestMainPipeline:
         assert any(l.startswith("psnr_vs_input=") for l in lines)
         ref = [l for l in lines if l.startswith("psnr_vs_reference=")]
         assert ref and float(ref[0].split("=")[1]) > 20.0
+
+    def test_loads_each_image_file_once(self, tmp_path, monkeypatch):
+        # The images stay 8-bit samples through the run; the pipeline forms
+        # v / 255 where it needs floats instead of reading a file again.
+        img, _ = disk_image(n=16, radius=5.0)
+        clean, noisy = tmp_path / "clean.ppm", tmp_path / "noisy.ppm"
+        save_image(img, str(clean))
+        save_image(img + 0.05 * np.random.default_rng(4).standard_normal(img.shape), str(noisy))
+        loads = []
+        monkeypatch.setattr(cli_mod, "load_image", lambda path: loads.append(path) or load_image(path))
+        argv = ["--input", str(noisy), "--reference", str(clean), "--output", str(tmp_path / "o.ppm"), "--t-end", "0.2"]
+        assert main(argv) == EXIT_OK
+        assert loads == [str(noisy), str(clean)]
 
     @pytest.mark.filterwarnings("ignore:unmollified scalar")
     def test_modes_catte_and_pm(self, tmp_path):

@@ -411,7 +411,7 @@ class TestRun:
         monkeypatch.setattr(integrate_mod, "response_field", lambda d, rp: response_field(d, rp) - shift)
         # The last packed H the floor check saw, diagonalised cell by cell.
         fields = []
-        monkeypatch.setattr(integrate_mod, "min_eig_field", lambda h: fields.append(h.copy()) or min_eig_field(h))
+        monkeypatch.setattr(integrate_mod, "min_eig_field", lambda h, **kw: fields.append(h.copy()) or min_eig_field(h, **kw))
         with pytest.raises(InvariantViolation) as err:
             run(u0, h0, FilterParams(tau=0.5, sigma=1.0, dt=0.1, t_end=0.5))
         diag = err.value.diagnostic

@@ -10,12 +10,15 @@ peak is counted in image fields. tracemalloc sees numpy's data buffers;
 what a call still holds when it returns counts too.
 """
 
+import contextlib
+import io
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 
 from relaxdiff.baselines import run_baseline
+from relaxdiff.cli import main, save_image
 from relaxdiff import grid as grid_mod
 from relaxdiff.grid import divergence, face_average_tensors, flux, gradient, inner, mean_free
 from relaxdiff.initial import init_H0
@@ -37,6 +40,13 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def grey_scene():
+    """The 128 x 128 grey image of the grey peaks: tiled and noisy, on [-1, 1]."""
+    rng = np.random.default_rng(8)
+    tiles = rng.uniform(-0.8, 0.8, (8, 8, 1))
+    return np.kron(tiles, np.ones((16, 16, 1))) + 0.1 * rng.standard_normal((128, 128, 1))
 
 
 def h_field_bytes(u):
@@ -122,18 +132,34 @@ def test_memory_form_check_peak_is_flat_in_the_step_count():
 
 def test_grey_catte_peak_in_image_fields():
     # The CG operator holds this peak, in the divergence of the flux: about
-    # 11 image fields of the packed H (3), the face tensors (4) and CG
-    # vectors, the flux (2), and the divergence's output and temporaries. At
-    # 128 x 128 grey every kernel runs as one band, whatever the CPU count.
-    # The bound allows a quarter of an image field over the 15.67 measured
-    # while the CG made a field-sized gradient (15.56 on the last such
-    # version), less than any temporary the size of an image field; with
-    # the flux's gradient formed chunk by chunk it measured 15.08.
-    rng = np.random.default_rng(8)
-    tiles = rng.uniform(-0.8, 0.8, (8, 8, 1))
-    u0 = np.kron(tiles, np.ones((16, 16, 1))) + 0.1 * rng.standard_normal((128, 128, 1))
+    # 10 image fields of the packed H (3), the face tensors (3, the packed
+    # planes viewed as the 2 x 2 square) and CG vectors, the flux (2), and
+    # the divergence's output and temporaries. At 128 x 128 grey every
+    # kernel runs as one band, whatever the CPU count. The bound allows a
+    # quarter of an image field over the 14.15 measured, less than any
+    # temporary the size of an image field; square face tensors, with the
+    # mirrored plane (1, 0), measured 15.14.
+    u0 = grey_scene()
     _, peak = traced_peak(lambda: run_baseline(u0, FilterParams(t_end=0.3)))
-    assert peak <= (15.67 + 0.25) * u0.nbytes, peak / u0.nbytes
+    assert peak <= (14.15 + 0.25) * u0.nbytes, peak / u0.nbytes
+
+
+def test_cli_holds_its_images_as_8_bit_samples(tmp_path):
+    # cli.main in catte mode on that scene as a PGM, with a reference: the
+    # run's peak, plus the filtered image the CLI hands to it and the input
+    # and the reference as uint8, an eighth of an image field each. The
+    # bound allows a quarter of an image field over the 15.53 measured; a
+    # float64 copy of either image held through the run adds a whole one
+    # (18.23 measured with both held).
+    u0 = grey_scene()
+    path = str(tmp_path / "scene.pgm")
+    save_image((u0 + 1.0) * 0.5, path)
+    argv = ["--input", path, "--reference", path, "--output", str(tmp_path / "out.pgm"),
+            "--mode", "catte", "--t-end", "0.3"]
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code, peak = traced_peak(lambda: main(argv))
+    assert code == 0 and "psnr_vs_reference=" in stdout.getvalue()
+    assert peak <= (15.53 + 0.25) * u0.nbytes, peak / u0.nbytes
 
 
 def test_band_threads_allocate_nothing(set_workers):

@@ -3,8 +3,8 @@
 Hypothesis draws CLI flags and config-file text for an 8 x 8 scene, and PNM
 headers and payloads. ``cli.main`` must return one of its documented exit
 codes, never 1 (the code of an uncaught exception), and raise nothing but
-SystemExit(0) after printing the --help text; ``load_image`` must return a
-[0, 1] field or raise an ImageIOError subclass. The steps of ``run``, read
+SystemExit(0) after printing the --help text; ``load_image`` must return
+8-bit samples or raise an ImageIOError subclass. The steps of ``run``, read
 from ``trajectory``, on an 8 x 8 RGB scene with drawn parameters must raise
 a RelaxdiffError or keep the paper's three guarantees: mass, eigenvalue
 floor and L2 monotonicity. With alpha and omega drawn over many decades, a
@@ -16,6 +16,7 @@ that allow at most six steps, so no drawn run is long.
 
 import contextlib
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from relaxdiff.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_SOLVER,
+    EXIT_CODES as CLI_EXIT_CODES,
     load_image,
     main,
     save_image,
@@ -133,6 +135,65 @@ def test_main_returns_a_documented_exit_code(scene, flags, odd, config, referenc
     assert (code == EXIT_OK) == (err.getvalue() == ""), err.getvalue()
 
 
+# The seeded fuzz's 24 values: extreme, NaN and inf, negative, malformed.
+FUZZ_VALUES = (
+    "1e300", "-1e300", "1.7e308", "1e-300", "5e-324", "1e20", "-1e20", "1e-12",
+    "nan", "inf", "-inf", "-nan",
+    "-1", "-0.5", "-1e-05", "-0",
+    "", "abc", "1e", "0x10", "1..5", "--", "1,5", "1e5e5",
+)
+FUZZ_FLAGS = (
+    "--tau", "--sigma", "--threshold-s", "--omega", "--alpha", "--lam",
+    "--dt", "--t-end", "--noise-std", "--seed", "--window", "--cg-tol",
+)
+FUZZ_STEPS = 200  # draws of more steps are skipped, to keep the test short
+
+
+def _fuzz_steps(flags: dict) -> float:
+    """t_end / dt of a draw's flags, with the CLI's defaults; 0 where either does not parse."""
+    try:
+        return float(flags.get("--t-end", FilterParams.t_end)) / float(flags.get("--dt", FilterParams.dt))
+    except (ValueError, ZeroDivisionError):
+        return 0.0
+
+
+def test_seeded_cli_fuzz_exits_cleanly(tmp_path):
+    # Each of 1,200 draws takes a mode, a kernel and one to five numeric
+    # flags from FUZZ_VALUES, on one of four images of at most 13 pixels a
+    # side (one too small for the default window). Every draw must end in a
+    # documented exit code, with no exception and no warning leaving
+    # cli.main, except pm mode's documented one that unmollified
+    # Perona-Malik is ill-posed.
+    rng = np.random.default_rng(20261021)
+    images = []
+    for shape, name in (((13, 13, 3), "a.ppm"), ((9, 12, 1), "b.pgm"), ((13, 5, 3), "c.ppm"), ((3, 4, 1), "d.pgm")):
+        save_image(rng.uniform(0.0, 1.0, shape), str(tmp_path / name))
+        images.append(str(tmp_path / name))
+    codes = []
+    for _ in range(1200):
+        flags = {
+            str(flag): str(rng.choice(FUZZ_VALUES))
+            for flag in rng.choice(FUZZ_FLAGS, size=rng.integers(1, 6), replace=False)
+        }
+        if _fuzz_steps(flags) > FUZZ_STEPS:
+            continue
+        argv = [
+            "--input", str(rng.choice(images)), "--output", str(tmp_path / "out.pnm"),
+            "--mode", str(rng.choice(["relax", "catte", "pm"])),
+            "--kernel", str(rng.choice(["gaussian", "bump"])),
+            *[token for pair in flags.items() for token in pair],
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", "unmollified scalar", UserWarning)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(argv)
+        assert code == EXIT_OK or code in {code for _, code in CLI_EXIT_CODES}, (argv, err.getvalue())
+        codes.append(code)
+    # About 1,130 draws run: most exit 2, a few dozen 0 and a few 4.
+    assert len(codes) >= 1000 and EXIT_OK in codes and EXIT_CONFIG in codes, codes
+
+
 magic = st.one_of(st.sampled_from([b"P5", b"P6", b"P3", b"P7", b""]), st.binary(max_size=3))
 number = st.one_of(st.integers(-2, 6).map(lambda i: str(i).encode()), st.binary(max_size=3))
 maxval = st.one_of(st.sampled_from([b"255", b"0255", b"65535", b"0"]), st.binary(max_size=3))
@@ -153,7 +214,7 @@ def test_load_image_raises_only_image_errors(tmp_path_factory, header, payload, 
     except ImageIOError:
         return
     assert img.ndim == 3 and img.shape[-1] in (1, 3) and img.size >= 1
-    assert np.all((img >= 0.0) & (img <= 1.0))
+    assert img.dtype == np.uint8
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
