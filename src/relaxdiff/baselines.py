@@ -54,7 +54,9 @@ def run_baseline(u0: Array, p: FilterParams) -> tuple[FilterState, list[TraceRec
             "use small dt and expect no stability guarantee",
             stacklevel=2,
         )
-    return _drain(_step_loop(u.copy(), None, p))
+    steps = _step_loop(u.copy(), None, p, None)
+    del u0, u  # as in run(): the step loop holds its own copy
+    return _drain(steps)
 
 
 def compare_trajectories(a: list[TraceRecord], b: list[TraceRecord]) -> float:

@@ -322,11 +322,16 @@ def main(argv: list[str] | None = None) -> int:
             work = add_noise(work, noise)
 
         stage = "filtering"
+        # The image and H0 are handed over, so no name here holds them: run()
+        # and run_baseline() let go of their arguments once the step loop
+        # has its copies. run()'s first argument is read before init_H0
+        # takes the list's reference.
+        handed = [work]
+        del work
         if ns.mode == MODE_RELAX:
-            # H0 passed inline: run() frees it once its copy is made.
-            state, traces = run(work, init_H0(work, window=ns.window, alpha=ns.alpha), params)
+            state, traces = run(handed[0], init_H0(handed.pop(), window=ns.window, alpha=ns.alpha), params)
         else:
-            state, traces = run_baseline(work, params)
+            state, traces = run_baseline(handed.pop(), params)
 
         stage = "output"
         out01 = np.clip(unrescale(state.u), 0.0, 1.0)

@@ -47,7 +47,7 @@ from .tensors import _packed_side, pack_index
 
 Array = np.ndarray
 
-FACE_AVERAGE_CHUNK = 1 << 16  # float64 values per chunk of face_average_tensors, and per band's buffer
+FACE_AVERAGE_CHUNK = 1 << 16  # float64 values per chunk of face_average_tensors and of divergence, and per band's buffer
 # flux: cells per chunk, one tensors.apply each, so that a chunk's slices of
 # the tensors, its gradient and the flux stay in cache (whole bands were
 # measured up to 10 % slower).

@@ -53,14 +53,41 @@ check of H0 against alpha needs no minimum unless a cell falls below, so it
 runs the Cholesky at that bound (tensors.min_eig_below) and diagonalises
 only the cells it does not clear.
 
-Below its bound each check allows an absolute slack, KAPPA_SLACK per step
-and 1e-12 for H0, plus tensors.eig_margin(H), 4 n^3 eps max|H| for n x n
-cells: the rounding of a computed eigenvalue at H's scale. So the checks
-pass a valid run at any scale of alpha and omega, and still catch a floor
-broken by more than rounding. An H that holds NaN or inf, as a response
-whose products overflow gives, makes eig_margin(H) non-finite; the step's
-check then names its first such cell, where a NaN would have made every
-comparison with the floor false.
+Below its bound each check allows tensors.eig_margin(H), m = 4 n^3 eps
+max|H| for n x n cells: a computed eigenvalue lies within m/2 of the exact
+one (see tensors.min_eig_below), and the other half covers the rounding of
+H itself. trajectory() admits H0 at floor_0 = alpha - 1e-12 - m_0. Its
+1e-12 covers the cancellation in init_H0's windowed covariance, which H0
+cannot show: init_H0's own output on an 8-bit ramp reads 8.5e-20 below
+alpha, against an m_0 of 1.9e-22 at alpha 1e-9. The step loop then carries
+that floor as _relax_H carries H, with the same float theta,
+
+    floor' = theta floor + (1 - theta) omega - m',
+
+and checks the relaxed H' against floor' - m'. It passes every valid run:
+with exact eigenvalues of the computed fields, lambda_min(H) >= floor - m/2
+holds for an admitted H0, and it carries over. theta H + (1 - theta) F has
+lambda_min >= theta lambda_min(H) + (1 - theta) omega, as the response's
+is >= omega. One relaxation's rounding moves that by less than m'/2 for
+n >= 2: each entry fl(fl(theta h) + fl((1 - theta) f)) is off by at most
+2u (|theta h| + |(1 - theta) f|) <= 4u max|H'| (u = eps/2; H and F are PSD,
+so an entry is bounded by the diagonal, and theta h_ii and
+(1 - theta) f_ii are each at most H'_ii), 2n eps max|H'| in the 2-norm;
+F's own rounding, of its entries and of a and c from D:D, is about
+3n eps max|F| before (1 - theta) scales it below 3n eps max|H'|; the
+floor's update rounds by about eps max|H'|. And m' >= theta m, since
+H'_ii >= theta h_ii. So lambda_min(H') >= theta (floor - m/2)
++ (1 - theta) omega - m'/2 >= floor' - m'/2, and the computed minimum is at
+least floor' - m'. For n = 1 the eigenvalue is the entry itself, exact,
+and the eigensolver's half of m covers the rest. After N steps the floor is
+theta^N alpha + (1 - theta^N) omega less theta^N (1e-12 + m_0) and
+sum_j theta^(N-j) m_j: H0's admitted deficit decays, and the rest grows
+like N m, up to m / (1 - theta). So the checks pass a valid run at any
+scale of alpha and omega, and still catch a floor broken by more than
+rounding. An H that holds NaN or inf, as a response whose products
+overflow gives, makes m non-finite; the step's check then names its first
+such cell, where a NaN would have made every comparison with the floor
+false.
 
 The step loop is a generator: trajectory() hands it out, and run(), the
 baselines and memory_form_check read it step by step, so nothing stores
@@ -95,7 +122,6 @@ from .tensors import eig_margin, eigvalsh_field, min_eig_below, min_eig_field, p
 
 Array = np.ndarray
 
-KAPPA_SLACK = 1e-8  # absolute slack of the floor check, besides eig_margin(H) (see the module docstring)
 # Relative CG tolerance of the half-step solve: HALF_TOL_PER_DT2 dt^2, capped
 # at HALF_TOL_MAX and never below the run's cg_tol (see the module docstring).
 HALF_TOL_PER_DT2 = 1e-4
@@ -274,17 +300,17 @@ def _implicit_solve(
     raise failure(f"CG did not reach tol {cg_tol:g} in {max_iter} iterations", rs)
 
 
-def _relax_H(u_sample: Array, h: Array, p: FilterParams, kern: Kernel | None) -> None:
+def _relax_H(u_sample: Array, h: Array, p: FilterParams, kern: Kernel | None, theta: float) -> None:
     """Exact relaxation of h over one step, in place, with F frozen at u_sample.
 
     h becomes theta h + (1 - theta) F, each element by the same two products
     and one sum as the out-of-place expression, in bands of its flattened
-    values and with no field-sized temporary besides F itself. h and F are
-    packed, (P,) + dims, and h must be C-contiguous, as run()'s packed copy
-    of H is.
+    values and with no field-sized temporary besides F itself. theta is
+    e^(-dt/tau), which the step loop computes once and also carries the
+    floor with. h and F are packed, (P,) + dims, and h must be
+    C-contiguous, as run()'s packed copy of H is.
     """
     f = response_field(grad_sigma(u_sample, kern), p.response).reshape(-1)
-    theta = math.exp(-p.dt / p.tau)
     flat = h.reshape(-1)
 
     def band(start: int, stop: int) -> None:
@@ -342,17 +368,19 @@ def _num_steps(p: FilterParams) -> int:
     return max(1, int(math.ceil(n - 1e-9)))
 
 
-def _step_loop(u: Array, h: Array | None, p: FilterParams):
+def _step_loop(u: Array, h: Array | None, p: FilterParams, floor: float | None):
     """The step loop of trajectory(), run() and run_baseline(), from validated (u, H).
 
     It runs p as given: p's kernel (none below DELTA_SIGMA) mollifies the
     gradient and p's response kind gives F. With H given, every step relaxes
     H toward the response sampled at a half-step backward-Euler prediction
     of u, checks the eigenvalue floor of the relaxed H and solves for the
-    new u with it. With H None (no relaxation, the tau -> 0 limit) every
-    step sets H = F(grad_sigma u) at the step's left endpoint instead, with
-    no half solve and no floor check, and takes H's smallest eigenvalue from
-    the response's closed form.
+    new u with it; floor is the one trajectory() admitted H0 at, which the
+    loop carries as it relaxes H (see the module docstring). With H and
+    floor None (no relaxation, the tau -> 0 limit) every step sets
+    H = F(grad_sigma u) at the step's left endpoint instead, with no half
+    solve and no floor check, and takes H's smallest eigenvalue from the
+    response's closed form.
 
     A generator: it yields (FilterState, TraceRecord) once per step and
     returns the final FilterState, the initial one when there are no steps.
@@ -361,6 +389,7 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams):
     """
     relax = h is not None
     kern = p.kernel()
+    theta = math.exp(-p.dt / p.tau)
     # dt * dt, not dt**2: a finite dt**2 may overflow and raise.
     half_tol = max(p.cg_tol, min(HALF_TOL_MAX, HALF_TOL_PER_DT2 * p.dt * p.dt))
     t = 0.0
@@ -381,7 +410,7 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams):
         # temporaries lowers a step's peak memory by one H field or two.
         havg = None
         if relax:
-            _relax_H(u_half, h, p, kern)
+            _relax_H(u_half, h, p, kern, theta)
             del u_half  # not read again; held, it would add an image field to the step's peak
             # The floor check runs before the face tensors exist, so its
             # Cholesky blocks share the memory with H alone. A NaN or inf
@@ -393,9 +422,10 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams):
                     f"diffusivity became non-finite at t={t:g}: first at cell {cell}",
                     diagnostic={"t": t, "cell": cell, "tensor": unpack(h[(...,) + cell])},
                 )
+            floor = theta * floor + (1.0 - theta) * p.response.omega - margin
             min_eig, flat = min_eig_field(h, _margin=margin)
-            kappa = kappa_predicted(t, p)
-            if not min_eig >= kappa - KAPPA_SLACK - margin:
+            if not min_eig >= floor - margin:
+                kappa = kappa_predicted(t, p)
                 cell = tuple(map(int, np.unravel_index(flat, u.shape[:-1])))
                 tensor = unpack(h[(...,) + cell])
                 raise InvariantViolation(
@@ -484,7 +514,7 @@ def trajectory(u0: Array, H0: Array, p: FilterParams) -> Iterator[tuple[FilterSt
             f"min eig {init_min:.6g} < alpha {p.alpha:g} at cell {cell}"
         )
     # Only the step loop holds its copy of u, so each solve frees the last u.
-    return _step_loop(u.copy(), h, p)
+    return _step_loop(u.copy(), h, p, floor)
 
 
 def run(u0: Array, H0: Array, p: FilterParams) -> tuple[FilterState, list[TraceRecord]]:

@@ -252,7 +252,7 @@ def test_kernels_bit_equal_for_1_2_3_bands(dims, channels, rng, set_workers, mon
     for workers in (1, 2, 3):
         set_workers(workers)
         relaxed = planes.copy()
-        _relax_H(u, relaxed, p, p.kernel())
+        _relax_H(u, relaxed, p, p.kernel(), theta)
         x, iters = _implicit_solve(b, havg, p.dt, p.cg_tol)
         assert iters == solved[1], f"CG iterations with {workers} bands"
         got = {

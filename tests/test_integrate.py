@@ -113,7 +113,7 @@ class TestStepH:
         u = np.full(dims + (2,), 0.4)
         h0 = identity_field(dims, 4, scale=1.5)  # F(0) = 3/2 Id
         h = h0.copy()
-        _relax_H(u, h, p, p.kernel())
+        _relax_H(u, h, p, p.kernel(), math.exp(-p.dt / p.tau))
         np.testing.assert_allclose(h, h0, atol=1e-14)
 
     def test_zero_response_stub_scalar_exponential(self, monkeypatch):
@@ -123,7 +123,7 @@ class TestStepH:
         monkeypatch.setattr(integrate_mod, "response_field", lambda d, rp: np.zeros((3,) + d.shape[2:]))
         u = np.zeros(dims + (1,))
         h = identity_field(dims, 2, scale=alpha)
-        _relax_H(u, h, p, p.kernel())
+        _relax_H(u, h, p, p.kernel(), math.exp(-p.dt / p.tau))
         expected = identity_field(dims, 2, scale=alpha * math.exp(-1.0))
         np.testing.assert_allclose(h, expected, atol=1e-14)
 
@@ -136,7 +136,7 @@ class TestStepH:
         theta = math.exp(-p.dt / p.tau)
         err_prev = float(np.max(np.abs(h - f)))
         for _ in range(8):
-            _relax_H(u, h, p, p.kernel())
+            _relax_H(u, h, p, p.kernel(), theta)
             err = float(np.max(np.abs(h - f)))
             assert err == pytest.approx(theta * err_prev, rel=1e-10, abs=1e-13)
             err_prev = err
@@ -146,7 +146,7 @@ class TestStepH:
         p = FilterParams(tau=0.5, sigma=0.0, dt=5.0, response=ResponseParams(s=0.1))
         u = rng.standard_normal(dims + (3,))
         h = pack(random_psd_field(rng, dims, 6, floor=0.2))
-        _relax_H(u, h, p, p.kernel())
+        _relax_H(u, h, p, p.kernel(), math.exp(-p.dt / p.tau))
         # response is PSD, H has floor 0.2, any dt keeps a convex mix PSD
         assert float(np.min(np.linalg.eigvalsh(np.moveaxis(unpack(h), (0, 1), (-2, -1))))) >= min(0.2, 0.0) - 1e-10
 
@@ -311,6 +311,50 @@ class TestRun:
         h0[:, 3, 4] = pack(0.05 * np.eye(4))
         with pytest.raises(ParameterError, match=r"alpha eigenvalue floor: min eig 0\.05 < alpha 0\.1 at cell \(3, 4\)$"):
             trajectory(rng.standard_normal(dims + (2,)), h0, FilterParams(alpha=0.1))
+
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-9])
+    def test_init_H0_of_an_8_bit_ramp_is_admitted(self, alpha):
+        # The windowed covariance of an affine image is 0 in exact
+        # arithmetic. init_H0's cancellation leaves cells 8.5e-20 below
+        # alpha here, which H0 cannot show: eig_margin(H0) is 1.9e-19 at
+        # alpha 1e-6 and 1.9e-22 at 1e-9. The H0 check's 1e-12 admits them.
+        x, y = np.meshgrid(np.arange(64), np.arange(64), indexing="ij")
+        u0 = np.stack([x + 2 * y, 3 * x + y, 2 * x + 2 * y], axis=-1) / 255.0
+        trajectory(u0, init_H0(u0, window=5, alpha=alpha), FilterParams(alpha=alpha))
+
+    @pytest.mark.parametrize("alpha", [0.1, 1e-6, 1e-9, 1e-10])
+    def test_floor_broken_by_5e_9_is_caught_at_every_alpha(self, alpha, monkeypatch):
+        # One cell is set 5e-9 under kappa(t) after each relaxation. An
+        # absolute slack of 1e-8 once let all four runs end, at alpha 1e-9
+        # and 1e-10 with an indefinite H (min_eig_H down to -4.9e-9).
+        u0 = np.random.default_rng(0).uniform(-1.0, 1.0, (12, 12, 3))
+        p = FilterParams(dt=0.1, t_end=0.3, alpha=alpha)
+        relax, steps = integrate_mod._relax_H, []
+
+        def pushed_under(u, h, *args):
+            relax(u, h, *args)
+            steps.append(None)
+            h[:, 5, 5] = pack((kappa_predicted(len(steps) * p.dt, p) - 5e-9) * np.eye(6))
+
+        monkeypatch.setattr(integrate_mod, "_relax_H", pushed_under)
+        with pytest.raises(InvariantViolation, match=r"^diffusivity eigenvalue floor broken at t=0\.1: .* at cell \(5, 5\)$"):
+            run(u0, init_H0(u0, window=3, alpha=alpha), p)
+
+    @pytest.mark.parametrize(
+        "alpha, omega, tau, dt",
+        [(0.1, 0.3, 5.0, 5e-4), (1.0, 1e-3, 50.0, 1e-3)],
+    )
+    def test_long_runs_at_small_one_minus_theta_keep_the_floor(self, alpha, omega, tau, dt):
+        # 1,000 steps at 1 - theta = 1e-4 and 2e-5: the relaxation's rounding
+        # accumulates under the floor, in the first run to 1.6 eig_margin(H).
+        # A check of kappa(t) less eig_margin(H) alone raised at t = 0.134
+        # and 0.305; the carried floor allows for H0's 1e-12, decaying as
+        # theta^N, and eig_margin(H) per step.
+        x, y = np.meshgrid(np.arange(16), np.arange(16), indexing="ij")
+        u0 = (np.round(3 * x + 5 * y) / 255.0)[..., None]
+        p = FilterParams(tau=tau, sigma=0.0, dt=dt, t_end=1000 * dt, alpha=alpha, response=ResponseParams(s=0.01, omega=omega))
+        _, traces = run(u0, init_H0(u0, window=5, alpha=alpha), p)
+        assert len(traces) == 1000
 
     def test_zero_image_needs_no_cg_iteration(self, monkeypatch):
         # A zero right-hand side returns the zero solution before the first

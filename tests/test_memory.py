@@ -12,6 +12,7 @@ what a call still holds when it returns counts too.
 
 import contextlib
 import io
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -86,7 +87,7 @@ def test_relaxation_holds_F_as_21_planes():
     p = FilterParams(t_end=0.3)
     h = init_H0(u0, window=5, alpha=0.1)
     full = h_field_bytes(u0)
-    _, peak = traced_peak(lambda: _relax_H(u0, h, p, p.kernel()))
+    _, peak = traced_peak(lambda: _relax_H(u0, h, p, p.kernel(), math.exp(-p.dt / p.tau)))
     assert peak <= 0.92 * full, peak / full
 
 
@@ -146,11 +147,12 @@ def test_grey_catte_peak_in_image_fields():
 
 def test_cli_holds_its_images_as_8_bit_samples(tmp_path):
     # cli.main in catte mode on that scene as a PGM, with a reference: the
-    # run's peak, plus the filtered image the CLI hands to it and the input
-    # and the reference as uint8, an eighth of an image field each. The
-    # bound allows a quarter of an image field over the 15.53 measured; a
-    # float64 copy of either image held through the run adds a whole one
-    # (18.23 measured with both held).
+    # run's peak, plus the input and the reference as uint8, an eighth of an
+    # image field each. The CLI hands the filtered image over, and
+    # run_baseline lets go of it once the step loop has its copy. The bound
+    # allows a quarter of an image field over the 14.53 measured; an image
+    # held through the run adds a whole one (15.53 measured while the CLI
+    # held it, 18.23 with float64 copies of both 8-bit images held too).
     u0 = grey_scene()
     path = str(tmp_path / "scene.pgm")
     save_image((u0 + 1.0) * 0.5, path)
@@ -159,7 +161,7 @@ def test_cli_holds_its_images_as_8_bit_samples(tmp_path):
     with contextlib.redirect_stdout(io.StringIO()) as stdout:
         code, peak = traced_peak(lambda: main(argv))
     assert code == 0 and "psnr_vs_reference=" in stdout.getvalue()
-    assert peak <= (15.53 + 0.25) * u0.nbytes, peak / u0.nbytes
+    assert peak <= (14.53 + 0.25) * u0.nbytes, peak / u0.nbytes
 
 
 def test_band_threads_allocate_nothing(set_workers):

@@ -7,8 +7,10 @@ SystemExit(0) after printing the --help text; ``load_image`` must return
 8-bit samples or raise an ImageIOError subclass. The steps of ``run``, read
 from ``trajectory``, on an 8 x 8 RGB scene with drawn parameters must raise
 a RelaxdiffError or keep the paper's three guarantees: mass, eigenvalue
-floor and L2 monotonicity. With alpha and omega drawn over many decades, a
-run must pass both floor checks.
+floor and L2 monotonicity; a broken floor is no such error, as the floor
+holds for every valid run. With alpha and omega drawn over many decades, a
+run must pass both floor checks. No seeded CLI draw may break the floor
+either.
 
 ``--dt`` and ``--t-end`` always come last on the command line, from ranges
 that allow at most six steps, so no drawn run is long.
@@ -16,6 +18,7 @@ that allow at most six steps, so no drawn run is long.
 
 import contextlib
 import io
+import math
 import warnings
 
 import numpy as np
@@ -34,10 +37,10 @@ from relaxdiff.cli import (
     main,
     save_image,
 )
-from relaxdiff.errors import ImageIOError, RelaxdiffError
+from relaxdiff.errors import ImageIOError, InvariantViolation, RelaxdiffError
 from relaxdiff.grid import l2_norm, mean_free
 from relaxdiff.initial import init_H0, rescale
-from relaxdiff.integrate import KAPPA_SLACK, FilterParams, kappa_predicted
+from relaxdiff.integrate import FilterParams
 from relaxdiff.response import ResponseParams
 from relaxdiff.tensors import eig_margin
 
@@ -189,6 +192,7 @@ def test_seeded_cli_fuzz_exits_cleanly(tmp_path):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
                 code = main(argv)
         assert code == EXIT_OK or code in {code for _, code in CLI_EXIT_CODES}, (argv, err.getvalue())
+        assert "eigenvalue floor broken" not in err.getvalue(), (argv, err.getvalue())
         codes.append(code)
     # About 1,130 draws run: most exit 2, a few dozen 0 and a few 4.
     assert len(codes) >= 1000 and EXIT_OK in codes and EXIT_CONFIG in codes, codes
@@ -220,6 +224,30 @@ def test_load_image_raises_only_image_errors(tmp_path_factory, header, payload, 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
+def floor_bounds(p, hs):
+    """The smallest min_eig_H the floor check lets pass after each step, from the H of every step node (H0 first).
+
+    The closed form of the floor the step loop carries (see the integrate
+    module docstring): with m_j = eig_margin(H_j) and theta the float
+    e^(-dt/tau) that the relaxation uses, step N passes at
+    kappa_N - theta^N (1e-12 + m_0) - sum_(j=1..N) theta^(N-j) m_j - m_N,
+    where kappa_N = theta^N alpha + (1 - theta^N) omega is kappa(t) in that
+    theta. 1 - theta^N is formed as -expm1(N log theta): a plain
+    1 - theta**N, or kappa_predicted's e^(-t/tau), loses about eps omega
+    to cancellation where dt << tau, 0.11 at omega 1e15 and dt/tau 1e-8,
+    far more than the margins.
+    """
+    theta = math.exp(-p.dt / p.tau)
+    margins = [eig_margin(h) for h in hs]
+    bounds = []
+    for n in range(1, len(hs)):
+        log_decay = n * math.log(theta) if theta > 0.0 else -math.inf
+        kappa = math.exp(log_decay) * p.alpha - math.expm1(log_decay) * p.response.omega
+        carried = sum(theta ** (n - j) * margins[j] for j in range(1, n + 1))
+        bounds.append(kappa - math.exp(log_decay) * (1e-12 + margins[0]) - carried - margins[n])
+    return bounds
+
+
 def plausible_or_finite(lo, hi):
     return st.one_of(st.floats(lo, hi), finite)
 
@@ -246,6 +274,11 @@ def plausible_or_finite(lo, hi):
 # near 7e14: one step raised InvariantViolation, min eig one unit in the last
 # place under the floor.
 @example(dt=1.0, tau=1.0, s=1.0, omega=1133007968679298.0, sigma=0.0, steps=1)
+# The floor was once checked against kappa(t) in e^(-t/tau), which loses
+# about eps omega to cancellation where dt << tau: the third step raised
+# "eigenvalue floor broken", 0.078 under it, though H had the floor that the
+# relaxation's theta carries.
+@example(dt=0.01, tau=1e6, s=0.01, omega=1e15, sigma=0.0, steps=3)
 def test_run_keeps_its_guarantees_or_raises(dt, tau, s, omega, sigma, steps):
     clean, _ = disk_image(n=8, radius=2.5)
     u0 = clean + 0.05 * np.random.default_rng(3).standard_normal(clean.shape)
@@ -253,14 +286,18 @@ def test_run_keeps_its_guarantees_or_raises(dt, tau, s, omega, sigma, steps):
     try:
         p = FilterParams(tau=tau, sigma=sigma, dt=dt, t_end=steps * dt, response=ResponseParams(s=s, omega=omega))
         traces, us, hs = step_nodes(u0, h0, p)
-    except RelaxdiffError:
+    except RelaxdiffError as exc:
+        # The floor holds for every valid run: a broken one is the check's
+        # false positive.
+        if isinstance(exc, InvariantViolation) and "eigenvalue floor broken" in str(exc):
+            raise
         return
     mass0 = u0.reshape(-1, 3).sum(axis=0)
     mass_tol = 1e-9 * np.abs(u0).reshape(-1, 3).sum(axis=0)
     norms = [l2_norm(mean_free(u)) for u in us]
-    for r, h, a, b in zip(traces, hs[1:], norms, norms[1:]):
+    for r, floor, a, b in zip(traces, floor_bounds(p, hs), norms, norms[1:]):
         assert np.all(np.abs(np.array(r.mass) - mass0) <= mass_tol), (r.t, r.mass)
-        assert r.min_eig_H >= kappa_predicted(r.t, p) - KAPPA_SLACK - eig_margin(h), (r.t, r.min_eig_H)
+        assert r.min_eig_H >= floor, (r.t, r.min_eig_H, floor)
         assert b <= a + 1e-10 * norms[0], (r.t, a, b)  # fixed, 100 times tighter than the default cg_tol
 
 
@@ -279,5 +316,5 @@ def test_floor_checks_hold_at_every_scale(alpha, omega, dt):
     h0 = init_H0(u0, window=3, alpha=alpha)
     p = FilterParams(dt=dt, t_end=2 * dt, alpha=alpha, response=ResponseParams(omega=omega))
     traces, _, hs = step_nodes(u0, h0, p)
-    for r, h in zip(traces, hs[1:]):
-        assert r.min_eig_H >= kappa_predicted(r.t, p) - KAPPA_SLACK - eig_margin(h), (r.t, r.min_eig_H)
+    for r, floor in zip(traces, floor_bounds(p, hs)):
+        assert r.min_eig_H >= floor, (r.t, r.min_eig_H, floor)
