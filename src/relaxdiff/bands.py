@@ -20,13 +20,27 @@ least BAND_MIN_WORK of the call's ``work``, the float64 elements it reads
 and writes: small fields run as one plain call, and the banded kernels split
 only where the split was measured to pay.
 
+The passes of one CG solve share one measure, ``grid.solve_work``: the
+image's packed tensor planes and its 1 + d fields, 30 values a cell for RGB
+in 2-D and 6 for grey. When each pass counted its own elements, the flux
+split from about 108^2 RGB and the divergence from about 242^2, and in
+between a pass in one band read half of its input from the other CPU's
+cache, where a pass in two bands had just written it. At 128^2 RGB the
+flux alone ran 0.377 ms in two bands and 0.426 ms in one, yet a loop of
+flux, divergence and x - dt div took 0.764 ms an iteration with the
+two-band flux and 0.622 ms with the one-band flux. On the shared measure
+RGB splits from about 133^2 and grey from about 296^2, every pass of the
+solve alike.
+
 The banded kernels are:
 - ``grid.gradient``, ``grid.flux``, ``grid.divergence`` and
   ``grid.face_average_tensors``, in rows: they band the spatial axis 0 of
   their component-first fields, (k, d) + dims, (P,) + dims and
   (kd, kd) + dims, so a band is a slice of every component at once. The
   flux, the CG's tensors applied to the gradient, takes each chunk's
-  gradient and its ``tensors.apply`` in one band, with one hand-off;
+  gradient and its ``tensors.apply`` in one band, with one hand-off. The
+  flux and the divergence split on the solve's measure, not on their own
+  elements;
 - ``mollifier._correlate1d``, which serves ``convolve`` and ``init_H0``'s
   window sums, in rows of the field's axis 0 along every axis it sums, each
   band by the one routine ``_correlate_block``;
@@ -36,8 +50,9 @@ The banded kernels are:
 - ``integrate.energy``, in whole packed planes, each plane's square sum
   taken whole and the sums added by the caller in ``pack_index`` order;
 - the vector updates of ``integrate._implicit_solve``'s CG,
-  r -= alpha A p, x += alpha p and p = beta p + r, in the flattened values
-  of the image fields.
+  r -= alpha A p, x += alpha p and p = beta p + r, in rows of the image
+  fields, each band its rows' flat values, on the measure of the solve's
+  flux and divergence, so a band updates the rows its CPU just wrote.
 ``flux``, ``divergence``, ``face_average_tensors``, ``_correlate1d``,
 ``response_field`` and ``energy`` need scratch space, and get it from their
 caller's thread, as the rules below ask.

@@ -24,7 +24,9 @@ and coercive. The CG forms it as divergence(flux(havg, u)): ``flux`` is the
 tensors applied to the gradient in one pass, with no field-sized gradient.
 
 The gradient, the flux, the divergence and the face averaging run in row
-bands over the CPUs (``relaxdiff.bands``), each element computed by the same
+bands over the CPUs (``relaxdiff.bands``); the flux and the divergence split
+on ``solve_work``, as the CG's vector updates do, so that all passes of a
+solve split on the same rows. Each element is computed by the same
 operations in the same order as in one pass over the field, so their bits do
 not depend on the CPU count. The first three read or write channel c of the
 image field as the strided line u.reshape(-1)[c::k], and each component as a
@@ -72,6 +74,21 @@ def check_image(name: str, u: Array) -> Array:
     return u
 
 
+def solve_work(k: int, dims: tuple[int, ...]) -> int:
+    """The work on which every banded pass of a CG solve on an image dims + (k,) splits.
+
+    (P + k(1 + d)) cells, with d = len(dims) and P = kd(kd+1)/2: the
+    packed tensor planes and the image's 1 + d fields, 30 per cell for RGB
+    in 2-D and 6 for grey. ``flux``, ``divergence`` and the solve's vector
+    updates all band their rows on it, so the passes of one solve split on
+    the same rows, each band reading what its own CPU just wrote, or all
+    run together on one CPU: no pass reads half of its input from the other
+    CPU's cache (relaxdiff.bands has the measurements).
+    """
+    kd = k * len(dims)
+    return (kd * (kd + 1) // 2 + k * (1 + len(dims))) * math.prod(dims)
+
+
 def _gradient_rows(uf: Array, k: int, dims: tuple[int, ...], start: int, stop: int, out: Array) -> None:
     """The gradient of rows [start, stop) of axis 0 into out, (k, d, cells of those rows).
 
@@ -115,8 +132,9 @@ def flux(havg: Array, u: Array) -> Array:
 
     havg holds the face tensors full square, (kd, kd) + dims, for the image
     u, dims + (k,); any other shape raises DimensionError. The result is
-    the flux, (k, d) + dims. One banded pass over the rows of axis 0: each
-    chunk of whole rows, about APPLY_CHUNK cells, takes its gradient
+    the flux, (k, d) + dims. One banded pass over the rows of axis 0,
+    split on ``solve_work``, the measure every pass of a CG solve shares:
+    each chunk of whole rows, about APPLY_CHUNK cells, takes its gradient
     into a buffer of its band, allocated here, and applies the tensors to it
     by one tensors.apply, so every element comes from the same operations as
     in the two calls. Overflow gives inf or NaN without a warning; the CG
@@ -131,7 +149,7 @@ def flux(havg: Array, u: Array) -> Array:
         raise DimensionError(f"face tensor shape {havg.shape} != {(kd, kd) + dims}")
     n0 = dims[0]
     row = math.prod(dims[1:])
-    work = havg.size + u.size * (1 + d)
+    work = solve_work(k, dims)
     edges = band_edges(n0, work)
     rows = min(max(1, APPLY_CHUNK // row), max(np.diff(edges)))  # rows per chunk
     # The scratch comes before the output, below it in the heap, so that
@@ -168,7 +186,8 @@ def divergence(jfield: Array) -> Array:
     in the last row of axis 0, which has no face of its own. Channel c of
     the output is the strided line out.reshape(-1)[c::k], written by
     one-dimensional ufunc calls over chunks of whole rows, about
-    FACE_AVERAGE_CHUNK cells each. The terms of axes 1.. go through one
+    FACE_AVERAGE_CHUNK cells each, in bands split on ``solve_work``, as the
+    flux that it takes in the CG is. The terms of axes 1.. go through one
     buffer per band, in which the padding slots are set to +0.0: adding or
     subtracting it leaves every sum as it is, since a sum that starts so is
     never -0.0. Overflow gives inf or NaN without a warning; the CG reports
@@ -182,7 +201,7 @@ def divergence(jfield: Array) -> Array:
     row = math.prod(dims[1:])
     out = np.empty(dims + (k,))
     jf, of = jfield.reshape(k, d, -1), out.reshape(-1)
-    work = jfield.size + out.size
+    work = solve_work(k, dims)
     edges = band_edges(n0, work)
     rows = min(max(1, FACE_AVERAGE_CHUNK // row), max(np.diff(edges)))  # rows per chunk
     scratch = {start: np.empty(rows * row) for start in edges[:-1]}

@@ -110,7 +110,7 @@ import numpy as np
 
 from .bands import band_edges, for_bands
 from .errors import DimensionError, FitError, ImageIOError, InvariantViolation, ParameterError, SolverError
-from .grid import _require_finite, channel_sums, check_image, divergence, face_average_tensors, flux, inner, l2_norm, mean_free
+from .grid import _require_finite, channel_sums, check_image, divergence, face_average_tensors, flux, inner, l2_norm, mean_free, solve_work
 
 # bench/child.py wraps integrate.gradient and baselines.gradient, which
 # imports it from here, when tracing; the CG forms its gradient inside
@@ -191,9 +191,14 @@ class TraceRecord:
 
 
 def kappa_predicted(t: float, p: FilterParams) -> float:
-    """Analytic eigenvalue floor of H at time t for admissible initial data."""
-    decay = math.exp(-t / p.tau)
-    return p.alpha * decay + p.response.omega * (1.0 - decay)
+    """Analytic eigenvalue floor of H at time t for admissible initial data.
+
+    alpha e^(-t/tau) + omega (1 - e^(-t/tau)), with 1 - e^(-t/tau) formed
+    as -expm1(-t/tau): the difference would lose about eps omega to
+    cancellation where t << tau.
+    """
+    x = -t / p.tau
+    return p.alpha * math.exp(x) - p.response.omega * math.expm1(x)
 
 
 def _implicit_solve(
@@ -217,11 +222,13 @@ def _implicit_solve(
     by chunk. x, r and p are updated in place, the products going through
     the buffer of A p, which is not read again: the solve holds no scratch
     buffer while the operator runs. The updates r -= alpha A p, x += alpha p
-    and p = beta p + r run in bands of the flat values (relaxdiff.bands),
-    each element by the same operations as in one pass, so their bits do not
-    depend on the CPU count; the dot products stay whole, in grid.inner's
-    order. ``where`` names the solve in the SolverError raised after
-    cg_max_iter(cells) iterations, at a breakdown, or where the operator
+    and p = beta p + r run in bands of the image's rows (relaxdiff.bands),
+    split on grid.solve_work as the operator's flux and divergence are, so
+    every banded pass of the solve splits on the same rows, or none does.
+    Each element takes the same operations as in one pass, so their bits do
+    not depend on the CPU count; the dot products stay whole, in
+    grid.inner's order. ``where`` names the solve in the SolverError raised
+    after cg_max_iter(cells) iterations, at a breakdown, or where the operator
     overflowed (a residual or p.Ap that is not finite, as at extreme dt or
     H). Its message names the relative residual that it carries, or, where
     that residual is not finite and so tells nothing of the scale, dt and
@@ -255,7 +262,8 @@ def _implicit_solve(
     # C-contiguous all three (copies, and the operator's fresh output), so
     # the flat views write through.
     xf, rf, pf = x.reshape(-1), r.reshape(-1), p.reshape(-1)
-    size = xf.size
+    n0, work = u.shape[0], solve_work(u.shape[-1], u.shape[:-1])
+    span = xf.size // n0  # values per row of axis 0
     rs = inner(r, r)
     if not math.isfinite(rs):
         raise failure("the operator overflowed at iteration 0", rs)
@@ -272,14 +280,15 @@ def _implicit_solve(
         apf = ap.reshape(-1)
 
         def update_xr(start: int, stop: int) -> None:
+            lo, hi = start * span, stop * span
             with np.errstate(over="ignore", invalid="ignore"):  # the residual's check reports it
-                apb = apf[start:stop]
+                apb = apf[lo:hi]
                 apb *= alpha
-                rf[start:stop] -= apb
-                np.multiply(pf[start:stop], alpha, out=apb)
-                xf[start:stop] += apb
+                rf[lo:hi] -= apb
+                np.multiply(pf[lo:hi], alpha, out=apb)
+                xf[lo:hi] += apb
 
-        for_bands(update_xr, size, 7 * size)
+        for_bands(update_xr, n0, work)
         del ap, apf, update_xr
         rs_new = inner(r, r)
         if not math.isfinite(rs_new):
@@ -290,12 +299,13 @@ def _implicit_solve(
         beta = rs_new / rs
 
         def update_p(start: int, stop: int) -> None:
+            lo, hi = start * span, stop * span
             with np.errstate(over="ignore"):  # the next p.Ap reports it
-                pb = pf[start:stop]
+                pb = pf[lo:hi]
                 pb *= beta
-                pb += rf[start:stop]
+                pb += rf[lo:hi]
 
-        for_bands(update_p, size, 3 * size)
+        for_bands(update_p, n0, work)
         rs = rs_new
     raise failure(f"CG did not reach tol {cg_tol:g} in {max_iter} iterations", rs)
 

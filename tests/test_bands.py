@@ -316,3 +316,61 @@ def test_face_tensors_view_their_packed_planes_where_kd_is_at_most_2(dims, chann
         x, iters = _implicit_solve(u, havg, 0.3, 1e-8)
         x_square, iters_square = _implicit_solve(u, square, 0.3, 1e-8)
         assert iters == iters_square > 1 and x.tobytes() == x_square.tobytes(), workers
+
+
+@pytest.mark.parametrize(
+    "dims, channels, count",
+    [
+        ((96, 96), 3, 1),
+        ((128, 128), 3, 1),
+        ((160, 160), 3, 2),
+        ((256, 256), 3, 2),
+        ((256, 256), 1, 1),
+        ((384, 384), 1, 2),
+        ((512, 512), 1, 2),
+        ((65536,), 2, 1),
+        ((131072,), 2, 2),
+        ((32768,), 3, 1),
+        ((65536,), 3, 2),
+        ((32, 32, 32), 1, 1),
+        ((40, 40, 40), 1, 2),
+        ((24, 24, 24), 2, 1),
+        ((32, 32, 32), 2, 2),
+    ],
+)
+def test_one_band_split_per_solve(dims, channels, count, monkeypatch):
+    # Two CPUs and the real BAND_MIN_WORK: the flux, the divergence and both
+    # vector updates of every CG iteration split on the same rows, or all
+    # run in one band, so that no pass reads the rows another pass just
+    # wrote on the other CPU. RGB in 2-D splits from about 133^2, grey from
+    # about 296^2.
+    monkeypatch.setattr(bands, "WORKERS", 2)
+    calls = []
+    real = bands.band_edges
+
+    def spy(n, work):
+        edges = real(n, work)
+        frame = sys._getframe(1)
+        while frame.f_code.co_filename == bands.__file__:  # for_bands: name its caller
+            frame = frame.f_back
+        calls.append((frame.f_code.co_name, edges))
+        return edges
+
+    monkeypatch.setattr(bands, "band_edges", spy)
+    monkeypatch.setattr(grid_mod, "band_edges", spy)
+    kd = channels * len(dims)
+    havg = face_average_tensors(pack(np.multiply.outer(np.eye(kd), np.ones(dims))))
+    u = np.random.default_rng(3).uniform(-1.0, 1.0, dims + (channels,))
+    calls.clear()
+    x, iters = _implicit_solve(u, havg, 2.0, 1e-3)
+    assert iters > 1
+    # The operator applies once before the iterations and once in each:
+    # its flux and its divergence each size their scratch by band_edges and
+    # then run for_bands. Each iteration updates x and r, and all but the
+    # last update p.
+    names = [name for name, _ in calls]
+    assert names.count("flux") == names.count("divergence") == 2 * (iters + 1)
+    assert names.count("_implicit_solve") == 2 * iters - 1 == len(names) - 4 * (iters + 1)
+    assert all(edges == calls[0][1] for _, edges in calls), {tuple(edges) for _, edges in calls}
+    assert len(calls[0][1]) - 1 == count
+    assert calls[0][1][-1] == dims[0]

@@ -88,6 +88,20 @@ class TestKappaPredicted:
         e = math.exp(-t / 0.5)
         assert kappa_predicted(t, p) == pytest.approx(0.2 * e + 0.4 * (1 - e))
 
+    def test_omega_term_keeps_its_digits_where_t_is_far_below_tau(self):
+        # 1 - e^(-x) by subtraction is off by about eps/2 at x = 1e-8, a
+        # relative 1e-8 of omega x; the cubic Taylor polynomial is exact to
+        # x^4/24 there.
+        p = FilterParams(tau=1.0, alpha=0.1, response=ResponseParams(omega=1e15))
+        x = 1e-8
+        expected = 0.1 * math.exp(-x) + 1e15 * (x - x * x / 2 + x**3 / 6)
+        assert kappa_predicted(x, p) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("t", [0.0, 1e-8, 0.7, 30.0])
+    def test_zero_omega_is_the_decay_alone(self, t):
+        p = FilterParams(tau=0.5, alpha=0.2, response=ResponseParams(omega=0.0))
+        assert kappa_predicted(t, p) == 0.2 * math.exp(-t / 0.5)
+
 
 class TestChannelSums:
     @pytest.mark.parametrize("channels", [1, 2, 3, 4])
@@ -200,6 +214,48 @@ class TestStepU:
         reference, ref_iters = _implicit_solve(u, havg, dt, 1e-14)
         assert 0 < iters < ref_iters
         assert l2_norm(x - reference) <= cg_tol * l2_norm(u)
+
+    @pytest.mark.parametrize("dt", [0.1, 2.0])
+    @pytest.mark.parametrize("omega", [0.0, 1e5, 1e10, 1e15, 1e20])
+    def test_every_solve_of_a_run_lies_within_its_tolerance_of_the_exact_solution(self, omega, dt, monkeypatch):
+        # The solutions are compared, not the residuals: at scale dt omega
+        # the residual u - A x evaluated in floating point is the rounding
+        # of forming A x, far above the tolerance at omega 1e20. The exact
+        # solution comes from the eigendecomposition of L / max|havg|,
+        # L = -div(havg grad), on the mean-free subspace: the channel
+        # constants are L's kernel, which A = I + dt L keeps as it is.
+        # 8 x 8 RGB has 192 unknowns.
+        u0 = rescale(np.random.default_rng(0).uniform(0.0, 1.0, (8, 8, 3)))
+        p = FilterParams(dt=dt, t_end=2 * dt, response=ResponseParams(omega=omega))
+        solves = []
+
+        def spy(u, havg, dt, cg_tol, where="diffusion solve"):
+            x, iters = _implicit_solve(u, havg, dt, cg_tol, where)
+            solves.append((u.copy(), havg, dt, cg_tol, x.copy()))
+            return x, iters
+
+        monkeypatch.setattr(integrate_mod, "_implicit_solve", spy)
+        run(u0, init_H0(u0, window=3, alpha=p.alpha), p)
+        assert len(solves) == 4  # a half and a main solve per step
+        n, k = u0.size, u0.shape[-1]
+        constants = np.zeros((n, k))
+        for c in range(k):
+            constants[c::k, c] = 1.0
+        basis = np.linalg.qr(constants, mode="complete")[0][:, k:]  # the mean-free subspace
+        for u, havg, step, tol, x in solves:
+            scale = float(np.max(np.abs(havg)))
+            unit = havg / scale
+            columns = np.empty((n, n))
+            for i in range(n):
+                e = np.zeros(n)
+                e[i] = 1.0
+                columns[:, i] = -divergence(flux(unit, e.reshape(u.shape))).reshape(-1)
+            lam, vec = np.linalg.eigh(basis.T @ (0.5 * (columns + columns.T)) @ basis)
+            assert lam[0] > 0.0
+            coef = basis.T @ u.reshape(-1)
+            exact = u.reshape(-1) - basis @ coef + basis @ (vec @ ((vec.T @ coef) / (1.0 + step * scale * lam)))
+            error = l2_norm(x.reshape(-1) - exact)
+            assert error <= tol * l2_norm(u), (step, tol, error / (tol * l2_norm(u)))
 
     def test_solver_error_carries_residual(self, rng, monkeypatch):
         monkeypatch.setattr(integrate_mod, "cg_max_iter", lambda ncells: 2)

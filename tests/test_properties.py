@@ -233,9 +233,11 @@ def floor_bounds(p, hs):
     kappa_N - theta^N (1e-12 + m_0) - sum_(j=1..N) theta^(N-j) m_j - m_N,
     where kappa_N = theta^N alpha + (1 - theta^N) omega is kappa(t) in that
     theta. 1 - theta^N is formed as -expm1(N log theta): a plain
-    1 - theta**N, or kappa_predicted's e^(-t/tau), loses about eps omega
-    to cancellation where dt << tau, 0.11 at omega 1e15 and dt/tau 1e-8,
-    far more than the margins.
+    1 - theta**N loses about eps omega to cancellation where dt << tau,
+    0.11 at omega 1e15 and dt/tau 1e-8, far more than the margins.
+    kappa_predicted, whose -expm1(-t/tau) keeps those digits, is kappa(t)
+    in the exact e^(-t/tau), not in the float theta the relaxation runs
+    on: theta's own rounding moves 1 - theta by up to eps/2, as much.
     """
     theta = math.exp(-p.dt / p.tau)
     margins = [eig_margin(h) for h in hs]
