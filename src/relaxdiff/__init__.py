@@ -18,7 +18,34 @@ The root exports the entry points, their parameter types and diagnostics.
 The entry points take the image, dims + (k,), whose shape is the grid, and
 check it once (grid.check_image); the kernels stay in their modules and
 read dims, k and d from the arrays they are given.
+
+Importing the package before numpy loads numpy with one OpenBLAS thread.
+The package calls no threaded BLAS: its field-sized sums are einsum loops
+and its eigensolves work on cells of at most a few rows. OpenBLAS would
+otherwise start a worker per further CPU as numpy loads, each spinning for
+a tenth of a second of CPU before it sleeps. OPENBLAS_NUM_THREADS is set
+for the import alone and then removed, so the environment is left as it
+was found; a user who set it, GOTO_NUM_THREADS or OMP_NUM_THREADS, or who
+imported numpy first, keeps their own setting.
 """
+
+
+def _import_numpy_on_one_blas_thread() -> None:
+    import os
+    import sys
+
+    if "numpy" in sys.modules or any(
+        name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    ):
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+_import_numpy_on_one_blas_thread()
 
 from .grid import poincare_estimate
 from .initial import NoiseSpec, add_noise, init_H0, rescale, unrescale

@@ -33,7 +33,21 @@ The main and baseline solves stop at a relative residual of cg_tol, 1e-8 by
 default, because the output is an 8-bit image. Their matrix is
 A = I + dt L with L = -div(H grad) symmetric positive semidefinite, so
 ||A^-1|| <= 1, and a solve whose residual is at most cg_tol ||u|| lies
-within cg_tol ||u|| of the exact solution. Later solves are contractions
+within cg_tol ||u|| of the exact solution. The residual CG stops on is its
+recursively updated r, though, and at large dt ||H|| no residual formed
+anew can confirm it: forming A x rounds at the scale of dt ||L|| ||x||, so
+u - A x evaluated in floating point reaches 1e17 times the tolerance at
+omega 1e20, dt 2 (12^2 RGB), all of it that rounding. The accuracy is
+therefore argued from the forward error, which
+
+    tests/test_integrate.py::TestStepU::
+        test_every_solve_of_a_run_lies_within_its_tolerance_of_the_exact_solution
+
+measures against the exact solution of every solve of a two-step run,
+built from the eigendecomposition of L on the mean-free subspace (8^2 RGB,
+omega from 0 to 1e20, dt 0.1 and 2). Every solve lies within 0.50 of its
+own tolerance times ||u|| of it, the main solves within 0.21, and every
+solve within 0.0021 for omega >= 1e5. Later solves are contractions
 too and do not amplify an earlier error, so after n steps u is off by at
 most n cg_tol sqrt(N k) for N cells of k channels in the [-1, 1] units the
 CLI filters in: 2.6e-5 for 5 steps at 512^2, against half an 8-bit level,
@@ -207,8 +221,16 @@ def _implicit_solve(
     dt: float,
     cg_tol: float,
     where: str = "diffusion solve",
+    *,
+    out: Array | None = None,
 ) -> tuple[Array, int]:
     """CG solve of (I - dt div(H grad)) x = u, u an image, with its precomputed face tensors.
+
+    The solution is written into ``out``, in numpy's sense, and returned: a
+    new array by default, or a C-contiguous float array of u's shape, which
+    may be u itself. With out=u the CG iterates in u, and the solve holds
+    one image field less than with a copy: ||u|| and u's channel sums are
+    taken before the first update, and u is read nowhere after it.
 
     Starting from x0 = u keeps every Krylov update in the zero-sum subspace
     (the operator preserves channel means), so the solution's per-channel
@@ -252,15 +274,21 @@ def _implicit_solve(
 
     max_iter = cg_max_iter(cells)
     b_nrm = math.sqrt(inner(u, u))
+    if out is None:
+        out = np.empty_like(u, order="C")
     if b_nrm == 0.0:
-        return np.zeros_like(u), 0
-    x = u.copy()
+        out.fill(0.0)
+        return out, 0
+    mass = channel_sums(u)  # taken before the updates, which may write into u
+    x = out
+    if x is not u:
+        np.copyto(x, u)
     r = apply_a(x)
     with np.errstate(invalid="ignore"):  # inf - inf
         np.subtract(u, r, out=r)
     p = r.copy()
-    # C-contiguous all three (copies, and the operator's fresh output), so
-    # the flat views write through.
+    # C-contiguous all three (x as out must be, p a copy, r the operator's
+    # fresh output), so the flat views write through.
     xf, rf, pf = x.reshape(-1), r.reshape(-1), p.reshape(-1)
     n0, work = u.shape[0], solve_work(u.shape[-1], u.shape[:-1])
     span = xf.size // n0  # values per row of axis 0
@@ -294,7 +322,7 @@ def _implicit_solve(
         if not math.isfinite(rs_new):
             raise failure(f"the operator overflowed at iteration {it}", rs)
         if math.sqrt(rs_new) <= cg_tol * b_nrm:
-            x += (channel_sums(u) - channel_sums(x)) / cells
+            x += (mass - channel_sums(x)) / cells
             return x, it
         beta = rs_new / rs
 
@@ -396,6 +424,12 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams, floor: float | None):
     returns the final FilterState, the initial one when there are no steps.
     H, the responses and the state's H are packed, (P,) + dims; h must be
     C-contiguous, as _relax_H relaxes it in place.
+
+    u must be the loop's own C-contiguous copy. With relaxation each main
+    solve returns a new u, as trajectory() promises its readers. Without
+    it the baseline solve iterates in u itself (_implicit_solve's out), one
+    image field less at the grey run's peak: run_baseline() drains those
+    states, so no reader sees the buffer change.
     """
     relax = h is not None
     kern = p.kernel()
@@ -458,7 +492,11 @@ def _step_loop(u: Array, h: Array | None, p: FilterParams, floor: float | None):
             h = response_field(dfield, p.response)
             del dfield
         havg = face_average_tensors(h)
-        u, iters = _implicit_solve(u, havg, p.dt, p.cg_tol, f"{'main' if relax else 'baseline'} solve {step}")
+        # The baseline's CG iterates in u itself; the main solve's u is the
+        # state yielded last step, which a trajectory() reader may still hold.
+        u, iters = _implicit_solve(
+            u, havg, p.dt, p.cg_tol, f"{'main' if relax else 'baseline'} solve {step}", out=None if relax else u
+        )
         if not np.all(np.isfinite(u)):
             raise InvariantViolation(
                 f"intensity field became non-finite at t={t:g}",

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -421,6 +422,45 @@ class TestMainPipeline:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc/self/task")
+    @pytest.mark.parametrize("case", ["fresh", "preset", "numpy first"])
+    def test_import_starts_no_blas_thread_and_keeps_the_environment(self, case):
+        # A fresh import loads numpy with one OpenBLAS thread and leaves
+        # os.environ as it found it; a preset thread count, or numpy loaded
+        # before the package, is left alone: the environment is not written.
+        code = """
+import json, os, sys
+if sys.argv[1] != "fresh":
+    writes = []
+    class Recording(dict):
+        def __setitem__(self, key, value):
+            writes.append(key)
+            super().__setitem__(key, value)
+        def __delitem__(self, key):
+            writes.append(key)
+            super().__delitem__(key)
+    os.environ = Recording(os.environ)
+if sys.argv[1] == "numpy first":
+    import numpy
+before = dict(os.environ)
+import relaxdiff.cli
+after = dict(os.environ)
+print(json.dumps({"threads": len(os.listdir("/proc/self/task")), "kept": after == before,
+                  "writes": writes if sys.argv[1] != "fresh" else None, "blas": after.get("OPENBLAS_NUM_THREADS")}))
+"""
+        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(relaxdiff.__file__).resolve().parent.parent)
+        if case == "preset":
+            env["OPENBLAS_NUM_THREADS"] = "2"
+        proc = subprocess.run([sys.executable, "-c", code, case], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout)
+        assert seen["kept"]
+        if case == "fresh":
+            assert seen["threads"] == 1 and seen["blas"] is None
+        else:
+            assert seen["writes"] == [] and seen["blas"] == ("2" if case == "preset" else None)
 
     def test_bump_kernel_mode(self, tmp_path):
         inp = self.write_disk(tmp_path)

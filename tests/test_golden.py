@@ -272,9 +272,10 @@ print(json.dumps(result))
 
 
 def _child_digests(one_cpu: bool) -> dict:
-    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-    if one_cpu:
-        env["OPENBLAS_NUM_THREADS"] = "1"
+    # The unrestricted child names its BLAS thread count, one per CPU: left
+    # unset, importing relaxdiff before numpy would load one thread there too.
+    env = {k: v for k, v in os.environ.items() if k not in ("GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["OPENBLAS_NUM_THREADS"] = "1" if one_cpu else str(len(os.sched_getaffinity(0)))
     src = str(Path(relaxdiff.__file__).resolve().parent.parent)
     argv = [sys.executable, "-c", _CHILD, "1" if one_cpu else "0", str(Path(__file__).resolve().parent), src]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
@@ -283,7 +284,7 @@ def _child_digests(one_cpu: bool) -> dict:
 
 
 def test_outputs_do_not_depend_on_cpu_count():
-    """One CPU and one BLAS thread give the bits of the unrestricted process."""
+    """One CPU and one BLAS thread give the bits of every CPU with a BLAS thread on each."""
     pinned, free = _child_digests(one_cpu=True), _child_digests(one_cpu=False)
     for case in CASES:
         for name in ("image", "trace", "stdout"):

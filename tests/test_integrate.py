@@ -215,6 +215,23 @@ class TestStepU:
         assert 0 < iters < ref_iters
         assert l2_norm(x - reference) <= cg_tol * l2_norm(u)
 
+    @pytest.mark.parametrize("scale", [1.0, 0.0])
+    def test_solution_written_into_out_is_bit_equal(self, scale, rng):
+        # out=u iterates in the right-hand side itself, as the baseline's step
+        # loop solves; a separate out starts as a copy of u. Both give the
+        # bits of a solve into a new array, and so does a zero u, whose
+        # -0.0 entries become the new array's +0.0.
+        u = scale * rng.uniform(-1.0, 1.0, (12, 10, 3))
+        havg = face_average_tensors(pack(random_psd_field(rng, (12, 10), 6, floor=0.05)))
+        x, iters = _implicit_solve(u, havg, 2.0, 1e-8)
+        out = np.full_like(u, np.nan)
+        into_out, out_iters = _implicit_solve(u, havg, 2.0, 1e-8, out=out)
+        in_place, in_place_iters = _implicit_solve(u, havg, 2.0, 1e-8, out=u)
+        assert into_out is out and in_place is u
+        assert out_iters == in_place_iters == iters
+        assert (iters == 0) == (scale == 0.0)
+        assert x.tobytes() == out.tobytes() == u.tobytes()
+
     @pytest.mark.parametrize("dt", [0.1, 2.0])
     @pytest.mark.parametrize("omega", [0.0, 1e5, 1e10, 1e15, 1e20])
     def test_every_solve_of_a_run_lies_within_its_tolerance_of_the_exact_solution(self, omega, dt, monkeypatch):
@@ -229,9 +246,10 @@ class TestStepU:
         p = FilterParams(dt=dt, t_end=2 * dt, response=ResponseParams(omega=omega))
         solves = []
 
-        def spy(u, havg, dt, cg_tol, where="diffusion solve"):
-            x, iters = _implicit_solve(u, havg, dt, cg_tol, where)
-            solves.append((u.copy(), havg, dt, cg_tol, x.copy()))
+        def spy(u, havg, dt, cg_tol, *args, **kwargs):
+            rhs = u.copy()  # the solve may write its solution into u
+            x, iters = _implicit_solve(u, havg, dt, cg_tol, *args, **kwargs)
+            solves.append((rhs, havg, dt, cg_tol, x.copy()))
             return x, iters
 
         monkeypatch.setattr(integrate_mod, "_implicit_solve", spy)
@@ -419,8 +437,8 @@ class TestRun:
         iters = []
         solve = integrate_mod._implicit_solve
 
-        def counted_solve(*args):
-            x, it = solve(*args)
+        def counted_solve(*args, **kwargs):
+            x, it = solve(*args, **kwargs)
             iters.append(it)
             return x, it
 
@@ -436,8 +454,8 @@ class TestRun:
         u0 = disk_image(8, radius=3.0)[0]
         solve = integrate_mod._implicit_solve
 
-        def nan_main_solve(u, havg, dt, cg_tol, where):
-            x, iters = solve(u, havg, dt, cg_tol, where)
+        def nan_main_solve(u, havg, dt, cg_tol, where, **kwargs):
+            x, iters = solve(u, havg, dt, cg_tol, where, **kwargs)
             return (np.full_like(x, np.nan) if where.startswith("main") else x), iters
 
         monkeypatch.setattr(integrate_mod, "_implicit_solve", nan_main_solve)
